@@ -7,8 +7,9 @@
 //! always cold and execution is exactly the old in-CLI pipeline. The
 //! server keeps one engine alive across clients; that engine memoizes
 //!
-//! * **parsed logs** — keyed by source identity *and content
-//!   fingerprint* (`(path, bytes, crc32, chunk size, filter)` for
+//! * **indexed logs** — the [`StreamView`] of every parsed or generated
+//!   log, built once by value from the records, keyed by source identity
+//!   *and content fingerprint* (`(path, bytes, crc32, chunk size, filter)` for
 //!   files, `(name, seed)` for models). Each entry stores the
 //!   [`Collector`] that recorded the original parse/generation, and a
 //!   cache hit replays those instruments into the new query's collector
@@ -31,8 +32,8 @@
 //! CLI would never write a snapshot) is remembered together with the
 //! [`failindex::SourceInfo`] fingerprint of the bytes it parsed.
 //! [`QueryEngine::persist_dirty`] — called by the server on graceful
-//! shutdown — writes those indexes to disk so the next process starts
-//! warm. Auto-mode cold parses refresh their snapshot immediately,
+//! shutdown — writes those cached indexes to disk so the next process
+//! starts warm. Auto-mode cold parses refresh their snapshot immediately,
 //! exactly like the CLI always has.
 
 use std::collections::HashMap;
@@ -42,7 +43,7 @@ use std::sync::{Arc, Mutex};
 use failfilter::CompiledPredicate;
 use failindex::{Freshness, IndexMode, IndexedLoad, SourceInfo};
 use faillog::ParseOptions;
-use failscope::SectionCtx;
+use failscope::{SectionCtx, StreamView};
 use failsim::{Simulator, SystemModel};
 use failtrace::Collector;
 use failtypes::{Error, FailureLog, JsonValue, Result};
@@ -68,10 +69,10 @@ pub struct QueryOutcome {
     pub cached: bool,
 }
 
-/// A parsed (or generated) log plus the collector that recorded the
-/// work, replayed into later queries that reuse the entry.
+/// The index of a parsed (or generated) log plus the collector that
+/// recorded the work, replayed into later queries that reuse the entry.
 struct CachedLog {
-    log: Arc<FailureLog>,
+    view: Arc<StreamView>,
     load_trace: Collector,
     /// Catalog grouping id: the file path, or `model:{name}:{seed}`.
     /// Several cache entries (chunk-size or filter variants) share one
@@ -84,7 +85,7 @@ struct CachedLog {
 /// An unfiltered cold-parsed file log eligible for snapshot
 /// persistence at shutdown.
 struct DirtyLog {
-    log: Arc<FailureLog>,
+    view: Arc<StreamView>,
     source: SourceInfo,
 }
 
@@ -255,7 +256,6 @@ impl QueryEngine {
         if let Some((key, _)) = &key {
             let mut renders = self.renders.lock().unwrap_or_else(|e| e.into_inner());
             if let Some(entry) = renders.map.get(key) {
-                self.metrics.incr("engine.render_cache.hit", 1);
                 self.metrics.incr("cache.hits", 1);
                 let trace = Collector::new();
                 trace.merge_from(&entry.trace);
@@ -268,7 +268,6 @@ impl QueryEngine {
                 });
             }
         }
-        self.metrics.incr("engine.render_cache.miss", 1);
         self.metrics.incr("cache.misses", 1);
         let trace = Collector::new();
         let output = match &req.cmd {
@@ -293,8 +292,6 @@ impl QueryEngine {
                 );
                 let evicted = renders.evict_to(self.cache_bytes);
                 if evicted > 0 {
-                    self.metrics
-                        .incr("engine.render_cache.evicted", evicted as u64);
                     self.metrics.incr("cache.evictions", evicted as u64);
                 }
             }
@@ -320,8 +317,9 @@ impl QueryEngine {
             if matches!(failindex::probe(&path), Ok(Freshness::Exact)) {
                 continue;
             }
-            let view = failscope::LogView::new(&entry.log);
-            if failindex::save(failindex::snapshot_path(&path), &view, entry.source).is_ok() {
+            let saved =
+                failindex::save(failindex::snapshot_path(&path), entry.view.as_ref(), entry.source);
+            if saved.is_ok() {
                 written += 1;
                 self.metrics.incr("engine.snapshots_persisted", 1);
             }
@@ -423,7 +421,7 @@ impl QueryEngine {
                 group.log_entries += 1;
                 // Filtered variants parse fewer records; report the
                 // fullest parse the engine holds.
-                group.records = group.records.max(entry.log.len());
+                group.records = group.records.max(entry.view.len());
                 if let Some(info) = &entry.source_info {
                     let wider = group.info.as_ref().is_none_or(|g| info.bytes >= g.bytes);
                     if wider {
@@ -497,8 +495,6 @@ impl QueryEngine {
             usize::from(dirty.remove(&catalog_id).is_some())
         };
         if renders > 0 {
-            self.metrics
-                .incr("engine.render_cache.evicted", renders as u64);
             self.metrics.incr("cache.evictions", renders as u64);
         }
         self.metrics.incr("engine.catalog.evict", 1);
@@ -525,36 +521,27 @@ impl QueryEngine {
             Some(spec) => failscope::select_sections(spec)?,
             None => failscope::SECTIONS.iter().collect(),
         };
-        let input = match source {
+        let (view, warm) = match source {
             QuerySource::Model { name, seed } => {
                 if let Some(mode) = opts.index {
                     return Err(Error::args(format!(
                         "--index {mode} only applies to file input (--model {name} is generated in-process)"
                     )));
                 }
-                let log = self.model_log(name, *seed, trace)?;
                 // The model path never touches the parser; the
                 // predicate applies directly to the generated records.
-                match filter {
-                    Some(p) => {
-                        let (spec, window) = (log.spec().clone(), log.window());
-                        ReportInput::Cold(Arc::new(log.filtered(|r| p.matches(r, &spec, window))))
-                    }
-                    None => ReportInput::Cold(log),
-                }
+                let view = self.model_view(name, *seed, trace)?;
+                (filter_view(view, filter), false)
             }
-            QuerySource::File(path) => self.open_report_input(req, path, trace, filter)?,
+            QuerySource::File(path) => self.load_file_view(req, path, trace, filter)?,
         };
-        let render = |ctx: &SectionCtx<'_>| match opts.format {
-            OutputFormat::Text => failscope::render_text_sections(&sections, ctx, opts.threads),
-            OutputFormat::Json => failscope::render_json_sections(&sections, ctx, opts.threads),
-        };
-        let body = match &input {
-            ReportInput::Warm(view) => render(&SectionCtx::with_trace(view.as_ref(), trace)),
-            ReportInput::Cold(log) => {
-                let view = failscope::LogView::new_traced(log, Some(trace));
-                render(&SectionCtx::with_trace(&view, trace))
-            }
+        if !warm {
+            view.trace_index(trace);
+        }
+        let ctx = SectionCtx::with_trace(view.as_ref(), trace);
+        let body = match opts.format {
+            OutputFormat::Text => failscope::render_text_sections(&sections, &ctx, opts.threads),
+            OutputFormat::Json => failscope::render_json_sections(&sections, &ctx, opts.threads),
         };
         Ok(version_header(opts.format, "report") + &body)
     }
@@ -570,41 +557,37 @@ impl QueryEngine {
     ) -> Result<String> {
         let opts = &req.opts;
         validate_chunk(opts)?;
-        let older = self.load_compare_input(req, old, trace, filter)?;
-        let newer = self.load_compare_input(req, new, trace, filter)?;
+        let (older, _) = self.load_file_view(req, old, trace, filter)?;
+        let (newer, _) = self.load_file_view(req, new, trace, filter)?;
         let body = trace.time("compare.render", || match opts.format {
-            OutputFormat::Text => {
-                failscope::render_comparison_threaded(&older, &newer, opts.threads)
-            }
+            OutputFormat::Text => failscope::render_comparison_index(&older, &newer, opts.threads),
             OutputFormat::Json => failscope::render_comparison_json(&older, &newer, opts.threads),
         });
         Ok(version_header(opts.format, "compare") + &body)
     }
 
-    /// Loads a report's file input honouring the index policy and the
+    /// Loads a file input's index honouring the index policy and the
     /// query's filter: a warm snapshot is served without parsing the
     /// log (exact hit) or by parsing only its appended tail (prefix
     /// hit), with the predicate applied to the decoded view; otherwise
     /// the log is parsed cold with the predicate pushed into the
     /// parser. Auto mode refreshes the snapshot best-effort after an
     /// *unfiltered* cold parse only — a filtered parse never sees the
-    /// whole log, and snapshots must.
-    fn open_report_input(
+    /// whole log, and snapshots must. Returns the view and whether it
+    /// came from a snapshot.
+    fn load_file_view(
         &self,
         req: &QueryRequest,
         path: &str,
         trace: &Collector,
         filter: &Option<CompiledPredicate>,
-    ) -> Result<ReportInput> {
+    ) -> Result<(Arc<StreamView>, bool)> {
         let opts = &req.opts;
         let mode = opts.index_mode();
         if mode == IndexMode::Off {
-            let log = self.file_log(path, opts, filter, trace)?;
-            return Ok(ReportInput::Cold(log));
+            return Ok((self.file_view(path, opts, filter, trace)?, false));
         }
-        let warm = |view: failscope::StreamView| -> Result<ReportInput> {
-            Ok(ReportInput::Warm(Box::new(filter_view(view, filter))))
-        };
+        let warm = |view: StreamView| Ok((filter_view(Arc::new(view), filter), true));
         match failindex::open_indexed(path, Some(trace))? {
             IndexedLoad::Exact(snap) => warm(snap.into_view()),
             IndexedLoad::Extended { snapshot, .. } => warm(snapshot.into_view()),
@@ -613,66 +596,25 @@ impl QueryEngine {
                     return Err(require_warm_err(path, opts));
                 }
                 if filter.is_some() {
-                    let log = self.file_log(path, opts, filter, trace)?;
-                    return Ok(ReportInput::Cold(log));
+                    return Ok((self.file_view(path, opts, filter, trace)?, false));
                 }
-                let log = self.file_log(path, opts, &None, trace)?;
+                let view = self.file_view(path, opts, &None, trace)?;
                 failindex::save_traced(
                     failindex::snapshot_path(path),
-                    &failscope::LogView::new(&log),
+                    view.as_ref(),
                     source,
                     Some(trace),
                 )
                 .ok();
-                Ok(ReportInput::Cold(log))
+                Ok((view, false))
             }
         }
     }
 
-    /// Loads one `compare` input; warm snapshots are filtered as
-    /// decoded views and converted back to a log without parsing (the
-    /// comparison renderer works on logs).
-    fn load_compare_input(
-        &self,
-        req: &QueryRequest,
-        path: &str,
-        trace: &Collector,
-        filter: &Option<CompiledPredicate>,
-    ) -> Result<Arc<FailureLog>> {
-        let opts = &req.opts;
-        let mode = opts.index_mode();
-        if mode == IndexMode::Off {
-            return self.file_log(path, opts, filter, trace);
-        }
-        match failindex::open_indexed(path, Some(trace))? {
-            IndexedLoad::Exact(snap) => Ok(Arc::new(filter_view(snap.into_view(), filter).to_log())),
-            IndexedLoad::Extended { snapshot, .. } => {
-                Ok(Arc::new(filter_view(snapshot.into_view(), filter).to_log()))
-            }
-            IndexedLoad::Cold { source } => {
-                if mode == IndexMode::Require {
-                    return Err(require_warm_err(path, opts));
-                }
-                if filter.is_some() {
-                    return self.file_log(path, opts, filter, trace);
-                }
-                let log = self.file_log(path, opts, &None, trace)?;
-                failindex::save_traced(
-                    failindex::snapshot_path(path),
-                    &failscope::LogView::new(&log),
-                    source,
-                    Some(trace),
-                )
-                .ok();
-                Ok(log)
-            }
-        }
-    }
-
-    /// A memoized in-process model generation. The stored load trace is
-    /// replayed into `trace` so a cache hit's metrics are identical to
-    /// a fresh generation.
-    fn model_log(&self, name: &str, seed: u64, trace: &Collector) -> Result<Arc<FailureLog>> {
+    /// A memoized in-process model generation, indexed. The stored load
+    /// trace is replayed into `trace` so a cache hit's metrics are
+    /// identical to a fresh generation.
+    fn model_view(&self, name: &str, seed: u64, trace: &Collector) -> Result<Arc<StreamView>> {
         let model = model_by_name(name)?;
         let key = format!("model:{name}:{seed}");
         {
@@ -680,34 +622,35 @@ impl QueryEngine {
             if let Some(entry) = logs.get(&key) {
                 self.metrics.incr("engine.log_cache.hit", 1);
                 trace.merge_from(&entry.load_trace);
-                return Ok(Arc::clone(&entry.log));
+                return Ok(Arc::clone(&entry.view));
             }
         }
         self.metrics.incr("engine.log_cache.miss", 1);
         let load_trace = Collector::new();
-        let log = Arc::new(Simulator::new(model, seed).generate_traced(Some(&load_trace))?);
+        let log = Simulator::new(model, seed).generate_traced(Some(&load_trace))?;
+        let view = Arc::new(StreamView::from(log));
         trace.merge_from(&load_trace);
         let mut logs = self.logs.lock().unwrap_or_else(|e| e.into_inner());
         logs.entry(key.clone()).or_insert(CachedLog {
-            log: Arc::clone(&log),
+            view: Arc::clone(&view),
             load_trace,
             catalog_id: key,
             source_info: None,
         });
-        Ok(log)
+        Ok(view)
     }
 
-    /// A memoized cold file parse (with the query's filter pushed into
-    /// the parser), keyed by content fingerprint so a grown or
-    /// rewritten log re-parses. Unfiltered parses are remembered for
+    /// A memoized, indexed cold file parse (with the query's filter
+    /// pushed into the parser), keyed by content fingerprint so a grown
+    /// or rewritten log re-parses. Unfiltered parses are remembered for
     /// snapshot persistence at shutdown.
-    fn file_log(
+    fn file_view(
         &self,
         path: &str,
         opts: &QueryOptions,
         filter: &Option<CompiledPredicate>,
         trace: &Collector,
-    ) -> Result<Arc<FailureLog>> {
+    ) -> Result<Arc<StreamView>> {
         let parse_opts = {
             let mut p = ParseOptions::new()
                 .threads(opts.threads)
@@ -721,7 +664,7 @@ impl QueryEngine {
             let load_trace = Collector::new();
             let log = load_traced(path, &load_trace, &parse_opts)?;
             trace.merge_from(&load_trace);
-            return Ok(Arc::new(log));
+            return Ok(Arc::new(StreamView::from(log)));
         };
         let filter_tag = match (&filter, opts) {
             (None, _) => String::from("-"),
@@ -739,31 +682,32 @@ impl QueryEngine {
             if let Some(entry) = logs.get(&key) {
                 self.metrics.incr("engine.log_cache.hit", 1);
                 trace.merge_from(&entry.load_trace);
-                return Ok(Arc::clone(&entry.log));
+                return Ok(Arc::clone(&entry.view));
             }
         }
         self.metrics.incr("engine.log_cache.miss", 1);
         let load_trace = Collector::new();
-        let log = Arc::new(load_traced(path, &load_trace, &parse_opts)?);
+        let log = load_traced(path, &load_trace, &parse_opts)?;
+        let view = Arc::new(StreamView::from(log));
         trace.merge_from(&load_trace);
         if filter.is_none() {
             let mut dirty = self.dirty.lock().unwrap_or_else(|e| e.into_inner());
             dirty.insert(
                 path.to_string(),
                 DirtyLog {
-                    log: Arc::clone(&log),
+                    view: Arc::clone(&view),
                     source: info,
                 },
             );
         }
         let mut logs = self.logs.lock().unwrap_or_else(|e| e.into_inner());
         logs.entry(key).or_insert(CachedLog {
-            log: Arc::clone(&log),
+            view: Arc::clone(&view),
             load_trace,
             catalog_id: path.to_string(),
             source_info: Some(info),
         });
-        Ok(log)
+        Ok(view)
     }
 }
 
@@ -854,13 +798,6 @@ pub fn render_catalog(entries: &[CatalogEntry]) -> String {
     out
 }
 
-/// A report's resolved input: a warm snapshot index, or a cold-parsed
-/// (possibly filtered at ingest) log.
-enum ReportInput {
-    Warm(Box<failscope::StreamView>),
-    Cold(Arc<FailureLog>),
-}
-
 /// The `{"v":1,...}` header line versioning every JSON output; text
 /// output is unversioned (it is not a machine schema).
 fn version_header(format: OutputFormat, kind: &str) -> String {
@@ -938,19 +875,15 @@ pub(crate) fn compile_filter(
     Ok(pred)
 }
 
-/// Filters a snapshot-decoded view through the query's predicate
-/// (identity without one). Snapshots always persist unfiltered state;
-/// this is where a `--where` composes with a warm index — still with
-/// zero parsing.
-fn filter_view(
-    view: failscope::StreamView,
-    filter: &Option<CompiledPredicate>,
-) -> failscope::StreamView {
+/// Filters an unparsed view — a decoded snapshot or a generated model —
+/// through the query's predicate (identity without one). Snapshots
+/// always persist unfiltered state; this is where a `--where` composes
+/// with a warm index — still with zero parsing.
+fn filter_view(view: Arc<StreamView>, filter: &Option<CompiledPredicate>) -> Arc<StreamView> {
     match filter {
         Some(p) => {
-            let spec = view.spec().clone();
-            let window = view.window();
-            view.filtered(|r| p.matches(r, &spec, window))
+            let (spec, window) = (view.spec(), view.window());
+            Arc::new(view.filtered(|r| p.matches(r, spec, window)))
         }
         None => view,
     }

@@ -9,6 +9,7 @@ use failmitigate::{
     default_proactive_ttr, evaluate_policy, evaluate_proactive, simulate_inventory,
     AllocationPolicy, CheckpointPlan, Predictor, SlotRiskModel, SparePolicy,
 };
+use failscope::StreamView;
 use failsim::{Simulator, SystemModel};
 use failtypes::ComponentClass;
 use std::hint::black_box;
@@ -18,21 +19,23 @@ fn bench_mitigation(c: &mut Criterion) {
     let log = Simulator::new(SystemModel::tsubame3(), 43)
         .generate()
         .expect("valid model");
+    let view = StreamView::new(&log);
 
     let mut group = c.benchmark_group("mitigation");
     group.bench_function("checkpoint_plan_from_log", |b| {
         b.iter(|| {
-            let plan = CheckpointPlan::from_log(black_box(&log), 0.25).expect("valid");
+            let plan = CheckpointPlan::from_index(black_box(&view), 0.25).expect("valid");
             black_box(plan.daly_interval_hours())
         })
     });
 
-    let policy = SparePolicy::from_log(&log, ComponentClass::Gpu, 14.0 * 24.0).expect("GPUs fail");
+    let policy =
+        SparePolicy::from_index(&view, ComponentClass::Gpu, 14.0 * 24.0).expect("GPUs fail");
     group.bench_function("spare_inventory_sim_1y", |b| {
         b.iter(|| simulate_inventory(black_box(policy), 4, 8760.0, black_box(7)))
     });
 
-    let risk = SlotRiskModel::from_log(&log).expect("slot data");
+    let risk = SlotRiskModel::from_index(&view).expect("slot data");
     let jobs: Vec<(usize, f64)> = (0..500).map(|i| (1 + i % 4, 24.0)).collect();
     group.bench_function("scheduler_policy_eval_500_jobs", |b| {
         b.iter(|| {

@@ -7,8 +7,8 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use failbench::{experiments, runner};
 use failscope::{
-    per_category_tbf, per_category_ttr, AvailabilityAnalysis, CategoryBreakdown, LogView,
-    NodeDistribution, SeasonalAnalysis, TbfAnalysis, TtrAnalysis,
+    per_category_tbf, per_category_ttr, per_category_ttr_index, AvailabilityAnalysis,
+    CategoryBreakdown, NodeDistribution, SeasonalAnalysis, StreamView, TbfAnalysis, TtrAnalysis,
 };
 use failsim::{ScenarioBuilder, Simulator, SystemModel};
 use failstats::{bootstrap_ci, bootstrap_ci_parallel, fit, ks_test_dist, ContinuousDist, Ecdf};
@@ -93,24 +93,25 @@ fn bench_analyses(c: &mut Criterion) {
     let log = Simulator::new(SystemModel::tsubame2(), 42)
         .generate()
         .expect("valid model");
+    let view = StreamView::new(&log);
     let mut group = c.benchmark_group("analysis");
     group.bench_function("category_breakdown", |b| {
-        b.iter(|| CategoryBreakdown::from_log(black_box(&log)))
+        b.iter(|| CategoryBreakdown::from_index(black_box(&view)))
     });
     group.bench_function("node_distribution", |b| {
-        b.iter(|| NodeDistribution::from_log(black_box(&log)))
+        b.iter(|| NodeDistribution::from_index(black_box(&view)))
     });
     group.bench_function("tbf_analysis", |b| {
-        b.iter(|| TbfAnalysis::from_log(black_box(&log)).expect("897 failures"))
+        b.iter(|| TbfAnalysis::from_index(black_box(&view)).expect("897 failures"))
     });
     group.bench_function("ttr_analysis", |b| {
-        b.iter(|| TtrAnalysis::from_log(black_box(&log)).expect("non-empty"))
+        b.iter(|| TtrAnalysis::from_index(black_box(&view)).expect("non-empty"))
     });
     group.bench_function("per_category_ttr", |b| {
-        b.iter(|| per_category_ttr(black_box(&log)))
+        b.iter(|| per_category_ttr_index(black_box(&view)))
     });
     group.bench_function("seasonal_analysis", |b| {
-        b.iter(|| SeasonalAnalysis::from_log(black_box(&log)))
+        b.iter(|| SeasonalAnalysis::from_index(black_box(&view)))
     });
     group.bench_function("full_report", |b| {
         b.iter(|| failscope::render_report(black_box(&log)))
@@ -124,22 +125,21 @@ fn bench_engine(c: &mut Criterion) {
         .expect("valid model");
     let mut group = c.benchmark_group("engine");
 
-    // The indexed-view refactor: build every per-analysis index once...
+    // Build every per-analysis index once...
     group.bench_function("logview_build", |b| {
-        b.iter(|| LogView::new(black_box(&log)))
+        b.iter(|| StreamView::new(black_box(&log)))
     });
-    // ...versus what the analyses did before — each re-scanning and
-    // re-sorting the raw log on its own.
+    // ...versus each analysis re-indexing the raw log on its own.
     group.bench_function("resort_per_analysis", |b| {
         b.iter(|| {
             let log = black_box(&log);
             (
-                TtrAnalysis::from_log(log),
-                TbfAnalysis::from_log(log),
+                TtrAnalysis::from_index(&StreamView::new(log)),
+                TbfAnalysis::from_index(&StreamView::new(log)),
                 per_category_ttr(log),
                 per_category_tbf(log, 5),
-                AvailabilityAnalysis::from_log(log),
-                SeasonalAnalysis::from_log(log),
+                AvailabilityAnalysis::from_index(&StreamView::new(log)),
+                SeasonalAnalysis::from_index(&StreamView::new(log)),
             )
         })
     });

@@ -10,8 +10,9 @@
 //!
 //! Three measurements per calibrated model (Tsubame 2.5 and 3.0):
 //!
-//! 1. **batch** — building the full `LogView` index from a finished
-//!    log, the cost the batch report pipeline pays;
+//! 1. **batch** — bulk-building the full `StreamView` index from a
+//!    finished log (records cloned in), the cost the batch report
+//!    pipeline pays;
 //! 2. **stream** — feeding the same records through
 //!    `failwatch::WatchState::ingest_batch` (index + sketches +
 //!    windows + EWMAs), records *moved* in as a live source delivers
@@ -26,14 +27,14 @@
 //! near flat; the `scaled_*` fields gate the ~100k tier that
 //! `scripts/verify.sh` enforces a throughput floor on.
 //!
-//! Equivalence is checked the same way the test suite does: category
-//! partitions, month buckets and sorted TTRs must be identical, and
+//! Equivalence is checked the same way the test suite does: the
+//! incrementally built index must equal the bulk-built one, and
 //! MTBF / mean gap / MTTR must match the batch analyses bit for bit.
 //! Exits non-zero when any equivalence or alert check fails.
 
 use std::time::Instant;
 
-use failscope::{LogView, TbfAnalysis, TtrAnalysis};
+use failscope::{StreamView, TbfAnalysis, TtrAnalysis};
 use failsim::{ReplayClock, ScenarioBuilder, Simulator, SystemModel};
 use failtypes::{AlertKind, FailureLog};
 use failwatch::{
@@ -75,7 +76,7 @@ fn main() {
         total_records += log.len();
 
         let batch = best_of(REPS, || {
-            let view = LogView::new(&log);
+            let view = StreamView::new(&log);
             assert!(view.len() == log.len());
         });
         let stream = time_stream_ingest(REPS, &log);
@@ -114,7 +115,7 @@ fn main() {
     let scaled_equivalent = structures_match(&scaled_log, &scaled_state);
     drop(scaled_state);
     let scaled_batch_seconds = best_of(SCALED_REPS, || {
-        let view = LogView::new(&scaled_log);
+        let view = StreamView::new(&scaled_log);
         assert!(view.len() == scaled_log.len());
     });
     let scaled_stream_seconds = time_stream_ingest(SCALED_REPS, &scaled_log);
@@ -276,25 +277,19 @@ fn ingest_all(log: &FailureLog) -> WatchState {
     state
 }
 
-/// Incremental index vs the batch one: category partitions, month
-/// buckets, sorted TTRs, and per-slot/per-node tallies identical. Holds
+/// Incremental index vs the bulk-built one, equal on every index. Holds
 /// at any scale, unlike sketch-backed estimates.
 fn structures_match(log: &FailureLog, state: &WatchState) -> bool {
-    let view = LogView::new(log);
-    let sv = state.view();
-    sv.category_indices() == view.category_indices()
-        && sv.month_ttrs() == view.month_ttrs()
-        && sv.ttrs_sorted() == view.ttrs_sorted()
-        && sv.slot_counts() == view.slot_counts()
-        && sv.node_counts() == view.node_counts()
+    *state.view() == StreamView::new(log)
 }
 
 /// Record-by-record state vs the batch pipeline: structures identical,
 /// headline estimates bit-identical. Returns (equivalent, sketches
 /// still exact).
 fn check_equivalence(log: &FailureLog, state: &WatchState) -> (bool, bool) {
-    let tbf = TbfAnalysis::from_log(log).expect("non-empty log");
-    let ttr = TtrAnalysis::from_log(log).expect("non-empty log");
+    let view = StreamView::new(log);
+    let tbf = TbfAnalysis::from_index(&view).expect("non-empty log");
+    let ttr = TtrAnalysis::from_index(&view).expect("non-empty log");
     let bitwise = state.mtbf_hours().map(f64::to_bits) == Some(tbf.mtbf_hours().to_bits())
         && state.mean_gap_hours().map(f64::to_bits) == Some(tbf.mean_gap_hours().to_bits())
         && state.mttr_hours().map(f64::to_bits) == Some(ttr.mttr_hours().to_bits());

@@ -32,7 +32,7 @@ use failapi::{wire, OutputFormat, QueryEngine, QueryRequest, QuerySource};
 use failbench::experiments;
 use failbench::runner::{self, CatalogEntry};
 use failbench::LogStore;
-use failscope::{LogView, SectionCtx};
+use failscope::{SectionCtx, StreamView};
 use failserver::client::Connection;
 use failserver::{Endpoint, ServerConfig};
 use failsim::{Simulator, SystemModel};
@@ -160,7 +160,8 @@ fn bench(catalog: &[CatalogEntry], json_path: &str) {
     let section_log = Simulator::new(SystemModel::tsubame2(), 42)
         .generate_traced(Some(&collector))
         .expect("calibrated model simulates");
-    let view = LogView::new_traced(&section_log, Some(&collector));
+    let view = StreamView::new(&section_log);
+    view.trace_index(&collector);
     let ctx = SectionCtx::with_trace(&view, &collector);
     let mut section_rows = Vec::new();
     println!("  per-section render (best of 5, canonical T2):");
@@ -327,9 +328,10 @@ fn bench(catalog: &[CatalogEntry], json_path: &str) {
     std::fs::create_dir_all(&idx_dir).expect("temp dir");
     let idx_path = idx_dir.join("year.fslog");
     std::fs::write(&idx_path, &parse_text).expect("writes bench log");
+    let parse_view = StreamView::from(parse_log);
     let snapshot_bytes = failindex::save(
         failindex::snapshot_path(&idx_path),
-        &LogView::new(&parse_log),
+        &parse_view,
         failindex::SourceInfo::of_bytes(parse_text.as_bytes()),
     )
     .expect("saves snapshot");
@@ -338,25 +340,23 @@ fn bench(catalog: &[CatalogEntry], json_path: &str) {
         failindex::IndexedLoad::Exact(snap) => snap,
         other => panic!("bench snapshot must hit exactly, got {other:?}"),
     };
-    let cold_render = {
-        let view = LogView::new(&parse_log);
-        failscope::render_text_sections(&idx_sections, &SectionCtx::new(&view), threads)
-    };
+    let cold_render =
+        failscope::render_text_sections(&idx_sections, &SectionCtx::new(&parse_view), threads);
+    drop(parse_view);
     let warm_render = {
         let snap = open_warm();
-        failscope::render_text_sections(&idx_sections, &SectionCtx::new(&snap), threads)
+        failscope::render_text_sections(&idx_sections, &SectionCtx::new(snap.view()), threads)
     };
     let index_identical = warm_render == cold_render;
     let cold_load_seconds = best_of(PARSE_REPS, || {
         let log = faillog::load(&idx_path).expect("parses");
-        std::hint::black_box(LogView::new(&log));
+        std::hint::black_box(StreamView::from(log));
     });
     let warm_load_seconds = best_of(PARSE_REPS, || {
         std::hint::black_box(open_warm());
     });
     let cold_report_seconds = best_of(PARSE_REPS, || {
-        let log = faillog::load(&idx_path).expect("parses");
-        let view = LogView::new(&log);
+        let view = StreamView::from(faillog::load(&idx_path).expect("parses"));
         std::hint::black_box(failscope::render_text_sections(
             &idx_sections,
             &SectionCtx::new(&view),
@@ -367,7 +367,7 @@ fn bench(catalog: &[CatalogEntry], json_path: &str) {
         let snap = open_warm();
         std::hint::black_box(failscope::render_text_sections(
             &idx_sections,
-            &SectionCtx::new(&snap),
+            &SectionCtx::new(snap.view()),
             threads,
         ));
     });

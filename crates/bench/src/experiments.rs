@@ -7,15 +7,15 @@
 //! exactly this output.
 
 use failscope::{
-    class_mtbf_hours, per_category_tbf, per_category_ttr, CategoryBreakdown, InvolvementTable,
-    LocusBreakdown, MultiGpuTemporal, NodeDistribution, PepComparison, SeasonalAnalysis,
-    SlotDistribution, TbfAnalysis, TtrAnalysis,
+    class_mtbf_hours_index, per_category_tbf_index, per_category_ttr_index, CategoryBreakdown,
+    InvolvementTable, LocusBreakdown, MultiGpuTemporal, NodeDistribution, PepComparison,
+    SeasonalAnalysis, SlotDistribution, StreamView, TbfAnalysis, TtrAnalysis,
 };
 use std::sync::Arc;
 
 use failsim::{ClusteringMode, NodeSelection, Simulator, SlotSkew, SystemModel, TbfModel};
 use failtypes::{
-    ComponentClass, Domain, FailureLog, SoftwareLocus, SystemSpec, T2Category,
+    ComponentClass, Domain, SoftwareLocus, SystemSpec, T2Category,
     T3Category,
 };
 
@@ -31,7 +31,7 @@ pub const T3_SEED: u64 = 43;
 /// The canonical pair of generated logs, shared from the process-wide
 /// [`LogStore`]: each is simulated exactly once per process, and every
 /// experiment holds the same `Arc` — no record vectors are cloned.
-pub fn standard_logs() -> (Arc<FailureLog>, Arc<FailureLog>) {
+pub fn standard_logs() -> (Arc<StreamView>, Arc<StreamView>) {
     let store = LogStore::global();
     (
         store.get(&SystemModel::tsubame2(), T2_SEED),
@@ -45,7 +45,7 @@ fn seed_average(
     model: impl Fn() -> SystemModel + Sync,
     base_seed: u64,
     n: u64,
-    f: impl Fn(&FailureLog) -> f64 + Sync,
+    f: impl Fn(&StreamView) -> f64 + Sync,
 ) -> f64 {
     seed_average_with(model, base_seed, n, runner::threads(), f)
 }
@@ -62,7 +62,7 @@ pub fn seed_average_with(
     base_seed: u64,
     n: u64,
     threads: usize,
-    f: impl Fn(&FailureLog) -> f64 + Sync,
+    f: impl Fn(&StreamView) -> f64 + Sync,
 ) -> f64 {
     let store = LogStore::global();
     let values = failstats::par_map_ordered(n as usize, threads, |s| {
@@ -206,8 +206,8 @@ pub fn table2() -> Experiment {
 /// Fig. 2 — failure category breakdowns.
 pub fn fig2() -> Experiment {
     let (t2, t3) = standard_logs();
-    let b2 = CategoryBreakdown::from_log(&t2);
-    let b3 = CategoryBreakdown::from_log(&t3);
+    let b2 = CategoryBreakdown::from_index(&*t2);
+    let b3 = CategoryBreakdown::from_index(&*t3);
     let mut lines = vec!["(a) Tsubame-2".to_string()];
     lines.extend(b2.shares().iter().map(|s| {
         format!("  {:<16} {:>5.2}%  ({})", s.category.label(), s.fraction * 100.0, s.count)
@@ -261,7 +261,7 @@ pub fn fig2() -> Experiment {
 /// Fig. 3 — Tsubame-3 software failure root loci.
 pub fn fig3() -> Experiment {
     let (_, t3) = standard_logs();
-    let b = LocusBreakdown::from_log(&t3);
+    let b = LocusBreakdown::from_index(&*t3);
     let lines: Vec<String> = b
         .shares()
         .iter()
@@ -299,8 +299,8 @@ pub fn fig3() -> Experiment {
 /// Fig. 4 — failures per node.
 pub fn fig4() -> Experiment {
     let (t2, t3) = standard_logs();
-    let d2 = NodeDistribution::from_log(&t2);
-    let d3 = NodeDistribution::from_log(&t3);
+    let d2 = NodeDistribution::from_index(&*t2);
+    let d3 = NodeDistribution::from_index(&*t3);
     let mut lines = Vec::new();
     for (name, d) in [("Tsubame-2", &d2), ("Tsubame-3", &d3)] {
         lines.push(format!(
@@ -320,10 +320,10 @@ pub fn fig4() -> Experiment {
     }
     // The 3-failure ratio is noisy on a single seed: average it.
     let f3_t2 = seed_average(SystemModel::tsubame2, 1000, 8, |log| {
-        NodeDistribution::from_log(log).fraction_with_exactly(3)
+        NodeDistribution::from_index(log).fraction_with_exactly(3)
     });
     let f3_t3 = seed_average(SystemModel::tsubame3, 2000, 8, |log| {
-        NodeDistribution::from_log(log).fraction_with_exactly(3)
+        NodeDistribution::from_index(log).fraction_with_exactly(3)
     });
     let checks = vec![
         Check::abs(
@@ -361,7 +361,7 @@ pub fn fig4() -> Experiment {
             "T2 multi-node software/hardware ratio (paper 1/352)",
             1.0 / 352.0,
             seed_average(SystemModel::tsubame2, 5000, 8, |log| {
-                let d = NodeDistribution::from_log(log);
+                let d = NodeDistribution::from_index(log);
                 d.multi_node_software_failures() as f64
                     / d.multi_node_hardware_failures().max(1) as f64
             }),
@@ -388,8 +388,8 @@ pub fn fig4() -> Experiment {
 /// Fig. 5 — per-GPU-slot failure distribution.
 pub fn fig5() -> Experiment {
     let (t2, t3) = standard_logs();
-    let s2 = SlotDistribution::from_log(&t2);
-    let s3 = SlotDistribution::from_log(&t3);
+    let s2 = SlotDistribution::from_index(&*t2);
+    let s3 = SlotDistribution::from_index(&*t3);
     let mut lines = Vec::new();
     for (name, s) in [("Tsubame-2", &s2), ("Tsubame-3", &s3)] {
         lines.push(format!("{name} ({} slot involvements):", s.total_involvements()));
@@ -407,7 +407,7 @@ pub fn fig5() -> Experiment {
     // seed-averaged (the canonical-seed series above is what one draw of
     // the figure looks like).
     let t3_ratio = seed_average(SystemModel::tsubame3, 43, 8, |log| {
-        let c: Vec<f64> = SlotDistribution::from_log(log)
+        let c: Vec<f64> = SlotDistribution::from_index(log)
             .shares()
             .iter()
             .map(|s| s.count as f64)
@@ -415,7 +415,7 @@ pub fn fig5() -> Experiment {
         (c[0] + c[3]) / (c[1] + c[2]).max(1.0)
     });
     let t3_outer_above_mean = seed_average(SystemModel::tsubame3, 43, 8, |log| {
-        let s = SlotDistribution::from_log(log);
+        let s = SlotDistribution::from_index(log);
         f64::from(s.shares()[0].relative_to_mean > 1.0 && s.shares()[3].relative_to_mean > 1.0)
     });
     let checks = vec![
@@ -451,8 +451,8 @@ pub fn fig5() -> Experiment {
 /// Table III — number of GPUs involved in node failures.
 pub fn table3() -> Experiment {
     let (t2, t3) = standard_logs();
-    let i2 = InvolvementTable::from_log(&t2);
-    let i3 = InvolvementTable::from_log(&t3);
+    let i2 = InvolvementTable::from_index(&*t2);
+    let i3 = InvolvementTable::from_index(&*t3);
     let mut lines = vec![format!("{:<8} {:>18} {:>18}", "#GPUs", "Tsubame-3", "Tsubame-2")];
     for k in 1..=4u8 {
         let fmt_cell = |t: &InvolvementTable, k: u8, exists: bool| {
@@ -501,12 +501,12 @@ fn cdf_line(label: &str, ecdf: &failstats::Ecdf) -> String {
 /// Fig. 6 — CDF of time between failures + component-class MTBF.
 pub fn fig6() -> Experiment {
     let (t2, t3) = standard_logs();
-    let a2 = TbfAnalysis::from_log(&t2).expect("897 failures");
-    let a3 = TbfAnalysis::from_log(&t3).expect("338 failures");
-    let gpu2 = class_mtbf_hours(&t2, ComponentClass::Gpu).expect("GPU failures exist");
-    let gpu3 = class_mtbf_hours(&t3, ComponentClass::Gpu).expect("GPU failures exist");
-    let cpu2 = class_mtbf_hours(&t2, ComponentClass::Cpu).expect("CPU failures exist");
-    let cpu3 = class_mtbf_hours(&t3, ComponentClass::Cpu).expect("CPU failures exist");
+    let a2 = TbfAnalysis::from_index(&*t2).expect("897 failures");
+    let a3 = TbfAnalysis::from_index(&*t3).expect("338 failures");
+    let gpu2 = class_mtbf_hours_index(&*t2, ComponentClass::Gpu).expect("GPU failures exist");
+    let gpu3 = class_mtbf_hours_index(&*t3, ComponentClass::Gpu).expect("GPU failures exist");
+    let cpu2 = class_mtbf_hours_index(&*t2, ComponentClass::Cpu).expect("CPU failures exist");
+    let cpu3 = class_mtbf_hours_index(&*t3, ComponentClass::Cpu).expect("CPU failures exist");
     let (lo2, hi2) = a2.mtbf_ci_hours(0.95);
     let (lo3, hi3) = a3.mtbf_ci_hours(0.95);
     let lines = vec![
@@ -554,9 +554,9 @@ pub fn fig7() -> Experiment {
     let (t2, t3) = standard_logs();
     let mut lines = Vec::new();
     let mut checks = Vec::new();
-    for (name, log) in [("Tsubame-2", &t2), ("Tsubame-3", &t3)] {
+    for (name, log) in [("Tsubame-2", &*t2), ("Tsubame-3", &*t3)] {
         lines.push(format!("{name} (sorted by mean TBF; n >= 5 events):"));
-        let rows = per_category_tbf(log, 5);
+        let rows = per_category_tbf_index(log, 5);
         for row in &rows {
             lines.push(format!(
                 "  {:<16} mean {:>7.1}h  q1 {:>7.1}h  med {:>7.1}h  q3 {:>7.1}h",
@@ -608,10 +608,10 @@ pub fn fig8() -> Experiment {
     // compare against the independent-assignment ablation.
     let n = 10;
     let cv_on = seed_average(SystemModel::tsubame2, 100, n, |log| {
-        MultiGpuTemporal::from_log(log, 96.0).expect("256 multi events").report.cv
+        MultiGpuTemporal::from_index(log, 96.0).expect("256 multi events").report.cv
     });
     let factor_on = seed_average(SystemModel::tsubame2, 100, n, |log| {
-        MultiGpuTemporal::from_log(log, 96.0).expect("256 multi events").clustering_factor()
+        MultiGpuTemporal::from_index(log, 96.0).expect("256 multi events").clustering_factor()
     });
     let independent = || {
         let mut m = SystemModel::tsubame2();
@@ -619,10 +619,10 @@ pub fn fig8() -> Experiment {
         m
     };
     let cv_off = seed_average(independent, 100, n, |log| {
-        MultiGpuTemporal::from_log(log, 96.0).expect("256 multi events").report.cv
+        MultiGpuTemporal::from_index(log, 96.0).expect("256 multi events").report.cv
     });
     let (t2, _) = standard_logs();
-    let t = MultiGpuTemporal::from_log(&t2, 96.0).expect("256 multi events");
+    let t = MultiGpuTemporal::from_index(&*t2, 96.0).expect("256 multi events");
     let lines = vec![
         format!(
             "canonical T2 log: {} multi-GPU failures, CV {:.2}, dispersion {:.2}, burstiness {:+.2}",
@@ -664,8 +664,8 @@ pub fn fig8() -> Experiment {
 /// Fig. 9 — CDF of time to recovery.
 pub fn fig9() -> Experiment {
     let (t2, t3) = standard_logs();
-    let a2 = TtrAnalysis::from_log(&t2).expect("non-empty");
-    let a3 = TtrAnalysis::from_log(&t3).expect("non-empty");
+    let a2 = TtrAnalysis::from_index(&*t2).expect("non-empty");
+    let a3 = TtrAnalysis::from_index(&*t3).expect("non-empty");
     let lines = vec![
         cdf_line("T2 TTR CDF", a2.ecdf()),
         cdf_line("T3 TTR CDF", a3.ecdf()),
@@ -699,9 +699,9 @@ pub fn fig9() -> Experiment {
 pub fn fig10() -> Experiment {
     let (t2, t3) = standard_logs();
     let mut lines = Vec::new();
-    for (name, log) in [("Tsubame-2", &t2), ("Tsubame-3", &t3)] {
+    for (name, log) in [("Tsubame-2", &*t2), ("Tsubame-3", &*t3)] {
         lines.push(format!("{name} (sorted by mean TTR):"));
-        for row in per_category_ttr(log) {
+        for row in per_category_ttr_index(log) {
             lines.push(format!(
                 "  {:<16} share {:>5.2}%  mean {:>6.1}h  q1 {:>6.1}h  med {:>6.1}h  q3 {:>6.1}h  max {:>6.1}h",
                 row.category.label(),
@@ -714,28 +714,29 @@ pub fn fig10() -> Experiment {
             ));
         }
     }
-    let hw2 = failscope::domain_ttr_spread(&t2, Domain::Hardware).expect("hardware failures");
-    let sw2 = failscope::domain_ttr_spread(&t2, Domain::Software).expect("software failures");
-    let hw3 = failscope::domain_ttr_spread(&t3, Domain::Hardware).expect("hardware failures");
-    let sw3 = failscope::domain_ttr_spread(&t3, Domain::Software).expect("software failures");
-    let pb = per_category_ttr(&t3)
+    let spread = |view: &StreamView, domain: Domain| {
+        failscope::domain_ttr_spread_index(view, domain).expect("failures in every domain")
+    };
+    let (hw2, sw2) = (spread(&t2, Domain::Hardware), spread(&t2, Domain::Software));
+    let (hw3, sw3) = (spread(&t3, Domain::Hardware), spread(&t3, Domain::Software));
+    let pb = per_category_ttr_index(&*t3)
         .into_iter()
         .find(|r| r.category == T3Category::PowerBoard.into())
         .expect("power-board failures");
-    let ssd = per_category_ttr(&t2)
+    let ssd = per_category_ttr_index(&*t2)
         .into_iter()
         .find(|r| r.category == T2Category::Ssd.into())
         .expect("SSD failures");
     // The per-seed maximum of 3 power-board samples is very noisy; use
     // the seed-averaged maxima for the tail checks.
     let pb_max = seed_average(SystemModel::tsubame3, 3000, 8, |log| {
-        per_category_ttr(log)
+        per_category_ttr_index(log)
             .into_iter()
             .find(|r| r.category == T3Category::PowerBoard.into())
             .map_or(0.0, |r| r.summary.max())
     });
     let ssd_max = seed_average(SystemModel::tsubame2, 4000, 8, |log| {
-        per_category_ttr(log)
+        per_category_ttr_index(log)
             .into_iter()
             .find(|r| r.category == T2Category::Ssd.into())
             .map_or(0.0, |r| r.summary.max())
@@ -760,8 +761,8 @@ pub fn fig10() -> Experiment {
 pub fn fig11() -> Experiment {
     let (t2, t3) = standard_logs();
     let mut lines = Vec::new();
-    for (name, log) in [("Tsubame-2", &t2), ("Tsubame-3", &t3)] {
-        let s = SeasonalAnalysis::from_log(log);
+    for (name, log) in [("Tsubame-2", &*t2), ("Tsubame-3", &*t3)] {
+        let s = SeasonalAnalysis::from_index(log);
         let by_month = s.mean_ttr_by_calendar_month();
         let cells: Vec<String> = failtypes::Month::all()
             .map(|m| match by_month[m.index()] {
@@ -773,11 +774,13 @@ pub fn fig11() -> Experiment {
     }
     // Half-year deltas averaged over seeds.
     let delta2 = seed_average(SystemModel::tsubame2, 500, 8, |log| {
-        let (h1, h2) = SeasonalAnalysis::from_log(log).half_year_ttr_means().expect("both halves");
+        let (h1, h2) =
+            SeasonalAnalysis::from_index(log).half_year_ttr_means().expect("both halves");
         h2 - h1
     });
     let delta3 = seed_average(SystemModel::tsubame3, 600, 8, |log| {
-        let (h1, h2) = SeasonalAnalysis::from_log(log).half_year_ttr_means().expect("both halves");
+        let (h1, h2) =
+            SeasonalAnalysis::from_index(log).half_year_ttr_means().expect("both halves");
         h2 - h1
     });
     lines.push(format!(
@@ -799,8 +802,8 @@ pub fn fig11() -> Experiment {
 pub fn fig12() -> Experiment {
     let (t2, t3) = standard_logs();
     let mut lines = Vec::new();
-    for (name, log) in [("Tsubame-2", &t2), ("Tsubame-3", &t3)] {
-        let s = SeasonalAnalysis::from_log(log);
+    for (name, log) in [("Tsubame-2", &*t2), ("Tsubame-3", &*t3)] {
+        let s = SeasonalAnalysis::from_index(log);
         let series: Vec<String> = s
             .buckets()
             .iter()
@@ -809,13 +812,13 @@ pub fn fig12() -> Experiment {
         lines.push(format!("{name} monthly failures: {}", series.join(" ")));
     }
     let corr = seed_average(SystemModel::tsubame3, 700, 8, |log| {
-        SeasonalAnalysis::from_log(log)
+        SeasonalAnalysis::from_index(log)
             .density_ttr_correlation()
             .expect("enough months")
             .abs()
     });
     let corr2 = seed_average(SystemModel::tsubame2, 800, 8, |log| {
-        SeasonalAnalysis::from_log(log)
+        SeasonalAnalysis::from_index(log)
             .density_ttr_correlation()
             .expect("enough months")
             .abs()
@@ -823,7 +826,7 @@ pub fn fig12() -> Experiment {
     lines.push(format!(
         "seed-averaged |corr(monthly failures, monthly mean TTR)|: T2 {corr2:.2}, T3 {corr:.2}"
     ));
-    let s2 = SeasonalAnalysis::from_log(&t2);
+    let s2 = SeasonalAnalysis::from_index(&*t2);
     let counts = s2.monthly_failure_counts();
     let spread = *counts.iter().max().expect("non-empty") as f64
         / (*counts.iter().filter(|&&c| c > 0).min().expect("non-empty") as f64);
@@ -843,7 +846,7 @@ pub fn fig12() -> Experiment {
 /// Performance-error-proportionality — the paper's proposed metric.
 pub fn pep() -> Experiment {
     let (t2, t3) = standard_logs();
-    let c = PepComparison::new(&t2, &t3).expect("both logs analysable");
+    let c = PepComparison::from_indexes(&*t2, &*t3).expect("both logs analysable");
     let lines = vec![
         format!(
             "T2: Rpeak {:.1} PF, MTBF {:.1} h -> {:.0} EFLOP per failure-free period",
@@ -894,17 +897,17 @@ pub fn pep() -> Experiment {
 /// sections; regenerated and checked like the figures.
 pub mod extensions {
     use super::*;
-    use failscope::{node_lifetimes, AvailabilityAnalysis, NodeSurvival, RackDistribution};
+    use failscope::{node_lifetimes_index, AvailabilityAnalysis, NodeSurvival, RackDistribution};
 
     /// RQ5 implication: with MTTR comparable to MTBF, repairs overlap.
     pub fn overlap() -> Experiment {
         let (t2, t3) = standard_logs();
-        let a2 = AvailabilityAnalysis::from_log(&t2).expect("non-empty");
-        let a3 = AvailabilityAnalysis::from_log(&t3).expect("non-empty");
+        let a2 = AvailabilityAnalysis::from_index(&*t2).expect("non-empty");
+        let a3 = AvailabilityAnalysis::from_index(&*t3).expect("non-empty");
         // Little's law cross-check: L = λ·W.
-        let little = |log: &FailureLog, a: &AvailabilityAnalysis| {
+        let little = |log: &StreamView, a: &AvailabilityAnalysis| {
             let rate = log.len() as f64 / log.window().duration().get();
-            let mttr = TtrAnalysis::from_log(log).expect("non-empty").mttr_hours();
+            let mttr = TtrAnalysis::from_index(log).expect("non-empty").mttr_hours();
             a.mean_concurrent_repairs() / (rate * mttr)
         };
         let lines = vec![
@@ -944,9 +947,9 @@ pub mod extensions {
     /// Node time-to-first-failure survival across generations.
     pub fn survival() -> Experiment {
         let (t2, t3) = standard_logs();
-        let s2 = NodeSurvival::from_log(&t2).expect("nodes exist");
-        let s3 = NodeSurvival::from_log(&t3).expect("nodes exist");
-        let lr = failstats::log_rank(&node_lifetimes(&t2), &node_lifetimes(&t3))
+        let s2 = NodeSurvival::from_index(&*t2).expect("nodes exist");
+        let s3 = NodeSurvival::from_index(&*t3).expect("nodes exist");
+        let lr = failstats::log_rank(&node_lifetimes_index(&*t2), &node_lifetimes_index(&*t3))
             .expect("events exist");
         let lines = vec![
             format!(
@@ -986,8 +989,8 @@ pub mod extensions {
         let (t2, t3) = standard_logs();
         let mut lines = Vec::new();
         let mut checks = Vec::new();
-        for (name, log) in [("T2", &t2), ("T3", &t3)] {
-            let d = RackDistribution::from_log(log);
+        for (name, log) in [("T2", &*t2), ("T3", &*t3)] {
+            let d = RackDistribution::from_index(log);
             let test = d.uniformity_test().expect("non-empty");
             let k = (d.shares().len() as f64 * 0.2).round().max(1.0) as usize;
             lines.push(format!(
@@ -1036,7 +1039,7 @@ pub mod ablations {
         };
         let stats = |m: SystemModel| {
             let log = Simulator::new(m, 42).generate().expect("valid model");
-            let d = NodeDistribution::from_log(&log);
+            let d = NodeDistribution::from_index(&StreamView::from(log));
             (
                 d.fraction_with_exactly(1) * 100.0,
                 d.max_failures_on_a_node() as f64,
@@ -1071,8 +1074,8 @@ pub mod ablations {
     pub fn slot_skew() -> Experiment {
         // ~100 T3 slot involvements per log: average the ratio over
         // seeds on both arms.
-        let ratio_of = |log: &FailureLog| {
-            let c: Vec<f64> = SlotDistribution::from_log(log)
+        let ratio_of = |log: &StreamView| {
+            let c: Vec<f64> = SlotDistribution::from_index(log)
                 .shares()
                 .iter()
                 .map(|s| s.count as f64)
@@ -1109,9 +1112,8 @@ pub mod ablations {
     /// TBF-family ablation: which family fits each system's gaps best.
     pub fn tbf_family() -> Experiment {
         let (t2, t3) = standard_logs();
-        let gaps = |log: &FailureLog| {
-            let times: Vec<f64> = log.times().map(|h| h.get()).collect();
-            failstats::inter_arrival_times(&times)
+        let gaps = |log: &StreamView| {
+            failstats::inter_arrival_times(log.times())
                 .into_iter()
                 .filter(|&g| g > 0.0)
                 .collect::<Vec<f64>>()
@@ -1166,10 +1168,10 @@ pub mod ablations {
         let mut exp_model = SystemModel::tsubame3();
         exp_model.tbf = TbfModel::Exponential;
         let p75_exp = seed_average(move || exp_model.clone(), 43, 8, |log| {
-            TbfAnalysis::from_log(log).expect("338 failures").p75_hours()
+            TbfAnalysis::from_index(log).expect("338 failures").p75_hours()
         });
         let p75_gamma = seed_average(SystemModel::tsubame3, 43, 8, |log| {
-            TbfAnalysis::from_log(log).expect("338 failures").p75_hours()
+            TbfAnalysis::from_index(log).expect("338 failures").p75_hours()
         });
         let lines = vec![
             format!("gamma arrivals:       seed-averaged p75 = {p75_gamma:.1} h (paper: 93 h)"),
@@ -1235,7 +1237,7 @@ mod tests {
 
     #[test]
     fn seed_average_is_bit_identical_at_any_thread_count() {
-        let stat = |log: &FailureLog| log.len() as f64 / 100.0 + 0.1;
+        let stat = |log: &StreamView| log.len() as f64 / 100.0 + 0.1;
         let serial = seed_average_with(SystemModel::tsubame3, 9000, 4, 1, stat);
         for threads in [2, 4, 8] {
             let parallel = seed_average_with(SystemModel::tsubame3, 9000, 4, threads, stat);

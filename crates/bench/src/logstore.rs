@@ -1,35 +1,35 @@
-//! Process-wide memoized store of simulated failure logs.
+//! Process-wide memoized store of simulated, indexed failure logs.
 //!
 //! Every consumer of a `(model, seed)` log — the paper-figure
 //! experiments, the seed-sweep averages, the Criterion benches, the
 //! `repro` binary — fetches it through [`LogStore::global`], so each
-//! distinct log is simulated **exactly once per process** and shared as
-//! an [`Arc<FailureLog>`] with no cloning of record vectors.
+//! distinct log is simulated and indexed **exactly once per process**
+//! and shared as an [`Arc<StreamView>`] with no cloning of record
+//! vectors.
 //!
 //! The store counts simulations and cache hits so tests (and the
 //! `repro bench` mode) can assert the exactly-once invariant:
 //! [`LogStore::simulations`] must equal [`LogStore::entries`] no matter
 //! how many experiments ran or how many threads raced on the same key.
 //!
-//! Concurrency: the map itself is guarded by a [`parking_lot::Mutex`]
-//! held only long enough to clone a per-key cell; the simulation runs
+//! Concurrency: the map itself is guarded by a [`Mutex`] held only
+//! long enough to clone a per-key cell; the simulation runs
 //! outside that lock inside the cell's [`OnceLock`], so two threads
 //! racing on *different* keys simulate in parallel while two threads
 //! racing on the *same* key serialize on the cell and share one result.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 
+use failscope::StreamView;
 use failsim::{Simulator, SystemModel};
-use failtypes::FailureLog;
-use parking_lot::Mutex;
 
 type Key = (String, u64);
-type Cell = Arc<OnceLock<Arc<FailureLog>>>;
+type Cell = Arc<OnceLock<Arc<StreamView>>>;
 
-/// Memoized cache of simulated logs keyed by `(model, seed)`, plus
-/// on-disk logs keyed by path (served from warm `.fsidx` snapshots
+/// Memoized cache of indexed simulated logs keyed by `(model, seed)`,
+/// plus on-disk logs keyed by path (served from warm `.fsidx` snapshots
 /// when one validates).
 pub struct LogStore {
     cells: Mutex<BTreeMap<Key, Cell>>,
@@ -59,8 +59,8 @@ impl LogStore {
         &STORE
     }
 
-    /// Returns the log for `(model, seed)`, simulating it on first use
-    /// and sharing the cached [`Arc`] thereafter.
+    /// Returns the index of the log for `(model, seed)`, simulating it
+    /// on first use and sharing the cached [`Arc`] thereafter.
     ///
     /// The key is the model's `Debug` rendering plus the seed, so two
     /// structurally identical models (e.g. `SystemModel::tsubame3()`
@@ -71,64 +71,60 @@ impl LogStore {
     ///
     /// Panics if the model fails validation; every calibrated model in
     /// this workspace is valid by construction.
-    pub fn get(&self, model: &SystemModel, seed: u64) -> Arc<FailureLog> {
+    pub fn get(&self, model: &SystemModel, seed: u64) -> Arc<StreamView> {
         let key = (format!("{model:?}"), seed);
-        let cell = {
-            let mut cells = self.cells.lock();
-            Arc::clone(cells.entry(key).or_default())
-        };
+        let cell = Arc::clone(lock(&self.cells).entry(key).or_default());
         if let Some(log) = cell.get() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Arc::clone(log);
         }
         Arc::clone(cell.get_or_init(|| {
             self.simulations.fetch_add(1, Ordering::Relaxed);
-            Arc::new(
+            Arc::new(StreamView::from(
                 Simulator::new(model.clone(), seed)
                     .generate()
                     .expect("calibrated system models always validate"),
-            )
+            ))
         }))
     }
 
-    /// Returns the log stored at `path`, parsing it on first use and
-    /// sharing the cached [`Arc`] thereafter. Before parsing, a warm
-    /// `.fsidx` snapshot next to the file is consulted (see
-    /// [`failindex::open_indexed`]): an exact hit reconstructs the log
-    /// with zero parsing, a prefix hit parses only the appended tail.
+    /// Returns the index of the log stored at `path`, parsing it on
+    /// first use and sharing the cached [`Arc`] thereafter. Before
+    /// parsing, a warm `.fsidx` snapshot next to the file is consulted
+    /// (see [`failindex::open_indexed`]): an exact hit reconstructs the
+    /// index with zero parsing, a prefix hit parses only the appended
+    /// tail.
     ///
     /// # Errors
     ///
     /// Propagates read/parse errors for the log itself; snapshot
     /// problems silently fall back to a cold parse.
-    pub fn get_path(&self, path: &str) -> failtypes::Result<Arc<FailureLog>> {
-        let cell = {
-            let mut cells = self.file_cells.lock();
-            Arc::clone(cells.entry(path.to_string()).or_default())
-        };
+    pub fn get_path(&self, path: &str) -> failtypes::Result<Arc<StreamView>> {
+        let cell = Arc::clone(lock(&self.file_cells).entry(path.to_string()).or_default());
         if let Some(log) = cell.get() {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(log));
         }
-        let log = match failindex::open_indexed(path, None)? {
+        let view = match failindex::open_indexed(path, None)? {
             failindex::IndexedLoad::Exact(snap) => {
                 self.snapshot_hits.fetch_add(1, Ordering::Relaxed);
-                snap.into_view().to_log()
+                snap.into_view()
             }
             failindex::IndexedLoad::Extended { snapshot, .. } => {
                 self.snapshot_hits.fetch_add(1, Ordering::Relaxed);
-                snapshot.into_view().to_log()
+                snapshot.into_view()
             }
-            failindex::IndexedLoad::Cold { .. } => faillog::load(path)
-                .map_err(|e| failtypes::Error::run(format!("{path}: {e}")))?,
+            failindex::IndexedLoad::Cold { .. } => StreamView::from(
+                faillog::load(path).map_err(|e| failtypes::Error::run(format!("{path}: {e}")))?,
+            ),
         };
         self.loads.fetch_add(1, Ordering::Relaxed);
-        Ok(Arc::clone(cell.get_or_init(|| Arc::new(log))))
+        Ok(Arc::clone(cell.get_or_init(|| Arc::new(view))))
     }
 
     /// Number of distinct `(model, seed)` keys ever requested.
     pub fn entries(&self) -> u64 {
-        self.cells.lock().len() as u64
+        lock(&self.cells).len() as u64
     }
 
     /// Number of simulations actually run — equals [`Self::entries`]
@@ -157,13 +153,20 @@ impl LogStore {
     /// Drops every cached log and resets the counters (used by the
     /// benchmark harness to time cold runs).
     pub fn clear(&self) {
-        self.cells.lock().clear();
-        self.file_cells.lock().clear();
+        lock(&self.cells).clear();
+        lock(&self.file_cells).clear();
         self.simulations.store(0, Ordering::Relaxed);
         self.loads.store(0, Ordering::Relaxed);
         self.snapshot_hits.store(0, Ordering::Relaxed);
         self.hits.store(0, Ordering::Relaxed);
     }
+}
+
+/// Locks a store map; a panic while it was held cannot leave the map
+/// inconsistent (every critical section is a single insert or read), so
+/// a poisoned lock is recovered rather than propagated.
+fn lock<K: Ord, V>(map: &Mutex<BTreeMap<K, V>>) -> MutexGuard<'_, BTreeMap<K, V>> {
+    map.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 impl Default for LogStore {
@@ -233,18 +236,16 @@ mod tests {
         assert_eq!(a.len(), 338);
 
         // With a snapshot on disk, a fresh store serves it warm.
-        let mut view = failscope::StreamView::for_log(&log);
-        view.extend(log.records().iter().cloned()).unwrap();
         failindex::save(
             failindex::snapshot_path(&path),
-            &view,
+            &StreamView::from(log),
             failindex::SourceInfo::of_bytes(text.as_bytes()),
         )
         .unwrap();
         let warm_store = LogStore::new();
         let c = warm_store.get_path(p).unwrap();
         assert_eq!((warm_store.loads(), warm_store.snapshot_hits()), (1, 1));
-        assert_eq!(c.records(), a.records());
+        assert_eq!(c, a);
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -84,10 +84,11 @@ pub fn summary(args: &ParsedArgs) -> Result<String> {
     let _ = writeln!(out, "failing nodes:     {}", s.failing_nodes);
     let _ = writeln!(out, "gpu failures:      {}", s.gpu_failures);
     let _ = writeln!(out, "multi-gpu:         {}", s.multi_gpu_failures);
-    if let Some(tbf) = TbfAnalysis::from_log(&log) {
+    let view = failscope::StreamView::from(log);
+    if let Some(tbf) = TbfAnalysis::from_index(&view) {
         let _ = writeln!(out, "mtbf:              {:.1} h", tbf.mtbf_hours());
     }
-    if let Some(ttr) = failscope::TtrAnalysis::from_log(&log) {
+    if let Some(ttr) = failscope::TtrAnalysis::from_index(&view) {
         let _ = writeln!(out, "mttr:              {:.1} h", ttr.mttr_hours());
     }
     Ok(out)

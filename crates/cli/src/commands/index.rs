@@ -24,13 +24,15 @@ pub fn index_cmd(args: &ParsedArgs) -> Result<String> {
                 .chunk_bytes(failapi::parse_chunk_bytes(args.flag("parse-chunk"))?);
             let raw = std::fs::read(path).map_err(|e| Error::run(format!("{path}: {e}")))?;
             let source = failindex::SourceInfo::of_bytes(&raw);
-            let log = faillog::load_traced_with(path, None, &parse_opts)
-                .map_err(|e| Error::run(format!("{path}: {e}")))?;
+            let view = failscope::StreamView::from(
+                faillog::load_traced_with(path, None, &parse_opts)
+                    .map_err(|e| Error::run(format!("{path}: {e}")))?,
+            );
             let spath = failindex::snapshot_path(path);
-            let bytes = failindex::save(&spath, &failscope::LogView::new(&log), source)?;
+            let bytes = failindex::save(&spath, &view, source)?;
             Ok(format!(
                 "indexed {} records -> {} ({bytes} bytes)\n",
-                log.len(),
+                view.len(),
                 spath.display()
             ))
         }
@@ -59,7 +61,8 @@ pub fn index_cmd(args: &ParsedArgs) -> Result<String> {
             };
             let snap = failindex::load(&spath)?;
             let source = snap.source();
-            let spec = failscope::FleetIndex::spec(&snap);
+            let view = snap.view();
+            let spec = view.spec();
             let mut out = String::new();
             let _ = writeln!(out, "snapshot: {}", spath.display());
             let _ = writeln!(out, "format:   fsidx v{}", failindex::FORMAT_VERSION);
@@ -70,8 +73,8 @@ pub fn index_cmd(args: &ParsedArgs) -> Result<String> {
                 spec.nodes(),
                 spec.gpus_per_node()
             );
-            let _ = writeln!(out, "window:   {}", failscope::FleetIndex::window(&snap));
-            let _ = writeln!(out, "records:  {}", failscope::FleetIndex::len(&snap));
+            let _ = writeln!(out, "window:   {}", view.window());
+            let _ = writeln!(out, "records:  {}", view.len());
             let _ = writeln!(
                 out,
                 "source:   {} bytes, {} lines, crc32 {:08x}",

@@ -6,7 +6,7 @@ use std::fmt::Write as _;
 use failmitigate::{
     required_crews, simulate_staffing, CheckpointPlan, OperationsPlan, PlanConfig, SparePolicy,
 };
-use failscope::{AvailabilityAnalysis, NodeSurvival};
+use failscope::{AvailabilityAnalysis, NodeSurvival, StreamView};
 use failtypes::{ComponentClass, Error, Result};
 
 use super::load;
@@ -29,7 +29,8 @@ pub fn checkpoint(args: &ParsedArgs) -> Result<String> {
     args.reject_unknown_flags(&["cost"])?;
     let log = load(args.positional(0, "file")?)?;
     let cost: f64 = args.flag_or("cost", 0.25)?;
-    let plan = CheckpointPlan::from_log(&log, cost).map_err(|e| Error::run(e.to_string()))?;
+    let plan = CheckpointPlan::from_index(&StreamView::from(log), cost)
+        .map_err(|e| Error::run(e.to_string()))?;
     let daly = plan.daly_interval_hours();
     let mut out = String::new();
     let _ = writeln!(out, "mtbf:            {:.1} h", plan.mtbf_hours());
@@ -58,7 +59,7 @@ pub fn spares(args: &ParsedArgs) -> Result<String> {
     if !(risk > 0.0 && risk < 1.0) {
         return Err(Error::args("--risk must be in (0, 1)"));
     }
-    let policy = SparePolicy::from_log(&log, class, lead_days * 24.0)
+    let policy = SparePolicy::from_index(&StreamView::from(log), class, lead_days * 24.0)
         .ok_or_else(|| Error::run(format!("no {} failures in the log", class.name())))?;
     let spares = policy.required_spares(risk);
     let mut out = String::new();
@@ -78,7 +79,7 @@ pub fn spares(args: &ParsedArgs) -> Result<String> {
 pub fn availability(args: &ParsedArgs) -> Result<String> {
     args.reject_unknown_flags(&[])?;
     let log = load(args.positional(0, "file")?)?;
-    let a = AvailabilityAnalysis::from_log(&log)
+    let a = AvailabilityAnalysis::from_index(&StreamView::from(log))
         .ok_or_else(|| Error::run("log is empty"))?;
     let mut out = String::new();
     let _ = writeln!(out, "repair overlap probability:  {:.1}%", a.overlap_probability() * 100.0);
@@ -94,9 +95,9 @@ pub fn availability(args: &ParsedArgs) -> Result<String> {
 pub fn survival(args: &ParsedArgs) -> Result<String> {
     args.reject_unknown_flags(&[])?;
     let log = load(args.positional(0, "file")?)?;
-    let s = NodeSurvival::from_log(&log)
-        .ok_or_else(|| Error::run("cannot fit a survival curve"))?;
     let horizon = log.window().duration().get();
+    let s = NodeSurvival::from_index(&StreamView::from(log))
+        .ok_or_else(|| Error::run("cannot fit a survival curve"))?;
     let mut out = String::new();
     let _ = writeln!(out, "nodes that failed:       {}", s.observed_failures());
     let _ = writeln!(out, "nodes never failed:      {}", s.censored_nodes());
@@ -170,7 +171,7 @@ pub fn staffing(args: &ParsedArgs) -> Result<String> {
 pub fn plan(args: &ParsedArgs) -> Result<String> {
     args.reject_unknown_flags(&[])?;
     let log = load(args.positional(0, "file")?)?;
-    let plan = OperationsPlan::from_log(&log, PlanConfig::default())
+    let plan = OperationsPlan::from_index(&StreamView::from(log), PlanConfig::default())
         .ok_or_else(|| Error::run("log too small to plan from"))?;
     Ok(plan.render())
 }
@@ -179,7 +180,7 @@ pub fn plan(args: &ParsedArgs) -> Result<String> {
 pub fn racks(args: &ParsedArgs) -> Result<String> {
     args.reject_unknown_flags(&[])?;
     let log = load(args.positional(0, "file")?)?;
-    let d = failscope::RackDistribution::from_log(&log);
+    let d = failscope::RackDistribution::from_index(&StreamView::from(log));
     let mut out = String::new();
     let mut rows: Vec<_> = d.shares().to_vec();
     rows.sort_by_key(|share| std::cmp::Reverse(share.count));

@@ -7,26 +7,23 @@
 //! while earlier repairs are still open, and what the failures cost in
 //! node availability.
 
-use failtypes::FailureLog;
-use serde::{Deserialize, Serialize};
-
-use crate::{FleetIndex, LogView};
+use crate::FleetIndex;
 
 /// Repair-overlap and availability metrics of one log.
 ///
 /// # Examples
 ///
 /// ```
-/// use failscope::AvailabilityAnalysis;
+/// use failscope::{AvailabilityAnalysis, StreamView};
 /// use failsim::{Simulator, SystemModel};
 ///
 /// let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
-/// let a = AvailabilityAnalysis::from_log(&log).unwrap();
+/// let a = AvailabilityAnalysis::from_index(&StreamView::from(log)).unwrap();
 /// // MTTR ~ 0.75 MTBF on Tsubame-3: repairs frequently overlap.
 /// assert!(a.overlap_probability() > 0.3);
 /// assert!(a.node_availability() > 0.95);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AvailabilityAnalysis {
     failures: usize,
     window_hours: f64,
@@ -108,19 +105,6 @@ impl AvailabilityAnalysis {
         })
     }
 
-    /// [`AvailabilityAnalysis::from_index`], indexing the log once;
-    /// `None` for an empty log.
-    #[doc(hidden)]
-    pub fn from_log(log: &FailureLog) -> Option<Self> {
-        Self::from_index(&LogView::new(log))
-    }
-
-    /// [`AvailabilityAnalysis::from_index`] on a prebuilt [`LogView`].
-    #[doc(hidden)]
-    pub fn from_view(view: &LogView<'_>) -> Option<Self> {
-        Self::from_index(view)
-    }
-
     /// Probability that a failure arrives while at least one earlier
     /// repair is still in progress — the RQ5 overlap concern.
     pub fn overlap_probability(&self) -> f64 {
@@ -158,6 +142,8 @@ impl AvailabilityAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use failtypes::FailureLog;
+    use crate::StreamView;
     use failsim::{Simulator, SystemModel};
     use failtypes::{
         Category, Date, FailureRecord, Generation, Hours, NodeId, ObservationWindow, T3Category,
@@ -188,7 +174,7 @@ mod tests {
     #[test]
     fn disjoint_repairs_have_no_overlap() {
         let log = tiny_log(vec![(0.0, 10.0), (100.0, 10.0), (200.0, 10.0)]);
-        let a = AvailabilityAnalysis::from_log(&log).unwrap();
+        let a = AvailabilityAnalysis::from_index(&StreamView::new(&log)).unwrap();
         assert_eq!(a.overlap_probability(), 0.0);
         assert_eq!(a.max_concurrent_repairs(), 1);
         assert!((a.node_hours_lost() - 30.0).abs() < 1e-9);
@@ -200,7 +186,7 @@ mod tests {
     #[test]
     fn nested_repairs_overlap() {
         let log = tiny_log(vec![(0.0, 100.0), (10.0, 10.0), (50.0, 100.0)]);
-        let a = AvailabilityAnalysis::from_log(&log).unwrap();
+        let a = AvailabilityAnalysis::from_index(&StreamView::new(&log)).unwrap();
         // Both later failures land inside the first repair.
         assert!((a.overlap_probability() - 2.0 / 3.0).abs() < 1e-9);
         assert_eq!(a.max_concurrent_repairs(), 2);
@@ -210,9 +196,10 @@ mod tests {
     fn little_law_on_generated_logs() {
         // Mean concurrent repairs = arrival rate x mean repair time.
         let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
-        let a = AvailabilityAnalysis::from_log(&log).unwrap();
+        let view = StreamView::new(&log);
+        let a = AvailabilityAnalysis::from_index(&view).unwrap();
         let rate = log.len() as f64 / log.window().duration().get();
-        let mttr = crate::ttr::TtrAnalysis::from_log(&log).unwrap().mttr_hours();
+        let mttr = crate::ttr::TtrAnalysis::from_index(&view).unwrap().mttr_hours();
         let expected = rate * mttr;
         assert!(
             (a.mean_concurrent_repairs() - expected).abs() < 0.1 * expected,
@@ -228,7 +215,7 @@ mod tests {
         for (model, seed) in [(SystemModel::tsubame2(), 42u64), (SystemModel::tsubame3(), 43)]
         {
             let log = Simulator::new(model, seed).generate().unwrap();
-            let a = AvailabilityAnalysis::from_log(&log).unwrap();
+            let a = AvailabilityAnalysis::from_index(&StreamView::new(&log)).unwrap();
             assert!(
                 a.overlap_probability() > 0.3,
                 "overlap {}",
@@ -243,15 +230,15 @@ mod tests {
         // T2: ~3.5 repairs in flight on average; T3: ~0.75.
         let t2 = Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap();
         let t3 = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
-        let a2 = AvailabilityAnalysis::from_log(&t2).unwrap();
-        let a3 = AvailabilityAnalysis::from_log(&t3).unwrap();
+        let a2 = AvailabilityAnalysis::from_index(&StreamView::new(&t2)).unwrap();
+        let a3 = AvailabilityAnalysis::from_index(&StreamView::new(&t3)).unwrap();
         assert!(a2.mean_concurrent_repairs() > 2.0 * a3.mean_concurrent_repairs());
     }
 
     #[test]
     fn availability_is_high_but_not_perfect() {
         let log = Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap();
-        let a = AvailabilityAnalysis::from_log(&log).unwrap();
+        let a = AvailabilityAnalysis::from_index(&StreamView::new(&log)).unwrap();
         let avail = a.node_availability();
         assert!(avail > 0.99 && avail < 1.0, "availability {avail}");
         assert!(a.node_hours_lost() > 0.0);
@@ -263,6 +250,6 @@ mod tests {
             .generate()
             .unwrap()
             .filtered(|_| false);
-        assert!(AvailabilityAnalysis::from_log(&log).is_none());
+        assert!(AvailabilityAnalysis::from_index(&StreamView::new(&log)).is_none());
     }
 }

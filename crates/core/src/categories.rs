@@ -1,13 +1,12 @@
 //! RQ1 — distribution of failure categories (Figs. 2 and 3).
 
-use failtypes::{Category, ComponentClass, Domain, FailureLog, SoftwareLocus};
-use serde::{Deserialize, Serialize};
+use failtypes::{Category, ComponentClass, Domain, SoftwareLocus};
 
-use crate::{FleetIndex, LogView};
+use crate::FleetIndex;
 
 /// One row of a category breakdown: a category, its count, and its share
 /// of all failures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CategoryShare {
     /// The failure category.
     pub category: Category,
@@ -22,17 +21,17 @@ pub struct CategoryShare {
 /// # Examples
 ///
 /// ```
-/// use failscope::CategoryBreakdown;
+/// use failscope::{CategoryBreakdown, StreamView};
 /// use failsim::{Simulator, SystemModel};
 ///
 /// let log = Simulator::new(SystemModel::tsubame2(), 1).generate().unwrap();
-/// let breakdown = CategoryBreakdown::from_log(&log);
+/// let breakdown = CategoryBreakdown::from_index(&StreamView::from(log));
 /// // Fig. 2a: GPU is the top Tsubame-2 category at 44.37%.
 /// let top = &breakdown.shares()[0];
 /// assert_eq!(top.category.label(), "GPU");
 /// assert!((top.fraction - 0.4437).abs() < 0.001);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CategoryBreakdown {
     shares: Vec<CategoryShare>,
     total: usize,
@@ -54,18 +53,6 @@ impl CategoryBreakdown {
             .collect();
         shares.sort_by(|a, b| b.count.cmp(&a.count).then(a.category.cmp(&b.category)));
         CategoryBreakdown { shares, total }
-    }
-
-    /// Computes the breakdown, indexing the log once.
-    #[doc(hidden)]
-    pub fn from_log(log: &FailureLog) -> Self {
-        Self::from_index(&LogView::new(log))
-    }
-
-    /// Computes the breakdown from a prebuilt [`LogView`].
-    #[doc(hidden)]
-    pub fn from_view(view: &LogView<'_>) -> Self {
-        Self::from_index(view)
     }
 
     /// Rows sorted by descending count.
@@ -120,7 +107,7 @@ impl CategoryBreakdown {
 /// cross-generation statements ("GPU failures are significantly higher in
 /// number than CPU failures on both systems") compare on the shared
 /// [`ComponentClass`] axis, which this type provides.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClassBreakdown {
     counts: Vec<(ComponentClass, usize)>,
     total: usize,
@@ -142,18 +129,6 @@ impl ClassBreakdown {
             counts,
             total: index.len(),
         }
-    }
-
-    /// Computes the breakdown, indexing the log once.
-    #[doc(hidden)]
-    pub fn from_log(log: &FailureLog) -> Self {
-        Self::from_index(&LogView::new(log))
-    }
-
-    /// Computes the breakdown from a prebuilt [`LogView`].
-    #[doc(hidden)]
-    pub fn from_view(view: &LogView<'_>) -> Self {
-        Self::from_index(view)
     }
 
     /// `(class, count)` rows in the canonical class order.
@@ -181,7 +156,7 @@ impl ClassBreakdown {
 }
 
 /// Hardware/software/unknown domain split.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DomainBreakdown {
     /// Hardware-domain failures.
     pub hardware: usize,
@@ -209,18 +184,6 @@ impl DomainBreakdown {
         out
     }
 
-    /// Computes the split, indexing the log once.
-    #[doc(hidden)]
-    pub fn from_log(log: &FailureLog) -> Self {
-        Self::from_index(&LogView::new(log))
-    }
-
-    /// Computes the split from a prebuilt [`LogView`].
-    #[doc(hidden)]
-    pub fn from_view(view: &LogView<'_>) -> Self {
-        Self::from_index(view)
-    }
-
     /// Total failures.
     pub fn total(&self) -> usize {
         self.hardware + self.software + self.unknown
@@ -233,7 +196,7 @@ impl DomainBreakdown {
 }
 
 /// One row of the software root-locus breakdown (Fig. 3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LocusShare {
     /// The root locus.
     pub locus: SoftwareLocus,
@@ -244,7 +207,7 @@ pub struct LocusShare {
 }
 
 /// The root-locus breakdown of software failures (Fig. 3).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LocusBreakdown {
     shares: Vec<LocusShare>,
     total: usize,
@@ -266,18 +229,6 @@ impl LocusBreakdown {
             .collect();
         shares.sort_by(|a, b| b.count.cmp(&a.count).then(a.locus.cmp(&b.locus)));
         LocusBreakdown { shares, total }
-    }
-
-    /// Computes the breakdown, indexing the log once.
-    #[doc(hidden)]
-    pub fn from_log(log: &FailureLog) -> Self {
-        Self::from_index(&LogView::new(log))
-    }
-
-    /// Computes the breakdown from a prebuilt [`LogView`].
-    #[doc(hidden)]
-    pub fn from_view(view: &LogView<'_>) -> Self {
-        Self::from_index(view)
     }
 
     /// Rows sorted by descending count.
@@ -317,6 +268,8 @@ impl LocusBreakdown {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use failtypes::FailureLog;
+    use crate::StreamView;
     use failsim::{Simulator, SystemModel};
     use failtypes::{T2Category, T3Category};
 
@@ -330,7 +283,7 @@ mod tests {
 
     #[test]
     fn fig2a_t2_anchors() {
-        let b = CategoryBreakdown::from_log(&t2());
+        let b = CategoryBreakdown::from_index(&StreamView::new(&t2()));
         assert_eq!(b.total(), 897);
         assert!((b.fraction_of(Category::T2(T2Category::Gpu)) - 0.4437).abs() < 0.001);
         assert!((b.fraction_of(Category::T2(T2Category::Cpu)) - 0.0178).abs() < 0.001);
@@ -341,7 +294,7 @@ mod tests {
 
     #[test]
     fn fig2b_t3_anchors() {
-        let b = CategoryBreakdown::from_log(&t3());
+        let b = CategoryBreakdown::from_index(&StreamView::new(&t3()));
         assert_eq!(b.total(), 338);
         assert!((b.fraction_of(Category::T3(T3Category::Software)) - 0.5059).abs() < 0.001);
         assert!((b.fraction_of(Category::T3(T3Category::Gpu)) - 0.2781).abs() < 0.001);
@@ -354,7 +307,7 @@ mod tests {
     #[test]
     fn shares_are_sorted_and_sum_to_one() {
         for log in [t2(), t3()] {
-            let b = CategoryBreakdown::from_log(&log);
+            let b = CategoryBreakdown::from_index(&StreamView::new(&log));
             let sum: f64 = b.shares().iter().map(|s| s.fraction).sum();
             assert!((sum - 1.0).abs() < 1e-9);
             for w in b.shares().windows(2) {
@@ -365,7 +318,7 @@ mod tests {
 
     #[test]
     fn absent_category_is_zero() {
-        let b = CategoryBreakdown::from_log(&t3());
+        let b = CategoryBreakdown::from_index(&StreamView::new(&t3()));
         assert_eq!(b.fraction_of(Category::T2(T2Category::Fan)), 0.0);
         assert_eq!(b.count_of(Category::T2(T2Category::Fan)), 0);
     }
@@ -373,8 +326,8 @@ mod tests {
     #[test]
     fn class_breakdown_compares_across_generations() {
         use failtypes::ComponentClass;
-        let b2 = ClassBreakdown::from_log(&t2());
-        let b3 = ClassBreakdown::from_log(&t3());
+        let b2 = ClassBreakdown::from_index(&StreamView::new(&t2()));
+        let b3 = ClassBreakdown::from_index(&StreamView::new(&t3()));
         // GPU >> CPU on both systems, on the shared axis.
         assert!(b2.fraction_of(ComponentClass::Gpu) > 10.0 * b2.fraction_of(ComponentClass::Cpu));
         assert!(b3.fraction_of(ComponentClass::Gpu) > 5.0 * b3.fraction_of(ComponentClass::Cpu));
@@ -389,14 +342,14 @@ mod tests {
         assert_eq!(b2.counts().len(), ComponentClass::ALL.len());
         // Absent classes report zero.
         let empty = t3().filtered(|_| false);
-        let be = ClassBreakdown::from_log(&empty);
+        let be = ClassBreakdown::from_index(&StreamView::new(&empty));
         assert_eq!(be.count_of(ComponentClass::Gpu), 0);
         assert_eq!(be.fraction_of(ComponentClass::Gpu), 0.0);
     }
 
     #[test]
     fn domain_split_t3_is_software_majority() {
-        let d = DomainBreakdown::from_log(&t3());
+        let d = DomainBreakdown::from_index(&StreamView::new(&t3()));
         assert_eq!(d.total(), 338);
         // Software + GPUDriver + Lustre = 171 + 10 + 4 = 185.
         assert_eq!(d.software, 185);
@@ -405,7 +358,7 @@ mod tests {
 
     #[test]
     fn domain_split_t2_is_hardware_majority() {
-        let d = DomainBreakdown::from_log(&t2());
+        let d = DomainBreakdown::from_index(&StreamView::new(&t2()));
         assert!(d.hardware > d.software);
         // Down is the only unknown-domain T2 category (22 events).
         assert_eq!(d.unknown, 22);
@@ -413,7 +366,7 @@ mod tests {
 
     #[test]
     fn fig3_locus_anchors() {
-        let b = LocusBreakdown::from_log(&t3());
+        let b = LocusBreakdown::from_index(&StreamView::new(&t3()));
         assert_eq!(b.total(), 171);
         // ~43% GPU-driver problems, ~20% unknown.
         assert!((b.fraction_of(SoftwareLocus::GpuDriverProblem) - 0.43).abs() < 0.01);
@@ -425,7 +378,7 @@ mod tests {
 
     #[test]
     fn locus_breakdown_of_t2_is_empty() {
-        let b = LocusBreakdown::from_log(&t2());
+        let b = LocusBreakdown::from_index(&StreamView::new(&t2()));
         assert_eq!(b.total(), 0);
         assert!(b.shares().is_empty());
         assert_eq!(b.unknown_fraction(), 0.0);
@@ -434,10 +387,10 @@ mod tests {
     #[test]
     fn empty_log_breakdowns() {
         let log = t3().filtered(|_| false);
-        let b = CategoryBreakdown::from_log(&log);
+        let b = CategoryBreakdown::from_index(&StreamView::new(&log));
         assert_eq!(b.total(), 0);
         assert!(b.shares().is_empty());
-        let d = DomainBreakdown::from_log(&log);
+        let d = DomainBreakdown::from_index(&StreamView::new(&log));
         assert_eq!(d.software_fraction(), 0.0);
     }
 }

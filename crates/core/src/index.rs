@@ -1,15 +1,14 @@
-//! The shared analysis surface: one trait over both indexed views.
+//! The shared analysis surface: the trait every analysis reads from.
 //!
 //! Every analysis in this crate consumes the same precomputed material —
 //! time-ordered failure times, sorted repair durations, category
 //! partitions, node/slot/rack tallies, month buckets, multi-GPU
-//! involvements. [`crate::LogView`] builds those indexes in one batch
-//! pass over a finished log; [`crate::StreamView`] maintains them
-//! incrementally as a live stream delivers records. [`FleetIndex`]
-//! abstracts over the two, so each analysis has exactly **one**
-//! constructor body (`from_index`) and the batch/stream entry points are
-//! thin shims — the structural guarantee behind the stream-vs-batch
-//! equivalence suites in `tests/`.
+//! involvements. [`crate::StreamView`] is the one index that holds them,
+//! whether it was bulk-built from a finished log, fed record by record
+//! from a live stream, or decoded from an on-disk snapshot. Each analysis
+//! has exactly **one** constructor, `from_index`, generic over
+//! [`FleetIndex`]; the trait is the seam a different storage layout
+//! (such as a columnar snapshot) would implement.
 
 use std::collections::BTreeMap;
 
@@ -17,27 +16,25 @@ use failtypes::{
     Category, FailureRecord, Generation, NodeId, ObservationWindow, SoftwareLocus, SystemSpec,
 };
 
-use crate::logview::LogView;
 use crate::streamview::StreamView;
 
-/// Indexed access to one fleet's failure history — the intersection of
-/// what [`LogView`] and [`StreamView`] precompute, plus the system
-/// topology the spatial and mitigation analyses need.
+/// Indexed access to one fleet's failure history — what [`StreamView`]
+/// precomputes, plus the system topology the spatial and mitigation
+/// analyses need.
 ///
 /// Implementations must keep the derived indexes consistent with
 /// [`FleetIndex::records`]: `times()[i]` is `records()[i].time()`,
 /// category partitions cover every record exactly once in time order,
-/// and so on. Both provided implementations are cross-checked
-/// structure-for-structure by the equivalence suites.
+/// and so on.
 ///
 /// # Examples
 ///
 /// ```
-/// use failscope::{FleetIndex, LogView, TbfAnalysis};
+/// use failscope::{FleetIndex, StreamView, TbfAnalysis};
 /// use failsim::{Simulator, SystemModel};
 ///
 /// let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
-/// let view = LogView::new(&log);
+/// let view = StreamView::new(&log);
 /// let tbf = TbfAnalysis::from_index(&view).unwrap();
 /// assert!(tbf.mtbf_hours() > 70.0);
 /// assert_eq!(view.len(), log.len());
@@ -132,72 +129,6 @@ pub trait FleetIndex {
     }
 }
 
-impl FleetIndex for LogView<'_> {
-    fn generation(&self) -> Generation {
-        self.log().generation()
-    }
-
-    fn spec(&self) -> &SystemSpec {
-        self.log().spec()
-    }
-
-    fn window(&self) -> ObservationWindow {
-        self.log().window()
-    }
-
-    fn records(&self) -> &[FailureRecord] {
-        self.log().records()
-    }
-
-    fn times(&self) -> &[f64] {
-        LogView::times(self)
-    }
-
-    fn ttrs_sorted(&self) -> &[f64] {
-        LogView::ttrs_sorted(self)
-    }
-
-    fn recoveries(&self) -> &[f64] {
-        LogView::recoveries(self)
-    }
-
-    fn recoveries_sorted(&self) -> &[f64] {
-        LogView::recoveries_sorted(self)
-    }
-
-    fn category_indices(&self) -> &BTreeMap<Category, Vec<u32>> {
-        LogView::category_indices(self)
-    }
-
-    fn locus_counts(&self) -> &BTreeMap<SoftwareLocus, usize> {
-        LogView::locus_counts(self)
-    }
-
-    fn node_counts(&self) -> &BTreeMap<NodeId, u64> {
-        LogView::node_counts(self)
-    }
-
-    fn slot_counts(&self) -> &[usize] {
-        LogView::slot_counts(self)
-    }
-
-    fn rack_counts(&self) -> &[usize] {
-        LogView::rack_counts(self)
-    }
-
-    fn gpu_involvements(&self) -> usize {
-        LogView::gpu_involvements(self)
-    }
-
-    fn multi_gpu_times(&self) -> &[f64] {
-        LogView::multi_gpu_times(self)
-    }
-
-    fn month_ttrs(&self) -> &[Vec<f64>] {
-        LogView::month_ttrs(self)
-    }
-}
-
 impl FleetIndex for StreamView {
     fn generation(&self) -> Generation {
         StreamView::generation(self)
@@ -287,35 +218,34 @@ mod tests {
     #[test]
     fn both_views_expose_the_same_index_through_the_trait() {
         let log = t3();
-        let bv = LogView::new(&log);
-        let mut sv = StreamView::for_log(&log);
+        let mut sv = StreamView::empty_like(&log);
         for rec in log.iter() {
             sv.push(rec.clone()).unwrap();
         }
-        assert_eq!(summarize(&bv), summarize(&sv));
-        assert_eq!(FleetIndex::times(&bv), FleetIndex::times(&sv));
-        assert_eq!(FleetIndex::spec(&bv), FleetIndex::spec(&sv));
-        assert_eq!(FleetIndex::window(&bv), FleetIndex::window(&sv));
-        assert_eq!(FleetIndex::generation(&bv), FleetIndex::generation(&sv));
-        assert_eq!(FleetIndex::records(&bv), FleetIndex::records(&sv));
+        let bulk = StreamView::new(&log);
+        assert_eq!(summarize(&bulk), summarize(&sv));
+        assert_eq!(FleetIndex::times(&bulk), FleetIndex::times(&sv));
+        assert_eq!(FleetIndex::spec(&bulk), FleetIndex::spec(&sv));
+        assert_eq!(FleetIndex::window(&bulk), FleetIndex::window(&sv));
+        assert_eq!(FleetIndex::generation(&bulk), FleetIndex::generation(&sv));
+        assert_eq!(FleetIndex::records(&bulk), FleetIndex::records(&sv));
     }
 
     #[test]
     fn default_methods_agree_with_inherent_ones() {
-        let log = t3();
-        let view = LogView::new(&log);
+        let view = StreamView::from(t3());
         for &category in view.category_indices().keys().collect::<Vec<_>>() {
             assert_eq!(
                 FleetIndex::category_times(&view, category),
-                LogView::category_times(&view, category)
+                StreamView::category_times(&view, category)
             );
             assert_eq!(
                 FleetIndex::category_ttrs(&view, category),
-                LogView::category_ttrs(&view, category)
+                StreamView::category_ttrs(&view, category)
             );
             assert_eq!(
                 FleetIndex::category_count(&view, category),
-                LogView::category_count(&view, category)
+                StreamView::category_count(&view, category)
             );
         }
         assert!(!FleetIndex::is_empty(&view));

@@ -1,13 +1,10 @@
 //! RQ3 — simultaneous multi-GPU failures (Table III).
 
-use failtypes::FailureLog;
-use serde::{Deserialize, Serialize};
-
-use crate::{FleetIndex, LogView};
+use crate::FleetIndex;
 
 /// One row of Table III: how many GPU failures involved exactly `gpus`
 /// GPUs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InvolvementRow {
     /// Number of GPUs involved.
     pub gpus: u8,
@@ -22,17 +19,17 @@ pub struct InvolvementRow {
 /// # Examples
 ///
 /// ```
-/// use failscope::InvolvementTable;
+/// use failscope::{InvolvementTable, StreamView};
 /// use failsim::{Simulator, SystemModel};
 ///
 /// let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
-/// let table = InvolvementTable::from_log(&log);
+/// let table = InvolvementTable::from_index(&StreamView::from(log));
 /// // Table III: >92% of Tsubame-3 GPU failures involved a single GPU,
 /// // and none involved all four.
 /// assert!(table.rows()[0].fraction > 0.92);
 /// assert_eq!(table.count_of(4), 0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InvolvementTable {
     rows: Vec<InvolvementRow>,
     known: usize,
@@ -66,18 +63,6 @@ impl InvolvementTable {
             known,
             unknown,
         }
-    }
-
-    /// [`InvolvementTable::from_index`], indexing the log once.
-    #[doc(hidden)]
-    pub fn from_log(log: &FailureLog) -> Self {
-        Self::from_index(&LogView::new(log))
-    }
-
-    /// [`InvolvementTable::from_index`] on a prebuilt [`LogView`].
-    #[doc(hidden)]
-    pub fn from_view(view: &LogView<'_>) -> Self {
-        Self::from_index(view)
     }
 
     /// Rows for 1..=gpus-per-node GPUs involved.
@@ -117,6 +102,8 @@ impl InvolvementTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use failtypes::FailureLog;
+    use crate::StreamView;
     use failsim::{Simulator, SystemModel};
 
     fn t2() -> FailureLog {
@@ -129,7 +116,7 @@ mod tests {
 
     #[test]
     fn table3_t2_exact_counts() {
-        let t = InvolvementTable::from_log(&t2());
+        let t = InvolvementTable::from_index(&StreamView::new(&t2()));
         assert_eq!(t.count_of(1), 112);
         assert_eq!(t.count_of(2), 128);
         assert_eq!(t.count_of(3), 128);
@@ -141,7 +128,7 @@ mod tests {
 
     #[test]
     fn table3_t3_exact_counts() {
-        let t = InvolvementTable::from_log(&t3());
+        let t = InvolvementTable::from_index(&StreamView::new(&t3()));
         assert_eq!(t.count_of(1), 75);
         assert_eq!(t.count_of(2), 4);
         assert_eq!(t.count_of(3), 2);
@@ -156,7 +143,7 @@ mod tests {
     #[test]
     fn fractions_sum_to_one_over_known() {
         for log in [t2(), t3()] {
-            let t = InvolvementTable::from_log(&log);
+            let t = InvolvementTable::from_index(&StreamView::new(&log));
             let sum: f64 = t.rows().iter().map(|r| r.fraction).sum();
             assert!((sum - 1.0).abs() < 1e-9);
         }
@@ -164,16 +151,16 @@ mod tests {
 
     #[test]
     fn rows_cover_node_gpu_range() {
-        let t = InvolvementTable::from_log(&t3());
+        let t = InvolvementTable::from_index(&StreamView::new(&t3()));
         assert_eq!(t.rows().len(), 4); // 4 GPUs per Tsubame-3 node
-        let t = InvolvementTable::from_log(&t2());
+        let t = InvolvementTable::from_index(&StreamView::new(&t2()));
         assert_eq!(t.rows().len(), 3);
     }
 
     #[test]
     fn empty_log_table() {
         let log = t3().filtered(|_| false);
-        let t = InvolvementTable::from_log(&log);
+        let t = InvolvementTable::from_index(&StreamView::new(&log));
         assert_eq!(t.known(), 0);
         assert_eq!(t.unknown(), 0);
         assert_eq!(t.multi_gpu_fraction(), 0.0);

@@ -3,26 +3,26 @@
 //! FLOP per MTBF.
 
 use failtypes::FailureLog;
-use serde::{Deserialize, Serialize};
 
 use crate::tbf::TbfAnalysis;
-use crate::{FleetIndex, LogView};
+use crate::{FleetIndex, StreamView};
 
 /// The performance-error-proportionality of one system.
 ///
 /// # Examples
 ///
 /// ```
-/// use failscope::Pep;
+/// use failscope::{Pep, StreamView};
 /// use failsim::{Simulator, SystemModel};
 ///
 /// let t2 = Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap();
 /// let t3 = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
-/// let (p2, p3) = (Pep::from_log(&t2).unwrap(), Pep::from_log(&t3).unwrap());
+/// let p2 = Pep::from_index(&StreamView::from(t2)).unwrap();
+/// let p3 = Pep::from_index(&StreamView::from(t3)).unwrap();
 /// // Tsubame-3 does far more useful work per failure-free period.
 /// assert!(p3.flop_per_failure_free_period() > 10.0 * p2.flop_per_failure_free_period());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Pep {
     /// Theoretical peak in PFLOP/s.
     pub rpeak_pflops: f64,
@@ -41,18 +41,6 @@ impl Pep {
         })
     }
 
-    /// [`Pep::from_index`], indexing the log once.
-    #[doc(hidden)]
-    pub fn from_log(log: &FailureLog) -> Option<Self> {
-        Self::from_index(&LogView::new(log))
-    }
-
-    /// [`Pep::from_index`] on a prebuilt [`LogView`].
-    #[doc(hidden)]
-    pub fn from_view(view: &LogView<'_>) -> Option<Self> {
-        Self::from_index(view)
-    }
-
     /// Maximum useful computation during a mean failure-free period:
     /// `Rpeak × MTBF`, in FLOP.
     pub fn flop_per_failure_free_period(&self) -> f64 {
@@ -68,7 +56,7 @@ impl Pep {
 /// The cross-generation PEP comparison the paper walks through: compute
 /// grew ~8x (the paper's figure; ~5.3x by Rpeak), MTBF grew ~4x, so
 /// useful work per failure-free period grew multiplicatively.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PepComparison {
     /// The older system's metric.
     pub older: Pep,
@@ -77,9 +65,9 @@ pub struct PepComparison {
 }
 
 impl PepComparison {
-    /// Builds the comparison from two indexes (possibly of different
-    /// concrete types — e.g. a batch [`LogView`] against a live
-    /// [`crate::StreamView`]); `None` when either side is too small.
+    /// Builds the comparison from two indexes (e.g. a bulk-built
+    /// [`crate::StreamView`] of a finished log against a live one);
+    /// `None` when either side is too small.
     pub fn from_indexes<A, B>(older: &A, newer: &B) -> Option<Self>
     where
         A: FleetIndex + ?Sized,
@@ -94,7 +82,7 @@ impl PepComparison {
     /// [`PepComparison::from_indexes`], indexing both logs once; `None`
     /// when either log is too small.
     pub fn new(older: &FailureLog, newer: &FailureLog) -> Option<Self> {
-        Self::from_indexes(&LogView::new(older), &LogView::new(newer))
+        Self::from_indexes(&StreamView::new(older), &StreamView::new(newer))
     }
 
     /// Compute-capability ratio (newer / older) by Rpeak.
@@ -166,7 +154,7 @@ mod tests {
     fn too_small_logs_are_none() {
         let t3 = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
         let empty = t3.filtered(|_| false);
-        assert!(Pep::from_log(&empty).is_none());
+        assert!(Pep::from_index(&StreamView::new(&empty)).is_none());
         assert!(PepComparison::new(&empty, &t3).is_none());
         assert!(PepComparison::new(&t3, &empty).is_none());
     }

@@ -6,12 +6,11 @@
 //! rates and the Laplace trend test for homogeneous-Poisson arrivals.
 
 use failtypes::FailureLog;
-use serde::{Deserialize, Serialize};
 
 use failstats::special::std_normal_cdf;
 
 /// One bin of the rolling failure rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateBin {
     /// Bin start, hours from window start.
     pub start_hours: f64,
@@ -57,7 +56,7 @@ pub fn rolling_rate(log: &FailureLog, bin_hours: f64) -> Vec<RateBin> {
 }
 
 /// The result of the Laplace trend test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LaplaceTrend {
     /// The Laplace statistic `U` (standard normal under no trend).
     pub u: f64,

@@ -22,11 +22,11 @@ use failtypes::{FailureLog, JsonValue};
 use crate::availability::AvailabilityAnalysis;
 use crate::categories::{CategoryBreakdown, LocusBreakdown};
 use crate::index::FleetIndex;
-use crate::logview::LogView;
 use crate::multigpu::InvolvementTable;
 use crate::pep::PepComparison;
 use crate::seasonal::SeasonalAnalysis;
 use crate::spatial::{NodeDistribution, RackDistribution, SlotDistribution};
+use crate::streamview::StreamView;
 use crate::survival::NodeSurvival;
 use crate::tbf::{per_category_tbf_index, TbfAnalysis};
 use crate::temporal::MultiGpuTemporal;
@@ -872,7 +872,7 @@ pub fn render_report(log: &FailureLog) -> String {
 /// workers. The sections are concatenated in declaration order, so the
 /// output is byte-identical to the serial render at any thread count.
 pub fn render_report_threaded(log: &FailureLog, threads: usize) -> String {
-    let view = LogView::new(log);
+    let view = StreamView::new(log);
     render_text_sections(&all_sections(), &SectionCtx::new(&view), threads)
 }
 
@@ -890,7 +890,7 @@ pub fn render_report_threaded(log: &FailureLog, threads: usize) -> String {
 /// assert!(ndjson.starts_with(r#"{"id":"header""#));
 /// ```
 pub fn render_report_json(log: &FailureLog, threads: usize) -> String {
-    let view = LogView::new(log);
+    let view = StreamView::new(log);
     render_json_sections(&all_sections(), &SectionCtx::new(&view), threads)
 }
 
@@ -907,9 +907,12 @@ pub fn render_comparison_threaded(
     newer: &FailureLog,
     threads: usize,
 ) -> String {
-    let older_view = LogView::new(older);
-    let newer_view = LogView::new(newer);
-    let views = [&older_view, &newer_view];
+    render_comparison_index(&StreamView::new(older), &StreamView::new(newer), threads)
+}
+
+/// [`render_comparison_threaded`] over two prebuilt indexes.
+pub fn render_comparison_index(older: &StreamView, newer: &StreamView, threads: usize) -> String {
+    let views = [older, newer];
     let ttrs = failstats::par_map_ordered(2, threads, |i| TtrAnalysis::from_index(views[i]));
 
     let mut out = String::new();
@@ -919,7 +922,7 @@ pub fn render_comparison_threaded(
         older.spec().name(),
         newer.spec().name()
     );
-    if let Some(c) = PepComparison::from_indexes(&older_view, &newer_view) {
+    if let Some(c) = PepComparison::from_indexes(older, newer) {
         let _ = writeln!(out, "  compute (Rpeak): {:>6.2}x", c.compute_factor());
         let _ = writeln!(out, "  MTBF:            {:>6.2}x", c.mtbf_factor());
         let _ = writeln!(
@@ -947,16 +950,15 @@ pub fn render_comparison_threaded(
     out
 }
 
-/// The comparison as one structured JSON document (`"pep"` and
+/// The comparison of two indexes as one structured, newline-terminated
+/// JSON line — the `failctl compare --format json` output. `"pep"` and
 /// `"mttr_hours"` are `null` when the underlying analysis is undefined
-/// for the pair).
-pub fn comparison_json(older: &FailureLog, newer: &FailureLog, threads: usize) -> JsonValue {
-    let older_view = LogView::new(older);
-    let newer_view = LogView::new(newer);
-    let views = [&older_view, &newer_view];
+/// for the pair.
+pub fn render_comparison_json(older: &StreamView, newer: &StreamView, threads: usize) -> String {
+    let views = [older, newer];
     let ttrs = failstats::par_map_ordered(2, threads, |i| TtrAnalysis::from_index(views[i]));
 
-    let pep = PepComparison::from_indexes(&older_view, &newer_view).map_or(
+    let pep = PepComparison::from_indexes(older, newer).map_or(
         JsonValue::Null,
         |c| {
             JsonValue::object()
@@ -983,18 +985,13 @@ pub fn comparison_json(older: &FailureLog, newer: &FailureLog, threads: usize) -
     } else {
         JsonValue::Null
     };
-    JsonValue::object()
+    let mut line = JsonValue::object()
         .field("older", older.spec().name())
         .field("newer", newer.spec().name())
         .field("pep", pep)
         .field("mttr_hours", mttr)
         .build()
-}
-
-/// [`comparison_json`], rendered as a single newline-terminated JSON
-/// line — the `failctl compare --format json` output.
-pub fn render_comparison_json(older: &FailureLog, newer: &FailureLog, threads: usize) -> String {
-    let mut line = comparison_json(older, newer, threads).render();
+        .render();
     line.push('\n');
     line
 }
@@ -1002,7 +999,6 @@ pub fn render_comparison_json(older: &FailureLog, newer: &FailureLog, threads: u
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::streamview::StreamView;
     use failsim::{Simulator, SystemModel};
 
     fn t3() -> FailureLog {
@@ -1079,8 +1075,7 @@ mod tests {
 
     #[test]
     fn selected_sections_render_just_those() {
-        let log = t3();
-        let view = LogView::new(&log);
+        let view = StreamView::from(t3());
         let picked = select_sections("header,tbf").expect("valid ids");
         let ctx = SectionCtx::new(&view);
         let text = render_text_sections(&picked, &ctx, 2);
@@ -1094,8 +1089,8 @@ mod tests {
     #[test]
     fn sections_agree_between_batch_and_stream_views() {
         let log = t3();
-        let view = LogView::new(&log);
-        let mut sv = StreamView::for_log(&log);
+        let view = StreamView::new(&log);
+        let mut sv = StreamView::empty_like(&log);
         for rec in log.iter() {
             sv.push(rec.clone()).unwrap();
         }
@@ -1127,8 +1122,10 @@ mod tests {
         assert!(text.contains("reliability improved more slowly"));
         assert_eq!(text, render_comparison_threaded(&t2, &t3, 4));
 
-        let json = render_comparison_json(&t2, &t3, 1);
-        assert_eq!(json, render_comparison_json(&t2, &t3, 4));
+        let (v2, v3) = (StreamView::from(t2), StreamView::from(t3));
+        assert_eq!(text, render_comparison_index(&v2, &v3, 2));
+        let json = render_comparison_json(&v2, &v3, 1);
+        assert_eq!(json, render_comparison_json(&v2, &v3, 4));
         assert!(json.contains(r#""pep":{"compute_factor":"#), "{json}");
         assert!(json.ends_with("}\n"));
     }

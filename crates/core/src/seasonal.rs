@@ -2,13 +2,12 @@
 //! times, and the RQ5 question of whether failure density predicts TTR.
 
 use failstats::Summary;
-use failtypes::{FailureLog, Month};
-use serde::{Deserialize, Serialize};
+use failtypes::Month;
 
-use crate::{FleetIndex, LogView};
+use crate::FleetIndex;
 
 /// One calendar month's failures in one year.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MonthBucket {
     /// Calendar year.
     pub year: i32,
@@ -21,7 +20,7 @@ pub struct MonthBucket {
 }
 
 /// The month-by-month view of a log (Figs. 11 and 12).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SeasonalAnalysis {
     buckets: Vec<MonthBucket>,
 }
@@ -43,18 +42,6 @@ impl SeasonalAnalysis {
             })
             .collect();
         SeasonalAnalysis { buckets }
-    }
-
-    /// [`SeasonalAnalysis::from_index`], indexing the log once.
-    #[doc(hidden)]
-    pub fn from_log(log: &FailureLog) -> Self {
-        Self::from_index(&LogView::new(log))
-    }
-
-    /// [`SeasonalAnalysis::from_index`] on a prebuilt [`LogView`].
-    #[doc(hidden)]
-    pub fn from_view(view: &LogView<'_>) -> Self {
-        Self::from_index(view)
     }
 
     /// The chronological `(year, month)` buckets.
@@ -136,6 +123,8 @@ impl SeasonalAnalysis {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use failtypes::FailureLog;
+    use crate::StreamView;
     use failsim::{Simulator, SystemModel};
 
     fn t2() -> FailureLog {
@@ -149,7 +138,7 @@ mod tests {
     #[test]
     fn buckets_cover_window_and_sum_to_total() {
         let log = t2();
-        let s = SeasonalAnalysis::from_log(&log);
+        let s = SeasonalAnalysis::from_index(&StreamView::new(&log));
         // 2012-01 .. 2013-07 (the window ends 2013-08-01 exclusive) = 19
         // months.
         assert_eq!(s.buckets().len(), 19);
@@ -163,7 +152,7 @@ mod tests {
 
     #[test]
     fn fig12_counts_vary_month_to_month() {
-        let s = SeasonalAnalysis::from_log(&t2());
+        let s = SeasonalAnalysis::from_index(&StreamView::new(&t2()));
         let counts = s.monthly_failure_counts();
         let max = *counts.iter().max().unwrap();
         let min = *counts.iter().filter(|&&c| c > 0).min().unwrap();
@@ -177,7 +166,7 @@ mod tests {
             let log = Simulator::new(SystemModel::tsubame2(), 500 + seed as u64)
                 .generate()
                 .unwrap();
-            let s = SeasonalAnalysis::from_log(&log);
+            let s = SeasonalAnalysis::from_index(&StreamView::new(&log));
             let (h1, h2) = s.half_year_ttr_means().unwrap();
             h2 - h1
         });
@@ -191,7 +180,7 @@ mod tests {
             let log = Simulator::new(SystemModel::tsubame3(), 600 + seed as u64)
                 .generate()
                 .unwrap();
-            let s = SeasonalAnalysis::from_log(&log);
+            let s = SeasonalAnalysis::from_index(&StreamView::new(&log));
             let (h1, h2) = s.half_year_ttr_means().unwrap();
             h2 - h1
         });
@@ -208,7 +197,7 @@ mod tests {
             let log = Simulator::new(SystemModel::tsubame3(), 700 + seed as u64)
                 .generate()
                 .unwrap();
-            let s = SeasonalAnalysis::from_log(&log);
+            let s = SeasonalAnalysis::from_index(&StreamView::new(&log));
             s.density_ttr_correlation().unwrap()
         });
         let mean_abs = failstats::mean(&rs.iter().map(|r| r.abs()).collect::<Vec<_>>()).unwrap();
@@ -219,7 +208,7 @@ mod tests {
 
     #[test]
     fn calendar_month_aggregation() {
-        let s = SeasonalAnalysis::from_log(&t3());
+        let s = SeasonalAnalysis::from_index(&StreamView::new(&t3()));
         let by_month = s.mean_ttr_by_calendar_month();
         // Every calendar month is touched by a ~33-month window.
         assert!(by_month.iter().all(|m| m.is_some()));
@@ -230,7 +219,7 @@ mod tests {
 
     #[test]
     fn rank_correlation_also_small() {
-        let s = SeasonalAnalysis::from_log(&t3());
+        let s = SeasonalAnalysis::from_index(&StreamView::new(&t3()));
         let rho = s.density_ttr_rank_correlation().unwrap();
         assert!(rho.abs() < 0.6);
     }
@@ -238,7 +227,7 @@ mod tests {
     #[test]
     fn degenerate_logs() {
         let empty = t3().filtered(|_| false);
-        let s = SeasonalAnalysis::from_log(&empty);
+        let s = SeasonalAnalysis::from_index(&StreamView::new(&empty));
         assert!(s.buckets().iter().all(|b| b.failures == 0));
         assert!(s.half_year_ttr_means().is_none());
         assert!(s.density_ttr_correlation().is_none());

@@ -2,25 +2,24 @@
 //! and per-GPU-slot distribution (Fig. 5).
 
 use failstats::{chi_square_gof, ChiSquareTest, CountHistogram};
-use failtypes::{Domain, FailureLog, GpuSlot, RackId};
-use serde::{Deserialize, Serialize};
+use failtypes::{Domain, GpuSlot, RackId};
 
-use crate::{FleetIndex, LogView};
+use crate::FleetIndex;
 
 /// Per-node failure-count distribution (Fig. 4).
 ///
 /// # Examples
 ///
 /// ```
-/// use failscope::NodeDistribution;
+/// use failscope::{NodeDistribution, StreamView};
 /// use failsim::{Simulator, SystemModel};
 ///
 /// let log = Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap();
-/// let dist = NodeDistribution::from_log(&log);
+/// let dist = NodeDistribution::from_index(&StreamView::from(log));
 /// // Fig. 4a: ~60% of failing Tsubame-2 nodes saw exactly one failure.
 /// assert!((dist.fraction_with_exactly(1) - 0.6).abs() < 0.06);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeDistribution {
     histogram: CountHistogram,
     failing_nodes: usize,
@@ -55,18 +54,6 @@ impl NodeDistribution {
             multi_node_hardware,
             multi_node_software,
         }
-    }
-
-    /// Computes the distribution, indexing the log once.
-    #[doc(hidden)]
-    pub fn from_log(log: &FailureLog) -> Self {
-        Self::from_index(&LogView::new(log))
-    }
-
-    /// Computes the distribution from a prebuilt [`LogView`].
-    #[doc(hidden)]
-    pub fn from_view(view: &LogView<'_>) -> Self {
-        Self::from_index(view)
     }
 
     /// Fraction of failing nodes with exactly `k` failures.
@@ -111,7 +98,7 @@ impl NodeDistribution {
 }
 
 /// One GPU slot's failure share (Fig. 5).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SlotShare {
     /// The slot.
     pub slot: GpuSlot,
@@ -127,7 +114,7 @@ pub struct SlotShare {
 ///
 /// Counts every slot involvement: a failure touching GPUs 0 and 3 adds
 /// one to each slot, matching how the paper counts per-GPU failures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SlotDistribution {
     shares: Vec<SlotShare>,
     total_involvements: usize,
@@ -157,18 +144,6 @@ impl SlotDistribution {
         }
     }
 
-    /// Computes the distribution, indexing the log once.
-    #[doc(hidden)]
-    pub fn from_log(log: &FailureLog) -> Self {
-        Self::from_index(&LogView::new(log))
-    }
-
-    /// Computes the distribution from a prebuilt [`LogView`].
-    #[doc(hidden)]
-    pub fn from_view(view: &LogView<'_>) -> Self {
-        Self::from_index(view)
-    }
-
     /// Per-slot rows in slot order.
     pub fn shares(&self) -> &[SlotShare] {
         &self.shares
@@ -189,7 +164,7 @@ impl SlotDistribution {
 }
 
 /// One rack's failure share.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RackShare {
     /// The rack.
     pub rack: RackId,
@@ -205,7 +180,7 @@ pub struct RackShare {
 /// of failures among racks is also present in multi-GPU-per-node
 /// systems". [`RackDistribution::uniformity_test`] makes that claim
 /// testable: a chi-square of the per-rack counts against the rack sizes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RackDistribution {
     shares: Vec<RackShare>,
     total: usize,
@@ -231,18 +206,6 @@ impl RackDistribution {
             shares,
             total: index.len(),
         }
-    }
-
-    /// Counts failures per rack, indexing the log once.
-    #[doc(hidden)]
-    pub fn from_log(log: &FailureLog) -> Self {
-        Self::from_index(&LogView::new(log))
-    }
-
-    /// Computes the distribution from a prebuilt [`LogView`].
-    #[doc(hidden)]
-    pub fn from_view(view: &LogView<'_>) -> Self {
-        Self::from_index(view)
     }
 
     /// Per-rack rows in rack order.
@@ -279,6 +242,8 @@ impl RackDistribution {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use failtypes::FailureLog;
+    use crate::StreamView;
     use failsim::{Simulator, SystemModel};
 
     fn t2() -> FailureLog {
@@ -291,7 +256,7 @@ mod tests {
 
     #[test]
     fn fig4_t2_anchors() {
-        let d = NodeDistribution::from_log(&t2());
+        let d = NodeDistribution::from_index(&StreamView::new(&t2()));
         // ~60% exactly one, ~10% exactly two.
         assert!(
             (d.fraction_with_exactly(1) - 0.60).abs() < 0.06,
@@ -309,7 +274,7 @@ mod tests {
 
     #[test]
     fn fig4_t3_anchors() {
-        let d = NodeDistribution::from_log(&t3());
+        let d = NodeDistribution::from_index(&StreamView::new(&t3()));
         // ~60% of failing Tsubame-3 nodes saw more than one failure.
         assert!(
             (d.fraction_with_multiple() - 0.60).abs() < 0.08,
@@ -326,7 +291,7 @@ mod tests {
         let avg = |gen: fn() -> SystemModel| -> f64 {
             failstats::par_map_ordered(8, failstats::available_threads(), |s| {
                 let log = Simulator::new(gen(), 1000 + s as u64).generate().unwrap();
-                NodeDistribution::from_log(&log).fraction_with_exactly(3)
+                NodeDistribution::from_index(&StreamView::new(&log)).fraction_with_exactly(3)
             })
             .iter()
             .sum::<f64>()
@@ -341,7 +306,7 @@ mod tests {
         // The paper: 352 hardware and 1 software failure on Tsubame-2
         // multi-failure nodes. The fresh-node rule makes software
         // recurrences rare; hardware dominates by a wide margin.
-        let d = NodeDistribution::from_log(&t2());
+        let d = NodeDistribution::from_index(&StreamView::new(&t2()));
         assert!(
             d.multi_node_hardware_failures() > 30 * d.multi_node_software_failures().max(1),
             "hw {} sw {}",
@@ -353,7 +318,7 @@ mod tests {
     #[test]
     fn t3_multi_failure_nodes_mix_domains() {
         // The paper: 104 hardware and 95 software on Tsubame-3.
-        let d = NodeDistribution::from_log(&t3());
+        let d = NodeDistribution::from_index(&StreamView::new(&t3()));
         let hw = d.multi_node_hardware_failures() as f64;
         let sw = d.multi_node_software_failures() as f64;
         assert!(sw > 0.5 * hw, "hw {hw} sw {sw}");
@@ -361,7 +326,7 @@ mod tests {
 
     #[test]
     fn fig5_t2_slot_skew() {
-        let d = SlotDistribution::from_log(&t2());
+        let d = SlotDistribution::from_index(&StreamView::new(&t2()));
         assert_eq!(d.shares().len(), 3);
         let c: Vec<usize> = d.shares().iter().map(|s| s.count).collect();
         // GPU 1 ≈ 20% above GPU 0 / GPU 2.
@@ -379,7 +344,7 @@ mod tests {
             let log = Simulator::new(SystemModel::tsubame3(), 43 + seed as u64 * 997)
                 .generate()
                 .unwrap();
-            let d = SlotDistribution::from_log(&log);
+            let d = SlotDistribution::from_index(&StreamView::new(&log));
             assert_eq!(d.shares().len(), 4);
             let mut counts = [0usize; 4];
             for (i, share) in d.shares().iter().enumerate() {
@@ -398,7 +363,7 @@ mod tests {
 
     #[test]
     fn slot_fractions_sum_to_one() {
-        let d = SlotDistribution::from_log(&t2());
+        let d = SlotDistribution::from_index(&StreamView::new(&t2()));
         let sum: f64 = d.shares().iter().map(|s| s.fraction).sum();
         assert!((sum - 1.0).abs() < 1e-9);
         let mean: f64 =
@@ -412,7 +377,7 @@ mod tests {
         // The related-work claim: rack-level non-uniformity persists on
         // multi-GPU-per-node systems.
         for (log, racks) in [(t2(), 44u32), (t3(), 15u32)] {
-            let d = RackDistribution::from_log(&log);
+            let d = RackDistribution::from_index(&StreamView::new(&log));
             assert_eq!(d.shares().len(), racks as usize);
             let total: usize = d.shares().iter().map(|s| s.count).sum();
             assert_eq!(total, d.total());
@@ -428,7 +393,7 @@ mod tests {
 
     #[test]
     fn hot_racks_hold_disproportionate_share() {
-        let d = RackDistribution::from_log(&t2());
+        let d = RackDistribution::from_index(&StreamView::new(&t2()));
         // The busiest 30% of racks hold well over 30% of failures.
         let k = (d.shares().len() as f64 * 0.3).round() as usize;
         let share = d.top_rack_share(k);
@@ -443,7 +408,7 @@ mod tests {
         // A single seed can reject at 1% by luck; demand most seeds pass.
         let passes: usize = failstats::par_map_ordered(8, failstats::available_threads(), |seed| {
             let log = Simulator::new(model.clone(), 9000 + seed as u64).generate().unwrap();
-            let d = RackDistribution::from_log(&log);
+            let d = RackDistribution::from_index(&StreamView::new(&log));
             usize::from(!d.uniformity_test().expect("non-empty").rejects_at(0.01))
         })
         .iter()
@@ -454,14 +419,14 @@ mod tests {
     #[test]
     fn empty_log_distributions() {
         let log = t3().filtered(|_| false);
-        let d = NodeDistribution::from_log(&log);
+        let d = NodeDistribution::from_index(&StreamView::new(&log));
         assert_eq!(d.failing_nodes(), 0);
         assert_eq!(d.fraction_with_exactly(1), 0.0);
         assert_eq!(d.max_failures_on_a_node(), 0);
-        let s = SlotDistribution::from_log(&log);
+        let s = SlotDistribution::from_index(&StreamView::new(&log));
         assert_eq!(s.total_involvements(), 0);
         assert!(s.imbalance_ratio().is_none());
-        let r = RackDistribution::from_log(&log);
+        let r = RackDistribution::from_index(&StreamView::new(&log));
         assert!(r.uniformity_test().is_none());
         assert_eq!(r.top_rack_share(3), 0.0);
     }

@@ -1,20 +1,27 @@
-//! An incrementally built counterpart to [`LogView`](crate::LogView).
+//! The fleet index: [`StreamView`], the one implementation of
+//! [`FleetIndex`](crate::FleetIndex).
 //!
-//! [`StreamView`] maintains the same indexes a [`crate::LogView`] builds
-//! in one batch pass — time-ordered times, sorted repair durations,
-//! category partitions, node/slot/rack counts, month buckets — but
-//! accepts records **one at a time** (or in whole chunks via
-//! [`StreamView::extend`]) as a live stream delivers them. After pushing
-//! every record of a log in time order, each index is equal to the
-//! batch one (the streaming equivalence suite in `tests/` asserts this
-//! per model/seed), so online consumers such as `failwatch` inherit the
-//! batch pipeline's semantics for free.
+//! A [`StreamView`] holds every index the analyses consume — time-ordered
+//! times, sorted repair durations, category partitions, node/slot/rack
+//! counts, month buckets — and is built one of two ways:
+//!
+//! * **in bulk** from a finished, validated [`FailureLog`]
+//!   (`StreamView::from(log)`): one pass over the records, then one sort
+//!   per order statistic. Reports, comparisons, and experiments use this.
+//! * **incrementally**, one record at a time ([`StreamView::push`]) or a
+//!   chunk at a time ([`StreamView::extend`]), as a live stream or an
+//!   appended log tail delivers them. `failwatch` and snapshot extension
+//!   use this.
+//!
+//! Both paths update the non-sorted indexes through the same per-record
+//! helper, so they differ only in when the order statistics are sorted;
+//! the result is equal under `PartialEq` whichever way a log arrives.
 //!
 //! # Cost model
 //!
-//! The write path is amortized O(1) per record and allocation-free in
-//! the steady state. Every index except the two order statistics is a
-//! plain append (`Vec::push` / `BTreeMap` bump). The sorted repair and
+//! The incremental write path is amortized O(1) per record and
+//! allocation-free in the steady state. Every index except the two order
+//! statistics is a plain append (`Vec::push` / `BTreeMap` bump). The sorted repair and
 //! recovery arrays use a *deferred-merge* design ([`SortedRun`]): new
 //! values append to a small unsorted tail, and the tail is merged into
 //! the main sorted run only when
@@ -42,6 +49,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::OnceLock;
 
+use failtrace::Collector;
 use failtypes::{
     Category, FailureLog, FailureRecord, Generation, InvalidRecordError, Month, NodeId,
     ObservationWindow, SoftwareLocus, SystemSpec,
@@ -133,7 +141,7 @@ impl PartialEq for SortedRun {
 
 impl SortedRun {
     /// Wraps an already-sorted vector as the main run (no tail, no
-    /// cache) — the zero-copy path for loading persisted order
+    /// cache) — the zero-copy path for persisted or bulk-sorted order
     /// statistics. The caller guarantees ascending order.
     fn from_sorted(run: Vec<f64>) -> Self {
         debug_assert!(run.windows(2).all(|w| w[0] <= w[1]));
@@ -230,22 +238,21 @@ impl SortedRun {
     }
 }
 
-/// Incrementally maintained indexes over a record stream, mirroring
-/// [`crate::LogView`] field for field.
+/// Shared indexes over one fleet's failure history, built in bulk from a
+/// log or incrementally from a record stream (see the module docs).
 ///
 /// # Examples
 ///
 /// ```
-/// use failscope::{LogView, StreamView};
+/// use failscope::StreamView;
 /// use failsim::{Simulator, SystemModel};
 ///
 /// let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
-/// let mut sv = StreamView::for_log(&log);
-/// sv.extend(log.records().to_vec()).unwrap();
-/// let bv = LogView::new(&log);
-/// assert_eq!(sv.times(), bv.times());
-/// assert_eq!(sv.ttrs_sorted(), bv.ttrs_sorted());
-/// assert_eq!(sv.month_ttrs(), bv.month_ttrs());
+/// let mut streamed = StreamView::empty_like(&log);
+/// streamed.extend(log.records().to_vec()).unwrap();
+/// let bulk = StreamView::from(log);
+/// assert_eq!(streamed, bulk);
+/// assert_eq!(streamed.month_ttrs(), bulk.month_ttrs());
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamView {
@@ -312,9 +319,50 @@ pub struct ViewParts {
     pub month_counts: Vec<usize>,
 }
 
+impl From<FailureLog> for StreamView {
+    /// Indexes a finished log in bulk: one pass over the records, then
+    /// one sort per order statistic. A [`FailureLog`] is already
+    /// validated and time-sorted, so no record is re-validated.
+    fn from(log: FailureLog) -> Self {
+        let (generation, spec, window) = (log.generation(), log.spec().clone(), log.window());
+        StreamView::from_records(generation, spec, window, log.into_records())
+    }
+}
+
 impl StreamView {
+    /// Indexes `log` in bulk, cloning its records — the borrowing form of
+    /// `StreamView::from(log)`.
+    pub fn new(log: &FailureLog) -> Self {
+        log.clone().into()
+    }
+
+    /// The bulk build behind [`StreamView::from`] and
+    /// [`StreamView::filtered`]: `records` must be valid for the system
+    /// and in time order.
+    fn from_records(
+        generation: Generation,
+        spec: SystemSpec,
+        window: ObservationWindow,
+        records: Vec<FailureRecord>,
+    ) -> Self {
+        let mut view = StreamView::empty(generation, spec, window);
+        view.times.reserve(records.len());
+        view.recoveries.reserve(records.len());
+        let mut ttrs = Vec::with_capacity(records.len());
+        for rec in &records {
+            ttrs.push(view.index_record(rec).0);
+        }
+        ttrs.sort_unstable_by(f64::total_cmp);
+        let mut recoveries_sorted = view.recoveries.clone();
+        recoveries_sorted.sort_unstable_by(f64::total_cmp);
+        view.ttrs_sorted = SortedRun::from_sorted(ttrs);
+        view.recoveries_sorted = SortedRun::from_sorted(recoveries_sorted);
+        view.records = records;
+        view
+    }
+
     /// An empty view for a system described by `spec` over `window`.
-    pub fn new(generation: Generation, spec: SystemSpec, window: ObservationWindow) -> Self {
+    pub fn empty(generation: Generation, spec: SystemSpec, window: ObservationWindow) -> Self {
         let months = window.months();
         let slots = spec.gpus_per_node() as usize;
         let racks = spec.racks() as usize;
@@ -340,9 +388,20 @@ impl StreamView {
         }
     }
 
-    /// An empty view shaped like `log` (same generation, spec, window).
-    pub fn for_log(log: &FailureLog) -> Self {
-        StreamView::new(log.generation(), log.spec().clone(), log.window())
+    /// An empty view shaped like `log` (same generation, spec, window),
+    /// ready to [`push`](StreamView::push) its records.
+    pub fn empty_like(log: &FailureLog) -> Self {
+        StreamView::empty(log.generation(), log.spec().clone(), log.window())
+    }
+
+    /// Records this view on `trace` as the index a query renders from:
+    /// one `index.logview` span (items = records) and every repair
+    /// duration in the `index.ttr_hours` histogram.
+    pub fn trace_index(&self, trace: &Collector) {
+        trace.span("index.logview").add_items(self.len() as u64);
+        for &ttr in self.ttrs_sorted() {
+            trace.observe_hours("index.ttr_hours", ttr);
+        }
     }
 
     /// Decomposes the view into the persistable [`ViewParts`] payload,
@@ -472,7 +531,7 @@ impl StreamView {
         #[cfg(debug_assertions)]
         {
             let mut rebuilt =
-                StreamView::new(view.generation, view.spec.clone(), view.window);
+                StreamView::empty(view.generation, view.spec.clone(), view.window);
             for rec in view.records.iter().cloned() {
                 rebuilt
                     .push(rec)
@@ -505,14 +564,25 @@ impl StreamView {
             }
         }
 
-        let i = self.records.len() as u32;
-        let ttr = rec.ttr().get();
-        let window_hours = self.window.duration().get();
-        self.times.push(time);
+        let (ttr, recovery) = self.index_record(&rec);
         self.ttrs_sorted.push(ttr);
-        let recovery = rec.recovery_time().get().min(window_hours);
-        self.recoveries.push(recovery);
         self.recoveries_sorted.push(recovery);
+        self.records.push(rec);
+        Ok(())
+    }
+
+    /// Folds one record into every index except the records themselves
+    /// and the two sorted order statistics — the per-record work shared
+    /// by [`StreamView::push`] and the bulk build. Returns the record's
+    /// repair duration and window-clamped recovery time. The record must
+    /// be valid and no earlier than the last one indexed.
+    fn index_record(&mut self, rec: &FailureRecord) -> (f64, f64) {
+        let i = self.times.len() as u32;
+        let time = rec.time().get();
+        let ttr = rec.ttr().get();
+        let recovery = rec.recovery_time().get().min(self.window.duration().get());
+        self.times.push(time);
+        self.recoveries.push(recovery);
         self.category_indices
             .entry(rec.category())
             .or_default()
@@ -540,8 +610,7 @@ impl StreamView {
             self.month_cursor += off;
             self.month_ttrs[self.month_cursor].push(ttr);
         }
-        self.records.push(rec);
-        Ok(())
+        (ttr, recovery)
     }
 
     /// Validates and incorporates a whole chunk of records in time
@@ -603,13 +672,8 @@ impl StreamView {
     /// record order — and therefore any report rendered from it — is
     /// byte-identical to a cold filtered parse of the same log.
     pub fn filtered(&self, mut keep: impl FnMut(&FailureRecord) -> bool) -> StreamView {
-        let mut out = StreamView::new(self.generation, self.spec.clone(), self.window);
-        for rec in &self.records {
-            if keep(rec) {
-                out.push(rec.clone()).expect("subset of a valid view is valid");
-            }
-        }
-        out
+        let kept = self.records.iter().filter(|r| keep(r)).cloned().collect();
+        StreamView::from_records(self.generation, self.spec.clone(), self.window, kept)
     }
 
     /// The system generation this view is indexed for.
@@ -738,30 +802,13 @@ impl StreamView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::LogView;
     use failsim::{Simulator, SystemModel};
     use failtypes::Hours;
 
     fn feed(log: &FailureLog) -> StreamView {
-        let mut sv = StreamView::for_log(log);
+        let mut sv = StreamView::empty_like(log);
         sv.extend(log.records().to_vec()).unwrap();
         sv
-    }
-
-    fn assert_matches_batch(sv: &StreamView, bv: &LogView) {
-        assert_eq!(sv.len(), bv.len());
-        assert_eq!(sv.times(), bv.times());
-        assert_eq!(sv.ttrs_sorted(), bv.ttrs_sorted());
-        assert_eq!(sv.recoveries(), bv.recoveries());
-        assert_eq!(sv.recoveries_sorted(), bv.recoveries_sorted());
-        assert_eq!(sv.category_indices(), bv.category_indices());
-        assert_eq!(sv.locus_counts(), bv.locus_counts());
-        assert_eq!(sv.node_counts(), bv.node_counts());
-        assert_eq!(sv.slot_counts(), bv.slot_counts());
-        assert_eq!(sv.rack_counts(), bv.rack_counts());
-        assert_eq!(sv.gpu_involvements(), bv.gpu_involvements());
-        assert_eq!(sv.multi_gpu_times(), bv.multi_gpu_times());
-        assert_eq!(sv.month_ttrs(), bv.month_ttrs());
     }
 
     #[test]
@@ -771,22 +818,16 @@ mod tests {
         let keep = |r: &FailureRecord| r.category().is_gpu() && r.ttr().get() > 24.0;
         let filtered = full.filtered(keep);
         // Oracle: a view that only ever saw the matching records.
-        let mut oracle = StreamView::for_log(&log);
+        let mut oracle = StreamView::empty_like(&log);
         oracle
             .extend(log.records().iter().filter(|r| keep(r)).cloned())
             .unwrap();
         assert!(!filtered.is_empty() && filtered.len() < full.len());
-        assert_eq!(filtered.records(), oracle.records());
-        let (mut filtered, mut oracle) = (filtered, oracle);
-        filtered.materialize();
-        oracle.materialize();
+        assert_eq!(filtered, oracle);
         assert_eq!(filtered.to_log(), oracle.to_log());
-        assert_eq!(filtered.ttrs_sorted(), oracle.ttrs_sorted());
-        assert_eq!(filtered.category_indices(), oracle.category_indices());
-        assert_eq!(filtered.month_ttrs(), oracle.month_ttrs());
-        // And against the batch view of the equivalently filtered log.
+        // And against the bulk build of the equivalently filtered log.
         let sub = faillog::from_str(&faillog::to_string(&filtered.to_log()).unwrap()).unwrap();
-        assert_matches_batch(&filtered, &LogView::new(&sub));
+        assert_eq!(filtered, StreamView::from(sub));
     }
 
     #[test]
@@ -796,10 +837,60 @@ mod tests {
             (SystemModel::tsubame3(), 43),
         ] {
             let log = Simulator::new(model, seed).generate().unwrap();
-            let sv = feed(&log);
-            let bv = LogView::new(&log);
-            assert_matches_batch(&sv, &bv);
+            assert_eq!(feed(&log), StreamView::from(log));
         }
+    }
+
+    #[test]
+    fn indexes_are_consistent_with_the_log() {
+        let log = Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap();
+        let view = StreamView::new(&log);
+        assert_eq!(view.len(), log.len());
+        assert_eq!(view.times().len(), 897);
+        // Category partitions cover every record exactly once.
+        let total: usize = view.category_indices().values().map(Vec::len).sum();
+        assert_eq!(total, log.len());
+        // Node counts sum to the record count.
+        let nodes: u64 = view.node_counts().values().sum();
+        assert_eq!(nodes as usize, log.len());
+        // Rack counts sum to the record count.
+        assert_eq!(view.rack_counts().iter().sum::<usize>(), log.len());
+        // Month buckets cover every record (the window spans all times).
+        assert_eq!(
+            view.month_ttrs().iter().map(Vec::len).sum::<usize>(),
+            log.len()
+        );
+        // Sorted arrays are sorted and complete.
+        assert_eq!(view.ttrs_sorted().len(), log.len());
+        assert!(view.ttrs_sorted().windows(2).all(|w| w[0] <= w[1]));
+        assert!(view.recoveries_sorted().windows(2).all(|w| w[0] <= w[1]));
+    }
+
+    #[test]
+    fn partitions_preserve_time_order() {
+        let log = Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap();
+        let view = StreamView::from(log);
+        for indices in view.category_indices().values() {
+            assert!(indices.windows(2).all(|w| w[0] < w[1]));
+        }
+        for times in view
+            .category_indices()
+            .keys()
+            .map(|&c| view.category_times(c))
+        {
+            assert!(times.windows(2).all(|w| w[0] <= w[1]));
+        }
+    }
+
+    #[test]
+    fn empty_log_view() {
+        let log = Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap();
+        let view = StreamView::from(log.filtered(|_| false));
+        assert!(view.is_empty());
+        assert!(view.category_indices().is_empty());
+        assert!(view.multi_gpu_times().is_empty());
+        assert_eq!(view.gpu_involvements(), 0);
+        assert_eq!(view, StreamView::empty_like(&log));
     }
 
     #[test]
@@ -833,25 +924,24 @@ mod tests {
     }
 
     #[test]
-    fn extend_in_chunks_equals_per_record_push(){
+    fn extend_in_chunks_equals_per_record_push() {
         let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
-        let mut chunked = StreamView::for_log(&log);
+        let mut chunked = StreamView::empty_like(&log);
         for chunk in log.records().chunks(7) {
             let accepted = chunked.extend(chunk.to_vec()).unwrap();
             assert_eq!(accepted, chunk.len());
         }
-        let per_record = feed(&log);
-        assert_eq!(chunked, per_record);
-        assert_matches_batch(&chunked, &LogView::new(&log));
+        assert_eq!(chunked, feed(&log));
+        assert_eq!(chunked, StreamView::from(log));
     }
 
     #[test]
     fn reads_between_writes_stay_consistent() {
         // Alternating reads and writes exercises the lazy merge cache
         // and its promotion; every intermediate read must equal the
-        // batch view over the same prefix.
+        // bulk build over the same prefix.
         let log = Simulator::new(SystemModel::tsubame3(), 7).generate().unwrap();
-        let mut sv = StreamView::for_log(&log);
+        let mut sv = StreamView::empty_like(&log);
         for (i, rec) in log.records().iter().enumerate() {
             sv.push(rec.clone()).unwrap();
             if i % 97 == 0 {
@@ -861,7 +951,7 @@ mod tests {
                     log.records()[..=i].to_vec(),
                 )
                 .unwrap();
-                assert_eq!(sv.ttrs_sorted(), LogView::new(&prefix).ttrs_sorted());
+                assert_eq!(sv.ttrs_sorted(), StreamView::from(prefix).ttrs_sorted());
             }
         }
     }
@@ -876,7 +966,7 @@ mod tests {
     #[test]
     fn rejects_out_of_order_and_invalid_records() {
         let log = Simulator::new(SystemModel::tsubame3(), 7).generate().unwrap();
-        let mut sv = StreamView::for_log(&log);
+        let mut sv = StreamView::empty_like(&log);
         sv.push(log.records()[5].clone()).unwrap();
         let err = sv.push(log.records()[0].clone()).unwrap_err();
         assert!(matches!(err, StreamViewError::OutOfOrder { .. }), "{err}");
@@ -909,7 +999,7 @@ mod tests {
             assert_eq!(parts.month_counts.iter().sum::<usize>(), log.len());
             let restored = StreamView::from_parts(parts).unwrap();
             assert_eq!(restored, sv);
-            assert_matches_batch(&restored, &LogView::new(&log));
+            assert_eq!(restored, StreamView::from(log));
         }
     }
 
@@ -919,7 +1009,7 @@ mod tests {
         // continuous stream (the snapshot prefix-extension invariant).
         let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
         let cut = log.len() / 2;
-        let mut prefix = StreamView::for_log(&log);
+        let mut prefix = StreamView::empty_like(&log);
         prefix.extend(log.records()[..cut].to_vec()).unwrap();
         let mut restored = StreamView::from_parts(prefix.into_parts()).unwrap();
         restored.extend(log.records()[cut..].to_vec()).unwrap();
@@ -961,7 +1051,7 @@ mod tests {
     #[test]
     fn equal_times_are_accepted() {
         let log = Simulator::new(SystemModel::tsubame3(), 7).generate().unwrap();
-        let mut sv = StreamView::for_log(&log);
+        let mut sv = StreamView::empty_like(&log);
         let rec = log.records()[0].clone();
         sv.push(rec.clone()).unwrap();
         let dup = FailureRecord::new(

@@ -10,9 +10,8 @@ use std::collections::BTreeMap;
 
 use failstats::{KaplanMeier, Lifetime};
 use failtypes::{FailureLog, NodeId};
-use serde::{Deserialize, Serialize};
 
-use crate::{FleetIndex, LogView};
+use crate::{FleetIndex, StreamView};
 
 /// Extracts the per-node time-to-first-failure lifetimes of any
 /// [`FleetIndex`] (one per node; censored at the window end for nodes
@@ -36,11 +35,11 @@ pub fn node_lifetimes_index<V: FleetIndex + ?Sized>(index: &V) -> Vec<Lifetime> 
 
 /// [`node_lifetimes_index`], indexing the log once.
 pub fn node_lifetimes(log: &FailureLog) -> Vec<Lifetime> {
-    node_lifetimes_index(&LogView::new(log))
+    node_lifetimes_index(&StreamView::new(log))
 }
 
 /// Kaplan–Meier analysis of node time-to-first-failure.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NodeSurvival {
     km: KaplanMeier,
     observed_failures: usize,
@@ -62,18 +61,6 @@ impl NodeSurvival {
             observed_failures: observed,
             censored_nodes: lifetimes.len() - observed,
         })
-    }
-
-    /// [`NodeSurvival::from_index`], indexing the log once.
-    #[doc(hidden)]
-    pub fn from_log(log: &FailureLog) -> Option<Self> {
-        Self::from_index(&LogView::new(log))
-    }
-
-    /// [`NodeSurvival::from_index`] on a prebuilt [`LogView`].
-    #[doc(hidden)]
-    pub fn from_view(view: &LogView<'_>) -> Option<Self> {
-        Self::from_index(view)
     }
 
     /// The fitted Kaplan–Meier curve.
@@ -129,7 +116,7 @@ mod tests {
     #[test]
     fn counts_add_up() {
         let log = t3();
-        let s = NodeSurvival::from_log(&log).unwrap();
+        let s = NodeSurvival::from_index(&StreamView::new(&log)).unwrap();
         assert_eq!(
             s.observed_failures() + s.censored_nodes(),
             log.spec().nodes() as usize
@@ -139,7 +126,7 @@ mod tests {
 
     #[test]
     fn survival_is_monotone_and_bounded() {
-        let s = NodeSurvival::from_log(&t2()).unwrap();
+        let s = NodeSurvival::from_index(&StreamView::new(&t2())).unwrap();
         let horizon = 13_728.0;
         let mut prev = 1.0;
         for i in 0..20 {
@@ -156,7 +143,7 @@ mod tests {
         // Both systems: the majority of nodes never fail, so the curve
         // ends above 0.5 and the median is undefined.
         for log in [t2(), t3()] {
-            let s = NodeSurvival::from_log(&log).unwrap();
+            let s = NodeSurvival::from_index(&StreamView::new(&log)).unwrap();
             let horizon = log.window().duration().get();
             assert!(s.survival_at(horizon) > 0.5);
             assert!(s.median_hours().is_none());
@@ -167,8 +154,8 @@ mod tests {
     fn t2_nodes_fail_sooner_than_t3_nodes() {
         // T2 has 2.6x the nodes but 2.7x the failures, and a hot pool;
         // its early-life survival is lower.
-        let s2 = NodeSurvival::from_log(&t2()).unwrap();
-        let s3 = NodeSurvival::from_log(&t3()).unwrap();
+        let s2 = NodeSurvival::from_index(&StreamView::new(&t2())).unwrap();
+        let s3 = NodeSurvival::from_index(&StreamView::new(&t3())).unwrap();
         // Compare at the same absolute age.
         assert!(s2.survival_at(5_000.0) < s3.survival_at(5_000.0));
     }
@@ -176,7 +163,7 @@ mod tests {
     #[test]
     fn restricted_mean_reflects_reliability() {
         let log = t3();
-        let s = NodeSurvival::from_log(&log).unwrap();
+        let s = NodeSurvival::from_index(&StreamView::new(&log)).unwrap();
         let horizon = log.window().duration().get();
         let rmst = s.restricted_mean_hours(horizon);
         // Mean failure-free time is positive, below the horizon, and
@@ -211,7 +198,7 @@ mod tests {
     #[test]
     fn empty_log_is_all_censored() {
         let log = t3().filtered(|_| false);
-        let s = NodeSurvival::from_log(&log).unwrap();
+        let s = NodeSurvival::from_index(&StreamView::new(&log)).unwrap();
         assert_eq!(s.observed_failures(), 0);
         assert_eq!(s.censored_nodes(), 540);
         assert_eq!(s.survival_at(1e9), 1.0);

@@ -2,25 +2,24 @@
 
 use failstats::{Ecdf, Summary};
 use failtypes::{Category, ComponentClass, FailureLog};
-use serde::{Deserialize, Serialize};
 
-use crate::{FleetIndex, LogView};
+use crate::{FleetIndex, StreamView};
 
 /// System-wide time-between-failures analysis (Fig. 6).
 ///
 /// # Examples
 ///
 /// ```
-/// use failscope::TbfAnalysis;
+/// use failscope::{StreamView, TbfAnalysis};
 /// use failsim::{Simulator, SystemModel};
 ///
 /// let log = Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap();
-/// let tbf = TbfAnalysis::from_log(&log).unwrap();
+/// let tbf = TbfAnalysis::from_index(&StreamView::from(log)).unwrap();
 /// // Fig. 6: Tsubame-2 MTBF ≈ 15 h; 75% of failures within ~20 h.
 /// assert!((tbf.mtbf_hours() - 15.3).abs() < 0.1);
 /// assert!((tbf.p75_hours() - 20.0).abs() < 3.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TbfAnalysis {
     ecdf: Ecdf,
     mtbf_hours: f64,
@@ -43,18 +42,6 @@ impl TbfAnalysis {
             window_hours,
             failures: index.len(),
         })
-    }
-
-    /// Computes the analysis, indexing the log once.
-    #[doc(hidden)]
-    pub fn from_log(log: &FailureLog) -> Option<Self> {
-        Self::from_index(&LogView::new(log))
-    }
-
-    /// Computes the analysis from a prebuilt [`LogView`].
-    #[doc(hidden)]
-    pub fn from_view(view: &LogView<'_>) -> Option<Self> {
-        Self::from_index(view)
     }
 
     /// MTBF as the paper computes it: window length / failure count.
@@ -134,12 +121,7 @@ pub fn class_mtbf_hours_index<V: FleetIndex + ?Sized>(
 
 /// [`class_mtbf_hours_index`], indexing the log once.
 pub fn class_mtbf_hours(log: &FailureLog, class: ComponentClass) -> Option<f64> {
-    class_mtbf_hours_index(&LogView::new(log), class)
-}
-
-/// [`class_mtbf_hours_index`] on a prebuilt [`LogView`].
-pub fn class_mtbf_hours_view(view: &LogView<'_>, class: ComponentClass) -> Option<f64> {
-    class_mtbf_hours_index(view, class)
+    class_mtbf_hours_index(&StreamView::new(log), class)
 }
 
 /// GPU MTBF from any [`FleetIndex`], counting each involved GPU
@@ -152,16 +134,11 @@ pub fn gpu_involvement_mtbf_hours_index<V: FleetIndex + ?Sized>(index: &V) -> Op
 
 /// [`gpu_involvement_mtbf_hours_index`], indexing the log once.
 pub fn gpu_involvement_mtbf_hours(log: &FailureLog) -> Option<f64> {
-    gpu_involvement_mtbf_hours_index(&LogView::new(log))
-}
-
-/// [`gpu_involvement_mtbf_hours_index`] on a prebuilt [`LogView`].
-pub fn gpu_involvement_mtbf_hours_view(view: &LogView<'_>) -> Option<f64> {
-    gpu_involvement_mtbf_hours_index(view)
+    gpu_involvement_mtbf_hours_index(&StreamView::new(log))
 }
 
 /// One row of the per-category TBF table (Fig. 7).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CategoryTbf {
     /// The failure category.
     pub category: Category,
@@ -202,12 +179,7 @@ pub fn per_category_tbf_index<V: FleetIndex + ?Sized>(
 
 /// [`per_category_tbf_index`], indexing the log once.
 pub fn per_category_tbf(log: &FailureLog, min_events: usize) -> Vec<CategoryTbf> {
-    per_category_tbf_index(&LogView::new(log), min_events)
-}
-
-/// [`per_category_tbf_index`] on a prebuilt [`LogView`].
-pub fn per_category_tbf_view(view: &LogView<'_>, min_events: usize) -> Vec<CategoryTbf> {
-    per_category_tbf_index(view, min_events)
+    per_category_tbf_index(&StreamView::new(log), min_events)
 }
 
 #[cfg(test)]
@@ -226,11 +198,11 @@ mod tests {
 
     #[test]
     fn fig6_mtbf_anchors() {
-        let a2 = TbfAnalysis::from_log(&t2()).unwrap();
+        let a2 = TbfAnalysis::from_index(&StreamView::new(&t2())).unwrap();
         assert!((a2.mtbf_hours() - 15.3).abs() < 0.1);
         assert!((a2.p75_hours() - 20.0).abs() < 3.0, "T2 p75 {}", a2.p75_hours());
 
-        let a3 = TbfAnalysis::from_log(&t3()).unwrap();
+        let a3 = TbfAnalysis::from_index(&StreamView::new(&t3())).unwrap();
         assert!((a3.mtbf_hours() - 72.4).abs() < 0.2);
         assert!((a3.p75_hours() - 93.0).abs() < 10.0, "T3 p75 {}", a3.p75_hours());
 
@@ -240,13 +212,13 @@ mod tests {
 
     #[test]
     fn mtbf_confidence_intervals_bracket_the_estimate() {
-        let a2 = TbfAnalysis::from_log(&t2()).unwrap();
+        let a2 = TbfAnalysis::from_index(&StreamView::new(&t2())).unwrap();
         let (lo, hi) = a2.mtbf_ci_hours(0.95);
         assert!(lo < a2.mtbf_hours() && a2.mtbf_hours() < hi);
         // 897 events: the interval is tight (under ±10%).
         assert!(hi / lo < 1.2, "({lo}, {hi})");
 
-        let a3 = TbfAnalysis::from_log(&t3()).unwrap();
+        let a3 = TbfAnalysis::from_index(&StreamView::new(&t3())).unwrap();
         let (lo3, hi3) = a3.mtbf_ci_hours(0.95);
         assert!(lo3 < a3.mtbf_hours() && a3.mtbf_hours() < hi3);
         // Fewer events -> relatively wider interval than T2's.
@@ -258,8 +230,8 @@ mod tests {
 
     #[test]
     fn fig6_t3_has_longer_tail() {
-        let a2 = TbfAnalysis::from_log(&t2()).unwrap();
-        let a3 = TbfAnalysis::from_log(&t3()).unwrap();
+        let a2 = TbfAnalysis::from_index(&StreamView::new(&t2())).unwrap();
+        let a3 = TbfAnalysis::from_index(&StreamView::new(&t3())).unwrap();
         // The T3 CDF extends to much larger gaps.
         assert!(a3.quantile(0.95) > 2.0 * a2.quantile(0.95));
         assert!(a3.ecdf().max() > a2.ecdf().max());
@@ -333,12 +305,12 @@ mod tests {
     #[test]
     fn degenerate_logs() {
         let empty = t3().filtered(|_| false);
-        assert!(TbfAnalysis::from_log(&empty).is_none());
+        assert!(TbfAnalysis::from_index(&StreamView::new(&empty)).is_none());
         assert!(class_mtbf_hours(&empty, ComponentClass::Gpu).is_none());
         assert!(gpu_involvement_mtbf_hours(&empty).is_none());
         assert!(per_category_tbf(&empty, 2).is_empty());
 
         let single = t3().filtered(|r| r.id() == 0);
-        assert!(TbfAnalysis::from_log(&single).is_none());
+        assert!(TbfAnalysis::from_index(&StreamView::new(&single)).is_none());
     }
 }

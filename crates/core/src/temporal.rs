@@ -6,13 +6,11 @@
 //! measures and a direct conditional-probability comparison.
 
 use failstats::BurstinessReport;
-use failtypes::FailureLog;
-use serde::{Deserialize, Serialize};
 
-use crate::{FleetIndex, LogView};
+use crate::FleetIndex;
 
 /// Temporal-clustering analysis of multi-GPU failures.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MultiGpuTemporal {
     /// Burstiness of the multi-GPU failure sequence.
     pub report: BurstinessReport,
@@ -42,26 +40,6 @@ impl MultiGpuTemporal {
             index.window().duration().get(),
             follow_up_hours,
         )
-    }
-
-    /// [`MultiGpuTemporal::from_index`], indexing the log once.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `follow_up_hours` is not positive.
-    #[doc(hidden)]
-    pub fn from_log(log: &FailureLog, follow_up_hours: f64) -> Option<Self> {
-        Self::from_index(&LogView::new(log), follow_up_hours)
-    }
-
-    /// [`MultiGpuTemporal::from_index`] on a prebuilt [`LogView`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `follow_up_hours` is not positive.
-    #[doc(hidden)]
-    pub fn from_view(view: &LogView<'_>, follow_up_hours: f64) -> Option<Self> {
-        Self::from_index(view, follow_up_hours)
     }
 
     fn from_times(times: &[f64], horizon: f64, follow_up_hours: f64) -> Option<Self> {
@@ -98,6 +76,7 @@ impl MultiGpuTemporal {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::StreamView;
     use failsim::{ClusteringMode, Simulator, SystemModel};
 
     #[test]
@@ -108,7 +87,7 @@ mod tests {
                 let log = Simulator::new(SystemModel::tsubame2(), 100 + seed as u64)
                     .generate()
                     .unwrap();
-                let t = MultiGpuTemporal::from_log(&log, 96.0).unwrap();
+                let t = MultiGpuTemporal::from_index(&StreamView::new(&log), 96.0).unwrap();
                 usize::from(t.report.cv > 1.0)
             })
             .iter()
@@ -122,7 +101,7 @@ mod tests {
             let log = Simulator::new(SystemModel::tsubame2(), 200 + seed as u64)
                 .generate()
                 .unwrap();
-            MultiGpuTemporal::from_log(&log, 96.0).unwrap().clustering_factor()
+            MultiGpuTemporal::from_index(&StreamView::new(&log), 96.0).unwrap().clustering_factor()
         });
         let mean = failstats::mean(&factors).unwrap();
         assert!(mean > 1.05, "mean clustering factor {mean}");
@@ -134,7 +113,7 @@ mod tests {
         model.clustering = ClusteringMode::Independent;
         let cvs = failstats::par_map_ordered(10, failstats::available_threads(), |seed| {
             let log = Simulator::new(model.clone(), 300 + seed as u64).generate().unwrap();
-            MultiGpuTemporal::from_log(&log, 96.0).unwrap().report.cv
+            MultiGpuTemporal::from_index(&StreamView::new(&log), 96.0).unwrap().report.cv
         });
         let mean_cv = failstats::mean(&cvs).unwrap();
         // Thinned renewal arrivals: CV stays near 1.
@@ -154,8 +133,8 @@ mod tests {
             model.clustering = ClusteringMode::Independent;
             let off = Simulator::new(model, 400 + seed as u64).generate().unwrap();
             (
-                MultiGpuTemporal::from_log(&on, 96.0).unwrap().report.cv,
-                MultiGpuTemporal::from_log(&off, 96.0).unwrap().report.cv,
+                MultiGpuTemporal::from_index(&StreamView::new(&on), 96.0).unwrap().report.cv,
+                MultiGpuTemporal::from_index(&StreamView::new(&off), 96.0).unwrap().report.cv,
             )
         });
         let mut sum_on = 0.0;
@@ -172,7 +151,7 @@ mod tests {
         // Tsubame-3 has only 6 multi-GPU failures; the analysis still
         // runs but the paper makes the clustering claim on Tsubame-2.
         let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
-        let t = MultiGpuTemporal::from_log(&log, 96.0);
+        let t = MultiGpuTemporal::from_index(&StreamView::new(&log), 96.0);
         assert!(t.is_some());
         assert_eq!(t.unwrap().report.events, 6);
     }
@@ -181,6 +160,6 @@ mod tests {
     fn empty_sequences_are_none() {
         let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
         let none = log.filtered(|r| !r.is_multi_gpu());
-        assert!(MultiGpuTemporal::from_log(&none, 96.0).is_none());
+        assert!(MultiGpuTemporal::from_index(&StreamView::new(&none), 96.0).is_none());
     }
 }

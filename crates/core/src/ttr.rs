@@ -2,24 +2,23 @@
 
 use failstats::{Ecdf, Summary};
 use failtypes::{Category, Domain, FailureLog};
-use serde::{Deserialize, Serialize};
 
-use crate::{FleetIndex, LogView};
+use crate::{FleetIndex, StreamView};
 
 /// System-wide time-to-recovery analysis (Fig. 9).
 ///
 /// # Examples
 ///
 /// ```
-/// use failscope::TtrAnalysis;
+/// use failscope::{StreamView, TtrAnalysis};
 /// use failsim::{Simulator, SystemModel};
 ///
 /// let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
-/// let ttr = TtrAnalysis::from_log(&log).unwrap();
+/// let ttr = TtrAnalysis::from_index(&StreamView::from(log)).unwrap();
 /// // Fig. 9: MTTR ≈ 55 h.
 /// assert!((ttr.mttr_hours() - 55.0).abs() < 12.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TtrAnalysis {
     ecdf: Ecdf,
 }
@@ -32,19 +31,6 @@ impl TtrAnalysis {
         Some(TtrAnalysis {
             ecdf: Ecdf::from_sorted(index.ttrs_sorted().to_vec())?,
         })
-    }
-
-    /// [`TtrAnalysis::from_index`], indexing the log once; `None` for
-    /// empty logs.
-    #[doc(hidden)]
-    pub fn from_log(log: &FailureLog) -> Option<Self> {
-        Self::from_index(&LogView::new(log))
-    }
-
-    /// [`TtrAnalysis::from_index`] on a prebuilt [`LogView`].
-    #[doc(hidden)]
-    pub fn from_view(view: &LogView<'_>) -> Option<Self> {
-        Self::from_index(view)
     }
 
     /// Mean time to recovery.
@@ -78,7 +64,7 @@ impl TtrAnalysis {
 }
 
 /// One row of the per-category TTR table (Fig. 10).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CategoryTtr {
     /// The failure category.
     pub category: Category,
@@ -117,12 +103,7 @@ pub fn per_category_ttr_index<V: FleetIndex + ?Sized>(index: &V) -> Vec<Category
 
 /// [`per_category_ttr_index`], indexing the log once.
 pub fn per_category_ttr(log: &FailureLog) -> Vec<CategoryTtr> {
-    per_category_ttr_index(&LogView::new(log))
-}
-
-/// [`per_category_ttr_index`] on a prebuilt [`LogView`].
-pub fn per_category_ttr_view(view: &LogView<'_>) -> Vec<CategoryTtr> {
-    per_category_ttr_index(view)
+    per_category_ttr_index(&StreamView::new(log))
 }
 
 /// Count-weighted mean of the per-domain TTR interquartile ranges — a
@@ -144,7 +125,7 @@ pub fn domain_ttr_spread_index<V: FleetIndex + ?Sized>(index: &V, domain: Domain
 
 /// [`domain_ttr_spread_index`], indexing the log once.
 pub fn domain_ttr_spread(log: &FailureLog, domain: Domain) -> Option<f64> {
-    domain_ttr_spread_index(&LogView::new(log), domain)
+    domain_ttr_spread_index(&StreamView::new(log), domain)
 }
 
 /// Categories that are individually rare but expensive to repair:
@@ -167,7 +148,7 @@ pub fn rare_but_costly(
     max_share: f64,
     min_max_ttr_hours: f64,
 ) -> Vec<CategoryTtr> {
-    rare_but_costly_index(&LogView::new(log), max_share, min_max_ttr_hours)
+    rare_but_costly_index(&StreamView::new(log), max_share, min_max_ttr_hours)
 }
 
 #[cfg(test)]
@@ -186,8 +167,8 @@ mod tests {
 
     #[test]
     fn fig9_mttr_similar_on_both_systems() {
-        let a2 = TtrAnalysis::from_log(&t2()).unwrap();
-        let a3 = TtrAnalysis::from_log(&t3()).unwrap();
+        let a2 = TtrAnalysis::from_index(&StreamView::new(&t2())).unwrap();
+        let a3 = TtrAnalysis::from_index(&StreamView::new(&t3())).unwrap();
         assert!((a2.mttr_hours() - 55.0).abs() < 10.0, "T2 {}", a2.mttr_hours());
         assert!((a3.mttr_hours() - 55.0).abs() < 10.0, "T3 {}", a3.mttr_hours());
         // The distributions are similar in shape: medians within a factor.
@@ -200,8 +181,9 @@ mod tests {
         // RQ5 discussion: MTTR is comparable to MTBF, so repairs overlap
         // new failures.
         let log = t3();
-        let mttr = TtrAnalysis::from_log(&log).unwrap().mttr_hours();
-        let mtbf = crate::tbf::TbfAnalysis::from_log(&log).unwrap().mtbf_hours();
+        let view = StreamView::new(&log);
+        let mttr = TtrAnalysis::from_index(&view).unwrap().mttr_hours();
+        let mtbf = crate::tbf::TbfAnalysis::from_index(&view).unwrap().mtbf_hours();
         assert!(mttr > 0.5 * mtbf, "mttr {mttr} vs mtbf {mtbf}");
     }
 
@@ -271,7 +253,7 @@ mod tests {
     #[test]
     fn degenerate_logs() {
         let empty = t3().filtered(|_| false);
-        assert!(TtrAnalysis::from_log(&empty).is_none());
+        assert!(TtrAnalysis::from_index(&StreamView::new(&empty)).is_none());
         assert!(per_category_ttr(&empty).is_empty());
         assert!(domain_ttr_spread(&empty, Domain::Hardware).is_none());
         assert!(rare_but_costly(&empty, 0.1, 10.0).is_empty());

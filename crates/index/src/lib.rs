@@ -26,8 +26,6 @@
 //! # Examples
 //!
 //! ```
-//! use failscope::FleetIndex;
-//!
 //! // Build an index once, snapshot it, and reload without parsing.
 //! let log = failsim::Simulator::new(failsim::SystemModel::tsubame3(), 7)
 //!     .generate()
@@ -39,13 +37,12 @@
 //! let log_path = dir.join("doc.fslog");
 //! std::fs::write(&log_path, &text)?;
 //!
-//! let mut view = failscope::StreamView::for_log(&log);
-//! view.extend(log.records().iter().cloned()).unwrap();
+//! let view = failscope::StreamView::new(&log);
 //! let source = failindex::SourceInfo::of_bytes(text.as_bytes());
 //! failindex::save(failindex::snapshot_path(&log_path), &view, source)?;
 //!
 //! match failindex::open_indexed(&log_path, None)? {
-//!     failindex::IndexedLoad::Exact(snap) => assert_eq!(snap.len(), log.len()),
+//!     failindex::IndexedLoad::Exact(snap) => assert_eq!(snap.view().len(), log.len()),
 //!     other => panic!("expected an exact hit, got {other:?}"),
 //! }
 //! # std::fs::remove_dir_all(&dir).ok();
@@ -59,7 +56,6 @@
 mod bytes;
 mod format;
 
-use std::collections::BTreeMap;
 use std::fmt;
 use std::fs;
 use std::path::{Path, PathBuf};
@@ -68,10 +64,7 @@ use std::str::FromStr;
 use faillog::{crc32, Compression, Crc32};
 use failscope::{FleetIndex, StreamView};
 use failtrace::Collector;
-use failtypes::{
-    Category, Error, FailureRecord, Generation, NodeId, ObservationWindow, SoftwareLocus,
-    SystemSpec,
-};
+use failtypes::Error;
 
 pub use format::{Header, FORMAT_VERSION, HEADER_LEN};
 
@@ -110,10 +103,8 @@ impl SourceInfo {
 }
 
 /// A loaded `.fsidx` snapshot: a fully-reconstructed [`StreamView`]
-/// plus the source fingerprint it was built against.
-///
-/// Implements [`FleetIndex`] by delegation, so reports render from a
-/// snapshot exactly as they would from a freshly-parsed log.
+/// plus the source fingerprint it was built against. Reports render from
+/// [`Snapshot::view`] exactly as they would from a freshly-parsed log.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
     view: StreamView,
@@ -134,57 +125,6 @@ impl Snapshot {
     /// The source-log fingerprint recorded at save time.
     pub fn source(&self) -> SourceInfo {
         self.source
-    }
-}
-
-impl FleetIndex for Snapshot {
-    fn generation(&self) -> Generation {
-        self.view.generation()
-    }
-    fn spec(&self) -> &SystemSpec {
-        self.view.spec()
-    }
-    fn window(&self) -> ObservationWindow {
-        self.view.window()
-    }
-    fn records(&self) -> &[FailureRecord] {
-        self.view.records()
-    }
-    fn times(&self) -> &[f64] {
-        self.view.times()
-    }
-    fn ttrs_sorted(&self) -> &[f64] {
-        self.view.ttrs_sorted()
-    }
-    fn recoveries(&self) -> &[f64] {
-        self.view.recoveries()
-    }
-    fn recoveries_sorted(&self) -> &[f64] {
-        self.view.recoveries_sorted()
-    }
-    fn category_indices(&self) -> &BTreeMap<Category, Vec<u32>> {
-        self.view.category_indices()
-    }
-    fn locus_counts(&self) -> &BTreeMap<SoftwareLocus, usize> {
-        self.view.locus_counts()
-    }
-    fn node_counts(&self) -> &BTreeMap<NodeId, u64> {
-        self.view.node_counts()
-    }
-    fn slot_counts(&self) -> &[usize] {
-        self.view.slot_counts()
-    }
-    fn rack_counts(&self) -> &[usize] {
-        self.view.rack_counts()
-    }
-    fn gpu_involvements(&self) -> usize {
-        self.view.gpu_involvements()
-    }
-    fn multi_gpu_times(&self) -> &[f64] {
-        self.view.multi_gpu_times()
-    }
-    fn month_ttrs(&self) -> &[Vec<f64>] {
-        self.view.month_ttrs()
     }
 }
 
@@ -494,7 +434,7 @@ fn open_indexed_bytes(log_path: &Path, raw: &[u8], trace: Option<&Collector>) ->
                 Ok(t) => t,
                 Err(_) => return cold(),
             };
-            let generation = snapshot.generation();
+            let generation = snapshot.view().generation();
             let rows = match faillog::parse_body_rows(tail, generation, header.source.lines as usize)
             {
                 Ok(r) => r,
@@ -506,8 +446,8 @@ fn open_indexed_bytes(log_path: &Path, raw: &[u8], trace: Option<&Collector>) ->
                 Err(_) => return cold(),
             };
             let source = SourceInfo::of_bytes(raw);
+            save_traced(&spath, &view, source, trace).ok();
             let snapshot = Snapshot { view, source };
-            save_traced(&spath, &snapshot, source, trace).ok();
             if let Some(t) = trace {
                 t.incr("index.snapshot_extend", 1);
             }
@@ -531,9 +471,7 @@ mod tests {
     }
 
     fn view_of(log: &FailureLog) -> StreamView {
-        let mut view = StreamView::for_log(log);
-        view.extend(log.records().iter().cloned()).unwrap();
-        view
+        StreamView::new(log)
     }
 
     #[test]

@@ -6,9 +6,7 @@
 //! of an MTBF measured by [`failscope::TbfAnalysis`], plus the expected
 //! waste model needed to compare plans.
 
-use failscope::{FleetIndex, LogView};
-use failtypes::FailureLog;
-use serde::{Deserialize, Serialize};
+use failscope::FleetIndex;
 
 /// Error for invalid checkpoint-model parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -36,7 +34,7 @@ impl std::error::Error for InvalidCheckpointParams {}
 /// assert!(plan.efficiency(plan.daly_interval_hours()) > 0.75);
 /// # Ok::<(), failmitigate::InvalidCheckpointParams>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CheckpointPlan {
     mtbf_hours: f64,
     checkpoint_cost_hours: f64,
@@ -73,8 +71,8 @@ impl CheckpointPlan {
         })
     }
 
-    /// Derives the plan from any measured [`FleetIndex`] (a batch
-    /// [`LogView`] or a live [`failscope::StreamView`]).
+    /// Derives the plan from any measured [`FleetIndex`] (a
+    /// [`failscope::StreamView`], bulk-built or live).
     ///
     /// # Errors
     ///
@@ -87,20 +85,6 @@ impl CheckpointPlan {
         let tbf = failscope::TbfAnalysis::from_index(index)
             .ok_or(InvalidCheckpointParams("log has fewer than two failures"))?;
         Self::new(tbf.mtbf_hours(), checkpoint_cost_hours)
-    }
-
-    /// [`CheckpointPlan::from_index`], indexing the log once.
-    ///
-    /// # Errors
-    ///
-    /// Fails when the log has fewer than two failures (no MTBF) or the
-    /// parameters are invalid for the measured MTBF.
-    #[doc(hidden)]
-    pub fn from_log(
-        log: &FailureLog,
-        checkpoint_cost_hours: f64,
-    ) -> Result<Self, InvalidCheckpointParams> {
-        Self::from_index(&LogView::new(log), checkpoint_cost_hours)
     }
 
     /// The system MTBF in hours.
@@ -176,6 +160,7 @@ pub fn sweep_costs(mtbf_hours: f64, costs: &[f64]) -> Vec<(f64, f64, f64)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use failscope::StreamView;
     use failsim::{Simulator, SystemModel};
 
     #[test]
@@ -233,8 +218,8 @@ mod tests {
     fn from_measured_logs() {
         let t2 = Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap();
         let t3 = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
-        let p2 = CheckpointPlan::from_log(&t2, 0.1).unwrap();
-        let p3 = CheckpointPlan::from_log(&t3, 0.1).unwrap();
+        let p2 = CheckpointPlan::from_index(&StreamView::new(&t2), 0.1).unwrap();
+        let p3 = CheckpointPlan::from_index(&StreamView::new(&t3), 0.1).unwrap();
         // Higher MTBF permits longer intervals and better efficiency.
         assert!(p3.daly_interval_hours() > 2.0 * p2.daly_interval_hours());
         assert!(
@@ -242,7 +227,7 @@ mod tests {
         );
         // Empty log fails.
         let empty = t3.filtered(|_| false);
-        assert!(CheckpointPlan::from_log(&empty, 0.1).is_err());
+        assert!(CheckpointPlan::from_index(&StreamView::new(&empty), 0.1).is_err());
     }
 
     #[test]

@@ -10,12 +10,10 @@
 //! events. This module quantifies that trade against the utilization
 //! gain, using multi-GPU rates measured from a log (Table III).
 
-use failscope::{FleetIndex, LogView};
-use failtypes::FailureLog;
-use serde::{Deserialize, Serialize};
+use failscope::FleetIndex;
 
 /// Node-level GPU failure rates relevant to co-location decisions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NodeFailureModel {
     /// Single-GPU failures per node-hour.
     pub single_gpu_rate: f64,
@@ -57,14 +55,6 @@ impl NodeFailureModel {
         Self::new(single as f64 / node_hours, multi as f64 / node_hours)
     }
 
-    /// [`NodeFailureModel::from_index`], indexing the log once.
-    ///
-    /// Returns `None` when the log has no GPU failures.
-    #[doc(hidden)]
-    pub fn from_log(log: &FailureLog) -> Option<Self> {
-        Self::from_index(&LogView::new(log))
-    }
-
     /// Share of GPU failures that are simultaneous multi-GPU.
     pub fn multi_share(&self) -> f64 {
         let total = self.single_gpu_rate + self.multi_gpu_rate;
@@ -77,7 +67,7 @@ impl NodeFailureModel {
 }
 
 /// How two 2-GPU jobs are placed on 4-GPU nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Placement {
     /// Both jobs share one node (better utilization, correlated risk).
     Pack,
@@ -86,7 +76,7 @@ pub enum Placement {
 }
 
 /// Risk profile of a placement of two 2-GPU jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColocationOutcome {
     /// The placement evaluated.
     pub placement: Placement,
@@ -168,6 +158,7 @@ pub fn colocation_acceptable(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use failscope::StreamView;
     use failsim::{Simulator, SystemModel};
 
     #[test]
@@ -201,8 +192,8 @@ mod tests {
     fn decision_flips_between_generations() {
         let t2 = Simulator::new(SystemModel::tsubame2(), 42).generate().expect("valid");
         let t3 = Simulator::new(SystemModel::tsubame3(), 43).generate().expect("valid");
-        let m2 = NodeFailureModel::from_log(&t2).expect("GPU failures");
-        let m3 = NodeFailureModel::from_log(&t3).expect("GPU failures");
+        let m2 = NodeFailureModel::from_index(&StreamView::new(&t2)).expect("GPU failures");
+        let m3 = NodeFailureModel::from_index(&StreamView::new(&t3)).expect("GPU failures");
         // Table III: ~70% of T2 GPU failures are multi; < 8% on T3.
         assert!(m2.multi_share() > 0.5, "T2 multi share {}", m2.multi_share());
         assert!(m3.multi_share() < 0.1, "T3 multi share {}", m3.multi_share());
@@ -231,8 +222,8 @@ mod tests {
     fn from_log_requires_gpu_failures() {
         let t3 = Simulator::new(SystemModel::tsubame3(), 43).generate().expect("valid");
         let none = t3.filtered(|r| !r.category().is_gpu());
-        assert!(NodeFailureModel::from_log(&none).is_none());
-        let m = NodeFailureModel::from_log(&t3).expect("GPU failures");
+        assert!(NodeFailureModel::from_index(&StreamView::new(&none)).is_none());
+        let m = NodeFailureModel::from_index(&StreamView::new(&t3)).expect("GPU failures");
         assert!(m.single_gpu_rate > 0.0);
     }
 }

@@ -25,10 +25,11 @@
 //!
 //! ```
 //! use failmitigate::CheckpointPlan;
+//! use failscope::StreamView;
 //! use failsim::{Simulator, SystemModel};
 //!
 //! let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
-//! let plan = CheckpointPlan::from_log(&log, 0.25)?;
+//! let plan = CheckpointPlan::from_index(&StreamView::from(log), 0.25)?;
 //! let tau = plan.daly_interval_hours();
 //! assert!(tau > 4.0 && tau < 10.0);
 //! # Ok::<(), failmitigate::InvalidCheckpointParams>(())

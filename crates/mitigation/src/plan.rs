@@ -1,16 +1,15 @@
 //! An integrated operations plan: every mitigation the paper's
 //! implications call for, derived from one measured log.
 //!
-//! [`OperationsPlan::from_log`] runs the whole "measure, then act" loop:
+//! [`OperationsPlan::from_index`] runs the whole "measure, then act" loop:
 //! checkpoint intervals from the MTBF, spare pools from the per-class
 //! rates, repair-crew staffing from the overlap profile, co-location
 //! policy from the multi-GPU share, and the slot-scheduling policy from
 //! the Fig. 5 skew — the one-call API an operations team would script
 //! against.
 
-use failscope::{FleetIndex, LogView};
-use failtypes::{ComponentClass, FailureLog};
-use serde::{Deserialize, Serialize};
+use failscope::FleetIndex;
+use failtypes::ComponentClass;
 
 use crate::checkpoint::CheckpointPlan;
 use crate::colocation::NodeFailureModel;
@@ -19,7 +18,7 @@ use crate::spares::SparePolicy;
 use crate::staffing::required_crews_index;
 
 /// Tunables of an [`OperationsPlan`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanConfig {
     /// Per-checkpoint cost in hours.
     pub checkpoint_cost_hours: f64,
@@ -49,7 +48,7 @@ impl Default for PlanConfig {
 }
 
 /// One component class's spare recommendation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SpareLine {
     /// The component class.
     pub class: ComponentClass,
@@ -60,7 +59,7 @@ pub struct SpareLine {
 }
 
 /// The integrated plan.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OperationsPlan {
     /// Checkpoint plan from the measured system MTBF.
     pub checkpoint: CheckpointPlan,
@@ -82,8 +81,8 @@ pub struct OperationsPlan {
 
 impl OperationsPlan {
     /// Derives the full plan from any measured [`FleetIndex`] in a
-    /// single indexed pass — a batch [`LogView`] or a live
-    /// [`failscope::StreamView`] mid-ingestion work the same way.
+    /// single indexed pass — a [`failscope::StreamView`] bulk-built from
+    /// a finished log or one mid-ingestion work the same way.
     ///
     /// Returns `None` when the index is too small to measure an MTBF or
     /// has no GPU failures (both needed by most of the plan).
@@ -131,15 +130,6 @@ impl OperationsPlan {
             colocation_acceptable,
             slot_scheduling_gain,
         })
-    }
-
-    /// [`OperationsPlan::from_index`], indexing the log once.
-    ///
-    /// Returns `None` when the log is too small to measure an MTBF or
-    /// has no GPU failures (both needed by most of the plan).
-    #[doc(hidden)]
-    pub fn from_log(log: &FailureLog, config: PlanConfig) -> Option<Self> {
-        Self::from_index(&LogView::new(log), config)
     }
 
     /// Renders the plan as an operator-facing text block.
@@ -194,11 +184,13 @@ impl OperationsPlan {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use failscope::StreamView;
     use failsim::{Simulator, SystemModel};
 
     fn plan_for(model: SystemModel, seed: u64) -> OperationsPlan {
         let log = Simulator::new(model, seed).generate().expect("valid model");
-        OperationsPlan::from_log(&log, PlanConfig::default()).expect("plannable log")
+        OperationsPlan::from_index(&StreamView::from(log), PlanConfig::default())
+            .expect("plannable log")
     }
 
     #[test]
@@ -261,6 +253,7 @@ mod tests {
             .generate()
             .expect("valid model")
             .filtered(|_| false);
-        assert!(OperationsPlan::from_log(&log, PlanConfig::default()).is_none());
+        let view = StreamView::new(&log);
+        assert!(OperationsPlan::from_index(&view, PlanConfig::default()).is_none());
     }
 }

@@ -9,10 +9,9 @@
 //! measured log.
 
 use failtypes::{Category, FailureLog};
-use serde::{Deserialize, Serialize};
 
 /// A failure predictor characterized by its confusion-matrix rates.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Predictor {
     /// Fraction of real failures the predictor flags ahead of time.
     pub recall: f64,
@@ -34,7 +33,7 @@ impl Predictor {
 }
 
 /// The effect of proactive recovery on one log.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProactiveOutcome {
     /// MTTR with the strategy, hours.
     pub proactive_mttr_hours: f64,

@@ -6,12 +6,11 @@
 //! compares slot-allocation policies by the expected interruption
 //! probability of the jobs they place.
 
-use failscope::{FleetIndex, LogView, SlotDistribution};
-use failtypes::{FailureLog, GpuSlot};
-use serde::{Deserialize, Serialize};
+use failscope::{FleetIndex, SlotDistribution};
+use failtypes::GpuSlot;
 
 /// Per-slot failure rates of one node architecture.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SlotRiskModel {
     /// Failures per hour for each slot of a node.
     rates_per_hour: Vec<f64>,
@@ -48,14 +47,6 @@ impl SlotRiskModel {
         )
     }
 
-    /// [`SlotRiskModel::from_index`], indexing the log once.
-    ///
-    /// Returns `None` when the log records no slot involvements.
-    #[doc(hidden)]
-    pub fn from_log(log: &FailureLog) -> Option<Self> {
-        Self::from_index(&LogView::new(log))
-    }
-
     /// Number of GPU slots per node.
     pub fn slots(&self) -> usize {
         self.rates_per_hour.len()
@@ -80,7 +71,7 @@ impl SlotRiskModel {
 }
 
 /// A slot-allocation policy.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AllocationPolicy {
     /// Fill slots in index order (what naive tooling does).
     FirstFit,
@@ -132,7 +123,7 @@ pub fn allocate(
 }
 
 /// The outcome of evaluating a policy on a stream of single-node jobs.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PolicyOutcome {
     /// The policy evaluated.
     pub policy: AllocationPolicy,
@@ -174,11 +165,12 @@ pub fn evaluate_policy(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use failscope::StreamView;
     use failsim::{Simulator, SystemModel};
 
     fn t3_model() -> SlotRiskModel {
         let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
-        SlotRiskModel::from_log(&log).unwrap()
+        SlotRiskModel::from_index(&StreamView::new(&log)).unwrap()
     }
 
     fn jobs() -> Vec<(usize, f64)> {
@@ -264,8 +256,8 @@ mod tests {
     fn from_log_requires_involvements() {
         let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
         let no_gpus = log.filtered(|r| !r.category().is_gpu());
-        assert!(SlotRiskModel::from_log(&no_gpus).is_none());
-        let m = SlotRiskModel::from_log(&log).unwrap();
+        assert!(SlotRiskModel::from_index(&StreamView::new(&no_gpus)).is_none());
+        let m = SlotRiskModel::from_index(&StreamView::new(&log)).unwrap();
         assert_eq!(m.slots(), 4);
         // Slot 0 and 3 carry higher measured rates (Fig. 5b).
         assert!(m.rate(GpuSlot::new(0)) > m.rate(GpuSlot::new(1)));

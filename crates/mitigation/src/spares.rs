@@ -7,15 +7,14 @@
 //! replenishment lead time) and validates the sizing with a discrete-event
 //! inventory simulation.
 
-use failscope::{FleetIndex, LogView};
+use failscope::FleetIndex;
 use failstats::{sample_poisson, ContinuousDist, Exponential};
-use failtypes::{ComponentClass, FailureLog};
+use failtypes::ComponentClass;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// A spare-provisioning policy for one component class.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SparePolicy {
     /// Mean failures (spare demands) per hour.
     pub demand_rate_per_hour: f64,
@@ -47,18 +46,6 @@ impl SparePolicy {
     ) -> Option<Self> {
         let mtbf = failscope::class_mtbf_hours_index(index, class)?;
         Self::new(1.0 / mtbf, lead_time_hours)
-    }
-
-    /// [`SparePolicy::from_index`], indexing the log once.
-    ///
-    /// Returns `None` when the class never failed in the log.
-    #[doc(hidden)]
-    pub fn from_log(
-        log: &FailureLog,
-        class: ComponentClass,
-        lead_time_hours: f64,
-    ) -> Option<Self> {
-        Self::from_index(&LogView::new(log), class, lead_time_hours)
     }
 
     /// Mean demand during one replenishment lead time.
@@ -103,7 +90,7 @@ impl SparePolicy {
 }
 
 /// The outcome of a stochastic inventory simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct InventoryOutcome {
     /// Demands that found a spare on hand.
     pub served_immediately: u64,
@@ -178,6 +165,7 @@ pub fn expected_demands(policy: SparePolicy, horizon_hours: f64, seed: u64) -> u
 #[cfg(test)]
 mod tests {
     use super::*;
+    use failscope::StreamView;
     use failsim::{Simulator, SystemModel};
 
     #[test]
@@ -245,14 +233,16 @@ mod tests {
     #[test]
     fn from_measured_log() {
         let t3 = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
-        let p = SparePolicy::from_log(&t3, ComponentClass::Gpu, 14.0 * 24.0).unwrap();
+        let view = StreamView::new(&t3);
+        let p = SparePolicy::from_index(&view, ComponentClass::Gpu, 14.0 * 24.0).unwrap();
         // GPU MTBF ≈ 260 h, lead time 336 h → λ ≈ 1.3.
         assert!((p.lead_time_demand() - 1.29).abs() < 0.1);
         let s = p.required_spares(0.05);
         assert!((2..=6).contains(&s), "spares {s}");
         // A class that never fails yields None.
         let empty = t3.filtered(|_| false);
-        assert!(SparePolicy::from_log(&empty, ComponentClass::Gpu, 100.0).is_none());
+        let view = StreamView::new(&empty);
+        assert!(SparePolicy::from_index(&view, ComponentClass::Gpu, 100.0).is_none());
     }
 
     #[test]

@@ -9,12 +9,11 @@
 //! through a `k`-crew queue and reports the inflation, giving operators
 //! the staffing/TTR trade-off curve.
 
-use failscope::{FleetIndex, LogView};
+use failscope::{FleetIndex, StreamView};
 use failtypes::FailureLog;
-use serde::{Deserialize, Serialize};
 
 /// The outcome of replaying a log through a `k`-crew repair queue.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StaffingOutcome {
     /// Crews simulated.
     pub crews: u32,
@@ -89,7 +88,7 @@ pub fn simulate_staffing_index<V: FleetIndex + ?Sized>(
 
 /// [`simulate_staffing_index`], indexing the log once.
 pub fn simulate_staffing(log: &FailureLog, crews: u32) -> Option<StaffingOutcome> {
-    simulate_staffing_index(&LogView::new(log), crews)
+    simulate_staffing_index(&StreamView::new(log), crews)
 }
 
 /// Smallest crew count whose effective-MTTR inflation stays at or below
@@ -123,7 +122,7 @@ pub fn required_crews_index<V: FleetIndex + ?Sized>(
 ///
 /// Panics if `max_inflation < 1` or `crew_cap == 0`.
 pub fn required_crews(log: &FailureLog, max_inflation: f64, crew_cap: u32) -> Option<u32> {
-    required_crews_index(&LogView::new(log), max_inflation, crew_cap)
+    required_crews_index(&StreamView::new(log), max_inflation, crew_cap)
 }
 
 #[cfg(test)]

@@ -13,7 +13,6 @@ use failtypes::{
     Category, Date, Generation, ObservationWindow, SoftwareLocus, SystemSpec, T3Category,
 };
 use failstats::{ContinuousDist, Exponential, Gamma, LogNormal, Weibull};
-use serde::{Deserialize, Serialize};
 
 use crate::calib;
 
@@ -21,7 +20,7 @@ use crate::calib;
 ///
 /// The mean is always `window / total_failures`; the family controls the
 /// shape around that mean.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum TbfModel {
     /// Memoryless arrivals (Tsubame-2's calibrated family).
     Exponential,
@@ -71,7 +70,7 @@ impl TbfModel {
 }
 
 /// How failures are placed onto nodes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum NodeSelection {
     /// A small pool of "defective" nodes absorbs a fixed share of the
     /// failures; the rest fall uniformly. This bimodal occupancy (many
@@ -99,7 +98,7 @@ pub enum NodeSelection {
 }
 
 /// How GPU failures are placed onto the GPU slots of a node.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum SlotSkew {
     /// Calibrated non-uniform weights per slot (Fig. 5).
     Weighted(Vec<f64>),
@@ -108,7 +107,7 @@ pub enum SlotSkew {
 }
 
 /// Whether simultaneous multi-GPU failures cluster in time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ClusteringMode {
     /// Self-exciting assignment: within `window_hours` of a multi-GPU
     /// failure, the odds that the next GPU failure is also multi-GPU are
@@ -124,7 +123,7 @@ pub enum ClusteringMode {
 }
 
 /// The exact per-category event counts a generated log must contain.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CategoryMix {
     entries: Vec<(Category, u32)>,
 }
@@ -210,7 +209,7 @@ impl CategoryMix {
 
 /// Per-category log-normal repair model plus the exact Fig. 3 root-locus
 /// mix for software failures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TtrModel {
     /// `(category, mean hours, log-normal sigma)`.
     params: Vec<(Category, f64, f64)>,
@@ -247,7 +246,7 @@ impl TtrModel {
 }
 
 /// The multi-GPU involvement table (Table III) as exact label counts.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InvolvementModel {
     /// `(gpus involved, count)` with known involvement.
     counts: Vec<(u8, u32)>,
@@ -340,7 +339,7 @@ impl InvolvementModel {
 }
 
 /// A complete generative model for one system's failure log.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemModel {
     /// Category vocabulary of the generated records.
     pub generation: Generation,

@@ -1,12 +1,11 @@
 //! Percentile-bootstrap confidence intervals, with an optional
-//! crossbeam-parallel driver for large resample counts.
+//! scoped-thread parallel driver for large resample counts.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// A two-sided percentile-bootstrap confidence interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConfidenceInterval {
     /// Point estimate (the statistic on the original sample).
     pub estimate: f64,
@@ -87,7 +86,7 @@ where
 }
 
 /// Parallel percentile-bootstrap CI: splits the resamples over `threads`
-/// crossbeam scoped workers, each with an independent seed stream.
+/// scoped workers, each with an independent seed stream.
 ///
 /// Produces the same kind of interval as [`bootstrap_ci`] (not bit-identical
 /// to the serial version, but deterministic for fixed `seed` and
@@ -110,12 +109,12 @@ where
         return None;
     }
     let per_thread = resamples.div_ceil(threads);
-    let chunks: Vec<Vec<f64>> = crossbeam::thread::scope(|scope| {
+    let chunks: Vec<Vec<f64>> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..threads)
             .map(|t| {
                 let stat = &stat;
                 let count = per_thread.min(resamples.saturating_sub(t * per_thread));
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     resample_stats(data, stat, count, seed.wrapping_add(t as u64 * 0x9E37_79B9))
                 })
             })
@@ -124,8 +123,7 @@ where
             .into_iter()
             .map(|h| h.join().expect("bootstrap worker panicked"))
             .collect()
-    })
-    .expect("crossbeam scope failed");
+    });
 
     let mut stats: Vec<f64> = chunks.into_iter().flatten().collect();
     if stats.is_empty() {

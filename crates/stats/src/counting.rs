@@ -5,8 +5,6 @@
 //! process: the coefficient of variation of inter-arrival times, the
 //! dispersion (Fano) index of windowed counts, and the burstiness index.
 
-use serde::{Deserialize, Serialize};
-
 use crate::desc::{coefficient_of_variation, mean, variance};
 
 /// Inter-arrival times of a strictly or weakly increasing event-time
@@ -51,7 +49,7 @@ pub fn windowed_counts(times: &[f64], window: f64, horizon: f64) -> Vec<u64> {
 }
 
 /// A bundle of burstiness measures for one event sequence.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BurstinessReport {
     /// Number of events.
     pub events: usize,

@@ -6,7 +6,6 @@
 //! [`crate::fit`] recover distribution parameters from observed data.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::special::{gamma_p, gamma_p_inv, ln_gamma, std_normal_cdf, std_normal_quantile};
 
@@ -66,7 +65,7 @@ fn uniform_open01(rng: &mut dyn rand::RngCore) -> f64 {
 /// assert!((d.mean() - 15.0).abs() < 1e-12);
 /// assert!((d.quantile(0.75) - 15.0 * 4.0f64.ln()).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Exponential {
     rate: f64,
 }
@@ -135,7 +134,7 @@ impl ContinuousDist for Exponential {
 ///
 /// Shape below 1 models infant-mortality (decreasing hazard) failure
 /// processes; shape above 1 models wear-out.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Weibull {
     shape: f64,
     scale: f64,
@@ -210,7 +209,7 @@ impl ContinuousDist for Weibull {
 ///
 /// The workhorse for repair times (Figs. 9-10): long right tails with most
 /// mass at moderate values.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LogNormal {
     mu: f64,
     sigma: f64,
@@ -300,7 +299,7 @@ impl ContinuousDist for LogNormal {
 ///
 /// Used for Tsubame-3's system-wide TBF, whose reported mean (~72 h) and
 /// 75th percentile (93 h) rule out both exponential and log-normal shapes.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Gamma {
     shape: f64,
     scale: f64,

@@ -1,6 +1,5 @@
 //! Histograms: continuous equal-width bins and discrete count histograms.
 
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// An equal-width histogram over `[lo, hi)` with values outside the range
@@ -17,7 +16,7 @@ use std::collections::BTreeMap;
 /// assert_eq!(h.count(4), 2);
 /// assert_eq!(h.total(), 5);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     lo: f64,
     hi: f64,
@@ -121,7 +120,7 @@ impl Histogram {
 /// assert_eq!(h.fraction_of(1), 0.5);
 /// assert_eq!(h.total(), 4);
 /// ```
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CountHistogram {
     counts: BTreeMap<u64, u64>,
 }

@@ -5,12 +5,10 @@
 //! expected distributions, and to compare TTR samples across groups
 //! (generations, half-years) without normality assumptions.
 
-use serde::{Deserialize, Serialize};
-
 use crate::special::{gamma_q, std_normal_cdf};
 
 /// The result of a chi-square goodness-of-fit test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChiSquareTest {
     /// The chi-square statistic.
     pub statistic: f64,
@@ -72,7 +70,7 @@ pub fn chi_square_gof(observed: &[u64], expected_weights: &[f64]) -> Option<ChiS
 }
 
 /// The result of a Mann–Whitney U test.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MannWhitneyTest {
     /// The U statistic of the first sample.
     pub u: f64,

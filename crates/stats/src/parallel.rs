@@ -1,7 +1,7 @@
 //! Deterministic ordered parallel map.
 //!
 //! The execution engine's one concurrency primitive: apply a function to
-//! the indices `0..count` on a crossbeam scoped worker pool and return
+//! the indices `0..count` on a scoped worker pool and return
 //! the results **in index order**, so callers that previously ran a
 //! serial `for` loop get byte-identical results at any thread count.
 //! Workers pull indices from a shared atomic counter (work stealing), so
@@ -94,11 +94,11 @@ where
     let mut slots: Vec<Mutex<Option<T>>> = Vec::with_capacity(count);
     slots.resize_with(count, || Mutex::new(None));
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|_| {
                 let (f, next, slots) = (&f, &next, &slots);
-                scope.spawn(move |_| loop {
+                scope.spawn(move || loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
                     if i >= count {
                         break;
@@ -111,8 +111,7 @@ where
         for handle in handles {
             handle.join().expect("parallel map worker panicked");
         }
-    })
-    .expect("crossbeam scope failed");
+    });
 
     slots
         .into_iter()

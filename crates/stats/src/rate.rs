@@ -5,8 +5,6 @@
 //! how tight that estimate is; the chi-square (Garwood) interval is the
 //! standard exact answer.
 
-use serde::{Deserialize, Serialize};
-
 use crate::special::gamma_p_inv;
 
 /// Chi-square quantile with `dof` degrees of freedom (via the regularized
@@ -21,7 +19,7 @@ pub fn chi_square_quantile(dof: f64, p: f64) -> f64 {
 }
 
 /// An exact (Garwood) confidence interval for a Poisson rate.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RateInterval {
     /// Point estimate: events / exposure.
     pub rate: f64,

@@ -7,7 +7,6 @@
 //! collection of records together with the system specification and
 //! observation window they belong to.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::category::Category;
@@ -35,7 +34,7 @@ use crate::time::{Hours, ObservationWindow};
 /// assert!(rec.is_multi_gpu());
 /// assert_eq!(rec.gpus().len(), 2);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailureRecord {
     id: u32,
     time: Hours,
@@ -234,7 +233,7 @@ impl fmt::Display for FailureRecord {
 /// assert_eq!(log.len(), 1);
 /// # Ok::<(), failtypes::InvalidRecordError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailureLog {
     generation: Generation,
     spec: SystemSpec,
@@ -322,6 +321,11 @@ impl FailureLog {
     /// Iterates over the records in time order.
     pub fn iter(&self) -> std::slice::Iter<'_, FailureRecord> {
         self.records.iter()
+    }
+
+    /// Consumes the log, yielding its records in ascending time order.
+    pub fn into_records(self) -> Vec<FailureRecord> {
+        self.records
     }
 
     /// Returns a new log containing only records satisfying `keep`.

@@ -4,7 +4,6 @@
 //! use: node count, CPUs and GPUs per node, aggregate component counts, and
 //! the peak compute rate (for the performance-error-proportionality metric).
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 use crate::error::InvalidSpecError;
@@ -16,7 +15,7 @@ use crate::error::InvalidSpecError;
 /// assert_eq!(Generation::Tsubame2.to_string(), "Tsubame-2");
 /// assert!(Generation::Tsubame3.spec().gpus_per_node() == 4);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Generation {
     /// Tsubame-2 (2010; NVIDIA K20X, three GPUs per node).
     Tsubame2,
@@ -58,10 +57,7 @@ impl fmt::Display for Generation {
 /// let n = NodeId::new(17);
 /// assert_eq!(n.index(), 17);
 /// ```
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(u32);
 
 impl NodeId {
@@ -93,10 +89,7 @@ impl From<u32> for NodeId {
 /// Slot indices are meaningful: Fig. 5 shows that failure rates differ per
 /// slot, which is why the analyses keep the slot rather than collapsing to a
 /// per-node GPU count.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct GpuSlot(u8);
 
 impl GpuSlot {
@@ -128,10 +121,7 @@ impl From<u8> for GpuSlot {
 /// Racks group consecutive node ids ([`SystemSpec::rack_of`]); the
 /// rack-level failure distribution is one of the spatial analyses field
 /// studies report (failures are not uniform across racks).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default, Serialize, Deserialize,
-)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct RackId(u32);
 
 impl RackId {
@@ -175,7 +165,7 @@ impl From<u32> for RackId {
 /// assert_eq!(t2.component_count(), 7040);
 /// assert_eq!(t3.component_count(), 3240);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemSpec {
     name: String,
     nodes: u32,

@@ -5,7 +5,6 @@
 //! is provided by a small proleptic-Gregorian [`Date`] type, so the crate
 //! does not depend on an external date-time library.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
@@ -26,8 +25,7 @@ use std::ops::{Add, AddAssign, Div, Mul, Sub, SubAssign};
 /// assert_eq!(window, Hours::new(60.0));
 /// assert_eq!(window.get(), 60.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Hours(f64);
 
 impl Hours {
@@ -159,8 +157,7 @@ impl From<Hours> for f64 {
 /// assert_eq!(m.name(), "Jul");
 /// assert!(Month::new(13).is_none());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Month(u8);
 
 impl Month {
@@ -223,7 +220,7 @@ impl fmt::Display for Month {
 /// let later = start.plus_hours(failtypes::Hours::from_days(30.0));
 /// assert_eq!(later, Date::new(2012, 2, 6).unwrap());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Date {
     year: i32,
     month: u8,
@@ -376,7 +373,7 @@ pub const fn days_in_month(year: i32, month: u8) -> u8 {
 /// assert!(w.contains(Hours::new(100.0)));
 /// assert!(!w.contains(Hours::from_days(600.0)));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ObservationWindow {
     start: Date,
     end: Date,

@@ -30,7 +30,7 @@
 
 use std::collections::BTreeMap;
 
-use failscope::LogView;
+use failscope::StreamView;
 use failsim::{Simulator, SystemModel};
 use failstats::ks_test_two_sample;
 use failtypes::{Alert, AlertKind, AlertSeverity, Category, FailureLog};
@@ -70,7 +70,7 @@ impl Baseline {
 
     /// Summarizes an existing reference log into a baseline.
     pub fn from_log(log: &FailureLog) -> Self {
-        let view = LogView::new(log);
+        let view = StreamView::new(log);
         let n = view.len().max(1);
         let category_fractions = view
             .category_indices()

@@ -5,7 +5,8 @@
 //!
 //! 1. a [`failscope::StreamView`] — the full incremental index
 //!    (category partitions, node/slot/rack counts, month buckets) whose
-//!    contents are equal to the batch `LogView` after full ingestion;
+//!    contents equal the bulk-built view of the same log after full
+//!    ingestion;
 //! 2. since-start sketches — [`QuantileSketch`]es over inter-arrival
 //!    gaps and repair durations whose exact mode reproduces the batch
 //!    `Ecdf` numbers bit for bit (MTBF itself is the closed-form
@@ -188,7 +189,7 @@ impl WatchState {
         config: StateConfig,
     ) -> Self {
         WatchState {
-            view: StreamView::new(generation, spec, window),
+            view: StreamView::empty(generation, spec, window),
             gap_sketch: QuantileSketch::new(config.sketch_capacity),
             ttr_sketch: QuantileSketch::new(config.sketch_capacity),
             last_time: None,
@@ -459,8 +460,9 @@ mod tests {
     fn since_start_estimates_match_batch_bitwise() {
         let (log, state) = fed(43);
         assert!(state.sketches_exact());
-        let tbf = TbfAnalysis::from_log(&log).unwrap();
-        let ttr = TtrAnalysis::from_log(&log).unwrap();
+        let view = StreamView::new(&log);
+        let tbf = TbfAnalysis::from_index(&view).unwrap();
+        let ttr = TtrAnalysis::from_index(&view).unwrap();
         assert_eq!(
             state.mtbf_hours().unwrap().to_bits(),
             tbf.mtbf_hours().to_bits()

@@ -9,6 +9,7 @@
 //! ```
 
 use failmitigate::{sweep_costs, CheckpointPlan};
+use failscope::StreamView;
 use failsim::{Simulator, SystemModel};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -18,11 +19,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     ];
 
     for (name, model, seed) in systems {
-        let log = Simulator::new(model, seed).generate()?;
+        let view = StreamView::from(Simulator::new(model, seed).generate()?);
         println!("=== {name} ===");
 
         // A 0.25 h (15-minute) checkpoint of a large GPU job.
-        let plan = CheckpointPlan::from_log(&log, 0.25)?;
+        let plan = CheckpointPlan::from_index(&view, 0.25)?;
         let young = plan.young_interval_hours();
         let daly = plan.daly_interval_hours();
         println!(

@@ -13,7 +13,7 @@
 //! ```
 
 use failmitigate::{evaluate_policy, AllocationPolicy, SlotRiskModel};
-use failscope::{InvolvementTable, TbfAnalysis};
+use failscope::{InvolvementTable, StreamView, TbfAnalysis};
 use failsim::{ScenarioBuilder, Simulator};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -33,11 +33,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .multi_gpu_fraction(0.07 * gpus as f64 / 4.0)
             .build()
             .expect("valid scenario");
-        let log = Simulator::new(model, 1000 + gpus as u64).generate()?;
+        let view = StreamView::from(Simulator::new(model, 1000 + gpus as u64).generate()?);
 
-        let tbf = TbfAnalysis::from_log(&log).expect("enough failures");
-        let inv = InvolvementTable::from_log(&log);
-        let risk = SlotRiskModel::from_log(&log).map(|m| {
+        let tbf = TbfAnalysis::from_index(&view).expect("enough failures");
+        let inv = InvolvementTable::from_index(&view);
+        let risk = SlotRiskModel::from_index(&view).map(|m| {
             let jobs: Vec<(usize, f64)> = (0..100).map(|i| (1 + i % 2, 48.0)).collect();
             evaluate_policy(&m, AllocationPolicy::FirstFit, &jobs)
                 .mean_interruption_probability
@@ -46,7 +46,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         println!(
             "{:>4} {:>9} {:>10.1} {:>11.1}% {:>13.2}%",
             gpus,
-            log.len(),
+            view.len(),
             tbf.mtbf_hours(),
             (inv.multi_gpu_fraction() * 100.0).max(0.0),
             risk.unwrap_or(0.0) * 100.0

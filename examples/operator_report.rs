@@ -20,9 +20,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // What the analyses imply operationally, per system.
     for (name, log) in [("Tsubame-2", &t2), ("Tsubame-3", &t3)] {
-        if let Some(plan) =
-            failmitigate::OperationsPlan::from_log(log, failmitigate::PlanConfig::default())
-        {
+        if let Some(plan) = failmitigate::OperationsPlan::from_index(
+            &failscope::StreamView::new(log),
+            failmitigate::PlanConfig::default(),
+        ) {
             println!("--- {name} ---");
             println!("{}", plan.render());
         }

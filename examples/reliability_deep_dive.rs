@@ -9,7 +9,9 @@
 //! ```
 
 use failmitigate::{required_crews, simulate_staffing};
-use failscope::{laplace_trend, node_lifetimes, rolling_rate, AvailabilityAnalysis, NodeSurvival};
+use failscope::{
+    laplace_trend, node_lifetimes, rolling_rate, AvailabilityAnalysis, NodeSurvival, StreamView,
+};
 use failsim::{Simulator, SystemModel};
 use failstats::fit::select_best_family;
 use failstats::mann_whitney;
@@ -22,7 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     //    failure?
     println!("== Node survival (Kaplan-Meier) ==");
     for (name, log) in [("Tsubame-2", &t2), ("Tsubame-3", &t3)] {
-        let s = NodeSurvival::from_log(log).expect("nodes exist");
+        let s = NodeSurvival::from_index(&StreamView::new(log)).expect("nodes exist");
         let horizon = log.window().duration().get();
         println!(
             "{name}: {} of {} nodes failed; S(1000h)={:.3}  S(5000h)={:.3}  S(end)={:.3}",
@@ -37,7 +39,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 2. Repair overlap: the RQ5 warning quantified.
     println!("\n== Repair overlap (MTTR ~ MTBF) ==");
     for (name, log) in [("Tsubame-2", &t2), ("Tsubame-3", &t3)] {
-        let a = AvailabilityAnalysis::from_log(log).expect("non-empty");
+        let a = AvailabilityAnalysis::from_index(&StreamView::new(log)).expect("non-empty");
         println!(
             "{name}: {:.0}% of failures land on open repairs; mean {:.2} in flight (max {}); availability {:.3}%",
             a.overlap_probability() * 100.0,

@@ -9,11 +9,12 @@
 //! ```
 
 use failmitigate::{simulate_inventory, SparePolicy};
+use failscope::StreamView;
 use failsim::{Simulator, SystemModel};
 use failtypes::ComponentClass;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let log = Simulator::new(SystemModel::tsubame3(), 43).generate()?;
+    let view = StreamView::from(Simulator::new(SystemModel::tsubame3(), 43).generate()?);
     println!("sizing spare pools from the measured Tsubame-3 log\n");
 
     let classes = [
@@ -30,19 +31,19 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "class", "MTBF (h)", "1 wk", "2 wk", "4 wk"
     );
     for class in classes {
-        let Some(mtbf) = failscope::class_mtbf_hours(&log, class) else {
+        let Some(mtbf) = failscope::class_mtbf_hours_index(&view, class) else {
             continue;
         };
         let mut row = format!("{:<10} {:>12.1} |", class.name(), mtbf);
         for lead in lead_times {
-            let policy = SparePolicy::from_log(&log, class, lead).expect("class failed");
+            let policy = SparePolicy::from_index(&view, class, lead).expect("class failed");
             row.push_str(&format!(" {:>8}", policy.required_spares(0.05)));
         }
         println!("{row}");
     }
 
     // Validate the GPU sizing by simulating two years of operations.
-    let policy = SparePolicy::from_log(&log, ComponentClass::Gpu, 14.0 * 24.0).unwrap();
+    let policy = SparePolicy::from_index(&view, ComponentClass::Gpu, 14.0 * 24.0).unwrap();
     let spares = policy.required_spares(0.05);
     let outcome = simulate_inventory(policy, spares, 2.0 * 8760.0, 7);
     println!(

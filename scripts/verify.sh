@@ -9,6 +9,38 @@ cargo build --release
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Structure gate: one fleet index and no stub dependencies. `vendor/`
+# holds only the offline subsets of real dependencies, and the retired
+# second index, its shims, and the snapshot delegation stay gone.
+extra_vendor=$(ls vendor | grep -vxE 'rand|proptest|criterion' || true)
+if [ -n "$extra_vendor" ]; then
+    echo "verify: unexpected vendored crates: $extra_vendor (allowed: rand, proptest, criterion)" >&2
+    exit 1
+fi
+if grep -rnE 'struct LogView|fn from_view|impl FleetIndex for Snapshot' crates/; then
+    echo "verify: a duplicate fleet index, a from_view shim, or the snapshot delegation reappeared under crates/" >&2
+    exit 1
+fi
+
+# Benchmark gate: the standalone loadbench crate builds and passes its
+# own tests against the current workspace crates. Cargo refreshes
+# loadbench/Cargo.lock when the workspace's dependency graph changes,
+# so the lock file is saved first and restored afterwards to leave
+# loadbench/ byte-identical.
+lb_lock=$(mktemp)
+cp loadbench/Cargo.lock "$lb_lock"
+lb_status=0
+cargo build --release --offline --manifest-path loadbench/Cargo.toml || lb_status=$?
+if [ "$lb_status" -eq 0 ]; then
+    cargo test --offline --manifest-path loadbench/Cargo.toml || lb_status=$?
+fi
+cp "$lb_lock" loadbench/Cargo.lock
+rm -f "$lb_lock"
+if [ "$lb_status" -ne 0 ]; then
+    echo "verify: loadbench does not build or pass its tests against the workspace" >&2
+    exit 1
+fi
+
 # Streaming subsystem gate: the record-by-record state must equal the
 # batch pipeline, and an injected MTTR regression must raise an alert.
 cargo test -q -p failsuite --test stream_equivalence
@@ -349,4 +381,4 @@ fi
 # API docs must build warning-free.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-echo "verify: build + tests + clippy + streaming gate + parse gate + filter gate + index gate + server gate + gzip smoke + json gate + trace gate + docs all green"
+echo "verify: build + tests + clippy + structure gate + loadbench gate + streaming gate + parse gate + filter gate + index gate + server gate + gzip smoke + json gate + trace gate + docs all green"

@@ -2,8 +2,8 @@
 //! every crate in the workspace.
 
 use failscope::{
-    CategoryBreakdown, InvolvementTable, NodeDistribution, SeasonalAnalysis, TbfAnalysis,
-    TtrAnalysis,
+    CategoryBreakdown, InvolvementTable, NodeDistribution, SeasonalAnalysis, StreamView,
+    TbfAnalysis, TtrAnalysis,
 };
 use failsim::{ScenarioBuilder, Simulator, SystemModel};
 use failtypes::{FailureLog, Generation};
@@ -25,11 +25,11 @@ fn generate_serialize_parse_analyze_roundtrip() {
         assert_eq!(parsed, log, "round trip must be lossless");
 
         // Every analysis yields identical results on the parsed copy.
-        let a = CategoryBreakdown::from_log(&log);
-        let b = CategoryBreakdown::from_log(&parsed);
+        let a = CategoryBreakdown::from_index(&StreamView::new(&log));
+        let b = CategoryBreakdown::from_index(&StreamView::new(&parsed));
         assert_eq!(a, b);
-        let a = TbfAnalysis::from_log(&log).expect("analysable");
-        let b = TbfAnalysis::from_log(&parsed).expect("analysable");
+        let a = TbfAnalysis::from_index(&StreamView::new(&log)).expect("analysable");
+        let b = TbfAnalysis::from_index(&StreamView::new(&parsed)).expect("analysable");
         assert_eq!(a.mtbf_hours(), b.mtbf_hours());
         assert_eq!(a.p75_hours(), b.p75_hours());
     }
@@ -54,25 +54,25 @@ fn anonymization_preserves_every_aggregate_analysis() {
 
     // Node-identity-independent analyses are bit-identical.
     assert_eq!(
-        CategoryBreakdown::from_log(&log),
-        CategoryBreakdown::from_log(&anon)
+        CategoryBreakdown::from_index(&StreamView::new(&log)),
+        CategoryBreakdown::from_index(&StreamView::new(&anon))
     );
     assert_eq!(
-        InvolvementTable::from_log(&log),
-        InvolvementTable::from_log(&anon)
+        InvolvementTable::from_index(&StreamView::new(&log)),
+        InvolvementTable::from_index(&StreamView::new(&anon))
     );
     assert_eq!(
-        TtrAnalysis::from_log(&log).expect("non-empty").mttr_hours(),
-        TtrAnalysis::from_log(&anon).expect("non-empty").mttr_hours()
+        TtrAnalysis::from_index(&StreamView::new(&log)).expect("non-empty").mttr_hours(),
+        TtrAnalysis::from_index(&StreamView::new(&anon)).expect("non-empty").mttr_hours()
     );
     assert_eq!(
-        SeasonalAnalysis::from_log(&log).monthly_failure_counts(),
-        SeasonalAnalysis::from_log(&anon).monthly_failure_counts()
+        SeasonalAnalysis::from_index(&StreamView::new(&log)).monthly_failure_counts(),
+        SeasonalAnalysis::from_index(&StreamView::new(&anon)).monthly_failure_counts()
     );
 
     // Node-level distribution is preserved as a multiset.
-    let d1 = NodeDistribution::from_log(&log);
-    let d2 = NodeDistribution::from_log(&anon);
+    let d1 = NodeDistribution::from_index(&StreamView::new(&log));
+    let d2 = NodeDistribution::from_index(&StreamView::new(&anon));
     assert_eq!(d1.failing_nodes(), d2.failing_nodes());
     assert_eq!(d1.histogram(), d2.histogram());
 }
@@ -96,15 +96,16 @@ fn what_if_scenario_flows_through_the_whole_stack() {
     assert_eq!(parsed, log);
 
     // Analyses run and are self-consistent.
-    let tbf = TbfAnalysis::from_log(&parsed).expect("many failures");
+    let tbf = TbfAnalysis::from_index(&StreamView::new(&parsed)).expect("many failures");
     assert!((tbf.mtbf_hours() - 36.0).abs() < 2.0);
-    let inv = InvolvementTable::from_log(&parsed);
+    let inv = InvolvementTable::from_index(&StreamView::new(&parsed));
     assert!(inv.rows().iter().all(|r| r.gpus <= 6));
     let multi = inv.multi_gpu_fraction();
     assert!((multi - 0.3).abs() < 0.08, "multi fraction {multi}");
 
     // Mitigation consumes the same log.
-    let plan = failmitigate::CheckpointPlan::from_log(&parsed, 0.2).expect("valid MTBF");
+    let plan = failmitigate::CheckpointPlan::from_index(&StreamView::new(&parsed), 0.2)
+        .expect("valid MTBF");
     assert!(plan.daly_interval_hours() > 1.0);
 }
 
@@ -114,7 +115,7 @@ fn filtered_views_stay_consistent_with_full_log() {
     let gpu_only = log.filtered(|r| r.category().is_gpu());
     assert_eq!(gpu_only.len(), 94);
     // Category breakdown of the filtered log is 100% GPU.
-    let b = CategoryBreakdown::from_log(&gpu_only);
+    let b = CategoryBreakdown::from_index(&StreamView::new(&gpu_only));
     assert!((b.gpu_fraction() - 1.0).abs() < 1e-12);
     // The filtered log serializes and parses like any other.
     let text = faillog::to_string(&gpu_only).expect("serializes");

@@ -2,9 +2,10 @@
 //!
 //! Three layers, three contracts:
 //!
-//! 1. **LogView equivalence** — every `from_view` analysis equals its
-//!    `from_log` original, on canonical and on arbitrary seeds
-//!    (property-tested).
+//! 1. **One index, two builds** — the bulk build of a finished log
+//!    equals the record-by-record build of the same records, split into
+//!    arbitrary chunks, and a filtered view equals the bulk build of
+//!    the kept records (property-tested).
 //! 2. **Thread-count invariance** — the threaded report renderer and
 //!    the sharded seed sweeps return bit-identical results at any
 //!    worker count.
@@ -13,76 +14,15 @@
 
 use failbench::experiments;
 use failbench::runner;
-use failscope::{
-    class_mtbf_hours, class_mtbf_hours_view, gpu_involvement_mtbf_hours,
-    gpu_involvement_mtbf_hours_view, per_category_tbf, per_category_tbf_view, per_category_ttr,
-    per_category_ttr_view, render_report, render_report_threaded, AvailabilityAnalysis,
-    CategoryBreakdown, ClassBreakdown, DomainBreakdown, LocusBreakdown, LogView, MultiGpuTemporal,
-    NodeDistribution, RackDistribution, SeasonalAnalysis, SlotDistribution, TbfAnalysis,
-    TtrAnalysis,
-};
+use failscope::{render_report, render_report_threaded, StreamView, TbfAnalysis};
 use failsim::{Simulator, SystemModel};
-use failtypes::{ComponentClass, FailureLog};
+use failtypes::{FailureLog, FailureRecord};
 use proptest::prelude::*;
-
-fn assert_view_matches_log(log: &FailureLog) {
-    let view = LogView::new(log);
-
-    assert_eq!(CategoryBreakdown::from_view(&view), CategoryBreakdown::from_log(log));
-    assert_eq!(ClassBreakdown::from_view(&view), ClassBreakdown::from_log(log));
-    assert_eq!(DomainBreakdown::from_view(&view), DomainBreakdown::from_log(log));
-    assert_eq!(LocusBreakdown::from_view(&view), LocusBreakdown::from_log(log));
-
-    assert_eq!(NodeDistribution::from_view(&view), NodeDistribution::from_log(log));
-    assert_eq!(SlotDistribution::from_view(&view), SlotDistribution::from_log(log));
-    assert_eq!(RackDistribution::from_view(&view), RackDistribution::from_log(log));
-
-    assert_eq!(TbfAnalysis::from_view(&view), TbfAnalysis::from_log(log));
-    assert_eq!(TtrAnalysis::from_view(&view), TtrAnalysis::from_log(log));
-    assert_eq!(per_category_tbf_view(&view, 5), per_category_tbf(log, 5));
-    assert_eq!(per_category_ttr_view(&view), per_category_ttr(log));
-    for class in [ComponentClass::Gpu, ComponentClass::Cpu, ComponentClass::Storage] {
-        assert_eq!(
-            class_mtbf_hours_view(&view, class),
-            class_mtbf_hours(log, class)
-        );
-    }
-    assert_eq!(
-        gpu_involvement_mtbf_hours_view(&view),
-        gpu_involvement_mtbf_hours(log)
-    );
-
-    assert_eq!(
-        MultiGpuTemporal::from_view(&view, 96.0),
-        MultiGpuTemporal::from_log(log, 96.0)
-    );
-    assert_eq!(
-        AvailabilityAnalysis::from_view(&view),
-        AvailabilityAnalysis::from_log(log)
-    );
-    assert_eq!(SeasonalAnalysis::from_view(&view), SeasonalAnalysis::from_log(log));
-}
-
-#[test]
-fn logview_matches_from_log_on_canonical_logs() {
-    let (t2, t3) = experiments::standard_logs();
-    assert_view_matches_log(&t2);
-    assert_view_matches_log(&t3);
-}
-
-#[test]
-fn logview_matches_on_degenerate_logs() {
-    let (_, t3) = experiments::standard_logs();
-    // Empty log.
-    assert_view_matches_log(&t3.filtered(|_| false));
-    // Single-category slice.
-    assert_view_matches_log(&t3.filtered(|r| r.category().is_gpu()));
-}
 
 #[test]
 fn report_is_identical_at_every_thread_count() {
     let (t2, t3) = experiments::standard_logs();
-    for log in [&*t2, &*t3] {
+    for log in [&t2.to_log(), &t3.to_log()] {
         let serial = render_report(log);
         for threads in 1..=8 {
             assert_eq!(
@@ -96,8 +36,8 @@ fn report_is_identical_at_every_thread_count() {
 
 #[test]
 fn seed_sweeps_are_bit_identical_across_thread_counts() {
-    let mtbf = |log: &FailureLog| {
-        TbfAnalysis::from_log(log).map_or(0.0, |t| t.mtbf_hours())
+    let mtbf = |log: &StreamView| {
+        TbfAnalysis::from_index(log).map_or(0.0, |t| t.mtbf_hours())
     };
     let serial = experiments::seed_average_with(SystemModel::tsubame3, 7000, 6, 1, mtbf);
     for threads in [2, 3, 4, 8] {
@@ -132,17 +72,42 @@ fn store_backed_logs_equal_fresh_simulations() {
     let fresh3 = Simulator::new(SystemModel::tsubame3(), experiments::T3_SEED)
         .generate()
         .unwrap();
-    assert_eq!(*t2, fresh2);
-    assert_eq!(*t3, fresh3);
+    assert_eq!(*t2, StreamView::from(fresh2));
+    assert_eq!(*t3, StreamView::from(fresh3));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     #[test]
-    fn logview_equivalence_holds_for_arbitrary_seeds(seed in 0u64..10_000) {
-        let log = Simulator::new(SystemModel::tsubame3(), seed).generate().unwrap();
-        assert_view_matches_log(&log);
+    fn bulk_build_equals_incremental_build(
+        seed in 0u64..10_000,
+        tsubame2 in any::<bool>(),
+        splits in proptest::collection::vec(1usize..300, 1..12),
+        modulus in 1u32..7,
+    ) {
+        let model = if tsubame2 { SystemModel::tsubame2() } else { SystemModel::tsubame3() };
+        let log = Simulator::new(model, seed).generate().unwrap();
+        // Feed the records in chunks whose sizes cycle through `splits`.
+        let mut pushed = StreamView::empty_like(&log);
+        let mut rest = log.records();
+        for &size in splits.iter().cycle() {
+            if rest.is_empty() {
+                break;
+            }
+            let (part, tail) = rest.split_at(size.min(rest.len()));
+            prop_assert_eq!(pushed.extend(part.to_vec()).unwrap(), part.len());
+            rest = tail;
+        }
+        let bulk = StreamView::new(&log);
+        prop_assert_eq!(&pushed, &bulk);
+
+        let keep = |r: &FailureRecord| r.id().is_multiple_of(modulus);
+        let kept: Vec<FailureRecord> = log.records().iter().filter(|r| keep(r)).cloned().collect();
+        let kept_log =
+            FailureLog::with_spec(log.generation(), log.spec().clone(), log.window(), kept)
+                .unwrap();
+        prop_assert_eq!(bulk.filtered(keep), StreamView::from(kept_log));
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //!    chunk size, and both equal the post-hoc filter of an unfiltered
 //!    parse (property-tested over corpora and a predicate pool).
 //! 2. **Streaming equals batch under a filter** — a [`StreamView`]
-//!    filtered after incremental ingest matches the batch [`LogView`]
+//!    filtered after incremental ingest matches the bulk-built view
 //!    of the post-hoc-filtered log, on every sampled prefix.
 //! 3. **Snapshots compose with filters** — a `.fsidx` snapshot always
 //!    stores unfiltered state; applying a predicate to the decoded
@@ -16,7 +16,7 @@
 
 use failfilter::CompiledPredicate;
 use failscope::{
-    render_text_sections, select_sections, FleetIndex, LogView, SectionCtx, StreamView,
+    render_text_sections, select_sections, FleetIndex, SectionCtx, StreamView,
 };
 use failsim::{ScenarioBuilder, Simulator, SystemModel};
 use faillog::ParseOptions;
@@ -108,7 +108,7 @@ proptest! {
     }
 
     // Incremental (streaming) ingest followed by a filtered rebuild
-    // matches the batch view of the post-hoc-filtered log on every
+    // matches the bulk-built view of the post-hoc-filtered log on every
     // sampled prefix, and renders identically at the end.
     #[test]
     fn filtered_stream_view_matches_filtered_batch_on_prefixes(
@@ -119,7 +119,7 @@ proptest! {
         let pred = failfilter::compile(PREDICATES[pred_idx]).expect("predicate compiles");
         let (spec, window) = (log.spec().clone(), log.window());
 
-        let mut view = StreamView::for_log(&log);
+        let mut view = StreamView::empty_like(&log);
         let total = log.records().len();
         for (i, rec) in log.records().iter().enumerate() {
             view.push(rec.clone()).expect("valid record");
@@ -137,7 +137,7 @@ proptest! {
         }
         let filtered = view.filtered(|r| pred.matches(r, &spec, window));
         let oracle = post_hoc(&log, &pred);
-        prop_assert_eq!(render(&filtered, 2), render(&LogView::new(&oracle), 2));
+        prop_assert_eq!(render(&filtered, 2), render(&StreamView::from(oracle), 2));
     }
 }
 
@@ -154,7 +154,7 @@ fn warm_filtered_reports_match_cold_filtered_byte_for_byte() {
         let path = dir.join(format!("{}.fslog", log.generation()));
         std::fs::write(&path, &text).expect("writes log");
         let source = failindex::SourceInfo::of_bytes(text.as_bytes());
-        failindex::save(failindex::snapshot_path(&path), &LogView::new(&log), source)
+        failindex::save(failindex::snapshot_path(&path), &StreamView::new(&log), source)
             .expect("saves snapshot");
 
         for expr in ["category == gpu && ttr > 24", "month in (6, 7, 8)", "node ~ \"rack1\""] {
@@ -175,7 +175,7 @@ fn warm_filtered_reports_match_cold_filtered_byte_for_byte() {
                     faillog::load_with(&path, &opts).expect("filtered cold parse succeeds");
                 assert_eq!(
                     render(&warm, threads),
-                    render(&LogView::new(&cold), threads),
+                    render(&StreamView::from(cold), threads),
                     "warm vs cold diverged for `{expr}` at {threads} threads on {}",
                     log.generation()
                 );

@@ -5,7 +5,7 @@ use failmitigate::{
     default_proactive_ttr, evaluate_policy, evaluate_proactive, AllocationPolicy, CheckpointPlan,
     Predictor, SlotRiskModel, SparePolicy,
 };
-use failscope::{TbfAnalysis, TtrAnalysis};
+use failscope::{StreamView, TbfAnalysis, TtrAnalysis};
 use failsim::{Simulator, SystemModel};
 use failtypes::ComponentClass;
 
@@ -13,8 +13,8 @@ use failtypes::ComponentClass;
 fn measured_mtbf_drives_checkpoint_intervals_across_generations() {
     let t2 = Simulator::new(SystemModel::tsubame2(), 42).generate().expect("valid");
     let t3 = Simulator::new(SystemModel::tsubame3(), 43).generate().expect("valid");
-    let p2 = CheckpointPlan::from_log(&t2, 0.25).expect("valid MTBF");
-    let p3 = CheckpointPlan::from_log(&t3, 0.25).expect("valid MTBF");
+    let p2 = CheckpointPlan::from_index(&StreamView::new(&t2), 0.25).expect("valid MTBF");
+    let p3 = CheckpointPlan::from_index(&StreamView::new(&t3), 0.25).expect("valid MTBF");
 
     // The interval scales with sqrt(MTBF): the 4.7x MTBF gain buys ~2.2x
     // longer intervals.
@@ -32,10 +32,10 @@ fn spare_pools_follow_measured_class_rates() {
     let t2 = Simulator::new(SystemModel::tsubame2(), 42).generate().expect("valid");
     let t3 = Simulator::new(SystemModel::tsubame3(), 43).generate().expect("valid");
     let lead = 14.0 * 24.0;
-    let gpus_t2 = SparePolicy::from_log(&t2, ComponentClass::Gpu, lead)
+    let gpus_t2 = SparePolicy::from_index(&StreamView::new(&t2), ComponentClass::Gpu, lead)
         .expect("GPUs fail")
         .required_spares(0.05);
-    let gpus_t3 = SparePolicy::from_log(&t3, ComponentClass::Gpu, lead)
+    let gpus_t3 = SparePolicy::from_index(&StreamView::new(&t3), ComponentClass::Gpu, lead)
         .expect("GPUs fail")
         .required_spares(0.05);
     // Tsubame-2's much higher GPU failure rate demands a larger pool.
@@ -48,7 +48,7 @@ fn spare_pools_follow_measured_class_rates() {
 #[test]
 fn slot_risk_scheduling_uses_measured_fig5_skew() {
     let t3 = Simulator::new(SystemModel::tsubame3(), 43).generate().expect("valid");
-    let model = SlotRiskModel::from_log(&t3).expect("slot data");
+    let model = SlotRiskModel::from_index(&StreamView::new(&t3)).expect("slot data");
     let jobs: Vec<(usize, f64)> = (0..300).map(|i| (1 + i % 3, 48.0)).collect();
 
     let first_fit = evaluate_policy(&model, AllocationPolicy::FirstFit, &jobs);
@@ -71,8 +71,8 @@ fn proactive_recovery_attacks_the_stagnant_mttr() {
     let t2 = Simulator::new(SystemModel::tsubame2(), 42).generate().expect("valid");
     let t3 = Simulator::new(SystemModel::tsubame3(), 43).generate().expect("valid");
 
-    let mttr2 = TtrAnalysis::from_log(&t2).expect("non-empty").mttr_hours();
-    let mttr3 = TtrAnalysis::from_log(&t3).expect("non-empty").mttr_hours();
+    let mttr2 = TtrAnalysis::from_index(&StreamView::new(&t2)).expect("non-empty").mttr_hours();
+    let mttr3 = TtrAnalysis::from_index(&StreamView::new(&t3)).expect("non-empty").mttr_hours();
     let generation_gain = 1.0 - mttr3 / mttr2;
     assert!(generation_gain.abs() < 0.2, "hardware refresh barely moved MTTR");
 
@@ -129,8 +129,8 @@ fn mitigation_consumes_serialized_logs() {
     let text = faillog::to_string(&log).expect("serializes");
     let parsed = faillog::from_str(&text).expect("parses");
 
-    let tbf = TbfAnalysis::from_log(&parsed).expect("analysable");
+    let tbf = TbfAnalysis::from_index(&StreamView::new(&parsed)).expect("analysable");
     let plan = CheckpointPlan::new(tbf.mtbf_hours(), 0.25).expect("valid");
-    let plan_direct = CheckpointPlan::from_log(&log, 0.25).expect("valid");
+    let plan_direct = CheckpointPlan::from_index(&StreamView::new(&log), 0.25).expect("valid");
     assert_eq!(plan.daly_interval_hours(), plan_direct.daly_interval_hours());
 }

@@ -234,7 +234,8 @@ proptest! {
             .build()
             .expect("valid scenario");
         let log = Simulator::new(model, seed).generate().expect("valid model");
-        let tbf = failscope::TbfAnalysis::from_log(&log).expect("enough failures");
+        let view = failscope::StreamView::new(&log);
+        let tbf = failscope::TbfAnalysis::from_index(&view).expect("enough failures");
         let expected = log.window().duration().get() / log.len() as f64;
         prop_assert!((tbf.mtbf_hours() - expected).abs() < 1e-9);
     }

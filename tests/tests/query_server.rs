@@ -147,7 +147,7 @@ fn concurrent_clients_get_cli_identical_output_warm_and_cold() {
     let resp = conn
         .roundtrip(&wire::encode_simple(102, "metrics"))
         .expect("roundtrips");
-    assert!(resp.output.contains("engine.render_cache.hit"), "{}", resp.output);
+    assert!(resp.output.contains("cache.hits"), "{}", resp.output);
     assert!(resp.output.contains("server.requests"), "{}", resp.output);
 
     let resp = conn
@@ -299,9 +299,8 @@ fn json_v1_header_prefixes_unchanged_section_rows() {
     let out = local(&req);
 
     // Render the same sections directly with the pre-server renderer.
-    let log = faillog::load(&p).expect("loads");
+    let view = failscope::StreamView::from(faillog::load(&p).expect("loads"));
     let trace = failtrace::Collector::new();
-    let view = failscope::LogView::new(&log);
     let sections = failscope::select_sections(ANALYSIS).expect("selects");
     let rows = failscope::render_json_sections(
         &sections,

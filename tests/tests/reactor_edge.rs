@@ -303,13 +303,15 @@ fn catalog_lists_and_evicts_cached_logs_over_the_wire() {
         .expect("evict miss");
     assert!(resp.output.contains("nothing cached"), "{}", resp.output);
 
-    // The new counter family shows up in metrics alongside the old one.
+    // The one cache counter family shows up in metrics; the retired
+    // duplicate family does not.
     let resp = conn
         .roundtrip(&wire::encode_simple(10, "metrics"))
         .expect("metrics");
-    for counter in ["cache.hits", "cache.misses", "engine.render_cache.hit"] {
+    for counter in ["cache.hits", "cache.misses"] {
         assert!(resp.output.contains(counter), "missing {counter}:\n{}", resp.output);
     }
+    assert!(!resp.output.contains("engine.render_cache"), "{}", resp.output);
 
     shut_down(&addr, handle);
 }

@@ -5,15 +5,15 @@
 //!   `golden/`, at every thread count. Any formatting drift in any
 //!   section shows up as a snapshot diff.
 //! * **Batch/stream equivalence** — every registry section renders the
-//!   same JSON and text from a batch [`failscope::LogView`] and a
-//!   fully-ingested [`failscope::StreamView`], on the canonical logs
-//!   and on arbitrary-seed simulations.
+//!   same JSON and text from a bulk-built [`failscope::StreamView`] and
+//!   one fed record by record, on the canonical logs and on
+//!   arbitrary-seed simulations.
 //! * **Mitigation from the index** — the integrated operations plan
 //!   built from a mid-stream index matches the batch plan, without a
 //!   raw-log rescan.
 
 use failmitigate::{OperationsPlan, PlanConfig};
-use failscope::{LogView, SectionCtx, StreamView, SECTIONS};
+use failscope::{SectionCtx, StreamView, SECTIONS};
 use failsim::{Simulator, SystemModel};
 use failtypes::FailureLog;
 use proptest::prelude::*;
@@ -32,7 +32,7 @@ fn t3() -> FailureLog {
 }
 
 fn streamed(log: &FailureLog) -> StreamView {
-    let mut sv = StreamView::for_log(log);
+    let mut sv = StreamView::empty_like(log);
     for rec in log.iter() {
         sv.push(rec.clone()).expect("in-order records");
     }
@@ -70,7 +70,7 @@ fn json_reports_match_golden_snapshots_at_every_thread_count() {
 #[test]
 fn every_section_agrees_between_batch_and_stream_on_canonical_logs() {
     for log in [t2(), t3()] {
-        let view = LogView::new(&log);
+        let view = StreamView::new(&log);
         let sv = streamed(&log);
         let batch = SectionCtx::new(&view);
         let stream = SectionCtx::new(&sv);
@@ -99,7 +99,7 @@ fn operations_plan_from_stream_index_matches_batch_plan() {
         let sv = streamed(&log);
         let from_stream = OperationsPlan::from_index(&sv, PlanConfig::default())
             .expect("canonical logs are plannable");
-        let from_batch = OperationsPlan::from_log(&log, PlanConfig::default())
+        let from_batch = OperationsPlan::from_index(&StreamView::new(&log), PlanConfig::default())
             .expect("canonical logs are plannable");
         assert_eq!(from_stream, from_batch, "{}", log.spec().name());
     }
@@ -121,7 +121,7 @@ proptest! {
             SystemModel::tsubame3()
         };
         let log = Simulator::new(model, seed).generate().unwrap();
-        let view = LogView::new(&log);
+        let view = StreamView::new(&log);
         let sv = streamed(&log);
         let batch = SectionCtx::new(&view);
         let stream = SectionCtx::new(&sv);

@@ -15,7 +15,7 @@
 //!    rebuild would produce, at every step (property-tested).
 
 use failscope::{
-    render_text_sections, select_sections, FleetIndex, LogView, SectionCtx, StreamView,
+    render_text_sections, select_sections, FleetIndex, SectionCtx, StreamView,
 };
 use failsim::{ScenarioBuilder, Simulator, SystemModel};
 use failtypes::FailureLog;
@@ -38,11 +38,9 @@ fn render(index: &(dyn FleetIndex + Sync), threads: usize) -> String {
     render_text_sections(&sections, &SectionCtx::new(index), threads)
 }
 
-/// The index a cold, from-scratch ingest of `log` produces.
+/// The index a cold, from-scratch build of `log` produces.
 fn cold_view(log: &FailureLog) -> StreamView {
-    let mut view = StreamView::for_log(log);
-    view.extend(log.records().iter().cloned()).expect("valid log");
-    view
+    StreamView::new(log)
 }
 
 #[test]
@@ -60,7 +58,7 @@ fn canonical_logs_round_trip_with_byte_identical_reports() {
 
         let written = failindex::save(
             failindex::snapshot_path(&path),
-            &LogView::new(&log),
+            &StreamView::new(&log),
             failindex::SourceInfo::of_bytes(text.as_bytes()),
         )
         .expect("saves snapshot");
@@ -78,9 +76,9 @@ fn canonical_logs_round_trip_with_byte_identical_reports() {
         };
         assert_eq!(snap.view(), &cold_view(&log), "loaded index == rebuilt index");
 
-        let cold = render(&LogView::new(&log), 1);
+        let cold = render(&StreamView::new(&log), 1);
         for threads in 1..=4 {
-            assert_eq!(render(&snap, threads), cold, "threads={threads}");
+            assert_eq!(render(snap.view(), threads), cold, "threads={threads}");
         }
     }
     std::fs::remove_dir_all(&dir).ok();
@@ -96,7 +94,7 @@ fn every_corruption_degrades_silently_to_a_cold_parse() {
     std::fs::write(&path, &text).expect("writes log");
     failindex::save(
         &spath,
-        &LogView::new(&log),
+        &StreamView::new(&log),
         failindex::SourceInfo::of_bytes(text.as_bytes()),
     )
     .expect("saves snapshot");

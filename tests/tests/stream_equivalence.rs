@@ -4,10 +4,10 @@
 //! `WatchState` must land in exactly the state the batch pipeline
 //! computes from the whole log at once —
 //!
-//! 1. **Index equivalence** — the incremental `StreamView` equals the
-//!    batch `LogView` on category partitions, month buckets, sorted
-//!    TTRs, and slot/node tallies, on canonical logs, on arbitrary
-//!    seeds, and on every prefix of a log (property-tested).
+//! 1. **Index equivalence** — the state's incrementally built
+//!    `StreamView` equals the bulk build of the same log on every index,
+//!    on canonical logs, on arbitrary seeds, and on every prefix of a
+//!    log (property-tested).
 //! 2. **Estimate equivalence** — MTBF, mean gap, and MTTR are
 //!    bit-identical to `TbfAnalysis`/`TtrAnalysis`, and while the
 //!    quantile sketches are in exact mode their quantiles are
@@ -15,7 +15,7 @@
 //! 3. **Alert correctness** — a full accelerated replay stays quiet on
 //!    a clean stream's MTTR and fires on an injected regression.
 
-use failscope::{LogView, TbfAnalysis, TtrAnalysis};
+use failscope::{StreamView, TbfAnalysis, TtrAnalysis};
 use failsim::{ReplayClock, Simulator, SystemModel};
 use failstats::Ecdf;
 use failtypes::{AlertKind, FailureLog};
@@ -38,23 +38,17 @@ fn ingest_all(log: &FailureLog) -> WatchState {
 /// pipeline over the same records.
 fn assert_stream_matches_batch(log: &FailureLog) {
     let state = ingest_all(log);
-    let view = LogView::new(log);
+    let view = StreamView::new(log);
 
     // Index structures are identical, not merely equivalent.
-    let sv = state.view();
-    assert_eq!(sv.len(), view.len());
-    assert_eq!(sv.category_indices(), view.category_indices());
-    assert_eq!(sv.month_ttrs(), view.month_ttrs());
-    assert_eq!(sv.ttrs_sorted(), view.ttrs_sorted());
-    assert_eq!(sv.slot_counts(), view.slot_counts());
-    assert_eq!(sv.node_counts(), view.node_counts());
+    assert_eq!(state.view(), &view);
 
     // Headline estimates are bit-identical to the batch analyses. The
     // one deliberate divergence: the closed-form streaming MTBF
     // (window / n) is already defined at n = 1, where the batch
     // analysis returns `None` for lack of inter-arrival times.
-    let tbf = TbfAnalysis::from_log(log);
-    let ttr = TtrAnalysis::from_log(log);
+    let tbf = TbfAnalysis::from_index(&view);
+    let ttr = TtrAnalysis::from_index(&view);
     match &tbf {
         Some(t) => {
             assert_eq!(

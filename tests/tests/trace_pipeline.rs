@@ -10,7 +10,7 @@
 //!   same values no matter how many workers render the report
 //!   (property-tested over arbitrary seeds).
 
-use failscope::{LogView, Section, SectionCtx, METRICS_SECTION_ID, SECTIONS};
+use failscope::{Section, SectionCtx, StreamView, METRICS_SECTION_ID, SECTIONS};
 use failsim::{Simulator, SystemModel};
 use failtrace::Collector;
 use proptest::prelude::*;
@@ -25,7 +25,8 @@ fn traced_pass(model: SystemModel, seed: u64, threads: usize) -> (String, Collec
     let log = Simulator::new(model, seed)
         .generate_traced(Some(&trace))
         .expect("calibrated model simulates");
-    let view = LogView::new_traced(&log, Some(&trace));
+    let view = StreamView::from(log);
+    view.trace_index(&trace);
     let ctx = SectionCtx::with_trace(&view, &trace);
     let sections: Vec<&Section> = SECTIONS.iter().collect();
     let report = failscope::render_json_sections(&sections, &ctx, threads);
@@ -87,8 +88,7 @@ fn metrics_section_surfaces_the_collector_through_the_registry() {
     let section = failscope::section_by_id(METRICS_SECTION_ID).expect("registered");
     assert_eq!(section.title, "Runtime metrics");
     // Without a trace the section renders empty text and null JSON.
-    let log = Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap();
-    let view = LogView::new(&log);
+    let view = StreamView::from(Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap());
     let ctx = SectionCtx::new(&view);
     assert_eq!((section.text)(&ctx), "");
     assert_eq!((section.json)(&ctx).render(), "null");
