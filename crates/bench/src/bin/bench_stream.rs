@@ -14,9 +14,8 @@
 //!    finished log (records cloned in), the cost the batch report
 //!    pipeline pays;
 //! 2. **stream** — feeding the same records through
-//!    `failwatch::WatchState::ingest_batch` (index + sketches +
-//!    windows + EWMAs), records *moved* in as a live source delivers
-//!    them, with the deferred sorted-run merges materialized inside the
+//!    `failwatch::WatchState::ingest_batch` (index + EWMAs), records
+//!    *moved* in as a live source delivers them, with the deferred sorted-run merges materialized inside the
 //!    timed region;
 //! 3. **watch** — a full `failwatch::run` replay with drift detection
 //!    and the injected MTTR-regression scenario, checking that the
@@ -27,10 +26,11 @@
 //! near flat; the `scaled_*` fields gate the ~100k tier that
 //! `scripts/verify.sh` enforces a throughput floor on.
 //!
-//! Equivalence is checked the same way the test suite does: the
-//! incrementally built index must equal the bulk-built one, and
-//! MTBF / mean gap / MTTR must match the batch analyses bit for bit.
-//! Exits non-zero when any equivalence or alert check fails.
+//! Equivalence is checked the same way the test suite does, on every
+//! log and tier: the incrementally built index must equal the
+//! bulk-built one, and MTBF / mean gap / MTTR / TTR p50 and p90 must
+//! match the batch analyses bit for bit. Exits non-zero when any
+//! equivalence or alert check fails.
 
 use std::time::Instant;
 
@@ -67,7 +67,6 @@ fn main() {
     let mut batch_seconds = 0.0f64;
     let mut stream_seconds = 0.0f64;
     let mut all_equivalent = true;
-    let mut all_exact = true;
 
     for model in [SystemModel::tsubame2(), SystemModel::tsubame3()] {
         let log = Simulator::new(model.clone(), 42)
@@ -83,10 +82,8 @@ fn main() {
         batch_seconds += batch;
         stream_seconds += stream;
 
-        let state = ingest_all(&log);
-        let (equivalent, exact) = check_equivalence(&log, &state);
+        let equivalent = check_equivalence(&log, &ingest_all(&log));
         all_equivalent &= equivalent;
-        all_exact &= exact;
         println!(
             "{}: {} records | batch index {:.1} us | stream ingest {:.1} us | equivalent: {equivalent}",
             log.spec().name(),
@@ -98,9 +95,7 @@ fn main() {
 
     // Scaled throughput: a synthetic ~100k-record year so the
     // records-per-second figure is not dominated by the 1,235-record
-    // canonical logs. Past the sketch exactness capacity quantile
-    // estimates carry rank error, so equivalence at this scale is the
-    // structural check only (partitions, buckets, sorted TTRs).
+    // canonical logs.
     const SCALED_REPS: usize = 5;
     let scaled_log = scale_log(0.08);
     let scaled_records = scaled_log.len();
@@ -112,7 +107,7 @@ fn main() {
     // first-touch page faults on the process's first large allocations
     // never land inside the timed region.
     let scaled_state = ingest_all(&scaled_log);
-    let scaled_equivalent = structures_match(&scaled_log, &scaled_state);
+    let scaled_equivalent = check_equivalence(&scaled_log, &scaled_state);
     drop(scaled_state);
     let scaled_batch_seconds = best_of(SCALED_REPS, || {
         let view = StreamView::new(&scaled_log);
@@ -138,7 +133,7 @@ fn main() {
         let tier_log = scale_log(mtbf_hours);
         let reps = if tier_log.len() >= 500_000 { 3 } else { SCALED_REPS };
         let tier_state = ingest_all(&tier_log);
-        let tier_equivalent = structures_match(&tier_log, &tier_state);
+        let tier_equivalent = check_equivalence(&tier_log, &tier_state);
         drop(tier_state);
         let seconds = time_stream_ingest(reps, &tier_log);
         let rate = tier_log.len() as f64 / seconds.max(f64::MIN_POSITIVE);
@@ -158,7 +153,7 @@ fn main() {
 
     // Full watch replay with the injected regression scenario, run
     // under a trace collector so the loop's own counters (records
-    // ingested, alerts raised, sketch compactions) land in the JSON.
+    // ingested, alerts raised) land in the JSON.
     let collector = failtrace::Collector::new();
     let start = Instant::now();
     let mut source = SimSource::new(SystemModel::tsubame2(), 42, ReplayClock::unpaced())
@@ -193,7 +188,7 @@ fn main() {
         "{{\n  \"records\": {total_records},\n  \"batch_seconds\": {batch_seconds:.6},\n  \
          \"stream_seconds\": {stream_seconds:.6},\n  \
          \"stream_records_per_second\": {records_per_second:.0},\n  \
-         \"equivalent\": {all_equivalent},\n  \"sketches_exact\": {all_exact},\n  \
+         \"equivalent\": {all_equivalent},\n  \
          \"scaled_records\": {scaled_records},\n  \
          \"scaled_batch_seconds\": {scaled_batch_seconds:.6},\n  \
          \"scaled_stream_seconds\": {scaled_stream_seconds:.6},\n  \
@@ -217,7 +212,7 @@ fn main() {
         std::process::exit(1);
     }
     if !scaled_equivalent || !all_tiers_equivalent {
-        eprintln!("scaled streaming state diverged structurally from the batch index");
+        eprintln!("scaled streaming state diverged from the batch pipeline");
         std::process::exit(1);
     }
     if regression_alerts == 0 {
@@ -277,21 +272,18 @@ fn ingest_all(log: &FailureLog) -> WatchState {
     state
 }
 
-/// Incremental index vs the bulk-built one, equal on every index. Holds
-/// at any scale, unlike sketch-backed estimates.
-fn structures_match(log: &FailureLog, state: &WatchState) -> bool {
-    *state.view() == StreamView::new(log)
-}
-
-/// Record-by-record state vs the batch pipeline: structures identical,
-/// headline estimates bit-identical. Returns (equivalent, sketches
-/// still exact).
-fn check_equivalence(log: &FailureLog, state: &WatchState) -> (bool, bool) {
+/// Streamed state vs the batch pipeline: the incremental index equals
+/// the bulk-built one, and the headline estimates are bit-identical.
+fn check_equivalence(log: &FailureLog, state: &WatchState) -> bool {
     let view = StreamView::new(log);
     let tbf = TbfAnalysis::from_index(&view).expect("non-empty log");
     let ttr = TtrAnalysis::from_index(&view).expect("non-empty log");
-    let bitwise = state.mtbf_hours().map(f64::to_bits) == Some(tbf.mtbf_hours().to_bits())
-        && state.mean_gap_hours().map(f64::to_bits) == Some(tbf.mean_gap_hours().to_bits())
-        && state.mttr_hours().map(f64::to_bits) == Some(ttr.mttr_hours().to_bits());
-    (structures_match(log, state) && bitwise, state.sketches_exact())
+    let bits = |x: f64| Some(x.to_bits());
+    *state.view() == view
+        && state.mtbf_hours().map(f64::to_bits) == bits(tbf.mtbf_hours())
+        && state.mean_gap_hours().map(f64::to_bits) == bits(tbf.mean_gap_hours())
+        && state.mttr_hours().map(f64::to_bits) == bits(ttr.mttr_hours())
+        && [0.5, 0.9]
+            .iter()
+            .all(|&p| state.ttr_quantile(p).map(f64::to_bits) == bits(ttr.quantile(p)))
 }

@@ -23,6 +23,7 @@ use crate::{FleetIndex, StreamView};
 pub struct TbfAnalysis {
     ecdf: Ecdf,
     mtbf_hours: f64,
+    mean_gap_hours: f64,
     window_hours: f64,
     failures: usize,
 }
@@ -32,13 +33,14 @@ impl TbfAnalysis {
     /// array; `None` for logs with fewer than two failures (no
     /// inter-arrival times exist).
     pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Option<Self> {
-        let gaps = failstats::inter_arrival_times(index.times());
-        let ecdf = Ecdf::new(gaps)?;
+        let times = index.times();
+        let ecdf = Ecdf::new(failstats::inter_arrival_times(times))?;
         let window_hours = index.window().duration().get();
         Some(TbfAnalysis {
             ecdf,
             // The paper's MTBF: observation window over failure count.
             mtbf_hours: window_hours / index.len() as f64,
+            mean_gap_hours: failstats::mean_gap(times)?,
             window_hours,
             failures: index.len(),
         })
@@ -50,9 +52,10 @@ impl TbfAnalysis {
     }
 
     /// Mean of the observed inter-arrival gaps (close to, but not
-    /// identical with, [`TbfAnalysis::mtbf_hours`]).
-    pub fn mean_gap_hours(&self) -> f64 {
-        self.ecdf.mean()
+    /// identical with, [`TbfAnalysis::mtbf_hours`]), in the closed form
+    /// [`failstats::mean_gap`] that the streaming monitor shares.
+    pub const fn mean_gap_hours(&self) -> f64 {
+        self.mean_gap_hours
     }
 
     /// 75th percentile of the TBF distribution — Fig. 6's anchor point

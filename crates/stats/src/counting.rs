@@ -28,6 +28,23 @@ pub fn inter_arrival_times(times: &[f64]) -> Vec<f64> {
     times.windows(2).map(|w| w[1] - w[0]).collect()
 }
 
+/// Mean inter-arrival time of a non-decreasing event-time sequence, in
+/// closed form: the gaps telescope, so their mean is
+/// `(t_last - t_first) / (n - 1)`. O(1), with no gap array built.
+///
+/// Returns `None` for sequences with fewer than two events.
+///
+/// ```
+/// assert_eq!(failstats::mean_gap(&[1.0, 3.0, 6.0]), Some(2.5));
+/// assert_eq!(failstats::mean_gap(&[4.0]), None);
+/// ```
+pub fn mean_gap(times: &[f64]) -> Option<f64> {
+    match times {
+        [first, .., last] => Some((last - first) / (times.len() - 1) as f64),
+        _ => None,
+    }
+}
+
 /// Counts events per consecutive window of length `window` over `[0,
 /// horizon)`.
 ///

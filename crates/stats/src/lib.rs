@@ -58,7 +58,9 @@ pub mod special;
 pub use bootstrap::{bootstrap_ci, bootstrap_ci_parallel, ConfidenceInterval};
 pub use categorical::Categorical;
 pub use corr::{pearson, spearman};
-pub use counting::{burstiness_report, inter_arrival_times, windowed_counts, BurstinessReport};
+pub use counting::{
+    burstiness_report, inter_arrival_times, mean_gap, windowed_counts, BurstinessReport,
+};
 pub use desc::{
     coefficient_of_variation, mean, median, quantile, quantile_sorted, std_dev, variance, Summary,
 };

@@ -1,13 +1,27 @@
 //! Online estimators: EWMA smoothing and trailing-window aggregates.
 //!
-//! These are the "recent behaviour" side of the monitor, complementing
-//! the since-start-of-stream aggregates in
-//! [`WatchState`](crate::WatchState): an [`Ewma`] per category tracks
-//! smoothed TTR and inter-arrival gaps, and [`WindowMean`] /
-//! [`RateWindow`] expose the last-N-records sample the drift detector
-//! compares against the baseline.
+//! [`WatchState`](crate::WatchState) keeps one [`Ewma`] per category for
+//! smoothed TTRs and inter-arrival gaps — the only figures it keeps
+//! beside its `StreamView`, since reading one back from the view would
+//! refold every record of the category. The trailing windows are plain
+//! functions over the tail of the view's arrays: a window is a slice of
+//! what the view already holds, never a second buffer.
 
-use std::collections::VecDeque;
+/// The trailing window: the last `window` items, in arrival order.
+pub(crate) fn trailing<T>(items: &[T], window: usize) -> &[T] {
+    &items[items.len().saturating_sub(window)..]
+}
+
+/// Events per hour over the trailing `window_hours` of a time-ordered
+/// slice of event times. Until the events span a full window the
+/// denominator is the span actually observed (so early rates are not
+/// diluted); a window holding a single instant reports `None`.
+pub(crate) fn rate_per_hour(times: &[f64], window_hours: f64) -> Option<f64> {
+    let last = *times.last()?;
+    let recent = &times[times.partition_point(|&t| t < last - window_hours)..];
+    let span = (last - recent[0]).min(window_hours);
+    (span > 0.0).then(|| recent.len() as f64 / span)
+}
 
 /// Exponentially weighted moving average with smoothing factor `alpha`
 /// (weight of the newest observation; `1.0` tracks the last value,
@@ -69,120 +83,6 @@ impl Ewma {
     }
 }
 
-/// Mean over a trailing window of the last `cap` observations, with
-/// access to the raw window sample (for KS comparison against a
-/// baseline sample).
-#[derive(Debug, Clone, PartialEq)]
-pub struct WindowMean {
-    cap: usize,
-    buf: VecDeque<f64>,
-}
-
-impl WindowMean {
-    /// A window keeping the most recent `cap` observations (`cap >= 1`).
-    pub fn new(cap: usize) -> Self {
-        WindowMean {
-            cap: cap.max(1),
-            buf: VecDeque::new(),
-        }
-    }
-
-    /// Pushes one observation, evicting the oldest beyond capacity.
-    pub fn push(&mut self, x: f64) {
-        if self.buf.len() == self.cap {
-            self.buf.pop_front();
-        }
-        self.buf.push_back(x);
-    }
-
-    /// Number of observations currently in the window.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// `true` when the window holds nothing yet.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// `true` once the window has reached capacity.
-    pub fn is_full(&self) -> bool {
-        self.buf.len() == self.cap
-    }
-
-    /// Mean of the windowed observations.
-    pub fn mean(&self) -> Option<f64> {
-        if self.buf.is_empty() {
-            return None;
-        }
-        Some(self.buf.iter().sum::<f64>() / self.buf.len() as f64)
-    }
-
-    /// The window contents in arrival order, as a contiguous sample.
-    pub fn sample(&self) -> Vec<f64> {
-        self.buf.iter().copied().collect()
-    }
-}
-
-/// Failure rate over a trailing span of simulated time: keeps event
-/// times within `window_hours` of the newest event and reports events
-/// per hour over the span actually covered.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RateWindow {
-    window_hours: f64,
-    times: VecDeque<f64>,
-}
-
-impl RateWindow {
-    /// A rate window spanning `window_hours` of stream time.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `window_hours` is finite and positive.
-    pub fn new(window_hours: f64) -> Self {
-        assert!(
-            window_hours.is_finite() && window_hours > 0.0,
-            "rate window must be positive, got {window_hours}"
-        );
-        RateWindow {
-            window_hours,
-            times: VecDeque::new(),
-        }
-    }
-
-    /// Records an event at `time` hours (non-decreasing), evicting
-    /// events older than the window.
-    pub fn push(&mut self, time: f64) {
-        self.times.push_back(time);
-        let cutoff = time - self.window_hours;
-        while self.times.front().is_some_and(|&t| t < cutoff) {
-            self.times.pop_front();
-        }
-    }
-
-    /// Events currently inside the window.
-    pub fn count(&self) -> usize {
-        self.times.len()
-    }
-
-    /// Events per hour over the covered span. Until the stream has run
-    /// for a full window the denominator is the span actually observed
-    /// (so early rates are not diluted); a single event reports `None`.
-    pub fn rate_per_hour(&self) -> Option<f64> {
-        let (first, last) = (self.times.front()?, self.times.back()?);
-        let span = (last - first).min(self.window_hours);
-        if span <= 0.0 {
-            return None;
-        }
-        Some(self.times.len() as f64 / span)
-    }
-
-    /// Number of events in the window with time >= `cutoff`.
-    pub fn count_since(&self, cutoff: f64) -> usize {
-        self.times.iter().filter(|&&t| t >= cutoff).count()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -213,41 +113,30 @@ mod tests {
 
     #[test]
     fn window_mean_evicts_oldest() {
-        let mut w = WindowMean::new(3);
-        for x in [1.0, 2.0, 3.0, 4.0] {
-            w.push(x);
-        }
-        assert!(w.is_full());
-        assert_eq!(w.len(), 3);
-        assert_eq!(w.mean(), Some(3.0));
-        assert_eq!(w.sample(), vec![2.0, 3.0, 4.0]);
+        let window = trailing(&[1.0, 2.0, 3.0, 4.0], 3);
+        assert_eq!(window, [2.0, 3.0, 4.0]);
+        assert_eq!(failstats::mean(window), Some(3.0));
     }
 
     #[test]
     fn window_mean_empty() {
-        let w = WindowMean::new(5);
-        assert!(w.is_empty());
-        assert_eq!(w.mean(), None);
+        let window = trailing::<f64>(&[], 5);
+        assert!(window.is_empty());
+        assert_eq!(failstats::mean(window), None);
     }
 
     #[test]
     fn rate_window_evicts_and_reports() {
-        let mut r = RateWindow::new(10.0);
-        for t in [0.0, 2.0, 4.0, 6.0, 8.0] {
-            r.push(t);
-        }
-        assert_eq!(r.count(), 5);
         // Span covered so far is 8 h.
-        assert!((r.rate_per_hour().unwrap() - 5.0 / 8.0).abs() < 1e-12);
-        r.push(13.0); // evicts t=0 and t=2
-        assert_eq!(r.count(), 4);
-        assert_eq!(r.count_since(6.0), 3);
+        let times = [0.0, 2.0, 4.0, 6.0, 8.0];
+        assert!((rate_per_hour(&times, 10.0).unwrap() - 5.0 / 8.0).abs() < 1e-12);
+        // At t = 13 the events at 0 and 2 fall out: 4 events over 9 h.
+        let later = [0.0, 2.0, 4.0, 6.0, 8.0, 13.0];
+        assert_eq!(rate_per_hour(&later, 10.0), Some(4.0 / 9.0));
     }
 
     #[test]
     fn rate_window_single_event_has_no_rate() {
-        let mut r = RateWindow::new(10.0);
-        r.push(5.0);
-        assert_eq!(r.rate_per_hour(), None);
+        assert_eq!(rate_per_hour(&[5.0], 10.0), None);
     }
 }

@@ -14,11 +14,10 @@
 //!   simulation replay ([`SimSource`]) paced by a
 //!   [`failsim::ReplayClock`] — real-time-scaled or fully accelerated.
 //! * **Online state** ([`WatchState`]): an incremental
-//!   [`failscope::StreamView`] index plus [`QuantileSketch`]es over
-//!   gaps/TTRs, trailing-window samples, and per-category [`Ewma`]s.
-//!   While the sketches are in exact mode every headline number is
-//!   **bit-identical** to the batch pipeline; past the exactness
-//!   capacity quantiles carry a small documented rank error.
+//!   [`failscope::StreamView`] index plus per-category [`Ewma`]s. Every
+//!   other figure (MTTR, TTR quantiles, mean gap, the trailing windows)
+//!   is read from the view, so the headline numbers are
+//!   **bit-identical** to the batch pipeline at every stream length.
 //! * **Drift detection** ([`DriftDetector`]): edge-triggered checks of
 //!   the live window against a [`Baseline`] (category-mix shift via
 //!   total-variation distance, MTTR regression corroborated by a
@@ -36,14 +35,12 @@
 mod drift;
 mod estimators;
 mod ingest;
-mod sketch;
 mod state;
 mod watch;
 
 pub use drift::{Baseline, DriftConfig, DriftConfigBuilder, DriftDetector};
-pub use estimators::{Ewma, RateWindow, WindowMean};
+pub use estimators::Ewma;
 pub use ingest::{ChunkEnd, EventSource, SimSource, TailSource};
-pub use sketch::{QuantileSketch, DEFAULT_SKETCH_CAPACITY};
 pub use state::{StateConfig, StateConfigBuilder, WatchState};
 pub use watch::{
     render_summary, render_summary_sections, run, select_watch_sections, watch_section_by_id,
@@ -75,7 +72,6 @@ pub use watch::{
 pub mod prelude {
     pub use crate::drift::{Baseline, DriftConfig, DriftConfigBuilder, DriftDetector};
     pub use crate::ingest::{ChunkEnd, EventSource, SimSource, TailSource};
-    pub use crate::sketch::{QuantileSketch, DEFAULT_SKETCH_CAPACITY};
     pub use crate::state::{StateConfig, StateConfigBuilder, WatchState};
     pub use crate::watch::{
         render_summary, render_summary_sections, run, select_watch_sections,

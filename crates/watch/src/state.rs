@@ -1,50 +1,46 @@
 //! The monitor's online state: everything `failwatch` knows after
 //! ingesting a prefix of the stream.
 //!
-//! [`WatchState`] combines three layers, updated record by record:
+//! [`WatchState`] is a [`failscope::StreamView`] plus one [`Ewma`] per
+//! category for repair times and for inter-arrival gaps. The EWMAs are
+//! the only estimators kept beside the view (reading one back would
+//! refold the category's whole history); every other figure is a read
+//! of the view:
 //!
-//! 1. a [`failscope::StreamView`] — the full incremental index
-//!    (category partitions, node/slot/rack counts, month buckets) whose
-//!    contents equal the bulk-built view of the same log after full
-//!    ingestion;
-//! 2. since-start sketches — [`QuantileSketch`]es over inter-arrival
-//!    gaps and repair durations whose exact mode reproduces the batch
-//!    `Ecdf` numbers bit for bit (MTBF itself is the closed-form
-//!    `window / n`, exact by construction);
-//! 3. recent-behaviour estimators — trailing-window samples of TTRs,
-//!    categories, and GPU-slot involvements plus per-category EWMAs,
-//!    which is what the drift detector compares against a baseline.
+//! * since-start figures — MTTR and TTR quantiles come from the view's
+//!   sorted TTRs through the same sorted sum and type-7 interpolation
+//!   as [`failstats::Ecdf`], and the mean gap from the closed form
+//!   [`failstats::mean_gap`] over its time array, so they are
+//!   bit-identical to `TtrAnalysis`/`TbfAnalysis` at every stream
+//!   length;
+//! * trailing-window figures — the TTRs, categories and GPU-slot
+//!   involvements of the last [`StateConfig::window`] records, and the
+//!   failure rate over the last 30 days of stream time, which is what
+//!   the drift detector compares against a baseline.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 
 use failscope::StreamView;
 use failtypes::{Category, FailureRecord, Generation, ObservationWindow, SystemSpec};
 
-use crate::estimators::{Ewma, RateWindow, WindowMean};
-use crate::sketch::{QuantileSketch, DEFAULT_SKETCH_CAPACITY};
+use crate::estimators::{self, Ewma};
+
+/// EWMA smoothing factor for the per-category TTR and gap estimators.
+const EWMA_ALPHA: f64 = 0.2;
+
+/// Span of the failure-rate window, in stream hours (30 days).
+const RATE_WINDOW_HOURS: f64 = 30.0 * 24.0;
 
 /// Tuning knobs for [`WatchState`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct StateConfig {
     /// Trailing-window size in records for drift samples.
     pub window: usize,
-    /// Sketch exactness capacity (observations buffered before
-    /// compaction).
-    pub sketch_capacity: usize,
-    /// EWMA smoothing factor for per-category TTR/gap estimators.
-    pub ewma_alpha: f64,
-    /// Span of the failure-rate window, in stream hours.
-    pub rate_window_hours: f64,
 }
 
 impl Default for StateConfig {
     fn default() -> Self {
-        StateConfig {
-            window: 50,
-            sketch_capacity: DEFAULT_SKETCH_CAPACITY,
-            ewma_alpha: 0.2,
-            rate_window_hours: 30.0 * 24.0,
-        }
+        StateConfig { window: 50 }
     }
 }
 
@@ -57,19 +53,17 @@ impl StateConfig {
 
 /// Validating builder for [`StateConfig`].
 ///
-/// Every setter takes the candidate value as-is; [`build`] rejects
-/// configurations the estimators cannot honour (zero windows,
-/// out-of-range smoothing factors) with a
-/// [`failtypes::Error::Config`] naming the offending knob.
+/// [`build`] rejects a zero trailing window with a
+/// [`failtypes::Error::Config`].
 ///
 /// # Examples
 ///
 /// ```
 /// use failwatch::StateConfig;
 ///
-/// let config = StateConfig::builder().window(25).ewma_alpha(0.5).build()?;
+/// let config = StateConfig::builder().window(25).build()?;
 /// assert_eq!(config.window, 25);
-/// assert!(StateConfig::builder().ewma_alpha(0.0).build().is_err());
+/// assert!(StateConfig::builder().window(0).build().is_err());
 /// # Ok::<(), failtypes::Error>(())
 /// ```
 ///
@@ -87,62 +81,17 @@ impl StateConfigBuilder {
         self
     }
 
-    /// Sketch exactness capacity before compaction begins.
-    #[must_use]
-    pub fn sketch_capacity(mut self, capacity: usize) -> Self {
-        self.config.sketch_capacity = capacity;
-        self
-    }
-
-    /// EWMA smoothing factor in `(0, 1]`.
-    #[must_use]
-    pub fn ewma_alpha(mut self, alpha: f64) -> Self {
-        self.config.ewma_alpha = alpha;
-        self
-    }
-
-    /// Span of the failure-rate window, in stream hours.
-    #[must_use]
-    pub fn rate_window_hours(mut self, hours: f64) -> Self {
-        self.config.rate_window_hours = hours;
-        self
-    }
-
     /// Validates and returns the configuration.
     ///
     /// # Errors
     ///
     /// [`failtypes::Error::Config`] (target `watch state`) when the
-    /// trailing window or sketch capacity is zero, the EWMA factor is
-    /// outside `(0, 1]`, or the rate window is not a positive finite
-    /// number of hours.
+    /// trailing window is zero.
     pub fn build(self) -> failtypes::Result<StateConfig> {
-        let c = &self.config;
-        if c.window == 0 {
+        if self.config.window == 0 {
             return Err(failtypes::Error::config(
                 "watch state",
                 "trailing window must hold at least 1 record",
-            ));
-        }
-        if c.sketch_capacity == 0 {
-            return Err(failtypes::Error::config(
-                "watch state",
-                "sketch capacity must be at least 1",
-            ));
-        }
-        if !(c.ewma_alpha > 0.0 && c.ewma_alpha <= 1.0) {
-            return Err(failtypes::Error::config(
-                "watch state",
-                format!("EWMA alpha must be in (0, 1], got {}", c.ewma_alpha),
-            ));
-        }
-        if !(c.rate_window_hours.is_finite() && c.rate_window_hours > 0.0) {
-            return Err(failtypes::Error::config(
-                "watch state",
-                format!(
-                    "rate window must be a positive finite number of hours, got {}",
-                    c.rate_window_hours
-                ),
             ));
         }
         Ok(self.config)
@@ -168,16 +117,8 @@ impl StateConfigBuilder {
 pub struct WatchState {
     view: StreamView,
     config: StateConfig,
-    gap_sketch: QuantileSketch,
-    ttr_sketch: QuantileSketch,
-    last_time: Option<f64>,
-    window_ttrs: WindowMean,
-    window_categories: VecDeque<Category>,
-    window_slots: VecDeque<u8>,
-    rate: RateWindow,
     ewma_ttr: BTreeMap<Category, Ewma>,
     ewma_gap: BTreeMap<Category, Ewma>,
-    cat_last_time: BTreeMap<Category, f64>,
 }
 
 impl WatchState {
@@ -190,17 +131,9 @@ impl WatchState {
     ) -> Self {
         WatchState {
             view: StreamView::empty(generation, spec, window),
-            gap_sketch: QuantileSketch::new(config.sketch_capacity),
-            ttr_sketch: QuantileSketch::new(config.sketch_capacity),
-            last_time: None,
-            window_ttrs: WindowMean::new(config.window),
-            window_categories: VecDeque::new(),
-            window_slots: VecDeque::new(),
-            rate: RateWindow::new(config.rate_window_hours),
+            config,
             ewma_ttr: BTreeMap::new(),
             ewma_gap: BTreeMap::new(),
-            cat_last_time: BTreeMap::new(),
-            config,
         }
     }
 
@@ -209,13 +142,11 @@ impl WatchState {
         WatchState::new(log.generation(), log.spec().clone(), log.window(), config)
     }
 
-    /// Ingests one record, updating every layer. The record is
-    /// validated (and time order enforced) by the underlying
-    /// [`StreamView`]; state is unchanged on error.
-    ///
-    /// Allocation-free: the record moves into the view and every other
-    /// layer updates in place (GPU slots are read back from the view's
-    /// copy rather than collected into a temporary).
+    /// Ingests one record: the view takes it, and the record's category
+    /// EWMAs fold in its repair time and its gap to the category's
+    /// previous failure. The record is validated (and time order
+    /// enforced) by the underlying [`StreamView`]; state is unchanged on
+    /// error.
     ///
     /// # Errors
     ///
@@ -226,58 +157,32 @@ impl WatchState {
         let time = rec.time().get();
         let ttr = rec.ttr().get();
         let category = rec.category();
+        let prev = self
+            .view
+            .category_indices()
+            .get(&category)
+            .and_then(|idx| idx.last())
+            .map(|&i| self.view.times()[i as usize]);
         self.view.push(rec)?;
 
-        // Since-start sketches: gaps mirror inter_arrival_times (first
-        // record produces no gap).
-        if let Some(prev) = self.last_time {
-            self.gap_sketch.push(time - prev);
-        }
-        self.last_time = Some(time);
-        self.ttr_sketch.push(ttr);
-
-        // Trailing-window samples.
-        self.window_ttrs.push(ttr);
-        if self.window_categories.len() == self.config.window {
-            self.window_categories.pop_front();
-        }
-        self.window_categories.push_back(category);
-        // Borrow the slots back from the record the view just took —
-        // disjoint fields, so no temporary Vec is needed.
-        let gpus = self
-            .view
-            .records()
-            .last()
-            .expect("record was just pushed")
-            .gpus();
-        for slot in gpus {
-            if self.window_slots.len() == self.config.window {
-                self.window_slots.pop_front();
-            }
-            self.window_slots.push_back(slot.index());
-        }
-        self.rate.push(time);
-
-        // Per-category EWMAs.
         self.ewma_ttr
             .entry(category)
-            .or_insert_with(|| Ewma::new(self.config.ewma_alpha))
+            .or_insert_with(|| Ewma::new(EWMA_ALPHA))
             .update(ttr);
-        if let Some(&prev) = self.cat_last_time.get(&category) {
+        if let Some(prev) = prev {
             self.ewma_gap
                 .entry(category)
-                .or_insert_with(|| Ewma::new(self.config.ewma_alpha))
+                .or_insert_with(|| Ewma::new(EWMA_ALPHA))
                 .update(time - prev);
         }
-        self.cat_last_time.insert(category, time);
         Ok(())
     }
 
     /// Ingests a whole chunk of records in time order — the batched
     /// mirror of [`ingest`](WatchState::ingest), with identical
     /// resulting state (the batched-vs-per-record proptest in `tests/`
-    /// asserts this bit for bit, sketches and EWMAs included). Returns
-    /// the number of records accepted.
+    /// asserts this bit for bit). Returns the number of records
+    /// accepted.
     ///
     /// # Errors
     ///
@@ -324,8 +229,8 @@ impl WatchState {
     }
 
     /// Stream time of the newest record, hours.
-    pub const fn stream_time(&self) -> Option<f64> {
-        self.last_time
+    pub fn stream_time(&self) -> Option<f64> {
+        self.view.times().last().copied()
     }
 
     /// System MTBF over the full observation window — the batch
@@ -338,75 +243,73 @@ impl WatchState {
         Some(self.view.window().duration().get() / self.view.len() as f64)
     }
 
-    /// Mean inter-arrival gap since stream start (bit-identical to the
-    /// batch `Ecdf` mean while the sketch is exact).
+    /// Mean inter-arrival gap since stream start — the closed form
+    /// [`failstats::mean_gap`] that `TbfAnalysis` also uses.
     pub fn mean_gap_hours(&self) -> Option<f64> {
-        self.gap_sketch.mean()
+        failstats::mean_gap(self.view.times())
     }
 
-    /// Mean repair duration since stream start (bit-identical to the
-    /// batch `Ecdf` mean while the sketch is exact).
+    /// Mean repair duration since stream start: the sorted left-to-right
+    /// sum of the batch `Ecdf`, so bit-identical to `TtrAnalysis`.
     pub fn mttr_hours(&self) -> Option<f64> {
-        self.ttr_sketch.mean()
+        failstats::mean(self.view.ttrs_sorted())
     }
 
-    /// `p`-quantile of inter-arrival gaps since stream start.
-    pub fn gap_quantile(&self, p: f64) -> Option<f64> {
-        self.gap_sketch.quantile(p)
-    }
-
-    /// `p`-quantile of repair durations since stream start.
+    /// `p`-quantile of repair durations since stream start, bit-identical
+    /// to `TtrAnalysis::quantile`.
     pub fn ttr_quantile(&self, p: f64) -> Option<f64> {
-        self.ttr_sketch.quantile(p)
+        failstats::quantile_sorted(self.view.ttrs_sorted(), p)
     }
 
-    /// Whether both sketches are still in their exact mode.
-    pub fn sketches_exact(&self) -> bool {
-        self.gap_sketch.is_exact() && self.ttr_sketch.is_exact()
-    }
-
-    /// Total level compactions across the gap and TTR sketches (zero
-    /// while [`sketches_exact`](WatchState::sketches_exact) holds).
-    pub const fn sketch_compactions(&self) -> u64 {
-        self.gap_sketch.compactions() + self.ttr_sketch.compactions()
+    /// The trailing window: the last [`StateConfig::window`] records, in
+    /// arrival order.
+    fn window_records(&self) -> &[FailureRecord] {
+        estimators::trailing(self.view.records(), self.config.window)
     }
 
     /// Mean TTR over the trailing window of records.
     pub fn window_ttr_mean(&self) -> Option<f64> {
-        self.window_ttrs.mean()
+        failstats::mean(&self.window_ttr_sample())
     }
 
     /// The trailing-window TTR sample, in arrival order.
     pub fn window_ttr_sample(&self) -> Vec<f64> {
-        self.window_ttrs.sample()
+        self.window_records().iter().map(|r| r.ttr().get()).collect()
     }
 
     /// Records currently in the trailing window.
     pub fn window_len(&self) -> usize {
-        self.window_categories.len()
+        self.window_records().len()
     }
 
     /// Category fractions over the trailing window.
     pub fn window_category_fractions(&self) -> BTreeMap<Category, f64> {
-        let n = self.window_categories.len();
+        let window = self.window_records();
         let mut counts: BTreeMap<Category, usize> = BTreeMap::new();
-        for &c in &self.window_categories {
-            *counts.entry(c).or_insert(0) += 1;
+        for r in window {
+            *counts.entry(r.category()).or_insert(0) += 1;
         }
         counts
             .into_iter()
-            .map(|(c, k)| (c, k as f64 / n as f64))
+            .map(|(c, k)| (c, k as f64 / window.len() as f64))
             .collect()
     }
 
-    /// Per-slot involvement shares over the trailing window, indexed by
+    /// Per-slot involvement shares over the last [`StateConfig::window`]
+    /// GPU-slot involvements (walking back over the records), indexed by
     /// slot number; the total-involvement count is the second element.
     pub fn window_slot_shares(&self) -> (Vec<f64>, usize) {
-        let slots = self.view.spec().gpus_per_node() as usize;
-        let mut counts = vec![0usize; slots];
-        for &s in &self.window_slots {
-            if (s as usize) < slots {
-                counts[s as usize] += 1;
+        let mut counts = vec![0usize; self.view.spec().gpus_per_node() as usize];
+        let involvements = self
+            .view
+            .records()
+            .iter()
+            .rev()
+            .flat_map(|r| r.gpus().iter().rev())
+            .take(self.config.window);
+        for slot in involvements {
+            if let Some(count) = counts.get_mut(slot.index() as usize) {
+                *count += 1;
             }
         }
         let total: usize = counts.iter().sum();
@@ -417,9 +320,10 @@ impl WatchState {
         (shares, total)
     }
 
-    /// Failure rate (events per hour) over the trailing time window.
+    /// Failure rate (events per hour) over the trailing 30 days of
+    /// stream time (`None` while that window holds a single instant).
     pub fn rate_per_hour(&self) -> Option<f64> {
-        self.rate.rate_per_hour()
+        estimators::rate_per_hour(self.view.times(), RATE_WINDOW_HOURS)
     }
 
     /// Smoothed per-category repair duration.
@@ -459,7 +363,6 @@ mod tests {
     #[test]
     fn since_start_estimates_match_batch_bitwise() {
         let (log, state) = fed(43);
-        assert!(state.sketches_exact());
         let view = StreamView::new(&log);
         let tbf = TbfAnalysis::from_index(&view).unwrap();
         let ttr = TtrAnalysis::from_index(&view).unwrap();
@@ -494,6 +397,30 @@ mod tests {
         if total > 0 {
             assert!((shares.iter().sum::<f64>() - 1.0).abs() < 1e-12);
         }
+    }
+
+    #[test]
+    fn trailing_window_reads_the_tail_of_the_view() {
+        let (log, state) = fed(43);
+        let records = log.records();
+        let tail = &records[records.len() - state.config().window..];
+        let ttrs: Vec<f64> = tail.iter().map(|r| r.ttr().get()).collect();
+        assert_eq!(state.window_ttr_sample(), ttrs);
+
+        let last = records.last().unwrap().time().get();
+        assert_eq!(state.stream_time(), Some(last));
+        let recent: Vec<f64> = log
+            .times()
+            .map(|t| t.get())
+            .filter(|&t| t >= last - RATE_WINDOW_HOURS)
+            .collect();
+        let span = (last - recent[0]).min(RATE_WINDOW_HOURS);
+        assert_eq!(state.rate_per_hour(), Some(recent.len() as f64 / span));
+
+        let mut single = WatchState::for_log(&log, StateConfig::default());
+        single.ingest(records[0].clone()).unwrap();
+        assert_eq!(single.window_len(), 1);
+        assert_eq!(single.rate_per_hour(), None);
     }
 
     #[test]

@@ -112,7 +112,7 @@ pub fn select_watch_sections(spec: &str) -> failtypes::Result<Vec<&'static Watch
 /// configured on [`StateConfig`] / [`crate::DriftConfig`]).
 #[derive(Debug, Clone)]
 pub struct WatchConfig {
-    /// Online-state tuning (trailing window, sketch capacity, ...).
+    /// Online-state tuning (the trailing window).
     pub state: StateConfig,
     /// Records between summary refreshes.
     pub refresh_every: usize,
@@ -146,8 +146,8 @@ pub struct WatchConfig {
     /// filter carry its expression in a `"filter"` field.
     pub filter: Option<CompiledPredicate>,
     /// Optional trace collector; when set, the loop records the
-    /// `watch.records_ingested`, `watch.alerts_raised`, and
-    /// `watch.sketch_compactions` counters as it runs.
+    /// `watch.records_ingested` and `watch.alerts_raised` counters as it
+    /// runs.
     pub trace: Option<Collector>,
 }
 
@@ -440,9 +440,6 @@ pub fn run(
 
     state.materialize();
     out.write_all(config_summary(&state, config).as_bytes())?;
-    if let Some(trace) = &config.trace {
-        trace.incr("watch.sketch_compactions", state.sketch_compactions());
-    }
     if !config.json_summaries {
         writeln!(
             out,
@@ -515,7 +512,9 @@ fn json_overview(state: &WatchState) -> JsonValue {
     JsonValue::object()
         .field("stream_hours", state.stream_time())
         .field("records", state.len())
-        .field("exact", state.sketches_exact())
+        // Every figure is read exactly from the view; the field stays
+        // for v1 consumers.
+        .field("exact", true)
         .field("mtbf_hours", state.mtbf_hours())
         .field("mean_gap_hours", state.mean_gap_hours())
         .field("rate_per_hour", state.rate_per_hour())
@@ -602,13 +601,8 @@ fn fmt_opt(value: Option<f64>) -> String {
 }
 
 fn overview_section(state: &WatchState) -> String {
-    let mode = if state.sketches_exact() {
-        "exact"
-    } else {
-        "sketched"
-    };
     let mut s = format!(
-        "# summary @ {:.1} h: {} records ({mode})\n",
+        "# summary @ {:.1} h: {} records (exact)\n",
         state.stream_time().unwrap_or(0.0),
         state.len()
     );
@@ -848,9 +842,6 @@ mod tests {
             assert!(err.to_string().starts_with("invalid watch loop configuration:"));
         }
         assert!(StateConfig::builder().window(0).build().is_err());
-        assert!(StateConfig::builder().sketch_capacity(0).build().is_err());
-        assert!(StateConfig::builder().ewma_alpha(1.5).build().is_err());
-        assert!(StateConfig::builder().rate_window_hours(f64::NAN).build().is_err());
         let drift = crate::DriftConfig::builder();
         assert!(drift.clone().ks_alpha(1.0).build().is_err());
         assert!(drift.clone().mttr_ratio(0.9).build().is_err());
@@ -932,10 +923,6 @@ mod tests {
         let (outcome, _) = watch_sim(1, Some((5.0, 0.1)), &config);
         assert_eq!(trace.counter("watch.records_ingested"), outcome.records as u64);
         assert_eq!(trace.counter("watch.alerts_raised"), outcome.alerts.len() as u64);
-        assert_eq!(
-            trace.counter("watch.sketch_compactions"),
-            outcome.state.sketch_compactions()
-        );
     }
 
     #[test]

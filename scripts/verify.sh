@@ -9,9 +9,11 @@ cargo build --release
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Structure gate: one fleet index and no stub dependencies. `vendor/`
-# holds only the offline subsets of real dependencies, and the retired
-# second index, its shims, and the snapshot delegation stay gone.
+# Structure gate: one fleet index, one watch state, and no stub
+# dependencies. `vendor/` holds only the offline subsets of real
+# dependencies; the retired second index, its shims, the snapshot
+# delegation, and the watch state's second copy of the view's figures
+# (quantile sketch, trailing-window buffers) stay gone.
 extra_vendor=$(ls vendor | grep -vxE 'rand|proptest|criterion' || true)
 if [ -n "$extra_vendor" ]; then
     echo "verify: unexpected vendored crates: $extra_vendor (allowed: rand, proptest, criterion)" >&2
@@ -19,6 +21,10 @@ if [ -n "$extra_vendor" ]; then
 fi
 if grep -rnE 'struct LogView|fn from_view|impl FleetIndex for Snapshot' crates/; then
     echo "verify: a duplicate fleet index, a from_view shim, or the snapshot delegation reappeared under crates/" >&2
+    exit 1
+fi
+if grep -rnE 'QuantileSketch|sketch_capacity|struct WindowMean|struct RateWindow' crates/; then
+    echo "verify: a quantile sketch or trailing-window buffer reappeared beside the watch state's view under crates/" >&2
     exit 1
 fi
 

@@ -8,16 +8,18 @@
 //!    `StreamView` equals the bulk build of the same log on every index,
 //!    on canonical logs, on arbitrary seeds, and on every prefix of a
 //!    log (property-tested).
-//! 2. **Estimate equivalence** — MTBF, mean gap, and MTTR are
-//!    bit-identical to `TbfAnalysis`/`TtrAnalysis`, and while the
-//!    quantile sketches are in exact mode their quantiles are
-//!    bit-identical to the `Ecdf` over the same sample.
+//! 2. **Estimate equivalence** — MTBF, mean gap, MTTR, and the TTR
+//!    quantiles are bit-identical to `TbfAnalysis`/`TtrAnalysis` at
+//!    every stream length, including a ~10k-record year.
 //! 3. **Alert correctness** — a full accelerated replay stays quiet on
 //!    a clean stream's MTTR and fires on an injected regression.
+//! 4. **Golden output** — the canonical regression replay prints
+//!    byte-identical text and NDJSON to the checked-in files under
+//!    `golden/`.
 
+use failapi::{OutputFormat, WatchRequest};
 use failscope::{StreamView, TbfAnalysis, TtrAnalysis};
-use failsim::{ReplayClock, Simulator, SystemModel};
-use failstats::Ecdf;
+use failsim::{ReplayClock, ScenarioBuilder, Simulator, SystemModel};
 use failtypes::{AlertKind, FailureLog};
 use failwatch::{
     Baseline, DriftConfig, DriftDetector, SimSource, StateConfig, WatchConfig, WatchState,
@@ -71,20 +73,42 @@ fn assert_stream_matches_batch(log: &FailureLog) {
         state.mttr_hours().map(f64::to_bits),
         ttr.as_ref().map(|t| t.mttr_hours().to_bits())
     );
-
-    // While the sketches are exact they must agree with the Ecdf bit
-    // for bit; past capacity the sketch guarantees rank error instead.
-    if state.sketches_exact() {
-        if let Some(ecdf) = Ecdf::from_sorted(view.ttrs_sorted().to_vec()) {
-            for p in [0.1, 0.25, 0.5, 0.75, 0.9, 0.99] {
-                assert_eq!(
-                    state.ttr_quantile(p).map(f64::to_bits),
-                    Some(ecdf.quantile(p).to_bits()),
-                    "ttr quantile p={p}"
-                );
-            }
-        }
+    for p in [0.1, 0.25, 0.5, 0.75, 0.9, 0.99] {
+        assert_eq!(
+            state.ttr_quantile(p).map(f64::to_bits),
+            ttr.as_ref().map(|t| t.quantile(p).to_bits()),
+            "ttr quantile p={p}"
+        );
     }
+}
+
+const GOLDEN_WATCH_TEXT: &str = include_str!("golden/watch_tsubame2_seed42_mttr5.txt");
+const GOLDEN_WATCH_JSON: &str = include_str!("golden/watch_tsubame2_seed42_mttr5.ndjson");
+
+/// `failctl watch sim:tsubame2 --accel max --inject-mttr 5` (seed 42):
+/// the canonical regression replay, rendered in `format`.
+fn canonical_watch(format: OutputFormat) -> String {
+    let mut req = WatchRequest::new("sim:tsubame2");
+    req.accel = Some("max".to_string());
+    req.inject_mttr = Some("5".to_string());
+    req.format = format;
+    let mut out = Vec::new();
+    failapi::watch::run(&req, &mut out).expect("canonical watch runs");
+    String::from_utf8(out).expect("watch output is UTF-8")
+}
+
+#[test]
+fn watch_output_matches_golden_snapshots() {
+    assert_eq!(
+        canonical_watch(OutputFormat::Text),
+        GOLDEN_WATCH_TEXT,
+        "text watch output drifted from golden"
+    );
+    assert_eq!(
+        canonical_watch(OutputFormat::Json),
+        GOLDEN_WATCH_JSON,
+        "JSON watch output drifted from golden"
+    );
 }
 
 /// A prefix log: the first `k` records under the same window.
@@ -111,6 +135,26 @@ fn stream_matches_batch_on_degenerate_logs() {
     assert_stream_matches_batch(&prefix(&log, 1));
     // Single-category slice.
     assert_stream_matches_batch(&log.filtered(|r| r.category().is_gpu()));
+}
+
+#[test]
+fn stream_matches_batch_on_a_ten_thousand_record_year() {
+    let model = ScenarioBuilder::new("stream-10k")
+        .nodes(1408)
+        .gpus_per_node(4)
+        .system_mtbf_hours(0.876)
+        .window_days(365)
+        .build()
+        .unwrap();
+    let log = Simulator::new(model, 42).generate().unwrap();
+    assert!(log.len() > 8192, "{} records", log.len());
+    assert_stream_matches_batch(&log);
+    // Chunked ingest lands in the same state as the per-record feed.
+    let mut chunked = WatchState::for_log(&log, StateConfig::default());
+    for chunk in log.records().chunks(256) {
+        chunked.ingest_batch(chunk.to_vec()).unwrap();
+    }
+    assert_eq!(chunked, ingest_all(&log));
 }
 
 #[test]
@@ -182,9 +226,9 @@ proptest! {
 
     // Batched ingest is bit-identical to per-record ingest on every
     // prefix that falls on a chunk boundary: the complete state
-    // (incremental index with its deferred sorted runs, quantile
-    // sketches, EWMAs, trailing windows) compares equal, and drift
-    // detectors evaluated at the same boundaries emit the same alerts.
+    // (incremental index with its deferred sorted runs, and the
+    // per-category EWMAs) compares equal, and drift detectors
+    // evaluated at the same boundaries emit the same alerts.
     #[test]
     fn batched_ingest_matches_per_record_at_every_chunk_boundary(
         seed in 0u64..10_000,
