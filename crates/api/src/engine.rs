@@ -26,6 +26,17 @@
 //!
 //! Only successful outputs are cached; errors always re-execute.
 //!
+//! # One read per source
+//!
+//! `execute` reads each file of a report or compare exactly once, into
+//! a [`faillog::LogFile`]. That one buffer yields the render key (its
+//! fingerprint plus [`failindex::freshness`]), the warm open or
+//! extension ([`failindex::open`]), the cold parse, and the fingerprint
+//! of any snapshot saved afterwards, so a query never mixes two versions
+//! of a file. An unreadable file bypasses the render cache; its error
+//! (`PATH: i/o error: ...`, whatever the index mode) is raised where
+//! execution reaches the load, after argument validation.
+//!
 //! # Dirty snapshots
 //!
 //! Every unfiltered cold parse of a file (index mode `off`, where the
@@ -42,11 +53,11 @@ use std::sync::{Arc, Mutex};
 
 use failfilter::CompiledPredicate;
 use failindex::{Freshness, IndexMode, IndexedLoad, SourceInfo};
-use faillog::ParseOptions;
+use faillog::{LogFile, ParseOptions};
 use failscope::{SectionCtx, StreamView};
 use failsim::{Simulator, SystemModel};
 use failtrace::Collector;
-use failtypes::{Error, FailureLog, JsonValue, Result};
+use failtypes::{Error, JsonValue, Result};
 
 use crate::request::{OutputFormat, QueryCmd, QueryOptions, QueryRequest, QuerySource};
 
@@ -207,12 +218,6 @@ impl Default for QueryEngine {
     }
 }
 
-/// A source's resolved on-disk identity: the raw bytes fingerprint
-/// (also reused as the dirty-snapshot `SourceInfo`). `None` when the
-/// file could not be read — execution then bypasses every cache and
-/// lets the parser report the canonical error.
-type FilePrint = Option<SourceInfo>;
-
 impl QueryEngine {
     /// A fresh engine with empty caches and the default render-cache
     /// byte budget ([`DEFAULT_CACHE_BYTES`]).
@@ -252,7 +257,15 @@ impl QueryEngine {
     /// produced. Errors are never cached.
     pub fn execute(&self, req: &QueryRequest) -> Result<QueryOutcome> {
         let filter = build_filter(&req.opts)?;
-        let key = self.render_key(req)?;
+        // Each file source is read exactly once; the render key, the
+        // snapshot decision, the parse and any snapshot saved all use
+        // these bytes. A read error waits until execution reaches the
+        // load, so argument errors keep their precedence.
+        let mut files: Vec<Result<LogFile>> = file_paths(&req.cmd)
+            .into_iter()
+            .map(|path| LogFile::read(path).map_err(|e| Error::run(format!("{path}: {e}"))))
+            .collect();
+        let key = render_key(req, &files);
         if let Some((key, _)) = &key {
             let mut renders = self.renders.lock().unwrap_or_else(|e| e.into_inner());
             if let Some(entry) = renders.map.get(key) {
@@ -271,8 +284,14 @@ impl QueryEngine {
         self.metrics.incr("cache.misses", 1);
         let trace = Collector::new();
         let output = match &req.cmd {
-            QueryCmd::Report(source) => self.run_report(req, source, &filter, &trace)?,
-            QueryCmd::Compare { old, new } => self.run_compare(req, old, new, &filter, &trace)?,
+            QueryCmd::Report(source) => {
+                self.run_report(req, source, files.pop(), &filter, &trace)?
+            }
+            QueryCmd::Compare { .. } => {
+                let new = files.pop().expect("compare reads two files");
+                let old = files.pop().expect("compare reads two files");
+                self.run_compare(req, old, new, &filter, &trace)?
+            }
         };
         if let Some((key, sources)) = key {
             let snapshot = Collector::new();
@@ -330,71 +349,6 @@ impl QueryEngine {
     /// The number of file logs currently awaiting snapshot persistence.
     pub fn dirty_count(&self) -> usize {
         self.dirty.lock().unwrap_or_else(|e| e.into_inner()).len()
-    }
-
-    /// Builds the render-cache key for a request — plus the catalog
-    /// ids of the sources it depends on, recorded in the entry so a
-    /// catalog `evict` can drop dependent renders — or `None` when the
-    /// request must not be cached (a source file is unreadable — let
-    /// execution surface the canonical error — or a warm-mode probe
-    /// failed).
-    fn render_key(&self, req: &QueryRequest) -> Result<Option<(String, Vec<String>)>> {
-        let mut sources = Vec::new();
-        let mut catalog_ids = Vec::new();
-        let paths: Vec<&str> = match &req.cmd {
-            QueryCmd::Report(QuerySource::Model { name, seed }) => {
-                sources.push(format!("model:{name}:{seed}"));
-                catalog_ids.push(format!("model:{name}:{seed}"));
-                Vec::new()
-            }
-            QueryCmd::Report(QuerySource::File(path)) => vec![path.as_str()],
-            QueryCmd::Compare { old, new } => vec![old.as_str(), new.as_str()],
-        };
-        for path in paths {
-            let Some(info) = fingerprint(path) else {
-                return Ok(None);
-            };
-            catalog_ids.push(path.to_string());
-            let mut id = format!("file:{path}:{}:{:08x}", info.bytes, info.crc32);
-            if req.opts.index_mode() != IndexMode::Off {
-                // Warm queries also depend on the snapshot's state: a
-                // cold auto run that leaves a snapshot behind must not
-                // be replayed for the (now warm) next run, whose
-                // `metrics` section truthfully differs.
-                let Ok(freshness) = failindex::probe(path) else {
-                    return Ok(None);
-                };
-                let tag = match freshness {
-                    Freshness::Exact => "exact".to_string(),
-                    Freshness::Prefix { tail_bytes } => format!("prefix:{tail_bytes}"),
-                    Freshness::Stale { .. } => "stale".to_string(),
-                    Freshness::Missing => "missing".to_string(),
-                };
-                id.push_str(&format!(":fsidx={tag}"));
-            }
-            sources.push(id);
-        }
-        let opts = &req.opts;
-        let key = JsonValue::object()
-            .field("v", 1u64)
-            .field(
-                "cmd",
-                match &req.cmd {
-                    QueryCmd::Report(_) => "report",
-                    QueryCmd::Compare { .. } => "compare",
-                },
-            )
-            .field("sources", JsonValue::array(sources))
-            .field("where", opt_str(&opts.where_expr))
-            .field("since", opt_str(&opts.since))
-            .field("until", opt_str(&opts.until))
-            .field("sections", opt_str(&opts.sections))
-            .field("format", opts.format.name())
-            .field("chunk_bytes", opts.chunk_bytes as u64)
-            .field("index", opts.index_mode().to_string())
-            .build()
-            .render();
-        Ok(Some((key, catalog_ids)))
     }
 
     /// Lists every source the engine has memoized, grouped by catalog
@@ -512,6 +466,7 @@ impl QueryEngine {
         &self,
         req: &QueryRequest,
         source: &QuerySource,
+        file: Option<Result<LogFile>>,
         filter: &Option<CompiledPredicate>,
         trace: &Collector,
     ) -> Result<String> {
@@ -533,7 +488,10 @@ impl QueryEngine {
                 let view = self.model_view(name, *seed, trace)?;
                 (filter_view(view, filter), false)
             }
-            QuerySource::File(path) => self.load_file_view(req, path, trace, filter)?,
+            QuerySource::File(_) => {
+                let file = file.expect("a file report reads its file")?;
+                self.load_file_view(req, file, trace, filter)?
+            }
         };
         if !warm {
             view.trace_index(trace);
@@ -550,15 +508,15 @@ impl QueryEngine {
     fn run_compare(
         &self,
         req: &QueryRequest,
-        old: &str,
-        new: &str,
+        old: Result<LogFile>,
+        new: Result<LogFile>,
         filter: &Option<CompiledPredicate>,
         trace: &Collector,
     ) -> Result<String> {
         let opts = &req.opts;
         validate_chunk(opts)?;
-        let (older, _) = self.load_file_view(req, old, trace, filter)?;
-        let (newer, _) = self.load_file_view(req, new, trace, filter)?;
+        let (older, _) = self.load_file_view(req, old?, trace, filter)?;
+        let (newer, _) = self.load_file_view(req, new?, trace, filter)?;
         let body = trace.time("compare.render", || match opts.format {
             OutputFormat::Text => failscope::render_comparison_index(&older, &newer, opts.threads),
             OutputFormat::Json => failscope::render_comparison_json(&older, &newer, opts.threads),
@@ -573,39 +531,36 @@ impl QueryEngine {
     /// the log is parsed cold with the predicate pushed into the
     /// parser. Auto mode refreshes the snapshot best-effort after an
     /// *unfiltered* cold parse only — a filtered parse never sees the
-    /// whole log, and snapshots must. Returns the view and whether it
-    /// came from a snapshot.
+    /// whole log, and snapshots must. Every branch judges the bytes
+    /// `file` holds, so a refreshed snapshot fingerprints exactly the
+    /// bytes parsed. Returns the view and whether it came from a
+    /// snapshot.
     fn load_file_view(
         &self,
         req: &QueryRequest,
-        path: &str,
+        file: LogFile,
         trace: &Collector,
         filter: &Option<CompiledPredicate>,
     ) -> Result<(Arc<StreamView>, bool)> {
         let opts = &req.opts;
         let mode = opts.index_mode();
         if mode == IndexMode::Off {
-            return Ok((self.file_view(path, opts, filter, trace)?, false));
+            return Ok((self.file_view(file, opts, filter, trace)?, false));
         }
         let warm = |view: StreamView| Ok((filter_view(Arc::new(view), filter), true));
-        match failindex::open_indexed(path, Some(trace))? {
+        match failindex::open(&file, Some(trace)) {
             IndexedLoad::Exact(snap) => warm(snap.into_view()),
             IndexedLoad::Extended { snapshot, .. } => warm(snapshot.into_view()),
             IndexedLoad::Cold { source } => {
                 if mode == IndexMode::Require {
-                    return Err(require_warm_err(path, opts));
+                    return Err(require_warm_err(&file.path().display().to_string(), opts));
                 }
                 if filter.is_some() {
-                    return Ok((self.file_view(path, opts, filter, trace)?, false));
+                    return Ok((self.file_view(file, opts, filter, trace)?, false));
                 }
-                let view = self.file_view(path, opts, &None, trace)?;
-                failindex::save_traced(
-                    failindex::snapshot_path(path),
-                    view.as_ref(),
-                    source,
-                    Some(trace),
-                )
-                .ok();
+                let spath = failindex::snapshot_path(file.path());
+                let view = self.file_view(file, opts, &None, trace)?;
+                failindex::save_traced(spath, view.as_ref(), source, Some(trace)).ok();
                 Ok((view, false))
             }
         }
@@ -641,31 +596,19 @@ impl QueryEngine {
     }
 
     /// A memoized, indexed cold file parse (with the query's filter
-    /// pushed into the parser), keyed by content fingerprint so a grown
-    /// or rewritten log re-parses. Unfiltered parses are remembered for
-    /// snapshot persistence at shutdown.
+    /// pushed into the parser), keyed by the file's fingerprint so a
+    /// grown or rewritten log re-parses. Unfiltered parses are
+    /// remembered for snapshot persistence at shutdown, with the
+    /// fingerprint of exactly the bytes parsed.
     fn file_view(
         &self,
-        path: &str,
+        file: LogFile,
         opts: &QueryOptions,
         filter: &Option<CompiledPredicate>,
         trace: &Collector,
     ) -> Result<Arc<StreamView>> {
-        let parse_opts = {
-            let mut p = ParseOptions::new()
-                .threads(opts.threads)
-                .chunk_bytes(opts.chunk_bytes);
-            p.filter.clone_from(filter);
-            p
-        };
-        let Some(info) = fingerprint(path) else {
-            // Unreadable input: parse uncached so the loader reports
-            // the canonical error (and never poisons a cache entry).
-            let load_trace = Collector::new();
-            let log = load_traced(path, &load_trace, &parse_opts)?;
-            trace.merge_from(&load_trace);
-            return Ok(Arc::new(StreamView::from(log)));
-        };
+        let path = file.path().display().to_string();
+        let info = file.source();
         let filter_tag = match (&filter, opts) {
             (None, _) => String::from("-"),
             (Some(_), o) => format!(
@@ -686,14 +629,23 @@ impl QueryEngine {
             }
         }
         self.metrics.incr("engine.log_cache.miss", 1);
+        let mut parse_opts = ParseOptions::new()
+            .threads(opts.threads)
+            .chunk_bytes(opts.chunk_bytes);
+        parse_opts.filter.clone_from(filter);
         let load_trace = Collector::new();
-        let log = load_traced(path, &load_trace, &parse_opts)?;
+        // Parse errors carry their 1-based line number and offending
+        // field; prefixing the path makes the message directly
+        // actionable.
+        let log = file
+            .parse(Some(&load_trace), &parse_opts)
+            .map_err(|e| Error::run(format!("{path}: {e}")))?;
         let view = Arc::new(StreamView::from(log));
         trace.merge_from(&load_trace);
         if filter.is_none() {
             let mut dirty = self.dirty.lock().unwrap_or_else(|e| e.into_inner());
             dirty.insert(
-                path.to_string(),
+                path.clone(),
                 DirtyLog {
                     view: Arc::clone(&view),
                     source: info,
@@ -704,7 +656,7 @@ impl QueryEngine {
         logs.entry(key).or_insert(CachedLog {
             view: Arc::clone(&view),
             load_trace,
-            catalog_id: path.to_string(),
+            catalog_id: path,
             source_info: Some(info),
         });
         Ok(view)
@@ -798,6 +750,71 @@ pub fn render_catalog(entries: &[CatalogEntry]) -> String {
     out
 }
 
+/// The file paths a command reads, in the order it loads them.
+fn file_paths(cmd: &QueryCmd) -> Vec<&str> {
+    match cmd {
+        QueryCmd::Report(QuerySource::Model { .. }) => Vec::new(),
+        QueryCmd::Report(QuerySource::File(path)) => vec![path.as_str()],
+        QueryCmd::Compare { old, new } => vec![old.as_str(), new.as_str()],
+    }
+}
+
+/// Builds the render-cache key for a request from the files it read —
+/// plus the catalog ids of the sources it depends on, recorded in the
+/// entry so a catalog `evict` can drop dependent renders — or `None`
+/// when a source file was unreadable (the request must not be cached;
+/// execution surfaces the error).
+fn render_key(req: &QueryRequest, files: &[Result<LogFile>]) -> Option<(String, Vec<String>)> {
+    let mut sources = Vec::new();
+    let mut catalog_ids = Vec::new();
+    if let QueryCmd::Report(QuerySource::Model { name, seed }) = &req.cmd {
+        sources.push(format!("model:{name}:{seed}"));
+        catalog_ids.push(format!("model:{name}:{seed}"));
+    }
+    for file in files {
+        let file = file.as_ref().ok()?;
+        let path = file.path().display();
+        let info = file.source();
+        catalog_ids.push(path.to_string());
+        let mut id = format!("file:{path}:{}:{:08x}", info.bytes, info.crc32);
+        if req.opts.index_mode() != IndexMode::Off {
+            // Warm queries also depend on the snapshot's state: a cold
+            // auto run that leaves a snapshot behind must not be
+            // replayed for the (now warm) next run, whose `metrics`
+            // section truthfully differs.
+            let tag = match failindex::freshness(file) {
+                Freshness::Exact => "exact".to_string(),
+                Freshness::Prefix { tail_bytes } => format!("prefix:{tail_bytes}"),
+                Freshness::Stale { .. } => "stale".to_string(),
+                Freshness::Missing => "missing".to_string(),
+            };
+            id.push_str(&format!(":fsidx={tag}"));
+        }
+        sources.push(id);
+    }
+    let opts = &req.opts;
+    let key = JsonValue::object()
+        .field("v", 1u64)
+        .field(
+            "cmd",
+            match &req.cmd {
+                QueryCmd::Report(_) => "report",
+                QueryCmd::Compare { .. } => "compare",
+            },
+        )
+        .field("sources", JsonValue::array(sources))
+        .field("where", opt_str(&opts.where_expr))
+        .field("since", opt_str(&opts.since))
+        .field("until", opt_str(&opts.until))
+        .field("sections", opt_str(&opts.sections))
+        .field("format", opts.format.name())
+        .field("chunk_bytes", opts.chunk_bytes as u64)
+        .field("index", opts.index_mode().to_string())
+        .build()
+        .render();
+    Some((key, catalog_ids))
+}
+
 /// The `{"v":1,...}` header line versioning every JSON output; text
 /// output is unversioned (it is not a machine schema).
 fn version_header(format: OutputFormat, kind: &str) -> String {
@@ -814,23 +831,11 @@ fn opt_str(value: &Option<String>) -> JsonValue {
     }
 }
 
-/// Raw-bytes fingerprint of a source file (`None` when unreadable).
-fn fingerprint(path: &str) -> FilePrint {
-    std::fs::read(path).ok().map(|raw| SourceInfo::of_bytes(&raw))
-}
-
 fn validate_chunk(opts: &QueryOptions) -> Result<()> {
     if opts.chunk_bytes == 0 {
         return Err(Error::args("--parse-chunk must be at least 1 byte"));
     }
     Ok(())
-}
-
-fn load_traced(path: &str, trace: &Collector, opts: &ParseOptions) -> Result<FailureLog> {
-    // Parse errors carry their 1-based line number and offending field;
-    // prefixing the path makes the message directly actionable.
-    faillog::load_traced_with(path, Some(trace), opts)
-        .map_err(|e| Error::run(format!("{path}: {e}")))
 }
 
 /// Compiles the record filter for a query: the `--where` expression,

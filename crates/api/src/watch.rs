@@ -15,8 +15,7 @@ use failsim::{ReplayClock, SystemModel};
 use failtrace::Collector;
 use failtypes::{Error, Result};
 use failwatch::{
-    Baseline, DriftConfig, DriftDetector, EventSource, SimSource, StateConfig, TailSource,
-    WatchConfig,
+    Baseline, DriftDetector, EventSource, SimSource, StateConfig, TailSource, WatchConfig,
 };
 
 use crate::engine::{compile_filter, model_by_name};
@@ -172,7 +171,7 @@ pub fn run(req: &WatchRequest, out: &mut dyn io::Write) -> Result<Collector> {
             1,
         )?),
     };
-    let detector = baseline.map(|b| DriftDetector::new(b, DriftConfig::default()));
+    let detector = baseline.map(DriftDetector::new);
 
     let trace = Collector::new();
     let state = StateConfig::builder()
@@ -226,15 +225,10 @@ pub fn run(req: &WatchRequest, out: &mut dyn io::Write) -> Result<Collector> {
     // valid prefix of the file.
     if persist_index {
         if let Some((log_path, progress)) = source.snapshot_target() {
-            let source_info = failindex::SourceInfo {
-                bytes: progress.bytes,
-                crc32: progress.crc32,
-                lines: progress.lines,
-            };
             failindex::save_traced(
                 failindex::snapshot_path(&log_path),
                 outcome.state.view(),
-                source_info,
+                progress,
                 Some(&trace),
             )
             .ok();

@@ -38,7 +38,7 @@ use failscope::{StreamView, TbfAnalysis, TtrAnalysis};
 use failsim::{ReplayClock, ScenarioBuilder, Simulator, SystemModel};
 use failtypes::{AlertKind, FailureLog};
 use failwatch::{
-    Baseline, DriftConfig, DriftDetector, SimSource, StateConfig, WatchConfig, WatchState,
+    Baseline, DriftDetector, SimSource, StateConfig, WatchConfig, WatchState,
 };
 
 /// Timing repetitions; the reported seconds are for the fastest pass.
@@ -160,7 +160,7 @@ fn main() {
         .expect("simulates")
         .with_mttr_injection(5.0, 0.5);
     let baseline = Baseline::from_model(SystemModel::tsubame2(), 1).expect("simulates");
-    let detector = DriftDetector::new(baseline, DriftConfig::default());
+    let detector = DriftDetector::new(baseline);
     let config = WatchConfig::builder()
         .trace(collector.clone())
         .build()

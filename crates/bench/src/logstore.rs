@@ -89,11 +89,11 @@ impl LogStore {
     }
 
     /// Returns the index of the log stored at `path`, parsing it on
-    /// first use and sharing the cached [`Arc`] thereafter. Before
-    /// parsing, a warm `.fsidx` snapshot next to the file is consulted
-    /// (see [`failindex::open_indexed`]): an exact hit reconstructs the
-    /// index with zero parsing, a prefix hit parses only the appended
-    /// tail.
+    /// first use and sharing the cached [`Arc`] thereafter. The file is
+    /// read once; before parsing those bytes, a warm `.fsidx` snapshot
+    /// next to it is consulted (see [`failindex::open`]): an exact hit
+    /// reconstructs the index with zero parsing, a prefix hit parses
+    /// only the appended tail.
     ///
     /// # Errors
     ///
@@ -105,7 +105,9 @@ impl LogStore {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return Ok(Arc::clone(log));
         }
-        let view = match failindex::open_indexed(path, None)? {
+        let with_path = |e| failtypes::Error::run(format!("{path}: {e}"));
+        let file = faillog::LogFile::read(path).map_err(with_path)?;
+        let view = match failindex::open(&file, None) {
             failindex::IndexedLoad::Exact(snap) => {
                 self.snapshot_hits.fetch_add(1, Ordering::Relaxed);
                 snap.into_view()
@@ -115,7 +117,8 @@ impl LogStore {
                 snapshot.into_view()
             }
             failindex::IndexedLoad::Cold { .. } => StreamView::from(
-                faillog::load(path).map_err(|e| failtypes::Error::run(format!("{path}: {e}")))?,
+                file.parse(None, &faillog::ParseOptions::default())
+                    .map_err(with_path)?,
             ),
         };
         self.loads.fetch_add(1, Ordering::Relaxed);

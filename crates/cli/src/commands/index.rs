@@ -2,7 +2,7 @@
 
 use std::fmt::Write as _;
 
-use faillog::ParseOptions;
+use faillog::{LogFile, ParseOptions};
 use failindex::Freshness;
 use failtypes::{Error, Result};
 
@@ -22,12 +22,11 @@ pub fn index_cmd(args: &ParsedArgs) -> Result<String> {
             let parse_opts = ParseOptions::new()
                 .threads(failapi::parse_threads(args.flag("threads"))?)
                 .chunk_bytes(failapi::parse_chunk_bytes(args.flag("parse-chunk"))?);
-            let raw = std::fs::read(path).map_err(|e| Error::run(format!("{path}: {e}")))?;
-            let source = failindex::SourceInfo::of_bytes(&raw);
-            let view = failscope::StreamView::from(
-                faillog::load_traced_with(path, None, &parse_opts)
-                    .map_err(|e| Error::run(format!("{path}: {e}")))?,
-            );
+            let with_path = |e| Error::run(format!("{path}: {e}"));
+            let file = LogFile::read(path).map_err(with_path)?;
+            let source = file.source();
+            let view =
+                failscope::StreamView::from(file.parse(None, &parse_opts).map_err(with_path)?);
             let spath = failindex::snapshot_path(path);
             let bytes = failindex::save(&spath, &view, source)?;
             Ok(format!(

@@ -166,8 +166,7 @@ COMMANDS
 /// path (parse errors carry their 1-based line number and offending
 /// field; the path makes the message directly actionable).
 pub(crate) fn load(path: &str) -> Result<FailureLog> {
-    faillog::load_traced_with(path, None, &faillog::ParseOptions::default())
-        .map_err(|e| Error::run(format!("{path}: {e}")))
+    faillog::load(path).map_err(|e| Error::run(format!("{path}: {e}")))
 }
 
 /// Dispatches a parsed command line.

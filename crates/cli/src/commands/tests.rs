@@ -196,6 +196,22 @@ fn load_errors_carry_path_line_and_field() {
     assert!(err.contains("broken.fslog"), "{err}");
     assert!(err.contains("line 8"), "{err}");
     assert!(err.contains("ttr_h"), "{err}");
+
+    // An unreadable log gives one error whatever the index mode, in
+    // report and compare alike: the path, then the i/o error.
+    let missing = temp_path("nope.fslog");
+    let _ = std::fs::remove_file(&missing);
+    let (m, b) = (missing.to_str().unwrap(), path.to_str().unwrap());
+    let expected = load(m).unwrap_err().to_string();
+    assert!(expected.starts_with(&format!("{m}: i/o error: ")), "{expected}");
+    for mode in ["off", "auto", "require"] {
+        let err = report(&parse(&["report", m, "--index", mode])).unwrap_err().to_string();
+        assert_eq!(err, expected, "report --index {mode}");
+        let err = compare(&parse(&["compare", m, b, "--index", mode]))
+            .unwrap_err()
+            .to_string();
+        assert_eq!(err, expected, "compare --index {mode}");
+    }
     std::fs::remove_file(&path).expect("cleanup");
 }
 

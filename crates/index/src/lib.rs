@@ -23,6 +23,13 @@
 //! the snapshot to the log's raw on-disk bytes (so a gzip log re-
 //! compressed at a different level is correctly treated as stale).
 //!
+//! Every decision is made against a [`faillog::LogFile`] — the caller's
+//! one read of the log, already fingerprinted — so [`freshness`] reads
+//! only the snapshot header, an exact match costs no second CRC pass,
+//! and [`open`] extends or falls back for exactly the bytes the caller
+//! will otherwise parse. [`probe`] and [`open_indexed`] are the
+//! read-then-call conveniences for callers holding only a path.
+//!
 //! # Examples
 //!
 //! ```
@@ -58,49 +65,17 @@ mod format;
 
 use std::fmt;
 use std::fs;
+use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
-use faillog::{crc32, Compression, Crc32};
+use faillog::{crc32, Compression, LogFile};
 use failscope::{FleetIndex, StreamView};
 use failtrace::Collector;
 use failtypes::Error;
 
+pub use faillog::SourceInfo;
 pub use format::{Header, FORMAT_VERSION, HEADER_LEN};
-
-/// Fingerprint of a log's raw on-disk bytes at snapshot time.
-///
-/// `lines` counts the *text* lines the fingerprinted bytes span (a
-/// final unterminated line counts as one); it rebases parser line
-/// numbers when a prefix-matched snapshot extends over an appended
-/// tail. For compressed logs the field is unused — only exact matches
-/// apply there.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SourceInfo {
-    /// Raw byte length of the fingerprinted input.
-    pub bytes: u64,
-    /// CRC-32 of those bytes.
-    pub crc32: u32,
-    /// Text lines the bytes span.
-    pub lines: u64,
-}
-
-impl SourceInfo {
-    /// Fingerprints a byte slice (length, CRC-32, line count).
-    pub fn of_bytes(data: &[u8]) -> SourceInfo {
-        let newlines = data.iter().filter(|&&b| b == b'\n').count() as u64;
-        let lines = match data.last() {
-            None => 0,
-            Some(b'\n') => newlines,
-            Some(_) => newlines + 1,
-        };
-        SourceInfo {
-            bytes: data.len() as u64,
-            crc32: crc32(data),
-            lines,
-        }
-    }
-}
 
 /// A loaded `.fsidx` snapshot: a fully-reconstructed [`StreamView`]
 /// plus the source fingerprint it was built against. Reports render from
@@ -290,14 +265,18 @@ pub fn load(path: impl AsRef<Path>) -> Result<Snapshot, Error> {
         .map_err(|reason| path_err(path, format!("invalid .fsidx snapshot: {reason}")))
 }
 
-/// Classifies `header` against the log's current raw bytes.
+/// Classifies `header` against the bytes of `file`.
 ///
-/// Prefix matches demand three things beyond the prefix CRC: the
-/// snapshot must cover a non-empty prefix, the log must be *plain* text
-/// (appending to a gzip file creates a new member — old decoded bytes
-/// unchanged, raw prefix untouched, but the tail is not line-oriented
-/// text), and the covered prefix must end at a line boundary.
-fn classify(header: &Header, raw: &[u8]) -> Freshness {
+/// An exact match compares against the fingerprint `file` already
+/// carries, so it costs no checksum pass; only a prefix match runs a
+/// CRC, over the covered prefix. Prefix matches demand three things
+/// beyond the prefix CRC: the snapshot must cover a non-empty prefix,
+/// the log must be *plain* text (appending to a gzip file creates a new
+/// member — old decoded bytes unchanged, raw prefix untouched, but the
+/// tail is not line-oriented text), and the covered prefix must end at
+/// a line boundary.
+fn classify(header: &Header, file: &LogFile) -> Freshness {
+    let raw = file.raw();
     let src_len = header.source.bytes as usize;
     if src_len > raw.len() {
         return Freshness::Stale {
@@ -308,9 +287,12 @@ fn classify(header: &Header, raw: &[u8]) -> Freshness {
             ),
         };
     }
-    let mut hasher = Crc32::new();
-    hasher.update(&raw[..src_len]);
-    if hasher.finish() != header.source.crc32 {
+    let covered_crc = if src_len == raw.len() {
+        file.source().crc32
+    } else {
+        crc32(&raw[..src_len])
+    };
+    if covered_crc != header.source.crc32 {
         return Freshness::Stale {
             reason: "log bytes changed under the snapshot".to_string(),
         };
@@ -333,33 +315,57 @@ fn classify(header: &Header, raw: &[u8]) -> Freshness {
     }
 }
 
-/// Read-only freshness check: how does the snapshot next to `log_path`
-/// relate to the log's current bytes? Never writes anything.
+/// Reads the snapshot next to `file` — only its 44-byte header when
+/// `whole` is false — or says why it cannot serve.
+fn read_snapshot(file: &LogFile, whole: bool) -> Result<(Header, Vec<u8>), Freshness> {
+    let spath = snapshot_path(file.path());
+    let read = if whole {
+        fs::read(&spath)
+    } else {
+        fs::File::open(&spath).and_then(|f| {
+            let mut head = Vec::with_capacity(HEADER_LEN);
+            f.take(HEADER_LEN as u64)
+                .read_to_end(&mut head)
+                .map(|_| head)
+        })
+    };
+    let data = match read {
+        Ok(data) => data,
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(Freshness::Missing),
+        Err(e) => {
+            return Err(Freshness::Stale {
+                reason: format!("snapshot unreadable: {e}"),
+            })
+        }
+    };
+    let header = Header::decode(&data).map_err(|reason| Freshness::Stale { reason })?;
+    Ok((header, data))
+}
+
+/// How the snapshot next to `file` relates to the bytes `file` holds.
+/// Reads only the snapshot's 44-byte header and never writes anything.
+pub fn freshness(file: &LogFile) -> Freshness {
+    match read_snapshot(file, false) {
+        Ok((header, _)) => classify(&header, file),
+        Err(freshness) => freshness,
+    }
+}
+
+/// Reads the log at `log_path`, then [`freshness`].
 ///
 /// # Errors
 ///
 /// Only when the *log* itself is unreadable; snapshot problems are
 /// reported as [`Freshness::Missing`] / [`Freshness::Stale`].
 pub fn probe(log_path: impl AsRef<Path>) -> Result<Freshness, Error> {
-    let log_path = log_path.as_ref();
-    let raw = fs::read(log_path).map_err(|e| path_err(log_path, e))?;
-    let spath = snapshot_path(log_path);
-    let data = match fs::read(&spath) {
-        Ok(d) => d,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(Freshness::Missing),
-        Err(e) => {
-            return Ok(Freshness::Stale {
-                reason: format!("snapshot unreadable: {e}"),
-            })
-        }
-    };
-    match Header::decode(&data) {
-        Ok(header) => Ok(classify(&header, &raw)),
-        Err(reason) => Ok(Freshness::Stale { reason }),
-    }
+    Ok(freshness(&read_log(log_path.as_ref())?))
 }
 
-/// The outcome of [`open_indexed`].
+fn read_log(log_path: &Path) -> Result<LogFile, Error> {
+    LogFile::read(log_path).map_err(|e| path_err(log_path, e))
+}
+
+/// The outcome of [`open`].
 #[derive(Debug)]
 pub enum IndexedLoad {
     /// The snapshot matched the log exactly: served with zero parsing.
@@ -375,20 +381,76 @@ pub enum IndexedLoad {
     /// No usable snapshot: the caller should parse the log cold and
     /// (in auto mode) [`save`] a fresh snapshot using `source`.
     Cold {
-        /// Fingerprint of the log bytes just read, ready for [`save`].
+        /// Fingerprint of the bytes the decision judged
+        /// ([`LogFile::source`]), ready for [`save`].
         source: SourceInfo,
     },
 }
 
-/// Opens the log's snapshot if it is warm, extending it over an
-/// appended tail when possible.
+/// Opens the snapshot next to `file` if it is warm for the bytes `file`
+/// holds, extending it over an appended tail when possible.
 ///
 /// Exact hits increment the `index.snapshot_hit` trace counter and
-/// parse nothing. Prefix hits parse only the appended tail, rewrite
-/// the snapshot (best-effort — a failed rewrite does not fail the
-/// load), and increment `index.snapshot_extend`. Every other outcome —
-/// missing, corrupt, or stale snapshot, unparseable tail — degrades
-/// silently to [`IndexedLoad::Cold`].
+/// parse nothing. Prefix hits parse only the appended tail with
+/// [`faillog::parse_body_rows`] — the batch parser's own chunk function,
+/// so a tail extends the snapshot exactly when a cold parse would
+/// accept it — rewrite the snapshot (best-effort — a failed rewrite
+/// does not fail the load), and increment `index.snapshot_extend`.
+/// Every other outcome — missing, corrupt, or stale snapshot,
+/// unparseable tail — degrades silently to [`IndexedLoad::Cold`].
+pub fn open(file: &LogFile, trace: Option<&Collector>) -> IndexedLoad {
+    let cold = IndexedLoad::Cold {
+        source: file.source(),
+    };
+    let Ok((header, data)) = read_snapshot(file, true) else {
+        return cold;
+    };
+    let fresh = classify(&header, file);
+    if !matches!(fresh, Freshness::Exact | Freshness::Prefix { .. }) {
+        return cold;
+    }
+    let Ok(snapshot) = decode_snapshot(&data, &header) else {
+        return cold;
+    };
+    if fresh == Freshness::Exact {
+        if let Some(t) = trace {
+            t.incr("index.snapshot_hit", 1);
+        }
+        return IndexedLoad::Exact(snapshot);
+    }
+    let Some((view, added)) = extend(snapshot, file, &header) else {
+        return cold;
+    };
+    let source = file.source();
+    save_traced(snapshot_path(file.path()), &view, source, trace).ok();
+    if let Some(t) = trace {
+        t.incr("index.snapshot_extend", 1);
+    }
+    IndexedLoad::Extended {
+        snapshot: Snapshot { view, source },
+        added,
+    }
+}
+
+/// Extends a prefix-matched snapshot over the rest of `file`; `None`
+/// when the tail is not valid log text.
+fn extend(snapshot: Snapshot, file: &LogFile, header: &Header) -> Option<(StreamView, usize)> {
+    let tail = std::str::from_utf8(&file.raw()[header.source.bytes as usize..]).ok()?;
+    let mut view = snapshot.into_view();
+    let rows = faillog::parse_body_rows(
+        tail,
+        header.source.lines as usize,
+        view.generation(),
+        view.spec(),
+        view.window(),
+        None,
+    )
+    .ok()?;
+    let added = view.extend(rows.records).ok()?;
+    Some((view, added))
+}
+
+/// Reads the log at `log_path`, then [`open`].
 ///
 /// # Errors
 ///
@@ -397,64 +459,7 @@ pub fn open_indexed(
     log_path: impl AsRef<Path>,
     trace: Option<&Collector>,
 ) -> Result<IndexedLoad, Error> {
-    let log_path = log_path.as_ref();
-    let raw = fs::read(log_path).map_err(|e| path_err(log_path, e))?;
-    Ok(open_indexed_bytes(log_path, &raw, trace))
-}
-
-fn open_indexed_bytes(log_path: &Path, raw: &[u8], trace: Option<&Collector>) -> IndexedLoad {
-    let cold = || IndexedLoad::Cold {
-        source: SourceInfo::of_bytes(raw),
-    };
-    let spath = snapshot_path(log_path);
-    let data = match fs::read(&spath) {
-        Ok(d) => d,
-        Err(_) => return cold(),
-    };
-    let header = match Header::decode(&data) {
-        Ok(h) => h,
-        Err(_) => return cold(),
-    };
-    match classify(&header, raw) {
-        Freshness::Exact => match decode_snapshot(&data, &header) {
-            Ok(snapshot) => {
-                if let Some(t) = trace {
-                    t.incr("index.snapshot_hit", 1);
-                }
-                IndexedLoad::Exact(snapshot)
-            }
-            Err(_) => cold(),
-        },
-        Freshness::Prefix { .. } => {
-            let snapshot = match decode_snapshot(&data, &header) {
-                Ok(s) => s,
-                Err(_) => return cold(),
-            };
-            let tail = match std::str::from_utf8(&raw[header.source.bytes as usize..]) {
-                Ok(t) => t,
-                Err(_) => return cold(),
-            };
-            let generation = snapshot.view().generation();
-            let rows = match faillog::parse_body_rows(tail, generation, header.source.lines as usize)
-            {
-                Ok(r) => r,
-                Err(_) => return cold(),
-            };
-            let mut view = snapshot.into_view();
-            let added = match view.extend(rows) {
-                Ok(n) => n,
-                Err(_) => return cold(),
-            };
-            let source = SourceInfo::of_bytes(raw);
-            save_traced(&spath, &view, source, trace).ok();
-            let snapshot = Snapshot { view, source };
-            if let Some(t) = trace {
-                t.incr("index.snapshot_extend", 1);
-            }
-            IndexedLoad::Extended { snapshot, added }
-        }
-        Freshness::Stale { .. } | Freshness::Missing => cold(),
-    }
+    Ok(open(&read_log(log_path.as_ref())?, trace))
 }
 
 #[cfg(test)]
@@ -492,6 +497,8 @@ mod tests {
         assert_eq!(SourceInfo::of_bytes(b"a\nb\n").lines, 2);
         assert_eq!(SourceInfo::of_bytes(b"a\nb").lines, 2);
         assert_eq!(SourceInfo::of_bytes(b"\n").lines, 1);
+        assert_eq!(SourceInfo::of_bytes(&[b'\n'; 1000]).lines, 1000);
+        assert_eq!(SourceInfo::of_bytes(&[b'x'; 600]).lines, 1);
         assert_eq!(
             SourceInfo::of_bytes(b"abc").crc32,
             faillog::crc32(b"abc")
@@ -529,14 +536,18 @@ mod tests {
 
         // No snapshot yet: cold, with a ready-to-save fingerprint.
         let trace = Collector::new();
-        match open_indexed(&log_path, Some(&trace)).unwrap() {
+        let file = LogFile::read(&log_path).unwrap();
+        assert_eq!(freshness(&file), Freshness::Missing);
+        match open(&file, Some(&trace)) {
             IndexedLoad::Cold { source } => {
                 assert_eq!(source, SourceInfo::of_bytes(text.as_bytes()));
+                assert_eq!(source, file.source());
                 save(snapshot_path(&log_path), &view_of(&log), source).unwrap();
             }
             other => panic!("expected cold, got {other:?}"),
         }
         assert_eq!(trace.counter("index.snapshot_hit"), 0);
+        assert_eq!(freshness(&file), Freshness::Exact);
 
         // Snapshot in place: exact hit, counter bumped.
         assert_eq!(probe(&log_path).unwrap(), Freshness::Exact);
@@ -636,6 +647,36 @@ mod tests {
             Freshness::Stale { reason } => assert!(reason.contains("shrank"), "{reason}"),
             other => panic!("expected stale, got {other:?}"),
         }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn decisions_follow_the_bytes_read_not_the_file_now() {
+        // A file read before an append still classifies and opens as an
+        // exact hit: freshness and open judge the buffer they are given
+        // (the NDJSON extension itself is covered in snapshot_index.rs).
+        let dir = tmp_dir("read-once");
+        let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
+        let text = faillog::to_string(&log).unwrap();
+        let log_path = dir.join("log.fslog");
+        fs::write(&log_path, &text).unwrap();
+        save(
+            snapshot_path(&log_path),
+            &view_of(&log),
+            SourceInfo::of_bytes(text.as_bytes()),
+        )
+        .unwrap();
+        let file = LogFile::read(&log_path).unwrap();
+        let row = faillog::record_to_ndjson(log.records().last().unwrap());
+        fs::write(&log_path, format!("{text}{row}\n")).unwrap();
+        assert_eq!(freshness(&file), Freshness::Exact);
+        assert!(matches!(open(&file, None), IndexedLoad::Exact(_)));
+        // A tail a cold parse rejects (node out of range) never extends.
+        fs::write(&log_path, format!("{text}{row}\n0,1.0,1.0,GPU,99999,,\n")).unwrap();
+        assert!(faillog::load(&log_path).is_err());
+        let file = LogFile::read(&log_path).unwrap();
+        assert!(matches!(freshness(&file), Freshness::Prefix { .. }));
+        assert!(matches!(open(&file, None), IndexedLoad::Cold { .. }));
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -21,12 +21,8 @@
 //!   [`failtypes::Category`] vocabularies), so no quoting is needed.
 
 use std::io::{BufRead, Write};
-use std::str::FromStr;
 
-use failtypes::{
-    Category, Date, FailureLog, FailureRecord, Generation, GpuSlot, Hours, NodeId,
-    ObservationWindow, SoftwareLocus, SystemSpec, T2Category, T3Category,
-};
+use failtypes::{Date, FailureLog, Generation, ObservationWindow, SystemSpec};
 
 use failtypes::{Error, Result};
 
@@ -130,16 +126,19 @@ pub fn from_str(s: &str) -> Result<FailureLog> {
     crate::parallel::from_str_with(s, &crate::ParseOptions::default())
 }
 
-/// The original single-pass serial parser, kept verbatim as the
-/// reference oracle the parallel path is tested against.
+/// The original single-pass serial parser, kept as the reference
+/// oracle the parallel path is tested against; it shares only the row
+/// grammar ([`crate::parse_line`]) with the chunked parser.
 #[cfg(test)]
 pub(crate) fn parse_serial(s: &str) -> Result<FailureLog> {
-    let mut lines = s.as_bytes().lines().enumerate();
+    let mut lines = s.lines().enumerate();
 
     let mut header = HeaderParser::new();
     loop {
-        let (lineno, line) = next_line(&mut lines)?;
-        if header.feed(lineno, &line)? {
+        let (lineno, line) = lines
+            .next()
+            .ok_or_else(|| Error::Header("unexpected end of file".into()))?;
+        if header.feed(lineno, line)? {
             break;
         }
     }
@@ -147,28 +146,16 @@ pub(crate) fn parse_serial(s: &str) -> Result<FailureLog> {
 
     let mut records = Vec::new();
     for (lineno, line) in lines {
-        let line = line?;
         let line = line.trim();
         if line.is_empty() {
             continue;
         }
-        let rec = parse_row(lineno + 1, line, generation)?;
+        let rec = crate::parse_line(lineno + 1, line, generation)?;
         rec.validate(generation, &spec, window)
             .map_err(|e| Error::invalid_row(lineno + 1, e))?;
         records.push(rec);
     }
     Ok(FailureLog::with_spec(generation, spec, window, records)?)
-}
-
-#[cfg(test)]
-type Lines<'a, R> = std::iter::Enumerate<std::io::Lines<R>>;
-
-#[cfg(test)]
-fn next_line<R: BufRead>(lines: &mut Lines<'_, R>) -> Result<(usize, String)> {
-    match lines.next() {
-        Some((i, line)) => Ok((i, line?)),
-        None => Err(Error::Header("unexpected end of file".into())),
-    }
 }
 
 /// Incremental parser for the `failscope-log v1` header block, shared by
@@ -306,74 +293,6 @@ fn rebuild_spec(
         .gpus_per_node(gpus.unwrap_or(base.gpus_per_node()))
         .build()
         .map_err(|e| Error::Header(e.to_string()))
-}
-
-pub(crate) fn parse_row(
-    lineno: usize,
-    line: &str,
-    generation: Generation,
-) -> Result<FailureRecord> {
-    let fields: Vec<&str> = line.split(',').collect();
-    if fields.len() != 7 {
-        return Err(Error::row(
-            lineno,
-            format!("expected 7 fields, found {}", fields.len()),
-        ));
-    }
-    let id: u32 = fields[0].parse().map_err(|_| {
-        Error::row_field(lineno, "id", format!("invalid id `{}`", fields[0]))
-    })?;
-    let time: f64 = fields[1].parse().map_err(|_| {
-        Error::row_field(lineno, "time_h", format!("invalid time `{}`", fields[1]))
-    })?;
-    let ttr: f64 = fields[2].parse().map_err(|_| {
-        Error::row_field(lineno, "ttr_h", format!("invalid ttr `{}`", fields[2]))
-    })?;
-    let category = parse_category(fields[3], generation)
-        .map_err(|msg| Error::row_field(lineno, "category", msg))?;
-    let node: u32 = fields[4].parse().map_err(|_| {
-        Error::row_field(lineno, "node", format!("invalid node `{}`", fields[4]))
-    })?;
-
-    let mut rec = FailureRecord::new(
-        id,
-        Hours::new(time),
-        Hours::new(ttr),
-        category,
-        NodeId::new(node),
-    );
-    if !fields[5].is_empty() {
-        let mut slots = Vec::new();
-        for part in fields[5].split('|') {
-            let idx: u8 = part.parse().map_err(|_| {
-                Error::row_field(lineno, "gpus", format!("invalid GPU slot `{part}`"))
-            })?;
-            slots.push(GpuSlot::new(idx));
-        }
-        rec = rec.with_gpus(slots);
-    }
-    if !fields[6].is_empty() {
-        let locus = SoftwareLocus::from_str(fields[6])
-            .map_err(|e| Error::row_field(lineno, "locus", e.to_string()))?;
-        rec = rec.with_locus(locus);
-    }
-    Ok(rec)
-}
-
-pub(crate) fn parse_category(
-    label: &str,
-    generation: Generation,
-) -> std::result::Result<Category, String> {
-    match generation {
-        Generation::Tsubame2 => label
-            .parse::<T2Category>()
-            .map(Category::T2)
-            .map_err(|e| e.to_string()),
-        Generation::Tsubame3 => label
-            .parse::<T3Category>()
-            .map(Category::T3)
-            .map_err(|e| e.to_string()),
-    }
 }
 
 #[cfg(test)]

@@ -11,17 +11,20 @@
 //! precise, but decoding it is out of scope for now; the sniff table
 //! below is the single place a future decoder plugs into.
 //!
-//! Batch callers that want the whole decoded text at once (the chunked
-//! parallel parser needs a contiguous buffer to split) use
-//! [`read_input`].
+//! Batch callers read a file once into a [`LogFile`] — raw bytes plus
+//! their [`SourceInfo`] fingerprint — and parse that buffer (the
+//! chunked parallel parser needs a contiguous buffer to split);
+//! [`read_input`] stops at the decoded text.
 
+use std::cell::OnceCell;
 use std::fs::File;
 use std::io::{self, BufRead, BufReader, Cursor, Read};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
-use failtypes::{Error, Result};
+use failtrace::Collector;
+use failtypes::{Error, FailureLog, Result};
 
-use crate::inflate;
+use crate::{inflate, ParseOptions};
 
 /// The zstd frame magic (little-endian 0xFD2FB528), recognised but not
 /// yet decoded.
@@ -187,33 +190,162 @@ impl BufRead for InputReader {
     }
 }
 
+/// Fingerprint of a log's raw on-disk bytes: what a `failindex`
+/// snapshot records at save time and validates against later.
+///
+/// `lines` counts the *text* lines the fingerprinted bytes span (a
+/// final unterminated line counts as one); it rebases parser line
+/// numbers when a prefix-matched snapshot extends over an appended
+/// tail. For compressed logs the field is unused — only exact matches
+/// apply there.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct SourceInfo {
+    /// Raw byte length of the fingerprinted input.
+    pub bytes: u64,
+    /// CRC-32 of those bytes.
+    pub crc32: u32,
+    /// Text lines the bytes span.
+    pub lines: u64,
+}
+
+impl SourceInfo {
+    /// Fingerprints a byte slice (length, CRC-32, line count).
+    pub fn of_bytes(data: &[u8]) -> SourceInfo {
+        // Per-chunk `u8` sums vectorize to byte compares and adds; a
+        // plain `filter().count()` widens every byte and runs ~10x
+        // slower on a multi-megabyte log. 255 newlines fit in a `u8`.
+        let newlines: u64 = data
+            .chunks(255)
+            .map(|c| u64::from(c.iter().map(|&b| u8::from(b == b'\n')).sum::<u8>()))
+            .sum();
+        let lines = match data.last() {
+            None => 0,
+            Some(b'\n') => newlines,
+            Some(_) => newlines + 1,
+        };
+        SourceInfo {
+            bytes: data.len() as u64,
+            crc32: inflate::crc32(data),
+            lines,
+        }
+    }
+}
+
+/// A log file's raw on-disk bytes, read exactly once, plus their
+/// [`SourceInfo`] fingerprint.
+///
+/// Everything a query derives from one file — a render-cache key,
+/// snapshot freshness, a warm open or extension, a cold parse, and any
+/// snapshot saved afterwards — comes from this one buffer, so all of
+/// them describe the same bytes even when the file changes mid-query.
+/// The fingerprint is computed on first use, so a plain load that never
+/// asks for it pays no checksum pass.
+///
+/// # Examples
+///
+/// ```no_run
+/// let file = faillog::LogFile::read("fleet.fslog")?;
+/// let source = file.source(); // what a snapshot of this parse records
+/// let log = file.parse(None, &faillog::ParseOptions::default())?;
+/// # Ok::<(), failtypes::Error>(())
+/// ```
+#[derive(Debug)]
+pub struct LogFile {
+    path: PathBuf,
+    raw: Vec<u8>,
+    source: OnceCell<SourceInfo>,
+}
+
+impl LogFile {
+    /// Reads `path` whole.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Io`] when the file cannot be read.
+    pub fn read(path: impl AsRef<Path>) -> Result<LogFile> {
+        let path = path.as_ref().to_path_buf();
+        let raw = std::fs::read(&path)?;
+        Ok(LogFile {
+            path,
+            raw,
+            source: OnceCell::new(),
+        })
+    }
+
+    /// The path the bytes were read from.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// The raw on-disk bytes, before any decompression.
+    pub fn raw(&self) -> &[u8] {
+        &self.raw
+    }
+
+    /// The fingerprint of [`raw`](LogFile::raw).
+    pub fn source(&self) -> SourceInfo {
+        *self.source.get_or_init(|| SourceInfo::of_bytes(&self.raw))
+    }
+
+    /// Decodes the bytes into text, inflating gzip; plain text is moved
+    /// out of the buffer, never copied. Fails on corrupt gzip data, a
+    /// recognised-but-unsupported encoding (zstd), a `.fsidx` snapshot
+    /// passed as a log, or invalid UTF-8.
+    fn decode(self) -> Result<(String, Compression)> {
+        let compression = Compression::sniff(&self.raw);
+        let bytes = match compression {
+            Compression::Plain => self.raw,
+            Compression::Gzip => inflate::gzip_decompress(&self.raw).map_err(gzip_error)?,
+            Compression::Zstd => return Err(zstd_unsupported(&self.path)),
+            Compression::Snapshot => return Err(snapshot_not_a_log(&self.path)),
+        };
+        let text = String::from_utf8(bytes).map_err(|_| {
+            Error::io(
+                "decoding log input",
+                io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    "stream did not contain valid UTF-8",
+                ),
+            )
+        })?;
+        Ok((text, compression))
+    }
+
+    /// Decodes and parses the bytes with the chunked parallel parser.
+    ///
+    /// With a collector, records a `log.parse` span plus the
+    /// `parse.records`, `parse.chunks` and `parse.chunk_bytes` counters
+    /// (and the `filter.*` pair under a pushdown filter). Every counter
+    /// depends only on the input and chunk size, so trace exports stay
+    /// byte-identical across thread counts.
+    ///
+    /// # Errors
+    ///
+    /// Corrupt gzip data, a recognised-but-unsupported encoding (zstd),
+    /// a `.fsidx` snapshot passed as a log, invalid UTF-8, malformed
+    /// headers or rows, and record-invariant violations.
+    pub fn parse(self, trace: Option<&Collector>, opts: &ParseOptions) -> Result<FailureLog> {
+        let mut span = trace.map(|t| t.span("log.parse"));
+        let (text, _) = self.decode()?;
+        let log = crate::parallel::from_str_traced(&text, opts, trace)?;
+        if let (Some(trace), Some(span)) = (trace, span.as_mut()) {
+            span.add_items(log.len() as u64);
+            trace.incr("parse.records", log.len() as u64);
+        }
+        Ok(log)
+    }
+}
+
 /// Reads a log file's full decoded text plus the compression it was
 /// stored with — the entry point for the chunked parallel parser,
 /// which splits one contiguous buffer.
 ///
 /// # Errors
 ///
-/// Same as [`InputReader::open`], plus invalid UTF-8 in the decoded
-/// stream.
+/// I/O failure, corrupt gzip data, zstd or `.fsidx` input, or invalid
+/// UTF-8.
 pub fn read_input(path: impl AsRef<Path>) -> Result<(String, Compression)> {
-    let raw = std::fs::read(path.as_ref())?;
-    let compression = Compression::sniff(&raw);
-    let bytes = match compression {
-        Compression::Plain => raw,
-        Compression::Gzip => inflate::gzip_decompress(&raw).map_err(gzip_error)?,
-        Compression::Zstd => return Err(zstd_unsupported(path.as_ref())),
-        Compression::Snapshot => return Err(snapshot_not_a_log(path.as_ref())),
-    };
-    let text = String::from_utf8(bytes).map_err(|_| {
-        Error::io(
-            "decoding log input",
-            io::Error::new(
-                io::ErrorKind::InvalidData,
-                "stream did not contain valid UTF-8",
-            ),
-        )
-    })?;
-    Ok((text, compression))
+    LogFile::read(path)?.decode()
 }
 
 fn gzip_error(msg: String) -> Error {
@@ -366,8 +498,41 @@ mod tests {
     }
 
     #[test]
+    fn log_file_describes_the_bytes_it_read() {
+        // The parsed records and the fingerprint both describe the
+        // bytes as they were at `read`, not the file after an append.
+        let log = failsim::Simulator::new(failsim::SystemModel::tsubame3(), 5)
+            .generate()
+            .unwrap();
+        let text = crate::to_string(&log).unwrap();
+        let path = tmp("read-once.fslog", text.as_bytes());
+        let file = LogFile::read(&path).unwrap();
+        let row = crate::record_to_ndjson(log.records().last().unwrap());
+        let mut f = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap();
+        writeln!(f, "{row}").unwrap();
+        drop(f);
+        assert_eq!(file.path(), path.as_path());
+        assert_eq!(file.source(), SourceInfo::of_bytes(text.as_bytes()));
+        assert_eq!(file.raw(), text.as_bytes());
+        let trace = Collector::new();
+        let parsed = file.parse(Some(&trace), &ParseOptions::serial()).unwrap();
+        assert_eq!(parsed, log);
+        assert_eq!(trace.counter("parse.records"), log.len() as u64);
+        // A fresh read sees the appended row.
+        let grown = LogFile::read(&path).unwrap();
+        assert!(grown.source().bytes > text.len() as u64);
+        let lines = SourceInfo::of_bytes(text.as_bytes()).lines;
+        assert_eq!(grown.source().lines, lines + 1);
+    }
+
+    #[test]
     fn missing_file_errors() {
         assert!(InputReader::open("/definitely/not/here.fslog").is_err());
         assert!(read_input("/definitely/not/here.fslog").is_err());
+        let err = LogFile::read("/definitely/not/here.fslog").unwrap_err();
+        assert!(err.to_string().starts_with("i/o error: "), "{err}");
     }
 }

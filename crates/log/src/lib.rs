@@ -9,8 +9,11 @@
 //! this shape for business-sensitivity reasons — and quick summaries
 //! ([`summarize`]).
 //!
-//! For live monitoring, [`LogTailer`] reads the same format (plus NDJSON
-//! body rows) incrementally with follow-mode polling. Record filtering
+//! Batch readers read a file once into a [`LogFile`] (raw bytes plus
+//! their [`SourceInfo`] fingerprint) and parse that buffer; for live
+//! monitoring, [`LogTailer`] reads the same format incrementally with
+//! follow-mode polling. Every reader parses body rows with one grammar,
+//! [`parse_line`]: native CSV, or one-line NDJSON objects. Record filtering
 //! (`--where`, and the `--since`/`--until` sugar that desugars into it)
 //! is pushed down into the parser itself: a compiled
 //! [`failfilter::CompiledPredicate`] carried in [`ParseOptions::filter`]
@@ -39,16 +42,16 @@ mod inflate;
 mod input;
 mod ops;
 mod parallel;
+mod row;
 mod stream;
 
 pub use csv::{from_str, read_log, to_string, write_log};
 pub use inflate::{crc32, gzip_compress, gzip_decompress, Crc32};
-pub use input::{read_input, Compression, InputReader, FSIDX_MAGIC};
-pub use ops::{
-    anonymize_nodes, load, load_traced, load_traced_with, load_with, save, summarize, LogSummary,
-};
-pub use parallel::{from_str_with, ParseOptions, DEFAULT_CHUNK_BYTES};
-pub use stream::{parse_body_rows, parse_ndjson_row, record_to_ndjson, LogTailer, TailProgress};
+pub use input::{read_input, Compression, InputReader, LogFile, SourceInfo, FSIDX_MAGIC};
+pub use ops::{anonymize_nodes, load, load_with, save, summarize, LogSummary};
+pub use parallel::{from_str_with, parse_body_rows, BodyRows, ParseOptions, DEFAULT_CHUNK_BYTES};
+pub use row::{parse_line, parse_ndjson_row, record_to_ndjson};
+pub use stream::LogTailer;
 
 #[cfg(test)]
 mod tests {

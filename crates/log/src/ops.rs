@@ -39,51 +39,14 @@ pub fn load(path: impl AsRef<Path>) -> Result<FailureLog> {
     load_with(path, &ParseOptions::default())
 }
 
-/// [`load`] with explicit parse options (worker threads, chunk size).
+/// [`load`] with explicit parse options (worker threads, chunk size):
+/// [`crate::LogFile::read`] then [`crate::LogFile::parse`].
 ///
 /// # Errors
 ///
 /// Same as [`load`].
 pub fn load_with(path: impl AsRef<Path>, opts: &ParseOptions) -> Result<FailureLog> {
-    let (text, _compression) = crate::read_input(path)?;
-    crate::from_str_with(&text, opts)
-}
-
-/// [`load`] with optional tracing: records a `log.parse` span and a
-/// `parse.records` counter into `trace`.
-///
-/// # Errors
-///
-/// Same as [`load`].
-pub fn load_traced(
-    path: impl AsRef<Path>,
-    trace: Option<&failtrace::Collector>,
-) -> Result<FailureLog> {
-    load_traced_with(path, trace, &ParseOptions::default())
-}
-
-/// [`load_with`] with optional tracing: records a `log.parse` span plus
-/// `parse.records`, `parse.chunks`, and `parse.chunk_bytes` counters
-/// into `trace`. Every counter depends only on the input and chunk
-/// size, so trace exports stay byte-identical across thread counts.
-///
-/// # Errors
-///
-/// Same as [`load`].
-pub fn load_traced_with(
-    path: impl AsRef<Path>,
-    trace: Option<&failtrace::Collector>,
-    opts: &ParseOptions,
-) -> Result<FailureLog> {
-    let Some(trace) = trace else {
-        return load_with(path, opts);
-    };
-    let mut span = trace.span("log.parse");
-    let (text, _compression) = crate::read_input(path)?;
-    let log = crate::parallel::from_str_traced(&text, opts, Some(trace))?;
-    span.add_items(log.len() as u64);
-    trace.incr("parse.records", log.len() as u64);
-    Ok(log)
+    crate::LogFile::read(path)?.parse(None, opts)
 }
 
 /// Renames node ids with a keyed pseudorandom permutation, preserving

@@ -5,8 +5,9 @@
 //! archives. This module splits the body of a log into byte-range
 //! chunks snapped to line boundaries ([`failstats::line_chunks`]),
 //! parses each chunk on the shared [`failstats::par_map_ordered`]
-//! worker pool with the existing allocation-free row parser, and
-//! concatenates the per-chunk record vectors in declaration order.
+//! worker pool with [`parse_body_rows`] (the one row grammar, CSV or
+//! NDJSON per line), and concatenates the per-chunk record vectors in
+//! declaration order.
 //!
 //! **Determinism contract:** output is byte-identical to the serial
 //! parser for every `threads` value and every `chunk_bytes` value —
@@ -37,7 +38,8 @@ use failfilter::CompiledPredicate;
 use failstats::{available_threads, line_chunks, par_map_ordered};
 use failtypes::{Error, FailureLog, FailureRecord, Generation, ObservationWindow, Result, SystemSpec};
 
-use crate::csv::{parse_row, HeaderParser};
+use crate::csv::HeaderParser;
+use crate::parse_line;
 
 /// Default chunk size for the parallel parser: large enough that chunk
 /// dispatch overhead vanishes, small enough that a year-scale log
@@ -160,7 +162,8 @@ pub(crate) fn from_str_traced(
 
     let filter = opts.filter.as_ref();
     let outcomes = par_map_ordered(chunks.len(), opts.threads, |i| {
-        parse_chunk(&body[chunks[i].clone()], generation, &spec, window, filter)
+        let chunk = &body[chunks[i].clone()];
+        parse_body_rows(chunk, 0, generation, &spec, window, filter)
     });
 
     // Declaration-order merge. The first erroring chunk wins; every
@@ -172,10 +175,10 @@ pub(crate) fn from_str_traced(
     let mut records_in = 0u64;
     for outcome in outcomes {
         match outcome {
-            Ok((mut chunk_records, chunk_lines, chunk_seen)) => {
-                records_in += chunk_seen as u64;
-                records.append(&mut chunk_records);
-                lines_before += chunk_lines;
+            Ok(mut rows) => {
+                records_in += rows.seen as u64;
+                records.append(&mut rows.records);
+                lines_before += rows.lines;
             }
             Err(err) => return Err(offset_error_line(err, lines_before)),
         }
@@ -205,35 +208,64 @@ fn parse_header(
     Err(Error::Header("unexpected end of file".into()))
 }
 
-/// Parses one chunk with chunk-relative 1-based line numbers. Returns
-/// the kept records, the number of lines in the chunk (blank lines
-/// included — they advance the global numbering), and the pre-filter
-/// record count (for the `filter.records_in` counter).
-fn parse_chunk(
-    chunk: &str,
+/// The rows one [`parse_body_rows`] call accepted.
+#[derive(Debug)]
+pub struct BodyRows {
+    /// Valid records that passed the filter, in file order.
+    pub records: Vec<FailureRecord>,
+    /// Lines the text spans, blank lines included (they advance the
+    /// global numbering).
+    pub lines: usize,
+    /// Valid records before the filter ran (the `filter.records_in`
+    /// tally).
+    pub seen: usize,
+}
+
+/// Parses and validates a run of body rows exactly as a cold parse
+/// does: each non-blank line goes through [`crate::parse_line`] (CSV or
+/// NDJSON), is validated against the header's `spec` and `window`, and
+/// is kept when it matches `filter`. Line numbers in errors are
+/// `lineno_offset` plus the 1-based line within `text`.
+///
+/// This is the batch parser's chunk function (called with offset 0 and
+/// remapped afterwards) and the tail parser `failindex` uses to extend
+/// a snapshot over the bytes appended since it was written (offset =
+/// the lines the snapshot covers), so a tail extends a snapshot exactly
+/// when a cold parse of the same bytes accepts it.
+///
+/// # Errors
+///
+/// [`Error::Row`] for malformed rows and [`Error::InvalidRow`] for
+/// records violating the header's invariants.
+pub fn parse_body_rows(
+    text: &str,
+    lineno_offset: usize,
     generation: Generation,
     spec: &SystemSpec,
     window: ObservationWindow,
     filter: Option<&CompiledPredicate>,
-) -> Result<(Vec<FailureRecord>, usize, usize)> {
-    let mut records = Vec::new();
-    let mut lines = 0usize;
-    let mut seen = 0usize;
-    for raw in chunk.split_inclusive('\n') {
-        lines += 1;
+) -> Result<BodyRows> {
+    let mut rows = BodyRows {
+        records: Vec::new(),
+        lines: 0,
+        seen: 0,
+    };
+    for raw in text.split_inclusive('\n') {
+        rows.lines += 1;
         let line = raw.trim();
         if line.is_empty() {
             continue;
         }
-        let rec = parse_row(lines, line, generation)?;
+        let lineno = lineno_offset + rows.lines;
+        let rec = parse_line(lineno, line, generation)?;
         rec.validate(generation, spec, window)
-            .map_err(|e| Error::invalid_row(lines, e))?;
-        seen += 1;
+            .map_err(|e| Error::invalid_row(lineno, e))?;
+        rows.seen += 1;
         if filter.is_none_or(|f| f.matches(&rec, spec, window)) {
-            records.push(rec);
+            rows.records.push(rec);
         }
     }
-    Ok((records, lines, seen))
+    Ok(rows)
 }
 
 /// Shifts a chunk-relative row error to its global line number. Only

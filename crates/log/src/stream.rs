@@ -1,4 +1,4 @@
-//! Incremental log ingestion: a polling tailer and NDJSON row codec.
+//! Incremental log ingestion: a polling tailer.
 //!
 //! [`LogTailer`] reads a `failscope-log v1` stream record by record
 //! instead of all at once, which is what a live monitor needs: the
@@ -11,9 +11,10 @@
 //! [`LogTailer::flush_partial`] force-parses the remainder once the
 //! stream is known to be finished.
 //!
-//! Body rows may be CSV (the format's native rows) or one-line JSON
-//! objects, auto-detected per line, so `failctl watch` can ingest the
-//! NDJSON event streams that fleet telemetry pipelines emit:
+//! Body rows go through the one row grammar ([`crate::parse_line`]):
+//! CSV (the format's native rows) or one-line JSON objects,
+//! auto-detected per line, so `failctl watch` can ingest the NDJSON
+//! event streams that fleet telemetry pipelines emit:
 //!
 //! ```text
 //! {"id":0,"time_h":10.5,"ttr_h":4.25,"category":"GPU","node":12,"gpus":[0,3],"locus":null}
@@ -22,316 +23,13 @@
 use std::fmt;
 use std::io::BufRead;
 use std::path::Path;
-use std::str::FromStr;
 
-use failtypes::{
-    FailureRecord, Generation, GpuSlot, Hours, NodeId, ObservationWindow, SoftwareLocus,
-    SystemSpec,
-};
+use failtypes::{FailureRecord, Generation, ObservationWindow, SystemSpec};
 
-use crate::csv::{parse_category, parse_row, HeaderParser};
+use crate::csv::HeaderParser;
 use crate::inflate::Crc32;
+use crate::{parse_line, SourceInfo};
 use failtypes::{Error, Result};
-
-/// How far a [`LogTailer`] has consumed its underlying stream — the
-/// provenance a `failindex` snapshot needs to fingerprint the byte
-/// range its records came from.
-///
-/// Only *consumed* input counts: a buffered partial line (no newline
-/// yet) is excluded until it completes or is force-flushed, so `bytes`
-/// always delimits a prefix of the file whose re-parse would yield
-/// exactly the records handed out so far.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TailProgress {
-    /// Bytes fully consumed (header included).
-    pub bytes: u64,
-    /// CRC-32 of those bytes (see [`crate::crc32`]).
-    pub crc32: u32,
-    /// 1-based count of lines fully consumed.
-    pub lines: u64,
-}
-
-/// Parses a run of body rows (CSV or NDJSON per line, auto-detected;
-/// blank lines skipped) with line numbers rebased by `lineno_offset` —
-/// the tail parser `failindex` uses to extend a snapshot over the bytes
-/// appended since it was written.
-///
-/// Rows are *parsed* but not validated against a spec/window — callers
-/// feed them through `StreamView::extend`, which enforces the same
-/// invariants batch loading does.
-///
-/// # Errors
-///
-/// Returns [`Error::Row`] (with the rebased 1-based global line number)
-/// for malformed rows.
-pub fn parse_body_rows(
-    text: &str,
-    generation: Generation,
-    lineno_offset: usize,
-) -> Result<Vec<FailureRecord>> {
-    let mut records = Vec::new();
-    for (i, raw) in text.lines().enumerate() {
-        let line = raw.trim();
-        if line.is_empty() {
-            continue;
-        }
-        let lineno = lineno_offset + i + 1;
-        let rec = if line.starts_with('{') {
-            parse_ndjson_row(lineno, line, generation)?
-        } else {
-            parse_row(lineno, line, generation)?
-        };
-        records.push(rec);
-    }
-    Ok(records)
-}
-
-/// Serializes one record as a one-line JSON object (no trailing
-/// newline), the inverse of the tailer's NDJSON row parser.
-///
-/// Category and locus labels come from fixed vocabularies that contain
-/// no characters needing JSON escapes, so the output is plain `format!`.
-pub fn record_to_ndjson(rec: &FailureRecord) -> String {
-    let gpus = rec
-        .gpus()
-        .iter()
-        .map(|s| s.index().to_string())
-        .collect::<Vec<_>>()
-        .join(",");
-    let locus = match rec.locus() {
-        Some(l) => format!("\"{}\"", l.label()),
-        None => "null".to_string(),
-    };
-    format!(
-        "{{\"id\":{},\"time_h\":{},\"ttr_h\":{},\"category\":\"{}\",\"node\":{},\"gpus\":[{gpus}],\"locus\":{locus}}}",
-        rec.id(),
-        rec.time().get(),
-        rec.ttr().get(),
-        rec.category().label(),
-        rec.node().index(),
-    )
-}
-
-/// Parses one NDJSON row (see the module docs for the shape).
-///
-/// `gpus` and `locus` are optional; every other key is required, and
-/// unknown keys are rejected so schema drift surfaces immediately.
-pub fn parse_ndjson_row(
-    lineno: usize,
-    line: &str,
-    generation: Generation,
-) -> Result<FailureRecord> {
-    let mut c = JsonCursor::new(lineno, line);
-    c.skip_ws();
-    c.expect(b'{')?;
-    let mut id: Option<u32> = None;
-    let mut time: Option<f64> = None;
-    let mut ttr: Option<f64> = None;
-    let mut category = None;
-    let mut node: Option<u32> = None;
-    let mut gpus: Vec<GpuSlot> = Vec::new();
-    let mut locus: Option<SoftwareLocus> = None;
-
-    c.skip_ws();
-    if !c.eat(b'}') {
-        loop {
-            c.skip_ws();
-            let key = c.string("key")?;
-            c.skip_ws();
-            c.expect(b':')?;
-            c.skip_ws();
-            match key {
-                "id" => id = Some(c.integer("id")?),
-                "time_h" => time = Some(c.number("time_h")?),
-                "ttr_h" => ttr = Some(c.number("ttr_h")?),
-                "category" => {
-                    let label = c.string("category")?;
-                    category = Some(
-                        parse_category(label, generation)
-                            .map_err(|msg| Error::row_field(lineno, "category", msg))?,
-                    );
-                }
-                "node" => node = Some(c.integer("node")?),
-                "gpus" => {
-                    c.expect(b'[')?;
-                    c.skip_ws();
-                    if !c.eat(b']') {
-                        loop {
-                            c.skip_ws();
-                            let idx: u32 = c.integer("gpus")?;
-                            let idx = u8::try_from(idx).map_err(|_| {
-                                Error::row_field(
-                                    lineno,
-                                    "gpus",
-                                    format!("GPU slot `{idx}` out of range"),
-                                )
-                            })?;
-                            gpus.push(GpuSlot::new(idx));
-                            c.skip_ws();
-                            if c.eat(b']') {
-                                break;
-                            }
-                            c.expect(b',')?;
-                        }
-                    }
-                }
-                "locus" => {
-                    if c.eat_keyword("null") {
-                        locus = None;
-                    } else {
-                        let label = c.string("locus")?;
-                        locus = Some(SoftwareLocus::from_str(label).map_err(|e| {
-                            Error::row_field(lineno, "locus", e.to_string())
-                        })?);
-                    }
-                }
-                other => {
-                    return Err(Error::row(lineno, format!("unknown key `{other}`")));
-                }
-            }
-            c.skip_ws();
-            if c.eat(b'}') {
-                break;
-            }
-            c.expect(b',')?;
-        }
-    }
-    c.skip_ws();
-    if !c.at_end() {
-        return Err(Error::row(lineno, "trailing content after object"));
-    }
-
-    let missing = |field| Error::row_field(lineno, field, "missing required key");
-    let mut rec = FailureRecord::new(
-        id.ok_or_else(|| missing("id"))?,
-        Hours::new(time.ok_or_else(|| missing("time_h"))?),
-        Hours::new(ttr.ok_or_else(|| missing("ttr_h"))?),
-        category.ok_or_else(|| missing("category"))?,
-        NodeId::new(node.ok_or_else(|| missing("node"))?),
-    );
-    if !gpus.is_empty() {
-        rec = rec.with_gpus(gpus);
-    }
-    if let Some(l) = locus {
-        rec = rec.with_locus(l);
-    }
-    Ok(rec)
-}
-
-/// A minimal cursor over one line of flat JSON — just enough for the
-/// NDJSON row shape (strings without escapes, numbers, `null`, arrays
-/// of integers). The fixed label vocabularies guarantee no escapes.
-struct JsonCursor<'a> {
-    lineno: usize,
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> JsonCursor<'a> {
-    fn new(lineno: usize, line: &'a str) -> Self {
-        JsonCursor {
-            lineno,
-            bytes: line.as_bytes(),
-            pos: 0,
-        }
-    }
-
-    fn err(&self, message: impl Into<String>) -> Error {
-        Error::row(self.lineno, message)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.bytes.get(self.pos).is_some_and(|b| b.is_ascii_whitespace()) {
-            self.pos += 1;
-        }
-    }
-
-    fn at_end(&self) -> bool {
-        self.pos >= self.bytes.len()
-    }
-
-    fn eat(&mut self, b: u8) -> bool {
-        if self.bytes.get(self.pos) == Some(&b) {
-            self.pos += 1;
-            true
-        } else {
-            false
-        }
-    }
-
-    fn eat_keyword(&mut self, kw: &str) -> bool {
-        if self.bytes[self.pos..].starts_with(kw.as_bytes()) {
-            self.pos += kw.len();
-            true
-        } else {
-            false
-        }
-    }
-
-    fn expect(&mut self, b: u8) -> Result<()> {
-        if self.eat(b) {
-            Ok(())
-        } else {
-            Err(self.err(format!(
-                "expected `{}` at byte {}",
-                char::from(b),
-                self.pos
-            )))
-        }
-    }
-
-    /// Borrows the string contents straight out of the line — label
-    /// matching allocates nothing.
-    fn string(&mut self, field: &'static str) -> Result<&'a str> {
-        if !self.eat(b'"') {
-            return Err(Error::row_field(self.lineno, field, "expected a string"));
-        }
-        let start = self.pos;
-        while let Some(&b) = self.bytes.get(self.pos) {
-            if b == b'"' {
-                let s = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .expect("slice of a str on char boundaries");
-                self.pos += 1;
-                if s.contains('\\') {
-                    return Err(Error::row_field(
-                        self.lineno,
-                        field,
-                        "escapes are not supported in labels",
-                    ));
-                }
-                return Ok(s);
-            }
-            self.pos += 1;
-        }
-        Err(Error::row_field(self.lineno, field, "unterminated string"))
-    }
-
-    fn number_slice(&mut self) -> &'a str {
-        let start = self.pos;
-        while self
-            .bytes
-            .get(self.pos)
-            .is_some_and(|b| matches!(b, b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E'))
-        {
-            self.pos += 1;
-        }
-        std::str::from_utf8(&self.bytes[start..self.pos]).expect("ascii slice")
-    }
-
-    fn number(&mut self, field: &'static str) -> Result<f64> {
-        let s = self.number_slice();
-        s.parse().map_err(|_| {
-            Error::row_field(self.lineno, field, format!("invalid number `{s}`"))
-        })
-    }
-
-    fn integer(&mut self, field: &'static str) -> Result<u32> {
-        let s = self.number_slice();
-        s.parse().map_err(|_| {
-            Error::row_field(self.lineno, field, format!("invalid integer `{s}`"))
-        })
-    }
-}
 
 /// Incremental, poll-friendly reader for a `failscope-log v1` stream.
 ///
@@ -469,10 +167,16 @@ impl<R: BufRead> LogTailer<R> {
         self.lines_consumed
     }
 
-    /// The committed byte count, checksum, and line count so far (see
-    /// [`TailProgress`]).
-    pub fn progress(&self) -> TailProgress {
-        TailProgress {
+    /// The fingerprint of the input consumed so far — the provenance a
+    /// `failindex` snapshot needs for the byte range its records came
+    /// from.
+    ///
+    /// Only *consumed* input counts: a buffered partial line (no
+    /// newline yet) is excluded until it completes or is force-flushed,
+    /// so `bytes` always delimits a prefix of the file whose re-parse
+    /// would yield exactly the records handed out so far.
+    pub fn progress(&self) -> SourceInfo {
+        SourceInfo {
             bytes: self.committed_bytes,
             crc32: self.committed_crc.finish(),
             lines: self.lines_consumed as u64,
@@ -543,11 +247,7 @@ impl<R: BufRead> LogTailer<R> {
 
     fn parse_and_validate(&self, line: &str) -> Result<FailureRecord> {
         let lineno = self.lines_consumed;
-        let rec = if line.starts_with('{') {
-            parse_ndjson_row(lineno, line, self.generation)?
-        } else {
-            parse_row(lineno, line, self.generation)?
-        };
+        let rec = parse_line(lineno, line, self.generation)?;
         rec.validate(self.generation, &self.spec, self.window)
             .map_err(|e| Error::invalid_row(lineno, e))?;
         Ok(rec)
@@ -567,6 +267,7 @@ impl<R> fmt::Debug for LogTailer<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{parse_body_rows, parse_ndjson_row, record_to_ndjson};
     use failsim::{Simulator, SystemModel};
     use std::io::Write;
 
@@ -626,6 +327,9 @@ mod tests {
             records.push(rec);
         }
         assert_eq!(records.as_slice(), &log.records()[..10]);
+        // The batch parser reads the same mixed text identically.
+        let batch = crate::from_str(&text).unwrap();
+        assert_eq!(batch.records(), records.as_slice());
     }
 
     #[test]
@@ -705,14 +409,15 @@ mod tests {
             "{\"id\":zz}",                                // bad number
             "{\"id\":0,\"category\":\"FAN\"}",            // unknown category
             "{\"id\":0,\"gpus\":[999]}",                  // slot out of u8
+            "{\"id\":1.5}",                               // fractional id
+            "{\"id\":0,\"gpus\":3}",                      // gpus not an array
+            "[1,2]",                                      // not an object
             "not json",
         ];
         for line in bad {
             let res = parse_ndjson_row(3, line, generation);
             assert!(res.is_err(), "accepted: {line}");
-            if line != "not json" {
-                assert_eq!(res.unwrap_err().line(), Some(3));
-            }
+            assert_eq!(res.unwrap_err().line(), Some(3), "{line}");
         }
     }
 
@@ -779,13 +484,29 @@ mod tests {
             .nth(header_lines - 1)
             .map(|(i, _)| i + 1)
             .unwrap();
-        let rows =
-            parse_body_rows(&text[body_start..], log.generation(), header_lines).unwrap();
-        assert_eq!(rows, streamed);
-        // A malformed row reports its rebased global line number.
-        let err = parse_body_rows("\n1,nope,1.0,GPU,0,,\n", Generation::Tsubame3, 7)
-            .unwrap_err();
+        let (spec, window) = (log.spec(), log.window());
+        let rows = parse_body_rows(
+            &text[body_start..],
+            header_lines,
+            log.generation(),
+            spec,
+            window,
+            None,
+        )
+        .unwrap();
+        assert_eq!(rows.records, streamed);
+        assert_eq!(rows.seen, streamed.len());
+        assert_eq!(rows.lines, text.lines().count() - header_lines);
+        // Malformed and invalid rows report their rebased global line
+        // numbers, as the tailer and a cold parse would.
+        let t3 = Generation::Tsubame3;
+        let t3_spec = t3.spec();
+        let err =
+            parse_body_rows("\n1,nope,1.0,GPU,0,,\n", 7, t3, &t3_spec, window, None).unwrap_err();
         assert_eq!(err.line(), Some(9));
+        let err =
+            parse_body_rows("1,1.0,1.0,GPU,99999,,\n", 7, t3, &t3_spec, window, None).unwrap_err();
+        assert!(matches!(err, Error::InvalidRow { line: 8, .. }), "{err}");
     }
 
     #[test]
@@ -799,5 +520,9 @@ mod tests {
         assert_eq!(rec.id(), 7);
         assert!(rec.gpus().is_empty());
         assert!(rec.locus().is_none());
+        // Standard JSON string escapes are legal: `\u0047PU` is `GPU`.
+        let line = r#"{"id":7,"time_h":1.5,"ttr_h":0.5,"category":"\u0047PU","node":3}"#;
+        let rec = parse_ndjson_row(1, line, Generation::Tsubame3).unwrap();
+        assert_eq!(rec.category().label(), "GPU");
     }
 }

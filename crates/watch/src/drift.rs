@@ -13,7 +13,7 @@
 //!   concentration bound at the 1% level), so a small window drawn
 //!   from the baseline itself stays quiet;
 //! * **MTTR regression** — windowed mean TTR exceeding the baseline
-//!   MTTR by a configurable ratio, corroborated by a two-sample KS test
+//!   MTTR by a fixed ratio, corroborated by a two-sample KS test
 //!   of the window sample against the baseline TTR sample (severity
 //!   escalates to critical when the KS test rejects);
 //! * **slot-skew anomaly** — a GPU slot's windowed involvement share
@@ -114,210 +114,54 @@ impl Baseline {
     }
 }
 
-/// Thresholds for the drift checks.
-#[derive(Debug, Clone)]
-pub struct DriftConfig {
-    /// Minimum records in the trailing window before any check runs.
-    pub min_window: usize,
-    /// Total-variation distance on category fractions, **beyond the
-    /// sampling-noise allowance**, that triggers a mix-shift alert. The
-    /// allowance `sqrt((k ln 2 + ln 100) / 2n)` (BHC bound at the 1%
-    /// level, `k` categories, `n` window records) is added to this
-    /// margin, so the default stays quiet on clean windows of any size.
-    pub mix_threshold: f64,
-    /// Windowed-MTTR / baseline-MTTR ratio that triggers a regression
-    /// alert. Windowed means over heavy-tailed repair times fluctuate
-    /// up to ~1.7x on streams drawn from the baseline itself, so the
-    /// default keeps a margin above that.
-    pub mttr_ratio: f64,
-    /// Significance level for the corroborating KS test; rejection
-    /// (`p < ks_alpha`) escalates the MTTR alert to critical.
-    pub ks_alpha: f64,
-    /// Absolute change in a slot's involvement share that triggers a
-    /// skew alert.
-    pub slot_share_threshold: f64,
-    /// Minimum windowed involvements before the slot check runs.
-    pub min_involvements: usize,
-    /// Multi-GPU failures within [`burst_window_hours`] that trigger a
-    /// burst alert.
-    ///
-    /// [`burst_window_hours`]: DriftConfig::burst_window_hours
-    pub burst_count: usize,
-    /// Span of the burst excitation window, hours.
-    pub burst_window_hours: f64,
-}
+/// Minimum records in the trailing window before any check runs.
+const MIN_WINDOW: usize = 20;
 
-impl Default for DriftConfig {
-    fn default() -> Self {
-        DriftConfig {
-            min_window: 20,
-            mix_threshold: 0.15,
-            mttr_ratio: 2.0,
-            ks_alpha: 0.05,
-            slot_share_threshold: 0.15,
-            min_involvements: 10,
-            burst_count: 3,
-            burst_window_hours: 24.0,
-        }
-    }
-}
+/// Total-variation distance on category fractions, **beyond the
+/// sampling-noise allowance**, that triggers a mix-shift alert. The
+/// allowance `sqrt((k ln 2 + ln 100) / 2n)` (BHC bound at the 1% level,
+/// `k` categories, `n` window records) is added to this margin, so the
+/// check stays quiet on clean windows of any size.
+const MIX_THRESHOLD: f64 = 0.15;
 
-impl DriftConfig {
-    /// A validating builder starting from the defaults.
-    pub fn builder() -> DriftConfigBuilder {
-        DriftConfigBuilder::default()
-    }
-}
+/// Windowed-MTTR / baseline-MTTR ratio that triggers a regression
+/// alert. Windowed means over heavy-tailed repair times fluctuate up to
+/// ~1.7x on streams drawn from the baseline itself, so the ratio keeps
+/// a margin above that.
+const MTTR_RATIO: f64 = 2.0;
 
-/// Validating builder for [`DriftConfig`].
-///
-/// [`build`](DriftConfigBuilder::build) rejects thresholds the checks
-/// cannot interpret (zero windows, inverted ratios, degenerate
-/// significance levels) with a [`failtypes::Error::Config`] naming the
-/// offending knob.
-///
-/// # Examples
-///
-/// ```
-/// use failwatch::DriftConfig;
-///
-/// let config = DriftConfig::builder().mttr_ratio(3.0).build()?;
-/// assert_eq!(config.mttr_ratio, 3.0);
-/// assert!(DriftConfig::builder().mttr_ratio(0.5).build().is_err());
-/// # Ok::<(), failtypes::Error>(())
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct DriftConfigBuilder {
-    config: DriftConfig,
-}
+/// Significance level for the corroborating KS test; rejection
+/// (`p < KS_ALPHA`) escalates the MTTR alert to critical.
+const KS_ALPHA: f64 = 0.05;
 
-impl DriftConfigBuilder {
-    /// Minimum records in the trailing window before any check runs.
-    #[must_use]
-    pub fn min_window(mut self, records: usize) -> Self {
-        self.config.min_window = records;
-        self
-    }
+/// Absolute change in a slot's involvement share that triggers a skew
+/// alert.
+const SLOT_SHARE_THRESHOLD: f64 = 0.15;
 
-    /// Total-variation margin beyond the sampling-noise allowance.
-    #[must_use]
-    pub fn mix_threshold(mut self, threshold: f64) -> Self {
-        self.config.mix_threshold = threshold;
-        self
-    }
+/// Minimum windowed involvements before the slot check runs.
+const MIN_INVOLVEMENTS: usize = 10;
 
-    /// Windowed-MTTR / baseline-MTTR ratio that triggers a regression.
-    #[must_use]
-    pub fn mttr_ratio(mut self, ratio: f64) -> Self {
-        self.config.mttr_ratio = ratio;
-        self
-    }
+/// Multi-GPU failures within [`BURST_WINDOW_HOURS`] that trigger a
+/// burst alert.
+const BURST_COUNT: usize = 3;
 
-    /// Significance level for the corroborating KS test.
-    #[must_use]
-    pub fn ks_alpha(mut self, alpha: f64) -> Self {
-        self.config.ks_alpha = alpha;
-        self
-    }
-
-    /// Absolute slot-share change that triggers a skew alert.
-    #[must_use]
-    pub fn slot_share_threshold(mut self, threshold: f64) -> Self {
-        self.config.slot_share_threshold = threshold;
-        self
-    }
-
-    /// Minimum windowed involvements before the slot check runs.
-    #[must_use]
-    pub fn min_involvements(mut self, involvements: usize) -> Self {
-        self.config.min_involvements = involvements;
-        self
-    }
-
-    /// Multi-GPU failures inside the burst window that trigger an alert.
-    #[must_use]
-    pub fn burst_count(mut self, count: usize) -> Self {
-        self.config.burst_count = count;
-        self
-    }
-
-    /// Span of the burst excitation window, hours.
-    #[must_use]
-    pub fn burst_window_hours(mut self, hours: f64) -> Self {
-        self.config.burst_window_hours = hours;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`failtypes::Error::Config`] (target `drift detector`) when a
-    /// window or count is zero, the MTTR ratio is below 1, the KS
-    /// significance level is outside `(0, 1)`, or a threshold is
-    /// negative or non-finite.
-    pub fn build(self) -> failtypes::Result<DriftConfig> {
-        let c = &self.config;
-        let err = |reason: String| Err(failtypes::Error::config("drift detector", reason));
-        if c.min_window == 0 {
-            return err("minimum window must hold at least 1 record".into());
-        }
-        if !(c.mix_threshold.is_finite() && c.mix_threshold >= 0.0) {
-            return err(format!(
-                "mix threshold must be a finite non-negative distance, got {}",
-                c.mix_threshold
-            ));
-        }
-        if !(c.mttr_ratio.is_finite() && c.mttr_ratio >= 1.0) {
-            return err(format!(
-                "MTTR ratio must be finite and at least 1, got {}",
-                c.mttr_ratio
-            ));
-        }
-        if !(c.ks_alpha > 0.0 && c.ks_alpha < 1.0) {
-            return err(format!(
-                "KS significance level must be in (0, 1), got {}",
-                c.ks_alpha
-            ));
-        }
-        if !(c.slot_share_threshold.is_finite() && c.slot_share_threshold > 0.0) {
-            return err(format!(
-                "slot-share threshold must be a positive finite share, got {}",
-                c.slot_share_threshold
-            ));
-        }
-        if c.min_involvements == 0 {
-            return err("minimum involvements must be at least 1".into());
-        }
-        if c.burst_count == 0 {
-            return err("burst count must be at least 1".into());
-        }
-        if !(c.burst_window_hours.is_finite() && c.burst_window_hours > 0.0) {
-            return err(format!(
-                "burst window must be a positive finite number of hours, got {}",
-                c.burst_window_hours
-            ));
-        }
-        Ok(self.config)
-    }
-}
+/// Span of the burst excitation window, hours.
+const BURST_WINDOW_HOURS: f64 = 24.0;
 
 /// Edge-triggered drift detector (see the module docs).
 #[derive(Debug, Clone)]
 pub struct DriftDetector {
     baseline: Baseline,
-    config: DriftConfig,
     /// Currently-true conditions with the highest severity already
     /// alerted; an escalation past the stored severity re-fires.
     active: BTreeMap<AlertKind, AlertSeverity>,
 }
 
 impl DriftDetector {
-    /// A detector comparing against `baseline` with `config` thresholds.
-    pub fn new(baseline: Baseline, config: DriftConfig) -> Self {
+    /// A detector comparing against `baseline`.
+    pub fn new(baseline: Baseline) -> Self {
         DriftDetector {
             baseline,
-            config,
             active: BTreeMap::new(),
         }
     }
@@ -332,7 +176,7 @@ impl DriftDetector {
     /// is not yet warm).
     pub fn evaluate(&mut self, state: &WatchState) -> Vec<Alert> {
         let mut alerts = Vec::new();
-        if state.window_len() < self.config.min_window {
+        if state.window_len() < MIN_WINDOW {
             return alerts;
         }
         let time_h = state.stream_time().unwrap_or(0.0);
@@ -357,7 +201,7 @@ impl DriftDetector {
         // solving for the 1% level gives the allowance below.
         let noise =
             ((k as f64 * std::f64::consts::LN_2 + 100f64.ln()) / (2.0 * window_n as f64)).sqrt();
-        let mix_threshold = self.config.mix_threshold + noise;
+        let mix_threshold = MIX_THRESHOLD + noise;
         Self::edge(&mut self.active, &mut alerts, tv > mix_threshold, || {
             Alert {
                 kind: AlertKind::CategoryMixShift,
@@ -379,7 +223,7 @@ impl DriftDetector {
                 let ratio = window_mttr / self.baseline.mttr_hours;
                 let ks = ks_test_two_sample(&state.window_ttr_sample(), &self.baseline.ttr_sample);
                 let (p_value, rejects) = ks.map_or((None, false), |t| {
-                    (Some(t.p_value), t.rejects_at(self.config.ks_alpha))
+                    (Some(t.p_value), t.rejects_at(KS_ALPHA))
                 });
                 let severity = if rejects {
                     AlertSeverity::Critical
@@ -389,14 +233,14 @@ impl DriftDetector {
                 Self::edge(
                     &mut self.active,
                     &mut alerts,
-                    ratio > self.config.mttr_ratio,
+                    ratio > MTTR_RATIO,
                     || Alert {
                         kind: AlertKind::MttrRegression,
                         severity,
                         time_h,
                         window_n,
                         metric: ratio,
-                        threshold: self.config.mttr_ratio,
+                        threshold: MTTR_RATIO,
                         p_value,
                         message: format!(
                             "windowed MTTR {window_mttr:.2} h is {ratio:.2}x the baseline {:.2} h",
@@ -409,7 +253,7 @@ impl DriftDetector {
 
         // 3. Slot-skew anomaly.
         let (shares, involvements) = state.window_slot_shares();
-        if involvements >= self.config.min_involvements {
+        if involvements >= MIN_INVOLVEMENTS {
             let (worst_slot, delta) = shares
                 .iter()
                 .enumerate()
@@ -422,14 +266,14 @@ impl DriftDetector {
             Self::edge(
                 &mut self.active,
                 &mut alerts,
-                delta > self.config.slot_share_threshold,
+                delta > SLOT_SHARE_THRESHOLD,
                 || Alert {
                     kind: AlertKind::SlotSkewAnomaly,
                     severity: AlertSeverity::Warning,
                     time_h,
                     window_n,
                     metric: delta,
-                    threshold: self.config.slot_share_threshold,
+                    threshold: SLOT_SHARE_THRESHOLD,
                     p_value: None,
                     message: format!(
                         "GPU slot {worst_slot} involvement share moved {delta:.3} from baseline"
@@ -439,22 +283,22 @@ impl DriftDetector {
         }
 
         // 4. Multi-GPU burst.
-        let burst = state.multi_gpu_since(time_h - self.config.burst_window_hours);
+        let burst = state.multi_gpu_since(time_h - BURST_WINDOW_HOURS);
         Self::edge(
             &mut self.active,
             &mut alerts,
-            burst >= self.config.burst_count,
+            burst >= BURST_COUNT,
             || Alert {
                 kind: AlertKind::MultiGpuBurst,
                 severity: AlertSeverity::Warning,
                 time_h,
                 window_n,
                 metric: burst as f64,
-                threshold: self.config.burst_count as f64,
+                threshold: BURST_COUNT as f64,
                 p_value: None,
                 message: format!(
                     "{burst} multi-GPU failures within {:.0} h",
-                    self.config.burst_window_hours
+                    BURST_WINDOW_HOURS
                 ),
             },
         );
@@ -490,7 +334,7 @@ mod tests {
     use super::*;
     use crate::state::{StateConfig, WatchState};
     use failsim::{Simulator, SystemModel};
-    use failtypes::{FailureRecord, Hours};
+    use failtypes::{FailureRecord, GpuSlot, Hours};
     use std::collections::BTreeSet;
 
     fn baseline() -> Baseline {
@@ -518,7 +362,7 @@ mod tests {
                 .generate()
                 .unwrap();
             let mut state = WatchState::for_log(&log, StateConfig::default());
-            let mut det = DriftDetector::new(baseline(), DriftConfig::default());
+            let mut det = DriftDetector::new(baseline());
             let mut fired = Vec::new();
             for rec in log.iter() {
                 state.ingest(rec.clone()).unwrap();
@@ -539,7 +383,7 @@ mod tests {
     fn injected_mttr_regression_fires_and_escalates_to_critical() {
         let log = Simulator::new(SystemModel::tsubame3(), 1).generate().unwrap();
         let mut state = WatchState::for_log(&log, StateConfig::default());
-        let mut det = DriftDetector::new(baseline(), DriftConfig::default());
+        let mut det = DriftDetector::new(baseline());
         let half = log.len() / 2;
         let mut fired = Vec::new();
         for (i, rec) in log.iter().enumerate() {
@@ -588,7 +432,7 @@ mod tests {
             .map(|&(c, _)| c)
             .unwrap();
         let mut state = WatchState::for_log(&log, StateConfig::default());
-        let mut det = DriftDetector::new(base, DriftConfig::default());
+        let mut det = DriftDetector::new(base);
         let half = log.len() / 2;
         let mut fired = Vec::new();
         for (i, rec) in log.iter().enumerate() {
@@ -607,31 +451,41 @@ mod tests {
 
     #[test]
     fn burst_detector_counts_the_excitation_window() {
+        // Warm the window past MIN_WINDOW with single-node failures,
+        // then deliver three multi-GPU failures inside 24 h: the third
+        // completes a burst.
         let log = Simulator::new(SystemModel::tsubame3(), 1).generate().unwrap();
         let mut state = WatchState::for_log(&log, StateConfig::default());
-        let config = DriftConfig {
-            min_window: 1,
-            burst_count: 1, // any multi-GPU failure alerts
-            ..DriftConfig::default()
+        let mut det = DriftDetector::new(baseline());
+        let gpu = log.iter().find(|r| r.category().is_gpu()).unwrap();
+        let (category, node) = (gpu.category(), gpu.node());
+        let mut fire = |rec: FailureRecord| {
+            state.ingest(rec).unwrap();
+            det.evaluate(&state)
+                .into_iter()
+                .map(|a| a.kind)
+                .collect::<BTreeSet<_>>()
         };
-        let mut det = DriftDetector::new(baseline(), config);
-        let mut kinds = BTreeSet::new();
-        for rec in log.iter() {
-            state.ingest(rec.clone()).unwrap();
-            for a in det.evaluate(&state) {
-                kinds.insert(a.kind);
-            }
+        for i in 0..MIN_WINDOW as u32 {
+            let time = Hours::new(f64::from(i) * 100.0);
+            let rec = FailureRecord::new(i, time, Hours::new(1.0), category, node);
+            assert!(!fire(rec).contains(&AlertKind::MultiGpuBurst));
         }
-        // The calibrated T3 log contains multi-GPU failures (Table III),
-        // so with burst_count=1 the burst alert must appear.
-        assert!(kinds.contains(&AlertKind::MultiGpuBurst), "{kinds:?}");
+        let start = 100.0 * MIN_WINDOW as f64;
+        let multi = |id: u32, time: f64| {
+            FailureRecord::new(id, Hours::new(time), Hours::new(1.0), category, node)
+                .with_gpus([GpuSlot::new(0), GpuSlot::new(1)])
+        };
+        assert!(!fire(multi(100, start)).contains(&AlertKind::MultiGpuBurst));
+        assert!(!fire(multi(101, start + 10.0)).contains(&AlertKind::MultiGpuBurst));
+        assert!(fire(multi(102, start + 20.0)).contains(&AlertKind::MultiGpuBurst));
     }
 
     #[test]
     fn warm_up_produces_no_alerts() {
         let log = Simulator::new(SystemModel::tsubame3(), 1).generate().unwrap();
         let mut state = WatchState::for_log(&log, StateConfig::default());
-        let mut det = DriftDetector::new(baseline(), DriftConfig::default());
+        let mut det = DriftDetector::new(baseline());
         for rec in log.iter().take(19) {
             state.ingest(rec.clone()).unwrap();
             assert!(det.evaluate(&state).is_empty(), "fired during warm-up");

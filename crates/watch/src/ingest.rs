@@ -16,7 +16,7 @@
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 
-use faillog::{Compression, InputReader, LogTailer, TailProgress};
+use faillog::{Compression, InputReader, LogTailer, SourceInfo};
 use failsim::{ReplayClock, Simulator, SystemModel};
 use failtypes::{
     FailureRecord, Generation, Hours, ObservationWindow, Result, StreamEvent, SystemSpec,
@@ -71,11 +71,12 @@ pub trait EventSource {
     fn describe(&self) -> String;
     /// Support for persisting the accumulated index as a `.fsidx`
     /// snapshot on clean shutdown: the source log's path plus the
-    /// progress fingerprint (bytes/CRC/lines) of exactly the raw input
-    /// consumed so far. `None` (the default) when the stream cannot be
-    /// fingerprinted against on-disk bytes — simulated replays, and
-    /// compressed files (whose progress counts *decoded* bytes).
-    fn snapshot_target(&self) -> Option<(PathBuf, TailProgress)> {
+    /// [`SourceInfo`] fingerprint (bytes/CRC/lines) of exactly the raw
+    /// input consumed so far. `None` (the default) when the stream
+    /// cannot be fingerprinted against on-disk bytes — simulated
+    /// replays, and compressed files (whose progress counts *decoded*
+    /// bytes).
+    fn snapshot_target(&self) -> Option<(PathBuf, SourceInfo)> {
         None
     }
 }
@@ -175,7 +176,7 @@ impl EventSource for TailSource {
         }
     }
 
-    fn snapshot_target(&self) -> Option<(PathBuf, TailProgress)> {
+    fn snapshot_target(&self) -> Option<(PathBuf, SourceInfo)> {
         if self.tailer.compression() != Compression::Plain {
             return None;
         }

@@ -38,7 +38,7 @@ mod ingest;
 mod state;
 mod watch;
 
-pub use drift::{Baseline, DriftConfig, DriftConfigBuilder, DriftDetector};
+pub use drift::{Baseline, DriftDetector};
 pub use estimators::Ewma;
 pub use ingest::{ChunkEnd, EventSource, SimSource, TailSource};
 pub use state::{StateConfig, StateConfigBuilder, WatchState};
@@ -70,7 +70,7 @@ pub use watch::{
 /// # Ok::<(), failwatch::prelude::Error>(())
 /// ```
 pub mod prelude {
-    pub use crate::drift::{Baseline, DriftConfig, DriftConfigBuilder, DriftDetector};
+    pub use crate::drift::{Baseline, DriftDetector};
     pub use crate::ingest::{ChunkEnd, EventSource, SimSource, TailSource};
     pub use crate::state::{StateConfig, StateConfigBuilder, WatchState};
     pub use crate::watch::{

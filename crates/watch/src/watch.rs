@@ -24,6 +24,9 @@ use crate::drift::DriftDetector;
 use crate::ingest::{ChunkEnd, EventSource};
 use crate::state::{StateConfig, WatchState};
 
+/// Sleep between polls when a followed source is idle.
+const IDLE_SLEEP: Duration = Duration::from_millis(200);
+
 /// One streaming summary section: a stable machine id, a human title,
 /// and paired JSON/text renderers over the online [`WatchState`] — the
 /// streaming mirror of `failscope::Section`.
@@ -108,8 +111,9 @@ pub fn select_watch_sections(spec: &str) -> failtypes::Result<Vec<&'static Watch
     Ok(out)
 }
 
-/// Tuning for the watch loop itself (state and drift thresholds are
-/// configured on [`StateConfig`] / [`crate::DriftConfig`]).
+/// Tuning for the watch loop itself (the trailing window is configured
+/// on [`StateConfig`]; drift thresholds are fixed constants of
+/// [`crate::DriftDetector`]).
 #[derive(Debug, Clone)]
 pub struct WatchConfig {
     /// Online-state tuning (the trailing window).
@@ -124,8 +128,6 @@ pub struct WatchConfig {
     /// chunking never delays follow-mode delivery or alerting on a
     /// stalled stream).
     pub ingest_chunk: usize,
-    /// Sleep between polls when a followed source is idle.
-    pub idle_sleep_ms: u64,
     /// Stop after this many *consecutive* idle polls (`None` = follow
     /// forever; the CLI uses a bound so smoke tests terminate).
     pub max_idle_polls: Option<u64>,
@@ -157,7 +159,6 @@ impl Default for WatchConfig {
             state: StateConfig::default(),
             refresh_every: 100,
             ingest_chunk: 256,
-            idle_sleep_ms: 200,
             max_idle_polls: None,
             max_records: None,
             threads: 1,
@@ -217,13 +218,6 @@ impl WatchConfigBuilder {
     #[must_use]
     pub fn ingest_chunk(mut self, records: usize) -> Self {
         self.config.ingest_chunk = records;
-        self
-    }
-
-    /// Sleep between polls when a followed source is idle.
-    #[must_use]
-    pub fn idle_sleep_ms(mut self, millis: u64) -> Self {
-        self.config.idle_sleep_ms = millis;
         self
     }
 
@@ -432,7 +426,7 @@ pub fn run(
                 if config.max_idle_polls.is_some_and(|max| idle_polls >= max) {
                     break;
                 }
-                thread::sleep(Duration::from_millis(config.idle_sleep_ms));
+                thread::sleep(IDLE_SLEEP);
             }
             ChunkEnd::Eof => break,
         }
@@ -683,7 +677,7 @@ fn month_section(state: &WatchState) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::drift::{Baseline, DriftConfig};
+    use crate::drift::Baseline;
     use crate::ingest::SimSource;
     use failsim::{ReplayClock, SystemModel};
     use failtypes::AlertKind;
@@ -699,7 +693,7 @@ mod tests {
             src = src.with_mttr_injection(factor, from);
         }
         let baseline = Baseline::from_model(SystemModel::tsubame3(), 1).unwrap();
-        let detector = DriftDetector::new(baseline, DriftConfig::default());
+        let detector = DriftDetector::new(baseline);
         let mut buf = Vec::new();
         let outcome = run(&mut src, Some(detector), config, &mut buf).unwrap();
         (outcome, String::from_utf8(buf).unwrap())
@@ -842,11 +836,6 @@ mod tests {
             assert!(err.to_string().starts_with("invalid watch loop configuration:"));
         }
         assert!(StateConfig::builder().window(0).build().is_err());
-        let drift = crate::DriftConfig::builder();
-        assert!(drift.clone().ks_alpha(1.0).build().is_err());
-        assert!(drift.clone().mttr_ratio(0.9).build().is_err());
-        assert!(drift.clone().burst_window_hours(0.0).build().is_err());
-        assert!(drift.min_window(5).build().is_ok());
     }
 
     #[test]

@@ -9,11 +9,13 @@ cargo build --release
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 
-# Structure gate: one fleet index, one watch state, and no stub
-# dependencies. `vendor/` holds only the offline subsets of real
+# Structure gate: one fleet index, one watch state, one ingest path, and
+# no stub dependencies. `vendor/` holds only the offline subsets of real
 # dependencies; the retired second index, its shims, the snapshot
-# delegation, and the watch state's second copy of the view's figures
-# (quantile sketch, trailing-window buffers) stay gone.
+# delegation, the watch state's second copy of the view's figures
+# (quantile sketch, trailing-window buffers), the second JSON row parser,
+# the second fingerprint type, the engine's private re-read of each log
+# and the drift-threshold builder stay gone.
 extra_vendor=$(ls vendor | grep -vxE 'rand|proptest|criterion' || true)
 if [ -n "$extra_vendor" ]; then
     echo "verify: unexpected vendored crates: $extra_vendor (allowed: rand, proptest, criterion)" >&2
@@ -25,6 +27,14 @@ if grep -rnE 'struct LogView|fn from_view|impl FleetIndex for Snapshot' crates/;
 fi
 if grep -rnE 'QuantileSketch|sketch_capacity|struct WindowMean|struct RateWindow' crates/; then
     echo "verify: a quantile sketch or trailing-window buffer reappeared beside the watch state's view under crates/" >&2
+    exit 1
+fi
+if grep -rnE 'struct JsonCursor|struct TailProgress|fn fingerprint\(|type FilePrint|DriftConfigBuilder' crates/; then
+    echo "verify: a second row parser, fingerprint type, engine fingerprint read, or drift-threshold builder reappeared under crates/" >&2
+    exit 1
+fi
+if grep -nF 'std::fs::read' crates/api/src/engine.rs; then
+    echo "verify: QueryEngine reads a log file itself instead of through faillog::LogFile" >&2
     exit 1
 fi
 
@@ -158,6 +168,23 @@ for t in 1 4; do
         exit 1
     }
 done
+# Then append the last row re-encoded as an NDJSON row (the form `watch`
+# accepts) with the next id: the cold parse reads it and the warm path
+# extends the snapshot over it, so both reports must still agree.
+tail -n 1 "$idx_dir/idx.fslog" | awk -F, '{
+    gpus = $6; gsub(/\|/, ",", gpus)
+    locus = ($7 == "") ? "null" : "\"" $7 "\""
+    printf "{\"id\":%d,\"time_h\":%s,\"ttr_h\":%s,\"category\":\"%s\",\"node\":%s,\"gpus\":[%s],\"locus\":%s}\n",
+        $1 + 1, $2, $3, $4, $5, gpus, locus
+}' >> "$idx_dir/idx.fslog"
+for mode in off auto; do
+    cargo run -q --release -p failctl -- report "$idx_dir/idx.fslog" \
+        --sections "$idx_sections" --index "$mode" > "$idx_dir/ndjson-$mode.txt"
+done
+cmp -s "$idx_dir/ndjson-off.txt" "$idx_dir/ndjson-auto.txt" || {
+    echo "verify: after an appended NDJSON row, --index auto differs from --index off" >&2
+    exit 1
+}
 rm -rf "$idx_dir"
 
 # Server gate, part 1: `repro bench`'s server block replays a mixed

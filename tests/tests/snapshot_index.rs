@@ -171,6 +171,51 @@ fn every_corruption_degrades_silently_to_a_cold_parse() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+#[test]
+fn an_appended_ndjson_row_reads_the_same_warm_and_cold() {
+    // Snapshot a log, then append one row in the NDJSON form `failctl
+    // watch` accepts. The warm path extends the snapshot over that row
+    // and the cold path parses it, so reports agree byte for byte and
+    // the warm records are exactly a cold load's.
+    use failapi::{QueryEngine, QueryRequest, QuerySource};
+    use failindex::IndexMode;
+
+    let dir = temp_dir("ndjson-tail");
+    let log = Simulator::new(SystemModel::tsubame3(), 43).generate().expect("simulates");
+    let text = faillog::to_string(&log).expect("serializes");
+    let path = dir.join("t3.fslog");
+    std::fs::write(&path, &text).expect("writes log");
+    failindex::save(
+        failindex::snapshot_path(&path),
+        &StreamView::new(&log),
+        failindex::SourceInfo::of_bytes(text.as_bytes()),
+    )
+    .expect("saves snapshot");
+
+    let row = faillog::record_to_ndjson(log.records().last().expect("non-empty log"));
+    std::fs::write(&path, format!("{text}{row}\n")).expect("appends row");
+
+    let p = path.to_str().expect("utf8 path");
+    let report = |mode: IndexMode| {
+        let req = QueryRequest::report(QuerySource::file(p)).sections(ANALYSIS).index(mode);
+        QueryEngine::new().execute(&req).expect("reports").output
+    };
+    let cold = report(IndexMode::Off);
+    assert!(cold.contains(&format!("{}", log.len() + 1)), "{cold}");
+    assert_eq!(report(IndexMode::Auto), cold);
+    // The auto run extended the snapshot; it now covers the NDJSON row.
+    let cold_log = faillog::load(&path).expect("cold parse reads NDJSON rows");
+    assert_eq!(cold_log.len(), log.len() + 1);
+    match failindex::open_indexed(&path, None).expect("opens") {
+        failindex::IndexedLoad::Exact(snap) => {
+            assert_eq!(snap.view().records(), cold_log.records());
+        }
+        other => panic!("expected an exact hit after the extension, got {other:?}"),
+    }
+    assert_eq!(report(IndexMode::Require), cold);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

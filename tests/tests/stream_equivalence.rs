@@ -22,7 +22,7 @@ use failscope::{StreamView, TbfAnalysis, TtrAnalysis};
 use failsim::{ReplayClock, ScenarioBuilder, Simulator, SystemModel};
 use failtypes::{AlertKind, FailureLog};
 use failwatch::{
-    Baseline, DriftConfig, DriftDetector, SimSource, StateConfig, WatchConfig, WatchState,
+    Baseline, DriftDetector, SimSource, StateConfig, WatchConfig, WatchState,
 };
 use proptest::prelude::*;
 
@@ -162,7 +162,7 @@ fn clean_accelerated_replay_stays_quiet_on_mttr() {
     let mut source =
         SimSource::new(SystemModel::tsubame3(), 3, ReplayClock::unpaced()).unwrap();
     let baseline = Baseline::from_model(SystemModel::tsubame3(), 1).unwrap();
-    let detector = DriftDetector::new(baseline, DriftConfig::default());
+    let detector = DriftDetector::new(baseline);
     let mut sink = Vec::new();
     let outcome =
         failwatch::run(&mut source, Some(detector), &WatchConfig::default(), &mut sink).unwrap();
@@ -184,7 +184,7 @@ fn injected_regression_alerts_and_state_still_counts_every_record() {
         .unwrap()
         .with_mttr_injection(5.0, 0.5);
     let baseline = Baseline::from_model(model, 1).unwrap();
-    let detector = DriftDetector::new(baseline, DriftConfig::default());
+    let detector = DriftDetector::new(baseline);
     let mut sink = Vec::new();
     let outcome =
         failwatch::run(&mut source, Some(detector), &WatchConfig::default(), &mut sink).unwrap();
@@ -236,8 +236,8 @@ proptest! {
     ) {
         let log = Simulator::new(SystemModel::tsubame3(), seed).generate().unwrap();
         let baseline = Baseline::from_model(SystemModel::tsubame3(), 1).unwrap();
-        let mut det_batched = DriftDetector::new(baseline.clone(), DriftConfig::default());
-        let mut det_single = DriftDetector::new(baseline, DriftConfig::default());
+        let mut det_batched = DriftDetector::new(baseline.clone());
+        let mut det_single = DriftDetector::new(baseline);
         let mut batched = WatchState::for_log(&log, StateConfig::default());
         let mut per_record = WatchState::for_log(&log, StateConfig::default());
 
