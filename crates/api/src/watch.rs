@@ -19,7 +19,7 @@ use failwatch::{
 };
 
 use crate::engine::{compile_filter, model_by_name};
-use crate::request::{parse_chunk_bytes, parse_threads, OutputFormat};
+use crate::request::{parse_chunk_bytes, OutputFormat};
 
 /// A watch query: stream a log file or a simulated replay through the
 /// online monitor. See the module docs for why most fields are raw
@@ -48,8 +48,6 @@ pub struct WatchRequest {
     pub max_records: Option<String>,
     /// Raw `--max-idle` poll bound.
     pub max_idle: Option<String>,
-    /// Raw `--threads` value.
-    pub threads: Option<String>,
     /// Raw `--where` filter expression scoping the monitor.
     pub where_expr: Option<String>,
     /// Raw `--parse-chunk` read-buffer size (file sources only).
@@ -189,7 +187,6 @@ pub fn run(req: &WatchRequest, out: &mut dyn io::Write) -> Result<Collector> {
             "chunk",
             WatchConfig::default().ingest_chunk,
         )?)
-        .threads(parse_threads(req.threads.as_deref())?)
         .json_summaries(req.format == OutputFormat::Json)
         .trace(trace.clone());
     if let Some(pred) = filter {

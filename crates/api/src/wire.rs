@@ -185,7 +185,6 @@ fn parse_command(doc: &JsonValue, obj: &[(String, JsonValue)]) -> Result<Command
                 "chunk",
                 "max_records",
                 "max_idle",
-                "threads",
                 "where",
                 "format",
                 "sections",
@@ -202,7 +201,6 @@ fn parse_command(doc: &JsonValue, obj: &[(String, JsonValue)]) -> Result<Command
             req.chunk = raw_field(doc, "chunk")?;
             req.max_records = raw_field(doc, "max_records")?;
             req.max_idle = raw_field(doc, "max_idle")?;
-            req.threads = raw_field(doc, "threads")?;
             req.where_expr = opt_string(doc, "where")?;
             req.parse_chunk = raw_field(doc, "parse_chunk")?;
             req.sections = parse_sections(doc)?;
@@ -405,7 +403,6 @@ pub fn encode_watch(id: u64, req: &WatchRequest) -> String {
         ("chunk", &req.chunk),
         ("max_records", &req.max_records),
         ("max_idle", &req.max_idle),
-        ("threads", &req.threads),
         ("where", &req.where_expr),
         ("parse_chunk", &req.parse_chunk),
         ("sections", &req.sections),
@@ -609,6 +606,26 @@ mod tests {
         };
         assert_eq!(req.max_records.as_deref(), Some("50"));
         assert_eq!(req.seed.as_deref(), Some("7"));
+    }
+
+    #[test]
+    fn watch_rejects_a_threads_field() {
+        // Watch summaries render on the calling thread, so `threads` is
+        // an unknown field on `watch` (it stays valid on report/compare).
+        for threads in ["4", "\"4\""] {
+            let line = format!(
+                r#"{{"v":1,"id":1,"cmd":"watch","source":"sim:tsubame3","threads":{threads}}}"#
+            );
+            let err = parse_request(&line).1.unwrap_err();
+            assert_eq!(err.kind(), "args");
+            assert!(
+                err.to_string().contains("unknown field \"threads\" for cmd \"watch\""),
+                "{err}"
+            );
+        }
+        let (_, report) =
+            parse_request(r#"{"v":1,"id":1,"cmd":"report","log":"a","threads":4}"#);
+        assert!(report.is_ok());
     }
 
     #[test]

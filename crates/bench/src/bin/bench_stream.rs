@@ -23,8 +23,16 @@
 //!
 //! A scaling sweep (1k/10k/100k/1M synthetic records over one year)
 //! records the per-size rec/s curve, which amortized-O(1) ingest keeps
-//! near flat; the `scaled_*` fields gate the ~100k tier that
-//! `scripts/verify.sh` enforces a throughput floor on.
+//! near flat, and the per-size cost of one watch summary refresh; the
+//! `scaled_*` fields gate the ~100k tier that `scripts/verify.sh`
+//! enforces throughput floors on.
+//!
+//! A summary refresh is what `failctl watch` does every 100 records:
+//! ingest them, materialize the sorted arrays, and render all four
+//! summary sections on the calling thread. Each tier ingests all but its
+//! last 2,000 records untimed, then times the 20 refreshes that consume
+//! them (a tier shorter than that times the refreshes of its whole
+//! stream) and reports microseconds per refresh.
 //!
 //! Equivalence is checked the same way the test suite does, on every
 //! log and tier: the incrementally built index must equal the
@@ -36,13 +44,16 @@ use std::time::Instant;
 
 use failscope::{StreamView, TbfAnalysis, TtrAnalysis};
 use failsim::{ReplayClock, ScenarioBuilder, Simulator, SystemModel};
-use failtypes::{AlertKind, FailureLog};
+use failtypes::{AlertKind, FailureLog, FailureRecord};
 use failwatch::{
     Baseline, DriftDetector, SimSource, StateConfig, WatchConfig, WatchState,
 };
 
 /// Timing repetitions; the reported seconds are for the fastest pass.
 const REPS: usize = 10;
+
+/// Summary refreshes timed at the end of each scaled stream.
+const SUMMARY_CYCLES: usize = 20;
 
 fn main() {
     let mut json_path = String::from("BENCH_stream.json");
@@ -115,12 +126,16 @@ fn main() {
     });
     let scaled_stream_seconds = time_stream_ingest(SCALED_REPS, &scaled_log);
     let scaled_rate = scaled_records as f64 / scaled_stream_seconds.max(f64::MIN_POSITIVE);
+    let scaled_summary_us = time_summaries(SCALED_REPS, &scaled_log);
+    let scaled_summary_rate = 1e6 / scaled_summary_us.max(f64::MIN_POSITIVE);
     println!(
-        "scaled: {} records | batch index {:.1} ms | stream ingest {:.1} ms | {:.0} rec/s | equivalent: {scaled_equivalent}",
+        "scaled: {} records | batch index {:.1} ms | stream ingest {:.1} ms | {:.0} rec/s | summary {:.1} us ({:.0}/s) | equivalent: {scaled_equivalent}",
         scaled_records,
         scaled_batch_seconds * 1e3,
         scaled_stream_seconds * 1e3,
         scaled_rate,
+        scaled_summary_us,
+        scaled_summary_rate,
     );
 
     // Per-size scaling curve: four synthetic years at ~1k/10k/100k/1M
@@ -137,16 +152,18 @@ fn main() {
         drop(tier_state);
         let seconds = time_stream_ingest(reps, &tier_log);
         let rate = tier_log.len() as f64 / seconds.max(f64::MIN_POSITIVE);
+        let summary_us = time_summaries(reps, &tier_log);
         all_tiers_equivalent &= tier_equivalent;
         println!(
-            "tier: {} records | stream ingest {:.1} ms | {:.0} rec/s | equivalent: {tier_equivalent}",
+            "tier: {} records | stream ingest {:.1} ms | {:.0} rec/s | summary {summary_us:.1} us | equivalent: {tier_equivalent}",
             tier_log.len(),
             seconds * 1e3,
             rate,
         );
         scaling_rows.push(format!(
             "{{\"records\": {}, \"stream_seconds\": {seconds:.6}, \
-             \"records_per_second\": {rate:.0}, \"equivalent\": {tier_equivalent}}}",
+             \"records_per_second\": {rate:.0}, \"summary_us\": {summary_us:.1}, \
+             \"equivalent\": {tier_equivalent}}}",
             tier_log.len(),
         ));
     }
@@ -193,6 +210,8 @@ fn main() {
          \"scaled_batch_seconds\": {scaled_batch_seconds:.6},\n  \
          \"scaled_stream_seconds\": {scaled_stream_seconds:.6},\n  \
          \"scaled_stream_records_per_second\": {scaled_rate:.0},\n  \
+         \"scaled_summary_us\": {scaled_summary_us:.1},\n  \
+         \"scaled_summaries_per_second\": {scaled_summary_rate:.0},\n  \
          \"scaled_equivalent\": {scaled_equivalent},\n  \
          \"scaling\": [\n    {scaling}\n  ],\n  \
          \"watch_replay_seconds\": {watch_seconds:.6},\n  \
@@ -262,6 +281,35 @@ fn time_stream_ingest(reps: usize, log: &FailureLog) -> f64 {
         best = best.min(start.elapsed().as_secs_f64());
     }
     best
+}
+
+/// Microseconds per watch summary refresh at the end of `log`'s stream
+/// (see the module docs), fastest of `reps` passes. Each pass ingests the
+/// untimed prefix afresh, so the state's buffers grow as a live stream's
+/// do.
+fn time_summaries(reps: usize, log: &FailureLog) -> f64 {
+    let records = log.records();
+    let refresh = WatchConfig::default().refresh_every;
+    let cut = records.len().saturating_sub(SUMMARY_CYCLES * refresh);
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let mut state = WatchState::for_log(log, StateConfig::default());
+        state
+            .ingest_batch(records[..cut].to_vec())
+            .expect("valid in-order records");
+        state.materialize();
+        let chunks: Vec<Vec<FailureRecord>> =
+            records[cut..].chunks(refresh).map(<[_]>::to_vec).collect();
+        let cycles = chunks.len().max(1);
+        let start = Instant::now();
+        for chunk in chunks {
+            state.ingest_batch(chunk).expect("valid in-order records");
+            state.materialize();
+            std::hint::black_box(failwatch::render_summary(&state, 1));
+        }
+        best = best.min(start.elapsed().as_secs_f64() / cycles as f64);
+    }
+    best * 1e6
 }
 
 fn ingest_all(log: &FailureLog) -> WatchState {

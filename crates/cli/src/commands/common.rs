@@ -92,13 +92,13 @@ impl CommonQueryArgs {
 
     /// Applies the common flags to a watch request. Most values stay
     /// raw (watch's flag-combination diagnostics quote them verbatim);
-    /// only `--format` and `--index` are parsed here.
+    /// only `--format` and `--index` are parsed here. Watch takes no
+    /// `--threads`: its summaries render on the calling thread.
     ///
     /// # Errors
     ///
     /// Fails on an unparsable `--format` or `--index` value.
     pub fn apply_watch(&self, req: &mut failapi::WatchRequest) -> Result<()> {
-        req.threads = self.threads.clone();
         req.parse_chunk = self.parse_chunk.clone();
         req.where_expr = self.where_expr.clone();
         req.sections = self.sections.clone();

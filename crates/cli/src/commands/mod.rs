@@ -94,7 +94,7 @@ COMMANDS
   watch <FILE|sim:MODEL> [--follow] [--accel RATE|max] [--seed N]
         [--baseline tsubame2|tsubame3|none] [--window N] [--refresh N]
         [--chunk N] [--max-records N] [--max-idle N] [--inject-mttr F]
-        [--threads N] [--parse-chunk BYTES] [--where EXPR]
+        [--parse-chunk BYTES] [--where EXPR]
         [--format text|json] [--sections IDS] [--trace FILE]
         [--index auto|off]
       Stream a log (or an accelerated simulated replay) through the

@@ -11,6 +11,7 @@ use failtypes::{Error, Result};
 use super::common::{allowed_flags, CommonQueryArgs};
 use super::report::report_source_at;
 use super::serve::endpoint_from;
+use super::watch::{watch_request, WATCH_FLAGS};
 use crate::args::ParsedArgs;
 
 /// `failctl query`.
@@ -36,39 +37,17 @@ pub fn query(args: &ParsedArgs) -> Result<String> {
             wire::encode_query(1, &req)
         }
         "watch" => {
-            args.reject_unknown_flags(&query_flags(
-                false,
-                &[
-                    "follow",
-                    "accel",
-                    "seed",
-                    "inject-mttr",
-                    "baseline",
-                    "window",
-                    "refresh",
-                    "chunk",
-                    "max-records",
-                    "max-idle",
-                ],
-            ))?;
+            args.reject_unknown_flags(&{
+                let mut allowed = query_flags(false, WATCH_FLAGS);
+                allowed.retain(|f| *f != "threads");
+                allowed
+            })?;
             if args.switch("follow") {
                 return Err(Error::args(
                     "--follow does not apply over the protocol (the response is one buffered document; watch a file locally instead)",
                 ));
             }
-            let mut req = failapi::WatchRequest::new(args.positional(1, "path|sim:MODEL")?);
-            let take = |key: &str| args.flag(key).map(String::from);
-            req.accel = take("accel");
-            req.seed = take("seed");
-            req.inject_mttr = take("inject-mttr");
-            req.baseline = take("baseline");
-            req.window = take("window");
-            req.refresh = take("refresh");
-            req.chunk = take("chunk");
-            req.max_records = take("max-records");
-            req.max_idle = take("max-idle");
-            CommonQueryArgs::from_args(args).apply_watch(&mut req)?;
-            wire::encode_watch(1, &req)
+            wire::encode_watch(1, &watch_request(args, 1)?)
         }
         "evict" => {
             args.reject_unknown_flags(&["socket", "connect", "model", "seed"])?;

@@ -180,6 +180,10 @@ fn serve_and_query_validate_their_transport_flags() {
         "query", "watch", "sim:tsubame3", "--socket", "a", "--follow",
     ])));
     assert!(m.contains("--follow does not apply over the protocol"), "{m}");
+    let m = msg(query(&parse(&[
+        "query", "watch", "sim:tsubame3", "--socket", "a", "--threads", "4",
+    ])));
+    assert!(m.contains("unknown flag --threads"), "{m}");
 }
 
 #[test]
@@ -625,16 +629,13 @@ fn watch_replays_a_simulation_and_alerts_on_injected_regression() {
     assert!(out.contains("# failwatch: sim:"), "{out}");
     assert!(out.contains("\"kind\":\"mttr_regression\""), "{out}");
     assert!(out.contains("# watch done:"), "{out}");
-    // Deterministic across thread counts.
-    let t1 = watch(&parse(&[
-        "watch", "sim:tsubame3", "--inject-mttr", "5.0", "--threads", "1",
-    ]))
-    .expect("watches");
-    let t4 = watch(&parse(&[
+    // Summaries render on the calling thread: watch has no --threads.
+    let err = watch(&parse(&[
         "watch", "sim:tsubame3", "--inject-mttr", "5.0", "--threads", "4",
     ]))
-    .expect("watches");
-    assert_eq!(t1, t4);
+    .unwrap_err();
+    assert_eq!(err.kind(), "args");
+    assert!(err.to_string().contains("unknown flag --threads"), "{err}");
 }
 
 #[test]

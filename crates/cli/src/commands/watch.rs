@@ -7,11 +7,30 @@ use failtypes::{Error, Result};
 use super::common::CommonQueryArgs;
 use crate::args::ParsedArgs;
 
-/// Builds the watch request from the command line. Source-specific
-/// values stay raw strings: watch's flag-combination diagnostics quote
-/// them verbatim.
-pub(crate) fn watch_request(args: &ParsedArgs) -> Result<failapi::WatchRequest> {
-    let mut req = failapi::WatchRequest::new(args.positional(0, "path|sim:MODEL")?);
+/// The flags only `watch` takes. Of the common query flags it takes all
+/// but `--threads`: its summaries render on the calling thread.
+pub(crate) const WATCH_FLAGS: &[&str] = &[
+    "follow",
+    "accel",
+    "seed",
+    "inject-mttr",
+    "baseline",
+    "window",
+    "refresh",
+    "chunk",
+    "max-records",
+    "max-idle",
+];
+
+/// Builds the watch request from the command line, reading the source
+/// from positional argument `source_at` (`failctl query` puts its
+/// sub-command first). Source-specific values stay raw strings: watch's
+/// flag-combination diagnostics quote them verbatim.
+pub(crate) fn watch_request(
+    args: &ParsedArgs,
+    source_at: usize,
+) -> Result<failapi::WatchRequest> {
+    let mut req = failapi::WatchRequest::new(args.positional(source_at, "path|sim:MODEL")?);
     req.follow = args.switch("follow");
     let take = |key: &str| args.flag(key).map(String::from);
     req.accel = take("accel");
@@ -32,26 +51,14 @@ pub(crate) fn watch_request(args: &ParsedArgs) -> Result<failapi::WatchRequest> 
 /// `out` as they happen (which is why this one takes a writer instead
 /// of returning a `String`).
 pub fn watch_stream(args: &ParsedArgs, out: &mut dyn io::Write) -> Result<()> {
-    args.reject_unknown_flags(&[
-        "follow",
-        "accel",
-        "seed",
-        "inject-mttr",
-        "baseline",
-        "window",
-        "refresh",
-        "chunk",
-        "max-records",
-        "max-idle",
-        "threads",
-        "where",
-        "format",
-        "sections",
-        "trace",
-        "parse-chunk",
-        "index",
-    ])?;
-    let req = watch_request(args)?;
+    args.reject_unknown_flags(
+        &[
+            WATCH_FLAGS,
+            &["where", "format", "sections", "trace", "parse-chunk", "index"],
+        ]
+        .concat(),
+    )?;
+    let req = watch_request(args, 0)?;
     let trace = failapi::watch::run(&req, out)?;
     CommonQueryArgs::from_args(args).write_trace(&trace)?;
     Ok(())

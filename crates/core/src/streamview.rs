@@ -21,23 +21,31 @@
 //!
 //! The incremental write path is amortized O(1) per record and
 //! allocation-free in the steady state. Every index except the two order
-//! statistics is a plain append (`Vec::push` / `BTreeMap` bump). The sorted repair and
-//! recovery arrays use a *deferred-merge* design ([`SortedRun`]): new
-//! values append to a small unsorted tail, and the tail is merged into
-//! the main sorted run only when
+//! statistics is a plain append (`Vec::push` / `BTreeMap` bump). That
+//! includes the month buckets, each of which keeps a running TTR sum
+//! beside its arrival-order values, and the list of GPU-slot
+//! involvements, so a monthly MTTR or a trailing-window slot share is
+//! an O(1) or O(window) read. The sorted repair and recovery arrays use
+//! a *deferred-merge* design ([`SortedRun`]): new values append to a
+//! small unsorted tail, and the tail is merged into the main sorted run
+//! only when
 //!
 //! * the tail outgrows an adaptive threshold (`max(64, run_len / 8)`),
 //!   in which case `push` sorts the tail and merges it **in place** with
-//!   a backward two-pointer pass — since the threshold grows linearly
-//!   with the run, total merge work over an n-record stream is O(n),
-//!   i.e. amortized O(1) per record on top of the O(log tail) sort
-//!   share (amortized O(log n) per record all in); or
-//! * a reader actually asks for the materialized array
-//!   ([`StreamView::ttrs_sorted`] and friends, including every
-//!   [`FleetIndex`](crate::FleetIndex) consumer), in which case the
-//!   read pays one bounded merge — O(run + tail) — whose result is
-//!   cached until the next write, so summary refreshes between ingest
-//!   bursts cost one merge, not one per access.
+//!   a backward pass that gallops to each tail value's slot and moves
+//!   the run values above it with one block copy — since the threshold
+//!   grows linearly with the run, total merge work over an n-record
+//!   stream is O(n) moves, i.e. amortized O(1) per record on top of the
+//!   O(log tail) sort share (amortized O(log n) per record all in); or
+//! * a writer forces it ([`StreamView::materialize`], which the watch
+//!   loop calls before every summary) or a reader asks for the
+//!   materialized array ([`StreamView::ttrs_sorted`] and friends,
+//!   including every [`FleetIndex`](crate::FleetIndex) consumer). A
+//!   forced merge of `t` pending values costs O(t log n) compares plus
+//!   one memmove of the run values displaced above the smallest of
+//!   them; a read pays one O(run + tail) merge into a cache kept until
+//!   the next write, so summary refreshes between ingest bursts cost
+//!   one merge, not one per access.
 //!
 //! The old design kept the arrays always-sorted with binary-search
 //! `Vec::insert`, an O(n) memmove per record and O(n²) over the stream
@@ -51,8 +59,8 @@ use std::sync::OnceLock;
 
 use failtrace::Collector;
 use failtypes::{
-    Category, FailureLog, FailureRecord, Generation, InvalidRecordError, Month, NodeId,
-    ObservationWindow, SoftwareLocus, SystemSpec,
+    Category, FailureLog, FailureRecord, Generation, GpuSlot, InvalidRecordError, Month,
+    NodeId, ObservationWindow, SoftwareLocus, SystemSpec,
 };
 
 /// Error from [`StreamView::push`].
@@ -189,23 +197,40 @@ impl SortedRun {
 
     /// Sorts the tail and merges it into `run` with one backward pass —
     /// no scratch allocation beyond the run's own growth.
+    ///
+    /// Tail values are placed largest first. Each finds its slot in the
+    /// still-unmerged run prefix by galloping down from the prefix's end
+    /// (steps of 1, 2, 4, ...) and then binary-searching the last step,
+    /// so a slot `d` values down costs O(log d) compares. The run values
+    /// above the slot move up in one `copy_within`, and the tail value
+    /// drops in below them. Every run value moves at most once, as part
+    /// of a block copy: a merge costs O(t log(n/t)) compares plus one
+    /// memmove of the displaced run suffix, where the element-wise
+    /// two-pointer pass paid a compare and a branch per displaced value.
+    ///
+    /// A run value equal to a tail value stays below it (only a strictly
+    /// greater run value moves up): the `>` tie rule of the element-wise
+    /// pass, so the resulting array is the same. Values are never NaN:
+    /// records are validated, and snapshot arrays must be ascending.
     fn merge_in_place(&mut self) {
         self.tail.sort_unstable_by(f64::total_cmp);
         let n = self.run.len();
-        let t = self.tail.len();
-        self.run.resize(n + t, 0.0);
-        let (mut i, mut j) = (n, t);
-        for k in (0..n + t).rev() {
-            if j == 0 {
-                break; // run[..i] is already in place
+        self.run.resize(n + self.tail.len(), 0.0);
+        // run[..hi] is the unmerged prefix; everything above the slot of
+        // the value just placed is final.
+        let mut hi = n;
+        for (j, &x) in self.tail.iter().enumerate().rev() {
+            // Invariant: run[upper..hi] > x.
+            let (mut upper, mut step) = (hi, 1);
+            while upper >= step && self.run[upper - step] > x {
+                upper -= step;
+                step *= 2;
             }
-            if i > 0 && self.run[i - 1] > self.tail[j - 1] {
-                self.run[k] = self.run[i - 1];
-                i -= 1;
-            } else {
-                self.run[k] = self.tail[j - 1];
-                j -= 1;
-            }
+            let lower = upper.saturating_sub(step);
+            let slot = lower + self.run[lower..upper].partition_point(|&y| y <= x);
+            self.run.copy_within(slot..hi, slot + j + 1);
+            self.run[slot + j] = x;
+            hi = slot;
         }
         self.tail.clear();
     }
@@ -235,6 +260,33 @@ impl SortedRun {
             full.extend_from_slice(&tail[j..]);
             full
         })
+    }
+}
+
+/// Repair durations bucketed by the month of the failure, each bucket in
+/// arrival order beside its running sum.
+///
+/// [`MonthBuckets::push`] is the only writer, so every build path adds a
+/// bucket's values in the same order and each sum is bit-identical to
+/// `bucket.iter().sum::<f64>()` — the fold `Iterator::sum` performs,
+/// started from its neutral element `-0.0`.
+#[derive(Debug, Clone, PartialEq)]
+struct MonthBuckets {
+    ttrs: Vec<Vec<f64>>,
+    sums: Vec<f64>,
+}
+
+impl MonthBuckets {
+    fn new(months: usize) -> Self {
+        MonthBuckets {
+            ttrs: vec![Vec::new(); months],
+            sums: vec![-0.0; months],
+        }
+    }
+
+    fn push(&mut self, month: usize, ttr: f64) {
+        self.ttrs[month].push(ttr);
+        self.sums[month] += ttr;
     }
 }
 
@@ -274,8 +326,11 @@ pub struct StreamView {
     slot_counts: Vec<usize>,
     rack_counts: Vec<usize>,
     gpu_involvements: usize,
+    /// The slot of every GPU involvement, in arrival order (one byte
+    /// each), so trailing-window slot reads never walk the records.
+    slot_involvements: Vec<GpuSlot>,
     multi_gpu_times: Vec<f64>,
-    month_ttrs: Vec<Vec<f64>>,
+    month_buckets: MonthBuckets,
 }
 
 /// The persisted payload of a [`StreamView`] — exactly the state a
@@ -370,7 +425,7 @@ impl StreamView {
             generation,
             spec,
             window,
-            month_ttrs: vec![Vec::new(); months.len()],
+            month_buckets: MonthBuckets::new(months.len()),
             months,
             month_cursor: 0,
             records: Vec::new(),
@@ -384,6 +439,7 @@ impl StreamView {
             slot_counts: vec![0; slots],
             rack_counts: vec![0; racks],
             gpu_involvements: 0,
+            slot_involvements: Vec::new(),
             multi_gpu_times: Vec::new(),
         }
     }
@@ -423,7 +479,7 @@ impl StreamView {
             rack_counts: self.rack_counts,
             gpu_involvements: self.gpu_involvements,
             multi_gpu_times: self.multi_gpu_times,
-            month_counts: self.month_ttrs.iter().map(Vec::len).collect(),
+            month_counts: self.month_buckets.ttrs.iter().map(Vec::len).collect(),
         }
     }
 
@@ -490,17 +546,17 @@ impl StreamView {
             .iter()
             .map(|r| r.recovery_time().get().min(window_hours))
             .collect();
+        let slot_involvements: Vec<GpuSlot> =
+            records.iter().flat_map(|r| r.gpus().iter().copied()).collect();
         // Time order makes each month bucket a contiguous run of the
         // record sequence, so the stored counts slice it back apart.
-        let mut month_ttrs: Vec<Vec<f64>> = Vec::with_capacity(months.len());
+        let mut month_buckets = MonthBuckets::new(months.len());
         let mut offset = 0usize;
-        for &count in &month_counts {
-            month_ttrs.push(
-                records[offset..offset + count]
-                    .iter()
-                    .map(|r| r.ttr().get())
-                    .collect(),
-            );
+        for (month, &count) in month_counts.iter().enumerate() {
+            month_buckets.ttrs[month].reserve_exact(count);
+            for rec in &records[offset..offset + count] {
+                month_buckets.push(month, rec.ttr().get());
+            }
             offset += count;
         }
         let month_cursor = month_counts
@@ -524,8 +580,9 @@ impl StreamView {
             slot_counts,
             rack_counts,
             gpu_involvements,
+            slot_involvements,
             multi_gpu_times,
-            month_ttrs,
+            month_buckets,
             records,
         };
         #[cfg(debug_assertions)]
@@ -592,6 +649,7 @@ impl StreamView {
         }
         *self.node_counts.entry(rec.node()).or_insert(0) += 1;
         self.rack_counts[self.spec.rack_of(rec.node()).index() as usize] += 1;
+        self.slot_involvements.extend_from_slice(rec.gpus());
         if rec.category().is_gpu() {
             self.gpu_involvements += rec.gpus().len().max(1);
             for slot in rec.gpus() {
@@ -608,7 +666,7 @@ impl StreamView {
         let ym = self.window.date_of(rec.time()).year_month();
         if let Some(off) = self.months[self.month_cursor..].iter().position(|&m| m == ym) {
             self.month_cursor += off;
-            self.month_ttrs[self.month_cursor].push(ttr);
+            self.month_buckets.push(self.month_cursor, ttr);
         }
         (ttr, recovery)
     }
@@ -787,6 +845,12 @@ impl StreamView {
         self.gpu_involvements
     }
 
+    /// The slot of every GPU involvement, in arrival order (a failure
+    /// touching slots 0 and 3 appends both, in its listed order).
+    pub fn slot_involvements(&self) -> &[GpuSlot] {
+        &self.slot_involvements
+    }
+
     /// Arrival times of multi-GPU failures, in time order.
     pub fn multi_gpu_times(&self) -> &[f64] {
         &self.multi_gpu_times
@@ -795,7 +859,14 @@ impl StreamView {
     /// Repair durations bucketed by the `(year, month)` of the failure,
     /// aligned with `window.months()`.
     pub fn month_ttrs(&self) -> &[Vec<f64>] {
-        &self.month_ttrs
+        &self.month_buckets.ttrs
+    }
+
+    /// The sum of each [`month_ttrs`](StreamView::month_ttrs) bucket,
+    /// kept as records arrive: bit-identical to
+    /// `bucket.iter().sum::<f64>()`, at O(1) per read.
+    pub fn month_ttr_sums(&self) -> &[f64] {
+        &self.month_buckets.sums
     }
 }
 
@@ -921,6 +992,107 @@ mod tests {
         let cloned = run.clone();
         assert_eq!(cloned, run);
         assert_eq!(cloned.as_slice(), reference.as_slice());
+    }
+
+    mod merge {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        /// Merges `tail` into the sorted `run` through `merge_in_place`.
+        fn merged(run: Vec<f64>, tail: Vec<f64>) -> Vec<f64> {
+            let mut sorted = SortedRun::from_sorted(run);
+            sorted.tail = tail;
+            sorted.merge_in_place();
+            assert!(sorted.tail.is_empty());
+            sorted.run
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            // The block-copy merge equals sorting the concatenation,
+            // bit for bit. Values come from a small integer range so
+            // ties between and within run and tail are common.
+            #[test]
+            fn block_copy_merge_equals_sorting_the_concatenation(
+                run in vec(0u32..24, 0..400),
+                pool in vec(0u32..24, 1..120),
+                placement in 0u8..3,
+                length in 0u8..3,
+                scale in 0.125f64..4.0,
+            ) {
+                let mut run: Vec<f64> = run.into_iter().map(|v| f64::from(v) * scale).collect();
+                run.sort_unstable_by(f64::total_cmp);
+                let threshold = MERGE_FLOOR.max(run.len() / 8);
+                let len = match length {
+                    0 => 1,
+                    1 => threshold,
+                    _ => pool.len(),
+                };
+                // 0: interleaved with the run; 1: entirely below it;
+                // 2: entirely above it.
+                let shift = match placement {
+                    0 => 0.0,
+                    1 => -100.0,
+                    _ => 100.0,
+                };
+                let tail: Vec<f64> = pool
+                    .iter()
+                    .cycle()
+                    .take(len)
+                    .map(|&v| f64::from(v) * scale + shift)
+                    .collect();
+                let mut expected = run.clone();
+                expected.extend_from_slice(&tail);
+                expected.sort_unstable_by(f64::total_cmp);
+                let got = merged(run, tail);
+                prop_assert_eq!(
+                    got.iter().map(|x| x.to_bits()).collect::<Vec<_>>(),
+                    expected.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+                );
+            }
+        }
+
+        #[test]
+        fn merge_edge_cases() {
+            assert_eq!(merged(Vec::new(), vec![3.0, 1.0, 2.0]), [1.0, 2.0, 3.0]);
+            assert_eq!(merged(vec![1.0, 2.0], vec![2.0]), [1.0, 2.0, 2.0]);
+            assert_eq!(merged(vec![1.0, 2.0], vec![0.5]), [0.5, 1.0, 2.0]);
+            assert_eq!(merged(vec![1.0, 2.0], vec![9.0, 9.0]), [1.0, 2.0, 9.0, 9.0]);
+            assert_eq!(merged(vec![2.0; 3], vec![2.0; 2]), [2.0; 5]);
+        }
+    }
+
+    #[test]
+    fn month_sums_equal_summing_each_bucket() {
+        let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
+        let mut chunked = StreamView::empty_like(&log);
+        for chunk in log.records().chunks(7) {
+            chunked.extend(chunk.to_vec()).unwrap();
+        }
+        let restored = StreamView::from_parts(chunked.clone().into_parts()).unwrap();
+        for view in [StreamView::new(&log), chunked, restored] {
+            let sums = view.month_ttr_sums();
+            assert_eq!(sums.len(), view.month_ttrs().len());
+            for (bucket, &sum) in view.month_ttrs().iter().zip(sums) {
+                assert_eq!(sum.to_bits(), bucket.iter().sum::<f64>().to_bits());
+            }
+        }
+    }
+
+    #[test]
+    fn slot_involvements_list_every_gpu_slot_in_arrival_order() {
+        let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
+        let expected: Vec<GpuSlot> = log
+            .records()
+            .iter()
+            .flat_map(|r| r.gpus().iter().copied())
+            .collect();
+        assert!(!expected.is_empty());
+        assert_eq!(feed(&log).slot_involvements(), expected.as_slice());
+        assert_eq!(StreamView::new(&log).slot_involvements(), expected.as_slice());
+        assert_eq!(expected.len(), StreamView::new(&log).slot_counts().iter().sum::<usize>());
     }
 
     #[test]

@@ -24,9 +24,8 @@
 //!   two-sample KS test, GPU-slot skew, multi-GPU bursts), emitting
 //!   structured [`failtypes::Alert`]s as NDJSON.
 //! * **The loop** ([`run`]): ties the three together behind
-//!   `failctl watch`, rendering summaries through
-//!   [`failstats::par_map_ordered`] so output is byte-identical at any
-//!   thread count.
+//!   `failctl watch`, rendering each summary on the calling thread from
+//!   the view's materialized arrays and running month sums.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

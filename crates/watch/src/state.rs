@@ -202,8 +202,8 @@ impl WatchState {
 
     /// Forces the view's deferred sorted-array merges now (see
     /// [`StreamView::materialize`]); the watch loop calls this before
-    /// rendering summaries so parallel section renderers read zero-cost
-    /// slices instead of racing to build the merge cache.
+    /// rendering summaries so every section reads zero-cost slices and
+    /// the merge lands back in the run instead of a read-side cache.
     pub fn materialize(&mut self) {
         self.view.materialize();
     }
@@ -296,18 +296,13 @@ impl WatchState {
     }
 
     /// Per-slot involvement shares over the last [`StateConfig::window`]
-    /// GPU-slot involvements (walking back over the records), indexed by
-    /// slot number; the total-involvement count is the second element.
+    /// GPU-slot involvements (the tail of the view's involvement list, so
+    /// the cost is O(window) however few GPU failures the stream has),
+    /// indexed by slot number; the total-involvement count is the second
+    /// element.
     pub fn window_slot_shares(&self) -> (Vec<f64>, usize) {
         let mut counts = vec![0usize; self.view.spec().gpus_per_node() as usize];
-        let involvements = self
-            .view
-            .records()
-            .iter()
-            .rev()
-            .flat_map(|r| r.gpus().iter().rev())
-            .take(self.config.window);
-        for slot in involvements {
+        for slot in estimators::trailing(self.view.slot_involvements(), self.config.window) {
             if let Some(count) = counts.get_mut(slot.index() as usize) {
                 *count += 1;
             }
@@ -396,6 +391,76 @@ mod tests {
         assert_eq!(shares.len(), 4);
         if total > 0 {
             assert!((shares.iter().sum::<f64>() - 1.0).abs() < 1e-12);
+        }
+    }
+
+    /// The slot shares as a walk back over the records, newest first,
+    /// until `window` GPU-slot involvements are collected.
+    fn walked_slot_shares(state: &WatchState) -> (Vec<f64>, usize) {
+        let mut counts = vec![0usize; state.view().spec().gpus_per_node() as usize];
+        let involvements = state
+            .view()
+            .records()
+            .iter()
+            .rev()
+            .flat_map(|r| r.gpus().iter().rev())
+            .take(state.config().window);
+        for slot in involvements {
+            if let Some(count) = counts.get_mut(slot.index() as usize) {
+                *count += 1;
+            }
+        }
+        let total: usize = counts.iter().sum();
+        let shares = counts
+            .iter()
+            .map(|&k| if total == 0 { 0.0 } else { k as f64 / total as f64 })
+            .collect();
+        (shares, total)
+    }
+
+    mod slot_shares {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            // Reading the tail of the view's involvement list equals the
+            // walk back over the records at every prefix, on full
+            // streams, GPU-only streams and GPU-free ones.
+            #[test]
+            fn slot_shares_equal_the_record_walk_back(
+                seed in 0u64..10_000,
+                window in 1usize..160,
+                scope in 0u8..3,
+                t2 in any::<bool>(),
+            ) {
+                let model = if t2 { SystemModel::tsubame2() } else { SystemModel::tsubame3() };
+                let log = Simulator::new(model, seed).generate().unwrap();
+                let records: Vec<FailureRecord> = log
+                    .records()
+                    .iter()
+                    .filter(|r| match scope {
+                        0 => true,
+                        1 => r.category().is_gpu(),
+                        _ => !r.category().is_gpu(),
+                    })
+                    .cloned()
+                    .collect();
+                let config = StateConfig::builder().window(window).build().unwrap();
+                let mut state = WatchState::for_log(&log, config);
+                for (i, rec) in records.into_iter().enumerate() {
+                    state.ingest(rec).unwrap();
+                    if i % 5 == 0 {
+                        prop_assert_eq!(state.window_slot_shares(), walked_slot_shares(&state));
+                    }
+                }
+                let (shares, total) = state.window_slot_shares();
+                prop_assert_eq!((shares, total), walked_slot_shares(&state));
+                if scope == 2 {
+                    prop_assert_eq!(total, 0);
+                }
+            }
         }
     }
 

@@ -6,10 +6,9 @@
 //! text blocks (or NDJSON section lines with
 //! [`WatchConfig::json_summaries`]) refreshed every `refresh_every`
 //! records (and once at end of stream). Summaries dispatch through the
-//! typed [`WATCH_SECTIONS`] registry and render via
-//! [`failstats::par_map_ordered`], so the output is byte-identical at
-//! any thread count — the same guarantee the batch report pipeline
-//! makes.
+//! typed [`WATCH_SECTIONS`] registry and render on the calling thread:
+//! the four sections take tens of microseconds together, less than
+//! spawning a worker would cost.
 
 use std::io::Write;
 use std::thread;
@@ -18,7 +17,7 @@ use std::time::Duration;
 use failfilter::CompiledPredicate;
 use failstats::par_map_ordered;
 use failtrace::Collector;
-use failtypes::{Alert, FailureRecord, JsonValue};
+use failtypes::{Alert, FailureRecord, JsonValue, Month};
 
 use crate::drift::DriftDetector;
 use crate::ingest::{ChunkEnd, EventSource};
@@ -133,9 +132,6 @@ pub struct WatchConfig {
     pub max_idle_polls: Option<u64>,
     /// Stop after ingesting this many records (`None` = run to EOF).
     pub max_records: Option<usize>,
-    /// Worker threads for summary rendering (1 = serial; any value
-    /// produces byte-identical output).
-    pub threads: usize,
     /// Emit summaries as NDJSON section lines instead of `#` text.
     pub json_summaries: bool,
     /// Summary sections to render, in order (defaults to all of
@@ -161,7 +157,6 @@ impl Default for WatchConfig {
             ingest_chunk: 256,
             max_idle_polls: None,
             max_records: None,
-            threads: 1,
             json_summaries: false,
             summary_sections: WATCH_SECTIONS.iter().collect(),
             filter: None,
@@ -180,7 +175,7 @@ impl WatchConfig {
 /// Validating builder for [`WatchConfig`].
 ///
 /// [`build`](WatchConfigBuilder::build) rejects loop parameters the run
-/// cannot honour (a zero refresh cadence or zero worker threads) with a
+/// cannot honour (a zero refresh cadence or ingest chunk) with a
 /// [`failtypes::Error::Config`] naming the offending knob.
 ///
 /// # Examples
@@ -188,9 +183,9 @@ impl WatchConfig {
 /// ```
 /// use failwatch::WatchConfig;
 ///
-/// let config = WatchConfig::builder().max_records(25).threads(4).build()?;
+/// let config = WatchConfig::builder().max_records(25).refresh_every(50).build()?;
 /// assert_eq!(config.max_records, Some(25));
-/// assert!(WatchConfig::builder().threads(0).build().is_err());
+/// assert!(WatchConfig::builder().refresh_every(0).build().is_err());
 /// # Ok::<(), failtypes::Error>(())
 /// ```
 #[derive(Debug, Clone, Default)]
@@ -235,13 +230,6 @@ impl WatchConfigBuilder {
         self
     }
 
-    /// Worker threads for summary rendering.
-    #[must_use]
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.config.threads = threads;
-        self
-    }
-
     /// Emit summaries as NDJSON section lines instead of `#` text.
     #[must_use]
     pub fn json_summaries(mut self, json: bool) -> Self {
@@ -276,7 +264,7 @@ impl WatchConfigBuilder {
     /// # Errors
     ///
     /// [`failtypes::Error::Config`] (target `watch loop`) when the
-    /// refresh cadence or thread count is zero, or no summary section
+    /// refresh cadence or ingest chunk is zero, or no summary section
     /// is selected.
     pub fn build(self) -> failtypes::Result<WatchConfig> {
         let c = &self.config;
@@ -290,12 +278,6 @@ impl WatchConfigBuilder {
             return Err(failtypes::Error::config(
                 "watch loop",
                 "ingest chunk must hold at least 1 record",
-            ));
-        }
-        if c.threads == 0 {
-            return Err(failtypes::Error::config(
-                "watch loop",
-                "summary rendering needs at least 1 worker thread",
             ));
         }
         if c.summary_sections.is_empty() {
@@ -448,13 +430,9 @@ pub fn run(
     })
 }
 
+/// Renders the configured summary on the calling thread.
 fn config_summary(state: &WatchState, config: &WatchConfig) -> String {
-    render_summary_sections(
-        state,
-        &config.summary_sections,
-        config.threads,
-        config.json_summaries,
-    )
+    render_summary_sections(state, &config.summary_sections, 1, config.json_summaries)
 }
 
 /// Renders the full periodic summary block as text — byte-identical at
@@ -467,6 +445,8 @@ pub fn render_summary(state: &WatchState, threads: usize) -> String {
 /// Renders a summary section selection via [`par_map_ordered`] (so the
 /// output is byte-identical at any `threads` value), either as the
 /// `#`-prefixed text block or as NDJSON `{"id","title","data"}` lines.
+/// The watch loop passes `threads = 1`: more spawns scoped workers on
+/// every call, which costs more than rendering the sections.
 ///
 /// An empty state renders as `"# summary: no records yet\n"` in text
 /// mode and as one `"data":null` line per section in JSON mode.
@@ -567,27 +547,34 @@ fn json_slots(state: &WatchState) -> JsonValue {
 }
 
 fn json_months(state: &WatchState) -> JsonValue {
-    let view = state.view();
-    let months = view.window().months();
     JsonValue::Array(
-        view.month_ttrs()
-            .iter()
-            .enumerate()
-            .filter(|(_, bucket)| !bucket.is_empty())
-            .map(|(i, bucket)| {
-                let (year, month) = months[i];
+        filled_months(state)
+            .map(|((year, month), n, mttr)| {
                 JsonValue::object()
                     .field("year", year)
                     .field("month", month.number())
-                    .field("n", bucket.len())
-                    .field(
-                        "mttr_hours",
-                        bucket.iter().sum::<f64>() / bucket.len() as f64,
-                    )
+                    .field("n", n)
+                    .field("mttr_hours", mttr)
                     .build()
             })
             .collect(),
     )
+}
+
+/// Every non-empty month bucket in month order, as `((year, month),
+/// records, mean TTR)`. The mean divides the view's running bucket sum,
+/// so no read re-adds a bucket.
+fn filled_months(
+    state: &WatchState,
+) -> impl DoubleEndedIterator<Item = ((i32, Month), usize, f64)> + '_ {
+    let view = state.view();
+    let months = view.window().months();
+    view.month_ttrs()
+        .iter()
+        .zip(view.month_ttr_sums())
+        .zip(months)
+        .filter(|((bucket, _), _)| !bucket.is_empty())
+        .map(|((bucket, &sum), ym)| (ym, bucket.len(), sum / bucket.len() as f64))
 }
 
 fn fmt_opt(value: Option<f64>) -> String {
@@ -649,25 +636,14 @@ fn slot_section(state: &WatchState) -> String {
 }
 
 fn month_section(state: &WatchState) -> String {
-    let view = state.view();
-    let months = view.window().months();
-    let buckets = view.month_ttrs();
     // Show the most recent non-empty buckets (up to four).
-    let filled: Vec<(usize, &Vec<f64>)> = buckets
-        .iter()
-        .enumerate()
-        .filter(|(_, b)| !b.is_empty())
-        .collect();
+    let mut recent: Vec<_> = filled_months(state).rev().take(4).collect();
+    recent.reverse();
     let mut s = String::from("#   months:");
-    for &(i, bucket) in filled.iter().rev().take(4).rev() {
-        let (year, month) = months[i];
-        let mean = bucket.iter().sum::<f64>() / bucket.len() as f64;
-        s.push_str(&format!(
-            " {year}-{month} n={} mttr {mean:.1}",
-            bucket.len()
-        ));
+    for ((year, month), n, mean) in &recent {
+        s.push_str(&format!(" {year}-{month} n={n} mttr {mean:.1}"));
     }
-    if filled.is_empty() {
+    if recent.is_empty() {
         s.push_str(" none");
     }
     s.push('\n');
@@ -765,10 +741,9 @@ mod tests {
 
     #[test]
     fn whole_stream_output_is_deterministic() {
-        let config_a = WatchConfig::builder().threads(1).build().unwrap();
-        let config_b = WatchConfig::builder().threads(6).build().unwrap();
-        let (_, out_a) = watch_sim(3, Some((4.0, 0.6)), &config_a);
-        let (_, out_b) = watch_sim(3, Some((4.0, 0.6)), &config_b);
+        let config = WatchConfig::default();
+        let (_, out_a) = watch_sim(3, Some((4.0, 0.6)), &config);
+        let (_, out_b) = watch_sim(3, Some((4.0, 0.6)), &config);
         assert_eq!(out_a, out_b);
     }
 
@@ -828,7 +803,6 @@ mod tests {
         for bad in [
             WatchConfig::builder().refresh_every(0).build(),
             WatchConfig::builder().ingest_chunk(0).build(),
-            WatchConfig::builder().threads(0).build(),
             WatchConfig::builder().summary_sections(Vec::new()).build(),
         ] {
             let err = bad.unwrap_err();

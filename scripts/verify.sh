@@ -78,6 +78,24 @@ if [ "$stream_rate" -lt "$stream_floor" ]; then
     exit 1
 fi
 
+# Watch summary gate: one refresh at the end of the ~110k-record scaled
+# year (ingest 100 records, materialize, render all four sections on the
+# calling thread) measured ~7,200 refreshes/second (~140 us each) on the
+# 2-core bench host with block-copy merges and running month sums; fail
+# below half that. The element-wise merge with per-summary month re-sums
+# it replaced measured ~2,100-2,700/s rendered serially there.
+summary_floor=3600
+summary_rate=$(sed -n 's/.*"scaled_summaries_per_second": \([0-9]*\).*/\1/p' \
+    BENCH_stream.json)
+if [ -z "$summary_rate" ]; then
+    echo "verify: scaled_summaries_per_second missing from BENCH_stream.json" >&2
+    exit 1
+fi
+if [ "$summary_rate" -lt "$summary_floor" ]; then
+    echo "verify: watch summary refresh rate regressed: $summary_rate/s < floor $summary_floor/s" >&2
+    exit 1
+fi
+
 # Parse-path gate: the chunked parallel parser sustains ~2.4M
 # records/second on the ~110k-record scaled year (one container core);
 # fail if it regresses below half that. `repro bench` also verifies the
@@ -433,4 +451,4 @@ fi
 # API docs must build warning-free.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-echo "verify: build + tests + clippy + structure gate + loadbench gate + streaming gate + parse gate + gzip gate + filter gate + index gate + server gate + gzip smoke + json gate + trace gate + docs all green"
+echo "verify: build + tests + clippy + structure gate + loadbench gate + streaming gate + summary gate + parse gate + gzip gate + filter gate + index gate + server gate + gzip smoke + json gate + trace gate + docs all green"
