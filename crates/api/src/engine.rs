@@ -204,6 +204,8 @@ pub struct QueryEngine {
     metrics: Collector,
     /// Render-cache byte budget (key + output bytes per entry).
     cache_bytes: usize,
+    /// Host parallelism, read once: the most workers any request gets.
+    max_threads: usize,
 }
 
 impl std::fmt::Debug for QueryEngine {
@@ -235,7 +237,16 @@ impl QueryEngine {
             dirty: Mutex::new(HashMap::new()),
             metrics: Collector::new(),
             cache_bytes,
+            max_threads: failstats::available_threads(),
         }
+    }
+
+    /// The worker count `opts` gets: its `threads`, capped at the host's
+    /// parallelism. Output is byte-identical at any count, so the cap
+    /// changes no reply; it keeps a wire client's `threads` field from
+    /// choosing how many threads the parser and renderers spawn.
+    fn threads(&self, opts: &QueryOptions) -> usize {
+        opts.threads.min(self.max_threads)
     }
 
     /// The engine's own instrumentation (cache hits/misses, snapshot
@@ -497,9 +508,10 @@ impl QueryEngine {
             view.trace_index(trace);
         }
         let ctx = SectionCtx::with_trace(view.as_ref(), trace);
+        let threads = self.threads(opts);
         let body = match opts.format {
-            OutputFormat::Text => failscope::render_text_sections(&sections, &ctx, opts.threads),
-            OutputFormat::Json => failscope::render_json_sections(&sections, &ctx, opts.threads),
+            OutputFormat::Text => failscope::render_text_sections(&sections, &ctx, threads),
+            OutputFormat::Json => failscope::render_json_sections(&sections, &ctx, threads),
         };
         Ok(version_header(opts.format, "report") + &body)
     }
@@ -517,9 +529,10 @@ impl QueryEngine {
         validate_chunk(opts)?;
         let (older, _) = self.load_file_view(req, old?, trace, filter)?;
         let (newer, _) = self.load_file_view(req, new?, trace, filter)?;
+        let threads = self.threads(opts);
         let body = trace.time("compare.render", || match opts.format {
-            OutputFormat::Text => failscope::render_comparison_index(&older, &newer, opts.threads),
-            OutputFormat::Json => failscope::render_comparison_json(&older, &newer, opts.threads),
+            OutputFormat::Text => failscope::render_comparison_index(&older, &newer, threads),
+            OutputFormat::Json => failscope::render_comparison_json(&older, &newer, threads),
         });
         Ok(version_header(opts.format, "compare") + &body)
     }
@@ -630,7 +643,7 @@ impl QueryEngine {
         }
         self.metrics.incr("engine.log_cache.miss", 1);
         let mut parse_opts = ParseOptions::new()
-            .threads(opts.threads)
+            .threads(self.threads(opts))
             .chunk_bytes(opts.chunk_bytes);
         parse_opts.filter.clone_from(filter);
         let load_trace = Collector::new();
@@ -949,6 +962,39 @@ mod tests {
         let fresh = QueryEngine::new().execute(&req).expect("executes");
         assert_eq!(fresh.output, cold.output);
         assert_eq!(fresh.trace.export(), cold.trace.export());
+    }
+
+    #[test]
+    fn worker_count_is_capped_at_host_parallelism() {
+        let engine = QueryEngine::new();
+        let host = failstats::available_threads();
+        let opts = |threads| {
+            QueryRequest::report(QuerySource::model("tsubame2", 42))
+                .threads(threads)
+                .opts
+        };
+        assert_eq!(engine.threads(&opts(1)), 1);
+        assert_eq!(engine.threads(&opts(host)), host);
+        assert_eq!(engine.threads(&opts(1_000_000)), host);
+
+        // A one-byte parse chunk asks for a worker per line; the reply
+        // is the same as a serial parse's.
+        let path = temp_path("threads-cap.fslog");
+        let log = Simulator::new(SystemModel::tsubame2(), 42)
+            .generate()
+            .expect("simulates");
+        std::fs::write(&path, faillog::to_string(&log).expect("serializes")).expect("write");
+        let req = QueryRequest::report(QuerySource::file(path.to_str().unwrap()))
+            .index(IndexMode::Off)
+            .chunk_bytes(1);
+        let many = QueryEngine::new()
+            .execute(&req.clone().threads(1_000_000))
+            .expect("executes");
+        let one = QueryEngine::new()
+            .execute(&req.threads(1))
+            .expect("executes");
+        assert_eq!(many.output, one.output);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

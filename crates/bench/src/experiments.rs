@@ -7,9 +7,9 @@
 //! exactly this output.
 
 use failscope::{
-    class_mtbf_hours_index, per_category_tbf_index, per_category_ttr_index, CategoryBreakdown,
-    InvolvementTable, LocusBreakdown, MultiGpuTemporal, NodeDistribution, PepComparison,
-    SeasonalAnalysis, SlotDistribution, StreamView, TbfAnalysis, TtrAnalysis,
+    class_mtbf_hours, per_category_tbf, per_category_ttr, CategoryBreakdown, InvolvementTable,
+    LocusBreakdown, MultiGpuTemporal, NodeDistribution, PepComparison, SeasonalAnalysis,
+    SlotDistribution, StreamView, TbfAnalysis, TtrAnalysis,
 };
 use std::sync::Arc;
 
@@ -206,8 +206,8 @@ pub fn table2() -> Experiment {
 /// Fig. 2 — failure category breakdowns.
 pub fn fig2() -> Experiment {
     let (t2, t3) = standard_logs();
-    let b2 = CategoryBreakdown::from_index(&*t2);
-    let b3 = CategoryBreakdown::from_index(&*t3);
+    let b2 = CategoryBreakdown::from_index(&t2);
+    let b3 = CategoryBreakdown::from_index(&t3);
     let mut lines = vec!["(a) Tsubame-2".to_string()];
     lines.extend(b2.shares().iter().map(|s| {
         format!("  {:<16} {:>5.2}%  ({})", s.category.label(), s.fraction * 100.0, s.count)
@@ -261,7 +261,7 @@ pub fn fig2() -> Experiment {
 /// Fig. 3 — Tsubame-3 software failure root loci.
 pub fn fig3() -> Experiment {
     let (_, t3) = standard_logs();
-    let b = LocusBreakdown::from_index(&*t3);
+    let b = LocusBreakdown::from_index(&t3);
     let lines: Vec<String> = b
         .shares()
         .iter()
@@ -299,8 +299,8 @@ pub fn fig3() -> Experiment {
 /// Fig. 4 — failures per node.
 pub fn fig4() -> Experiment {
     let (t2, t3) = standard_logs();
-    let d2 = NodeDistribution::from_index(&*t2);
-    let d3 = NodeDistribution::from_index(&*t3);
+    let d2 = NodeDistribution::from_index(&t2);
+    let d3 = NodeDistribution::from_index(&t3);
     let mut lines = Vec::new();
     for (name, d) in [("Tsubame-2", &d2), ("Tsubame-3", &d3)] {
         lines.push(format!(
@@ -388,8 +388,8 @@ pub fn fig4() -> Experiment {
 /// Fig. 5 — per-GPU-slot failure distribution.
 pub fn fig5() -> Experiment {
     let (t2, t3) = standard_logs();
-    let s2 = SlotDistribution::from_index(&*t2);
-    let s3 = SlotDistribution::from_index(&*t3);
+    let s2 = SlotDistribution::from_index(&t2);
+    let s3 = SlotDistribution::from_index(&t3);
     let mut lines = Vec::new();
     for (name, s) in [("Tsubame-2", &s2), ("Tsubame-3", &s3)] {
         lines.push(format!("{name} ({} slot involvements):", s.total_involvements()));
@@ -451,8 +451,8 @@ pub fn fig5() -> Experiment {
 /// Table III — number of GPUs involved in node failures.
 pub fn table3() -> Experiment {
     let (t2, t3) = standard_logs();
-    let i2 = InvolvementTable::from_index(&*t2);
-    let i3 = InvolvementTable::from_index(&*t3);
+    let i2 = InvolvementTable::from_index(&t2);
+    let i3 = InvolvementTable::from_index(&t3);
     let mut lines = vec![format!("{:<8} {:>18} {:>18}", "#GPUs", "Tsubame-3", "Tsubame-2")];
     for k in 1..=4u8 {
         let fmt_cell = |t: &InvolvementTable, k: u8, exists: bool| {
@@ -501,12 +501,12 @@ fn cdf_line(label: &str, ecdf: &failstats::Ecdf) -> String {
 /// Fig. 6 — CDF of time between failures + component-class MTBF.
 pub fn fig6() -> Experiment {
     let (t2, t3) = standard_logs();
-    let a2 = TbfAnalysis::from_index(&*t2).expect("897 failures");
-    let a3 = TbfAnalysis::from_index(&*t3).expect("338 failures");
-    let gpu2 = class_mtbf_hours_index(&*t2, ComponentClass::Gpu).expect("GPU failures exist");
-    let gpu3 = class_mtbf_hours_index(&*t3, ComponentClass::Gpu).expect("GPU failures exist");
-    let cpu2 = class_mtbf_hours_index(&*t2, ComponentClass::Cpu).expect("CPU failures exist");
-    let cpu3 = class_mtbf_hours_index(&*t3, ComponentClass::Cpu).expect("CPU failures exist");
+    let a2 = TbfAnalysis::from_index(&t2).expect("897 failures");
+    let a3 = TbfAnalysis::from_index(&t3).expect("338 failures");
+    let gpu2 = class_mtbf_hours(&t2, ComponentClass::Gpu).expect("GPU failures exist");
+    let gpu3 = class_mtbf_hours(&t3, ComponentClass::Gpu).expect("GPU failures exist");
+    let cpu2 = class_mtbf_hours(&t2, ComponentClass::Cpu).expect("CPU failures exist");
+    let cpu3 = class_mtbf_hours(&t3, ComponentClass::Cpu).expect("CPU failures exist");
     let (lo2, hi2) = a2.mtbf_ci_hours(0.95);
     let (lo3, hi3) = a3.mtbf_ci_hours(0.95);
     let lines = vec![
@@ -554,9 +554,9 @@ pub fn fig7() -> Experiment {
     let (t2, t3) = standard_logs();
     let mut lines = Vec::new();
     let mut checks = Vec::new();
-    for (name, log) in [("Tsubame-2", &*t2), ("Tsubame-3", &*t3)] {
+    for (name, log) in [("Tsubame-2", &t2), ("Tsubame-3", &t3)] {
         lines.push(format!("{name} (sorted by mean TBF; n >= 5 events):"));
-        let rows = per_category_tbf_index(log, 5);
+        let rows = per_category_tbf(log, 5);
         for row in &rows {
             lines.push(format!(
                 "  {:<16} mean {:>7.1}h  q1 {:>7.1}h  med {:>7.1}h  q3 {:>7.1}h",
@@ -622,7 +622,7 @@ pub fn fig8() -> Experiment {
         MultiGpuTemporal::from_index(log, 96.0).expect("256 multi events").report.cv
     });
     let (t2, _) = standard_logs();
-    let t = MultiGpuTemporal::from_index(&*t2, 96.0).expect("256 multi events");
+    let t = MultiGpuTemporal::from_index(&t2, 96.0).expect("256 multi events");
     let lines = vec![
         format!(
             "canonical T2 log: {} multi-GPU failures, CV {:.2}, dispersion {:.2}, burstiness {:+.2}",
@@ -664,8 +664,8 @@ pub fn fig8() -> Experiment {
 /// Fig. 9 — CDF of time to recovery.
 pub fn fig9() -> Experiment {
     let (t2, t3) = standard_logs();
-    let a2 = TtrAnalysis::from_index(&*t2).expect("non-empty");
-    let a3 = TtrAnalysis::from_index(&*t3).expect("non-empty");
+    let a2 = TtrAnalysis::from_index(&t2).expect("non-empty");
+    let a3 = TtrAnalysis::from_index(&t3).expect("non-empty");
     let lines = vec![
         cdf_line("T2 TTR CDF", a2.ecdf()),
         cdf_line("T3 TTR CDF", a3.ecdf()),
@@ -699,9 +699,9 @@ pub fn fig9() -> Experiment {
 pub fn fig10() -> Experiment {
     let (t2, t3) = standard_logs();
     let mut lines = Vec::new();
-    for (name, log) in [("Tsubame-2", &*t2), ("Tsubame-3", &*t3)] {
+    for (name, log) in [("Tsubame-2", &t2), ("Tsubame-3", &t3)] {
         lines.push(format!("{name} (sorted by mean TTR):"));
-        for row in per_category_ttr_index(log) {
+        for row in per_category_ttr(log) {
             lines.push(format!(
                 "  {:<16} share {:>5.2}%  mean {:>6.1}h  q1 {:>6.1}h  med {:>6.1}h  q3 {:>6.1}h  max {:>6.1}h",
                 row.category.label(),
@@ -715,28 +715,28 @@ pub fn fig10() -> Experiment {
         }
     }
     let spread = |view: &StreamView, domain: Domain| {
-        failscope::domain_ttr_spread_index(view, domain).expect("failures in every domain")
+        failscope::domain_ttr_spread(view, domain).expect("failures in every domain")
     };
     let (hw2, sw2) = (spread(&t2, Domain::Hardware), spread(&t2, Domain::Software));
     let (hw3, sw3) = (spread(&t3, Domain::Hardware), spread(&t3, Domain::Software));
-    let pb = per_category_ttr_index(&*t3)
+    let pb = per_category_ttr(&t3)
         .into_iter()
         .find(|r| r.category == T3Category::PowerBoard.into())
         .expect("power-board failures");
-    let ssd = per_category_ttr_index(&*t2)
+    let ssd = per_category_ttr(&t2)
         .into_iter()
         .find(|r| r.category == T2Category::Ssd.into())
         .expect("SSD failures");
     // The per-seed maximum of 3 power-board samples is very noisy; use
     // the seed-averaged maxima for the tail checks.
     let pb_max = seed_average(SystemModel::tsubame3, 3000, 8, |log| {
-        per_category_ttr_index(log)
+        per_category_ttr(log)
             .into_iter()
             .find(|r| r.category == T3Category::PowerBoard.into())
             .map_or(0.0, |r| r.summary.max())
     });
     let ssd_max = seed_average(SystemModel::tsubame2, 4000, 8, |log| {
-        per_category_ttr_index(log)
+        per_category_ttr(log)
             .into_iter()
             .find(|r| r.category == T2Category::Ssd.into())
             .map_or(0.0, |r| r.summary.max())
@@ -761,7 +761,7 @@ pub fn fig10() -> Experiment {
 pub fn fig11() -> Experiment {
     let (t2, t3) = standard_logs();
     let mut lines = Vec::new();
-    for (name, log) in [("Tsubame-2", &*t2), ("Tsubame-3", &*t3)] {
+    for (name, log) in [("Tsubame-2", &t2), ("Tsubame-3", &t3)] {
         let s = SeasonalAnalysis::from_index(log);
         let by_month = s.mean_ttr_by_calendar_month();
         let cells: Vec<String> = failtypes::Month::all()
@@ -802,7 +802,7 @@ pub fn fig11() -> Experiment {
 pub fn fig12() -> Experiment {
     let (t2, t3) = standard_logs();
     let mut lines = Vec::new();
-    for (name, log) in [("Tsubame-2", &*t2), ("Tsubame-3", &*t3)] {
+    for (name, log) in [("Tsubame-2", &t2), ("Tsubame-3", &t3)] {
         let s = SeasonalAnalysis::from_index(log);
         let series: Vec<String> = s
             .buckets()
@@ -826,7 +826,7 @@ pub fn fig12() -> Experiment {
     lines.push(format!(
         "seed-averaged |corr(monthly failures, monthly mean TTR)|: T2 {corr2:.2}, T3 {corr:.2}"
     ));
-    let s2 = SeasonalAnalysis::from_index(&*t2);
+    let s2 = SeasonalAnalysis::from_index(&t2);
     let counts = s2.monthly_failure_counts();
     let spread = *counts.iter().max().expect("non-empty") as f64
         / (*counts.iter().filter(|&&c| c > 0).min().expect("non-empty") as f64);
@@ -846,7 +846,7 @@ pub fn fig12() -> Experiment {
 /// Performance-error-proportionality — the paper's proposed metric.
 pub fn pep() -> Experiment {
     let (t2, t3) = standard_logs();
-    let c = PepComparison::from_indexes(&*t2, &*t3).expect("both logs analysable");
+    let c = PepComparison::new(&t2, &t3).expect("both logs analysable");
     let lines = vec![
         format!(
             "T2: Rpeak {:.1} PF, MTBF {:.1} h -> {:.0} EFLOP per failure-free period",
@@ -897,13 +897,13 @@ pub fn pep() -> Experiment {
 /// sections; regenerated and checked like the figures.
 pub mod extensions {
     use super::*;
-    use failscope::{node_lifetimes_index, AvailabilityAnalysis, NodeSurvival, RackDistribution};
+    use failscope::{node_lifetimes, AvailabilityAnalysis, NodeSurvival, RackDistribution};
 
     /// RQ5 implication: with MTTR comparable to MTBF, repairs overlap.
     pub fn overlap() -> Experiment {
         let (t2, t3) = standard_logs();
-        let a2 = AvailabilityAnalysis::from_index(&*t2).expect("non-empty");
-        let a3 = AvailabilityAnalysis::from_index(&*t3).expect("non-empty");
+        let a2 = AvailabilityAnalysis::from_index(&t2).expect("non-empty");
+        let a3 = AvailabilityAnalysis::from_index(&t3).expect("non-empty");
         // Little's law cross-check: L = λ·W.
         let little = |log: &StreamView, a: &AvailabilityAnalysis| {
             let rate = log.len() as f64 / log.window().duration().get();
@@ -947,10 +947,10 @@ pub mod extensions {
     /// Node time-to-first-failure survival across generations.
     pub fn survival() -> Experiment {
         let (t2, t3) = standard_logs();
-        let s2 = NodeSurvival::from_index(&*t2).expect("nodes exist");
-        let s3 = NodeSurvival::from_index(&*t3).expect("nodes exist");
-        let lr = failstats::log_rank(&node_lifetimes_index(&*t2), &node_lifetimes_index(&*t3))
-            .expect("events exist");
+        let s2 = NodeSurvival::from_index(&t2).expect("nodes exist");
+        let s3 = NodeSurvival::from_index(&t3).expect("nodes exist");
+        let lr =
+            failstats::log_rank(&node_lifetimes(&t2), &node_lifetimes(&t3)).expect("events exist");
         let lines = vec![
             format!(
                 "T2: {} of {} nodes failed; S(5000 h) = {:.3}",
@@ -989,7 +989,7 @@ pub mod extensions {
         let (t2, t3) = standard_logs();
         let mut lines = Vec::new();
         let mut checks = Vec::new();
-        for (name, log) in [("T2", &*t2), ("T3", &*t3)] {
+        for (name, log) in [("T2", &t2), ("T3", &t3)] {
             let d = RackDistribution::from_index(log);
             let test = d.uniformity_test().expect("non-empty");
             let k = (d.shares().len() as f64 * 0.2).round().max(1.0) as usize;

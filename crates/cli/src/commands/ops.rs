@@ -124,7 +124,7 @@ pub fn survival(args: &ParsedArgs) -> Result<String> {
 /// `failctl staffing`.
 pub fn staffing(args: &ParsedArgs) -> Result<String> {
     args.reject_unknown_flags(&["crews", "target"])?;
-    let log = load(args.positional(0, "file")?)?;
+    let view = StreamView::from(load(args.positional(0, "file")?)?);
     let target: f64 = args.flag_or("target", 1.05)?;
     if target < 1.0 {
         return Err(Error::args("--target must be at least 1.0"));
@@ -134,7 +134,7 @@ pub fn staffing(args: &ParsedArgs) -> Result<String> {
         let crews: u32 = raw
             .parse()
             .map_err(|_| Error::args(format!("invalid --crews value `{raw}`")))?;
-        let o = simulate_staffing(&log, crews)
+        let o = simulate_staffing(&view, crews)
             .ok_or_else(|| Error::run("log is empty or crews is zero"))?;
         let _ = writeln!(out, "crews:            {}", o.crews);
         let _ = writeln!(out, "hands-on mttr:    {:.1} h", o.hands_on_mttr_hours);
@@ -144,7 +144,7 @@ pub fn staffing(args: &ParsedArgs) -> Result<String> {
     } else {
         let _ = writeln!(out, "crews  effective mttr  inflation  delayed");
         for crews in 1..=10 {
-            let o = simulate_staffing(&log, crews)
+            let o = simulate_staffing(&view, crews)
                 .ok_or_else(|| Error::run("log is empty"))?;
             let _ = writeln!(
                 out,
@@ -155,7 +155,7 @@ pub fn staffing(args: &ParsedArgs) -> Result<String> {
                 o.delayed_fraction * 100.0
             );
         }
-        match required_crews(&log, target, 64) {
+        match required_crews(&view, target, 64) {
             Some(c) => {
                 let _ = writeln!(out, "crews for <= {:.0}% queueing overhead: {c}", (target - 1.0) * 100.0);
             }

@@ -7,7 +7,7 @@
 //! while earlier repairs are still open, and what the failures cost in
 //! node availability.
 
-use crate::FleetIndex;
+use crate::StreamView;
 
 /// Repair-overlap and availability metrics of one log.
 ///
@@ -36,14 +36,14 @@ pub struct AvailabilityAnalysis {
 }
 
 impl AvailabilityAnalysis {
-    /// Computes the metrics from any [`FleetIndex`]; `None` when no
+    /// Computes the metrics from a [`StreamView`]; `None` when no
     /// failures are indexed.
     ///
     /// Exploits the index's time order twice: overlapping arrivals come
     /// from a single running maximum over earlier repair ends (`O(n)`
     /// instead of `O(n²)`), and the sweep events come from merging the
     /// pre-sorted start and end arrays instead of sorting `2n` events.
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Option<Self> {
+    pub fn from_index(index: &StreamView) -> Option<Self> {
         if index.is_empty() {
             return None;
         }

@@ -2,7 +2,7 @@
 
 use failtypes::{Category, ComponentClass, Domain, SoftwareLocus};
 
-use crate::FleetIndex;
+use crate::StreamView;
 
 /// One row of a category breakdown: a category, its count, and its share
 /// of all failures.
@@ -38,9 +38,9 @@ pub struct CategoryBreakdown {
 }
 
 impl CategoryBreakdown {
-    /// Computes the breakdown from any [`FleetIndex`], reusing its
+    /// Computes the breakdown from a [`StreamView`], reusing its
     /// category partitions; rows are sorted by descending count.
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Self {
+    pub fn from_index(index: &StreamView) -> Self {
         let total = index.len();
         let mut shares: Vec<CategoryShare> = index
             .category_indices()
@@ -114,9 +114,9 @@ pub struct ClassBreakdown {
 }
 
 impl ClassBreakdown {
-    /// Computes the breakdown from any [`FleetIndex`]; every class
+    /// Computes the breakdown from a [`StreamView`]; every class
     /// appears (possibly with zero).
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Self {
+    pub fn from_index(index: &StreamView) -> Self {
         let mut counts: Vec<(ComponentClass, usize)> =
             ComponentClass::ALL.iter().map(|&c| (c, 0)).collect();
         for (category, indices) in index.category_indices() {
@@ -167,8 +167,8 @@ pub struct DomainBreakdown {
 }
 
 impl DomainBreakdown {
-    /// Computes the split from any [`FleetIndex`].
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Self {
+    /// Computes the split from a [`StreamView`].
+    pub fn from_index(index: &StreamView) -> Self {
         let mut out = DomainBreakdown {
             hardware: 0,
             software: 0,
@@ -214,9 +214,9 @@ pub struct LocusBreakdown {
 }
 
 impl LocusBreakdown {
-    /// Computes the breakdown from any [`FleetIndex`] over records that
+    /// Computes the breakdown from a [`StreamView`] over records that
     /// carry a root locus, sorted by descending count.
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Self {
+    pub fn from_index(index: &StreamView) -> Self {
         let total: usize = index.locus_counts().values().sum();
         let mut shares: Vec<LocusShare> = index
             .locus_counts()

@@ -17,11 +17,11 @@
 //!
 //! plus the paper's proposed metric, performance-error-proportionality
 //! ([`Pep`] / [`PepComparison`]), and plain-text report rendering
-//! ([`render_report`] / [`render_comparison`]).
+//! ([`render_report`] / [`render_comparison_threaded`]).
 //!
-//! Every analysis reads one index, [`StreamView`], through the
-//! [`FleetIndex`] trait: build it once per log (`StreamView::from(log)`,
-//! or record by record for a live stream) and hand it to each analysis's
+//! Every analysis reads one index, [`StreamView`]: build it once per log
+//! (`StreamView::from(log)`, record by record for a live stream, or
+//! decoded from an on-disk snapshot) and hand it to each analysis's
 //! `from_index` constructor.
 //!
 //! # Examples
@@ -48,7 +48,6 @@
 
 mod availability;
 mod categories;
-mod index;
 mod multigpu;
 mod rates;
 mod survival;
@@ -65,39 +64,32 @@ pub use availability::AvailabilityAnalysis;
 pub use categories::{
     CategoryBreakdown, CategoryShare, ClassBreakdown, DomainBreakdown, LocusBreakdown, LocusShare,
 };
-pub use index::FleetIndex;
 pub use rates::{laplace_trend, rolling_rate, LaplaceTrend, RateBin};
-pub use survival::{node_lifetimes, node_lifetimes_index, NodeSurvival};
+pub use survival::{node_lifetimes, NodeSurvival};
 pub use multigpu::{InvolvementRow, InvolvementTable};
 pub use pep::{Pep, PepComparison};
 pub use report::{
-    render_comparison, render_comparison_index, render_comparison_json, render_comparison_threaded,
-    render_json_sections, render_report, render_report_json, render_report_threaded,
-    render_text_sections, section_by_id, select_sections, Section, SectionCtx,
-    METRICS_SECTION_ID, SECTIONS,
+    render_comparison_index, render_comparison_json, render_comparison_threaded,
+    render_json_sections, render_report, render_text_sections, section_by_id, select_sections,
+    Section, SectionCtx, METRICS_SECTION_ID, SECTIONS,
 };
 pub use seasonal::{MonthBucket, SeasonalAnalysis};
 pub use spatial::{NodeDistribution, RackDistribution, RackShare, SlotDistribution, SlotShare};
 pub use streamview::{StreamView, StreamViewError, ViewParts};
 pub use tbf::{
-    class_mtbf_hours, class_mtbf_hours_index, gpu_involvement_mtbf_hours,
-    gpu_involvement_mtbf_hours_index, per_category_tbf, per_category_tbf_index, CategoryTbf,
-    TbfAnalysis,
+    class_mtbf_hours, gpu_involvement_mtbf_hours, per_category_tbf, CategoryTbf, TbfAnalysis,
 };
 pub use temporal::MultiGpuTemporal;
-pub use ttr::{
-    domain_ttr_spread, domain_ttr_spread_index, per_category_ttr, per_category_ttr_index,
-    rare_but_costly, rare_but_costly_index, CategoryTtr, TtrAnalysis,
-};
+pub use ttr::{domain_ttr_spread, per_category_ttr, rare_but_costly, CategoryTtr, TtrAnalysis};
 
 /// The name of the batch index [`StreamView`] replaced. Kept solely
 /// because the `loadbench/` benchmark crate, whose sources stay frozen
 /// between benchmark revisions, calls `failscope::LogView::new(&log)`.
 pub type LogView = StreamView;
 
-/// The canonical API surface in one import: the index trait and its
-/// implementation, the section registry, the render entry points, and
-/// every analysis type's `from_index` home.
+/// The canonical API surface in one import: the index, the section
+/// registry, the render entry points, and every analysis type's
+/// `from_index` home.
 ///
 /// ```
 /// use failscope::prelude::*;
@@ -112,21 +104,19 @@ pub mod prelude {
     pub use crate::categories::{
         CategoryBreakdown, ClassBreakdown, DomainBreakdown, LocusBreakdown,
     };
-    pub use crate::index::FleetIndex;
     pub use crate::multigpu::InvolvementTable;
     pub use crate::pep::{Pep, PepComparison};
     pub use crate::report::{
-        render_json_sections, render_report, render_report_json, render_report_threaded,
-        render_text_sections, section_by_id, select_sections, Section, SectionCtx,
-        METRICS_SECTION_ID, SECTIONS,
+        render_json_sections, render_report, render_text_sections, section_by_id,
+        select_sections, Section, SectionCtx, METRICS_SECTION_ID, SECTIONS,
     };
     pub use crate::seasonal::SeasonalAnalysis;
     pub use crate::spatial::{NodeDistribution, RackDistribution, SlotDistribution};
     pub use crate::streamview::{StreamView, StreamViewError};
     pub use crate::survival::NodeSurvival;
-    pub use crate::tbf::{per_category_tbf_index, TbfAnalysis};
+    pub use crate::tbf::{per_category_tbf, TbfAnalysis};
     pub use crate::temporal::MultiGpuTemporal;
-    pub use crate::ttr::{per_category_ttr_index, TtrAnalysis};
+    pub use crate::ttr::{per_category_ttr, TtrAnalysis};
 }
 
 #[cfg(test)]

@@ -1,6 +1,6 @@
 //! RQ3 — simultaneous multi-GPU failures (Table III).
 
-use crate::FleetIndex;
+use crate::StreamView;
 
 /// One row of Table III: how many GPU failures involved exactly `gpus`
 /// GPUs.
@@ -37,8 +37,8 @@ pub struct InvolvementTable {
 }
 
 impl InvolvementTable {
-    /// Computes the table from the GPU failures of any [`FleetIndex`].
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Self {
+    /// Computes the table from the GPU failures of a [`StreamView`].
+    pub fn from_index(index: &StreamView) -> Self {
         let max_gpus = index.spec().gpus_per_node();
         let mut counts = vec![0usize; max_gpus as usize + 1];
         let mut unknown = 0;

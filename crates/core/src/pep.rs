@@ -2,10 +2,8 @@
 //! benchmarking metric — useful work per failure-free period, e.g. total
 //! FLOP per MTBF.
 
-use failtypes::FailureLog;
-
 use crate::tbf::TbfAnalysis;
-use crate::{FleetIndex, StreamView};
+use crate::StreamView;
 
 /// The performance-error-proportionality of one system.
 ///
@@ -31,9 +29,9 @@ pub struct Pep {
 }
 
 impl Pep {
-    /// Computes the metric from any [`FleetIndex`]; `None` with fewer
+    /// Computes the metric from a [`StreamView`]; `None` with fewer
     /// than two failures.
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Option<Self> {
+    pub fn from_index(index: &StreamView) -> Option<Self> {
         let tbf = TbfAnalysis::from_index(index)?;
         Some(Pep {
             rpeak_pflops: index.spec().rpeak_pflops(),
@@ -65,24 +63,14 @@ pub struct PepComparison {
 }
 
 impl PepComparison {
-    /// Builds the comparison from two indexes (e.g. a bulk-built
-    /// [`crate::StreamView`] of a finished log against a live one);
-    /// `None` when either side is too small.
-    pub fn from_indexes<A, B>(older: &A, newer: &B) -> Option<Self>
-    where
-        A: FleetIndex + ?Sized,
-        B: FleetIndex + ?Sized,
-    {
+    /// Builds the comparison from two views (e.g. a bulk-built view of a
+    /// finished log against a live one); `None` when either side is too
+    /// small.
+    pub fn new(older: &StreamView, newer: &StreamView) -> Option<Self> {
         Some(PepComparison {
             older: Pep::from_index(older)?,
             newer: Pep::from_index(newer)?,
         })
-    }
-
-    /// [`PepComparison::from_indexes`], indexing both logs once; `None`
-    /// when either log is too small.
-    pub fn new(older: &FailureLog, newer: &FailureLog) -> Option<Self> {
-        Self::from_indexes(&StreamView::new(older), &StreamView::new(newer))
     }
 
     /// Compute-capability ratio (newer / older) by Rpeak.
@@ -115,7 +103,7 @@ mod tests {
     fn comparison() -> PepComparison {
         let t2 = Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap();
         let t3 = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
-        PepComparison::new(&t2, &t3).unwrap()
+        PepComparison::new(&StreamView::new(&t2), &StreamView::new(&t3)).unwrap()
     }
 
     #[test]
@@ -154,7 +142,8 @@ mod tests {
     fn too_small_logs_are_none() {
         let t3 = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
         let empty = t3.filtered(|_| false);
-        assert!(Pep::from_index(&StreamView::new(&empty)).is_none());
+        let (empty, t3) = (StreamView::new(&empty), StreamView::new(&t3));
+        assert!(Pep::from_index(&empty).is_none());
         assert!(PepComparison::new(&empty, &t3).is_none());
         assert!(PepComparison::new(&t3, &empty).is_none());
     }

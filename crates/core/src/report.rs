@@ -1,7 +1,7 @@
 //! Operator-facing reports assembled from a typed section registry.
 //!
 //! The report is a fixed sequence of independent [`Section`]s, each a
-//! pure function of a shared [`FleetIndex`] with **two** renderers: the
+//! pure function of a shared [`StreamView`] with **two** renderers: the
 //! operator text block and a structured [`JsonValue`] with a stable
 //! schema (documented per section in `DESIGN.md`). The registry is the
 //! single source of truth — `failctl report`, `failctl compare`, the
@@ -21,44 +21,43 @@ use failtypes::{FailureLog, JsonValue};
 
 use crate::availability::AvailabilityAnalysis;
 use crate::categories::{CategoryBreakdown, LocusBreakdown};
-use crate::index::FleetIndex;
 use crate::multigpu::InvolvementTable;
 use crate::pep::PepComparison;
 use crate::seasonal::SeasonalAnalysis;
 use crate::spatial::{NodeDistribution, RackDistribution, SlotDistribution};
 use crate::streamview::StreamView;
 use crate::survival::NodeSurvival;
-use crate::tbf::{per_category_tbf_index, TbfAnalysis};
+use crate::tbf::{per_category_tbf, TbfAnalysis};
 use crate::temporal::MultiGpuTemporal;
-use crate::ttr::{per_category_ttr_index, TtrAnalysis};
+use crate::ttr::{per_category_ttr, TtrAnalysis};
 
-/// Shared context handed to every section renderer: the fleet index the
+/// Shared context handed to every section renderer: the view the
 /// section reports on, plus an optional [`Collector`] whose contents the
 /// [`METRICS_SECTION_ID`] section surfaces.
 #[derive(Clone, Copy)]
 pub struct SectionCtx<'a> {
-    index: &'a (dyn FleetIndex + Sync),
+    index: &'a StreamView,
     trace: Option<&'a Collector>,
 }
 
 impl<'a> SectionCtx<'a> {
     /// A context over `index` with no trace collector: the `metrics`
     /// section renders empty.
-    pub fn new(index: &'a (dyn FleetIndex + Sync)) -> Self {
+    pub fn new(index: &'a StreamView) -> Self {
         SectionCtx { index, trace: None }
     }
 
     /// A context over `index` that also records section-render spans
     /// into `trace` and surfaces it through the `metrics` section.
-    pub fn with_trace(index: &'a (dyn FleetIndex + Sync), trace: &'a Collector) -> Self {
+    pub fn with_trace(index: &'a StreamView, trace: &'a Collector) -> Self {
         SectionCtx {
             index,
             trace: Some(trace),
         }
     }
 
-    /// The fleet index the sections report on.
-    pub fn index(&self) -> &'a dyn FleetIndex {
+    /// The view the sections report on.
+    pub fn index(&self) -> &'a StreamView {
         self.index
     }
 
@@ -270,6 +269,20 @@ pub fn render_text_sections(
 /// order, byte-identical at any thread count. Empty sections carry
 /// `"data":null`; the `metrics` section is rendered serially after the
 /// pool, like in [`render_text_sections`].
+///
+/// # Examples
+///
+/// ```
+/// use failscope::{render_json_sections, SectionCtx, StreamView, SECTIONS};
+/// use failsim::{Simulator, SystemModel};
+///
+/// let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
+/// let view = StreamView::from(log);
+/// let all: Vec<_> = SECTIONS.iter().collect();
+/// let ndjson = render_json_sections(&all, &SectionCtx::new(&view), 1);
+/// assert_eq!(ndjson.lines().count(), SECTIONS.len());
+/// assert!(ndjson.starts_with(r#"{"id":"header""#));
+/// ```
 pub fn render_json_sections(
     sections: &[&Section],
     ctx: &SectionCtx<'_>,
@@ -419,7 +432,7 @@ fn section_tbf(ctx: &SectionCtx<'_>) -> String {
             tbf.quantile(0.5),
             tbf.p75_hours()
         );
-        let rows = per_category_tbf_index(index, 5);
+        let rows = per_category_tbf(index, 5);
         for row in rows.iter().take(5) {
             let _ = writeln!(
                 out,
@@ -457,7 +470,7 @@ fn section_ttr_and_racks(ctx: &SectionCtx<'_>) -> String {
             ttr.quantile(0.9),
             ttr.max_hours()
         );
-        let rows = per_category_ttr_index(index);
+        let rows = per_category_ttr(index);
         if let Some(worst) = rows.last() {
             let _ = writeln!(
                 out,
@@ -687,7 +700,7 @@ fn json_tbf(ctx: &SectionCtx<'_>) -> JsonValue {
             .field(
                 "per_category",
                 JsonValue::Array(
-                    per_category_tbf_index(index, 5)
+                    per_category_tbf(index, 5)
                         .iter()
                         .take(5)
                         .map(|row| {
@@ -733,7 +746,7 @@ fn json_ttr(ctx: &SectionCtx<'_>) -> JsonValue {
             .field(
                 "per_category",
                 JsonValue::Array(
-                    per_category_ttr_index(index)
+                    per_category_ttr(index)
                         .iter()
                         .map(|row| {
                             JsonValue::object()
@@ -865,43 +878,14 @@ fn json_metrics(ctx: &SectionCtx<'_>) -> JsonValue {
 /// assert!(text.contains("MTBF"));
 /// ```
 pub fn render_report(log: &FailureLog) -> String {
-    render_report_threaded(log, 1)
-}
-
-/// [`render_report`] with the sections rendered on up to `threads`
-/// workers. The sections are concatenated in declaration order, so the
-/// output is byte-identical to the serial render at any thread count.
-pub fn render_report_threaded(log: &FailureLog, threads: usize) -> String {
     let view = StreamView::new(log);
-    render_text_sections(&all_sections(), &SectionCtx::new(&view), threads)
-}
-
-/// Renders the full report as NDJSON — one line per registry section,
-/// byte-identical at every thread count.
-///
-/// # Examples
-///
-/// ```
-/// use failsim::{Simulator, SystemModel};
-///
-/// let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
-/// let ndjson = failscope::render_report_json(&log, 1);
-/// assert_eq!(ndjson.lines().count(), failscope::SECTIONS.len());
-/// assert!(ndjson.starts_with(r#"{"id":"header""#));
-/// ```
-pub fn render_report_json(log: &FailureLog, threads: usize) -> String {
-    let view = StreamView::new(log);
-    render_json_sections(&all_sections(), &SectionCtx::new(&view), threads)
+    render_text_sections(&all_sections(), &SectionCtx::new(&view), 1)
 }
 
 /// Renders the two-generation comparison (MTBF/MTTR factors and the
-/// performance-error-proportionality argument).
-pub fn render_comparison(older: &FailureLog, newer: &FailureLog) -> String {
-    render_comparison_threaded(older, newer, 1)
-}
-
-/// [`render_comparison`] with the per-log analyses computed on up to
-/// `threads` workers; output is identical at any thread count.
+/// performance-error-proportionality argument), computing the per-log
+/// analyses on up to `threads` workers; output is identical at any
+/// thread count.
 pub fn render_comparison_threaded(
     older: &FailureLog,
     newer: &FailureLog,
@@ -922,7 +906,7 @@ pub fn render_comparison_index(older: &StreamView, newer: &StreamView, threads: 
         older.spec().name(),
         newer.spec().name()
     );
-    if let Some(c) = PepComparison::from_indexes(older, newer) {
+    if let Some(c) = PepComparison::new(older, newer) {
         let _ = writeln!(out, "  compute (Rpeak): {:>6.2}x", c.compute_factor());
         let _ = writeln!(out, "  MTBF:            {:>6.2}x", c.mtbf_factor());
         let _ = writeln!(
@@ -958,7 +942,7 @@ pub fn render_comparison_json(older: &StreamView, newer: &StreamView, threads: u
     let views = [older, newer];
     let ttrs = failstats::par_map_ordered(2, threads, |i| TtrAnalysis::from_index(views[i]));
 
-    let pep = PepComparison::from_indexes(older, newer).map_or(
+    let pep = PepComparison::new(older, newer).map_or(
         JsonValue::Null,
         |c| {
             JsonValue::object()
@@ -1036,17 +1020,20 @@ mod tests {
     fn threaded_render_is_byte_identical() {
         let log = Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap();
         let serial = render_report(&log);
+        let view = StreamView::new(&log);
+        let ctx = SectionCtx::new(&view);
         for threads in [2, 4, 8] {
-            assert_eq!(serial, render_report_threaded(&log, threads));
+            assert_eq!(serial, render_text_sections(&all_sections(), &ctx, threads));
         }
     }
 
     #[test]
     fn json_report_is_one_line_per_section_and_thread_identical() {
-        let log = t3();
-        let serial = render_report_json(&log, 1);
+        let view = StreamView::from(t3());
+        let ctx = SectionCtx::new(&view);
+        let serial = render_json_sections(&all_sections(), &ctx, 1);
         for threads in [2, 4, 8] {
-            assert_eq!(serial, render_report_json(&log, threads));
+            assert_eq!(serial, render_json_sections(&all_sections(), &ctx, threads));
         }
         let lines: Vec<&str> = serial.lines().collect();
         assert_eq!(lines.len(), SECTIONS.len());
@@ -1116,7 +1103,7 @@ mod tests {
     fn comparison_report() {
         let t2 = Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap();
         let t3 = t3();
-        let text = render_comparison(&t2, &t3);
+        let text = render_comparison_threaded(&t2, &t3, 1);
         assert!(text.contains("compute (Rpeak)"));
         assert!(text.contains("MTTR"));
         assert!(text.contains("reliability improved more slowly"));
@@ -1136,7 +1123,8 @@ mod tests {
         let text = render_report(&log);
         assert!(text.contains("0 failures"));
         // Empty sections degrade to data:null on the JSON side.
-        let json = render_report_json(&log, 1);
+        let view = StreamView::new(&log);
+        let json = render_json_sections(&all_sections(), &SectionCtx::new(&view), 1);
         assert!(json.contains(r#"{"id":"tbf","title":"Time between failures (RQ4)","data":null}"#));
         // Survival still has data: every node is a censored lifetime.
         assert!(json.contains(r#"{"id":"survival","title":"Node survival","data":{"observed_failures":0"#));

@@ -4,7 +4,7 @@
 use failstats::Summary;
 use failtypes::Month;
 
-use crate::FleetIndex;
+use crate::StreamView;
 
 /// One calendar month's failures in one year.
 #[derive(Debug, Clone, PartialEq)]
@@ -29,7 +29,7 @@ impl SeasonalAnalysis {
     /// Buckets every failure by the `(year, month)` it occurred in,
     /// reusing the index's month-bucketed repair durations; all months
     /// the window touches appear, including failure-free ones.
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Self {
+    pub fn from_index(index: &StreamView) -> Self {
         let months = index.window().months();
         let buckets = months
             .into_iter()

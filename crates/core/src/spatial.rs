@@ -4,7 +4,7 @@
 use failstats::{chi_square_gof, ChiSquareTest, CountHistogram};
 use failtypes::{Domain, GpuSlot, RackId};
 
-use crate::FleetIndex;
+use crate::StreamView;
 
 /// Per-node failure-count distribution (Fig. 4).
 ///
@@ -31,9 +31,9 @@ pub struct NodeDistribution {
 }
 
 impl NodeDistribution {
-    /// Computes the distribution from any [`FleetIndex`], reusing its
+    /// Computes the distribution from a [`StreamView`], reusing its
     /// per-node counts.
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Self {
+    pub fn from_index(index: &StreamView) -> Self {
         let counts = index.node_counts();
         let histogram: CountHistogram = counts.values().copied().collect();
         let mut multi_node_hardware = 0;
@@ -121,9 +121,9 @@ pub struct SlotDistribution {
 }
 
 impl SlotDistribution {
-    /// Computes the distribution from any [`FleetIndex`], reusing its
+    /// Computes the distribution from a [`StreamView`], reusing its
     /// per-slot counts.
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Self {
+    pub fn from_index(index: &StreamView) -> Self {
         let counts = index.slot_counts();
         let slots = counts.len();
         let total: usize = counts.iter().sum();
@@ -187,10 +187,10 @@ pub struct RackDistribution {
 }
 
 impl RackDistribution {
-    /// Computes the distribution from any [`FleetIndex`], reusing its
+    /// Computes the distribution from a [`StreamView`], reusing its
     /// per-rack counts (every rack appears, including failure-free
     /// ones).
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Self {
+    pub fn from_index(index: &StreamView) -> Self {
         let spec = index.spec();
         let shares = index
             .rack_counts()

@@ -1,5 +1,4 @@
-//! The fleet index: [`StreamView`], the one implementation of
-//! [`FleetIndex`](crate::FleetIndex).
+//! The fleet index: [`StreamView`], the one input every analysis reads.
 //!
 //! A [`StreamView`] holds every index the analyses consume — time-ordered
 //! times, sorted repair durations, category partitions, node/slot/rack
@@ -40,7 +39,7 @@
 //! * a writer forces it ([`StreamView::materialize`], which the watch
 //!   loop calls before every summary) or a reader asks for the
 //!   materialized array ([`StreamView::ttrs_sorted`] and friends,
-//!   including every [`FleetIndex`](crate::FleetIndex) consumer). A
+//!   including every analysis's `from_index`). A
 //!   forced merge of `t` pending values costs O(t log n) compares plus
 //!   one memmove of the run values displaced above the smallest of
 //!   them; a read pays one O(run + tail) merge into a cache kept until

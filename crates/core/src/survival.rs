@@ -9,18 +9,18 @@
 use std::collections::BTreeMap;
 
 use failstats::{KaplanMeier, Lifetime};
-use failtypes::{FailureLog, NodeId};
+use failtypes::NodeId;
 
-use crate::{FleetIndex, StreamView};
+use crate::StreamView;
 
-/// Extracts the per-node time-to-first-failure lifetimes of any
-/// [`FleetIndex`] (one per node; censored at the window end for nodes
+/// Extracts the per-node time-to-first-failure lifetimes of a
+/// [`StreamView`] (one per node; censored at the window end for nodes
 /// that never failed) — the input both [`NodeSurvival`] and cross-system
 /// comparisons via [`failstats::log_rank`] consume.
 ///
 /// Records are time-sorted, so the first occurrence of a node in the
 /// record sequence is its first failure.
-pub fn node_lifetimes_index<V: FleetIndex + ?Sized>(index: &V) -> Vec<Lifetime> {
+pub fn node_lifetimes(index: &StreamView) -> Vec<Lifetime> {
     let horizon = index.window().duration().get();
     let mut first: BTreeMap<NodeId, f64> = BTreeMap::new();
     for rec in index.records() {
@@ -33,11 +33,6 @@ pub fn node_lifetimes_index<V: FleetIndex + ?Sized>(index: &V) -> Vec<Lifetime> 
     lifetimes
 }
 
-/// [`node_lifetimes_index`], indexing the log once.
-pub fn node_lifetimes(log: &FailureLog) -> Vec<Lifetime> {
-    node_lifetimes_index(&StreamView::new(log))
-}
-
 /// Kaplan–Meier analysis of node time-to-first-failure.
 #[derive(Debug, Clone, PartialEq)]
 pub struct NodeSurvival {
@@ -47,14 +42,14 @@ pub struct NodeSurvival {
 }
 
 impl NodeSurvival {
-    /// Fits the estimator from any [`FleetIndex`]: every node
+    /// Fits the estimator from a [`StreamView`]: every node
     /// contributes one lifetime — the offset of its first failure, or a
     /// censored observation at the window end if it never failed.
     ///
     /// Returns `None` for systems with zero nodes (impossible for
     /// validated logs).
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Option<Self> {
-        let lifetimes = node_lifetimes_index(index);
+    pub fn from_index(index: &StreamView) -> Option<Self> {
+        let lifetimes = node_lifetimes(index);
         let observed = lifetimes.iter().filter(|l| l.observed).count();
         Some(NodeSurvival {
             km: KaplanMeier::fit(&lifetimes)?,
@@ -104,6 +99,7 @@ impl NodeSurvival {
 mod tests {
     use super::*;
     use failsim::{Simulator, SystemModel};
+    use failtypes::FailureLog;
 
     fn t2() -> FailureLog {
         Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap()
@@ -175,8 +171,8 @@ mod tests {
     fn log_rank_separates_the_generations_per_node_hazard() {
         // Per-node failure hazard differs between the systems; the
         // log-rank test over the node lifetimes picks it up.
-        let a = node_lifetimes(&t2());
-        let b = node_lifetimes(&t3());
+        let a = node_lifetimes(&StreamView::new(&t2()));
+        let b = node_lifetimes(&StreamView::new(&t3()));
         let test = failstats::log_rank(&a, &b).unwrap();
         assert!(test.rejects_at(0.05), "p = {}", test.p_value);
     }
@@ -184,7 +180,7 @@ mod tests {
     #[test]
     fn lifetimes_cover_every_node() {
         let log = t3();
-        let lt = node_lifetimes(&log);
+        let lt = node_lifetimes(&StreamView::new(&log));
         assert_eq!(lt.len(), 540);
         let horizon = log.window().duration().get();
         for l in &lt {

@@ -1,9 +1,9 @@
 //! RQ4 — time between failures (Figs. 6 and 7).
 
 use failstats::{Ecdf, Summary};
-use failtypes::{Category, ComponentClass, FailureLog};
+use failtypes::{Category, ComponentClass};
 
-use crate::{FleetIndex, StreamView};
+use crate::StreamView;
 
 /// System-wide time-between-failures analysis (Fig. 6).
 ///
@@ -29,10 +29,10 @@ pub struct TbfAnalysis {
 }
 
 impl TbfAnalysis {
-    /// Computes the analysis from any [`FleetIndex`], reusing its time
+    /// Computes the analysis from a [`StreamView`], reusing its time
     /// array; `None` for logs with fewer than two failures (no
     /// inter-arrival times exist).
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Option<Self> {
+    pub fn from_index(index: &StreamView) -> Option<Self> {
         let times = index.times();
         let ecdf = Ecdf::new(failstats::inter_arrival_times(times))?;
         let window_hours = index.window().duration().get();
@@ -103,16 +103,13 @@ impl TbfAnalysis {
     }
 }
 
-/// Per-component-class MTBF from any [`FleetIndex`], counting failure
+/// Per-component-class MTBF from a [`StreamView`], counting failure
 /// *events* of that class (window / event count). Returns `None` when
 /// the class never failed.
 ///
 /// The paper's per-class numbers: GPU MTBF improved ~10× from Tsubame-2
 /// to Tsubame-3 while the GPU count only halved; CPU MTBF improved ~3×.
-pub fn class_mtbf_hours_index<V: FleetIndex + ?Sized>(
-    index: &V,
-    class: ComponentClass,
-) -> Option<f64> {
+pub fn class_mtbf_hours(index: &StreamView, class: ComponentClass) -> Option<f64> {
     let count: usize = index
         .category_indices()
         .iter()
@@ -122,22 +119,12 @@ pub fn class_mtbf_hours_index<V: FleetIndex + ?Sized>(
     (count > 0).then(|| index.window().duration().get() / count as f64)
 }
 
-/// [`class_mtbf_hours_index`], indexing the log once.
-pub fn class_mtbf_hours(log: &FailureLog, class: ComponentClass) -> Option<f64> {
-    class_mtbf_hours_index(&StreamView::new(log), class)
-}
-
-/// GPU MTBF from any [`FleetIndex`], counting each involved GPU
+/// GPU MTBF from a [`StreamView`], counting each involved GPU
 /// separately (a failure touching 3 GPUs counts three times; unknown
 /// involvement counts once). Returns `None` when no GPU failures exist.
-pub fn gpu_involvement_mtbf_hours_index<V: FleetIndex + ?Sized>(index: &V) -> Option<f64> {
+pub fn gpu_involvement_mtbf_hours(index: &StreamView) -> Option<f64> {
     let count = index.gpu_involvements();
     (count > 0).then(|| index.window().duration().get() / count as f64)
-}
-
-/// [`gpu_involvement_mtbf_hours_index`], indexing the log once.
-pub fn gpu_involvement_mtbf_hours(log: &FailureLog) -> Option<f64> {
-    gpu_involvement_mtbf_hours_index(&StreamView::new(log))
 }
 
 /// One row of the per-category TBF table (Fig. 7).
@@ -150,16 +137,13 @@ pub struct CategoryTbf {
     pub summary: Summary,
 }
 
-/// Per-category TBF distributions from any [`FleetIndex`], reusing its
+/// Per-category TBF distributions from a [`StreamView`], reusing its
 /// time-ordered category partitions; rows are sorted by ascending mean
 /// TBF (the order Fig. 7 plots).
 ///
 /// Categories with fewer than `min_events` failures are skipped — their
 /// inter-arrival statistics would be noise.
-pub fn per_category_tbf_index<V: FleetIndex + ?Sized>(
-    index: &V,
-    min_events: usize,
-) -> Vec<CategoryTbf> {
+pub fn per_category_tbf(index: &StreamView, min_events: usize) -> Vec<CategoryTbf> {
     let mut out = Vec::new();
     for (&category, indices) in index.category_indices() {
         if indices.len() < min_events.max(2) {
@@ -180,16 +164,11 @@ pub fn per_category_tbf_index<V: FleetIndex + ?Sized>(
     out
 }
 
-/// [`per_category_tbf_index`], indexing the log once.
-pub fn per_category_tbf(log: &FailureLog, min_events: usize) -> Vec<CategoryTbf> {
-    per_category_tbf_index(&StreamView::new(log), min_events)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use failsim::{Simulator, SystemModel};
-    use failtypes::{T2Category, T3Category};
+    use failtypes::{FailureLog, T2Category, T3Category};
 
     fn t2() -> FailureLog {
         Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap()
@@ -242,8 +221,8 @@ mod tests {
 
     #[test]
     fn class_mtbf_improvements() {
-        let t2 = t2();
-        let t3 = t3();
+        let t2 = StreamView::new(&t2());
+        let t3 = StreamView::new(&t3());
         let gpu2 = class_mtbf_hours(&t2, ComponentClass::Gpu).unwrap();
         let gpu3 = class_mtbf_hours(&t3, ComponentClass::Gpu).unwrap();
         // Event-level GPU MTBF: 13728/398 ≈ 34.5 vs 24456/94 ≈ 260.
@@ -262,7 +241,7 @@ mod tests {
     #[test]
     fn involvement_mtbf_is_below_event_mtbf_on_t2() {
         // Multi-GPU failures make per-GPU MTBF lower than per-event MTBF.
-        let log = t2();
+        let log = StreamView::new(&t2());
         let event = class_mtbf_hours(&log, ComponentClass::Gpu).unwrap();
         let involvement = gpu_involvement_mtbf_hours(&log).unwrap();
         assert!(involvement < event);
@@ -273,7 +252,7 @@ mod tests {
     #[test]
     fn fig7_gpu_and_software_have_lowest_median_tbf() {
         // The most frequent categories have the shortest inter-arrivals.
-        let rows = per_category_tbf(&t3(), 5);
+        let rows = per_category_tbf(&StreamView::new(&t3()), 5);
         assert!(!rows.is_empty());
         assert_eq!(rows[0].category, Category::T3(T3Category::Software));
         assert_eq!(rows[1].category, Category::T3(T3Category::Gpu));
@@ -285,7 +264,7 @@ mod tests {
 
     #[test]
     fn fig7_memory_and_cpu_have_higher_median_tbf() {
-        let rows = per_category_tbf(&t2(), 5);
+        let rows = per_category_tbf(&StreamView::new(&t2()), 5);
         let median_of = |cat: Category| {
             rows.iter()
                 .find(|r| r.category == cat)
@@ -300,15 +279,15 @@ mod tests {
 
     #[test]
     fn min_events_filters_rare_categories() {
-        let rows = per_category_tbf(&t3(), 50);
+        let rows = per_category_tbf(&StreamView::new(&t3()), 50);
         // Only Software (171) and GPU (94) have ≥ 50 events.
         assert_eq!(rows.len(), 2);
     }
 
     #[test]
     fn degenerate_logs() {
-        let empty = t3().filtered(|_| false);
-        assert!(TbfAnalysis::from_index(&StreamView::new(&empty)).is_none());
+        let empty = StreamView::new(&t3().filtered(|_| false));
+        assert!(TbfAnalysis::from_index(&empty).is_none());
         assert!(class_mtbf_hours(&empty, ComponentClass::Gpu).is_none());
         assert!(gpu_involvement_mtbf_hours(&empty).is_none());
         assert!(per_category_tbf(&empty, 2).is_empty());

@@ -7,7 +7,7 @@
 
 use failstats::BurstinessReport;
 
-use crate::FleetIndex;
+use crate::StreamView;
 
 /// Temporal-clustering analysis of multi-GPU failures.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -24,7 +24,7 @@ pub struct MultiGpuTemporal {
 }
 
 impl MultiGpuTemporal {
-    /// Computes the analysis from any [`FleetIndex`] with the given
+    /// Computes the analysis from a [`StreamView`] with the given
     /// follow-up window in hours, reusing the index's multi-GPU arrival
     /// times.
     ///
@@ -34,7 +34,7 @@ impl MultiGpuTemporal {
     /// # Panics
     ///
     /// Panics if `follow_up_hours` is not positive.
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V, follow_up_hours: f64) -> Option<Self> {
+    pub fn from_index(index: &StreamView, follow_up_hours: f64) -> Option<Self> {
         Self::from_times(
             index.multi_gpu_times(),
             index.window().duration().get(),

@@ -1,9 +1,9 @@
 //! RQ5 — time to recovery (Figs. 9 and 10).
 
 use failstats::{Ecdf, Summary};
-use failtypes::{Category, Domain, FailureLog};
+use failtypes::{Category, Domain};
 
-use crate::{FleetIndex, StreamView};
+use crate::StreamView;
 
 /// System-wide time-to-recovery analysis (Fig. 9).
 ///
@@ -24,10 +24,10 @@ pub struct TtrAnalysis {
 }
 
 impl TtrAnalysis {
-    /// Computes the analysis from any [`FleetIndex`], reusing its
+    /// Computes the analysis from a [`StreamView`], reusing its
     /// pre-sorted TTR sample instead of re-sorting; `None` when no
     /// failures are indexed.
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Option<Self> {
+    pub fn from_index(index: &StreamView) -> Option<Self> {
         Some(TtrAnalysis {
             ecdf: Ecdf::from_sorted(index.ttrs_sorted().to_vec())?,
         })
@@ -74,11 +74,11 @@ pub struct CategoryTtr {
     pub summary: Summary,
 }
 
-/// Per-category TTR distributions from any [`FleetIndex`], reusing its
+/// Per-category TTR distributions from a [`StreamView`], reusing its
 /// time-ordered category partitions; rows are sorted by ascending mean
 /// TTR (the order Fig. 10 plots). Every category with at least one
 /// failure appears.
-pub fn per_category_ttr_index<V: FleetIndex + ?Sized>(index: &V) -> Vec<CategoryTtr> {
+pub fn per_category_ttr(index: &StreamView) -> Vec<CategoryTtr> {
     let total = index.len().max(1) as f64;
     let mut out: Vec<CategoryTtr> = index
         .category_indices()
@@ -101,16 +101,11 @@ pub fn per_category_ttr_index<V: FleetIndex + ?Sized>(index: &V) -> Vec<Category
     out
 }
 
-/// [`per_category_ttr_index`], indexing the log once.
-pub fn per_category_ttr(log: &FailureLog) -> Vec<CategoryTtr> {
-    per_category_ttr_index(&StreamView::new(log))
-}
-
 /// Count-weighted mean of the per-domain TTR interquartile ranges — a
 /// scalar for Fig. 10's "hardware repairs have a higher spread than
 /// software repairs" claim.
-pub fn domain_ttr_spread_index<V: FleetIndex + ?Sized>(index: &V, domain: Domain) -> Option<f64> {
-    let rows = per_category_ttr_index(index);
+pub fn domain_ttr_spread(index: &StreamView, domain: Domain) -> Option<f64> {
+    let rows = per_category_ttr(index);
     let mut weighted = 0.0;
     let mut weight = 0.0;
     for row in rows {
@@ -123,39 +118,25 @@ pub fn domain_ttr_spread_index<V: FleetIndex + ?Sized>(index: &V, domain: Domain
     (weight > 0.0).then(|| weighted / weight)
 }
 
-/// [`domain_ttr_spread_index`], indexing the log once.
-pub fn domain_ttr_spread(log: &FailureLog, domain: Domain) -> Option<f64> {
-    domain_ttr_spread_index(&StreamView::new(log), domain)
-}
-
 /// Categories that are individually rare but expensive to repair:
 /// share of failures below `max_share` and maximum TTR above
 /// `min_max_ttr_hours` (the paper's power-board / SSD examples).
-pub fn rare_but_costly_index<V: FleetIndex + ?Sized>(
-    index: &V,
+pub fn rare_but_costly(
+    index: &StreamView,
     max_share: f64,
     min_max_ttr_hours: f64,
 ) -> Vec<CategoryTtr> {
-    per_category_ttr_index(index)
+    per_category_ttr(index)
         .into_iter()
         .filter(|row| row.share_of_failures <= max_share && row.summary.max() >= min_max_ttr_hours)
         .collect()
-}
-
-/// [`rare_but_costly_index`], indexing the log once.
-pub fn rare_but_costly(
-    log: &FailureLog,
-    max_share: f64,
-    min_max_ttr_hours: f64,
-) -> Vec<CategoryTtr> {
-    rare_but_costly_index(&StreamView::new(log), max_share, min_max_ttr_hours)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use failsim::{Simulator, SystemModel};
-    use failtypes::{T2Category, T3Category};
+    use failtypes::{FailureLog, T2Category, T3Category};
 
     fn t2() -> FailureLog {
         Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap()
@@ -189,14 +170,14 @@ mod tests {
 
     #[test]
     fn fig10_order_and_spread() {
-        let rows = per_category_ttr(&t3());
+        let rows = per_category_ttr(&StreamView::new(&t3()));
         assert!(!rows.is_empty());
         for w in rows.windows(2) {
             assert!(w[0].summary.mean() <= w[1].summary.mean());
         }
         // Hardware repairs have higher IQR than software repairs.
-        let hw = domain_ttr_spread(&t3(), Domain::Hardware).unwrap();
-        let sw = domain_ttr_spread(&t3(), Domain::Software).unwrap();
+        let hw = domain_ttr_spread(&StreamView::new(&t3()), Domain::Hardware).unwrap();
+        let sw = domain_ttr_spread(&StreamView::new(&t3()), Domain::Software).unwrap();
         assert!(hw > sw, "hw {hw} sw {sw}");
     }
 
@@ -204,7 +185,7 @@ mod tests {
     fn fig10_power_board_is_rare_but_costly() {
         // Power-Board: ~1% of Tsubame-3 failures but repairs can exceed
         // 100+ hours.
-        let rows = per_category_ttr(&t3());
+        let rows = per_category_ttr(&StreamView::new(&t3()));
         let pb = rows
             .iter()
             .find(|r| r.category == Category::T3(T3Category::PowerBoard))
@@ -212,7 +193,7 @@ mod tests {
         assert!(pb.share_of_failures < 0.02);
         assert!(pb.summary.max() > 80.0, "max {}", pb.summary.max());
 
-        let costly = rare_but_costly(&t3(), 0.02, 80.0);
+        let costly = rare_but_costly(&StreamView::new(&t3()), 0.02, 80.0);
         assert!(costly.iter().any(|r| r.category == Category::T3(T3Category::PowerBoard)));
     }
 
@@ -220,7 +201,7 @@ mod tests {
     fn fig10_ssd_tail_on_t2() {
         // SSD: ~4% of Tsubame-2 failures, repairs reaching hundreds of
         // hours.
-        let rows = per_category_ttr(&t2());
+        let rows = per_category_ttr(&StreamView::new(&t2()));
         let ssd = rows
             .iter()
             .find(|r| r.category == Category::T2(T2Category::Ssd))
@@ -231,7 +212,7 @@ mod tests {
 
     #[test]
     fn shares_sum_to_one() {
-        let rows = per_category_ttr(&t2());
+        let rows = per_category_ttr(&StreamView::new(&t2()));
         let sum: f64 = rows.iter().map(|r| r.share_of_failures).sum();
         assert!((sum - 1.0).abs() < 1e-9);
     }
@@ -241,7 +222,7 @@ mod tests {
         // Fig. 10: categories with low average TTR do not necessarily
         // have the lowest spread — verify the ordering of means and IQRs
         // differ somewhere.
-        let rows = per_category_ttr(&t2());
+        let rows = per_category_ttr(&StreamView::new(&t2()));
         let mean_order: Vec<Category> = rows.iter().map(|r| r.category).collect();
         let mut iqr_keys: Vec<(f64, Category)> =
             rows.iter().map(|r| (r.summary.iqr(), r.category)).collect();
@@ -252,8 +233,8 @@ mod tests {
 
     #[test]
     fn degenerate_logs() {
-        let empty = t3().filtered(|_| false);
-        assert!(TtrAnalysis::from_index(&StreamView::new(&empty)).is_none());
+        let empty = StreamView::new(&t3().filtered(|_| false));
+        assert!(TtrAnalysis::from_index(&empty).is_none());
         assert!(per_category_ttr(&empty).is_empty());
         assert!(domain_ttr_spread(&empty, Domain::Hardware).is_none());
         assert!(rare_but_costly(&empty, 0.1, 10.0).is_empty());

@@ -1,11 +1,11 @@
-//! Persistent, checksummed on-disk [`FleetIndex`] snapshots for the
+//! Persistent, checksummed on-disk [`StreamView`] snapshots for the
 //! `failscope` workspace.
 //!
 //! Parsing and indexing a failure log is the dominant cost of every
 //! `failctl report` invocation, yet the log rarely changes between
 //! runs. This crate persists a fully-built index next to the log as
 //! `<log>.fsidx` — a versioned binary snapshot of everything a
-//! [`FleetIndex`] exposes — so subsequent runs skip parsing entirely:
+//! [`StreamView`] exposes — so subsequent runs skip parsing entirely:
 //!
 //! * **Exact match** — the log's raw bytes still hash to the snapshot's
 //!   fingerprint: the snapshot is decoded and served with *zero* record
@@ -70,7 +70,7 @@ use std::path::{Path, PathBuf};
 use std::str::FromStr;
 
 use faillog::{crc32, Compression, LogFile};
-use failscope::{FleetIndex, StreamView};
+use failscope::StreamView;
 use failtrace::Collector;
 use failtypes::Error;
 
@@ -183,11 +183,7 @@ fn path_err(path: &Path, e: impl fmt::Display) -> Error {
 /// # Errors
 ///
 /// I/O failures only; encoding is infallible.
-pub fn save(
-    path: impl AsRef<Path>,
-    index: &dyn FleetIndex,
-    source: SourceInfo,
-) -> Result<u64, Error> {
+pub fn save(path: impl AsRef<Path>, index: &StreamView, source: SourceInfo) -> Result<u64, Error> {
     save_traced(path, index, source, None)
 }
 
@@ -195,7 +191,7 @@ pub fn save(
 /// trace counter.
 pub fn save_traced(
     path: impl AsRef<Path>,
-    index: &dyn FleetIndex,
+    index: &StreamView,
     source: SourceInfo,
     trace: Option<&Collector>,
 ) -> Result<u64, Error> {

@@ -6,7 +6,7 @@
 //! of an MTBF measured by [`failscope::TbfAnalysis`], plus the expected
 //! waste model needed to compare plans.
 
-use failscope::FleetIndex;
+use failscope::StreamView;
 
 /// Error for invalid checkpoint-model parameters.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -71,15 +71,15 @@ impl CheckpointPlan {
         })
     }
 
-    /// Derives the plan from any measured [`FleetIndex`] (a
+    /// Derives the plan from a measured [`StreamView`] (a
     /// [`failscope::StreamView`], bulk-built or live).
     ///
     /// # Errors
     ///
     /// Fails when the index holds fewer than two failures (no MTBF) or
     /// the parameters are invalid for the measured MTBF.
-    pub fn from_index<V: FleetIndex + ?Sized>(
-        index: &V,
+    pub fn from_index(
+        index: &StreamView,
         checkpoint_cost_hours: f64,
     ) -> Result<Self, InvalidCheckpointParams> {
         let tbf = failscope::TbfAnalysis::from_index(index)

@@ -10,7 +10,7 @@
 //! events. This module quantifies that trade against the utilization
 //! gain, using multi-GPU rates measured from a log (Table III).
 
-use failscope::FleetIndex;
+use failscope::StreamView;
 
 /// Node-level GPU failure rates relevant to co-location decisions.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -34,11 +34,11 @@ impl NodeFailureModel {
         })
     }
 
-    /// Derives the rates from any measured [`FleetIndex`] (events with
+    /// Derives the rates from a measured [`StreamView`] (events with
     /// unknown involvement count as single).
     ///
     /// Returns `None` when the index has no GPU failures.
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Option<Self> {
+    pub fn from_index(index: &StreamView) -> Option<Self> {
         let node_hours = index.window().duration().get() * index.spec().nodes() as f64;
         let mut single = 0usize;
         let mut multi = 0usize;

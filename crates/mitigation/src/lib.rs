@@ -2,8 +2,8 @@
 //!
 //! The DSN 2021 Tsubame study ends each research question with an
 //! operational implication; this crate turns those implications into
-//! executable policies, all parameterized by measured
-//! [`failtypes::FailureLog`]s:
+//! executable policies, all parameterized by a measured failure log's
+//! [`failscope::StreamView`]:
 //!
 //! * [`CheckpointPlan`] — Young/Daly checkpoint-interval optimization
 //!   from measured MTBF (the paper's cited mitigation for GPU failures).
@@ -59,10 +59,7 @@ pub use scheduler::{
     allocate, evaluate_policy, AllocationPolicy, PolicyOutcome, SlotRiskModel,
 };
 pub use spares::{expected_demands, simulate_inventory, InventoryOutcome, SparePolicy};
-pub use staffing::{
-    required_crews, required_crews_index, simulate_staffing, simulate_staffing_index,
-    StaffingOutcome,
-};
+pub use staffing::{required_crews, simulate_staffing, StaffingOutcome};
 
 #[cfg(test)]
 mod tests {

@@ -8,14 +8,14 @@
 //! the Fig. 5 skew — the one-call API an operations team would script
 //! against.
 
-use failscope::FleetIndex;
+use failscope::StreamView;
 use failtypes::ComponentClass;
 
 use crate::checkpoint::CheckpointPlan;
 use crate::colocation::NodeFailureModel;
 use crate::scheduler::{evaluate_policy, AllocationPolicy, SlotRiskModel};
 use crate::spares::SparePolicy;
-use crate::staffing::required_crews_index;
+use crate::staffing::required_crews;
 
 /// Tunables of an [`OperationsPlan`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -80,13 +80,13 @@ pub struct OperationsPlan {
 }
 
 impl OperationsPlan {
-    /// Derives the full plan from any measured [`FleetIndex`] in a
+    /// Derives the full plan from a measured [`StreamView`] in a
     /// single indexed pass — a [`failscope::StreamView`] bulk-built from
     /// a finished log or one mid-ingestion work the same way.
     ///
     /// Returns `None` when the index is too small to measure an MTBF or
     /// has no GPU failures (both needed by most of the plan).
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V, config: PlanConfig) -> Option<Self> {
+    pub fn from_index(index: &StreamView, config: PlanConfig) -> Option<Self> {
         let checkpoint = CheckpointPlan::from_index(index, config.checkpoint_cost_hours).ok()?;
 
         let mut spares = Vec::new();
@@ -103,7 +103,7 @@ impl OperationsPlan {
         }
 
         let repair_crews =
-            required_crews_index(index, config.staffing_inflation_target, 64);
+            required_crews(index, config.staffing_inflation_target, 64);
 
         let node_model = NodeFailureModel::from_index(index)?;
         let colocation_acceptable = crate::colocation::colocation_acceptable(

@@ -6,7 +6,7 @@
 //! compares slot-allocation policies by the expected interruption
 //! probability of the jobs they place.
 
-use failscope::{FleetIndex, SlotDistribution};
+use failscope::{SlotDistribution, StreamView};
 use failtypes::GpuSlot;
 
 /// Per-slot failure rates of one node architecture.
@@ -29,11 +29,11 @@ impl SlotRiskModel {
         Some(SlotRiskModel { rates_per_hour })
     }
 
-    /// Derives per-slot rates from any measured [`FleetIndex`]: slot
+    /// Derives per-slot rates from a measured [`StreamView`]: slot
     /// involvements over the window, divided across the system's nodes.
     ///
     /// Returns `None` when the index records no slot involvements.
-    pub fn from_index<V: FleetIndex + ?Sized>(index: &V) -> Option<Self> {
+    pub fn from_index(index: &StreamView) -> Option<Self> {
         let dist = SlotDistribution::from_index(index);
         if dist.total_involvements() == 0 {
             return None;

@@ -7,7 +7,7 @@
 //! replenishment lead time) and validates the sizing with a discrete-event
 //! inventory simulation.
 
-use failscope::FleetIndex;
+use failscope::StreamView;
 use failstats::{sample_poisson, ContinuousDist, Exponential};
 use failtypes::ComponentClass;
 use rand::rngs::StdRng;
@@ -35,16 +35,16 @@ impl SparePolicy {
         })
     }
 
-    /// Derives the demand rate from any measured [`FleetIndex`] for one
+    /// Derives the demand rate from a measured [`StreamView`] for one
     /// component class (replacement-driven categories).
     ///
     /// Returns `None` when the class never failed.
-    pub fn from_index<V: FleetIndex + ?Sized>(
-        index: &V,
+    pub fn from_index(
+        index: &StreamView,
         class: ComponentClass,
         lead_time_hours: f64,
     ) -> Option<Self> {
-        let mtbf = failscope::class_mtbf_hours_index(index, class)?;
+        let mtbf = failscope::class_mtbf_hours(index, class)?;
         Self::new(1.0 / mtbf, lead_time_hours)
     }
 

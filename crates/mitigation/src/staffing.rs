@@ -9,8 +9,7 @@
 //! through a `k`-crew queue and reports the inflation, giving operators
 //! the staffing/TTR trade-off curve.
 
-use failscope::{FleetIndex, StreamView};
-use failtypes::FailureLog;
+use failscope::StreamView;
 
 /// The outcome of replaying a log through a `k`-crew repair queue.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -37,15 +36,12 @@ impl StaffingOutcome {
     }
 }
 
-/// Replays the failures of any [`FleetIndex`] through `crews` parallel
+/// Replays the failures of a [`StreamView`] through `crews` parallel
 /// repair crews in arrival order: each failure waits until a crew frees
 /// up, then occupies it for the recorded TTR.
 ///
 /// Returns `None` for an empty index or zero crews.
-pub fn simulate_staffing_index<V: FleetIndex + ?Sized>(
-    index: &V,
-    crews: u32,
-) -> Option<StaffingOutcome> {
+pub fn simulate_staffing(index: &StreamView, crews: u32) -> Option<StaffingOutcome> {
     if index.is_empty() || crews == 0 {
         return None;
     }
@@ -86,11 +82,6 @@ pub fn simulate_staffing_index<V: FleetIndex + ?Sized>(
     })
 }
 
-/// [`simulate_staffing_index`], indexing the log once.
-pub fn simulate_staffing(log: &FailureLog, crews: u32) -> Option<StaffingOutcome> {
-    simulate_staffing_index(&StreamView::new(log), crews)
-}
-
 /// Smallest crew count whose effective-MTTR inflation stays at or below
 /// `max_inflation` (e.g. `1.05` for at most 5% queueing overhead).
 ///
@@ -100,15 +91,11 @@ pub fn simulate_staffing(log: &FailureLog, crews: u32) -> Option<StaffingOutcome
 /// # Panics
 ///
 /// Panics if `max_inflation < 1` or `crew_cap == 0`.
-pub fn required_crews_index<V: FleetIndex + ?Sized>(
-    index: &V,
-    max_inflation: f64,
-    crew_cap: u32,
-) -> Option<u32> {
+pub fn required_crews(index: &StreamView, max_inflation: f64, crew_cap: u32) -> Option<u32> {
     assert!(max_inflation >= 1.0, "inflation target below 1 is impossible");
     assert!(crew_cap > 0, "crew cap must be positive");
     for crews in 1..=crew_cap {
-        let outcome = simulate_staffing_index(index, crews)?;
+        let outcome = simulate_staffing(index, crews)?;
         if outcome.inflation() <= max_inflation {
             return Some(crews);
         }
@@ -116,24 +103,16 @@ pub fn required_crews_index<V: FleetIndex + ?Sized>(
     None
 }
 
-/// [`required_crews_index`], indexing the log once.
-///
-/// # Panics
-///
-/// Panics if `max_inflation < 1` or `crew_cap == 0`.
-pub fn required_crews(log: &FailureLog, max_inflation: f64, crew_cap: u32) -> Option<u32> {
-    required_crews_index(&StreamView::new(log), max_inflation, crew_cap)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use failsim::{Simulator, SystemModel};
     use failtypes::{
-        Category, Date, FailureRecord, Generation, Hours, NodeId, ObservationWindow, T3Category,
+        Category, Date, FailureLog, FailureRecord, Generation, Hours, NodeId, ObservationWindow,
+        T3Category,
     };
 
-    fn tiny_log(records: Vec<(f64, f64)>) -> FailureLog {
+    fn tiny_view(records: Vec<(f64, f64)>) -> StreamView {
         let window = ObservationWindow::new(
             Date::new(2020, 1, 1).unwrap(),
             Date::new(2020, 12, 31).unwrap(),
@@ -152,13 +131,13 @@ mod tests {
                 )
             })
             .collect();
-        FailureLog::new(Generation::Tsubame3, window, recs).unwrap()
+        StreamView::from(FailureLog::new(Generation::Tsubame3, window, recs).unwrap())
     }
 
     #[test]
     fn single_crew_queues_overlapping_repairs() {
         // Three failures at t=0,1,2, each taking 10 h, one crew.
-        let log = tiny_log(vec![(0.0, 10.0), (1.0, 10.0), (2.0, 10.0)]);
+        let log = tiny_view(vec![(0.0, 10.0), (1.0, 10.0), (2.0, 10.0)]);
         let out = simulate_staffing(&log, 1).unwrap();
         // Waits: 0, 9, 18 → mean 9.
         assert!((out.mean_wait_hours - 9.0).abs() < 1e-9);
@@ -171,7 +150,7 @@ mod tests {
 
     #[test]
     fn enough_crews_eliminate_waiting() {
-        let log = tiny_log(vec![(0.0, 10.0), (1.0, 10.0), (2.0, 10.0)]);
+        let log = tiny_view(vec![(0.0, 10.0), (1.0, 10.0), (2.0, 10.0)]);
         let out = simulate_staffing(&log, 3).unwrap();
         assert_eq!(out.mean_wait_hours, 0.0);
         assert_eq!(out.delayed_fraction, 0.0);
@@ -180,11 +159,11 @@ mod tests {
 
     #[test]
     fn required_crews_finds_the_knee() {
-        let log = tiny_log(vec![(0.0, 10.0), (1.0, 10.0), (2.0, 10.0)]);
+        let log = tiny_view(vec![(0.0, 10.0), (1.0, 10.0), (2.0, 10.0)]);
         assert_eq!(required_crews(&log, 1.0, 5), Some(3));
         assert_eq!(required_crews(&log, 2.0, 5), Some(1));
         // Impossible target under the cap.
-        let heavy = tiny_log((0..20).map(|i| (i as f64, 100.0)).collect());
+        let heavy = tiny_view((0..20).map(|i| (i as f64, 100.0)).collect());
         assert_eq!(required_crews(&heavy, 1.0, 1), None);
     }
 
@@ -192,8 +171,8 @@ mod tests {
     fn t2_needs_far_more_crews_than_t3() {
         // T2 averages ~3.6 concurrent repairs; T3 ~0.75. The staffing
         // knee reflects that.
-        let t2 = Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap();
-        let t3 = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
+        let t2 = StreamView::from(Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap());
+        let t3 = StreamView::from(Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap());
         let c2 = required_crews(&t2, 1.05, 30).unwrap();
         let c3 = required_crews(&t3, 1.05, 30).unwrap();
         assert!(c2 > c3, "T2 crews {c2} vs T3 crews {c3}");
@@ -203,7 +182,7 @@ mod tests {
 
     #[test]
     fn inflation_decreases_monotonically_with_crews() {
-        let log = Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap();
+        let log = StreamView::from(Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap());
         let mut prev = f64::INFINITY;
         for crews in 1..=8 {
             let out = simulate_staffing(&log, crews).unwrap();
@@ -214,7 +193,7 @@ mod tests {
 
     #[test]
     fn degenerate_inputs() {
-        let log = tiny_log(vec![(0.0, 1.0)]);
+        let log = tiny_view(vec![(0.0, 1.0)]);
         assert!(simulate_staffing(&log, 0).is_none());
         let empty = log.filtered(|_| false);
         assert!(simulate_staffing(&empty, 2).is_none());
@@ -224,7 +203,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "impossible")]
     fn rejects_sub_one_inflation() {
-        let log = tiny_log(vec![(0.0, 1.0)]);
+        let log = tiny_view(vec![(0.0, 1.0)]);
         let _ = required_crews(&log, 0.9, 5);
     }
 }

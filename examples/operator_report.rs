@@ -16,7 +16,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     println!("{}", failscope::render_report(&t2));
     println!("{}", failscope::render_report(&t3));
-    println!("{}", failscope::render_comparison(&t2, &t3));
+    println!("{}", failscope::render_comparison_threaded(&t2, &t3, 1));
 
     // What the analyses imply operationally, per system.
     for (name, log) in [("Tsubame-2", &t2), ("Tsubame-3", &t3)] {

@@ -19,13 +19,14 @@ use failstats::mann_whitney;
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let t2 = Simulator::new(SystemModel::tsubame2(), 42).generate()?;
     let t3 = Simulator::new(SystemModel::tsubame3(), 43).generate()?;
+    let (v2, v3) = (StreamView::new(&t2), StreamView::new(&t3));
 
     // 1. Node survival: how long does a node live before its first
     //    failure?
     println!("== Node survival (Kaplan-Meier) ==");
-    for (name, log) in [("Tsubame-2", &t2), ("Tsubame-3", &t3)] {
-        let s = NodeSurvival::from_index(&StreamView::new(log)).expect("nodes exist");
-        let horizon = log.window().duration().get();
+    for (name, view) in [("Tsubame-2", &v2), ("Tsubame-3", &v3)] {
+        let s = NodeSurvival::from_index(view).expect("nodes exist");
+        let horizon = view.window().duration().get();
         println!(
             "{name}: {} of {} nodes failed; S(1000h)={:.3}  S(5000h)={:.3}  S(end)={:.3}",
             s.observed_failures(),
@@ -38,8 +39,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 2. Repair overlap: the RQ5 warning quantified.
     println!("\n== Repair overlap (MTTR ~ MTBF) ==");
-    for (name, log) in [("Tsubame-2", &t2), ("Tsubame-3", &t3)] {
-        let a = AvailabilityAnalysis::from_index(&StreamView::new(log)).expect("non-empty");
+    for (name, view) in [("Tsubame-2", &v2), ("Tsubame-3", &v3)] {
+        let a = AvailabilityAnalysis::from_index(view).expect("non-empty");
         println!(
             "{name}: {:.0}% of failures land on open repairs; mean {:.2} in flight (max {}); availability {:.3}%",
             a.overlap_probability() * 100.0,
@@ -92,9 +93,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 5. Staffing: how many repair crews keep queueing negligible?
     println!("\n== Repair-crew staffing ==");
-    for (name, log) in [("Tsubame-2", &t2), ("Tsubame-3", &t3)] {
-        let one = simulate_staffing(log, 1).expect("non-empty");
-        let crews = required_crews(log, 1.05, 64).expect("achievable");
+    for (name, view) in [("Tsubame-2", &v2), ("Tsubame-3", &v3)] {
+        let one = simulate_staffing(view, 1).expect("non-empty");
+        let crews = required_crews(view, 1.05, 64).expect("achievable");
         println!(
             "{name}: one crew inflates MTTR {:.1}x; {crews} crews keep overhead under 5%",
             one.inflation(),
@@ -103,7 +104,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 6. Do the generations differ in per-node hazard? (log-rank)
     println!("\n== Node-lifetime comparison (log-rank) ==");
-    let lr = failstats::log_rank(&node_lifetimes(&t2), &node_lifetimes(&t3)).expect("events");
+    let lr = failstats::log_rank(&node_lifetimes(&v2), &node_lifetimes(&v3)).expect("events");
     println!(
         "chi2 = {:.1}, p = {:.4} -> {}",
         lr.statistic,

@@ -31,7 +31,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "class", "MTBF (h)", "1 wk", "2 wk", "4 wk"
     );
     for class in classes {
-        let Some(mtbf) = failscope::class_mtbf_hours_index(&view, class) else {
+        let Some(mtbf) = failscope::class_mtbf_hours(&view, class) else {
             continue;
         };
         let mut row = format!("{:<10} {:>12.1} |", class.name(), mtbf);

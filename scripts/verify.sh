@@ -12,17 +12,26 @@ cargo clippy --workspace --all-targets -- -D warnings
 # Structure gate: one fleet index, one watch state, one ingest path, and
 # no stub dependencies. `vendor/` holds only the offline subsets of real
 # dependencies; the retired second index, its shims, the snapshot
-# delegation, the watch state's second copy of the view's figures
+# delegation, the index trait and its `&FailureLog` shims' `_index`
+# twins, the watch state's second copy of the view's figures
 # (quantile sketch, trailing-window buffers), the second JSON row parser,
 # the second fingerprint type, the engine's private re-read of each log
 # and the drift-threshold builder stay gone.
-extra_vendor=$(ls vendor | grep -vxE 'rand|proptest|criterion' || true)
+extra_vendor=$(ls vendor | grep -vxE 'rand|proptest' || true)
 if [ -n "$extra_vendor" ]; then
-    echo "verify: unexpected vendored crates: $extra_vendor (allowed: rand, proptest, criterion)" >&2
+    echo "verify: unexpected vendored crates: $extra_vendor (allowed: rand, proptest)" >&2
     exit 1
 fi
 if grep -rnE 'struct LogView|fn from_view|impl FleetIndex for Snapshot' crates/; then
     echo "verify: a duplicate fleet index, a from_view shim, or the snapshot delegation reappeared under crates/" >&2
+    exit 1
+fi
+if grep -rnE 'trait FleetIndex|dyn FleetIndex' crates/; then
+    echo "verify: the single-impl FleetIndex trait reappeared under crates/; analyses take &StreamView" >&2
+    exit 1
+fi
+if grep -rnwE 'class_mtbf_hours_index|gpu_involvement_mtbf_hours_index|per_category_tbf_index|per_category_ttr_index|domain_ttr_spread_index|rare_but_costly_index|node_lifetimes_index|simulate_staffing_index|required_crews_index' crates/; then
+    echo "verify: a retired <name>_index twin reappeared under crates/; the view form carries the plain name" >&2
     exit 1
 fi
 if grep -rnE 'QuantileSketch|sketch_capacity|struct WindowMean|struct RateWindow' crates/; then

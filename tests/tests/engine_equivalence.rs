@@ -14,20 +14,28 @@
 
 use failbench::experiments;
 use failbench::runner;
-use failscope::{render_report, render_report_threaded, StreamView, TbfAnalysis};
+use failscope::{
+    render_report, render_text_sections, Section, SectionCtx, StreamView, TbfAnalysis, SECTIONS,
+};
 use failsim::{Simulator, SystemModel};
 use failtypes::{FailureLog, FailureRecord};
 use proptest::prelude::*;
 
+/// The whole report rendered from `view` on up to `threads` workers.
+fn report_threaded(view: &StreamView, threads: usize) -> String {
+    let all: Vec<&Section> = SECTIONS.iter().collect();
+    render_text_sections(&all, &SectionCtx::new(view), threads)
+}
+
 #[test]
 fn report_is_identical_at_every_thread_count() {
     let (t2, t3) = experiments::standard_logs();
-    for log in [&t2.to_log(), &t3.to_log()] {
-        let serial = render_report(log);
+    for view in [&t2, &t3] {
+        let serial = render_report(&view.to_log());
         for threads in 1..=8 {
             assert_eq!(
                 serial,
-                render_report_threaded(log, threads),
+                report_threaded(view, threads),
                 "report diverged at {threads} threads"
             );
         }
@@ -116,6 +124,6 @@ proptest! {
         threads in 1usize..6,
     ) {
         let log = Simulator::new(SystemModel::tsubame3(), seed).generate().unwrap();
-        prop_assert_eq!(render_report(&log), render_report_threaded(&log, threads));
+        prop_assert_eq!(render_report(&log), report_threaded(&StreamView::new(&log), threads));
     }
 }

@@ -15,9 +15,7 @@
 //!    for both canonical seed logs at 1–4 threads.
 
 use failfilter::CompiledPredicate;
-use failscope::{
-    render_text_sections, select_sections, FleetIndex, SectionCtx, StreamView,
-};
+use failscope::{render_text_sections, select_sections, SectionCtx, StreamView};
 use failsim::{ScenarioBuilder, Simulator, SystemModel};
 use faillog::ParseOptions;
 use failtypes::FailureLog;
@@ -48,7 +46,7 @@ fn temp_dir(name: &str) -> std::path::PathBuf {
     dir
 }
 
-fn render(index: &(dyn FleetIndex + Sync), threads: usize) -> String {
+fn render(index: &StreamView, threads: usize) -> String {
     let sections = select_sections(ANALYSIS).expect("section spec is valid");
     render_text_sections(&sections, &SectionCtx::new(index), threads)
 }

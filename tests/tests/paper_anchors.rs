@@ -29,8 +29,8 @@ fn headline_narrative_claims() {
 
     // "GPU failures are significantly higher in number than CPU failures
     // on both the systems."
-    let b2 = failscope::CategoryBreakdown::from_index(&*t2);
-    let b3 = failscope::CategoryBreakdown::from_index(&*t3);
+    let b2 = failscope::CategoryBreakdown::from_index(&t2);
+    let b3 = failscope::CategoryBreakdown::from_index(&t3);
     assert!(b2.gpu_fraction() > 10.0 * b2.cpu_fraction());
     assert!(b3.gpu_fraction() > 5.0 * b3.cpu_fraction());
 
@@ -41,11 +41,11 @@ fn headline_narrative_claims() {
 
     // "up to 4x improvement in overall system MTBF" / "the mean time to
     // recovery remains largely similar".
-    let tbf2 = failscope::TbfAnalysis::from_index(&*t2).expect("analysable");
-    let tbf3 = failscope::TbfAnalysis::from_index(&*t3).expect("analysable");
+    let tbf2 = failscope::TbfAnalysis::from_index(&t2).expect("analysable");
+    let tbf3 = failscope::TbfAnalysis::from_index(&t3).expect("analysable");
     assert!(tbf3.mtbf_hours() / tbf2.mtbf_hours() > 4.0);
-    let ttr2 = failscope::TtrAnalysis::from_index(&*t2).expect("non-empty");
-    let ttr3 = failscope::TtrAnalysis::from_index(&*t3).expect("non-empty");
+    let ttr2 = failscope::TtrAnalysis::from_index(&t2).expect("non-empty");
+    let ttr3 = failscope::TtrAnalysis::from_index(&t3).expect("non-empty");
     assert!((ttr2.mttr_hours() - ttr3.mttr_hours()).abs() < 10.0);
 
     // "no failure affected all four GPUs attached to a node" (T3).
@@ -53,7 +53,7 @@ fn headline_narrative_claims() {
     assert!(gpu_records.all(|r| r.gpus().len() < 4));
 
     // "in ~70% of the failures more than one GPU was affected" (T2).
-    let inv2 = failscope::InvolvementTable::from_index(&*t2);
+    let inv2 = failscope::InvolvementTable::from_index(&t2);
     assert!((inv2.multi_gpu_fraction() - 0.6956).abs() < 0.01);
 }
 

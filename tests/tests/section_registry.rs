@@ -13,7 +13,9 @@
 //!   raw-log rescan.
 
 use failmitigate::{OperationsPlan, PlanConfig};
-use failscope::{SectionCtx, StreamView, SECTIONS};
+use failscope::{
+    render_json_sections, render_text_sections, Section, SectionCtx, StreamView, SECTIONS,
+};
 use failsim::{Simulator, SystemModel};
 use failtypes::FailureLog;
 use proptest::prelude::*;
@@ -31,6 +33,10 @@ fn t3() -> FailureLog {
     Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap()
 }
 
+fn all_sections() -> Vec<&'static Section> {
+    SECTIONS.iter().collect()
+}
+
 fn streamed(log: &FailureLog) -> StreamView {
     let mut sv = StreamView::empty_like(log);
     for rec in log.iter() {
@@ -42,9 +48,10 @@ fn streamed(log: &FailureLog) -> StreamView {
 #[test]
 fn text_reports_match_golden_snapshots_at_every_thread_count() {
     for (log, golden) in [(t2(), GOLDEN_T2_TEXT), (t3(), GOLDEN_T3_TEXT)] {
+        let view = StreamView::new(&log);
         for threads in 1..=4 {
             assert_eq!(
-                failscope::render_report_threaded(&log, threads),
+                render_text_sections(&all_sections(), &SectionCtx::new(&view), threads),
                 golden,
                 "{} text report drifted from golden at threads={threads}",
                 log.spec().name()
@@ -56,9 +63,10 @@ fn text_reports_match_golden_snapshots_at_every_thread_count() {
 #[test]
 fn json_reports_match_golden_snapshots_at_every_thread_count() {
     for (log, golden) in [(t2(), GOLDEN_T2_JSON), (t3(), GOLDEN_T3_JSON)] {
+        let view = StreamView::new(&log);
         for threads in 1..=4 {
             assert_eq!(
-                failscope::render_report_json(&log, threads),
+                render_json_sections(&all_sections(), &SectionCtx::new(&view), threads),
                 golden,
                 "{} JSON report drifted from golden at threads={threads}",
                 log.spec().name()
@@ -144,8 +152,10 @@ proptest! {
     #[test]
     fn json_report_is_thread_identical_for_any_seed(seed in 0u64..10_000) {
         let log = Simulator::new(SystemModel::tsubame3(), seed).generate().unwrap();
-        let serial = failscope::render_report_json(&log, 1);
-        prop_assert_eq!(&serial, &failscope::render_report_json(&log, 3));
+        let view = StreamView::new(&log);
+        let ctx = SectionCtx::new(&view);
+        let serial = render_json_sections(&all_sections(), &ctx, 1);
+        prop_assert_eq!(&serial, &render_json_sections(&all_sections(), &ctx, 3));
         prop_assert_eq!(serial.lines().count(), SECTIONS.len());
     }
 }

@@ -14,9 +14,7 @@
 //!    re-opening through the snapshot yields exactly the index a cold
 //!    rebuild would produce, at every step (property-tested).
 
-use failscope::{
-    render_text_sections, select_sections, FleetIndex, SectionCtx, StreamView,
-};
+use failscope::{render_text_sections, select_sections, SectionCtx, StreamView};
 use failsim::{ScenarioBuilder, Simulator, SystemModel};
 use failtypes::FailureLog;
 use proptest::prelude::*;
@@ -33,7 +31,7 @@ fn temp_dir(name: &str) -> std::path::PathBuf {
     dir
 }
 
-fn render(index: &(dyn FleetIndex + Sync), threads: usize) -> String {
+fn render(index: &StreamView, threads: usize) -> String {
     let sections = select_sections(ANALYSIS).expect("section spec is valid");
     render_text_sections(&sections, &SectionCtx::new(index), threads)
 }
