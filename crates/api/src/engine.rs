@@ -21,8 +21,7 @@
 //!   state). The thread count is deliberately **excluded**: output is
 //!   byte-identical at every `--threads` value, so all thread counts
 //!   share one entry. A log that grows on disk changes its fingerprint,
-//!   which invalidates every dependent entry without any watcher
-//!   machinery.
+//!   which invalidates every dependent entry.
 //!
 //! Only successful outputs are cached; errors always re-execute.
 //!
@@ -36,6 +35,30 @@
 //! of a file. An unreadable file bypasses the render cache; its error
 //! (`PATH: i/o error: ...`, whatever the index mode) is raised where
 //! execution reaches the load, after argument validation.
+//!
+//! # Vouched fingerprints
+//!
+//! With a [`ChangeFeed`] installed ([`QueryEngine::with_feed`], which
+//! `faild` does), a render-cache hit can skip that read. For each file
+//! source the engine remembers a *vouched entry*: the fingerprint and
+//! freshness tag of its last read, the feed generation stamped
+//! **before** that read, and the `stat` identity (device, inode, length,
+//! mtime, ctime) of the log and of its `.fsidx`. A later query reuses
+//! the entry only if the feed reports no change to the source since the
+//! stamp (no overflow either) and a fresh `stat` of both paths still
+//! matches; the stat catches writes that raise no notification (`mmap`)
+//! and renames. The feed drains its queue at the start of each check,
+//! and a writer's notification is queued before its syscall returns, so
+//! any write that finished before the request arrived is seen.
+//!
+//! When every source of a request is vouched for, the render key is
+//! built from the vouched entries by the same `render_key` code, so it
+//! is byte-identical to a fresh read's, and a hit returns without
+//! reading. Everything else — a miss, an unvouched source, an overflow,
+//! a failed watch, no feed at all — takes the read path above. That
+//! path records a new vouched entry only when the source's stamp and
+//! stat are unchanged after the read, so a read torn by a concurrent
+//! write is never vouched for.
 //!
 //! # Dirty snapshots
 //!
@@ -59,6 +82,7 @@ use failsim::{Simulator, SystemModel};
 use failtrace::Collector;
 use failtypes::{Error, JsonValue, Result};
 
+use crate::feed::{self, ChangeFeed, SourceIds};
 use crate::request::{OutputFormat, QueryCmd, QueryOptions, QueryRequest, QuerySource};
 
 /// Default byte budget for the render cache (64 MiB). Rendered
@@ -206,6 +230,11 @@ pub struct QueryEngine {
     cache_bytes: usize,
     /// Host parallelism, read once: the most workers any request gets.
     max_threads: usize,
+    /// Change notifications that let a hit skip re-reading its sources.
+    feed: Option<Arc<dyn ChangeFeed>>,
+    /// Per file path: the fingerprint of its last read and what vouches
+    /// for it (see the module docs).
+    vouched: Mutex<HashMap<String, Vouched>>,
 }
 
 impl std::fmt::Debug for QueryEngine {
@@ -238,7 +267,17 @@ impl QueryEngine {
             metrics: Collector::new(),
             cache_bytes,
             max_threads: failstats::available_threads(),
+            feed: None,
+            vouched: Mutex::new(HashMap::new()),
         }
+    }
+
+    /// Installs a change feed, so render-cache hits on unchanged files
+    /// skip re-reading them (see the module docs). Output is unchanged:
+    /// a vouched key is byte-identical to the key a fresh read builds.
+    pub fn with_feed(mut self, feed: Arc<dyn ChangeFeed>) -> Self {
+        self.feed = Some(feed);
+        self
     }
 
     /// The worker count `opts` gets: its `threads`, capped at the host's
@@ -268,28 +307,48 @@ impl QueryEngine {
     /// produced. Errors are never cached.
     pub fn execute(&self, req: &QueryRequest) -> Result<QueryOutcome> {
         let filter = build_filter(&req.opts)?;
+        let paths = file_paths(&req.cmd);
+        let needs_fsidx = req.opts.index_mode() != IndexMode::Off;
+        if let (Some(feed), false) = (&self.feed, paths.is_empty()) {
+            if let Some(prints) = self.vouched_prints(feed.as_ref(), &paths, needs_fsidx) {
+                let (key, _) = render_key(req, &paths, &prints);
+                if let Some(hit) = self.render_hit(&key) {
+                    let reused = paths.len() as u64;
+                    self.metrics.incr("engine.fingerprints_reused", reused);
+                    return Ok(hit);
+                }
+            }
+        }
+        // Watches are renewed and both paths stat-ed after the stamp and
+        // before the read, so any change from here on is either
+        // notified after the stamp or seen by the second stat.
+        let before = self.feed.as_ref().map(|feed| {
+            let stamp = feed.stamp();
+            let ids: Vec<Option<SourceIds>> = paths
+                .iter()
+                .map(|path| feed.watch(path).then(|| feed::source_ids(path)).flatten())
+                .collect();
+            (stamp, ids)
+        });
         // Each file source is read exactly once; the render key, the
         // snapshot decision, the parse and any snapshot saved all use
         // these bytes. A read error waits until execution reaches the
         // load, so argument errors keep their precedence.
-        let mut files: Vec<Result<LogFile>> = file_paths(&req.cmd)
-            .into_iter()
+        let mut files: Vec<Result<LogFile>> = paths
+            .iter()
             .map(|path| LogFile::read(path).map_err(|e| Error::run(format!("{path}: {e}"))))
             .collect();
-        let key = render_key(req, &files);
+        let prints: Option<Vec<Fingerprint>> = files
+            .iter()
+            .map(|file| file.as_ref().ok().map(|f| Fingerprint::of(f, needs_fsidx)))
+            .collect();
+        if let (Some(feed), Some((stamp, ids)), Some(prints)) = (&self.feed, before, &prints) {
+            self.vouch(feed.as_ref(), &paths, prints, stamp, ids);
+        }
+        let key = prints.map(|prints| render_key(req, &paths, &prints));
         if let Some((key, _)) = &key {
-            let mut renders = self.renders.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(entry) = renders.map.get(key) {
-                self.metrics.incr("cache.hits", 1);
-                let trace = Collector::new();
-                trace.merge_from(&entry.trace);
-                let output = entry.output.clone();
-                renders.touch(key);
-                return Ok(QueryOutcome {
-                    output,
-                    trace,
-                    cached: true,
-                });
+            if let Some(hit) = self.render_hit(key) {
+                return Ok(hit);
             }
         }
         self.metrics.incr("cache.misses", 1);
@@ -333,6 +392,93 @@ impl QueryEngine {
         })
     }
 
+    /// The cached output under `key`, if any, as a cache-hit outcome.
+    fn render_hit(&self, key: &str) -> Option<QueryOutcome> {
+        let mut renders = self.renders.lock().unwrap_or_else(|e| e.into_inner());
+        let entry = renders.map.get(key)?;
+        self.metrics.incr("cache.hits", 1);
+        let trace = Collector::new();
+        trace.merge_from(&entry.trace);
+        let output = entry.output.clone();
+        renders.touch(key);
+        Some(QueryOutcome {
+            output,
+            trace,
+            cached: true,
+        })
+    }
+
+    /// The vouched fingerprint of every path, or `None` unless all of
+    /// them are still vouched for (and carry a freshness tag when the
+    /// request's key needs one).
+    fn vouched_prints(
+        &self,
+        feed: &dyn ChangeFeed,
+        paths: &[&str],
+        needs_fsidx: bool,
+    ) -> Option<Vec<Fingerprint>> {
+        let entries: Vec<Vouched> = {
+            let vouched = self.vouched.lock().unwrap_or_else(|e| e.into_inner());
+            paths
+                .iter()
+                .map(|path| vouched.get(*path).cloned())
+                .collect::<Option<_>>()?
+        };
+        paths
+            .iter()
+            .zip(entries)
+            .map(|(path, entry)| {
+                let complete = !needs_fsidx || entry.print.fsidx.is_some();
+                (complete && still_vouched(feed, path, &entry)).then_some(entry.print)
+            })
+            .collect()
+    }
+
+    /// Records a vouched entry for each path whose feed stamp and stat
+    /// identities held across the read; forgets the others.
+    fn vouch(
+        &self,
+        feed: &dyn ChangeFeed,
+        paths: &[&str],
+        prints: &[Fingerprint],
+        stamp: u64,
+        ids: Vec<Option<SourceIds>>,
+    ) {
+        let held: Vec<Option<SourceIds>> = paths
+            .iter()
+            .zip(ids)
+            .map(|(path, ids)| {
+                let ids = ids?;
+                let unchanged =
+                    !feed.changed_since(path, stamp) && feed::source_ids(path) == Some(ids);
+                unchanged.then_some(ids)
+            })
+            .collect();
+        let mut vouched = self.vouched.lock().unwrap_or_else(|e| e.into_inner());
+        for ((path, print), ids) in paths.iter().zip(prints).zip(held) {
+            match ids {
+                Some(ids) => {
+                    let entry = Vouched {
+                        print: print.clone(),
+                        stamp,
+                        ids,
+                    };
+                    vouched.insert((*path).to_string(), entry);
+                }
+                None => {
+                    vouched.remove(*path);
+                }
+            }
+        }
+    }
+
+    /// The snapshot freshness of `path` as its vouched entry recorded
+    /// it, when the feed still vouches for that entry.
+    fn vouched_freshness(&self, path: &str) -> Option<Freshness> {
+        let feed = self.feed.as_deref()?;
+        self.vouched_prints(feed, &[path], true)?.pop()?.fsidx
+    }
+
     /// Writes a `.fsidx` snapshot for every unfiltered cold-parsed file
     /// log the engine is still holding, skipping logs whose snapshot is
     /// already exact. Returns the number of snapshots written. Called
@@ -364,8 +510,10 @@ impl QueryEngine {
 
     /// Lists every source the engine has memoized, grouped by catalog
     /// id (the file path, or `model:{name}:{seed}`) and sorted for
-    /// deterministic output. Snapshot freshness is probed live, so the
-    /// listing reflects the disk as of this call.
+    /// deterministic output. Snapshot freshness reflects the disk as of
+    /// this call: it comes from the source's vouched entry while the
+    /// change feed still vouches for it, and from a live
+    /// [`failindex::probe`] otherwise.
     pub fn catalog(&self) -> Vec<CatalogEntry> {
         struct Group {
             records: usize,
@@ -416,7 +564,11 @@ impl QueryEngine {
                 let snapshot = if is_model {
                     None
                 } else {
-                    Some(match failindex::probe(&source) {
+                    let freshness = match self.vouched_freshness(&source) {
+                        Some(fresh) => Ok(fresh),
+                        None => failindex::probe(&source),
+                    };
+                    Some(match freshness {
                         Ok(Freshness::Exact) => "exact".to_string(),
                         Ok(Freshness::Prefix { .. }) => "prefix".to_string(),
                         Ok(Freshness::Stale { .. }) => "stale".to_string(),
@@ -440,9 +592,10 @@ impl QueryEngine {
     }
 
     /// Drops every memoized state for one source: parsed-log cache
-    /// entries, render-cache entries depending on it, and its pending
-    /// dirty snapshot. The next query re-parses from disk (or
-    /// regenerates the model). Render drops count as cache evictions.
+    /// entries, render-cache entries depending on it, its pending dirty
+    /// snapshot, and its vouched fingerprint and change watch. The next
+    /// query re-parses from disk (or regenerates the model). Render
+    /// drops count as cache evictions.
     pub fn evict(&self, source: &QuerySource) -> EvictOutcome {
         let catalog_id = catalog_id(source);
         let logs = {
@@ -459,6 +612,13 @@ impl QueryEngine {
             let mut dirty = self.dirty.lock().unwrap_or_else(|e| e.into_inner());
             usize::from(dirty.remove(&catalog_id).is_some())
         };
+        if let QuerySource::File(path) = source {
+            let mut vouched = self.vouched.lock().unwrap_or_else(|e| e.into_inner());
+            vouched.remove(path);
+            if let Some(feed) = &self.feed {
+                feed.unwatch(path);
+            }
+        }
         if renders > 0 {
             self.metrics.incr("cache.evictions", renders as u64);
         }
@@ -772,22 +932,54 @@ fn file_paths(cmd: &QueryCmd) -> Vec<&str> {
     }
 }
 
-/// Builds the render-cache key for a request from the files it read —
-/// plus the catalog ids of the sources it depends on, recorded in the
-/// entry so a catalog `evict` can drop dependent renders — or `None`
-/// when a source file was unreadable (the request must not be cached;
-/// execution surfaces the error).
-fn render_key(req: &QueryRequest, files: &[Result<LogFile>]) -> Option<(String, Vec<String>)> {
+/// What the render key needs from one file source.
+#[derive(Debug, Clone)]
+struct Fingerprint {
+    info: SourceInfo,
+    /// The snapshot's freshness against the fingerprinted bytes, when
+    /// the read computed it (only keys with an index mode need it).
+    fsidx: Option<Freshness>,
+}
+
+impl Fingerprint {
+    fn of(file: &LogFile, needs_fsidx: bool) -> Fingerprint {
+        Fingerprint {
+            info: file.source(),
+            fsidx: needs_fsidx.then(|| failindex::freshness(file)),
+        }
+    }
+}
+
+/// A fingerprint from an earlier read, and what vouches that the file
+/// still holds those bytes.
+#[derive(Debug, Clone)]
+struct Vouched {
+    print: Fingerprint,
+    /// The feed generation stamped before the read.
+    stamp: u64,
+    /// The log's and the snapshot's `stat` identities at the read.
+    ids: SourceIds,
+}
+
+/// Whether `entry` still describes `path`: no change notified since its
+/// stamp, and the same `stat` identities now.
+fn still_vouched(feed: &dyn ChangeFeed, path: &str, entry: &Vouched) -> bool {
+    !feed.changed_since(path, entry.stamp) && feed::source_ids(path) == Some(entry.ids)
+}
+
+/// Builds the render-cache key for a request from the fingerprints of
+/// the files it reads (one per path, in load order), plus the catalog
+/// ids of the sources it depends on, recorded in the entry so a catalog
+/// `evict` can drop dependent renders.
+fn render_key(req: &QueryRequest, paths: &[&str], prints: &[Fingerprint]) -> (String, Vec<String>) {
     let mut sources = Vec::new();
     let mut catalog_ids = Vec::new();
     if let QueryCmd::Report(QuerySource::Model { name, seed }) = &req.cmd {
         sources.push(format!("model:{name}:{seed}"));
         catalog_ids.push(format!("model:{name}:{seed}"));
     }
-    for file in files {
-        let file = file.as_ref().ok()?;
-        let path = file.path().display();
-        let info = file.source();
+    for (path, print) in paths.iter().zip(prints) {
+        let info = print.info;
         catalog_ids.push(path.to_string());
         let mut id = format!("file:{path}:{}:{:08x}", info.bytes, info.crc32);
         if req.opts.index_mode() != IndexMode::Off {
@@ -795,7 +987,7 @@ fn render_key(req: &QueryRequest, files: &[Result<LogFile>]) -> Option<(String, 
             // auto run that leaves a snapshot behind must not be
             // replayed for the (now warm) next run, whose `metrics`
             // section truthfully differs.
-            let tag = match failindex::freshness(file) {
+            let tag = match print.fsidx.as_ref().expect("indexed keys carry freshness") {
                 Freshness::Exact => "exact".to_string(),
                 Freshness::Prefix { tail_bytes } => format!("prefix:{tail_bytes}"),
                 Freshness::Stale { .. } => "stale".to_string(),
@@ -825,7 +1017,7 @@ fn render_key(req: &QueryRequest, files: &[Result<LogFile>]) -> Option<(String, 
         .field("index", opts.index_mode().to_string())
         .build()
         .render();
-    Some((key, catalog_ids))
+    (key, catalog_ids)
 }
 
 /// The `{"v":1,...}` header line versioning every JSON output; text
@@ -1064,6 +1256,208 @@ mod tests {
 
         std::fs::remove_file(&path).expect("cleanup");
         let _ = std::fs::remove_file(&spath);
+    }
+
+    /// A deterministic [`ChangeFeed`]: changes exist only when the test
+    /// injects them. With `bump_on_watch`, every watch injects a change
+    /// to the path being watched — a notification landing between the
+    /// stamp and the end of the read.
+    #[derive(Default)]
+    struct TestFeed {
+        state: Mutex<TestFeedState>,
+    }
+
+    #[derive(Default)]
+    struct TestFeedState {
+        generation: u64,
+        forgot_all: u64,
+        changed: HashMap<String, u64>,
+        watched: std::collections::HashSet<String>,
+        bump_on_watch: bool,
+    }
+
+    impl TestFeed {
+        fn with<R>(&self, f: impl FnOnce(&mut TestFeedState) -> R) -> R {
+            f(&mut self.state.lock().unwrap())
+        }
+
+        fn inject(&self, path: &str) {
+            self.with(|s| {
+                s.generation += 1;
+                s.changed.insert(path.to_string(), s.generation);
+            });
+        }
+
+        fn overflow(&self) {
+            self.with(|s| {
+                s.generation += 1;
+                s.forgot_all = s.generation;
+            });
+        }
+    }
+
+    impl ChangeFeed for TestFeed {
+        fn stamp(&self) -> u64 {
+            self.with(|s| s.generation)
+        }
+
+        fn watch(&self, path: &str) -> bool {
+            self.with(|s| {
+                s.watched.insert(path.to_string());
+                if s.bump_on_watch {
+                    s.generation += 1;
+                    s.changed.insert(path.to_string(), s.generation);
+                }
+            });
+            true
+        }
+
+        fn changed_since(&self, path: &str, stamp: u64) -> bool {
+            self.with(|s| {
+                s.forgot_all > stamp
+                    || !s.watched.contains(path)
+                    || s.changed.get(path).is_some_and(|&g| g > stamp)
+            })
+        }
+
+        fn unwatch(&self, path: &str) {
+            self.with(|s| s.watched.remove(path));
+        }
+    }
+
+    /// A log at `name` holding the first `parts`/4 of a tsubame2 year.
+    fn write_quarters(path: &std::path::Path, parts: usize) {
+        let log = Simulator::new(SystemModel::tsubame2(), 42)
+            .generate()
+            .expect("simulates");
+        let text = faillog::to_string(&log).expect("serializes");
+        let cut = text[..text.len() * parts / 4]
+            .rfind('\n')
+            .expect("has lines")
+            + 1;
+        std::fs::write(path, &text[..cut]).expect("writes");
+    }
+
+    fn fed_engine() -> (QueryEngine, Arc<TestFeed>) {
+        let feed = Arc::new(TestFeed::default());
+        let engine = QueryEngine::new().with_feed(Arc::clone(&feed) as Arc<dyn ChangeFeed>);
+        (engine, feed)
+    }
+
+    #[test]
+    fn a_vouched_hit_reuses_the_fingerprint_until_a_change() {
+        let path = temp_path("vouched.fslog");
+        let p = path.to_str().unwrap();
+        write_quarters(&path, 2);
+        let _ = std::fs::remove_file(failindex::snapshot_path(p));
+        let (engine, feed) = fed_engine();
+        let req = QueryRequest::report(QuerySource::file(p)).sections("header,tbf");
+        let reused = || engine.metrics().counter("engine.fingerprints_reused");
+        let first = engine.execute(&req).expect("executes");
+        assert!(!first.cached);
+        assert_eq!(reused(), 0, "the first query reads");
+        let hit = engine.execute(&req).expect("executes");
+        assert!(hit.cached);
+        assert_eq!(hit.output, first.output);
+        assert_eq!(reused(), 1, "an unchanged file is not re-read");
+
+        // A notified change sends the next query back to the read path,
+        // which vouches again.
+        feed.inject(p);
+        assert!(engine.execute(&req).expect("executes").cached);
+        assert_eq!(reused(), 1);
+        engine.execute(&req).expect("executes");
+        assert_eq!(reused(), 2);
+
+        // So does an overflow, for every source.
+        feed.overflow();
+        engine.execute(&req).expect("executes");
+        assert_eq!(reused(), 2);
+
+        // A change the feed never reports (an mmap write) still shows in
+        // the stat: the grown log is re-read and re-rendered.
+        write_quarters(&path, 4);
+        let grown = engine.execute(&req).expect("executes");
+        assert!(!grown.cached);
+        assert_eq!(reused(), 2);
+        assert_eq!(
+            grown.output,
+            QueryEngine::new().execute(&req).expect("executes").output
+        );
+
+        // A compare needs both sources vouched; an indexed key needs the
+        // freshness tag, which an index-off read did not compute.
+        // The first auto run saves a snapshot, which changes the key of
+        // the second; the third is a vouched hit.
+        let warm = req.clone().index(IndexMode::Auto);
+        engine.execute(&warm).expect("executes");
+        assert!(!engine.execute(&warm).expect("executes").cached);
+        let before = reused();
+        let again = engine.execute(&warm).expect("executes");
+        assert!(again.cached);
+        assert_eq!(reused(), before + 1);
+        assert_eq!(
+            again.output,
+            QueryEngine::new().execute(&warm).expect("executes").output
+        );
+        let cmp = QueryRequest::compare(p, p);
+        engine.execute(&cmp).expect("executes");
+        assert!(engine.execute(&cmp).expect("executes").cached);
+        assert_eq!(reused(), before + 3);
+
+        // Evicting drops the vouched entry and the watch.
+        engine.evict(&QuerySource::file(p));
+        assert!(!feed.with(|s| s.watched.contains(p)));
+        engine.execute(&req).expect("executes");
+        assert_eq!(reused(), before + 3);
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(failindex::snapshot_path(p)).ok();
+    }
+
+    #[test]
+    fn a_change_notified_mid_read_is_never_vouched() {
+        let path = temp_path("torn.fslog");
+        let p = path.to_str().unwrap();
+        write_quarters(&path, 1);
+        let (engine, feed) = fed_engine();
+        feed.with(|s| s.bump_on_watch = true);
+        let req = QueryRequest::report(QuerySource::file(p)).sections("header");
+        for _ in 0..3 {
+            engine.execute(&req).expect("executes");
+        }
+        assert_eq!(engine.metrics().counter("engine.fingerprints_reused"), 0);
+        assert!(engine.vouched.lock().unwrap().is_empty());
+        // Once reads stop racing changes, the next read is vouched.
+        feed.with(|s| s.bump_on_watch = false);
+        engine.execute(&req).expect("executes");
+        assert!(engine.execute(&req).expect("executes").cached);
+        assert_eq!(engine.metrics().counter("engine.fingerprints_reused"), 1);
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn the_catalog_takes_vouched_freshness_and_probes_otherwise() {
+        let path = temp_path("catalog-vouched.fslog");
+        let p = path.to_str().unwrap();
+        write_quarters(&path, 1);
+        let spath = failindex::snapshot_path(p);
+        let _ = std::fs::remove_file(&spath);
+        let (engine, feed) = fed_engine();
+        let req = QueryRequest::report(QuerySource::file(p))
+            .sections("header")
+            .index(IndexMode::Auto);
+        // The cold auto run saves a snapshot after its read: the feed
+        // would report that save, and the stat sees it either way.
+        engine.execute(&req).expect("executes");
+        assert_eq!(engine.catalog()[0].snapshot.as_deref(), Some("exact"));
+        engine.execute(&req).expect("executes");
+        assert_eq!(engine.vouched_freshness(p), Some(Freshness::Exact));
+        assert_eq!(engine.catalog()[0].snapshot.as_deref(), Some("exact"));
+        std::fs::remove_file(&spath).expect("removes the snapshot");
+        feed.inject(p);
+        assert_eq!(engine.vouched_freshness(p), None);
+        assert_eq!(engine.catalog()[0].snapshot.as_deref(), Some("missing"));
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]

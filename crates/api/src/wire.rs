@@ -31,7 +31,9 @@
 //!
 //! `output` holds the exact bytes the equivalent CLI invocation prints;
 //! `error.kind` is [`failtypes::Error::kind`], the stable
-//! machine-readable variant tag.
+//! machine-readable variant tag: `args` for a rejected request, `run`
+//! (or a narrower tag such as `io` or `row`) for a failed execution,
+//! and `internal` when the query panicked inside the server.
 
 use failtypes::{Error, JsonValue, Result};
 

@@ -11,10 +11,12 @@
 //! * **read side** — bytes accumulate in `read_buf`; the frame splitter
 //!   carves complete NDJSON lines off the front (tracking a scan offset
 //!   so dripped bytes are never rescanned) and dispatches each request.
-//! * **execution** — `report`/`compare`/`watch` go to the worker pool
-//!   (`max_inflight` threads, so the pool *is* the execution bound);
-//!   `metrics`, `logs`, `evict`, `ping`, and `shutdown` are cheap and
-//!   answered inline on the loop.
+//! * **execution** — `report`/`compare`/`watch`/`logs` go to the worker
+//!   pool (`max_inflight` threads, so the pool *is* the execution
+//!   bound); `metrics`, `evict`, `ping`, and `shutdown` are cheap and
+//!   answered inline on the loop. A job that panics is answered with an
+//!   `internal` error envelope and counted as `server.worker_panics`;
+//!   its worker survives, so the connection's later replies still flow.
 //! * **write side** — responses are emitted strictly in request order
 //!   (a per-connection sequence number orders out-of-order worker
 //!   completions), appended to `write_buf`, and flushed as far as the
@@ -45,6 +47,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::io::{Read, Write};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
+use std::panic::AssertUnwindSafe;
 use std::sync::{mpsc, Arc, Mutex};
 
 use failapi::wire::{self, Command};
@@ -76,11 +79,16 @@ const READ_CHUNK: usize = 64 * 1024;
 /// revisits it immediately).
 const READ_BURST: usize = 1024 * 1024;
 
-/// Work shipped to the pool: the queries whose execution cost is
-/// unbounded. Everything else is answered inline on the loop.
+/// Work shipped to the pool: the commands whose execution cost is
+/// unbounded (`logs` may probe every cached log). Everything else is
+/// answered inline on the loop.
 enum JobCmd {
     Query(QueryRequest),
     Watch(WatchRequest),
+    Logs,
+    /// Panics in the worker, to exercise the unwind guard.
+    #[cfg(test)]
+    Panic,
 }
 
 struct Job {
@@ -186,24 +194,24 @@ enum FrameStep {
     Line(String),
 }
 
-fn take_frame(conn: &mut Conn) -> FrameStep {
-    let Some(rel) = conn.read_buf[conn.scanned..]
-        .iter()
-        .position(|&b| b == b'\n')
-    else {
-        conn.scanned = conn.read_buf.len();
-        if conn.scanned > MAX_LINE {
+/// Carves the next complete line off `buf`, resuming the newline scan
+/// at `scanned` (which it advances, so dripped bytes are never
+/// rescanned).
+fn take_frame(buf: &mut Vec<u8>, scanned: &mut usize) -> FrameStep {
+    let Some(rel) = buf[*scanned..].iter().position(|&b| b == b'\n') else {
+        *scanned = buf.len();
+        if *scanned > MAX_LINE {
             return FrameStep::Oversize;
         }
         return FrameStep::Incomplete;
     };
-    let end = conn.scanned + rel;
-    let step = match std::str::from_utf8(&conn.read_buf[..end]) {
+    let end = *scanned + rel;
+    let step = match std::str::from_utf8(&buf[..end]) {
         Ok(line) => FrameStep::Line(line.to_string()),
         Err(_) => FrameStep::Bad,
     };
-    conn.read_buf.drain(..=end);
-    conn.scanned = 0;
+    buf.drain(..=end);
+    *scanned = 0;
     step
 }
 
@@ -289,7 +297,20 @@ fn worker(
         let Ok(job) = job else {
             return;
         };
-        let line = respond(engine, job.id, job.cmd);
+        // A panicking job must still complete its (conn, seq) slot, or
+        // every later reply on that connection would wait behind it.
+        let answered =
+            std::panic::catch_unwind(AssertUnwindSafe(|| respond(engine, job.id, job.cmd)));
+        let line = answered.unwrap_or_else(|panic| {
+            engine.metrics().incr("server.worker_panics", 1);
+            engine.metrics().incr("server.errors", 1);
+            let what = panic
+                .downcast_ref::<&str>()
+                .map(|s| (*s).to_string())
+                .or_else(|| panic.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "unknown panic".to_string());
+            wire::encode_err(job.id, &Error::internal(format!("query panicked: {what}")))
+        });
         completions
             .lock()
             .unwrap_or_else(|e| e.into_inner())
@@ -319,6 +340,11 @@ fn respond(engine: &QueryEngine, id: u64, cmd: JobCmd) -> String {
                 Err(e) => error_line(&e),
             }
         }
+        JobCmd::Logs => {
+            wire::encode_ok(id, "logs", false, &failapi::render_catalog(&engine.catalog()))
+        }
+        #[cfg(test)]
+        JobCmd::Panic => panic!("injected worker panic"),
     }
 }
 
@@ -468,7 +494,7 @@ impl Reactor {
                     conn.scanned = 0;
                     return;
                 }
-                take_frame(conn)
+                take_frame(&mut conn.read_buf, &mut conn.scanned)
             };
             match step {
                 FrameStep::Incomplete => return,
@@ -524,6 +550,11 @@ impl Reactor {
             seq
         };
         self.count_request();
+        #[cfg(test)]
+        if line == tests::PANIC_FRAME {
+            self.submit(token, seq, 0, JobCmd::Panic);
+            return;
+        }
         let (id, cmd) = wire::parse_request(line);
         let response = match cmd {
             Err(e) => {
@@ -541,12 +572,10 @@ impl Reactor {
             Ok(Command::Metrics) => {
                 wire::encode_ok(id, "metrics", false, &self.engine.metrics().export())
             }
-            Ok(Command::Logs) => wire::encode_ok(
-                id,
-                "logs",
-                false,
-                &failapi::render_catalog(&self.engine.catalog()),
-            ),
+            Ok(Command::Logs) => {
+                self.submit(token, seq, id, JobCmd::Logs);
+                return;
+            }
             Ok(Command::Evict(source)) => {
                 wire::encode_ok(id, "evict", false, &self.engine.evict(&source).render())
             }
@@ -724,6 +753,125 @@ impl Reactor {
                     poller.remove(conn.stream.as_raw_fd()).ok();
                 }
             }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::server::Endpoint;
+    use proptest::prelude::*;
+    use std::io::{BufRead, BufReader};
+    use std::net::TcpStream;
+
+    /// A request line the test build answers with a panicking job.
+    pub(super) const PANIC_FRAME: &str = "test:panic";
+
+    fn reply(reader: &mut BufReader<TcpStream>) -> std::result::Result<wire::Response, Error> {
+        let mut line = String::new();
+        reader.read_line(&mut line).expect("reads a reply");
+        wire::parse_response(line.trim_end())
+    }
+
+    #[test]
+    fn a_panicking_job_is_answered_and_the_worker_survives() {
+        let listener = Listener::bind(&Endpoint::tcp("127.0.0.1:0")).expect("binds");
+        let Ok(Endpoint::Tcp(addr)) = listener.bound_endpoint() else {
+            panic!("a tcp endpoint");
+        };
+        let server = std::thread::spawn(move || run(listener, QueryEngine::new(), 1));
+        let stream = TcpStream::connect(&addr).expect("connects");
+        let mut reader = BufReader::new(stream.try_clone().expect("clones"));
+        let mut writer = stream;
+        // One worker: the panic, then two pipelined requests behind it.
+        let ping = wire::encode_simple(2, "ping");
+        let logs = wire::encode_simple(3, "logs");
+        writer
+            .write_all(format!("{PANIC_FRAME}\n{ping}\n{logs}\n").as_bytes())
+            .expect("sends");
+        let err = reply(&mut reader).expect_err("the panic is an error envelope");
+        assert!(err.to_string().contains("injected worker panic"), "{err}");
+        assert_eq!(reply(&mut reader).expect("pong").output, "pong\n");
+        assert_eq!(
+            reply(&mut reader).expect("logs").output,
+            "faild: 0 cached logs\n"
+        );
+        // The lone worker still executes queries.
+        let req =
+            QueryRequest::report(failapi::QuerySource::model("tsubame2", 42)).sections("header");
+        writeln!(writer, "{}", wire::encode_query(4, &req)).expect("sends");
+        let served = reply(&mut reader).expect("a later query is served");
+        assert_eq!(served.output, QueryEngine::new().execute(&req).expect("runs").output);
+        writeln!(writer, "{}", wire::encode_simple(5, "metrics")).expect("sends");
+        let metrics = reply(&mut reader).expect("metrics").output;
+        assert!(metrics.contains("\"stage\":\"server.worker_panics\",\"value\":1"), "{metrics}");
+        writeln!(writer, "{}", wire::encode_simple(6, "shutdown")).expect("sends");
+        reply(&mut reader).expect("shutdown");
+        server.join().expect("reactor thread").expect("serves");
+    }
+
+    fn frames(buf: &mut Vec<u8>, scanned: &mut usize) -> Vec<FrameStep> {
+        let mut out = Vec::new();
+        loop {
+            match take_frame(buf, scanned) {
+                FrameStep::Incomplete => return out,
+                step => out.push(step),
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn framing_is_independent_of_how_bytes_arrive(
+            lines in proptest::collection::vec(proptest::collection::vec(any::<u8>(), 0..40), 0..8),
+            cuts in proptest::collection::vec(0usize..400, 0..8),
+        ) {
+            // Newline-free lines joined by newlines, delivered in pieces.
+            let lines: Vec<Vec<u8>> = lines
+                .into_iter()
+                .map(|l| l.into_iter().filter(|&b| b != b'\n').collect())
+                .collect();
+            let mut stream = Vec::new();
+            for line in &lines {
+                stream.extend_from_slice(line);
+                stream.push(b'\n');
+            }
+            let mut cuts: Vec<usize> = cuts.into_iter().map(|c| c % (stream.len() + 1)).collect();
+            cuts.push(stream.len());
+            cuts.sort_unstable();
+            let (mut buf, mut scanned, mut got, mut from) = (Vec::new(), 0, Vec::new(), 0);
+            for cut in cuts {
+                buf.extend_from_slice(&stream[from..cut]);
+                from = cut;
+                got.extend(frames(&mut buf, &mut scanned));
+            }
+            prop_assert!(buf.is_empty());
+            prop_assert_eq!(got.len(), lines.len());
+            for (step, line) in got.iter().zip(&lines) {
+                match (step, std::str::from_utf8(line)) {
+                    (FrameStep::Line(text), Ok(expect)) => prop_assert_eq!(text.as_str(), expect),
+                    (FrameStep::Bad, Err(_)) => {}
+                    _ => prop_assert!(false, "line {:?} framed wrongly", line),
+                }
+            }
+        }
+
+        #[test]
+        fn arbitrary_bytes_frame_without_panicking(
+            bytes in proptest::collection::vec(any::<u8>(), 0..512),
+            scanned in 0usize..600,
+        ) {
+            let mut buf = bytes;
+            // Any scan offset the reactor could hold: at most the length.
+            let mut scanned = scanned % (buf.len() + 1);
+            let before = buf.len();
+            let steps = frames(&mut buf, &mut scanned);
+            prop_assert!(scanned <= buf.len());
+            prop_assert!(buf.len() <= before);
+            prop_assert!(steps.iter().all(|s| !matches!(s, FrameStep::Oversize)));
         }
     }
 }

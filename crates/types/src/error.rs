@@ -205,6 +205,8 @@ pub enum Error {
     Args(String),
     /// A command ran but failed.
     Run(String),
+    /// A bug: the server caught a panic while executing a request.
+    Internal(String),
     /// Any other failure, wrapped with a static description of the
     /// operation that raised it.
     Other {
@@ -270,6 +272,11 @@ impl Error {
         Error::Run(message.into())
     }
 
+    /// An internal failure (a caught panic), never a fault of the input.
+    pub fn internal(message: impl Into<String>) -> Self {
+        Error::Internal(message.into())
+    }
+
     /// Wraps any other error with a static operation description.
     pub fn other(
         context: &'static str,
@@ -303,6 +310,7 @@ impl Error {
             Error::Config { .. } => "config",
             Error::Args(_) => "args",
             Error::Run(_) => "run",
+            Error::Internal(_) => "internal",
             Error::Other { .. } => "other",
         }
     }
@@ -339,6 +347,7 @@ impl fmt::Display for Error {
             }
             Error::Args(msg) => write!(f, "{msg}"),
             Error::Run(msg) => write!(f, "{msg}"),
+            Error::Internal(msg) => write!(f, "internal error: {msg}"),
             Error::Other { context, source } => write!(f, "{context}: {source}"),
         }
     }

@@ -46,6 +46,15 @@ if grep -nF 'std::fs::read' crates/api/src/engine.rs; then
     echo "verify: QueryEngine reads a log file itself instead of through faillog::LogFile" >&2
     exit 1
 fi
+# Unsafe containment: the raw-syscall epoll and inotify bindings in
+# crates/server/src/sys.rs are the only unsafe code under crates/. An
+# `allow(unsafe_code)` or an unsafe block, fn, impl or trait anywhere
+# else fails the gate.
+if grep -rnE 'allow\(unsafe_code\)|unsafe[[:space:]]*(\{|fn\b|impl\b|trait\b|extern\b)' \
+    crates/ --include='*.rs' | grep -v '^crates/server/src/sys\.rs:'; then
+    echo "verify: unsafe code outside crates/server/src/sys.rs" >&2
+    exit 1
+fi
 
 # Benchmark gate: the standalone loadbench crate builds and passes its
 # own tests against the current workspace crates. Cargo refreshes
@@ -460,4 +469,4 @@ fi
 # API docs must build warning-free.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-echo "verify: build + tests + clippy + structure gate + loadbench gate + streaming gate + summary gate + parse gate + gzip gate + filter gate + index gate + server gate + gzip smoke + json gate + trace gate + docs all green"
+echo "verify: build + tests + clippy + structure gate + unsafe gate + loadbench gate + streaming gate + summary gate + parse gate + gzip gate + filter gate + index gate + server gate + gzip smoke + json gate + trace gate + docs all green"

@@ -1,8 +1,10 @@
 //! Property-based integration tests (proptest) spanning the workspace:
-//! serialization round trips, generator invariants, and statistics
-//! invariants on arbitrary inputs.
+//! serialization round trips, generator invariants, statistics
+//! invariants, and the `faild` wire codec on arbitrary and mutated
+//! lines.
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 
 use failsim::{ScenarioBuilder, Simulator};
 use failstats::{Ecdf, Summary};
@@ -238,5 +240,137 @@ proptest! {
         let tbf = failscope::TbfAnalysis::from_index(&view).expect("enough failures");
         let expected = log.window().duration().get() / log.len() as f64;
         prop_assert!((tbf.mtbf_hours() - expected).abs() < 1e-9);
+    }
+}
+
+/// Valid request lines covering every command and most query fields.
+fn request_corpus() -> Vec<String> {
+    use failapi::{wire, OutputFormat, QueryRequest, QuerySource, WatchRequest};
+    let report = QueryRequest::report(QuerySource::file("fleet.fslog"))
+        .sections("tbf,ttr")
+        .where_expr("category == gpu && ttr > 24")
+        .since("100")
+        .format(OutputFormat::Json)
+        .threads(4)
+        .chunk_bytes(4096)
+        .index(failindex::IndexMode::Auto);
+    let mut watch = WatchRequest::new("sim:tsubame3");
+    watch.max_records = Some("50".to_string());
+    vec![
+        wire::encode_query(7, &report),
+        wire::encode_query(8, &QueryRequest::report(QuerySource::model("tsubame2", 42))),
+        wire::encode_query(
+            9,
+            &QueryRequest::compare("a.fslog", "b.fslog").until("1000"),
+        ),
+        wire::encode_watch(10, &watch),
+        wire::encode_evict(11, &QuerySource::file("fleet.fslog")),
+        wire::encode_simple(12, "metrics"),
+        wire::encode_simple(13, "logs"),
+        wire::encode_simple(14, "ping"),
+        wire::encode_simple(15, "shutdown"),
+    ]
+}
+
+/// Valid response lines: successes with escapes, and error envelopes.
+fn response_corpus() -> Vec<String> {
+    use failapi::wire;
+    vec![
+        wire::encode_ok(1, "report", false, "line one\n\"two\"\t\\three\n"),
+        wire::encode_ok(2, "ping", true, "pong\n"),
+        wire::encode_err(3, &failtypes::Error::args("unknown section `bogus`")),
+        wire::encode_err(4, &failtypes::Error::internal("query panicked")),
+    ]
+}
+
+/// Applies byte edits (overwrite, delete, insert) and, for even `cut`,
+/// a truncation to `line`, then makes the bytes valid UTF-8 the way a lossy reader
+/// would.
+fn mutate(line: &str, edits: &[(usize, u8, u8)], cut: usize) -> String {
+    let mut bytes = line.as_bytes().to_vec();
+    for &(at, op, byte) in edits {
+        let at = at % (bytes.len() + 1);
+        match op % 3 {
+            0 if at < bytes.len() => bytes[at] = byte,
+            1 if at < bytes.len() => {
+                bytes.remove(at);
+            }
+            _ => bytes.insert(at, byte),
+        }
+    }
+    if cut.is_multiple_of(2) {
+        bytes.truncate(cut / 2 % (bytes.len() + 1));
+    }
+    String::from_utf8_lossy(&bytes).into_owned()
+}
+
+/// Whatever `parse_request` accepts re-encodes to a line it decodes to
+/// the same command.
+fn request_round_trips(id: u64, cmd: &failapi::wire::Command) -> Result<(), TestCaseError> {
+    use failapi::wire::{self, Command};
+    let line = match cmd {
+        Command::Query(req) => wire::encode_query(id, req),
+        Command::Watch(req) => wire::encode_watch(id, req),
+        Command::Evict(source) => wire::encode_evict(id, source),
+        other => wire::encode_simple(id, other.name()),
+    };
+    let (again_id, again) = wire::parse_request(&line);
+    prop_assert_eq!(again_id, id);
+    prop_assert_eq!(again.as_ref().ok(), Some(cmd), "re-encoded as {}", line);
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn wire_requests_from_arbitrary_bytes_parse_or_fail_typed(
+        bytes in proptest::collection::vec(any::<u8>(), 0..200),
+    ) {
+        let line = String::from_utf8_lossy(&bytes);
+        if let (id, Ok(cmd)) = failapi::wire::parse_request(&line) {
+            request_round_trips(id, &cmd)?;
+        }
+    }
+
+    #[test]
+    fn mutated_wire_requests_parse_or_fail_typed(
+        pick in any::<usize>(),
+        edits in proptest::collection::vec((any::<usize>(), any::<u8>(), any::<u8>()), 0..4),
+        cut in any::<usize>(),
+    ) {
+        let corpus = request_corpus();
+        let line = mutate(&corpus[pick % corpus.len()], &edits, cut);
+        match failapi::wire::parse_request(&line) {
+            (id, Ok(cmd)) => request_round_trips(id, &cmd)?,
+            (_, Err(e)) => prop_assert!(!e.kind().is_empty()),
+        }
+    }
+
+    #[test]
+    fn wire_responses_from_arbitrary_or_mutated_bytes_parse_or_fail_typed(
+        bytes in proptest::collection::vec(any::<u8>(), 0..120),
+        pick in any::<usize>(),
+        edits in proptest::collection::vec((any::<usize>(), any::<u8>(), any::<u8>()), 0..4),
+        cut in any::<usize>(),
+    ) {
+        let corpus = response_corpus();
+        let mutated = mutate(&corpus[pick % corpus.len()], &edits, cut);
+        for line in [String::from_utf8_lossy(&bytes).into_owned(), mutated] {
+            if let Ok(resp) = failapi::wire::parse_response(&line) {
+                let again = failapi::wire::encode_ok(resp.id, &resp.cmd, resp.cached, &resp.output);
+                prop_assert_eq!(failapi::wire::parse_response(&again).ok(), Some(resp));
+            }
+        }
+    }
+
+    #[test]
+    fn unmutated_wire_corpora_decode(pick in any::<usize>()) {
+        let requests = request_corpus();
+        let (id, cmd) = failapi::wire::parse_request(&requests[pick % requests.len()]);
+        prop_assert!(cmd.is_ok(), "{:?}", cmd);
+        request_round_trips(id, &cmd.expect("decodes"))?;
+        let responses = response_corpus();
+        let _ = failapi::wire::parse_response(&responses[pick % responses.len()]);
     }
 }

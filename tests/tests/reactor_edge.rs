@@ -1,10 +1,12 @@
 //! Connection edge cases for the `faild` reactor: requests that arrive
 //! one byte at a time (slowloris), many requests pipelined into a
 //! single TCP segment, clients that vanish mid-response, hundreds of
-//! idle connections held open while others query, and the multi-fleet
-//! catalog (`logs`/`evict`) round trip. Every response body must stay
-//! byte-identical to the local engine — the CLI's own execution path —
-//! no matter how the bytes were framed on the wire.
+//! idle connections held open while others query, the multi-fleet
+//! catalog (`logs`/`evict`) round trip, and the freshness of vouched
+//! fingerprints under every way a log can change on disk. Every response
+//! body must stay byte-identical to the local engine — the CLI's own
+//! execution path — no matter how the bytes were framed on the wire or
+//! what happened to the file between queries.
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
@@ -13,10 +15,11 @@ use std::thread;
 use std::time::Duration;
 
 use failapi::{wire, OutputFormat, QueryEngine, QueryRequest, QuerySource};
+use failindex::IndexMode;
 use failserver::client::Connection;
 use failserver::{Endpoint, ServeSummary, ServerConfig};
 use failsim::{Simulator, SystemModel};
-use failtypes::Result;
+use failtypes::{JsonValue, Result};
 
 fn temp_path(name: &str) -> std::path::PathBuf {
     let dir = std::env::temp_dir().join("failsuite-reactor");
@@ -343,4 +346,231 @@ fn oversized_request_line_is_rejected_then_connection_closes() {
     }
 
     shut_down(&addr, handle);
+}
+
+/// A fresh temporary directory for one freshness case.
+fn case_dir(name: &str) -> std::path::PathBuf {
+    let dir = temp_path(&format!("fresh-{name}"));
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).expect("case dir");
+    dir
+}
+
+/// A Tsubame-2 log's text at `seed`, cut after the first `quarters`/4
+/// of its bytes (at a line end).
+fn log_text(seed: u64, quarters: usize) -> String {
+    let log = Simulator::new(SystemModel::tsubame2(), seed)
+        .generate()
+        .expect("simulates");
+    let text = faillog::to_string(&log).expect("serializes");
+    let cut = text[..text.len() * quarters / 4].rfind('\n').expect("has lines") + 1;
+    text[..cut].to_string()
+}
+
+/// What `failctl index build LOG` does: parse the log, save its
+/// snapshot.
+fn index_build(log: &str) {
+    let file = faillog::LogFile::read(log).expect("reads");
+    let source = file.source();
+    let view = failscope::StreamView::from(
+        file.parse(None, &faillog::ParseOptions::new()).expect("parses"),
+    );
+    failindex::save(failindex::snapshot_path(log), &view, source).expect("saves");
+}
+
+/// Rewrites one digit of the last row's `ttr_h` in place: same length,
+/// different content.
+fn rewrite_in_place(log: &str) {
+    let mut text = std::fs::read_to_string(log).expect("reads").into_bytes();
+    let row = text[..text.len() - 1]
+        .iter()
+        .rposition(|&b| b == b'\n')
+        .expect("has rows")
+        + 1;
+    let ttr = row
+        + text[row..]
+            .iter()
+            .enumerate()
+            .filter(|&(_, &b)| b == b',')
+            .nth(1)
+            .expect("a ttr field")
+            .0
+        + 1;
+    text[ttr] = if text[ttr] == b'9' { b'1' } else { text[ttr] + 1 };
+    let mut file = std::fs::OpenOptions::new()
+        .write(true)
+        .open(log)
+        .expect("opens for writing");
+    file.write_all(&text).expect("rewrites");
+}
+
+/// The shapes every freshness case replays: an index-off full report; a
+/// filtered indexed JSON report, whose key carries the snapshot's
+/// freshness and which never writes a snapshot itself; and a compare of
+/// the log with itself.
+fn shapes(log: &str) -> Vec<QueryRequest> {
+    vec![
+        QueryRequest::report(QuerySource::file(log)),
+        QueryRequest::report(QuerySource::file(log))
+            .index(IndexMode::Auto)
+            .where_expr("category == gpu")
+            .format(OutputFormat::Json),
+        QueryRequest::compare(log, log),
+    ]
+}
+
+fn counter(conn: &mut Connection, stage: &str) -> i64 {
+    let out = conn
+        .roundtrip(&wire::encode_simple(0, "metrics"))
+        .expect("metrics")
+        .output;
+    out.lines()
+        .find_map(|line| {
+            let doc = JsonValue::parse(line).ok()?;
+            (doc.get("stage")?.as_str()? == stage).then(|| doc.get("value")?.as_i64())?
+        })
+        .unwrap_or(0)
+}
+
+/// Warms every shape of `log` into a vouched hit, applies `mutate`,
+/// and checks that the next query re-reads the log and that every reply
+/// equals a fresh engine's.
+fn after_mutation(log: &str, mutate: impl FnOnce()) {
+    let (addr, handle) = start_server(2);
+    let mut conn = Connection::connect(&Endpoint::tcp(&addr)).expect("connects");
+    let shapes = shapes(log);
+    for (id, req) in shapes.iter().enumerate() {
+        for _ in 0..2 {
+            let resp = conn.roundtrip(&wire::encode_query(id as u64, req)).expect("warms");
+            assert_eq!(resp.output, local(req));
+        }
+    }
+    // Report, filtered report and compare (two sources) each hit once
+    // without reading.
+    let reused = counter(&mut conn, "engine.fingerprints_reused");
+    assert_eq!(reused, 4, "unchanged logs are served from vouched fingerprints");
+
+    mutate();
+    for (id, req) in shapes.iter().enumerate() {
+        let resp = conn.roundtrip(&wire::encode_query(id as u64, req)).expect("queries");
+        if id == 0 {
+            assert_eq!(
+                counter(&mut conn, "engine.fingerprints_reused"),
+                reused,
+                "the first query after a change must re-read the log"
+            );
+        }
+        assert_eq!(resp.output, local(req), "shape {id} after the change");
+    }
+    drop(conn);
+    shut_down(&addr, handle);
+}
+
+/// A log of the first three quarters of the seed-42 year in its own
+/// directory.
+fn case_log(name: &str) -> (std::path::PathBuf, String) {
+    let dir = case_dir(name);
+    let log = dir.join("live.fslog");
+    std::fs::write(&log, log_text(42, 3)).expect("writes the log");
+    let path = log.to_str().unwrap().to_string();
+    (dir, path)
+}
+
+#[test]
+fn an_append_is_seen_by_the_next_query() {
+    let (dir, log) = case_log("append");
+    after_mutation(&log, || {
+        let rest = log_text(42, 4)[log_text(42, 3).len()..].to_string();
+        let mut file = std::fs::OpenOptions::new()
+            .append(true)
+            .open(&log)
+            .expect("opens for append");
+        file.write_all(rest.as_bytes()).expect("appends");
+    });
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn a_same_length_rewrite_in_place_is_seen_by_the_next_query() {
+    let (dir, log) = case_log("rewrite");
+    let before = std::fs::metadata(&log).expect("stat").len();
+    after_mutation(&log, || rewrite_in_place(&log));
+    assert_eq!(std::fs::metadata(&log).expect("stat").len(), before);
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn a_rename_over_the_log_is_seen_by_the_next_query() {
+    let (dir, log) = case_log("rename");
+    after_mutation(&log, || {
+        let tmp = dir.join("live.fslog.tmp");
+        std::fs::write(&tmp, log_text(43, 4)).expect("writes");
+        std::fs::rename(&tmp, &log).expect("renames over the log");
+    });
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn a_touch_without_a_content_change_is_seen_by_the_next_query() {
+    let (dir, log) = case_log("touch");
+    after_mutation(&log, || {
+        let file = std::fs::File::options().write(true).open(&log).expect("opens");
+        let later = std::time::SystemTime::now() + Duration::from_secs(60);
+        file.set_modified(later).expect("touches");
+    });
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn an_unlink_then_recreate_is_seen_by_the_next_query() {
+    let (dir, log) = case_log("recreate");
+    after_mutation(&log, || {
+        std::fs::remove_file(&log).expect("unlinks");
+        std::fs::write(&log, log_text(43, 2)).expect("re-creates");
+    });
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn an_index_build_is_seen_by_the_next_query() {
+    let (dir, log) = case_log("index-build");
+    after_mutation(&log, || index_build(&log));
+    assert!(failindex::snapshot_path(&log).exists());
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
+fn a_symlink_target_replaced_by_rename_is_seen_by_the_next_query() {
+    let dir = case_dir("symlink");
+    std::fs::create_dir_all(dir.join("store")).expect("target dir");
+    let target = dir.join("store").join("real.fslog");
+    std::fs::write(&target, log_text(42, 3)).expect("writes the target");
+    let link = dir.join("link.fslog");
+    std::os::unix::fs::symlink(&target, &link).expect("links");
+    after_mutation(link.to_str().unwrap(), || {
+        let tmp = dir.join("store").join("real.tmp");
+        std::fs::write(&tmp, log_text(43, 4)).expect("writes");
+        std::fs::rename(&tmp, &target).expect("renames over the target");
+    });
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// Fills the server's inotify queue past `max_queued_events` (distinct
+/// names never coalesce) with files the server does not care about.
+/// Nothing about the log changes, neither its bytes nor its `stat`, yet
+/// the next query must re-read it: after `IN_Q_OVERFLOW` the engine
+/// forgets every vouched entry rather than trust the silence.
+#[test]
+fn a_queue_overflow_forgets_every_vouched_fingerprint() {
+    let (dir, log) = case_log("overflow");
+    let limit: usize = std::fs::read_to_string("/proc/sys/fs/inotify/max_queued_events")
+        .ok()
+        .and_then(|s| s.trim().parse().ok())
+        .unwrap_or(16_384);
+    after_mutation(&log, || {
+        for i in 0..=limit {
+            std::fs::write(dir.join(format!("flood-{i}")), b"").expect("creates");
+        }
+    });
+    std::fs::remove_dir_all(dir).ok();
 }
