@@ -37,20 +37,13 @@ pub struct InvolvementTable {
 }
 
 impl InvolvementTable {
-    /// Computes the table from the GPU failures of a [`StreamView`].
+    /// Computes the table from a [`StreamView`]'s GPU-count histogram:
+    /// O(GPUs per node).
     pub fn from_index(index: &StreamView) -> Self {
         let max_gpus = index.spec().gpus_per_node();
-        let mut counts = vec![0usize; max_gpus as usize + 1];
-        let mut unknown = 0;
-        for rec in index.records().iter().filter(|r| r.category().is_gpu()) {
-            let k = rec.gpus().len();
-            if k == 0 {
-                unknown += 1;
-            } else if k <= max_gpus as usize {
-                counts[k] += 1;
-            }
-        }
-        let known: usize = counts.iter().sum();
+        let counts = index.gpu_count_histogram();
+        let unknown = counts[0];
+        let known: usize = counts[1..].iter().sum();
         let rows = (1..=max_gpus)
             .map(|k| InvolvementRow {
                 gpus: k,

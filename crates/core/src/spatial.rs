@@ -2,7 +2,7 @@
 //! and per-GPU-slot distribution (Fig. 5).
 
 use failstats::{chi_square_gof, ChiSquareTest, CountHistogram};
-use failtypes::{Domain, GpuSlot, RackId};
+use failtypes::{GpuSlot, RackId};
 
 use crate::StreamView;
 
@@ -31,28 +31,18 @@ pub struct NodeDistribution {
 }
 
 impl NodeDistribution {
-    /// Computes the distribution from a [`StreamView`], reusing its
-    /// per-node counts.
+    /// Computes the distribution from a [`StreamView`]'s per-node
+    /// tallies: O(nodes), no walk over the records.
     pub fn from_index(index: &StreamView) -> Self {
-        let counts = index.node_counts();
-        let histogram: CountHistogram = counts.values().copied().collect();
-        let mut multi_node_hardware = 0;
-        let mut multi_node_software = 0;
-        for rec in index.records() {
-            if counts[&rec.node()] > 1 {
-                match rec.category().domain() {
-                    Domain::Hardware => multi_node_hardware += 1,
-                    Domain::Software => multi_node_software += 1,
-                    Domain::Unknown => {}
-                }
-            }
-        }
+        let failing: Vec<_> = index.node_tallies().iter().filter(|t| t.failures > 0).collect();
+        let histogram: CountHistogram = failing.iter().map(|t| u64::from(t.failures)).collect();
+        let multi: Vec<_> = failing.iter().filter(|t| t.failures > 1).collect();
         NodeDistribution {
-            failing_nodes: counts.len(),
+            failing_nodes: failing.len(),
             histogram,
             total_nodes: index.spec().nodes(),
-            multi_node_hardware,
-            multi_node_software,
+            multi_node_hardware: multi.iter().map(|t| t.hardware as usize).sum(),
+            multi_node_software: multi.iter().map(|t| t.software as usize).sum(),
         }
     }
 

@@ -1,8 +1,10 @@
 //! The fleet index: [`StreamView`], the one input every analysis reads.
 //!
 //! A [`StreamView`] holds every index the analyses consume — time-ordered
-//! times, sorted repair durations, category partitions, node/slot/rack
-//! counts, month buckets — and is built one of two ways:
+//! times, three sorted order statistics (repair durations, recovery
+//! times, inter-arrival gaps), category partitions, a dense tally per
+//! node of the spec, slot/rack counts, a histogram of GPU failures by
+//! GPUs involved, month buckets — and is built one of two ways:
 //!
 //! * **in bulk** from a finished, validated [`FailureLog`]
 //!   (`StreamView::from(log)`): one pass over the records, then one sort
@@ -19,15 +21,17 @@
 //! # Cost model
 //!
 //! The incremental write path is amortized O(1) per record and
-//! allocation-free in the steady state. Every index except the two order
-//! statistics is a plain append (`Vec::push` / `BTreeMap` bump). That
-//! includes the month buckets, each of which keeps a running TTR sum
-//! beside its arrival-order values, and the list of GPU-slot
+//! allocation-free in the steady state. Every index except the three
+//! order statistics is a plain append or bump (`Vec::push`, a
+//! `BTreeMap` count, the record's [`NodeTally`] and GPU-count slot).
+//! That includes the month buckets, each of which keeps a running TTR
+//! sum beside its arrival-order values, and the list of GPU-slot
 //! involvements, so a monthly MTTR or a trailing-window slot share is
-//! an O(1) or O(window) read. The sorted repair and recovery arrays use
-//! a *deferred-merge* design ([`SortedRun`]): new values append to a
-//! small unsorted tail, and the tail is merged into the main sorted run
-//! only when
+//! an O(1) or O(window) read. The per-node tallies make the per-node
+//! analyses (Fig. 4 occupancy, time to first failure) O(nodes) reads.
+//! The sorted repair, recovery and gap arrays use a *deferred-merge*
+//! design ([`SortedRun`]): new values append to a small unsorted tail,
+//! and the tail is merged into the main sorted run only when
 //!
 //! * the tail outgrows an adaptive threshold (`max(64, run_len / 8)`),
 //!   in which case `push` sorts the tail and merges it **in place** with
@@ -37,7 +41,9 @@
 //!   stream is O(n) moves, i.e. amortized O(1) per record on top of the
 //!   O(log tail) sort share (amortized O(log n) per record all in); or
 //! * a writer forces it ([`StreamView::materialize`], which the watch
-//!   loop calls before every summary) or a reader asks for the
+//!   loop calls before every summary, forces the repair and recovery
+//!   runs a summary reads, but not the gap run; `into_parts` forces all
+//!   three) or a reader asks for the
 //!   materialized array ([`StreamView::ttrs_sorted`] and friends,
 //!   including every analysis's `from_index`). A
 //!   forced merge of `t` pending values costs O(t log n) compares plus
@@ -58,8 +64,8 @@ use std::sync::OnceLock;
 
 use failtrace::Collector;
 use failtypes::{
-    Category, FailureLog, FailureRecord, Generation, GpuSlot, InvalidRecordError, Month,
-    NodeId, ObservationWindow, SoftwareLocus, SystemSpec,
+    Category, Domain, FailureLog, FailureRecord, Generation, GpuSlot, InvalidRecordError,
+    Month, ObservationWindow, SoftwareLocus, SystemSpec,
 };
 
 /// Error from [`StreamView::push`].
@@ -289,6 +295,47 @@ impl MonthBuckets {
     }
 }
 
+/// One node's failure tallies, kept by [`StreamView`] for every node of
+/// the spec so per-node analyses (Fig. 4, time to first failure) read
+/// nodes, not records.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct NodeTally {
+    /// Failures on the node.
+    pub failures: u32,
+    /// Of those, failures in the hardware domain.
+    pub hardware: u32,
+    /// Of those, failures in the software domain.
+    pub software: u32,
+    /// Time of the node's first failure, hours; `0.0` while it has none.
+    pub first_failure: f64,
+}
+
+impl NodeTally {
+    /// Counts one record on this node. Records arrive in time order, so
+    /// the first one counted is the node's first failure.
+    fn add(&mut self, rec: &FailureRecord) {
+        if self.failures == 0 {
+            self.first_failure = rec.time().get();
+        }
+        self.failures += 1;
+        match rec.category().domain() {
+            Domain::Hardware => self.hardware += 1,
+            Domain::Software => self.software += 1,
+            Domain::Unknown => {}
+        }
+    }
+}
+
+/// Bumps the GPU-count histogram for a GPU-category record; an
+/// involvement wider than the histogram is not counted.
+fn count_gpus(histogram: &mut [usize], rec: &FailureRecord) {
+    if rec.category().is_gpu() {
+        if let Some(count) = histogram.get_mut(rec.gpus().len()) {
+            *count += 1;
+        }
+    }
+}
+
 /// Shared indexes over one fleet's failure history, built in bulk from a
 /// log or incrementally from a record stream (see the module docs).
 ///
@@ -319,12 +366,19 @@ pub struct StreamView {
     ttrs_sorted: SortedRun,
     recoveries: Vec<f64>,
     recoveries_sorted: SortedRun,
+    /// Inter-arrival gaps (`time - previous time`, one per record after
+    /// the first), sorted ascending.
+    gaps_sorted: SortedRun,
     category_indices: BTreeMap<Category, Vec<u32>>,
     locus_counts: BTreeMap<SoftwareLocus, usize>,
-    node_counts: BTreeMap<NodeId, u64>,
+    /// One tally per node of the spec, indexed by node id.
+    node_tallies: Vec<NodeTally>,
     slot_counts: Vec<usize>,
     rack_counts: Vec<usize>,
     gpu_involvements: usize,
+    /// GPU-category records by number of GPUs involved, indexed
+    /// `0..=gpus_per_node`; slot 0 counts unknown involvement.
+    gpu_count_histogram: Vec<usize>,
     /// The slot of every GPU involvement, in arrival order (one byte
     /// each), so trailing-window slot reads never walk the records.
     slot_involvements: Vec<GpuSlot>,
@@ -336,11 +390,13 @@ pub struct StreamView {
 /// `failindex` snapshot stores on disk, with the cheaply re-derivable
 /// arrays left out.
 ///
-/// `times` and `recoveries` are reconstructed from the records in one
-/// pass, and the month buckets from `month_counts`: records arrive in
-/// time order, so each month's repair durations are a contiguous run of
-/// the record sequence and per-month *counts* fully determine the
-/// bucketing. [`StreamView::from_parts`] performs the reconstruction.
+/// `times`, `recoveries`, the per-node tallies and the GPU-count
+/// histogram are reconstructed from the records in one pass, and the
+/// month buckets from `month_counts`: records arrive in time order, so
+/// each month's repair durations are a contiguous run of the record
+/// sequence and per-month *counts* fully determine the bucketing.
+/// [`StreamView::from_parts`] performs the reconstruction. The three
+/// sorted arrays are stored because re-deriving them costs a sort.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ViewParts {
     /// The system generation.
@@ -355,12 +411,13 @@ pub struct ViewParts {
     pub ttrs_sorted: Vec<f64>,
     /// Window-clamped recovery times sorted ascending (one per record).
     pub recoveries_sorted: Vec<f64>,
+    /// Inter-arrival gaps sorted ascending (one per record after the
+    /// first).
+    pub gaps_sorted: Vec<f64>,
     /// Record indices partitioned by category.
     pub category_indices: BTreeMap<Category, Vec<u32>>,
     /// Software root-locus counts.
     pub locus_counts: BTreeMap<SoftwareLocus, usize>,
-    /// Failure counts per node.
-    pub node_counts: BTreeMap<NodeId, u64>,
     /// GPU-failure involvements per slot.
     pub slot_counts: Vec<usize>,
     /// Failure counts per rack.
@@ -406,11 +463,14 @@ impl StreamView {
         for rec in &records {
             ttrs.push(view.index_record(rec).0);
         }
-        ttrs.sort_unstable_by(f64::total_cmp);
         let mut recoveries_sorted = view.recoveries.clone();
-        recoveries_sorted.sort_unstable_by(f64::total_cmp);
+        let mut gaps = failstats::inter_arrival_times(&view.times);
+        for sorted in [&mut ttrs, &mut recoveries_sorted, &mut gaps] {
+            sorted.sort_unstable_by(f64::total_cmp);
+        }
         view.ttrs_sorted = SortedRun::from_sorted(ttrs);
         view.recoveries_sorted = SortedRun::from_sorted(recoveries_sorted);
+        view.gaps_sorted = SortedRun::from_sorted(gaps);
         view.records = records;
         view
     }
@@ -420,6 +480,7 @@ impl StreamView {
         let months = window.months();
         let slots = spec.gpus_per_node() as usize;
         let racks = spec.racks() as usize;
+        let nodes = spec.nodes() as usize;
         StreamView {
             generation,
             spec,
@@ -432,12 +493,14 @@ impl StreamView {
             ttrs_sorted: SortedRun::default(),
             recoveries: Vec::new(),
             recoveries_sorted: SortedRun::default(),
+            gaps_sorted: SortedRun::default(),
             category_indices: BTreeMap::new(),
             locus_counts: BTreeMap::new(),
-            node_counts: BTreeMap::new(),
+            node_tallies: vec![NodeTally::default(); nodes],
             slot_counts: vec![0; slots],
             rack_counts: vec![0; racks],
             gpu_involvements: 0,
+            gpu_count_histogram: vec![0; slots + 1],
             slot_involvements: Vec::new(),
             multi_gpu_times: Vec::new(),
         }
@@ -460,10 +523,11 @@ impl StreamView {
     }
 
     /// Decomposes the view into the persistable [`ViewParts`] payload,
-    /// materializing the sorted arrays. The inverse of
+    /// materializing all three sorted arrays. The inverse of
     /// [`StreamView::from_parts`].
     pub fn into_parts(mut self) -> ViewParts {
         self.materialize();
+        self.gaps_sorted.materialize();
         ViewParts {
             generation: self.generation,
             spec: self.spec,
@@ -471,9 +535,9 @@ impl StreamView {
             records: self.records,
             ttrs_sorted: self.ttrs_sorted.run,
             recoveries_sorted: self.recoveries_sorted.run,
+            gaps_sorted: self.gaps_sorted.run,
             category_indices: self.category_indices,
             locus_counts: self.locus_counts,
-            node_counts: self.node_counts,
             slot_counts: self.slot_counts,
             rack_counts: self.rack_counts,
             gpu_involvements: self.gpu_involvements,
@@ -483,18 +547,21 @@ impl StreamView {
     }
 
     /// Reassembles a view from persisted [`ViewParts`], re-deriving the
-    /// arrays the payload omits (`times`, `recoveries`, the per-month
-    /// buckets) in O(n) — no sorting, no re-validation of individual
-    /// records (the caller vouches for the payload, e.g. via a
-    /// checksum). In debug builds the result is additionally asserted
-    /// equal to a full per-record rebuild.
+    /// arrays the payload omits (`times`, `recoveries`, the per-node
+    /// tallies, the GPU-count histogram, the per-month buckets) in O(n)
+    /// — no sorting, no re-validation of individual records (the caller
+    /// vouches for the payload, e.g. via a checksum). In debug builds the
+    /// result is additionally checked against a full per-record rebuild,
+    /// and refused when it differs.
     ///
     /// # Errors
     ///
     /// Returns [`failtypes::Error::Run`] when the payload's shapes are
-    /// inconsistent (array lengths not matching the record count, month
-    /// buckets not matching the window, tallies not matching the spec)
-    /// — the signal for a snapshot loader to fall back to a cold parse.
+    /// inconsistent (array lengths not matching the record count, a
+    /// sorted array out of order, month buckets not matching the window,
+    /// tallies not matching the spec, a record naming a node outside
+    /// it) — the signal for a snapshot loader to fall back to a cold
+    /// parse.
     pub fn from_parts(parts: ViewParts) -> Result<Self, failtypes::Error> {
         let ViewParts {
             generation,
@@ -503,9 +570,9 @@ impl StreamView {
             records,
             ttrs_sorted,
             recoveries_sorted,
+            gaps_sorted,
             category_indices,
             locus_counts,
-            node_counts,
             slot_counts,
             rack_counts,
             gpu_involvements,
@@ -513,15 +580,20 @@ impl StreamView {
             month_counts,
         } = parts;
         let n = records.len();
-        let months = window.months();
         let shape_err = |what: &str| {
             failtypes::Error::run(format!("inconsistent snapshot payload: {what}"))
         };
-        if ttrs_sorted.len() != n || recoveries_sorted.len() != n {
-            return Err(shape_err("sorted arrays do not match the record count"));
-        }
-        if month_counts.len() != months.len() {
+        // Count the window's months before listing them, so a corrupt
+        // window never allocates more buckets than the payload stores.
+        if window.month_count() != month_counts.len() {
             return Err(shape_err("month buckets do not match the window"));
+        }
+        let months = window.months();
+        if ttrs_sorted.len() != n
+            || recoveries_sorted.len() != n
+            || gaps_sorted.len() != n.saturating_sub(1)
+        {
+            return Err(shape_err("sorted arrays do not match the record count"));
         }
         if month_counts.iter().sum::<usize>() != n {
             return Err(shape_err("month bucket totals do not match the record count"));
@@ -535,25 +607,33 @@ impl StreamView {
             return Err(shape_err("category partitions do not match the record count"));
         }
         let ascending = |xs: &[f64]| xs.windows(2).all(|w| w[0] <= w[1]);
-        if !ascending(&ttrs_sorted) || !ascending(&recoveries_sorted) {
+        if !ascending(&ttrs_sorted) || !ascending(&recoveries_sorted) || !ascending(&gaps_sorted)
+        {
             return Err(shape_err("sorted arrays are not in ascending order"));
         }
 
+        // One pass over the records rebuilds every derived index. Time
+        // order makes each month bucket a contiguous run of the record
+        // sequence, so the stored counts slice it back apart.
         let window_hours = window.duration().get();
-        let times: Vec<f64> = records.iter().map(|r| r.time().get()).collect();
-        let recoveries: Vec<f64> = records
-            .iter()
-            .map(|r| r.recovery_time().get().min(window_hours))
-            .collect();
-        let slot_involvements: Vec<GpuSlot> =
-            records.iter().flat_map(|r| r.gpus().iter().copied()).collect();
-        // Time order makes each month bucket a contiguous run of the
-        // record sequence, so the stored counts slice it back apart.
+        let mut times = Vec::with_capacity(n);
+        let mut recoveries = Vec::with_capacity(n);
+        let mut slot_involvements = Vec::new();
+        let mut node_tallies = vec![NodeTally::default(); spec.nodes() as usize];
+        let mut gpu_count_histogram = vec![0; spec.gpus_per_node() as usize + 1];
         let mut month_buckets = MonthBuckets::new(months.len());
         let mut offset = 0usize;
         for (month, &count) in month_counts.iter().enumerate() {
             month_buckets.ttrs[month].reserve_exact(count);
             for rec in &records[offset..offset + count] {
+                times.push(rec.time().get());
+                recoveries.push(rec.recovery_time().get().min(window_hours));
+                slot_involvements.extend_from_slice(rec.gpus());
+                node_tallies
+                    .get_mut(rec.node().index() as usize)
+                    .ok_or_else(|| shape_err("a record names a node outside the spec"))?
+                    .add(rec);
+                count_gpus(&mut gpu_count_histogram, rec);
                 month_buckets.push(month, rec.ttr().get());
             }
             offset += count;
@@ -573,12 +653,14 @@ impl StreamView {
             ttrs_sorted: SortedRun::from_sorted(ttrs_sorted),
             recoveries,
             recoveries_sorted: SortedRun::from_sorted(recoveries_sorted),
+            gaps_sorted: SortedRun::from_sorted(gaps_sorted),
             category_indices,
             locus_counts,
-            node_counts,
+            node_tallies,
             slot_counts,
             rack_counts,
             gpu_involvements,
+            gpu_count_histogram,
             slot_involvements,
             multi_gpu_times,
             month_buckets,
@@ -593,10 +675,11 @@ impl StreamView {
                     .push(rec)
                     .map_err(|e| shape_err(&format!("records do not revalidate: {e}")))?;
             }
-            debug_assert!(
-                rebuilt == view,
-                "from_parts diverged from a per-record rebuild"
-            );
+            // A checksummed payload never diverges; one that does is
+            // refused like any other inconsistent payload.
+            if rebuilt != view {
+                return Err(shape_err("diverges from a per-record rebuild"));
+            }
         }
         Ok(view)
     }
@@ -620,6 +703,9 @@ impl StreamView {
             }
         }
 
+        if let Some(&prev) = self.times.last() {
+            self.gaps_sorted.push(time - prev);
+        }
         let (ttr, recovery) = self.index_record(&rec);
         self.ttrs_sorted.push(ttr);
         self.recoveries_sorted.push(recovery);
@@ -628,7 +714,7 @@ impl StreamView {
     }
 
     /// Folds one record into every index except the records themselves
-    /// and the two sorted order statistics — the per-record work shared
+    /// and the three sorted order statistics — the per-record work shared
     /// by [`StreamView::push`] and the bulk build. Returns the record's
     /// repair duration and window-clamped recovery time. The record must
     /// be valid and no earlier than the last one indexed.
@@ -646,7 +732,8 @@ impl StreamView {
         if let Some(locus) = rec.locus() {
             *self.locus_counts.entry(locus).or_insert(0) += 1;
         }
-        *self.node_counts.entry(rec.node()).or_insert(0) += 1;
+        self.node_tallies[rec.node().index() as usize].add(rec);
+        count_gpus(&mut self.gpu_count_histogram, rec);
         self.rack_counts[self.spec.rack_of(rec.node()).index() as usize] += 1;
         self.slot_involvements.extend_from_slice(rec.gpus());
         if rec.category().is_gpu() {
@@ -695,12 +782,16 @@ impl StreamView {
         Ok(accepted)
     }
 
-    /// Forces any deferred sorted-array merge work now, so subsequent
-    /// reads of [`ttrs_sorted`](StreamView::ttrs_sorted) /
+    /// Forces any deferred merge work in the two arrays a watch summary
+    /// reads, so subsequent reads of
+    /// [`ttrs_sorted`](StreamView::ttrs_sorted) /
     /// [`recoveries_sorted`](StreamView::recoveries_sorted) are
-    /// zero-cost slices. Useful right before handing the view to a
-    /// batch of analyses (the watch loop calls this at refresh
-    /// boundaries); never required for correctness.
+    /// zero-cost slices. The watch loop calls this before every summary;
+    /// never required for correctness.
+    ///
+    /// [`gaps_sorted`](StreamView::gaps_sorted) is left to merge at its
+    /// tail threshold or on first read: no summary reads it, and forcing
+    /// it before each one would memmove most of the run every time.
     pub fn materialize(&mut self) {
         self.ttrs_sorted.materialize();
         self.recoveries_sorted.materialize();
@@ -823,9 +914,26 @@ impl StreamView {
         &self.locus_counts
     }
 
-    /// Failure counts per node (only failing nodes appear).
-    pub fn node_counts(&self) -> &BTreeMap<NodeId, u64> {
-        &self.node_counts
+    /// Inter-arrival gaps in hours — `time - previous time` for every
+    /// record after the first — sorted ascending: the sample of the TBF
+    /// distribution (Fig. 6).
+    ///
+    /// Same read cost model as [`ttrs_sorted`](StreamView::ttrs_sorted).
+    pub fn gaps_sorted(&self) -> &[f64] {
+        self.gaps_sorted.as_slice()
+    }
+
+    /// Per-node failure tallies, indexed by node id: one entry for every
+    /// node of the spec, failing or not.
+    pub fn node_tallies(&self) -> &[NodeTally] {
+        &self.node_tallies
+    }
+
+    /// GPU-category failures by the number of GPUs they involve, indexed
+    /// `0..=gpus_per_node`: entry `k` counts failures touching exactly
+    /// `k` GPUs, entry 0 those with unknown involvement.
+    pub fn gpu_count_histogram(&self) -> &[usize] {
+        &self.gpu_count_histogram
     }
 
     /// GPU-failure involvements per slot, indexed by slot number.
@@ -873,12 +981,101 @@ impl StreamView {
 mod tests {
     use super::*;
     use failsim::{Simulator, SystemModel};
-    use failtypes::Hours;
+    use failtypes::{Hours, NodeId};
 
     fn feed(log: &FailureLog) -> StreamView {
         let mut sv = StreamView::empty_like(log);
         sv.extend(log.records().to_vec()).unwrap();
         sv
+    }
+
+    /// Asserts that the three sorted arrays, the per-node tallies and
+    /// the GPU-count histogram of `view` equal oracles computed by
+    /// walking its records.
+    fn assert_derived_indexes_match_the_records(view: &StreamView, what: &str) {
+        let records = view.records();
+        let sorted = |mut xs: Vec<f64>| {
+            xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
+            xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
+        };
+        let bits = |xs: &[f64]| xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let gaps = failstats::inter_arrival_times(view.times());
+        assert_eq!(bits(view.gaps_sorted()), sorted(gaps), "{what}: gaps");
+        let ttrs = records.iter().map(|r| r.ttr().get()).collect();
+        assert_eq!(bits(view.ttrs_sorted()), sorted(ttrs), "{what}: ttrs");
+        assert_eq!(
+            bits(view.recoveries_sorted()),
+            sorted(view.recoveries().to_vec()),
+            "{what}: recoveries"
+        );
+
+        let mut tallies = vec![NodeTally::default(); view.spec().nodes() as usize];
+        let mut histogram = vec![0usize; view.spec().gpus_per_node() as usize + 1];
+        for rec in records {
+            let tally = &mut tallies[rec.node().index() as usize];
+            if tally.failures == 0 {
+                tally.first_failure = rec.time().get();
+            }
+            tally.failures += 1;
+            match rec.category().domain() {
+                Domain::Hardware => tally.hardware += 1,
+                Domain::Software => tally.software += 1,
+                Domain::Unknown => {}
+            }
+            if rec.category().is_gpu() {
+                histogram[rec.gpus().len()] += 1;
+            }
+        }
+        assert_eq!(view.node_tallies(), tallies.as_slice(), "{what}: node tallies");
+        assert_eq!(view.gpu_count_histogram(), histogram.as_slice(), "{what}: gpu counts");
+    }
+
+    #[test]
+    fn derived_indexes_match_record_walks_on_every_build_path() {
+        for (model, seed) in [
+            (SystemModel::tsubame2(), 42),
+            (SystemModel::tsubame3(), 43),
+        ] {
+            let log = Simulator::new(model, seed).generate().unwrap();
+            let bulk = StreamView::new(&log);
+            assert_derived_indexes_match_the_records(&bulk, "bulk");
+            assert!(!bulk.gaps_sorted().is_empty());
+            assert_derived_indexes_match_the_records(&feed(&log), "push");
+
+            let mut chunked = StreamView::empty_like(&log);
+            for chunk in log.records().chunks(7) {
+                chunked.extend(chunk.to_vec()).unwrap();
+            }
+            assert_derived_indexes_match_the_records(&chunked, "extend");
+
+            let restored = StreamView::from_parts(chunked.into_parts()).unwrap();
+            assert_derived_indexes_match_the_records(&restored, "from_parts");
+
+            let cut = log.len() / 3;
+            let mut prefix = StreamView::empty_like(&log);
+            prefix.extend(log.records()[..cut].to_vec()).unwrap();
+            let mut grown = StreamView::from_parts(prefix.into_parts()).unwrap();
+            grown.extend(log.records()[cut..].to_vec()).unwrap();
+            assert_derived_indexes_match_the_records(&grown, "prefix + extend");
+            assert_eq!(grown, bulk);
+
+            let filtered = bulk.filtered(|r| r.category().is_gpu() || r.ttr().get() > 24.0);
+            assert!(filtered.len() < bulk.len());
+            assert_derived_indexes_match_the_records(&filtered, "filtered");
+        }
+    }
+
+    #[test]
+    fn materialize_leaves_the_gap_tail_pending_but_into_parts_merges_it() {
+        let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
+        let mut sv = feed(&log);
+        sv.materialize();
+        assert!(sv.ttrs_sorted.tail.is_empty() && sv.recoveries_sorted.tail.is_empty());
+        assert!(!sv.gaps_sorted.tail.is_empty(), "the gap tail merges on read only");
+        let expected = StreamView::new(&log);
+        assert_eq!(sv.gaps_sorted(), expected.gaps_sorted());
+        let parts = sv.into_parts();
+        assert_eq!(parts.gaps_sorted, expected.gaps_sorted());
     }
 
     #[test]
@@ -920,8 +1117,9 @@ mod tests {
         // Category partitions cover every record exactly once.
         let total: usize = view.category_indices().values().map(Vec::len).sum();
         assert_eq!(total, log.len());
-        // Node counts sum to the record count.
-        let nodes: u64 = view.node_counts().values().sum();
+        // Node tallies cover every node and sum to the record count.
+        assert_eq!(view.node_tallies().len(), log.spec().nodes() as usize);
+        let nodes: u32 = view.node_tallies().iter().map(|t| t.failures).sum();
         assert_eq!(nodes as usize, log.len());
         // Rack counts sum to the record count.
         assert_eq!(view.rack_counts().iter().sum::<usize>(), log.len());
@@ -1203,6 +1401,18 @@ mod tests {
         bad_slots.slot_counts.push(0);
         let mut unsorted = good.clone();
         unsorted.ttrs_sorted.reverse();
+        let mut dropped_gap = good.clone();
+        dropped_gap.gaps_sorted.pop();
+        let mut unsorted_gaps = good.clone();
+        unsorted_gaps.gaps_sorted.reverse();
+        let mut stray_node = good.clone();
+        stray_node.records[0] = FailureRecord::new(
+            stray_node.records[0].id(),
+            stray_node.records[0].time(),
+            stray_node.records[0].ttr(),
+            stray_node.records[0].category(),
+            NodeId::new(stray_node.spec.nodes()),
+        );
         let mut bad_partition = good.clone();
         bad_partition.category_indices.values_mut().next().unwrap().pop();
         for parts in [
@@ -1211,6 +1421,9 @@ mod tests {
             bad_month_total,
             bad_slots,
             unsorted,
+            dropped_gap,
+            unsorted_gaps,
+            stray_node,
             bad_partition,
         ] {
             let err = StreamView::from_parts(parts).unwrap_err();

@@ -6,10 +6,7 @@
 //! methodology of the Titan GPU-lifetimes study the paper cites as
 //! related work.
 
-use std::collections::BTreeMap;
-
 use failstats::{KaplanMeier, Lifetime};
-use failtypes::NodeId;
 
 use crate::StreamView;
 
@@ -18,17 +15,18 @@ use crate::StreamView;
 /// that never failed) — the input both [`NodeSurvival`] and cross-system
 /// comparisons via [`failstats::log_rank`] consume.
 ///
-/// Records are time-sorted, so the first occurrence of a node in the
-/// record sequence is its first failure.
+/// Reads the view's per-node tallies, so it costs O(nodes). Failing
+/// nodes come first, in node-id order, then one censored lifetime per
+/// node that never failed.
 pub fn node_lifetimes(index: &StreamView) -> Vec<Lifetime> {
     let horizon = index.window().duration().get();
-    let mut first: BTreeMap<NodeId, f64> = BTreeMap::new();
-    for rec in index.records() {
-        first.entry(rec.node()).or_insert_with(|| rec.time().get());
-    }
-    let total_nodes = index.spec().nodes() as usize;
-    let mut lifetimes: Vec<Lifetime> = first.values().map(|&t| Lifetime::observed(t)).collect();
-    let censored = total_nodes.saturating_sub(first.len());
+    let tallies = index.node_tallies();
+    let mut lifetimes: Vec<Lifetime> = tallies
+        .iter()
+        .filter(|t| t.failures > 0)
+        .map(|t| Lifetime::observed(t.first_failure))
+        .collect();
+    let censored = tallies.len() - lifetimes.len();
     lifetimes.extend(std::iter::repeat_n(Lifetime::censored(horizon), censored));
     lifetimes
 }

@@ -29,12 +29,12 @@ pub struct TbfAnalysis {
 }
 
 impl TbfAnalysis {
-    /// Computes the analysis from a [`StreamView`], reusing its time
-    /// array; `None` for logs with fewer than two failures (no
-    /// inter-arrival times exist).
+    /// Computes the analysis from a [`StreamView`], reusing its sorted
+    /// gap array and time array; `None` for logs with fewer than two
+    /// failures (no inter-arrival times exist).
     pub fn from_index(index: &StreamView) -> Option<Self> {
         let times = index.times();
-        let ecdf = Ecdf::new(failstats::inter_arrival_times(times))?;
+        let ecdf = Ecdf::from_sorted(index.gaps_sorted().to_vec())?;
         let window_hours = index.window().duration().get();
         Some(TbfAnalysis {
             ecdf,

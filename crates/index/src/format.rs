@@ -1,6 +1,7 @@
 //! The `.fsidx` on-disk layout: a fixed 44-byte header followed by a
-//! checksummed body that serializes everything a
-//! [`failscope::StreamView`] exposes.
+//! checksummed body that serializes a [`failscope::StreamView`]'s
+//! [`ViewParts`]: everything the view holds except what one pass over
+//! the records rebuilds.
 //!
 //! All integers are little-endian; `f64`s are stored as IEEE-754 bit
 //! patterns. The layout is documented field-by-field in `DESIGN.md` and
@@ -20,7 +21,7 @@ use crate::bytes::{ByteReader, ByteWriter};
 use crate::SourceInfo;
 
 /// The `.fsidx` format version this build reads and writes.
-pub const FORMAT_VERSION: u16 = 1;
+pub const FORMAT_VERSION: u16 = 2;
 
 /// Total size of the fixed header, in bytes.
 pub const HEADER_LEN: usize = 44;
@@ -153,24 +154,33 @@ fn f64_array(r: &mut ByteReader<'_>, what: &str, count: usize) -> Result<Vec<f64
         .collect())
 }
 
+/// Window years a snapshot may carry: the four-digit years a log
+/// header spells. Bounding them keeps the calendar arithmetic far from
+/// `i32` overflow on a corrupt body.
+const YEARS: std::ops::RangeInclusive<i32> = 1..=9999;
+
 fn decode_date(r: &mut ByteReader<'_>) -> Result<Date, String> {
     let year = r.i32().map_err(|_| "truncated date")?;
     let month = r.u8().map_err(|_| "truncated date")?;
     let day = r.u8().map_err(|_| "truncated date")?;
+    if !YEARS.contains(&year) {
+        return Err(format!("date year {year} outside {}..={}", YEARS.start(), YEARS.end()));
+    }
     Date::new(year, month, day).ok_or_else(|| format!("invalid date {year}-{month}-{day}"))
 }
 
-/// Serializes every index surface of `index` into the body byte stream.
+/// Serializes the persisted parts of `index` into the body byte stream.
 ///
 /// The category section doubles as the palette for per-record category
 /// bytes: records store an index into it, in `BTreeMap` iteration
 /// order. `f64` arrays (`ttrs_sorted`, `recoveries_sorted`,
-/// `multi_gpu_times`) are stored raw so loading skips re-sorting.
+/// `gaps_sorted`, `multi_gpu_times`) are stored raw so loading skips
+/// re-sorting.
 pub(crate) fn encode_body(index: &StreamView) -> Vec<u8> {
     let records = index.records();
     let n = records.len();
-    // Rough per-record cost ~40 bytes + two raw f64 arrays.
-    let mut w = ByteWriter::with_capacity(64 * n / 3 * 2 + 4096);
+    // Rough per-record cost ~40 bytes + three raw f64 arrays.
+    let mut w = ByteWriter::with_capacity(64 * n + 4096);
 
     w.u8(match index.generation() {
         Generation::Tsubame2 => 0,
@@ -218,19 +228,15 @@ pub(crate) fn encode_body(index: &StreamView) -> Vec<u8> {
     for &t in index.recoveries_sorted() {
         w.f64(t);
     }
+    for &t in index.gaps_sorted() {
+        w.f64(t);
+    }
 
     let loci = index.locus_counts();
     w.u16(loci.len() as u16);
     for (locus, count) in loci {
         w.str(locus.label());
         w.u64(*count as u64);
-    }
-
-    let nodes = index.node_counts();
-    w.u64(nodes.len() as u64);
-    for (node, count) in nodes {
-        w.u32(node.index());
-        w.u64(*count);
     }
 
     let slots = index.slot_counts();
@@ -302,6 +308,10 @@ pub(crate) fn decode_body(data: &[u8]) -> Result<ViewParts, String> {
         .ok_or_else(|| "observation window end precedes start".to_string())?;
 
     let n_cats = r.u16().map_err(|_| trunc("category count"))? as usize;
+    // A category entry is at least a string length and an index count.
+    if n_cats > r.remaining() / 12 {
+        return Err(trunc("categories"));
+    }
     let mut category_indices: BTreeMap<Category, Vec<u32>> = BTreeMap::new();
     let mut palette: Vec<Category> = Vec::with_capacity(n_cats);
     for _ in 0..n_cats {
@@ -363,6 +373,7 @@ pub(crate) fn decode_body(data: &[u8]) -> Result<ViewParts, String> {
 
     let ttrs_sorted = f64_array(&mut r, "ttrs", n)?;
     let recoveries_sorted = f64_array(&mut r, "recoveries", n)?;
+    let gaps_sorted = f64_array(&mut r, "gaps", n.saturating_sub(1))?;
 
     let n_loci = r.u16().map_err(|_| trunc("locus count"))? as usize;
     let mut locus_counts: BTreeMap<SoftwareLocus, usize> = BTreeMap::new();
@@ -377,20 +388,10 @@ pub(crate) fn decode_body(data: &[u8]) -> Result<ViewParts, String> {
         }
     }
 
-    let n_nodes = r.u64().map_err(|_| trunc("node count"))? as usize;
-    if n_nodes > r.remaining() / 12 {
-        return Err(trunc("node tallies"));
-    }
-    let mut node_counts: BTreeMap<NodeId, u64> = BTreeMap::new();
-    for _ in 0..n_nodes {
-        let node = NodeId::new(r.u32().map_err(|_| trunc("node id"))?);
-        let count = r.u64().map_err(|_| trunc("node tally"))?;
-        if node_counts.insert(node, count).is_some() {
-            return Err(format!("duplicate node tally for node {}", node.index()));
-        }
-    }
-
     let n_slots = r.u16().map_err(|_| trunc("slot count"))? as usize;
+    if n_slots > r.remaining() / 8 {
+        return Err(trunc("slot tallies"));
+    }
     let mut slot_counts = Vec::with_capacity(n_slots);
     for _ in 0..n_slots {
         slot_counts.push(r.u64().map_err(|_| trunc("slot tally"))? as usize);
@@ -414,6 +415,9 @@ pub(crate) fn decode_body(data: &[u8]) -> Result<ViewParts, String> {
     let multi_gpu_times = f64_array(&mut r, "multi-gpu times", n_multi)?;
 
     let n_months = r.u32().map_err(|_| trunc("month count"))? as usize;
+    if n_months > r.remaining() / 4 {
+        return Err(trunc("month tallies"));
+    }
     let mut month_counts = Vec::with_capacity(n_months);
     for _ in 0..n_months {
         month_counts.push(r.u32().map_err(|_| trunc("month tally"))? as usize);
@@ -430,9 +434,9 @@ pub(crate) fn decode_body(data: &[u8]) -> Result<ViewParts, String> {
         records,
         ttrs_sorted,
         recoveries_sorted,
+        gaps_sorted,
         category_indices,
         locus_counts,
-        node_counts,
         slot_counts,
         rack_counts,
         gpu_involvements,
@@ -484,27 +488,138 @@ mod tests {
         assert!(err.contains("magic"), "{err}");
 
         // A bumped version is reported as unsupported, not a checksum error.
-        let mut v2 = sample_header();
-        v2.version = FORMAT_VERSION + 1;
+        let mut next = sample_header();
+        next.version = FORMAT_VERSION + 1;
         let mut bytes = ByteWriter::with_capacity(HEADER_LEN);
         bytes.raw(&FSIDX_MAGIC);
-        bytes.u16(v2.version);
-        bytes.u64(v2.source.bytes);
-        bytes.u32(v2.source.crc32);
-        bytes.u64(v2.source.lines);
-        bytes.u64(v2.body_len);
-        bytes.u32(v2.body_crc32);
+        bytes.u16(next.version);
+        bytes.u64(next.source.bytes);
+        bytes.u32(next.source.crc32);
+        bytes.u64(next.source.lines);
+        bytes.u64(next.body_len);
+        bytes.u32(next.body_crc32);
         let mut raw = bytes.into_bytes();
         let crc = faillog::crc32(&raw);
         raw.extend_from_slice(&crc.to_le_bytes());
         let err = Header::decode(&raw).unwrap_err();
-        assert!(err.contains("version 2"), "{err}");
+        assert!(err.contains(&format!("version {}", FORMAT_VERSION + 1)), "{err}");
 
         // Any flipped payload byte trips the header CRC.
         let mut flipped = sample_header().encode();
         flipped[12] ^= 0x01;
         let err = Header::decode(&flipped).unwrap_err();
         assert!(err.contains("checksum"), "{err}");
+    }
+
+    /// Fuzzing of the body decoder: any byte string, fed through
+    /// `decode_body` then `StreamView::from_parts`, yields `Ok` or a
+    /// typed `Err` and never panics. Every count the body carries is
+    /// checked against the bytes left before anything is allocated for
+    /// it, and the tables `from_parts` derives are sized by the spec
+    /// only after the spec's rack count matched the stored rack
+    /// tallies; an unguarded count set to all ones would abort the test
+    /// process on its allocation.
+    mod fuzz {
+        use super::*;
+        use failsim::{ScenarioBuilder, Simulator};
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        /// The body of a small valid snapshot: a few dozen records, some
+        /// multi-GPU, over two months.
+        fn valid_body() -> Vec<u8> {
+            let model = ScenarioBuilder::new("fuzz")
+                .nodes(16)
+                .gpus_per_node(4)
+                .system_mtbf_hours(20.0)
+                .window_days(60)
+                .build()
+                .expect("scenario parameters are valid");
+            let log = Simulator::new(model, 5).generate().expect("simulates");
+            encode_body(&StreamView::from(log))
+        }
+
+        fn decode(bytes: &[u8]) -> Result<StreamView, String> {
+            StreamView::from_parts(decode_body(bytes)?).map_err(|e| e.to_string())
+        }
+
+        #[test]
+        fn the_valid_body_round_trips() {
+            let body = valid_body();
+            let view = decode(&body).expect("valid body decodes");
+            assert!(view.len() > 20 && view.gpu_count_histogram()[2] > 0);
+            assert_eq!(encode_body(&view), body);
+        }
+
+        #[test]
+        fn any_field_overwritten_with_all_ones_is_decoded_or_refused() {
+            // Every 8-byte window of the body in turn: this reaches each
+            // count, length and id field at its largest values.
+            let body = valid_body();
+            for at in 0..body.len() {
+                for fill in [0xFF, 0x7F] {
+                    let mut bad = body.clone();
+                    let end = (at + 8).min(bad.len());
+                    bad[at..end].fill(fill);
+                    let _ = decode(&bad);
+                }
+            }
+        }
+
+        #[test]
+        fn window_years_beyond_four_digits_are_refused() {
+            // The start year follows the generation byte and the spec
+            // (name length, name, nodes, GPUs per node).
+            let body = valid_body();
+            let at = 1 + 4 + "fuzz".len() + 4 + 1;
+            assert_eq!(body[at..at + 4], 2020i32.to_le_bytes());
+            for year in [i32::MIN, -1, 0, 10_000, i32::MAX] {
+                let mut bad = body.clone();
+                bad[at..at + 4].copy_from_slice(&year.to_le_bytes());
+                let err = decode(&bad).expect_err("year out of range");
+                assert!(err.contains("outside 1..=9999"), "{err}");
+            }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            #[test]
+            fn arbitrary_bytes_are_decoded_or_refused(bytes in vec(any::<u8>(), 0..2048)) {
+                let _ = decode(&bytes);
+            }
+
+            // A valid prefix gets the decoder past the generation and
+            // spec fields, so the random tail lands in the later ones.
+            #[test]
+            fn a_valid_prefix_with_arbitrary_tail_is_decoded_or_refused(
+                cut in any::<usize>(),
+                tail in vec(any::<u8>(), 0..512),
+            ) {
+                let body = valid_body();
+                let mut bytes = body[..cut % body.len()].to_vec();
+                bytes.extend_from_slice(&tail);
+                let _ = decode(&bytes);
+            }
+
+            #[test]
+            fn every_truncation_is_refused(cut in any::<usize>()) {
+                let body = valid_body();
+                prop_assert!(decode(&body[..cut % body.len()]).is_err());
+            }
+
+            #[test]
+            fn mutated_bodies_are_decoded_or_refused(
+                edits in vec((any::<usize>(), 1u8..=255), 1..8),
+            ) {
+                let mut body = valid_body();
+                for (at, flip) in edits {
+                    let i = at % body.len();
+                    body[i] ^= flip;
+                }
+                let _ = decode(&body);
+            }
+        }
     }
 
     #[test]

@@ -224,7 +224,10 @@ pub fn save_traced(
     Ok(out.len() as u64)
 }
 
-fn decode_snapshot(data: &[u8], header: &Header) -> Result<Snapshot, String> {
+/// Checks and decodes a whole snapshot file. The file bytes are freed
+/// before the view is reassembled, so the arrays `from_parts` derives
+/// can reuse their memory.
+fn decode_snapshot(data: Vec<u8>, header: &Header) -> Result<Snapshot, String> {
     let body = &data[HEADER_LEN..];
     if body.len() as u64 != header.body_len {
         return Err(format!(
@@ -237,6 +240,7 @@ fn decode_snapshot(data: &[u8], header: &Header) -> Result<Snapshot, String> {
         return Err("body checksum mismatch".to_string());
     }
     let parts = format::decode_body(body)?;
+    drop(data);
     let view = StreamView::from_parts(parts).map_err(|e| e.to_string())?;
     Ok(Snapshot {
         view,
@@ -257,7 +261,7 @@ pub fn load(path: impl AsRef<Path>) -> Result<Snapshot, Error> {
     let data = fs::read(path).map_err(|e| path_err(path, e))?;
     let header = Header::decode(&data)
         .map_err(|reason| path_err(path, format!("invalid .fsidx snapshot: {reason}")))?;
-    decode_snapshot(&data, &header)
+    decode_snapshot(data, &header)
         .map_err(|reason| path_err(path, format!("invalid .fsidx snapshot: {reason}")))
 }
 
@@ -405,7 +409,7 @@ pub fn open(file: &LogFile, trace: Option<&Collector>) -> IndexedLoad {
     if !matches!(fresh, Freshness::Exact | Freshness::Prefix { .. }) {
         return cold;
     }
-    let Ok(snapshot) = decode_snapshot(&data, &header) else {
+    let Ok(snapshot) = decode_snapshot(data, &header) else {
         return cold;
     };
     if fresh == Freshness::Exact {

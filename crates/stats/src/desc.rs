@@ -76,11 +76,23 @@ pub fn quantile_sorted(sorted: &[f64], p: f64) -> Option<f64> {
     if n == 1 {
         return Some(sorted[0]);
     }
+    let (lo, hi, frac) = type7_position(n, p);
+    Some(interpolate(sorted[lo], sorted[hi], frac))
+}
+
+/// Where the type-7 quantile `p` of `n >= 2` sorted values sits: the
+/// order statistics `lo` and `hi` (`hi` is `lo` or `lo + 1`) and the
+/// interpolation weight between them.
+fn type7_position(n: usize, p: f64) -> (usize, usize, f64) {
     let h = p * (n - 1) as f64;
     let lo = h.floor() as usize;
     let hi = h.ceil() as usize;
-    let frac = h - lo as f64;
-    Some(sorted[lo] + frac * (sorted[hi] - sorted[lo]))
+    (lo, hi, h - lo as f64)
+}
+
+/// The type-7 interpolation between order statistics `lo` and `hi`.
+fn interpolate(lo: f64, hi: f64, frac: f64) -> f64 {
+    lo + frac * (hi - lo)
 }
 
 /// Sorts a copy of the data and evaluates [`quantile_sorted`].
@@ -97,6 +109,15 @@ pub fn median(data: &[f64]) -> Option<f64> {
 
 /// A five-number-plus summary of a sample: the box-plot statistics used by
 /// Figs. 7 and 10 plus mean and standard deviation.
+///
+/// [`Summary::from_data`] never sorts. `mean` and `std_dev` are folded
+/// over the input in its given order, so they depend on that order in
+/// the last bits, exactly as [`mean`] and [`std_dev`] do. `min`, `q1`,
+/// `median`, `q3` and `max` are order statistics found by selection
+/// (`select_nth_unstable_by`, expected O(n)); they equal the type-7
+/// quantiles [`quantile_sorted`] reads from the sorted sample, bit for
+/// bit, for any input without a mix of `-0.0` and `+0.0` (selection
+/// orders `-0.0` below `+0.0`; a sort treats them as equal).
 ///
 /// # Examples
 ///
@@ -124,22 +145,48 @@ pub struct Summary {
 impl Summary {
     /// Computes the summary; `None` for empty data.
     ///
-    /// A single observation yields zero standard deviation.
+    /// A single observation yields zero standard deviation. The order
+    /// statistics come from selection on one scratch copy, not a sort
+    /// (see the type docs).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the data contains NaN.
     pub fn from_data(data: &[f64]) -> Option<Self> {
         if data.is_empty() {
             return None;
         }
-        let mut sorted = data.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("summary data must not contain NaN"));
+        assert!(
+            !data.iter().any(|x| x.is_nan()),
+            "summary data must not contain NaN"
+        );
+        let n = data.len();
+        let mut scratch = data.to_vec();
+        let positions = [0.25, 0.5, 0.75].map(|p| type7_position(n, p));
+        // Every rank the summary reads, ascending: the extremes and the
+        // order statistics around each quartile. Selection then fixes
+        // each one in place.
+        let mut ranks = vec![0];
+        ranks.extend(positions.iter().flat_map(|&(lo, hi, _)| [lo, hi]));
+        ranks.push(n - 1);
+        ranks.sort_unstable();
+        ranks.dedup();
+        select_ranks(&mut scratch, 0, &ranks);
+        let quartiles = if n == 1 {
+            [scratch[0]; 3]
+        } else {
+            positions.map(|(lo, hi, frac)| interpolate(scratch[lo], scratch[hi], frac))
+        };
+        let [q1, median, q3] = quartiles;
         Some(Summary {
-            n: data.len(),
+            n,
             mean: mean(data)?,
             std_dev: std_dev(data).unwrap_or(0.0),
-            min: sorted[0],
-            q1: quantile_sorted(&sorted, 0.25)?,
-            median: quantile_sorted(&sorted, 0.5)?,
-            q3: quantile_sorted(&sorted, 0.75)?,
-            max: sorted[sorted.len() - 1],
+            min: scratch[0],
+            q1,
+            median,
+            q3,
+            max: scratch[n - 1],
         })
     }
 
@@ -188,6 +235,22 @@ impl Summary {
     pub fn iqr(&self) -> f64 {
         self.q3 - self.q1
     }
+}
+
+/// Rearranges `data`, which holds the ranks `offset..offset + len` of
+/// a larger sample, so that `data[r - offset]` holds the value of rank
+/// `r` in ascending order for every `r` in `ranks` (ascending, distinct,
+/// all in range). Selects the middle rank, then recurses into the
+/// partitions on either side of it, so a handful of ranks costs a few
+/// linear passes rather than a sort.
+fn select_ranks(data: &mut [f64], offset: usize, ranks: &[usize]) {
+    let mid = ranks.len() / 2;
+    let Some(&rank) = ranks.get(mid) else {
+        return;
+    };
+    let (below, _, above) = data.select_nth_unstable_by(rank - offset, f64::total_cmp);
+    select_ranks(below, offset, &ranks[..mid]);
+    select_ranks(above, rank + 1, &ranks[mid + 1..]);
 }
 
 impl fmt::Display for Summary {
@@ -286,6 +349,98 @@ mod tests {
     #[test]
     fn summary_empty_is_none() {
         assert!(Summary::from_data(&[]).is_none());
+    }
+
+    /// The sort-based summary `from_data` replaced, kept as the oracle.
+    fn sorted_summary(data: &[f64]) -> Summary {
+        let mut sorted = data.to_vec();
+        sorted.sort_by(|a, b| a.partial_cmp(b).expect("no NaN"));
+        Summary {
+            n: data.len(),
+            mean: mean(data).unwrap(),
+            std_dev: std_dev(data).unwrap_or(0.0),
+            min: sorted[0],
+            q1: quantile_sorted(&sorted, 0.25).unwrap(),
+            median: quantile_sorted(&sorted, 0.5).unwrap(),
+            q3: quantile_sorted(&sorted, 0.75).unwrap(),
+            max: sorted[sorted.len() - 1],
+        }
+    }
+
+    fn bits(s: &Summary) -> [u64; 8] {
+        [
+            s.n as u64,
+            s.mean.to_bits(),
+            s.std_dev.to_bits(),
+            s.min.to_bits(),
+            s.q1.to_bits(),
+            s.median.to_bits(),
+            s.q3.to_bits(),
+            s.max.to_bits(),
+        ]
+    }
+
+    #[test]
+    fn selection_summary_matches_the_sorted_one_on_edge_shapes() {
+        let cases: &[&[f64]] = &[
+            &[7.5],
+            &[2.0, 1.0],
+            &[3.0, 1.0, 2.0],
+            &[1.0, 1.0, 1.0],
+            &[4.0; 9],
+            // n = 5 and n = 9: every quartile lands exactly on an index.
+            &[5.0, 1.0, 4.0, 2.0, 3.0],
+            &[9.0, 2.0, 2.0, 7.0, 1.0, 7.0, 3.0, 2.0, 0.0],
+            &[0.0, f64::INFINITY, 1.0, 2.0],
+            &[-3.0, 5.0, -1.0, 0.0, 2.0, 2.0],
+        ];
+        for data in cases {
+            let got = Summary::from_data(data).unwrap();
+            assert_eq!(bits(&got), bits(&sorted_summary(data)), "{data:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "must not contain NaN")]
+    fn summary_rejects_nan() {
+        let _ = Summary::from_data(&[1.0, f64::NAN]);
+    }
+
+    mod selection {
+        use super::*;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            // Selection equals the sorted summary field for field, bit
+            // for bit. Values come from a small integer range, so ties
+            // are heavy; lengths start at 1, so n = 1, 2, 3 and the
+            // lengths where a quartile lands on an index (n = 4k + 1)
+            // all occur.
+            #[test]
+            fn selection_summary_equals_the_sorted_summary(
+                values in vec(0u32..12, 1..80),
+                shift in 0u32..6,
+                scale in 0.125f64..64.0,
+            ) {
+                let data: Vec<f64> = values
+                    .iter()
+                    .map(|&v| (f64::from(v) - f64::from(shift)) * scale)
+                    .collect();
+                let got = Summary::from_data(&data).unwrap();
+                prop_assert_eq!(bits(&got), bits(&sorted_summary(&data)));
+            }
+
+            #[test]
+            fn selection_summary_equals_the_sorted_summary_on_wide_values(
+                data in vec(-1e6f64..1e6, 1..300),
+            ) {
+                let got = Summary::from_data(&data).unwrap();
+                prop_assert_eq!(bits(&got), bits(&sorted_summary(&data)));
+            }
+        }
     }
 
     #[test]

@@ -416,10 +416,9 @@ impl ObservationWindow {
     /// chronological order. The end month is included when the window ends
     /// mid-month.
     pub fn months(self) -> Vec<(i32, Month)> {
-        let mut out = Vec::new();
+        let mut out = Vec::with_capacity(self.month_count());
         let (mut y, mut m) = self.start.year_month();
-        let last_day = Date::from_days_from_epoch(self.end.days_from_epoch() - 1);
-        let (ey, em) = last_day.year_month();
+        let (ey, em) = self.last_month();
         loop {
             out.push((y, m));
             if (y, m) == (ey, em) {
@@ -433,6 +432,20 @@ impl ObservationWindow {
             }
         }
         out
+    }
+
+    /// The number of buckets [`months`](ObservationWindow::months)
+    /// lists, computed without listing them.
+    pub fn month_count(self) -> usize {
+        let (sy, sm) = self.start.year_month();
+        let (ey, em) = self.last_month();
+        let months = (i64::from(ey) - i64::from(sy)) * 12 + em.index() as i64 - sm.index() as i64;
+        months as usize + 1
+    }
+
+    /// The `(year, month)` of the window's last day.
+    fn last_month(self) -> (i32, Month) {
+        Date::from_days_from_epoch(self.end.days_from_epoch() - 1).year_month()
     }
 }
 
@@ -604,6 +617,7 @@ mod tests {
     }
 
     fn months_len(w: &ObservationWindow) -> usize {
+        assert_eq!(w.month_count(), w.months().len());
         w.months().len()
     }
 

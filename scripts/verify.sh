@@ -204,6 +204,25 @@ if [ "$index_speedup" -lt "$index_floor" ]; then
     exit 1
 fi
 
+# Snapshot gate, part 1b: the same block times a whole warm report
+# (open the snapshot, render the nine analysis sections) against a cold
+# one (parse, index, render) on that year. With every section reading
+# the view's indexes instead of re-sorting, five runs on the 2-core
+# bench host read 2.33x-2.77x; the floor is 80% of the lowest. The
+# cold path renders the same sections, so it shares most of the saving;
+# the parent's re-sorting render read 1.81x-2.48x on the same host.
+index_report_floor=186
+index_report_speedup=$(sed -n 's/.*"index_report_speedup_x100":\([0-9]*\).*/\1/p' \
+    BENCH_pipeline.json)
+if [ -z "$index_report_speedup" ]; then
+    echo "verify: index_report_speedup_x100 missing from BENCH_pipeline.json" >&2
+    exit 1
+fi
+if [ "$index_report_speedup" -lt "$index_report_floor" ]; then
+    echo "verify: warm report speedup regressed: ${index_report_speedup}/100x < floor ${index_report_floor}/100x" >&2
+    exit 1
+fi
+
 # Snapshot gate, part 2: through the CLI, `index build` then a warm
 # `--index require` report must be byte-identical to the cold report
 # over the analysis sections, at more than one thread count.

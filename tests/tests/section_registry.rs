@@ -3,7 +3,10 @@
 //! * **Golden snapshots** — the text and NDJSON reports for the two
 //!   canonical logs are byte-identical to the checked-in files under
 //!   `golden/`, at every thread count. Any formatting drift in any
-//!   section shows up as a snapshot diff.
+//!   section shows up as a snapshot diff. A scaled ~11k-record log,
+//!   large enough for heavy ties and many multi-failure nodes, must
+//!   render its golden from a bulk, a streamed and a snapshot-restored
+//!   view alike.
 //! * **Batch/stream equivalence** — every registry section renders the
 //!   same JSON and text from a bulk-built [`failscope::StreamView`] and
 //!   one fed record by record, on the canonical logs and on
@@ -16,7 +19,7 @@ use failmitigate::{OperationsPlan, PlanConfig};
 use failscope::{
     render_json_sections, render_text_sections, Section, SectionCtx, StreamView, SECTIONS,
 };
-use failsim::{Simulator, SystemModel};
+use failsim::{ScenarioBuilder, Simulator, SystemModel};
 use failtypes::FailureLog;
 use proptest::prelude::*;
 
@@ -24,6 +27,8 @@ const GOLDEN_T2_TEXT: &str = include_str!("golden/report_tsubame2_seed42.txt");
 const GOLDEN_T3_TEXT: &str = include_str!("golden/report_tsubame3_seed43.txt");
 const GOLDEN_T2_JSON: &str = include_str!("golden/report_tsubame2_seed42.ndjson");
 const GOLDEN_T3_JSON: &str = include_str!("golden/report_tsubame3_seed43.ndjson");
+const GOLDEN_SCALED_TEXT: &str = include_str!("golden/report_scaled1408_seed42.txt");
+const GOLDEN_SCALED_JSON: &str = include_str!("golden/report_scaled1408_seed42.ndjson");
 
 fn t2() -> FailureLog {
     Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap()
@@ -70,6 +75,58 @@ fn json_reports_match_golden_snapshots_at_every_thread_count() {
                 golden,
                 "{} JSON report drifted from golden at threads={threads}",
                 log.spec().name()
+            );
+        }
+    }
+}
+
+/// A year of a 1408-node, 4-GPU fleet at a 0.8 h system MTBF: 10,950
+/// records, with many nodes failing more than once.
+fn scaled() -> FailureLog {
+    let model = ScenarioBuilder::new("Scaled-1408x4")
+        .nodes(1408)
+        .gpus_per_node(4)
+        .system_mtbf_hours(0.8)
+        .window_days(365)
+        .build()
+        .expect("scenario parameters are valid");
+    Simulator::new(model, 42).generate().expect("simulates")
+}
+
+#[test]
+fn scaled_log_renders_its_golden_from_bulk_streamed_and_restored_views() {
+    let log = scaled();
+    assert_eq!(log.len(), 10_950);
+    let text = faillog::to_string(&log).expect("serializes");
+    let dir = std::env::temp_dir().join("failsuite-scaled-golden");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let spath = dir.join("scaled.fslog.fsidx");
+    failindex::save(
+        &spath,
+        &StreamView::new(&log),
+        failindex::SourceInfo::of_bytes(text.as_bytes()),
+    )
+    .expect("saves snapshot");
+    let restored = failindex::load(&spath).expect("loads snapshot").into_view();
+    std::fs::remove_dir_all(&dir).ok();
+
+    let views = [
+        ("bulk", StreamView::new(&log)),
+        ("streamed", streamed(&log)),
+        ("restored", restored),
+    ];
+    for (how, view) in &views {
+        let ctx = SectionCtx::new(view);
+        for threads in 1..=2 {
+            assert_eq!(
+                render_text_sections(&all_sections(), &ctx, threads),
+                GOLDEN_SCALED_TEXT,
+                "scaled text report from the {how} view drifted at threads={threads}"
+            );
+            assert_eq!(
+                render_json_sections(&all_sections(), &ctx, threads),
+                GOLDEN_SCALED_JSON,
+                "scaled JSON report from the {how} view drifted at threads={threads}"
             );
         }
     }

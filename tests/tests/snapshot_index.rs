@@ -10,6 +10,9 @@
 //!    version, an edited log) degrades *silently* to a cold parse;
 //!    strict [`failindex::load`] is the only path that surfaces the
 //!    reason.
+//!    A snapshot written by an older build (format version 1) is
+//!    stale, never misread: `auto` re-parses and rewrites it in the
+//!    current format, `require` refuses it.
 //! 3. **Incremental extension** — growing a log record by record and
 //!    re-opening through the snapshot yields exactly the index a cold
 //!    rebuild would produce, at every step (property-tested).
@@ -211,6 +214,60 @@ fn an_appended_ndjson_row_reads_the_same_warm_and_cold() {
         other => panic!("expected an exact hit after the extension, got {other:?}"),
     }
     assert_eq!(report(IndexMode::Require), cold);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_version_1_snapshot_is_stale_and_auto_rewrites_it_in_the_current_format() {
+    use failapi::{QueryEngine, QueryRequest, QuerySource};
+    use failindex::{Freshness, IndexMode, FORMAT_VERSION, HEADER_LEN};
+
+    let dir = temp_dir("old-format");
+    let log = Simulator::new(SystemModel::tsubame2(), 42).generate().expect("simulates");
+    let text = faillog::to_string(&log).expect("serializes");
+    let path = dir.join("t2.fslog");
+    let spath = failindex::snapshot_path(&path);
+    std::fs::write(&path, &text).expect("writes log");
+    failindex::save(
+        &spath,
+        &StreamView::new(&log),
+        failindex::SourceInfo::of_bytes(text.as_bytes()),
+    )
+    .expect("saves snapshot");
+
+    // Re-stamp the header as version 1, with a valid header checksum,
+    // so only the version can make it unreadable.
+    let mut old = std::fs::read(&spath).expect("snapshot bytes");
+    let version_at = faillog::FSIDX_MAGIC.len();
+    assert_eq!(old[version_at..version_at + 2], FORMAT_VERSION.to_le_bytes());
+    old[version_at..version_at + 2].copy_from_slice(&1u16.to_le_bytes());
+    let crc = faillog::crc32(&old[..HEADER_LEN - 4]);
+    old[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+    std::fs::write(&spath, &old).expect("writes old snapshot");
+
+    match failindex::probe(&path).expect("probe reads") {
+        Freshness::Stale { reason } => {
+            assert!(reason.contains("unsupported format version 1"), "{reason}")
+        }
+        other => panic!("expected a stale version-1 snapshot, got {other:?}"),
+    }
+
+    let p = path.to_str().expect("utf8 path");
+    let report = |mode: IndexMode| {
+        let req = QueryRequest::report(QuerySource::file(p)).sections(ANALYSIS).index(mode);
+        QueryEngine::new().execute(&req)
+    };
+    let err = report(IndexMode::Require).expect_err("require refuses a version-1 snapshot");
+    assert!(matches!(err, failtypes::Error::Run(_)), "{err:?}");
+    assert!(err.to_string().contains("no warm .fsidx snapshot"), "{err}");
+    assert_eq!(std::fs::read(&spath).expect("snapshot bytes"), old, "require writes nothing");
+
+    let cold = report(IndexMode::Off).expect("reports").output;
+    assert_eq!(report(IndexMode::Auto).expect("reports").output, cold);
+    let rewritten = std::fs::read(&spath).expect("snapshot bytes");
+    assert_eq!(rewritten[version_at..version_at + 2], FORMAT_VERSION.to_le_bytes());
+    assert_eq!(failindex::probe(&path).expect("probe reads"), Freshness::Exact);
+    assert_eq!(report(IndexMode::Require).expect("warm now").output, cold);
     std::fs::remove_dir_all(&dir).ok();
 }
 
