@@ -9,16 +9,16 @@
 //!
 //! * **indexed logs** — the [`StreamView`] of every parsed or generated
 //!   log, built once by value from the records, keyed by source identity
-//!   *and content fingerprint* (`(path, bytes, crc32, chunk size, filter)` for
+//!   *and content fingerprint* (`(path, bytes, crc32, filter)` for
 //!   files, `(name, seed)` for models). Each entry stores the
 //!   [`Collector`] that recorded the original parse/generation, and a
 //!   cache hit replays those instruments into the new query's collector
 //!   ([`Collector::merge_from`]), so the `metrics` section and `--trace`
 //!   exports stay byte-identical to an uncached run.
 //! * **rendered outputs** — keyed by the full query shape (command,
-//!   source fingerprints, filters, sections, format, chunk size, index
-//!   policy, and — when snapshots are in play — the snapshot freshness
-//!   state). The thread count is deliberately **excluded**: output is
+//!   source fingerprints, filters, sections, format, index policy,
+//!   and — when snapshots are in play — the snapshot freshness state).
+//!   The thread count is deliberately **excluded**: output is
 //!   byte-identical at every `--threads` value, so all thread counts
 //!   share one entry. A log that grows on disk changes its fingerprint,
 //!   which invalidates every dependent entry.
@@ -110,8 +110,8 @@ struct CachedLog {
     view: Arc<StreamView>,
     load_trace: Collector,
     /// Catalog grouping id: the file path, or `model:{name}:{seed}`.
-    /// Several cache entries (chunk-size or filter variants) share one
-    /// id; `logs`/`evict` operate on the id, not the entry key.
+    /// Several cache entries (filter variants) share one id;
+    /// `logs`/`evict` operate on the id, not the entry key.
     catalog_id: String,
     /// The file fingerprint at parse time (`None` for models).
     source_info: Option<SourceInfo>,
@@ -642,7 +642,6 @@ impl QueryEngine {
         trace: &Collector,
     ) -> Result<String> {
         let opts = &req.opts;
-        validate_chunk(opts)?;
         let sections = match &opts.sections {
             Some(spec) => failscope::select_sections(spec)?,
             None => failscope::SECTIONS.iter().collect(),
@@ -686,7 +685,6 @@ impl QueryEngine {
         trace: &Collector,
     ) -> Result<String> {
         let opts = &req.opts;
-        validate_chunk(opts)?;
         let (older, _) = self.load_file_view(req, old?, trace, filter)?;
         let (newer, _) = self.load_file_view(req, new?, trace, filter)?;
         let threads = self.threads(opts);
@@ -789,10 +787,7 @@ impl QueryEngine {
                 o.where_expr, o.since, o.until
             ),
         };
-        let key = format!(
-            "file:{path}:{}:{:08x}:c{}:{filter_tag}",
-            info.bytes, info.crc32, opts.chunk_bytes
-        );
+        let key = format!("file:{path}:{}:{:08x}:{filter_tag}", info.bytes, info.crc32);
         {
             let logs = self.logs.lock().unwrap_or_else(|e| e.into_inner());
             if let Some(entry) = logs.get(&key) {
@@ -802,9 +797,7 @@ impl QueryEngine {
             }
         }
         self.metrics.incr("engine.log_cache.miss", 1);
-        let mut parse_opts = ParseOptions::new()
-            .threads(self.threads(opts))
-            .chunk_bytes(opts.chunk_bytes);
+        let mut parse_opts = ParseOptions::new().threads(self.threads(opts));
         parse_opts.filter.clone_from(filter);
         let load_trace = Collector::new();
         // Parse errors carry their 1-based line number and offending
@@ -837,8 +830,8 @@ impl QueryEngine {
 }
 
 /// One source in the engine's catalog: everything `faild` remembers
-/// about a log it has served, grouped across chunk-size and filter
-/// variants. Produced by [`QueryEngine::catalog`].
+/// about a log it has served, grouped across filter variants. Produced
+/// by [`QueryEngine::catalog`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CatalogEntry {
     /// The grouping id: the file path, or `model:{name}:{seed}`.
@@ -1013,7 +1006,6 @@ fn render_key(req: &QueryRequest, paths: &[&str], prints: &[Fingerprint]) -> (St
         .field("until", opt_str(&opts.until))
         .field("sections", opt_str(&opts.sections))
         .field("format", opts.format.name())
-        .field("chunk_bytes", opts.chunk_bytes as u64)
         .field("index", opts.index_mode().to_string())
         .build()
         .render();
@@ -1034,13 +1026,6 @@ fn opt_str(value: &Option<String>) -> JsonValue {
         Some(s) => JsonValue::Str(s.clone()),
         None => JsonValue::Null,
     }
-}
-
-fn validate_chunk(opts: &QueryOptions) -> Result<()> {
-    if opts.chunk_bytes == 0 {
-        return Err(Error::args("--parse-chunk must be at least 1 byte"));
-    }
-    Ok(())
 }
 
 /// Compiles the record filter for a query: the `--where` expression,
@@ -1169,16 +1154,15 @@ mod tests {
         assert_eq!(engine.threads(&opts(host)), host);
         assert_eq!(engine.threads(&opts(1_000_000)), host);
 
-        // A one-byte parse chunk asks for a worker per line; the reply
-        // is the same as a serial parse's.
+        // A million-thread file report runs on the capped pool; the
+        // reply is the same as a serial run's.
         let path = temp_path("threads-cap.fslog");
         let log = Simulator::new(SystemModel::tsubame2(), 42)
             .generate()
             .expect("simulates");
         std::fs::write(&path, faillog::to_string(&log).expect("serializes")).expect("write");
-        let req = QueryRequest::report(QuerySource::file(path.to_str().unwrap()))
-            .index(IndexMode::Off)
-            .chunk_bytes(1);
+        let req =
+            QueryRequest::report(QuerySource::file(path.to_str().unwrap())).index(IndexMode::Off);
         let many = QueryEngine::new()
             .execute(&req.clone().threads(1_000_000))
             .expect("executes");
@@ -1486,10 +1470,5 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(err.starts_with("--where: unknown field `bananas`"), "{err}");
-        let err = engine
-            .execute(&QueryRequest::report(QuerySource::model("tsubame2", 1)).chunk_bytes(0))
-            .unwrap_err()
-            .to_string();
-        assert!(err.contains("--parse-chunk must be at least 1 byte"), "{err}");
     }
 }

@@ -11,7 +11,7 @@
 //! * [`request`] — the serializable query model: sources
 //!   ([`QuerySource`]), commands (report/compare), and the common
 //!   options every query shares (threads, `--where`/`--since`/`--until`
-//!   filters, sections, format, `.fsidx` index policy, parse chunking).
+//!   filters, sections, format, `.fsidx` index policy).
 //! * [`engine`] — [`QueryEngine::execute`], the single execution path.
 //!   A fresh engine behaves exactly like the old CLI commands; a
 //!   long-lived engine (the server) additionally memoizes parsed logs
@@ -33,11 +33,11 @@
 //! For any fixed request, the rendered output is byte-identical at
 //! every `--threads` value, warm or cold, cached or uncached. Cache
 //! keys therefore exclude the thread count but include the source
-//! fingerprint (bytes + crc32), the parse chunk size (the `metrics`
-//! section truthfully reports `parse.chunks`), the filter expressions,
-//! the section selection, the output format, and — when snapshots are
-//! in play — the snapshot freshness state, which is what invalidates
-//! warm entries when a log grows.
+//! fingerprint (bytes + crc32), the filter expressions, the section
+//! selection, the output format, and — when snapshots are in play — the
+//! snapshot freshness state, which is what invalidates warm entries when
+//! a log grows. Every query parses at one chunk size
+//! ([`faillog::DEFAULT_CHUNK_BYTES`]), so it is no key component.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -54,7 +54,7 @@ pub use engine::{
 };
 pub use feed::ChangeFeed;
 pub use request::{
-    parse_chunk_bytes, parse_format, parse_index, parse_threads, OutputFormat, QueryCmd,
-    QueryOptions, QueryRequest, QuerySource,
+    parse_format, parse_index, parse_threads, OutputFormat, QueryCmd, QueryOptions, QueryRequest,
+    QuerySource,
 };
 pub use watch::WatchRequest;

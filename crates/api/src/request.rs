@@ -83,8 +83,6 @@ pub struct QueryOptions {
     /// Worker threads for parsing and section rendering. Output is
     /// byte-identical at every value.
     pub threads: usize,
-    /// Byte-range chunk size the input is split at while parsing.
-    pub chunk_bytes: usize,
     /// Raw `--where` filter expression, compiled at execution time.
     pub where_expr: Option<String>,
     /// Raw `--since` bound (sugar for `time >= T`).
@@ -105,7 +103,6 @@ impl Default for QueryOptions {
     fn default() -> Self {
         QueryOptions {
             threads: failstats::available_threads(),
-            chunk_bytes: faillog::DEFAULT_CHUNK_BYTES,
             where_expr: None,
             since: None,
             until: None,
@@ -159,13 +156,6 @@ impl QueryRequest {
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.opts.threads = threads;
-        self
-    }
-
-    /// Sets the parse chunk size in bytes.
-    #[must_use]
-    pub fn chunk_bytes(mut self, chunk_bytes: usize) -> Self {
-        self.opts.chunk_bytes = chunk_bytes;
         self
     }
 
@@ -227,19 +217,6 @@ pub fn parse_threads(raw: Option<&str>) -> Result<usize> {
     }
 }
 
-/// Resolves a raw `--parse-chunk` value (default 1 MiB; any value gives
-/// byte-identical output).
-pub fn parse_chunk_bytes(raw: Option<&str>) -> Result<usize> {
-    let chunk_bytes: usize = match raw {
-        None => faillog::DEFAULT_CHUNK_BYTES,
-        Some(raw) => parse_flag("parse-chunk", raw)?,
-    };
-    if chunk_bytes == 0 {
-        return Err(Error::args("--parse-chunk must be at least 1 byte"));
-    }
-    Ok(chunk_bytes)
-}
-
 /// Resolves a raw `--format` value (default: text).
 pub fn parse_format(raw: Option<&str>) -> Result<OutputFormat> {
     match raw.unwrap_or("text") {
@@ -270,7 +247,6 @@ mod tests {
     fn builder_chains_options() {
         let req = QueryRequest::report(QuerySource::file("a.fslog"))
             .threads(3)
-            .chunk_bytes(4096)
             .where_expr("category == gpu")
             .since("500")
             .until("1000")
@@ -278,7 +254,6 @@ mod tests {
             .sections("tbf,ttr")
             .index(IndexMode::Auto);
         assert_eq!(req.opts.threads, 3);
-        assert_eq!(req.opts.chunk_bytes, 4096);
         assert_eq!(req.opts.where_expr.as_deref(), Some("category == gpu"));
         assert_eq!(req.opts.format, OutputFormat::Json);
         assert_eq!(req.opts.index_mode(), IndexMode::Auto);
@@ -293,14 +268,6 @@ mod tests {
         assert_eq!(
             parse_threads(Some("many")).unwrap_err().to_string(),
             "invalid value `many` for --threads"
-        );
-        assert_eq!(
-            parse_chunk_bytes(None).unwrap(),
-            faillog::DEFAULT_CHUNK_BYTES
-        );
-        assert_eq!(
-            parse_chunk_bytes(Some("0")).unwrap_err().to_string(),
-            "--parse-chunk must be at least 1 byte"
         );
         assert_eq!(parse_format(None).unwrap(), OutputFormat::Text);
         assert!(parse_format(Some("yaml"))

@@ -19,7 +19,7 @@ use failwatch::{
 };
 
 use crate::engine::{compile_filter, model_by_name};
-use crate::request::{parse_chunk_bytes, OutputFormat};
+use crate::request::OutputFormat;
 
 /// A watch query: stream a log file or a simulated replay through the
 /// online monitor. See the module docs for why most fields are raw
@@ -50,8 +50,6 @@ pub struct WatchRequest {
     pub max_idle: Option<String>,
     /// Raw `--where` filter expression scoping the monitor.
     pub where_expr: Option<String>,
-    /// Raw `--parse-chunk` read-buffer size (file sources only).
-    pub parse_chunk: Option<String>,
     /// Raw `--sections` summary selection.
     pub sections: Option<String>,
     /// Output format (json = pure NDJSON stream).
@@ -114,11 +112,6 @@ pub fn run(req: &WatchRequest, out: &mut dyn io::Write) -> Result<Collector> {
                 ReplayClock::new(rate)
             }
         };
-        if let Some(bytes) = &req.parse_chunk {
-            return Err(Error::args(format!(
-                "--parse-chunk {bytes} only applies to file sources (sim:{name} is generated in-process)"
-            )));
-        }
         if let Some(mode) = req.index {
             return Err(Error::args(format!(
                 "--index {mode} only applies to file sources (sim:{name} has no log to snapshot)"
@@ -150,13 +143,7 @@ pub fn run(req: &WatchRequest, out: &mut dyn io::Write) -> Result<Collector> {
                 )));
             }
         }
-        let capacity = match &req.parse_chunk {
-            Some(_) => Some(parse_chunk_bytes(req.parse_chunk.as_deref())?),
-            None => None,
-        };
-        Box::new(TailSource::open_with_capacity(
-            source_arg, req.follow, capacity,
-        )?)
+        Box::new(TailSource::open(source_arg, req.follow)?)
     };
 
     let baseline = match req.baseline.as_deref() {
@@ -268,10 +255,6 @@ mod tests {
 
     #[test]
     fn rejections_quote_the_raw_values() {
-        let mut req = WatchRequest::new("sim:tsubame3");
-        req.parse_chunk = Some("512".to_string());
-        let err = run(&req, &mut Vec::new()).unwrap_err().to_string();
-        assert!(err.contains("--parse-chunk 512"), "{err}");
         let mut req = WatchRequest::new("sim:tsubame3");
         req.index = Some(IndexMode::Off);
         let err = run(&req, &mut Vec::new()).unwrap_err().to_string();

@@ -151,7 +151,7 @@ fn parse_command(doc: &JsonValue, obj: &[(String, JsonValue)]) -> Result<Command
         "report" => {
             check_fields(&[
                 "v", "id", "cmd", "log", "model", "seed", "sections", "where", "since", "until",
-                "format", "threads", "parse_chunk", "index",
+                "format", "threads", "index",
             ])?;
             let source = parse_source(doc, "report")?;
             let mut req = QueryRequest::report(source);
@@ -164,7 +164,7 @@ fn parse_command(doc: &JsonValue, obj: &[(String, JsonValue)]) -> Result<Command
         "compare" => {
             check_fields(&[
                 "v", "id", "cmd", "old", "new", "where", "since", "until", "format", "threads",
-                "parse_chunk", "index",
+                "index",
             ])?;
             let old = require_str(doc, "old")?;
             let new = require_str(doc, "new")?;
@@ -190,7 +190,6 @@ fn parse_command(doc: &JsonValue, obj: &[(String, JsonValue)]) -> Result<Command
                 "where",
                 "format",
                 "sections",
-                "parse_chunk",
                 "index",
             ])?;
             let mut req = WatchRequest::new(require_str(doc, "source")?);
@@ -204,7 +203,6 @@ fn parse_command(doc: &JsonValue, obj: &[(String, JsonValue)]) -> Result<Command
             req.max_records = raw_field(doc, "max_records")?;
             req.max_idle = raw_field(doc, "max_idle")?;
             req.where_expr = opt_string(doc, "where")?;
-            req.parse_chunk = raw_field(doc, "parse_chunk")?;
             req.sections = parse_sections(doc)?;
             req.format = parse_format(opt_string(doc, "format")?.as_deref())?;
             req.index = parse_index(opt_string(doc, "index")?.as_deref())?;
@@ -270,10 +268,6 @@ fn parse_options(
     if let Some(threads) = opt_u64(doc, "threads")? {
         opts.threads = usize::try_from(threads)
             .map_err(|_| Error::args(format!("invalid value `{threads}` for --threads")))?;
-    }
-    if let Some(chunk) = opt_u64(doc, "parse_chunk")? {
-        opts.chunk_bytes = usize::try_from(chunk)
-            .map_err(|_| Error::args(format!("invalid value `{chunk}` for --parse-chunk")))?;
     }
     Ok(opts)
 }
@@ -382,10 +376,7 @@ pub fn encode_query(id: u64, req: &QueryRequest) -> String {
     if let Some(mode) = opts.index {
         b = b.field("index", mode.to_string());
     }
-    b = b
-        .field("threads", opts.threads as u64)
-        .field("parse_chunk", opts.chunk_bytes as u64);
-    b.build().render()
+    b.field("threads", opts.threads as u64).build().render()
 }
 
 /// Encodes a watch query as one request line (no trailing newline).
@@ -406,7 +397,6 @@ pub fn encode_watch(id: u64, req: &WatchRequest) -> String {
         ("max_records", &req.max_records),
         ("max_idle", &req.max_idle),
         ("where", &req.where_expr),
-        ("parse_chunk", &req.parse_chunk),
         ("sections", &req.sections),
     ] {
         if let Some(value) = value {
@@ -540,8 +530,7 @@ mod tests {
             .sections("tbf,ttr")
             .where_expr("category == gpu")
             .format(OutputFormat::Json)
-            .threads(4)
-            .chunk_bytes(4096);
+            .threads(4);
         let line = encode_query(7, &req);
         assert!(line.starts_with(r#"{"v":1,"id":7,"cmd":"report","log":"fleet.fslog""#));
         let (id, cmd) = parse_request(&line);

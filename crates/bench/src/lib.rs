@@ -14,9 +14,8 @@
 //!   declaration-order collection, so parallel output is byte-identical
 //!   to serial.
 //! * The `repro` binary prints any (or all) of the experiments:
-//!   `cargo run -p failbench --bin repro -- all`.
-//! * The Criterion benches (`cargo bench -p failbench`) measure the
-//!   regeneration pipelines themselves.
+//!   `cargo run -p failbench --bin repro -- all`; `repro bench` times
+//!   the regeneration pipelines themselves.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

@@ -1,8 +1,8 @@
 //! Process-wide memoized store of simulated, indexed failure logs.
 //!
 //! Every consumer of a `(model, seed)` log — the paper-figure
-//! experiments, the seed-sweep averages, the Criterion benches, the
-//! `repro` binary — fetches it through [`LogStore::global`], so each
+//! experiments, the seed-sweep averages, the `repro` binary (including
+//! its `bench` mode) — fetches it through [`LogStore::global`], so each
 //! distinct log is simulated and indexed **exactly once per process**
 //! and shared as an [`Arc<StreamView>`] with no cloning of record
 //! vectors.
@@ -28,15 +28,10 @@ use failsim::{Simulator, SystemModel};
 type Key = (String, u64);
 type Cell = Arc<OnceLock<Arc<StreamView>>>;
 
-/// Memoized cache of indexed simulated logs keyed by `(model, seed)`,
-/// plus on-disk logs keyed by path (served from warm `.fsidx` snapshots
-/// when one validates).
+/// Memoized cache of indexed simulated logs keyed by `(model, seed)`.
 pub struct LogStore {
     cells: Mutex<BTreeMap<Key, Cell>>,
-    file_cells: Mutex<BTreeMap<String, Cell>>,
     simulations: AtomicU64,
-    loads: AtomicU64,
-    snapshot_hits: AtomicU64,
     hits: AtomicU64,
 }
 
@@ -45,10 +40,7 @@ impl LogStore {
     pub const fn new() -> Self {
         LogStore {
             cells: Mutex::new(BTreeMap::new()),
-            file_cells: Mutex::new(BTreeMap::new()),
             simulations: AtomicU64::new(0),
-            loads: AtomicU64::new(0),
-            snapshot_hits: AtomicU64::new(0),
             hits: AtomicU64::new(0),
         }
     }
@@ -88,43 +80,6 @@ impl LogStore {
         }))
     }
 
-    /// Returns the index of the log stored at `path`, parsing it on
-    /// first use and sharing the cached [`Arc`] thereafter. The file is
-    /// read once; before parsing those bytes, a warm `.fsidx` snapshot
-    /// next to it is consulted (see [`failindex::open`]): an exact hit
-    /// reconstructs the index with zero parsing, a prefix hit parses
-    /// only the appended tail.
-    ///
-    /// # Errors
-    ///
-    /// Propagates read/parse errors for the log itself; snapshot
-    /// problems silently fall back to a cold parse.
-    pub fn get_path(&self, path: &str) -> failtypes::Result<Arc<StreamView>> {
-        let cell = Arc::clone(lock(&self.file_cells).entry(path.to_string()).or_default());
-        if let Some(log) = cell.get() {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(log));
-        }
-        let with_path = |e| failtypes::Error::run(format!("{path}: {e}"));
-        let file = faillog::LogFile::read(path).map_err(with_path)?;
-        let view = match failindex::open(&file, None) {
-            failindex::IndexedLoad::Exact(snap) => {
-                self.snapshot_hits.fetch_add(1, Ordering::Relaxed);
-                snap.into_view()
-            }
-            failindex::IndexedLoad::Extended { snapshot, .. } => {
-                self.snapshot_hits.fetch_add(1, Ordering::Relaxed);
-                snapshot.into_view()
-            }
-            failindex::IndexedLoad::Cold { .. } => StreamView::from(
-                file.parse(None, &faillog::ParseOptions::default())
-                    .map_err(with_path)?,
-            ),
-        };
-        self.loads.fetch_add(1, Ordering::Relaxed);
-        Ok(Arc::clone(cell.get_or_init(|| Arc::new(view))))
-    }
-
     /// Number of distinct `(model, seed)` keys ever requested.
     pub fn entries(&self) -> u64 {
         lock(&self.cells).len() as u64
@@ -141,26 +96,11 @@ impl LogStore {
         self.hits.load(Ordering::Relaxed)
     }
 
-    /// Number of file logs materialized (by any path: snapshot or
-    /// cold parse).
-    pub fn loads(&self) -> u64 {
-        self.loads.load(Ordering::Relaxed)
-    }
-
-    /// Number of file loads served from a warm `.fsidx` snapshot
-    /// instead of a full parse.
-    pub fn snapshot_hits(&self) -> u64 {
-        self.snapshot_hits.load(Ordering::Relaxed)
-    }
-
     /// Drops every cached log and resets the counters (used by the
     /// benchmark harness to time cold runs).
     pub fn clear(&self) {
         lock(&self.cells).clear();
-        lock(&self.file_cells).clear();
         self.simulations.store(0, Ordering::Relaxed);
-        self.loads.store(0, Ordering::Relaxed);
-        self.snapshot_hits.store(0, Ordering::Relaxed);
         self.hits.store(0, Ordering::Relaxed);
     }
 }
@@ -183,8 +123,6 @@ impl std::fmt::Debug for LogStore {
         f.debug_struct("LogStore")
             .field("entries", &self.entries())
             .field("simulations", &self.simulations())
-            .field("loads", &self.loads())
-            .field("snapshot_hits", &self.snapshot_hits())
             .field("hits", &self.hits())
             .finish()
     }
@@ -217,39 +155,6 @@ mod tests {
         assert!(!Arc::ptr_eq(&t3, &t2));
         assert_eq!(store.entries(), 3);
         assert_eq!(store.simulations(), 3);
-    }
-
-    #[test]
-    fn file_logs_memoize_and_consult_warm_snapshots() {
-        let dir = std::env::temp_dir().join("failbench-logstore-test");
-        std::fs::remove_dir_all(&dir).ok();
-        std::fs::create_dir_all(&dir).unwrap();
-        let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
-        let text = faillog::to_string(&log).unwrap();
-        let path = dir.join("store.fslog");
-        std::fs::write(&path, &text).unwrap();
-        let p = path.to_str().unwrap();
-
-        // Cold parse, then memoized.
-        let store = LogStore::new();
-        let a = store.get_path(p).unwrap();
-        let b = store.get_path(p).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!((store.loads(), store.snapshot_hits(), store.hits()), (1, 0, 1));
-        assert_eq!(a.len(), 338);
-
-        // With a snapshot on disk, a fresh store serves it warm.
-        failindex::save(
-            failindex::snapshot_path(&path),
-            &StreamView::from(log),
-            failindex::SourceInfo::of_bytes(text.as_bytes()),
-        )
-        .unwrap();
-        let warm_store = LogStore::new();
-        let c = warm_store.get_path(p).unwrap();
-        assert_eq!((warm_store.loads(), warm_store.snapshot_hits()), (1, 1));
-        assert_eq!(c, a);
-        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -2,8 +2,8 @@
 //!
 //! [`CommonQueryArgs`] holds the raw values of the common query flags
 //! (`--threads`, `--where`, `--sections`, `--format`, `--index`,
-//! `--trace`, `--parse-chunk`, plus the `--since`/`--until` time
-//! sugar) and turns them into the shared [`failapi`] request types.
+//! `--trace`, plus the `--since`/`--until` time sugar) and turns them
+//! into the shared [`failapi`] request types.
 //! `report`, `compare`, and `watch` all go through here, so a flag
 //! cannot gain command-specific parsing or drift in its error message.
 
@@ -21,7 +21,6 @@ pub const COMMON_QUERY_FLAGS: &[&str] = &[
     "format",
     "index",
     "trace",
-    "parse-chunk",
 ];
 
 /// The `--since`/`--until` time-bound sugar (report and compare only;
@@ -36,8 +35,6 @@ pub const TIME_FLAGS: &[&str] = &["since", "until"];
 pub struct CommonQueryArgs {
     /// Raw `--threads`.
     pub threads: Option<String>,
-    /// Raw `--parse-chunk`.
-    pub parse_chunk: Option<String>,
     /// Raw `--where` expression.
     pub where_expr: Option<String>,
     /// Raw `--since` bound.
@@ -60,7 +57,6 @@ impl CommonQueryArgs {
         let take = |key: &str| args.flag(key).map(String::from);
         CommonQueryArgs {
             threads: take("threads"),
-            parse_chunk: take("parse-chunk"),
             where_expr: take("where"),
             since: take("since"),
             until: take("until"),
@@ -76,12 +72,11 @@ impl CommonQueryArgs {
     ///
     /// # Errors
     ///
-    /// Fails on an unparsable `--threads`, `--format`, `--parse-chunk`,
-    /// or `--index` value.
+    /// Fails on an unparsable `--threads`, `--format` or `--index`
+    /// value.
     pub fn apply_query(&self, mut req: failapi::QueryRequest) -> Result<failapi::QueryRequest> {
         req.opts.threads = failapi::parse_threads(self.threads.as_deref())?;
         req.opts.format = failapi::parse_format(self.format.as_deref())?;
-        req.opts.chunk_bytes = failapi::parse_chunk_bytes(self.parse_chunk.as_deref())?;
         req.opts.index = failapi::parse_index(self.index.as_deref())?;
         req.opts.where_expr = self.where_expr.clone();
         req.opts.since = self.since.clone();
@@ -99,7 +94,6 @@ impl CommonQueryArgs {
     ///
     /// Fails on an unparsable `--format` or `--index` value.
     pub fn apply_watch(&self, req: &mut failapi::WatchRequest) -> Result<()> {
-        req.parse_chunk = self.parse_chunk.clone();
         req.where_expr = self.where_expr.clone();
         req.sections = self.sections.clone();
         req.format = failapi::parse_format(self.format.as_deref())?;

@@ -14,14 +14,13 @@ use crate::args::ParsedArgs;
 /// read-only freshness check (exit status reflects usability); `stat`
 /// prints a snapshot's own metadata without touching the source log.
 pub fn index_cmd(args: &ParsedArgs) -> Result<String> {
-    args.reject_unknown_flags(&["threads", "parse-chunk"])?;
+    args.reject_unknown_flags(&["threads"])?;
     let action = args.positional(0, "build|verify|stat")?;
     let path = args.positional(1, "file")?;
     match action {
         "build" => {
-            let parse_opts = ParseOptions::new()
-                .threads(failapi::parse_threads(args.flag("threads"))?)
-                .chunk_bytes(failapi::parse_chunk_bytes(args.flag("parse-chunk"))?);
+            let parse_opts =
+                ParseOptions::new().threads(failapi::parse_threads(args.flag("threads"))?);
             let with_path = |e| Error::run(format!("{path}: {e}"));
             let file = LogFile::read(path).map_err(with_path)?;
             let source = file.source();

@@ -49,16 +49,13 @@ COMMANDS
   summary <FILE>
       One-paragraph structural summary of a log.
   report <FILE | --model tsubame2|tsubame3 [--seed N]> [--threads N]
-         [--parse-chunk BYTES] [--where EXPR] [--since T] [--until T]
-         [--format text|json] [--sections IDS] [--trace FILE]
-         [--index auto|off|require]
+         [--where EXPR] [--since T] [--until T] [--format text|json]
+         [--sections IDS] [--trace FILE] [--index auto|off|require]
       Full five-RQ reliability report (parsing and sections computed in
       parallel; output is identical at any thread count). The input is
       a log file — gzip-compressed .fslog.gz is decoded transparently —
       or a calibrated model generated in-process. --threads also sets
-      the parse worker count and --parse-chunk the byte-range chunk
-      size the input is split at (default 1 MiB; any value gives
-      byte-identical output). --where EXPR keeps only records matching
+      the parse worker count. --where EXPR keeps only records matching
       a filter expression — e.g. 'category == gpu && ttr > 24' — over
       the fields category, ttr, recovery, time, node, slot, rack,
       gpus, month, with ==, !=, <, <=, >, >=, ~ (substring),
@@ -77,14 +74,14 @@ COMMANDS
       unchanged log, parsing only the appended tail on a grown one) and
       refreshes it after cold parses; require insists on a warm
       snapshot; off (the default) ignores snapshots.
-  compare <OLD> <NEW> [--threads N] [--parse-chunk BYTES] [--where EXPR]
+  compare <OLD> <NEW> [--threads N] [--where EXPR]
           [--since T] [--until T] [--format text|json] [--trace FILE]
           [--index auto|off|require]
       Cross-generation comparison (MTBF/MTTR/PEP factors); inputs may
       be gzip-compressed. --format json emits a {\"v\":1} header line and
       one JSON document. --where/--since/--until filter both inputs as
       for report; --index works as for report, for both inputs.
-  index build|verify|stat <FILE> [--threads N] [--parse-chunk BYTES]
+  index build|verify|stat <FILE> [--threads N]
       Manage FILE.fsidx snapshots: build parses FILE and writes the
       checksummed snapshot next to it; verify checks the snapshot
       against the log's current bytes (exact or prefix coverage
@@ -94,9 +91,8 @@ COMMANDS
   watch <FILE|sim:MODEL> [--follow] [--accel RATE|max] [--seed N]
         [--baseline tsubame2|tsubame3|none] [--window N] [--refresh N]
         [--chunk N] [--max-records N] [--max-idle N] [--inject-mttr F]
-        [--parse-chunk BYTES] [--where EXPR]
-        [--format text|json] [--sections IDS] [--trace FILE]
-        [--index auto|off]
+        [--where EXPR] [--format text|json] [--sections IDS]
+        [--trace FILE] [--index auto|off]
       Stream a log (or an accelerated simulated replay) through the
       online monitor: NDJSON drift alerts against a calibrated
       baseline, plus periodic summaries. A gzip-compressed replay file
@@ -104,10 +100,9 @@ COMMANDS
       plain text, since appended bytes cannot be observed through a
       compressed member). Records are ingested in chunks of up to
       --chunk (default 256; drift checks run per chunk, partial chunks
-      flush on idle/EOF so follow mode never lags); --parse-chunk sets
-      the file read-buffer size in bytes. --where EXPR scopes the
-      monitor to matching records (report syntax): the detector and
-      summaries see only the filtered stream, and every alert line
+      flush on idle/EOF so follow mode never lags). --where EXPR scopes
+      the monitor to matching records (report syntax): the detector
+      and summaries see only the filtered stream, and every alert line
       carries the expression in a `filter` field. --format json makes
       the whole stream NDJSON (a {\"v\":1} header line, then one line
       per summary section); --sections picks from: overview,

@@ -239,6 +239,25 @@ fn report_formats_and_section_selection() {
         "{j1}"
     );
     assert!(j1.contains(r#""system":"Tsubame-3""#), "{j1}");
+    // Text output too: the analysis sections, and the full report with
+    // its metrics section (parse counters included), are the same at
+    // every thread count; so is a comparison.
+    let analysis = "header,categories,spatial,involvement,tbf,ttr,availability,survival,seasonal";
+    let at = |ids: &str, threads: &str| {
+        let words = ["report", p, "--sections", ids, "--threads", threads];
+        report(&parse(&words)).expect("reports")
+    };
+    for ids in [analysis, "metrics"] {
+        assert_eq!(at(ids, "1"), at(ids, "4"), "--sections {ids}");
+    }
+    let full1 = report(&parse(&["report", p, "--threads", "1"])).expect("reports");
+    let full4 = report(&parse(&["report", p, "--threads", "4"])).expect("reports");
+    assert_eq!(full1, full4, "metrics must stay thread-invariant");
+    assert!(full1.contains("parse.chunks"), "{full1}");
+    let c1 = compare(&parse(&["compare", p, p, "--threads", "1"])).expect("compares");
+    let c4 = compare(&parse(&["compare", p, p, "--threads", "4"])).expect("compares");
+    assert_eq!(c1, c4);
+    assert!(c1.contains("MTBF"));
 
     // Section selection works for both formats and rejects unknowns.
     let picked = report(&parse(&["report", p, "--sections", "tbf,ttr"])).expect("reports");
@@ -290,39 +309,6 @@ fn gzip_report_matches_plain_end_to_end() {
 }
 
 #[test]
-fn parse_chunk_flag_changes_nothing_but_is_validated() {
-    let path = temp_path("chunked.fslog");
-    let p = path.to_str().unwrap();
-    generate(&parse(&["generate", "--system", "tsubame2", "--out", p])).expect("generates");
-    // Analysis output is identical for every chunk size and thread
-    // count. The full report is only compared at a fixed chunk size
-    // across threads, because its metrics section truthfully
-    // reports `parse.chunks`, which does change with --parse-chunk.
-    let analysis = "header,categories,spatial,involvement,tbf,ttr,availability,survival,seasonal";
-    let base = report(&parse(&["report", p, "--sections", analysis])).expect("reports");
-    for chunk in ["1", "4096", "1048576"] {
-        for threads in ["1", "4"] {
-            let out = report(&parse(&[
-                "report", p, "--sections", analysis,
-                "--parse-chunk", chunk, "--threads", threads,
-            ]))
-            .expect("reports");
-            assert_eq!(out, base, "--parse-chunk {chunk} --threads {threads}");
-        }
-    }
-    let full1 = report(&parse(&["report", p, "--parse-chunk", "64", "--threads", "1"]))
-        .expect("reports");
-    let full4 = report(&parse(&["report", p, "--parse-chunk", "64", "--threads", "4"]))
-        .expect("reports");
-    assert_eq!(full1, full4, "metrics must stay thread-invariant");
-    let c = compare(&parse(&["compare", p, p, "--parse-chunk", "512"])).expect("compares");
-    assert!(c.contains("MTBF"));
-    assert!(report(&parse(&["report", p, "--parse-chunk", "0"])).is_err());
-    assert!(report(&parse(&["report", p, "--parse-chunk", "lots"])).is_err());
-    std::fs::remove_file(&path).expect("cleanup");
-}
-
-#[test]
 fn watch_reads_gzip_replay_but_rejects_follow_on_it() {
     let packed = temp_path("watch-replay.fslog.gz");
     let g = packed.to_str().unwrap();
@@ -331,13 +317,6 @@ fn watch_reads_gzip_replay_but_rejects_follow_on_it() {
     assert!(out.contains("897 records"), "{out}");
     let err = watch(&parse(&["watch", g, "--follow"])).unwrap_err();
     assert!(err.to_string().contains("--follow requires plain text"), "{err}");
-    // --parse-chunk tunes the file read buffer; sim sources reject it.
-    let tuned = watch(&parse(&[
-        "watch", g, "--baseline", "tsubame2", "--parse-chunk", "4096",
-    ]))
-    .expect("watches");
-    assert_eq!(out, tuned);
-    assert!(watch(&parse(&["watch", "sim:tsubame3", "--parse-chunk", "4096"])).is_err());
     std::fs::remove_file(&packed).expect("cleanup");
 }
 
@@ -857,8 +836,6 @@ fn flag_rejections_name_the_flag_and_value() {
     let p = path.to_str().unwrap();
     generate(&parse(&["generate", "--out", p])).expect("generates");
     let msg = |r: Result<String>| r.unwrap_err().to_string();
-    let m = msg(watch(&parse(&["watch", "sim:tsubame3", "--parse-chunk", "512"])));
-    assert!(m.contains("--parse-chunk 512") && m.contains("sim:tsubame3"), "{m}");
     let m = msg(watch(&parse(&["watch", "sim:tsubame3", "--index", "off"])));
     assert!(m.contains("--index off") && m.contains("sim:tsubame3"), "{m}");
     let m = msg(watch(&parse(&["watch", p, "--inject-mttr", "2.0"])));

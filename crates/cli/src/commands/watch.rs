@@ -54,7 +54,7 @@ pub fn watch_stream(args: &ParsedArgs, out: &mut dyn io::Write) -> Result<()> {
     args.reject_unknown_flags(
         &[
             WATCH_FLAGS,
-            &["where", "format", "sections", "trace", "parse-chunk", "index"],
+            &["where", "format", "sections", "trace", "index"],
         ]
         .concat(),
     )?;

@@ -183,10 +183,14 @@ pub(crate) fn lex(src: &str) -> Result<Vec<Lexed>, (String, Span)> {
                                 i += 2;
                             }
                             _ => {
+                                // Span the backslash and the whole
+                                // character after it, which may be
+                                // multi-byte.
+                                let next = src[i + 1..].chars().next().map_or(0, char::len_utf8);
                                 return Err((
                                     "unsupported escape in string literal".into(),
-                                    Span::new(i, i + 2),
-                                ))
+                                    Span::new(i, i + 1 + next),
+                                ));
                             }
                         },
                         Some(_) => {
@@ -316,5 +320,17 @@ mod tests {
             let (msg, _) = lex(src).unwrap_err();
             assert!(msg.contains(what), "{src}: {msg}");
         }
+    }
+
+    #[test]
+    fn escape_spans_end_on_a_char_boundary() {
+        // A backslash before a multi-byte character spans that whole
+        // character, so the caret annotation can slice the source.
+        let src = "x ~ \"\\é\"";
+        let (_, span) = lex(src).unwrap_err();
+        assert_eq!(span, Span::new(5, 8));
+        assert!(src.is_char_boundary(span.end));
+        let (_, span) = lex("x ~ \"\\").unwrap_err();
+        assert_eq!(span, Span::new(5, 6));
     }
 }

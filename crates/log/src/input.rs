@@ -117,46 +117,22 @@ impl InputReader {
     /// Returns [`Error`] on I/O failure, corrupt gzip data, or a
     /// recognised-but-unsupported encoding (zstd).
     pub fn open(path: impl AsRef<Path>) -> Result<InputReader> {
-        Self::open_with_capacity(path, None)
-    }
-
-    /// [`InputReader::open`] with an explicit buffer capacity in bytes
-    /// for the plain-text path (`None` keeps the [`BufReader`]
-    /// default). Gzip input is fully in-memory, so capacity does not
-    /// apply there.
-    ///
-    /// # Errors
-    ///
-    /// See [`InputReader::open`].
-    pub fn open_with_capacity(
-        path: impl AsRef<Path>,
-        capacity: Option<usize>,
-    ) -> Result<InputReader> {
-        let file = File::open(path.as_ref())?;
-        let mut reader = match capacity {
-            Some(bytes) => BufReader::with_capacity(bytes.max(16), file),
-            None => BufReader::new(file),
-        };
+        let path = path.as_ref();
+        let mut reader = BufReader::new(File::open(path)?);
         // fill_buf peeks without consuming, so a plain-text reader
         // starts from byte 0.
         let compression = Compression::sniff(reader.fill_buf()?);
-        match compression {
-            Compression::Plain => Ok(InputReader {
-                source: Source::File(reader),
-                compression,
-            }),
-            Compression::Gzip => {
-                let mut raw = Vec::new();
-                reader.read_to_end(&mut raw)?;
-                let decoded = inflate::gzip_decompress(&raw).map_err(gzip_error)?;
-                Ok(InputReader {
-                    source: Source::Memory(Cursor::new(decoded)),
-                    compression,
-                })
-            }
-            Compression::Zstd => Err(zstd_unsupported(path.as_ref())),
-            Compression::Snapshot => Err(snapshot_not_a_log(path.as_ref())),
-        }
+        let source = if compression == Compression::Plain {
+            Source::File(reader)
+        } else {
+            let mut raw = Vec::new();
+            reader.read_to_end(&mut raw)?;
+            Source::Memory(Cursor::new(decode_raw(compression, raw, path)?))
+        };
+        Ok(InputReader {
+            source,
+            compression,
+        })
     }
 
     /// The compression detected on the underlying file.
@@ -293,12 +269,7 @@ impl LogFile {
     /// passed as a log, or invalid UTF-8.
     fn decode(self) -> Result<(String, Compression)> {
         let compression = Compression::sniff(&self.raw);
-        let bytes = match compression {
-            Compression::Plain => self.raw,
-            Compression::Gzip => inflate::gzip_decompress(&self.raw).map_err(gzip_error)?,
-            Compression::Zstd => return Err(zstd_unsupported(&self.path)),
-            Compression::Snapshot => return Err(snapshot_not_a_log(&self.path)),
-        };
+        let bytes = decode_raw(compression, self.raw, &self.path)?;
         let text = String::from_utf8(bytes).map_err(|_| {
             Error::io(
                 "decoding log input",
@@ -346,6 +317,19 @@ impl LogFile {
 /// UTF-8.
 pub fn read_input(path: impl AsRef<Path>) -> Result<(String, Compression)> {
     LogFile::read(path)?.decode()
+}
+
+/// The one decode dispatch: the raw bytes of a file whose leading
+/// bytes sniffed as `compression`, decoded. Plain text is moved
+/// through, gzip inflated; zstd and `.fsidx` snapshots are errors
+/// naming `path`.
+fn decode_raw(compression: Compression, raw: Vec<u8>, path: &Path) -> Result<Vec<u8>> {
+    match compression {
+        Compression::Plain => Ok(raw),
+        Compression::Gzip => inflate::gzip_decompress(&raw).map_err(gzip_error),
+        Compression::Zstd => Err(zstd_unsupported(path)),
+        Compression::Snapshot => Err(snapshot_not_a_log(path)),
+    }
 }
 
 fn gzip_error(msg: String) -> Error {
@@ -486,15 +470,6 @@ mod tests {
         assert!(err.to_string().contains("zstd -d"), "{err}");
         let err = read_input(&path).unwrap_err();
         assert!(err.to_string().contains("zstd -d"), "{err}");
-    }
-
-    #[test]
-    fn capacity_knob_still_decodes_correctly() {
-        let path = tmp("tiny-buf.fslog", b"abc\ndef\nghi\n");
-        let mut r = InputReader::open_with_capacity(&path, Some(1)).unwrap();
-        let mut text = String::new();
-        r.read_to_string(&mut text).unwrap();
-        assert_eq!(text, "abc\ndef\nghi\n");
     }
 
     #[test]

@@ -66,7 +66,9 @@ pub struct ParseOptions {
     /// Worker threads to parse with (`<= 1` means serial).
     pub threads: usize,
     /// Target bytes per chunk, snapped up to line boundaries (clamped
-    /// to at least 1).
+    /// to at least 1). Every application parses at
+    /// [`DEFAULT_CHUNK_BYTES`]; only tests set it, to force many-chunk
+    /// merges and error-line remaps on small logs.
     pub chunk_bytes: usize,
     /// Predicate pushed down into the parser: records failing it are
     /// dropped right after validation, before they reach the output.
@@ -105,7 +107,8 @@ impl ParseOptions {
         self
     }
 
-    /// Returns the options with the chunk size replaced.
+    /// Returns the options with the chunk size replaced. Only tests
+    /// call this; see the field of the same name.
     pub fn chunk_bytes(mut self, chunk_bytes: usize) -> Self {
         self.chunk_bytes = chunk_bytes;
         self

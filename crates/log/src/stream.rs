@@ -85,20 +85,7 @@ impl LogTailer<crate::InputReader> {
     /// Returns [`Error`] if the file cannot be opened or decoded, or
     /// its header is incomplete or malformed.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        Self::open_with_capacity(path, None)
-    }
-
-    /// [`LogTailer::open`] with an explicit read-buffer capacity in
-    /// bytes for plain files (`--parse-chunk` on the watch CLI).
-    ///
-    /// # Errors
-    ///
-    /// See [`LogTailer::open`].
-    pub fn open_with_capacity(
-        path: impl AsRef<Path>,
-        capacity: Option<usize>,
-    ) -> Result<Self> {
-        LogTailer::new(crate::InputReader::open_with_capacity(path, capacity)?)
+        LogTailer::new(crate::InputReader::open(path)?)
     }
 
     /// The compression detected on the underlying file.

@@ -776,14 +776,7 @@ mod tests {
 
     #[test]
     fn a_panicking_job_is_answered_and_the_worker_survives() {
-        let listener = Listener::bind(&Endpoint::tcp("127.0.0.1:0")).expect("binds");
-        let Ok(Endpoint::Tcp(addr)) = listener.bound_endpoint() else {
-            panic!("a tcp endpoint");
-        };
-        let server = std::thread::spawn(move || run(listener, QueryEngine::new(), 1));
-        let stream = TcpStream::connect(&addr).expect("connects");
-        let mut reader = BufReader::new(stream.try_clone().expect("clones"));
-        let mut writer = stream;
+        let (server, mut reader, mut writer) = serve_loopback();
         // One worker: the panic, then two pipelined requests behind it.
         let ping = wire::encode_simple(2, "ping");
         let logs = wire::encode_simple(3, "logs");
@@ -809,6 +802,55 @@ mod tests {
         writeln!(writer, "{}", wire::encode_simple(6, "shutdown")).expect("sends");
         reply(&mut reader).expect("shutdown");
         server.join().expect("reactor thread").expect("serves");
+    }
+
+    /// Serves a fresh engine on a loopback port with one worker;
+    /// returns the reactor thread and a connected reader/writer pair.
+    fn serve_loopback() -> (
+        std::thread::JoinHandle<Result<ServeSummary>>,
+        BufReader<TcpStream>,
+        TcpStream,
+    ) {
+        let listener = Listener::bind(&Endpoint::tcp("127.0.0.1:0")).expect("binds");
+        let Ok(Endpoint::Tcp(addr)) = listener.bound_endpoint() else {
+            panic!("a tcp endpoint");
+        };
+        let server = std::thread::spawn(move || run(listener, QueryEngine::new(), 1));
+        let stream = TcpStream::connect(&addr).expect("connects");
+        let reader = BufReader::new(stream.try_clone().expect("clones"));
+        (server, reader, stream)
+    }
+
+    #[test]
+    fn shutdown_after_a_worker_panic_still_persists_dirty_snapshots() {
+        let dir = std::env::temp_dir().join(format!("faild-panic-persist-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).expect("temp dir");
+        let log = dir.join("fleet.fslog");
+        std::fs::write(
+            &log,
+            "# failscope-log v1\n# generation: Tsubame-3\n# name: Tsubame-3\n# nodes: 540\n\
+             # gpus-per-node: 4\n# window: 2017-05-09..2020-02-22\n\
+             id,time_h,ttr_h,category,node,gpus,locus\n\
+             0,35.5,42.25,CPU,60,,\n1,158.5,84.75,Lustre,187,,\n2,242.0,11.5,CPU,432,,\n",
+        )
+        .expect("writes the log");
+        let snapshot = failindex::snapshot_path(&log);
+        std::fs::remove_file(&snapshot).ok();
+        let (server, mut reader, mut writer) = serve_loopback();
+        // A cold parse with snapshots off leaves the log dirty.
+        let req = QueryRequest::report(failapi::QuerySource::file(log.to_str().unwrap()))
+            .index(failindex::IndexMode::Off)
+            .sections("header");
+        writeln!(writer, "{}", wire::encode_query(1, &req)).expect("sends");
+        reply(&mut reader).expect("the cold report is served");
+        writeln!(writer, "{PANIC_FRAME}").expect("sends");
+        reply(&mut reader).expect_err("the panic is an error envelope");
+        writeln!(writer, "{}", wire::encode_simple(2, "shutdown")).expect("sends");
+        reply(&mut reader).expect("shutdown");
+        let summary = server.join().expect("reactor thread").expect("serves");
+        assert_eq!(summary.snapshots_persisted, 1);
+        assert!(snapshot.exists(), "{}", snapshot.display());
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     fn frames(buf: &mut Vec<u8>, scanned: &mut usize) -> Vec<FrameStep> {

@@ -106,22 +106,8 @@ impl TailSource {
     /// or decoded, a parse variant when its header is incomplete, and
     /// [`failtypes::Error::Args`] for `follow` on compressed input.
     pub fn open(path: impl AsRef<Path>, follow: bool) -> Result<Self> {
-        Self::open_with_capacity(path, follow, None)
-    }
-
-    /// [`TailSource::open`] with an explicit read-buffer capacity in
-    /// bytes for plain files (`failctl watch --parse-chunk`).
-    ///
-    /// # Errors
-    ///
-    /// See [`TailSource::open`].
-    pub fn open_with_capacity(
-        path: impl AsRef<Path>,
-        follow: bool,
-        capacity: Option<usize>,
-    ) -> Result<Self> {
         let display = path.as_ref().display().to_string();
-        let tailer = LogTailer::open_with_capacity(path, capacity)?;
+        let tailer = LogTailer::open(path)?;
         if follow && tailer.compression() != Compression::Plain {
             return Err(failtypes::Error::args(format!(
                 "--follow requires plain text, but `{display}` is {}-compressed \

@@ -15,8 +15,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 # delegation, the index trait and its `&FailureLog` shims' `_index`
 # twins, the watch state's second copy of the view's figures
 # (quantile sketch, trailing-window buffers), the second JSON row parser,
-# the second fingerprint type, the engine's private re-read of each log
-# and the drift-threshold builder stay gone.
+# the second fingerprint type, the engine's private re-read of each log,
+# the drift-threshold builder, the user-set parse chunk size (CLI flag,
+# wire field, request fields, read-buffer capacities) and failbench's
+# second file loader stay gone.
 extra_vendor=$(ls vendor | grep -vxE 'rand|proptest' || true)
 if [ -n "$extra_vendor" ]; then
     echo "verify: unexpected vendored crates: $extra_vendor (allowed: rand, proptest)" >&2
@@ -40,6 +42,10 @@ if grep -rnE 'QuantileSketch|sketch_capacity|struct WindowMean|struct RateWindow
 fi
 if grep -rnE 'struct JsonCursor|struct TailProgress|fn fingerprint\(|type FilePrint|DriftConfigBuilder' crates/; then
     echo "verify: a second row parser, fingerprint type, engine fingerprint read, or drift-threshold builder reappeared under crates/" >&2
+    exit 1
+fi
+if grep -rnE 'parse_chunk|parse-chunk|open_with_capacity|fn get_path|file_cells' crates/; then
+    echo "verify: a user-set parse chunk size, a read-buffer capacity, or failbench's second file loader reappeared under crates/; every query parses at faillog::DEFAULT_CHUNK_BYTES" >&2
     exit 1
 fi
 if grep -nF 'std::fs::read' crates/api/src/engine.rs; then
@@ -420,6 +426,27 @@ cmp -s "$gz_dir/plain.txt" "$gz_dir/packed.txt" || {
 }
 rm -rf "$gz_dir"
 
+# Retired-knob smoke: every query parses at one chunk size, so
+# `--parse-chunk` is an unknown flag (exit 1) on each command that used
+# to take it. The wire twin is covered by tests/tests/query_server.rs.
+knob_dir=$(mktemp -d)
+cargo run -q --release -p failctl -- \
+    generate --system tsubame2 --out "$knob_dir/k.fslog" >/dev/null
+for cmd in "report $knob_dir/k.fslog" "compare $knob_dir/k.fslog $knob_dir/k.fslog" \
+    "index build $knob_dir/k.fslog" "watch $knob_dir/k.fslog"; do
+    knob_status=0
+    # Word splitting of $cmd is intended: it holds the sub-command and
+    # its arguments, and mktemp paths carry no spaces.
+    # shellcheck disable=SC2086
+    cargo run -q --release -p failctl -- $cmd --parse-chunk 64 \
+        >/dev/null 2>"$knob_dir/err" || knob_status=$?
+    if [ "$knob_status" -ne 1 ] || ! grep -q 'unknown flag --parse-chunk' "$knob_dir/err"; then
+        echo "verify: failctl $cmd did not reject --parse-chunk as an unknown flag" >&2
+        exit 1
+    fi
+done
+rm -rf "$knob_dir"
+
 watch_trace=$(mktemp)
 smoke=$(cargo run -q --release -p failctl -- \
     watch sim:tsubame2 --accel max --inject-mttr 5 --trace "$watch_trace")
@@ -488,4 +515,4 @@ fi
 # API docs must build warning-free.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-echo "verify: build + tests + clippy + structure gate + unsafe gate + loadbench gate + streaming gate + summary gate + parse gate + gzip gate + filter gate + index gate + server gate + gzip smoke + json gate + trace gate + docs all green"
+echo "verify: build + tests + clippy + structure gate + unsafe gate + loadbench gate + streaming gate + summary gate + parse gate + gzip gate + filter gate + index gate + server gate + gzip smoke + retired-knob smoke + json gate + trace gate + docs all green"

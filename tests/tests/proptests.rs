@@ -1,7 +1,8 @@
 //! Property-based integration tests (proptest) spanning the workspace:
 //! serialization round trips, generator invariants, statistics
-//! invariants, and the `faild` wire codec on arbitrary and mutated
-//! lines.
+//! invariants, and the two text decoders a client can reach — the
+//! `faild` wire codec and the `--where` filter language — on arbitrary
+//! and mutated input.
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -10,7 +11,7 @@ use failsim::{ScenarioBuilder, Simulator};
 use failstats::{Ecdf, Summary};
 use failtypes::{
     Category, Date, FailureLog, FailureRecord, Generation, GpuSlot, Hours, NodeId,
-    ObservationWindow, SoftwareLocus, T3Category,
+    ObservationWindow, SoftwareLocus, SystemSpec, T3Category,
 };
 
 fn t3_window() -> ObservationWindow {
@@ -252,7 +253,6 @@ fn request_corpus() -> Vec<String> {
         .since("100")
         .format(OutputFormat::Json)
         .threads(4)
-        .chunk_bytes(4096)
         .index(failindex::IndexMode::Auto);
     let mut watch = WatchRequest::new("sim:tsubame3");
     watch.max_records = Some("50".to_string());
@@ -372,5 +372,84 @@ proptest! {
         request_round_trips(id, &cmd.expect("decodes"))?;
         let responses = response_corpus();
         let _ = failapi::wire::parse_response(&responses[pick % responses.len()]);
+    }
+}
+
+/// Valid `--where` expressions covering every operator family: the
+/// `failctl help` example, `in (...)` sets, `~` substring matches, a
+/// `YYYY-MM-DD` time literal, `!`, and parentheses.
+const FILTER_CORPUS: &[&str] = &[
+    "category == gpu && ttr > 24",
+    "category in (gpu, memory) || node in (1, 2, 3)",
+    "node ~ \"rack12\" && gpus >= 2",
+    "time >= \"2018-03-01\" && time < 1000",
+    "!(month == 12 || rack != 4) && slot <= 1",
+    "recovery > 100 && category != software",
+];
+
+/// Whitespace-separated tokens of the `--where` language (and a few
+/// near-misses), for token soups that reach deeper into the parser than
+/// random text.
+const FILTER_TOKENS: &str = "category ttr recovery time node slot rack gpus month ttrs \
+    == != < <= > >= ~ in && || ! ( ) , = & gpu memory software \"System_Board\" \"rack12\" \
+    \"2018-03-01\" \"2018-13-40\" \" 24 -1 1e308 0.5 13 4294967296";
+
+/// `failfilter::parse` and `failfilter::compile` are total on `src`:
+/// each returns `Ok` or a typed `args` error, the two stages agree with
+/// the one-shot `compile`, and a compiled predicate evaluates `rec`
+/// without panicking.
+fn filter_is_total(src: &str, rec: &FailureRecord) -> Result<(), TestCaseError> {
+    let oneshot = failfilter::compile(src);
+    let staged = match failfilter::parse(src) {
+        Ok(expr) => {
+            prop_assert_eq!(expr.source(), src);
+            expr.compile()
+        }
+        Err(e) => Err(e),
+    };
+    prop_assert_eq!(staged.is_ok(), oneshot.is_ok(), "{:?}", src);
+    match oneshot {
+        Ok(pred) => {
+            let _ = pred.matches(rec, &SystemSpec::tsubame3(), t3_window());
+        }
+        Err(e) => prop_assert_eq!(e.kind(), "args", "{:?}: {}", src, e),
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn filters_from_arbitrary_strings_compile_or_fail_typed(
+        any_text in ".{0,80}",
+        picks in proptest::collection::vec(any::<usize>(), 0..12),
+        rec in arb_t3_record(0),
+    ) {
+        filter_is_total(&any_text, &rec)?;
+        let tokens: Vec<&str> = FILTER_TOKENS.split_whitespace().collect();
+        let soup: Vec<&str> = picks.iter().map(|&i| tokens[i % tokens.len()]).collect();
+        filter_is_total(&soup.join(" "), &rec)?;
+    }
+
+    #[test]
+    fn mutated_filters_compile_or_fail_typed(
+        pick in any::<usize>(),
+        edits in proptest::collection::vec((any::<usize>(), any::<u8>(), any::<u8>()), 0..4),
+        cut in any::<usize>(),
+        rec in arb_t3_record(0),
+    ) {
+        let src = mutate(FILTER_CORPUS[pick % FILTER_CORPUS.len()], &edits, cut);
+        filter_is_total(&src, &rec)?;
+    }
+
+    #[test]
+    fn unmutated_filter_corpus_compiles_and_evaluates(
+        pick in any::<usize>(),
+        rec in arb_t3_record(0),
+    ) {
+        let src = FILTER_CORPUS[pick % FILTER_CORPUS.len()];
+        prop_assert!(failfilter::compile(src).is_ok(), "{}", src);
+        filter_is_total(src, &rec)?;
     }
 }

@@ -256,6 +256,20 @@ fn malformed_requests_come_back_as_typed_error_envelopes() {
             r#"{"v":1,"id":1,"cmd":"report","log":"a","format":"yaml"}"#,
             "unknown --format `yaml`",
         ),
+        // Every query parses at one chunk size; the retired knob is
+        // rejected like any other unknown field.
+        (
+            r#"{"v":1,"id":1,"cmd":"report","log":"a","parse_chunk":64}"#,
+            "unknown field \"parse_chunk\" for cmd \"report\"",
+        ),
+        (
+            r#"{"v":1,"id":1,"cmd":"compare","old":"a","new":"b","parse_chunk":64}"#,
+            "unknown field \"parse_chunk\" for cmd \"compare\"",
+        ),
+        (
+            r#"{"v":1,"id":1,"cmd":"watch","source":"a.fslog","parse_chunk":"64"}"#,
+            "unknown field \"parse_chunk\" for cmd \"watch\"",
+        ),
     ];
     for (line, want) in args_cases {
         let err = conn.roundtrip(line).expect_err("must be rejected");
