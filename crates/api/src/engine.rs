@@ -27,14 +27,29 @@
 //!
 //! # One read per source
 //!
-//! `execute` reads each file of a report or compare exactly once, into
+//! `execute` reads each file of a report or compare at most once, into
 //! a [`faillog::LogFile`]. That one buffer yields the render key (its
 //! fingerprint plus [`failindex::freshness`]), the warm open or
 //! extension ([`failindex::open`]), the cold parse, and the fingerprint
-//! of any snapshot saved afterwards, so a query never mixes two versions
-//! of a file. An unreadable file bypasses the render cache; its error
-//! (`PATH: i/o error: ...`, whatever the index mode) is raised where
-//! execution reaches the load, after argument validation.
+//! and file identity of any snapshot saved afterwards, so a query never
+//! mixes two versions of a file. An unreadable file bypasses the render
+//! cache; its error (`PATH: i/o error: ...`, whatever the index mode) is
+//! raised where execution reaches the load, after argument validation.
+//!
+//! # Stat-vouched snapshots
+//!
+//! With `--index auto` or `require`, a file source is opened with
+//! [`failindex::open_log`]: when the snapshot beside it recorded the
+//! identity of the read it was built from, the open log still has that
+//! identity, and that read came more than the timestamp granularity
+//! after the log's last change, the log is not read at all. The render
+//! key is then built from the snapshot's recorded fingerprint with
+//! freshness `exact` — byte-identical to the key a read would build —
+//! and the query trace counts `index.snapshot_hit` exactly as a hashed
+//! exact hit does, so output, `metrics` and `--trace` are unchanged. The
+//! engine counts each such source on `engine.snapshots_vouched` in
+//! [`QueryEngine::metrics`]. A snapshot body that fails its checksum or
+//! decode sends the source back to the read path.
 //!
 //! # Vouched fingerprints
 //!
@@ -64,7 +79,8 @@
 //!
 //! Every unfiltered cold parse of a file (index mode `off`, where the
 //! CLI would never write a snapshot) is remembered together with the
-//! [`failindex::SourceInfo`] fingerprint of the bytes it parsed.
+//! [`failindex::SourceInfo`] fingerprint of the bytes it parsed and the
+//! file identity of that read.
 //! [`QueryEngine::persist_dirty`] — called by the server on graceful
 //! shutdown — writes those cached indexes to disk so the next process
 //! starts warm. Auto-mode cold parses refresh their snapshot immediately,
@@ -75,8 +91,8 @@ use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 
 use failfilter::CompiledPredicate;
-use failindex::{Freshness, IndexMode, IndexedLoad, SourceInfo};
-use faillog::{LogFile, ParseOptions};
+use failindex::{Freshness, IndexMode, IndexedLoad, LogSource, SourceInfo};
+use faillog::{LogFile, ParseOptions, ReadStat};
 use failscope::{SectionCtx, StreamView};
 use failsim::{Simulator, SystemModel};
 use failtrace::Collector;
@@ -122,6 +138,8 @@ struct CachedLog {
 struct DirtyLog {
     view: Arc<StreamView>,
     source: SourceInfo,
+    /// The identity of the read that produced `source`, when it had one.
+    read: Option<ReadStat>,
 }
 
 struct RenderEntry {
@@ -330,13 +348,21 @@ impl QueryEngine {
                 .collect();
             (stamp, ids)
         });
-        // Each file source is read exactly once; the render key, the
-        // snapshot decision, the parse and any snapshot saved all use
-        // these bytes. A read error waits until execution reaches the
-        // load, so argument errors keep their precedence.
-        let mut files: Vec<Result<LogFile>> = paths
+        // Each file source is read exactly once, or not at all when its
+        // snapshot vouches for it; the render key, the snapshot
+        // decision, the parse and any snapshot saved all use these
+        // bytes. A read error waits until execution reaches the load, so
+        // argument errors keep their precedence.
+        let mut files: Vec<Result<LogSource>> = paths
             .iter()
-            .map(|path| LogFile::read(path).map_err(|e| Error::run(format!("{path}: {e}"))))
+            .map(|path| {
+                let opened = if needs_fsidx {
+                    failindex::open_log(path)
+                } else {
+                    LogFile::read(path).map(LogSource::Read)
+                };
+                opened.map_err(|e| Error::run(format!("{path}: {e}")))
+            })
             .collect();
         let prints: Option<Vec<Fingerprint>> = files
             .iter()
@@ -493,8 +519,13 @@ impl QueryEngine {
             if matches!(failindex::probe(&path), Ok(Freshness::Exact)) {
                 continue;
             }
-            let saved =
-                failindex::save(failindex::snapshot_path(&path), entry.view.as_ref(), entry.source);
+            let saved = failindex::save_traced(
+                failindex::snapshot_path(&path),
+                entry.view.as_ref(),
+                entry.source,
+                entry.read,
+                None,
+            );
             if saved.is_ok() {
                 written += 1;
                 self.metrics.incr("engine.snapshots_persisted", 1);
@@ -637,7 +668,7 @@ impl QueryEngine {
         &self,
         req: &QueryRequest,
         source: &QuerySource,
-        file: Option<Result<LogFile>>,
+        file: Option<Result<LogSource>>,
         filter: &Option<CompiledPredicate>,
         trace: &Collector,
     ) -> Result<String> {
@@ -679,8 +710,8 @@ impl QueryEngine {
     fn run_compare(
         &self,
         req: &QueryRequest,
-        old: Result<LogFile>,
-        new: Result<LogFile>,
+        old: Result<LogSource>,
+        new: Result<LogSource>,
         filter: &Option<CompiledPredicate>,
         trace: &Collector,
     ) -> Result<String> {
@@ -704,21 +735,36 @@ impl QueryEngine {
     /// *unfiltered* cold parse only — a filtered parse never sees the
     /// whole log, and snapshots must. Every branch judges the bytes
     /// `file` holds, so a refreshed snapshot fingerprints exactly the
-    /// bytes parsed. Returns the view and whether it came from a
-    /// snapshot.
+    /// bytes parsed. A vouched source serves its snapshot without those
+    /// bytes, and falls back to reading them when the snapshot body
+    /// fails. Returns the view and whether it came from a snapshot.
     fn load_file_view(
         &self,
         req: &QueryRequest,
-        file: LogFile,
+        source: LogSource,
         trace: &Collector,
         filter: &Option<CompiledPredicate>,
     ) -> Result<(Arc<StreamView>, bool)> {
         let opts = &req.opts;
         let mode = opts.index_mode();
+        let warm = |view: StreamView| Ok((filter_view(Arc::new(view), filter), true));
+        let file = match source {
+            LogSource::Read(file) => file,
+            LogSource::Vouched(vouched) => {
+                let path = vouched.path().to_path_buf();
+                match vouched.open(Some(trace)) {
+                    Ok(snap) => {
+                        self.metrics.incr("engine.snapshots_vouched", 1);
+                        return warm(snap.into_view());
+                    }
+                    Err(log) => LogFile::read_from(&path, log)
+                        .map_err(|e| Error::run(format!("{}: {e}", path.display())))?,
+                }
+            }
+        };
         if mode == IndexMode::Off {
             return Ok((self.file_view(file, opts, filter, trace)?, false));
         }
-        let warm = |view: StreamView| Ok((filter_view(Arc::new(view), filter), true));
         match failindex::open(&file, Some(trace)) {
             IndexedLoad::Exact(snap) => warm(snap.into_view()),
             IndexedLoad::Extended { snapshot, .. } => warm(snapshot.into_view()),
@@ -730,8 +776,9 @@ impl QueryEngine {
                     return Ok((self.file_view(file, opts, filter, trace)?, false));
                 }
                 let spath = failindex::snapshot_path(file.path());
+                let read = file.stat();
                 let view = self.file_view(file, opts, &None, trace)?;
-                failindex::save_traced(spath, view.as_ref(), source, Some(trace)).ok();
+                failindex::save_traced(spath, view.as_ref(), source, read, Some(trace)).ok();
                 Ok((view, false))
             }
         }
@@ -779,7 +826,7 @@ impl QueryEngine {
         trace: &Collector,
     ) -> Result<Arc<StreamView>> {
         let path = file.path().display().to_string();
-        let info = file.source();
+        let (info, read) = (file.source(), file.stat());
         let filter_tag = match (&filter, opts) {
             (None, _) => String::from("-"),
             (Some(_), o) => format!(
@@ -815,6 +862,7 @@ impl QueryEngine {
                 DirtyLog {
                     view: Arc::clone(&view),
                     source: info,
+                    read,
                 },
             );
         }
@@ -935,10 +983,20 @@ struct Fingerprint {
 }
 
 impl Fingerprint {
-    fn of(file: &LogFile, needs_fsidx: bool) -> Fingerprint {
-        Fingerprint {
-            info: file.source(),
-            fsidx: needs_fsidx.then(|| failindex::freshness(file)),
+    /// A read file's fingerprint, and its snapshot's freshness when
+    /// `needs_fsidx`. A vouched source is an exact match for the
+    /// fingerprint its snapshot recorded, so its key is byte-identical
+    /// to the one reading and hashing the log would build.
+    fn of(source: &LogSource, needs_fsidx: bool) -> Fingerprint {
+        match source {
+            LogSource::Read(file) => Fingerprint {
+                info: file.source(),
+                fsidx: needs_fsidx.then(|| failindex::freshness(file)),
+            },
+            LogSource::Vouched(vouched) => Fingerprint {
+                info: vouched.source(),
+                fsidx: Some(Freshness::Exact),
+            },
         }
     }
 }

@@ -14,6 +14,8 @@
 
 use std::path::Path;
 
+use faillog::{file_id, FileId};
+
 /// A source of file-change notifications, installed with
 /// [`QueryEngine::with_feed`](crate::QueryEngine::with_feed).
 ///
@@ -41,19 +43,10 @@ pub trait ChangeFeed: Send + Sync {
     fn unwatch(&self, path: &str);
 }
 
-/// What `stat` reports about one file: enough to notice a change that
+/// The identities of a log and of its `.fsidx` (`None`: absent), as
+/// [`faillog::file_id`] reports them: enough to notice a change that
 /// raises no notification (a write through `mmap`) or a rename over the
 /// path.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct FileId {
-    dev: u64,
-    ino: u64,
-    len: u64,
-    mtime_ns: i128,
-    ctime_ns: i128,
-}
-
-/// The identities of a log and of its `.fsidx` (`None`: absent).
 pub(crate) type SourceIds = (FileId, Option<FileId>);
 
 /// Stats `path` and its snapshot path; `None` when either cannot be
@@ -62,27 +55,4 @@ pub(crate) fn source_ids(path: &str) -> Option<SourceIds> {
     let log = file_id(Path::new(path))??;
     let snapshot = file_id(&failindex::snapshot_path(path))?;
     Some((log, snapshot))
-}
-
-/// `Some(None)` when the file is absent, `None` when `stat` fails
-/// otherwise or the platform has no inode identities.
-#[cfg(unix)]
-fn file_id(path: &Path) -> Option<Option<FileId>> {
-    use std::os::unix::fs::MetadataExt;
-    match std::fs::metadata(path) {
-        Ok(m) => Some(Some(FileId {
-            dev: m.dev(),
-            ino: m.ino(),
-            len: m.size(),
-            mtime_ns: i128::from(m.mtime()) * 1_000_000_000 + i128::from(m.mtime_nsec()),
-            ctime_ns: i128::from(m.ctime()) * 1_000_000_000 + i128::from(m.ctime_nsec()),
-        })),
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Some(None),
-        Err(_) => None,
-    }
-}
-
-#[cfg(not(unix))]
-fn file_id(_path: &Path) -> Option<Option<FileId>> {
-    None
 }

@@ -213,6 +213,7 @@ pub fn run(req: &WatchRequest, out: &mut dyn io::Write) -> Result<Collector> {
                 failindex::snapshot_path(&log_path),
                 outcome.state.view(),
                 progress,
+                None,
                 Some(&trace),
             )
             .ok();

@@ -21,6 +21,10 @@
 //! `bench` times a cold serial pass against a cold parallel pass over
 //! the full catalog, verifies the outputs match byte for byte, and
 //! writes `BENCH_pipeline.json` (override the path with `--json PATH`).
+//! With `--history FILE --pr N` it also appends one NDJSON line of its
+//! headline figures, tagged with change number `N`, to `FILE`
+//! (`BENCH_history.ndjson` in the repository), so a regression shows as
+//! a series rather than as one noisy reading.
 //!
 //! Exits non-zero when any requested experiment fails its checks.
 
@@ -44,6 +48,8 @@ fn main() {
     let mut args: Vec<String> = Vec::new();
     let mut threads = 0usize; // 0 = host parallelism
     let mut json_path = String::from("BENCH_pipeline.json");
+    let mut history_path: Option<String> = None;
+    let mut pr: Option<u64> = None;
     let mut iter = raw.iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
@@ -54,6 +60,14 @@ fn main() {
             "--json" => match iter.next() {
                 Some(path) => json_path = path.clone(),
                 None => usage("--json needs a path"),
+            },
+            "--history" => match iter.next() {
+                Some(path) => history_path = Some(path.clone()),
+                None => usage("--history needs a path"),
+            },
+            "--pr" => match iter.next().and_then(|v| v.parse().ok()) {
+                Some(n) => pr = Some(n),
+                None => usage("--pr needs a non-negative integer"),
             },
             "--help" | "-h" => usage(""),
             _ => args.push(arg.clone()),
@@ -73,9 +87,17 @@ fn main() {
         }
         return;
     }
+    let history = match (history_path, pr) {
+        (Some(path), Some(pr)) => Some((path, pr)),
+        (None, None) => None,
+        _ => usage("--history and --pr go together"),
+    };
     if args.iter().any(|a| a == "bench") {
-        bench(&catalog, &json_path);
+        bench(&catalog, &json_path, history.as_ref());
         return;
+    }
+    if history.is_some() {
+        usage("--history and --pr only apply to bench");
     }
 
     let mut selected: Vec<CatalogEntry> = Vec::new();
@@ -124,7 +146,7 @@ fn main() {
 
 /// Times a cold serial pass vs. a cold parallel pass over the whole
 /// catalog and records the comparison as JSON.
-fn bench(catalog: &[CatalogEntry], json_path: &str) {
+fn bench(catalog: &[CatalogEntry], json_path: &str, history: Option<&(String, u64)>) {
     settle_allocator();
     let store = LogStore::global();
     let threads = runner::threads();
@@ -654,6 +676,34 @@ fn bench(catalog: &[CatalogEntry], json_path: &str) {
         eprintln!("server shutdown persisted {server_snapshots} snapshots, expected 2");
         std::process::exit(1);
     }
+    if let Some((path, pr)) = history {
+        let line = JsonValue::object()
+            .field("pr", *pr)
+            .field("detected_cores", failstats::available_threads())
+            .field("index_load_speedup_x100", (index_load_speedup * 100.0) as u64)
+            .field("index_report_speedup_x100", (index_report_speedup * 100.0) as u64)
+            .field("parse_records_per_second", parse_parallel_rate as u64)
+            .field("server_queries_per_second", server_rate as u64)
+            .field("scale_p50_ms", scale_p50 * 1e3)
+            .field("scale_p99_ms", scale_p99 * 1e3)
+            .build()
+            .render();
+        if let Err(err) = append_line(path, &line) {
+            eprintln!("failed to append to {path}: {err}");
+            std::process::exit(1);
+        }
+        println!("  appended pr {pr} to {path}");
+    }
+}
+
+/// Appends `line` and a newline to the file at `path`, creating it.
+fn append_line(path: &str, line: &str) -> std::io::Result<()> {
+    use std::io::Write as _;
+    let mut file = std::fs::OpenOptions::new()
+        .create(true)
+        .append(true)
+        .open(path)?;
+    writeln!(file, "{line}")
 }
 
 /// Puts the allocator in the same state for every timed block, whatever
@@ -690,7 +740,7 @@ fn usage(problem: &str) -> ! {
         eprintln!("error: {problem}");
     }
     eprintln!(
-        "usage: repro [--threads N] [--json PATH] \
+        "usage: repro [--threads N] [--json PATH] [--history FILE --pr N] \
          [all | ablations | extensions | list | bench | <id>...]"
     );
     eprintln!(

@@ -8,11 +8,18 @@ use failtypes::{Error, Result};
 
 use crate::args::ParsedArgs;
 
+/// Nanoseconds since the Unix epoch as `SECONDS.NANOSECONDS`.
+fn seconds(ns: i64) -> String {
+    format!("{}.{:09}", ns.div_euclid(1_000_000_000), ns.rem_euclid(1_000_000_000))
+}
+
 /// `failctl index`.
 ///
-/// `build` parses the log and writes a fresh snapshot; `verify` is a
-/// read-only freshness check (exit status reflects usability); `stat`
-/// prints a snapshot's own metadata without touching the source log.
+/// `build` parses the log and writes a fresh snapshot that records the
+/// log's identity; `verify` is a read-only freshness check that always
+/// hashes the whole log (exit status reflects usability); `stat` prints
+/// a snapshot's own metadata and whether a query would vouch for it
+/// now, stat-ing the source log but never reading it.
 pub fn index_cmd(args: &ParsedArgs) -> Result<String> {
     args.reject_unknown_flags(&["threads"])?;
     let action = args.positional(0, "build|verify|stat")?;
@@ -23,11 +30,11 @@ pub fn index_cmd(args: &ParsedArgs) -> Result<String> {
                 ParseOptions::new().threads(failapi::parse_threads(args.flag("threads"))?);
             let with_path = |e| Error::run(format!("{path}: {e}"));
             let file = LogFile::read(path).map_err(with_path)?;
-            let source = file.source();
+            let (source, read) = (file.source(), file.stat());
             let view =
                 failscope::StreamView::from(file.parse(None, &parse_opts).map_err(with_path)?);
             let spath = failindex::snapshot_path(path);
-            let bytes = failindex::save(&spath, &view, source)?;
+            let bytes = failindex::save_traced(&spath, &view, source, read, None)?;
             Ok(format!(
                 "indexed {} records -> {} ({bytes} bytes)\n",
                 view.len(),
@@ -52,10 +59,9 @@ pub fn index_cmd(args: &ParsedArgs) -> Result<String> {
             }
         }
         "stat" => {
-            let spath = if path.ends_with(".fsidx") {
-                std::path::PathBuf::from(path)
-            } else {
-                failindex::snapshot_path(path)
+            let (log, spath) = match path.strip_suffix(".fsidx") {
+                Some(log) => (log, std::path::PathBuf::from(path)),
+                None => (path, failindex::snapshot_path(path)),
             };
             let snap = failindex::load(&spath)?;
             let source = snap.source();
@@ -77,6 +83,30 @@ pub fn index_cmd(args: &ParsedArgs) -> Result<String> {
                 out,
                 "source:   {} bytes, {} lines, crc32 {:08x}",
                 source.bytes, source.lines, source.crc32
+            );
+            match snap.read() {
+                Some(read) => {
+                    let id = read.id;
+                    let _ = writeln!(
+                        out,
+                        "identity: device {}, inode {}, {} bytes, mtime {}, ctime {}",
+                        id.dev,
+                        id.ino,
+                        id.len,
+                        seconds(id.mtime_ns),
+                        seconds(id.ctime_ns)
+                    );
+                    let _ = writeln!(out, "read at:  {}", seconds(read.read_at_ns));
+                }
+                None => {
+                    let _ = writeln!(out, "identity: none");
+                }
+            }
+            let now = faillog::file_id(std::path::Path::new(log)).flatten();
+            let _ = writeln!(
+                out,
+                "vouched:  {}",
+                failindex::vouch(snap.read(), now).label()
             );
             Ok(out)
         }

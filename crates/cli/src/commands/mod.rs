@@ -73,7 +73,11 @@ COMMANDS
       snapshot when one exists (skipping parsing entirely on an
       unchanged log, parsing only the appended tail on a grown one) and
       refreshes it after cold parses; require insists on a warm
-      snapshot; off (the default) ignores snapshots.
+      snapshot; off (the default) ignores snapshots. A snapshot that
+      recorded the log's file identity (device, inode, size, mtime,
+      ctime) is served without reading the log while a stat still
+      matches it and the log last changed well before the build read
+      it; otherwise the log is read and checksummed.
   compare <OLD> <NEW> [--threads N] [--where EXPR]
           [--since T] [--until T] [--format text|json] [--trace FILE]
           [--index auto|off|require]
@@ -83,11 +87,15 @@ COMMANDS
       for report; --index works as for report, for both inputs.
   index build|verify|stat <FILE> [--threads N]
       Manage FILE.fsidx snapshots: build parses FILE and writes the
-      checksummed snapshot next to it; verify checks the snapshot
-      against the log's current bytes (exact or prefix coverage
-      passes, stale or missing is an error); stat prints a
-      snapshot's metadata without reading the log (FILE may also be
-      the .fsidx itself).
+      checksummed snapshot next to it, recording FILE's identity;
+      verify checks the snapshot against the log's current bytes
+      (exact or prefix coverage passes, stale or missing is an error),
+      always reading and checksumming the whole log, so use it when
+      you do not trust file timestamps; stat prints a snapshot's
+      metadata, the recorded identity and whether a query would serve
+      it without reading the log now (yes, racy, or no identity),
+      stat-ing but never reading the log (FILE may also be the .fsidx
+      itself).
   watch <FILE|sim:MODEL> [--follow] [--accel RATE|max] [--seed N]
         [--baseline tsubame2|tsubame3|none] [--window N] [--refresh N]
         [--chunk N] [--max-records N] [--max-idle N] [--inject-mttr F]

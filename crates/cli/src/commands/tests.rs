@@ -367,6 +367,9 @@ fn index_lifecycle_and_warm_reports_match_cold_byte_for_byte() {
     let st = index_cmd(&parse(&["index", "stat", p])).expect("stats");
     assert!(st.contains("records:  897"), "{st}");
     assert!(st.contains("Tsubame-2"), "{st}");
+    assert!(st.contains("format:   fsidx v3\n"), "{st}");
+    assert!(st.contains("identity: device "), "{st}");
+    assert!(st.contains("vouched:  "), "{st}");
     let st2 = index_cmd(&parse(&["index", "stat", &spath])).expect("stats");
     assert_eq!(st, st2, "stat accepts the .fsidx path directly");
     assert!(index_cmd(&parse(&["index", "rebuild", p])).is_err());
@@ -853,4 +856,244 @@ fn flag_rejections_name_the_flag_and_value() {
     assert!(m.contains("--where ttr > 1"), "{m}");
     assert!(m.contains("failctl index build"), "{m}");
     std::fs::remove_file(&path).expect("cleanup");
+}
+
+/// How long a log sits unchanged before a vouching `index build`: well
+/// past the racy bound `failindex` allows for timestamp granularity
+/// (100 ms on a filesystem with nanosecond timestamps).
+const AGED: std::time::Duration = std::time::Duration::from_millis(300);
+
+/// `failctl report WORDS...` exactly as [`report`] runs it, on a fresh
+/// engine whose metrics then say how many sources it served from a
+/// snapshot that vouched for its log, without reading the log.
+fn report_counting_vouched(words: &[&str]) -> Result<(String, u64)> {
+    let args = parse(words);
+    let common = common::CommonQueryArgs::from_args(&args);
+    let req = common.apply_query(failapi::QueryRequest::report(
+        report::report_source_at(&args, 0)?,
+    ))?;
+    let engine = failapi::QueryEngine::new();
+    let outcome = engine.execute(&req)?;
+    common.write_trace(&outcome.trace)?;
+    Ok((
+        outcome.output,
+        engine.metrics().counter("engine.snapshots_vouched"),
+    ))
+}
+
+/// `text` with the last digit of its first record's TTR changed: the
+/// same length, other bytes, and still a valid log.
+fn same_length_edit(text: &str) -> String {
+    let body = text.find("\nid,").expect("column header") + 1;
+    let row = body + text[body..].find('\n').expect("first row") + 1;
+    let ttr_end = row
+        + text[row..]
+            .match_indices(',')
+            .nth(2)
+            .expect("a ttr field")
+            .0;
+    let mut bytes = text.as_bytes().to_vec();
+    let digit = &mut bytes[ttr_end - 1];
+    *digit = if *digit == b'9' { b'8' } else { *digit + 1 };
+    String::from_utf8(bytes).expect("still text")
+}
+
+#[test]
+fn vouched_warm_reports_follow_every_change_to_the_log() {
+    use std::time::{Duration, Instant};
+
+    let dir = temp_path("vouch-matrix");
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::create_dir_all(&dir).expect("matrix dir");
+    let log = Simulator::new(SystemModel::tsubame2(), 42).generate().expect("simulates");
+    let text = faillog::to_string(&log).expect("serializes");
+    let cut = text[..text.len() / 2].rfind('\n').expect("has lines") + 1;
+    let (prefix, tail) = text.split_at(cut);
+    let edited = same_length_edit(prefix);
+    assert_eq!(edited.len(), prefix.len());
+    assert_ne!(edited, prefix);
+    assert!(faillog::from_str(&edited).is_ok());
+
+    let log_path = dir.join("log.fslog");
+    let p = log_path.to_str().expect("utf8 path");
+    let spath = format!("{p}.fsidx");
+    let stat = || index_cmd(&parse(&["index", "stat", p])).expect("stats");
+    // An aged log and a fresh build: the snapshot vouches for it.
+    let build_aged = || {
+        std::thread::sleep(AGED);
+        index_cmd(&parse(&["index", "build", p])).expect("builds");
+        let st = stat();
+        assert!(st.contains("vouched:  yes"), "{st}");
+    };
+    let reset = || {
+        std::fs::remove_file(&log_path).ok();
+        std::fs::remove_file(&spath).ok();
+        std::fs::write(&log_path, prefix).expect("writes the log");
+    };
+    // After a change: `require` never vouches, and serves the current
+    // bytes or refuses as it always has; `auto` serves the current bytes.
+    let check = |case: &str, require_serves: bool| {
+        let cold = report(&parse(&["report", p, "--sections", ANALYSIS, "--index", "off"]))
+            .expect("reports cold");
+        match report_counting_vouched(&["report", p, "--sections", ANALYSIS, "--index", "require"])
+        {
+            Ok((out, vouched)) => {
+                assert!(require_serves, "{case}: require served a stale snapshot");
+                assert_eq!(vouched, 0, "{case}");
+                assert_eq!(out, cold, "{case}: require");
+            }
+            Err(e) => {
+                assert!(!require_serves, "{case}: {e}");
+                assert!(e.to_string().contains("no warm .fsidx snapshot"), "{case}: {e}");
+            }
+        }
+        let auto = report(&parse(&["report", p, "--sections", ANALYSIS, "--index", "auto"]))
+            .expect("reports auto");
+        assert_eq!(auto, cold, "{case}: auto");
+    };
+
+    // The positive control: an unchanged log is served without a read.
+    reset();
+    build_aged();
+    let (out, vouched) =
+        report_counting_vouched(&["report", p, "--sections", ANALYSIS, "--index", "require"])
+            .expect("reports");
+    assert_eq!(vouched, 1);
+    let cold = report(&parse(&["report", p, "--sections", ANALYSIS, "--index", "off"]))
+        .expect("reports cold");
+    assert_eq!(out, cold);
+
+    // Append: the snapshot extends over the tail.
+    reset();
+    build_aged();
+    let mut f = std::fs::OpenOptions::new().append(true).open(&log_path).expect("opens");
+    std::io::Write::write_all(&mut f, tail.as_bytes()).expect("appends");
+    drop(f);
+    check("append", true);
+
+    // Same-length rewrite in place.
+    reset();
+    build_aged();
+    std::fs::write(&log_path, &edited).expect("rewrites");
+    check("same-length rewrite", false);
+
+    // The rewrite, then `touch -r` back to the old mtime: the ctime
+    // still moves.
+    reset();
+    build_aged();
+    let mtime = std::fs::metadata(&log_path).and_then(|m| m.modified()).expect("mtime");
+    std::fs::write(&log_path, &edited).expect("rewrites");
+    std::fs::File::options()
+        .write(true)
+        .open(&log_path)
+        .and_then(|f| f.set_modified(mtime))
+        .expect("sets the mtime back");
+    assert_eq!(
+        std::fs::metadata(&log_path).and_then(|m| m.modified()).expect("mtime"),
+        mtime
+    );
+    check("rewrite + touch -r", false);
+
+    // Rename over the path.
+    reset();
+    build_aged();
+    let staged = dir.join("staged.fslog");
+    std::fs::write(&staged, &edited).expect("stages");
+    std::fs::rename(&staged, &log_path).expect("renames over");
+    check("rename-over", false);
+
+    // Unlink and re-create.
+    reset();
+    build_aged();
+    std::fs::remove_file(&log_path).expect("unlinks");
+    std::fs::write(&log_path, &edited).expect("re-creates");
+    check("unlink + re-create", false);
+
+    // The path is a symlink, and its target is swapped.
+    #[cfg(unix)]
+    {
+        reset();
+        let (a, b) = (dir.join("a.fslog"), dir.join("b.fslog"));
+        std::fs::write(&a, prefix).expect("writes a");
+        std::fs::write(&b, &edited).expect("writes b");
+        std::fs::remove_file(&log_path).expect("unlinks");
+        std::os::unix::fs::symlink(&a, &log_path).expect("links to a");
+        build_aged();
+        std::fs::remove_file(&log_path).expect("unlinks the link");
+        std::os::unix::fs::symlink(&b, &log_path).expect("links to b");
+        check("symlink swap", false);
+    }
+
+    // A racy build: the log was written just before the build read it,
+    // so the snapshot does not vouch, and a same-length rewrite right
+    // after the build is read like any other change.
+    reset();
+    let started = Instant::now();
+    std::fs::write(&log_path, prefix).expect("writes the log");
+    index_cmd(&parse(&["index", "build", p])).expect("builds");
+    if started.elapsed() < Duration::from_millis(50) {
+        let st = stat();
+        assert!(st.contains("vouched:  racy"), "{st}");
+        let (out, vouched) =
+            report_counting_vouched(&["report", p, "--sections", ANALYSIS, "--index", "require"])
+                .expect("reports");
+        assert_eq!(vouched, 0, "a racy snapshot is checked against the bytes");
+        assert_eq!(out, cold);
+    }
+    std::fs::write(&log_path, &edited).expect("rewrites");
+    check("racy build + rewrite", false);
+
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_vouched_warm_report_equals_the_hashed_one_byte_for_byte() {
+    let path = temp_path("vouch-bytes.fslog");
+    let p = path.to_str().unwrap();
+    let spath = format!("{p}.fsidx");
+    generate(&parse(&["generate", "--system", "tsubame3", "--out", p])).expect("generates");
+    std::thread::sleep(AGED);
+    index_cmd(&parse(&["index", "build", p])).expect("builds");
+    let st = index_cmd(&parse(&["index", "stat", p])).expect("stats");
+    assert!(st.contains("identity: device "), "{st}");
+    assert!(st.contains("read at:  "), "{st}");
+    assert!(st.contains("vouched:  yes"), "{st}");
+
+    // Every section, metrics included, and the trace export.
+    let tp = temp_path("vouch-bytes.ndjson");
+    let tp = tp.to_str().unwrap();
+    let run = |threads: &str, expect_vouched: u64| {
+        let (out, vouched) = report_counting_vouched(&[
+            "report", p, "--index", "require", "--threads", threads, "--trace", tp,
+        ])
+        .expect("reports");
+        assert_eq!(vouched, expect_vouched, "--threads {threads}");
+        (out, std::fs::read_to_string(tp).expect("trace written"))
+    };
+    let vouched: Vec<_> = ["1", "4"].iter().map(|t| run(t, 1)).collect();
+    assert_eq!(vouched[0], vouched[1]);
+    assert!(vouched[0].0.contains("counter index.snapshot_hit = 1"), "{}", vouched[0].0);
+
+    // The same snapshot without an identity takes the hashed path.
+    let snap = failindex::load(&spath).expect("loads");
+    failindex::save(&spath, snap.view(), snap.source()).expect("saves");
+    let st = index_cmd(&parse(&["index", "stat", p])).expect("stats");
+    assert!(st.contains("identity: none\n"), "{st}");
+    assert!(st.contains("vouched:  no identity\n"), "{st}");
+    for (threads, expected) in ["1", "4"].iter().zip(&vouched) {
+        assert_eq!(&run(threads, 0), expected, "--threads {threads}");
+    }
+    // The CLI entry point gives the same bytes.
+    let cli = report(&parse(&["report", p, "--index", "require"])).expect("reports");
+    assert_eq!(cli, vouched[0].0);
+
+    // Analysis sections equal a cold parse's.
+    let cold = report(&parse(&["report", p, "--sections", ANALYSIS, "--index", "off"]))
+        .expect("reports");
+    let warm = report(&parse(&["report", p, "--sections", ANALYSIS, "--index", "auto"]))
+        .expect("reports");
+    assert_eq!(warm, cold);
+    std::fs::remove_file(&path).ok();
+    std::fs::remove_file(&spath).ok();
+    std::fs::remove_file(tp).ok();
 }

@@ -64,8 +64,8 @@ use std::sync::OnceLock;
 
 use failtrace::Collector;
 use failtypes::{
-    Category, Domain, FailureLog, FailureRecord, Generation, GpuSlot, InvalidRecordError,
-    Month, ObservationWindow, SoftwareLocus, SystemSpec,
+    Category, Domain, FailureLog, FailureRecord, Generation, GpuSlot, Hours, InvalidRecordError,
+    Month, NodeId, ObservationWindow, SoftwareLocus, SystemSpec,
 };
 
 /// Error from [`StreamView::push`].
@@ -390,13 +390,19 @@ pub struct StreamView {
 /// `failindex` snapshot stores on disk, with the cheaply re-derivable
 /// arrays left out.
 ///
-/// `times`, `recoveries`, the per-node tallies and the GPU-count
-/// histogram are reconstructed from the records in one pass, and the
-/// month buckets from `month_counts`: records arrive in time order, so
-/// each month's repair durations are a contiguous run of the record
-/// sequence and per-month *counts* fully determine the bucketing.
-/// [`StreamView::from_parts`] performs the reconstruction. The three
-/// sorted arrays are stored because re-deriving them costs a sort.
+/// The records travel as columns, one entry per record in arrival
+/// order, so a loader converts each column in one bulk pass and
+/// [`StreamView::from_parts`] assembles the records from them. The view
+/// takes `times` and `slots` (its GPU-slot involvements) as they are,
+/// derives `recoveries` from `times` and `ttrs`, and slices the month
+/// buckets out of `ttrs`: records arrive in time order, so each month's
+/// repair durations are a contiguous run of the record sequence and
+/// per-month *counts* fully determine the bucketing. The category
+/// partitions are rebuilt in one pass over the category column. The
+/// three sorted arrays are stored because re-deriving them costs a sort;
+/// the per-node tallies and the GPU-count histogram because rebuilding
+/// them costs a scattered or branchy pass over every record, several
+/// times the cost of a few kilobytes of stored counts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ViewParts {
     /// The system generation.
@@ -405,8 +411,24 @@ pub struct ViewParts {
     pub spec: SystemSpec,
     /// The observation window.
     pub window: ObservationWindow,
-    /// Records in time order.
-    pub records: Vec<FailureRecord>,
+    /// Record ids.
+    pub ids: Vec<u32>,
+    /// Failure times, hours.
+    pub times: Vec<f64>,
+    /// Repair durations, hours.
+    pub ttrs: Vec<f64>,
+    /// The distinct categories the records carry.
+    pub category_palette: Vec<Category>,
+    /// Each record's category, as an index into `category_palette`.
+    pub categories: Vec<u8>,
+    /// Each record's node id.
+    pub nodes: Vec<u32>,
+    /// Each record's software root locus.
+    pub loci: Vec<Option<SoftwareLocus>>,
+    /// How many GPU slots each record names.
+    pub gpu_counts: Vec<u8>,
+    /// Every record's GPU slots, concatenated in arrival order.
+    pub slots: Vec<GpuSlot>,
     /// Repair durations sorted ascending (one per record).
     pub ttrs_sorted: Vec<f64>,
     /// Window-clamped recovery times sorted ascending (one per record).
@@ -414,10 +436,13 @@ pub struct ViewParts {
     /// Inter-arrival gaps sorted ascending (one per record after the
     /// first).
     pub gaps_sorted: Vec<f64>,
-    /// Record indices partitioned by category.
-    pub category_indices: BTreeMap<Category, Vec<u32>>,
     /// Software root-locus counts.
     pub locus_counts: BTreeMap<SoftwareLocus, usize>,
+    /// One tally per node of the spec, indexed by node id.
+    pub node_tallies: Vec<NodeTally>,
+    /// GPU-category records by number of GPUs involved, indexed
+    /// `0..=gpus_per_node`.
+    pub gpu_count_histogram: Vec<usize>,
     /// GPU-failure involvements per slot.
     pub slot_counts: Vec<usize>,
     /// Failure counts per rack.
@@ -528,16 +553,35 @@ impl StreamView {
     pub fn into_parts(mut self) -> ViewParts {
         self.materialize();
         self.gaps_sorted.materialize();
+        let n = self.records.len();
+        let mut categories = vec![0u8; n];
+        let mut category_palette = Vec::with_capacity(self.category_indices.len());
+        for (code, (&category, indices)) in self.category_indices.iter().enumerate() {
+            category_palette.push(category);
+            for &i in indices {
+                categories[i as usize] = code as u8;
+            }
+        }
+        let records = &self.records;
         ViewParts {
             generation: self.generation,
             spec: self.spec,
             window: self.window,
-            records: self.records,
+            ids: records.iter().map(FailureRecord::id).collect(),
+            ttrs: records.iter().map(|r| r.ttr().get()).collect(),
+            nodes: records.iter().map(|r| r.node().index()).collect(),
+            loci: records.iter().map(FailureRecord::locus).collect(),
+            gpu_counts: records.iter().map(|r| r.gpus().len() as u8).collect(),
+            times: self.times,
+            category_palette,
+            categories,
+            slots: self.slot_involvements,
             ttrs_sorted: self.ttrs_sorted.run,
             recoveries_sorted: self.recoveries_sorted.run,
             gaps_sorted: self.gaps_sorted.run,
-            category_indices: self.category_indices,
             locus_counts: self.locus_counts,
+            node_tallies: self.node_tallies,
+            gpu_count_histogram: self.gpu_count_histogram,
             slot_counts: self.slot_counts,
             rack_counts: self.rack_counts,
             gpu_involvements: self.gpu_involvements,
@@ -546,40 +590,51 @@ impl StreamView {
         }
     }
 
-    /// Reassembles a view from persisted [`ViewParts`], re-deriving the
-    /// arrays the payload omits (`times`, `recoveries`, the per-node
-    /// tallies, the GPU-count histogram, the per-month buckets) in O(n)
-    /// — no sorting, no re-validation of individual records (the caller
-    /// vouches for the payload, e.g. via a checksum). In debug builds the
-    /// result is additionally checked against a full per-record rebuild,
-    /// and refused when it differs.
+    /// Reassembles a view from persisted [`ViewParts`]: the records are
+    /// assembled from the columns, and the arrays the payload omits
+    /// (`recoveries`, the category partitions, the per-month buckets)
+    /// are re-derived in O(n) — no sorting, no re-validation of individual records (the
+    /// caller vouches for the payload, e.g. via a checksum). In debug
+    /// builds the result is additionally checked against a full
+    /// per-record rebuild, and refused when it differs.
     ///
     /// # Errors
     ///
     /// Returns [`failtypes::Error::Run`] when the payload's shapes are
-    /// inconsistent (array lengths not matching the record count, a
-    /// sorted array out of order, month buckets not matching the window,
-    /// tallies not matching the spec, a record naming a node outside
-    /// it) — the signal for a snapshot loader to fall back to a cold
-    /// parse.
+    /// inconsistent (a column or sorted array whose length does not
+    /// match the record count, a sorted array out of order, month
+    /// buckets not matching the window, tallies or the GPU-count
+    /// histogram not matching the spec,
+    /// a category code outside the palette, a record naming a node
+    /// outside the spec) — the signal for a snapshot loader to fall back
+    /// to a cold parse.
     pub fn from_parts(parts: ViewParts) -> Result<Self, failtypes::Error> {
         let ViewParts {
             generation,
             spec,
             window,
-            records,
+            ids,
+            times,
+            ttrs,
+            category_palette,
+            categories,
+            nodes,
+            loci,
+            gpu_counts,
+            slots,
             ttrs_sorted,
             recoveries_sorted,
             gaps_sorted,
-            category_indices,
             locus_counts,
+            node_tallies,
+            gpu_count_histogram,
             slot_counts,
             rack_counts,
             gpu_involvements,
             multi_gpu_times,
             month_counts,
         } = parts;
-        let n = records.len();
+        let n = ids.len();
         let shape_err = |what: &str| {
             failtypes::Error::run(format!("inconsistent snapshot payload: {what}"))
         };
@@ -589,6 +644,20 @@ impl StreamView {
             return Err(shape_err("month buckets do not match the window"));
         }
         let months = window.months();
+        let columns = [
+            times.len(),
+            ttrs.len(),
+            categories.len(),
+            nodes.len(),
+            loci.len(),
+            gpu_counts.len(),
+        ];
+        if columns.iter().any(|&len| len != n) {
+            return Err(shape_err("record columns do not match the record count"));
+        }
+        if gpu_counts.iter().map(|&c| usize::from(c)).sum::<usize>() != slots.len() {
+            return Err(shape_err("GPU slots do not match the per-record counts"));
+        }
         if ttrs_sorted.len() != n
             || recoveries_sorted.len() != n
             || gaps_sorted.len() != n.saturating_sub(1)
@@ -600,11 +669,26 @@ impl StreamView {
         }
         if slot_counts.len() != spec.gpus_per_node() as usize
             || rack_counts.len() != spec.racks() as usize
+            || node_tallies.len() != spec.nodes() as usize
+            || gpu_count_histogram.len() != spec.gpus_per_node() as usize + 1
         {
-            return Err(shape_err("per-slot/per-rack tallies do not match the spec"));
+            return Err(shape_err("per-node/slot/rack tallies do not match the spec"));
         }
-        if category_indices.values().map(Vec::len).sum::<usize>() != n {
-            return Err(shape_err("category partitions do not match the record count"));
+        if nodes.iter().any(|&node| node >= spec.nodes()) {
+            return Err(shape_err("a record names a node outside the spec"));
+        }
+        let palette_len = category_palette.len();
+        // Categories are a small closed set, so a long palette meets its
+        // first duplicate early and this stays a few dozen compares.
+        let distinct = category_palette
+            .iter()
+            .enumerate()
+            .all(|(i, c)| !category_palette[..i].contains(c));
+        if !distinct {
+            return Err(shape_err("category palette entries are not distinct"));
+        }
+        if categories.iter().any(|&code| usize::from(code) >= palette_len) {
+            return Err(shape_err("a category code lies outside the palette"));
         }
         let ascending = |xs: &[f64]| xs.windows(2).all(|w| w[0] <= w[1]);
         if !ascending(&ttrs_sorted) || !ascending(&recoveries_sorted) || !ascending(&gaps_sorted)
@@ -612,36 +696,70 @@ impl StreamView {
             return Err(shape_err("sorted arrays are not in ascending order"));
         }
 
-        // One pass over the records rebuilds every derived index. Time
-        // order makes each month bucket a contiguous run of the record
-        // sequence, so the stored counts slice it back apart.
+        // Whole-column derivations: recoveries element-wise, and the
+        // month buckets as contiguous runs of the arrival-order TTRs
+        // (time order makes each month one run), each summed in arrival
+        // order exactly as `MonthBuckets::push` would.
         let window_hours = window.duration().get();
-        let mut times = Vec::with_capacity(n);
-        let mut recoveries = Vec::with_capacity(n);
-        let mut slot_involvements = Vec::new();
-        let mut node_tallies = vec![NodeTally::default(); spec.nodes() as usize];
-        let mut gpu_count_histogram = vec![0; spec.gpus_per_node() as usize + 1];
-        let mut month_buckets = MonthBuckets::new(months.len());
+        let recoveries: Vec<f64> = times
+            .iter()
+            .zip(&ttrs)
+            .map(|(&t, &r)| (t + r).min(window_hours))
+            .collect();
+        let mut month_buckets = MonthBuckets {
+            ttrs: Vec::with_capacity(month_counts.len()),
+            sums: Vec::with_capacity(month_counts.len()),
+        };
         let mut offset = 0usize;
-        for (month, &count) in month_counts.iter().enumerate() {
-            month_buckets.ttrs[month].reserve_exact(count);
-            for rec in &records[offset..offset + count] {
-                times.push(rec.time().get());
-                recoveries.push(rec.recovery_time().get().min(window_hours));
-                slot_involvements.extend_from_slice(rec.gpus());
-                node_tallies
-                    .get_mut(rec.node().index() as usize)
-                    .ok_or_else(|| shape_err("a record names a node outside the spec"))?
-                    .add(rec);
-                count_gpus(&mut gpu_count_histogram, rec);
-                month_buckets.push(month, rec.ttr().get());
-            }
+        for &count in &month_counts {
+            let bucket = ttrs[offset..offset + count].to_vec();
+            month_buckets.sums.push(bucket.iter().fold(-0.0, |sum, &x| sum + x));
+            month_buckets.ttrs.push(bucket);
             offset += count;
         }
         let month_cursor = month_counts
             .iter()
             .rposition(|&c| c > 0)
             .unwrap_or(0);
+
+        // One pass over the category column partitions the record
+        // indices; one over all the columns assembles the records.
+        let mut partition_sizes = vec![0usize; palette_len];
+        for &code in &categories {
+            partition_sizes[usize::from(code)] += 1;
+        }
+        let mut partitions: Vec<Vec<u32>> = partition_sizes
+            .iter()
+            .map(|&size| Vec::with_capacity(size))
+            .collect();
+        for (i, &code) in categories.iter().enumerate() {
+            partitions[usize::from(code)].push(i as u32);
+        }
+        let mut records = Vec::with_capacity(n);
+        let mut slot_offset = 0usize;
+        for i in 0..n {
+            let mut rec = FailureRecord::new(
+                ids[i],
+                Hours::new(times[i]),
+                Hours::new(ttrs[i]),
+                category_palette[usize::from(categories[i])],
+                NodeId::new(nodes[i]),
+            );
+            let count = usize::from(gpu_counts[i]);
+            if count > 0 {
+                rec = rec.with_gpus(slots[slot_offset..slot_offset + count].iter().copied());
+                slot_offset += count;
+            }
+            if let Some(locus) = loci[i] {
+                rec = rec.with_locus(locus);
+            }
+            records.push(rec);
+        }
+        let category_indices: BTreeMap<Category, Vec<u32>> = category_palette
+            .into_iter()
+            .zip(partitions)
+            .filter(|(_, indices)| !indices.is_empty())
+            .collect();
 
         let view = StreamView {
             generation,
@@ -661,7 +779,7 @@ impl StreamView {
             rack_counts,
             gpu_involvements,
             gpu_count_histogram,
-            slot_involvements,
+            slot_involvements: slots,
             multi_gpu_times,
             month_buckets,
             records,
@@ -981,7 +1099,6 @@ impl StreamView {
 mod tests {
     use super::*;
     use failsim::{Simulator, SystemModel};
-    use failtypes::{Hours, NodeId};
 
     fn feed(log: &FailureLog) -> StreamView {
         let mut sv = StreamView::empty_like(log);
@@ -1364,7 +1481,7 @@ mod tests {
             let log = Simulator::new(model, seed).generate().unwrap();
             let sv = feed(&log);
             let parts = sv.clone().into_parts();
-            assert_eq!(parts.records.len(), log.len());
+            assert_eq!(parts.ids.len(), log.len());
             assert_eq!(parts.month_counts.iter().sum::<usize>(), log.len());
             let restored = StreamView::from_parts(parts).unwrap();
             assert_eq!(restored, sv);
@@ -1406,15 +1523,19 @@ mod tests {
         let mut unsorted_gaps = good.clone();
         unsorted_gaps.gaps_sorted.reverse();
         let mut stray_node = good.clone();
-        stray_node.records[0] = FailureRecord::new(
-            stray_node.records[0].id(),
-            stray_node.records[0].time(),
-            stray_node.records[0].ttr(),
-            stray_node.records[0].category(),
-            NodeId::new(stray_node.spec.nodes()),
-        );
-        let mut bad_partition = good.clone();
-        bad_partition.category_indices.values_mut().next().unwrap().pop();
+        stray_node.nodes[0] = stray_node.spec.nodes();
+        let mut stray_code = good.clone();
+        stray_code.categories[0] = stray_code.category_palette.len() as u8;
+        let mut twice = good.clone();
+        twice.category_palette.push(twice.category_palette[0]);
+        let mut short_column = good.clone();
+        short_column.ttrs.pop();
+        let mut dropped_slot = good.clone();
+        dropped_slot.slots.pop();
+        let mut dropped_tally = good.clone();
+        dropped_tally.node_tallies.pop();
+        let mut wide_histogram = good.clone();
+        wide_histogram.gpu_count_histogram.push(0);
         for parts in [
             dropped_ttr,
             bad_months,
@@ -1424,7 +1545,12 @@ mod tests {
             dropped_gap,
             unsorted_gaps,
             stray_node,
-            bad_partition,
+            stray_code,
+            twice,
+            short_column,
+            dropped_slot,
+            dropped_tally,
+            wide_histogram,
         ] {
             let err = StreamView::from_parts(parts).unwrap_err();
             assert!(err.to_string().contains("snapshot payload"), "{err}");

@@ -4,6 +4,10 @@
 //! explicit, versioned contract: every field below is written in
 //! little-endian order exactly as documented in `DESIGN.md`.
 
+use std::io::Read;
+
+use faillog::Crc32;
+
 /// Growable little-endian byte sink.
 #[derive(Debug, Default)]
 pub(crate) struct ByteWriter {
@@ -37,6 +41,10 @@ impl ByteWriter {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
+    pub(crate) fn i64(&mut self, v: i64) {
+        self.buf.extend_from_slice(&v.to_le_bytes());
+    }
+
     /// `f64` values are stored as the IEEE-754 bit pattern, so NaN
     /// payloads and signed zeros round-trip bit-for-bit.
     pub(crate) fn f64(&mut self, v: f64) {
@@ -58,75 +66,179 @@ impl ByteWriter {
     }
 }
 
-/// Bounds-checked little-endian cursor over a byte slice.
+/// Bytes pulled from the source per read: few enough syscalls to be a
+/// small share of a multi-megabyte body, and a buffer small enough to
+/// stay in cache, whose pages are touched once however long the body.
+const CHUNK: usize = 256 * 1024;
+
+/// Bounds-checked little-endian cursor over a body of known length that
+/// arrives through a reader, a chunk at a time, checksumming every byte
+/// it pulls.
 ///
-/// Every read returns `Err(())` on underrun; the caller maps that to a
-/// descriptive decode error. A trailing-garbage check is available via
-/// [`ByteReader::remaining`].
+/// Streaming keeps the decoder from holding the whole body in a buffer
+/// next to the columns it decodes into: only one chunk is ever
+/// resident. Every read returns `Err(())` on underrun (the source ended
+/// or failed before the declared length); a failed read does not
+/// advance the cursor. The caller maps errors to descriptive decode
+/// errors, and [`ByteReader::remaining`] bounds every allocation and
+/// serves the trailing-garbage check.
 #[derive(Debug)]
-pub(crate) struct ByteReader<'a> {
-    data: &'a [u8],
+pub(crate) struct ByteReader<R> {
+    source: R,
+    /// Declared body bytes not yet pulled from `source`.
+    unread: u64,
+    buf: Vec<u8>,
+    /// The unconsumed window is `buf[pos..end]`.
     pos: usize,
+    end: usize,
+    crc: Crc32,
 }
 
-impl<'a> ByteReader<'a> {
-    pub(crate) fn new(data: &'a [u8]) -> Self {
-        ByteReader { data, pos: 0 }
+impl<R: Read> ByteReader<R> {
+    /// A cursor over the first `len` bytes `source` yields. `len` must
+    /// be a length the source can back (a file's size, a slice's
+    /// length): it bounds what a declared count may allocate.
+    pub(crate) fn new(source: R, len: u64) -> Self {
+        // Never below the widest scalar read, however short the body.
+        let chunk = usize::try_from(len).map_or(CHUNK, |len| len.min(CHUNK));
+        ByteReader {
+            source,
+            unread: len,
+            buf: vec![0; chunk.max(8)],
+            pos: 0,
+            end: 0,
+            crc: Crc32::new(),
+        }
     }
 
+    /// Body bytes not yet consumed.
     pub(crate) fn remaining(&self) -> usize {
-        self.data.len() - self.pos
+        let unread = usize::try_from(self.unread).unwrap_or(usize::MAX);
+        (self.end - self.pos).saturating_add(unread)
     }
 
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8], ()> {
-        if self.remaining() < n {
+    /// Makes at least `want` (at most a chunk) bytes available in the
+    /// window.
+    fn fill(&mut self, want: usize) -> Result<(), ()> {
+        if self.end - self.pos >= want {
+            return Ok(());
+        }
+        if want > self.buf.len() {
             return Err(());
         }
-        let out = &self.data[self.pos..self.pos + n];
-        self.pos += n;
+        self.buf.copy_within(self.pos..self.end, 0);
+        self.end -= self.pos;
+        self.pos = 0;
+        while self.end < want {
+            let room = self.buf.len() - self.end;
+            let room = usize::try_from(self.unread).map_or(room, |unread| unread.min(room));
+            if room == 0 {
+                return Err(());
+            }
+            let got = match self.source.read(&mut self.buf[self.end..self.end + room]) {
+                Ok(0) => return Err(()),
+                Ok(got) => got,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => return Err(()),
+            };
+            self.crc.update(&self.buf[self.end..self.end + got]);
+            self.end += got;
+            self.unread -= got as u64;
+        }
+        Ok(())
+    }
+
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], ()> {
+        self.fill(N)?;
+        let out = self.buf[self.pos..self.pos + N].try_into().expect("N bytes");
+        self.pos += N;
         Ok(out)
     }
 
     pub(crate) fn u8(&mut self) -> Result<u8, ()> {
-        Ok(self.take(1)?[0])
+        Ok(self.take::<1>()?[0])
     }
 
     pub(crate) fn u16(&mut self) -> Result<u16, ()> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
+        Ok(u16::from_le_bytes(self.take()?))
     }
 
     pub(crate) fn u32(&mut self) -> Result<u32, ()> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(u32::from_le_bytes(self.take()?))
     }
 
     pub(crate) fn u64(&mut self) -> Result<u64, ()> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
+        Ok(u64::from_le_bytes(self.take()?))
     }
 
     pub(crate) fn i32(&mut self) -> Result<i32, ()> {
-        Ok(i32::from_le_bytes(self.take(4)?.try_into().unwrap()))
+        Ok(i32::from_le_bytes(self.take()?))
+    }
+
+    pub(crate) fn i64(&mut self) -> Result<i64, ()> {
+        Ok(i64::from_le_bytes(self.take()?))
     }
 
     /// `f64` values travel as raw bit patterns (see [`ByteWriter::f64`]);
     /// the hot decode paths bulk-convert instead, so this scalar form
-    /// only serves tests and one-off fields.
+    /// only serves tests.
     #[cfg(test)]
     pub(crate) fn f64(&mut self) -> Result<f64, ()> {
-        Ok(f64::from_bits(u64::from_le_bytes(
-            self.take(8)?.try_into().unwrap(),
-        )))
+        Ok(f64::from_bits(self.u64()?))
+    }
+
+    /// A column of `count` values of `W` bytes each: one bounds check of
+    /// the whole column against the bytes left, before anything is
+    /// allocated, then a straight-line conversion a window at a time.
+    pub(crate) fn column<const W: usize, T>(
+        &mut self,
+        count: usize,
+        convert: impl Fn([u8; W]) -> T,
+    ) -> Result<Vec<T>, ()> {
+        if count.checked_mul(W).is_none_or(|bytes| bytes > self.remaining()) {
+            return Err(());
+        }
+        let mut out = Vec::with_capacity(count);
+        while out.len() < count {
+            self.fill(W)?;
+            let values = ((self.end - self.pos) / W).min(count - out.len());
+            let window = &self.buf[self.pos..self.pos + values * W];
+            out.extend(
+                window
+                    .chunks_exact(W)
+                    .map(|c| convert(c.try_into().expect("chunk of W bytes"))),
+            );
+            self.pos += values * W;
+        }
+        Ok(out)
     }
 
     /// Length-prefixed UTF-8 string; rejects invalid UTF-8.
-    pub(crate) fn str(&mut self) -> Result<&'a str, ()> {
+    pub(crate) fn str(&mut self) -> Result<String, ()> {
         let len = self.u32()? as usize;
-        std::str::from_utf8(self.take(len)?).map_err(|_| ())
+        let bytes = self.column(len, |[b]: [u8; 1]| b)?;
+        String::from_utf8(bytes).map_err(|_| ())
+    }
+
+    /// Pulls whatever the body has left through the checksum and
+    /// returns the CRC-32 of every byte of it; `Err` when the source
+    /// ended before the declared length.
+    pub(crate) fn finish(mut self) -> Result<u32, ()> {
+        while self.unread > 0 {
+            self.pos = self.end;
+            self.fill(1)?;
+        }
+        Ok(self.crc.finish())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn reader(bytes: &[u8]) -> ByteReader<&[u8]> {
+        ByteReader::new(bytes, bytes.len() as u64)
+    }
 
     #[test]
     fn round_trips_every_primitive() {
@@ -136,28 +248,31 @@ mod tests {
         w.u32(0xDEAD_BEEF);
         w.u64(0x0123_4567_89AB_CDEF);
         w.i32(-12345);
+        w.i64(-1_234_567_890_123);
         w.f64(-0.0);
         w.f64(f64::NAN);
         w.str("héllo");
         let bytes = w.into_bytes();
 
-        let mut r = ByteReader::new(&bytes);
+        let mut r = reader(&bytes);
         assert_eq!(r.u8(), Ok(0xAB));
         assert_eq!(r.u16(), Ok(0xBEEF));
         assert_eq!(r.u32(), Ok(0xDEAD_BEEF));
         assert_eq!(r.u64(), Ok(0x0123_4567_89AB_CDEF));
         assert_eq!(r.i32(), Ok(-12345));
+        assert_eq!(r.i64(), Ok(-1_234_567_890_123));
         let z = r.f64().unwrap();
         assert!(z == 0.0 && z.is_sign_negative());
         assert!(r.f64().unwrap().is_nan());
-        assert_eq!(r.str(), Ok("héllo"));
+        assert_eq!(r.str().as_deref(), Ok("héllo"));
         assert_eq!(r.remaining(), 0);
         assert!(r.u8().is_err());
+        assert_eq!(r.finish(), Ok(faillog::crc32(&bytes)));
     }
 
     #[test]
     fn reader_rejects_underruns_and_bad_utf8() {
-        let mut r = ByteReader::new(&[0x01, 0x02]);
+        let mut r = reader(&[0x01, 0x02]);
         assert!(r.u32().is_err());
         // A failed read must not advance the cursor.
         assert_eq!(r.u16(), Ok(0x0201));
@@ -167,13 +282,53 @@ mod tests {
         w.u32(2);
         w.raw(&[0xFF, 0xFE]);
         let bytes = w.into_bytes();
-        assert!(ByteReader::new(&bytes).str().is_err());
+        assert!(reader(&bytes).str().is_err());
 
         // Length prefix overruns the buffer.
         let mut w = ByteWriter::default();
         w.u32(100);
         w.raw(b"short");
         let bytes = w.into_bytes();
-        assert!(ByteReader::new(&bytes).str().is_err());
+        assert!(reader(&bytes).str().is_err());
+
+        // A source shorter than the declared length underruns, and so
+        // does the checksum over the rest.
+        let mut r = ByteReader::new(&[1u8, 2, 3][..], 8);
+        assert_eq!(r.remaining(), 8);
+        assert!(r.u64().is_err());
+        assert!(r.finish().is_err());
+    }
+
+    #[test]
+    fn columns_stream_across_chunk_boundaries() {
+        // More bytes than one chunk, read a few at a time by the source,
+        // with a column whose values straddle every chunk boundary.
+        struct Trickle<'a>(&'a [u8]);
+        impl Read for Trickle<'_> {
+            fn read(&mut self, out: &mut [u8]) -> std::io::Result<usize> {
+                let n = out.len().min(self.0.len()).min(1000);
+                out[..n].copy_from_slice(&self.0[..n]);
+                self.0 = &self.0[n..];
+                Ok(n)
+            }
+        }
+        let values: Vec<u64> = (0..100_000u64).map(|i| i * 0x9E37_79B9).collect();
+        let mut w = ByteWriter::default();
+        w.u8(7);
+        for &v in &values {
+            w.u64(v);
+        }
+        w.str("tail");
+        let bytes = w.into_bytes();
+        let mut r = ByteReader::new(Trickle(&bytes), bytes.len() as u64);
+        assert_eq!(r.u8(), Ok(7));
+        assert_eq!(r.column(values.len(), u64::from_le_bytes), Ok(values));
+        assert_eq!(r.str().as_deref(), Ok("tail"));
+        assert_eq!(r.remaining(), 0);
+        assert_eq!(r.finish(), Ok(faillog::crc32(&bytes)));
+        // A column longer than what is left is refused before any
+        // allocation.
+        assert!(reader(&bytes).column(usize::MAX / 8, u64::from_le_bytes).is_err());
+        assert!(reader(&bytes).column(usize::MAX, u64::from_le_bytes).is_err());
     }
 }

@@ -1,30 +1,30 @@
-//! The `.fsidx` on-disk layout: a fixed 44-byte header followed by a
+//! The `.fsidx` on-disk layout: a fixed 96-byte header followed by a
 //! checksummed body that serializes a [`failscope::StreamView`]'s
 //! [`ViewParts`]: everything the view holds except what one pass over
-//! the records rebuilds.
+//! the record columns rebuilds.
 //!
 //! All integers are little-endian; `f64`s are stored as IEEE-754 bit
 //! patterns. The layout is documented field-by-field in `DESIGN.md` and
 //! guarded by [`FORMAT_VERSION`]: readers reject any other version, so
 //! layout changes must bump it.
 
-use std::collections::BTreeMap;
-
-use faillog::{crc32, FSIDX_MAGIC};
-use failscope::{StreamView, ViewParts};
+use faillog::{crc32, FileId, ReadStat, FSIDX_MAGIC};
+use failscope::{NodeTally, StreamView, ViewParts};
 use failtypes::{
-    Category, Date, FailureRecord, Generation, GpuSlot, Hours, NodeId, ObservationWindow,
-    SoftwareLocus, SystemSpec, T2Category, T3Category,
+    Category, Date, Generation, GpuSlot, ObservationWindow, SoftwareLocus, SystemSpec,
+    T2Category, T3Category,
 };
+
+use std::io::Read;
 
 use crate::bytes::{ByteReader, ByteWriter};
 use crate::SourceInfo;
 
 /// The `.fsidx` format version this build reads and writes.
-pub const FORMAT_VERSION: u16 = 2;
+pub const FORMAT_VERSION: u16 = 3;
 
 /// Total size of the fixed header, in bytes.
-pub const HEADER_LEN: usize = 44;
+pub const HEADER_LEN: usize = 96;
 
 /// Decoded `.fsidx` header: everything needed to decide whether the
 /// snapshot is still warm for a given log *without* touching the body.
@@ -34,6 +34,9 @@ pub struct Header {
     pub version: u16,
     /// Fingerprint of the source log's raw on-disk bytes at save time.
     pub source: SourceInfo,
+    /// The identity of the log file the snapshot was built from, and
+    /// when it was read; `None` when the build established none.
+    pub read: Option<ReadStat>,
     /// Body length in bytes (everything after the header).
     pub body_len: u64,
     /// CRC-32 of the body bytes.
@@ -41,7 +44,9 @@ pub struct Header {
 }
 
 impl Header {
-    /// Encodes the header, computing the trailing header CRC.
+    /// Encodes the header, computing the trailing header CRC. Without an
+    /// identity the flag and every identity field are zero, so the
+    /// header keeps its fixed length either way.
     pub(crate) fn encode(&self) -> [u8; HEADER_LEN] {
         let mut w = ByteWriter::with_capacity(HEADER_LEN);
         w.raw(&FSIDX_MAGIC);
@@ -51,6 +56,24 @@ impl Header {
         w.u64(self.source.lines);
         w.u64(self.body_len);
         w.u32(self.body_crc32);
+        let none = ReadStat {
+            id: FileId {
+                dev: 0,
+                ino: 0,
+                len: 0,
+                mtime_ns: 0,
+                ctime_ns: 0,
+            },
+            read_at_ns: 0,
+        };
+        let read = self.read.unwrap_or(none);
+        w.u32(u32::from(self.read.is_some()));
+        w.u64(read.id.dev);
+        w.u64(read.id.ino);
+        w.u64(read.id.len);
+        w.i64(read.id.mtime_ns);
+        w.i64(read.id.ctime_ns);
+        w.i64(read.read_at_ns);
         let bytes = w.into_bytes();
         let mut out = [0u8; HEADER_LEN];
         out[..HEADER_LEN - 4].copy_from_slice(&bytes);
@@ -59,9 +82,23 @@ impl Header {
     }
 
     /// Decodes and fully validates a header prefix: magic, version,
-    /// and the header's own CRC. Returns a human-readable reason on
-    /// failure (the caller prefixes the path).
+    /// the header's own CRC, and the identity flag. Returns a
+    /// human-readable reason on failure (the caller prefixes the path).
     pub(crate) fn decode(data: &[u8]) -> Result<Header, String> {
+        // The magic and version come first, so a snapshot of another
+        // format version is named as such even when it is shorter.
+        let prefix = FSIDX_MAGIC.len() + 2;
+        if data.len() >= prefix {
+            if data[..FSIDX_MAGIC.len()] != FSIDX_MAGIC {
+                return Err("bad magic (not a .fsidx snapshot)".to_string());
+            }
+            let version = u16::from_le_bytes([data[prefix - 2], data[prefix - 1]]);
+            if version != FORMAT_VERSION {
+                return Err(format!(
+                    "unsupported format version {version} (this build reads {FORMAT_VERSION})"
+                ));
+            }
+        }
         if data.len() < HEADER_LEN {
             return Err(format!(
                 "truncated header ({} of {HEADER_LEN} bytes)",
@@ -69,20 +106,11 @@ impl Header {
             ));
         }
         let stored = u32::from_le_bytes(data[HEADER_LEN - 4..HEADER_LEN].try_into().unwrap());
-        let mut r = ByteReader::new(&data[..HEADER_LEN - 4]);
-        let magic = r.take(FSIDX_MAGIC.len()).expect("sized above");
-        if magic != FSIDX_MAGIC {
-            return Err("bad magic (not a .fsidx snapshot)".to_string());
-        }
-        let version = r.u16().expect("sized above");
-        if version != FORMAT_VERSION {
-            return Err(format!(
-                "unsupported format version {version} (this build reads {FORMAT_VERSION})"
-            ));
-        }
         if crc32(&data[..HEADER_LEN - 4]) != stored {
             return Err("header checksum mismatch".to_string());
         }
+        let fields = &data[prefix..HEADER_LEN - 4];
+        let mut r = ByteReader::new(fields, fields.len() as u64);
         let source = SourceInfo {
             bytes: r.u64().expect("sized above"),
             crc32: r.u32().expect("sized above"),
@@ -90,9 +118,26 @@ impl Header {
         };
         let body_len = r.u64().expect("sized above");
         let body_crc32 = r.u32().expect("sized above");
+        let flag = r.u32().expect("sized above");
+        let read = ReadStat {
+            id: FileId {
+                dev: r.u64().expect("sized above"),
+                ino: r.u64().expect("sized above"),
+                len: r.u64().expect("sized above"),
+                mtime_ns: r.i64().expect("sized above"),
+                ctime_ns: r.i64().expect("sized above"),
+            },
+            read_at_ns: r.i64().expect("sized above"),
+        };
+        let read = match flag {
+            0 => None,
+            1 => Some(read),
+            other => return Err(format!("unknown identity flag {other}")),
+        };
         Ok(Header {
-            version,
+            version: FORMAT_VERSION,
             source,
+            read,
             body_len,
             body_crc32,
         })
@@ -142,16 +187,19 @@ fn encode_date(w: &mut ByteWriter, d: Date) {
     w.u8(d.day());
 }
 
-fn f64_array(r: &mut ByteReader<'_>, what: &str, count: usize) -> Result<Vec<f64>, String> {
-    // One bounds check for the whole array, then a straight-line bulk
-    // conversion — these arrays are the largest part of the body.
-    let bytes = r
-        .take(count.checked_mul(8).ok_or_else(|| format!("truncated body ({what})"))?)
-        .map_err(|_| format!("truncated body ({what})"))?;
-    Ok(bytes
-        .chunks_exact(8)
-        .map(|c| f64::from_bits(u64::from_le_bytes(c.try_into().expect("chunk of 8"))))
-        .collect())
+/// A column of `count` fixed-width values (see [`ByteReader::column`]).
+fn column<R: Read, const W: usize, T>(
+    r: &mut ByteReader<R>,
+    what: &str,
+    count: usize,
+    convert: impl Fn([u8; W]) -> T,
+) -> Result<Vec<T>, String> {
+    r.column(count, convert)
+        .map_err(|()| format!("truncated body ({what})"))
+}
+
+fn f64_array<R: Read>(r: &mut ByteReader<R>, what: &str, count: usize) -> Result<Vec<f64>, String> {
+    column(r, what, count, |b| f64::from_bits(u64::from_le_bytes(b)))
 }
 
 /// Window years a snapshot may carry: the four-digit years a log
@@ -159,7 +207,7 @@ fn f64_array(r: &mut ByteReader<'_>, what: &str, count: usize) -> Result<Vec<f64
 /// `i32` overflow on a corrupt body.
 const YEARS: std::ops::RangeInclusive<i32> = 1..=9999;
 
-fn decode_date(r: &mut ByteReader<'_>) -> Result<Date, String> {
+fn decode_date<R: Read>(r: &mut ByteReader<R>) -> Result<Date, String> {
     let year = r.i32().map_err(|_| "truncated date")?;
     let month = r.u8().map_err(|_| "truncated date")?;
     let day = r.u8().map_err(|_| "truncated date")?;
@@ -169,18 +217,22 @@ fn decode_date(r: &mut ByteReader<'_>) -> Result<Date, String> {
     Date::new(year, month, day).ok_or_else(|| format!("invalid date {year}-{month}-{day}"))
 }
 
-/// Serializes the persisted parts of `index` into the body byte stream.
+/// Bytes each record occupies across the fixed-width columns: id (4),
+/// time (8), TTR (8), category (1), node (4), locus (1), GPU count (1).
+const RECORD_COLUMN_BYTES: usize = 27;
+
+/// Serializes `index` into the body byte stream.
 ///
-/// The category section doubles as the palette for per-record category
-/// bytes: records store an index into it, in `BTreeMap` iteration
-/// order. `f64` arrays (`ttrs_sorted`, `recoveries_sorted`,
-/// `gaps_sorted`, `multi_gpu_times`) are stored raw so loading skips
-/// re-sorting.
+/// Records are stored column by column in arrival order; categories as
+/// codes into the palette written before them. `f64` arrays
+/// (`ttrs_sorted`, `recoveries_sorted`, `gaps_sorted`,
+/// `multi_gpu_times`) are stored raw so loading skips re-sorting.
 pub(crate) fn encode_body(index: &StreamView) -> Vec<u8> {
     let records = index.records();
     let n = records.len();
-    // Rough per-record cost ~40 bytes + three raw f64 arrays.
-    let mut w = ByteWriter::with_capacity(64 * n + 4096);
+    let slots = index.slot_involvements();
+    // 27 column bytes and three sorted f64s per record, plus the slots.
+    let mut w = ByteWriter::with_capacity(51 * n + slots.len() + 4096);
 
     w.u8(match index.generation() {
         Generation::Tsubame2 => 0,
@@ -194,42 +246,46 @@ pub(crate) fn encode_body(index: &StreamView) -> Vec<u8> {
     encode_date(&mut w, window.start());
     encode_date(&mut w, window.end());
 
-    // Category partition — and the palette records point into.
-    let cats = index.category_indices();
-    w.u16(cats.len() as u16);
-    let mut palette: BTreeMap<Category, u8> = BTreeMap::new();
-    for (i, (cat, indices)) in cats.iter().enumerate() {
-        palette.insert(*cat, i as u8);
+    // The palette is the partition map's key order; each partition
+    // stamps its code onto the records it lists.
+    let partitions = index.category_indices();
+    let mut codes = vec![0u8; n];
+    w.u16(partitions.len() as u16);
+    for (code, (cat, indices)) in partitions.iter().enumerate() {
         w.str(cat.label());
-        w.u64(indices.len() as u64);
-        for &idx in indices {
-            w.u32(idx);
+        for &i in indices {
+            codes[i as usize] = code as u8;
         }
     }
 
     w.u64(n as u64);
     for rec in records {
         w.u32(rec.id());
-        w.f64(rec.time().get());
+    }
+    for &t in index.times() {
+        w.f64(t);
+    }
+    for rec in records {
         w.f64(rec.ttr().get());
-        w.u8(palette[&rec.category()]);
+    }
+    w.raw(&codes);
+    for rec in records {
         w.u32(rec.node().index());
+    }
+    for rec in records {
         w.u8(locus_byte(rec.locus()));
-        let gpus = rec.gpus();
-        w.u8(gpus.len() as u8);
-        for g in gpus {
-            w.u8(g.index());
-        }
+    }
+    for rec in records {
+        w.u8(rec.gpus().len() as u8);
+    }
+    for slot in slots {
+        w.u8(slot.index());
     }
 
-    for &t in index.ttrs_sorted() {
-        w.f64(t);
-    }
-    for &t in index.recoveries_sorted() {
-        w.f64(t);
-    }
-    for &t in index.gaps_sorted() {
-        w.f64(t);
+    for sorted in [index.ttrs_sorted(), index.recoveries_sorted(), index.gaps_sorted()] {
+        for &x in sorted {
+            w.f64(x);
+        }
     }
 
     let loci = index.locus_counts();
@@ -239,9 +295,9 @@ pub(crate) fn encode_body(index: &StreamView) -> Vec<u8> {
         w.u64(*count as u64);
     }
 
-    let slots = index.slot_counts();
-    w.u16(slots.len() as u16);
-    for &c in slots {
+    let slot_counts = index.slot_counts();
+    w.u16(slot_counts.len() as u16);
+    for &c in slot_counts {
         w.u64(c as u64);
     }
 
@@ -252,6 +308,27 @@ pub(crate) fn encode_body(index: &StreamView) -> Vec<u8> {
     }
 
     w.u64(index.gpu_involvements() as u64);
+
+    let tallies = index.node_tallies();
+    w.u32(tallies.len() as u32);
+    for tally in tallies {
+        w.u32(tally.failures);
+    }
+    for tally in tallies {
+        w.u32(tally.hardware);
+    }
+    for tally in tallies {
+        w.u32(tally.software);
+    }
+    for tally in tallies {
+        w.f64(tally.first_failure);
+    }
+
+    let histogram = index.gpu_count_histogram();
+    w.u16(histogram.len() as u16);
+    for &c in histogram {
+        w.u64(c as u64);
+    }
 
     let multi = index.multi_gpu_times();
     w.u64(multi.len() as u64);
@@ -283,15 +360,16 @@ fn rebuild_spec(generation: Generation, name: &str, nodes: u32, gpus: u8) -> Res
         .map_err(|e| e.to_string())
 }
 
-/// Decodes a body byte stream into [`ViewParts`].
+/// Decodes a body byte stream into [`ViewParts`], consuming all of it.
 ///
-/// Performs structural validation only (bounds, palette indices,
-/// trailing garbage); cross-array consistency is enforced by
-/// `StreamView::from_parts` downstream. Errors are human-readable
-/// reasons without the path prefix.
-pub(crate) fn decode_body(data: &[u8]) -> Result<ViewParts, String> {
+/// Performs structural validation only (bounds, palette labels, locus
+/// codes, trailing garbage): every count is checked against the bytes
+/// left before anything is allocated for it. Cross-column consistency
+/// is enforced by `StreamView::from_parts` downstream, and the body's
+/// checksum by the caller, from [`ByteReader::finish`]. Errors are
+/// human-readable reasons without the path prefix.
+pub(crate) fn decode_body<R: Read>(r: &mut ByteReader<R>) -> Result<ViewParts, String> {
     let trunc = |what: &str| format!("truncated body ({what})");
-    let mut r = ByteReader::new(data);
 
     let generation = match r.u8().map_err(|_| trunc("generation"))? {
         0 => Generation::Tsubame2,
@@ -301,82 +379,57 @@ pub(crate) fn decode_body(data: &[u8]) -> Result<ViewParts, String> {
     let name = r.str().map_err(|_| trunc("spec name"))?;
     let nodes = r.u32().map_err(|_| trunc("spec nodes"))?;
     let gpus = r.u8().map_err(|_| trunc("spec gpus"))?;
-    let spec = rebuild_spec(generation, name, nodes, gpus)?;
-    let start = decode_date(&mut r)?;
-    let end = decode_date(&mut r)?;
+    let spec = rebuild_spec(generation, &name, nodes, gpus)?;
+    let start = decode_date(r)?;
+    let end = decode_date(r)?;
     let window = ObservationWindow::new(start, end)
         .ok_or_else(|| "observation window end precedes start".to_string())?;
 
     let n_cats = r.u16().map_err(|_| trunc("category count"))? as usize;
-    // A category entry is at least a string length and an index count.
-    if n_cats > r.remaining() / 12 {
-        return Err(trunc("categories"));
+    // A palette entry is at least its string length.
+    if n_cats > r.remaining() / 4 {
+        return Err(trunc("category palette"));
     }
-    let mut category_indices: BTreeMap<Category, Vec<u32>> = BTreeMap::new();
-    let mut palette: Vec<Category> = Vec::with_capacity(n_cats);
+    let mut category_palette: Vec<Category> = Vec::with_capacity(n_cats);
     for _ in 0..n_cats {
         let label = r.str().map_err(|_| trunc("category label"))?;
-        let cat = category_from_label(generation, label)?;
-        let count = r.u64().map_err(|_| trunc("category index count"))? as usize;
-        if count > r.remaining() / 4 {
-            return Err(trunc("category indices"));
-        }
-        let bytes = r.take(count * 4).map_err(|_| trunc("category indices"))?;
-        let indices: Vec<u32> = bytes
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().expect("chunk of 4")))
-            .collect();
-        if category_indices.insert(cat, indices).is_some() {
+        let cat = category_from_label(generation, &label)?;
+        if category_palette.contains(&cat) {
             return Err(format!("duplicate category `{label}` in palette"));
         }
-        palette.push(cat);
+        category_palette.push(cat);
     }
 
-    let n = r.u64().map_err(|_| trunc("record count"))? as usize;
-    // 30 bytes is the minimum encoded record size; a cheap overflow guard
-    // so a corrupt count can't trigger a huge allocation.
-    if n > r.remaining() / 30 {
-        return Err(trunc("records"));
+    let n = r.u64().map_err(|_| trunc("record count"))?;
+    // Every record fills each fixed-width column; one check of the whole
+    // set against the bytes left bounds all the allocations below.
+    let n = usize::try_from(n)
+        .ok()
+        .filter(|&n| n <= r.remaining() / RECORD_COLUMN_BYTES)
+        .ok_or_else(|| trunc("record columns"))?;
+    let ids = column(r, "record ids", n, u32::from_le_bytes)?;
+    let times = f64_array(r, "record times", n)?;
+    let ttrs = f64_array(r, "record ttrs", n)?;
+    let categories = column(r, "record categories", n, |[b]| b)?;
+    let nodes = column(r, "record nodes", n, u32::from_le_bytes)?;
+    let locus_codes = column(r, "record loci", n, |[b]| b)?;
+    if let Some(&code) = locus_codes.iter().max() {
+        locus_from_byte(code)?;
     }
-    let mut records = Vec::with_capacity(n);
-    for _ in 0..n {
-        // The fixed-width prefix (id, time, ttr, category, node, locus,
-        // gpu count = 27 bytes) is pulled in one bounds check; only the
-        // variable GPU-slot suffix needs a second read.
-        let fixed = r.take(27).map_err(|_| trunc("record"))?;
-        let id = u32::from_le_bytes(fixed[0..4].try_into().expect("4 bytes"));
-        let time = f64::from_bits(u64::from_le_bytes(fixed[4..12].try_into().expect("8 bytes")));
-        let ttr = f64::from_bits(u64::from_le_bytes(fixed[12..20].try_into().expect("8 bytes")));
-        let cat_idx = fixed[20] as usize;
-        let cat = *palette
-            .get(cat_idx)
-            .ok_or_else(|| format!("record category index {cat_idx} outside palette"))?;
-        let node = u32::from_le_bytes(fixed[21..25].try_into().expect("4 bytes"));
-        let locus = locus_from_byte(fixed[25])?;
-        let n_gpus = fixed[26] as usize;
-        let mut rec = FailureRecord::new(
-            id,
-            Hours::new(time),
-            Hours::new(ttr),
-            cat,
-            NodeId::new(node),
-        );
-        if n_gpus > 0 {
-            let slots = r.take(n_gpus).map_err(|_| trunc("record gpu slots"))?;
-            rec = rec.with_gpus(slots.iter().map(|&b| GpuSlot::new(b)));
-        }
-        if let Some(l) = locus {
-            rec = rec.with_locus(l);
-        }
-        records.push(rec);
-    }
+    let loci = locus_codes
+        .iter()
+        .map(|&code| locus_from_byte(code).expect("every code is at most the largest, valid one"))
+        .collect();
+    let gpu_counts = column(r, "record gpu counts", n, |[b]| b)?;
+    let n_slots: usize = gpu_counts.iter().map(|&c| usize::from(c)).sum();
+    let slots = column(r, "record gpu slots", n_slots, |[b]| GpuSlot::new(b))?;
 
-    let ttrs_sorted = f64_array(&mut r, "ttrs", n)?;
-    let recoveries_sorted = f64_array(&mut r, "recoveries", n)?;
-    let gaps_sorted = f64_array(&mut r, "gaps", n.saturating_sub(1))?;
+    let ttrs_sorted = f64_array(r, "ttrs", n)?;
+    let recoveries_sorted = f64_array(r, "recoveries", n)?;
+    let gaps_sorted = f64_array(r, "gaps", n.saturating_sub(1))?;
 
     let n_loci = r.u16().map_err(|_| trunc("locus count"))? as usize;
-    let mut locus_counts: BTreeMap<SoftwareLocus, usize> = BTreeMap::new();
+    let mut locus_counts = std::collections::BTreeMap::new();
     for _ in 0..n_loci {
         let label = r.str().map_err(|_| trunc("locus label"))?;
         let locus = label
@@ -388,40 +441,49 @@ pub(crate) fn decode_body(data: &[u8]) -> Result<ViewParts, String> {
         }
     }
 
-    let n_slots = r.u16().map_err(|_| trunc("slot count"))? as usize;
-    if n_slots > r.remaining() / 8 {
-        return Err(trunc("slot tallies"));
-    }
-    let mut slot_counts = Vec::with_capacity(n_slots);
-    for _ in 0..n_slots {
-        slot_counts.push(r.u64().map_err(|_| trunc("slot tally"))? as usize);
-    }
+    let n_slot_tallies = r.u16().map_err(|_| trunc("slot count"))? as usize;
+    let slot_counts = column(r, "slot tallies", n_slot_tallies, |b| {
+        u64::from_le_bytes(b) as usize
+    })?;
 
     let n_racks = r.u32().map_err(|_| trunc("rack count"))? as usize;
-    if n_racks > r.remaining() / 8 {
-        return Err(trunc("rack tallies"));
-    }
-    let mut rack_counts = Vec::with_capacity(n_racks);
-    for _ in 0..n_racks {
-        rack_counts.push(r.u64().map_err(|_| trunc("rack tally"))? as usize);
-    }
+    let rack_counts = column(r, "rack tallies", n_racks, |b| {
+        u64::from_le_bytes(b) as usize
+    })?;
 
     let gpu_involvements = r.u64().map_err(|_| trunc("gpu involvements"))? as usize;
 
-    let n_multi = r.u64().map_err(|_| trunc("multi-gpu count"))? as usize;
-    if n_multi > r.remaining() / 8 {
-        return Err(trunc("multi-gpu times"));
+    let n_tallies = r.u32().map_err(|_| trunc("node count"))? as usize;
+    // Four columns of node tallies: three u32 counts and an f64 time.
+    if n_tallies > r.remaining() / 20 {
+        return Err(trunc("node tallies"));
     }
-    let multi_gpu_times = f64_array(&mut r, "multi-gpu times", n_multi)?;
+    let failures = column(r, "node failures", n_tallies, u32::from_le_bytes)?;
+    let hardware = column(r, "node hardware failures", n_tallies, u32::from_le_bytes)?;
+    let software = column(r, "node software failures", n_tallies, u32::from_le_bytes)?;
+    let first = f64_array(r, "node first failures", n_tallies)?;
+    let node_tallies = (0..n_tallies)
+        .map(|i| NodeTally {
+            failures: failures[i],
+            hardware: hardware[i],
+            software: software[i],
+            first_failure: first[i],
+        })
+        .collect();
+
+    let n_histogram = r.u16().map_err(|_| trunc("gpu histogram count"))? as usize;
+    let gpu_count_histogram = column(r, "gpu histogram", n_histogram, |b| {
+        u64::from_le_bytes(b) as usize
+    })?;
+
+    let n_multi = r.u64().map_err(|_| trunc("multi-gpu count"))?;
+    let n_multi = usize::try_from(n_multi).map_err(|_| trunc("multi-gpu times"))?;
+    let multi_gpu_times = f64_array(r, "multi-gpu times", n_multi)?;
 
     let n_months = r.u32().map_err(|_| trunc("month count"))? as usize;
-    if n_months > r.remaining() / 4 {
-        return Err(trunc("month tallies"));
-    }
-    let mut month_counts = Vec::with_capacity(n_months);
-    for _ in 0..n_months {
-        month_counts.push(r.u32().map_err(|_| trunc("month tally"))? as usize);
-    }
+    let month_counts = column(r, "month tallies", n_months, |b| {
+        u32::from_le_bytes(b) as usize
+    })?;
 
     if r.remaining() != 0 {
         return Err(format!("{} trailing bytes after body", r.remaining()));
@@ -431,12 +493,21 @@ pub(crate) fn decode_body(data: &[u8]) -> Result<ViewParts, String> {
         generation,
         spec,
         window,
-        records,
+        ids,
+        times,
+        ttrs,
+        category_palette,
+        categories,
+        nodes,
+        loci,
+        gpu_counts,
+        slots,
         ttrs_sorted,
         recoveries_sorted,
         gaps_sorted,
-        category_indices,
         locus_counts,
+        node_tallies,
+        gpu_count_histogram,
         slot_counts,
         rack_counts,
         gpu_involvements,
@@ -457,22 +528,47 @@ mod tests {
                 crc32: 0xDEAD_BEEF,
                 lines: 9,
             },
+            read: Some(ReadStat {
+                id: FileId {
+                    dev: 2049,
+                    ino: 77,
+                    len: 123,
+                    mtime_ns: 1_700_000_000_123_456_789,
+                    ctime_ns: -5,
+                },
+                read_at_ns: i64::MAX,
+            }),
             body_len: 4567,
             body_crc32: 0x0BAD_F00D,
         }
     }
 
+    /// `bytes` with its trailing header CRC recomputed.
+    fn resealed(mut bytes: [u8; HEADER_LEN]) -> [u8; HEADER_LEN] {
+        let crc = crc32(&bytes[..HEADER_LEN - 4]);
+        bytes[HEADER_LEN - 4..].copy_from_slice(&crc.to_le_bytes());
+        bytes
+    }
+
     #[test]
-    fn header_round_trips_and_is_exactly_44_bytes() {
-        let h = sample_header();
-        let bytes = h.encode();
-        assert_eq!(bytes.len(), HEADER_LEN);
-        assert_eq!(&bytes[..FSIDX_MAGIC.len()], &FSIDX_MAGIC);
-        assert_eq!(Header::decode(&bytes), Ok(h));
-        // Extra trailing bytes (the body) don't confuse the decoder.
-        let mut with_body = bytes.to_vec();
-        with_body.extend_from_slice(b"body");
-        assert_eq!(Header::decode(&with_body), Ok(h));
+    fn header_round_trips_and_is_exactly_96_bytes() {
+        let with_identity = sample_header();
+        let without = Header {
+            read: None,
+            ..with_identity
+        };
+        for h in [with_identity, without] {
+            let bytes = h.encode();
+            assert_eq!(bytes.len(), HEADER_LEN);
+            assert_eq!(&bytes[..FSIDX_MAGIC.len()], &FSIDX_MAGIC);
+            assert_eq!(Header::decode(&bytes), Ok(h));
+            // Extra trailing bytes (the body) don't confuse the decoder.
+            let mut with_body = bytes.to_vec();
+            with_body.extend_from_slice(b"body");
+            assert_eq!(Header::decode(&with_body), Ok(h));
+        }
+        // No identity: the flag and every identity field are zero.
+        assert!(without.encode()[40..HEADER_LEN - 4].iter().all(|&b| b == 0));
     }
 
     #[test]
@@ -487,38 +583,45 @@ mod tests {
         let err = Header::decode(&bad_magic).unwrap_err();
         assert!(err.contains("magic"), "{err}");
 
-        // A bumped version is reported as unsupported, not a checksum error.
-        let mut next = sample_header();
-        next.version = FORMAT_VERSION + 1;
-        let mut bytes = ByteWriter::with_capacity(HEADER_LEN);
-        bytes.raw(&FSIDX_MAGIC);
-        bytes.u16(next.version);
-        bytes.u64(next.source.bytes);
-        bytes.u32(next.source.crc32);
-        bytes.u64(next.source.lines);
-        bytes.u64(next.body_len);
-        bytes.u32(next.body_crc32);
-        let mut raw = bytes.into_bytes();
-        let crc = faillog::crc32(&raw);
-        raw.extend_from_slice(&crc.to_le_bytes());
-        let err = Header::decode(&raw).unwrap_err();
+        // Another version is reported as unsupported, not as a checksum
+        // error, whatever its header length.
+        let mut next = good;
+        next[6..8].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
+        let err = Header::decode(&resealed(next)).unwrap_err();
         assert!(err.contains(&format!("version {}", FORMAT_VERSION + 1)), "{err}");
+        // A version-2 file: the 44-byte header of the previous layout.
+        let mut v2 = Vec::new();
+        v2.extend_from_slice(&FSIDX_MAGIC);
+        v2.extend_from_slice(&2u16.to_le_bytes());
+        v2.resize(40, 0x5A);
+        let crc = crc32(&v2);
+        v2.extend_from_slice(&crc.to_le_bytes());
+        let err = Header::decode(&v2).unwrap_err();
+        assert!(err.starts_with("unsupported format version 2"), "{err}");
 
         // Any flipped payload byte trips the header CRC.
         let mut flipped = sample_header().encode();
         flipped[12] ^= 0x01;
         let err = Header::decode(&flipped).unwrap_err();
         assert!(err.contains("checksum"), "{err}");
+
+        // An identity flag other than 0 or 1 is refused.
+        let mut flag = good;
+        flag[40..44].copy_from_slice(&2u32.to_le_bytes());
+        let err = Header::decode(&resealed(flag)).unwrap_err();
+        assert!(err.contains("identity flag 2"), "{err}");
     }
 
-    /// Fuzzing of the body decoder: any byte string, fed through
-    /// `decode_body` then `StreamView::from_parts`, yields `Ok` or a
-    /// typed `Err` and never panics. Every count the body carries is
-    /// checked against the bytes left before anything is allocated for
-    /// it, and the tables `from_parts` derives are sized by the spec
-    /// only after the spec's rack count matched the stored rack
-    /// tallies; an unguarded count set to all ones would abort the test
-    /// process on its allocation.
+    /// Fuzzing of the header and body decoders: any byte string, fed
+    /// through `Header::decode`, or through `decode_body` then
+    /// `StreamView::from_parts`, yields `Ok` or a typed `Err` and never
+    /// panics. Every count the body carries — the record count that
+    /// sizes the columns, the GPU-slot total the counts column sums to,
+    /// each tally length — is checked against the bytes left before
+    /// anything is allocated for it, and the tables `from_parts` derives
+    /// are sized by the spec only after the spec's rack count matched
+    /// the stored rack tallies; an unguarded count set to all ones would
+    /// abort the test process on its allocation.
     mod fuzz {
         use super::*;
         use failsim::{ScenarioBuilder, Simulator};
@@ -540,7 +643,8 @@ mod tests {
         }
 
         fn decode(bytes: &[u8]) -> Result<StreamView, String> {
-            StreamView::from_parts(decode_body(bytes)?).map_err(|e| e.to_string())
+            let mut r = ByteReader::new(bytes, bytes.len() as u64);
+            StreamView::from_parts(decode_body(&mut r)?).map_err(|e| e.to_string())
         }
 
         #[test]
@@ -562,6 +666,64 @@ mod tests {
                     let end = (at + 8).min(bad.len());
                     bad[at..end].fill(fill);
                     let _ = decode(&bad);
+                }
+            }
+        }
+
+        /// Where the record count sits in `valid_body`: after the
+        /// generation, the spec, the window and the category palette.
+        fn record_count_at(body: &[u8]) -> usize {
+            let view = decode(body).expect("valid body decodes");
+            let palette: usize = view
+                .category_indices()
+                .keys()
+                .map(|c| 4 + c.label().len())
+                .sum();
+            1 + 4 + "fuzz".len() + 4 + 1 + 2 * 6 + 2 + palette
+        }
+
+        #[test]
+        fn oversized_record_and_slot_counts_are_refused_before_allocating() {
+            let body = valid_body();
+            let at = record_count_at(&body);
+            let n = u64::from_le_bytes(body[at..at + 8].try_into().unwrap()) as usize;
+            assert_eq!(n, decode(&body).unwrap().len());
+            for count in [n as u64 + 1, u64::MAX / 27, u64::MAX] {
+                let mut bad = body.clone();
+                bad[at..at + 8].copy_from_slice(&count.to_le_bytes());
+                let err = decode(&bad).expect_err("count exceeds the body");
+                assert!(err.contains("truncated body"), "{err}");
+            }
+            // Every GPU count at its maximum: the slot total (255 n)
+            // exceeds what is left, and is refused before the slot
+            // column is allocated.
+            let counts_at = at + 8 + n * (4 + 8 + 8 + 1 + 4 + 1);
+            let mut bad = body.clone();
+            bad[counts_at..counts_at + n].fill(0xFF);
+            let err = decode(&bad).expect_err("slot total exceeds the body");
+            assert!(err.contains("record gpu slots"), "{err}");
+            // A category code outside the palette is refused.
+            let codes_at = at + 8 + n * (4 + 8 + 8);
+            let mut bad = body.clone();
+            bad[codes_at] = 0xFF;
+            let err = decode(&bad).expect_err("code outside the palette");
+            assert!(err.contains("outside the palette"), "{err}");
+        }
+
+        #[test]
+        fn any_header_field_overwritten_with_all_ones_is_decoded_or_refused() {
+            // Resealed, so each window reaches the field decoders
+            // rather than the checksum.
+            let good = sample_header().encode();
+            for at in 0..HEADER_LEN - 4 {
+                for fill in [0xFF, 0x7F] {
+                    let mut bad = good;
+                    bad[at..(at + 8).min(HEADER_LEN - 4)].fill(fill);
+                    // A decoded header with an identity re-encodes to
+                    // its bytes.
+                    if let Ok(header) = Header::decode(&resealed(bad)) {
+                        assert!(header.read.is_none() || header.encode() == resealed(bad));
+                    }
                 }
             }
         }
@@ -606,6 +768,36 @@ mod tests {
             fn every_truncation_is_refused(cut in any::<usize>()) {
                 let body = valid_body();
                 prop_assert!(decode(&body[..cut % body.len()]).is_err());
+            }
+
+            #[test]
+            fn arbitrary_header_bytes_are_decoded_or_refused(
+                bytes in vec(any::<u8>(), 0..2 * HEADER_LEN),
+            ) {
+                let _ = Header::decode(&bytes);
+            }
+
+            #[test]
+            fn every_header_truncation_is_refused(cut in 0..HEADER_LEN) {
+                let header = sample_header().encode();
+                prop_assert!(Header::decode(&header[..cut]).is_err());
+            }
+
+            #[test]
+            fn mutated_headers_are_decoded_or_refused(
+                edits in vec((0..HEADER_LEN, 1u8..=255), 1..8),
+                reseal in any::<bool>(),
+            ) {
+                let mut header = sample_header().encode();
+                for (at, flip) in edits {
+                    header[at] ^= flip;
+                }
+                if reseal {
+                    header = resealed(header);
+                }
+                if let Ok(decoded) = Header::decode(&header) {
+                    prop_assert!(decoded.read.is_none() || decoded.encode() == header);
+                }
             }
 
             #[test]

@@ -18,10 +18,12 @@
 //!   and rewrite the snapshot. Corruption is *never* an error on the
 //!   read path — the snapshot is a cache, the log stays authoritative.
 //!
-//! Integrity is belt-and-braces: the 44-byte header carries its own
+//! Integrity is belt-and-braces: the 96-byte header carries its own
 //! CRC-32, the body carries another, and the source fingerprint binds
 //! the snapshot to the log's raw on-disk bytes (so a gzip log re-
-//! compressed at a different level is correctly treated as stale).
+//! compressed at a different level is correctly treated as stale). The
+//! body stores the records as columns (format version 3), each decoded
+//! in one bulk pass.
 //!
 //! Every decision is made against a [`faillog::LogFile`] — the caller's
 //! one read of the log, already fingerprinted — so [`freshness`] reads
@@ -29,6 +31,13 @@
 //! and [`open`] extends or falls back for exactly the bytes the caller
 //! will otherwise parse. [`probe`] and [`open_indexed`] are the
 //! read-then-call conveniences for callers holding only a path.
+//!
+//! A snapshot saved from a read ([`save_traced`] with the read's
+//! [`LogFile::stat`]) also records the log's file identity and when it
+//! was read. [`open_log`] serves such a snapshot without reading the
+//! log at all while the open log still has that identity and the read
+//! came well after the log's last change ([`vouch`], git's racy-clean
+//! rule judged against the read time).
 //!
 //! # Examples
 //!
@@ -68,11 +77,14 @@ use std::fs;
 use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::str::FromStr;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-use faillog::{crc32, Compression, LogFile};
+use faillog::{crc32, Compression, FileId, LogFile, ReadStat};
 use failscope::StreamView;
 use failtrace::Collector;
 use failtypes::Error;
+
+use crate::bytes::ByteReader;
 
 pub use faillog::SourceInfo;
 pub use format::{Header, FORMAT_VERSION, HEADER_LEN};
@@ -84,6 +96,7 @@ pub use format::{Header, FORMAT_VERSION, HEADER_LEN};
 pub struct Snapshot {
     view: StreamView,
     source: SourceInfo,
+    read: Option<ReadStat>,
 }
 
 impl Snapshot {
@@ -100,6 +113,12 @@ impl Snapshot {
     /// The source-log fingerprint recorded at save time.
     pub fn source(&self) -> SourceInfo {
         self.source
+    }
+
+    /// The identity of the log file the snapshot was built from and
+    /// when it was read, if the save recorded one.
+    pub fn read(&self) -> Option<ReadStat> {
+        self.read
     }
 }
 
@@ -177,22 +196,36 @@ fn path_err(path: &Path, e: impl fmt::Display) -> Error {
 /// Serializes `index` to `path` atomically (temp file + rename).
 ///
 /// `source` must fingerprint the raw on-disk bytes of the log the index
-/// was built from — it is what future loads validate against. Returns
-/// the total bytes written.
+/// was built from — it is what future loads validate against. The
+/// snapshot records no file identity, so a query always checks it
+/// against the log's bytes ([`save_traced`] records one). Returns the
+/// total bytes written.
 ///
 /// # Errors
 ///
 /// I/O failures only; encoding is infallible.
 pub fn save(path: impl AsRef<Path>, index: &StreamView, source: SourceInfo) -> Result<u64, Error> {
-    save_traced(path, index, source, None)
+    save_traced(path, index, source, None, None)
 }
 
-/// [`save`], recording the bytes written on the `index.save_bytes`
-/// trace counter.
+/// Distinguishes the temp files of concurrent saves within a process;
+/// the process id distinguishes processes.
+static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// [`save`], also recording `read` — the [`LogFile::stat`] of the read
+/// that produced `source` — so a later query can vouch for the log by
+/// its identity instead of its bytes, and the bytes written on the
+/// `index.save_bytes` trace counter.
+///
+/// Each call writes its own temp file (`<snapshot>.<pid>.<seq>.tmp`)
+/// and renames it over `path`, so concurrent saves to one snapshot
+/// never truncate each other's file; the last rename wins. The temp
+/// file is removed on every failure.
 pub fn save_traced(
     path: impl AsRef<Path>,
     index: &StreamView,
     source: SourceInfo,
+    read: Option<ReadStat>,
     trace: Option<&Collector>,
 ) -> Result<u64, Error> {
     let path = path.as_ref();
@@ -200,6 +233,7 @@ pub fn save_traced(
     let header = Header {
         version: FORMAT_VERSION,
         source,
+        read,
         body_len: body.len() as u64,
         body_crc32: crc32(&body),
     };
@@ -211,12 +245,15 @@ pub fn save_traced(
         .file_name()
         .ok_or_else(|| path_err(path, "not a file path"))?;
     let mut tmp_name = file_name.to_os_string();
-    tmp_name.push(".tmp");
+    let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
+    tmp_name.push(format!(".{}.{seq}.tmp", std::process::id()));
     let tmp = path.with_file_name(tmp_name);
-    fs::write(&tmp, &out).map_err(|e| path_err(&tmp, e))?;
-    if let Err(e) = fs::rename(&tmp, path) {
+    let written = fs::write(&tmp, &out)
+        .map_err(|e| path_err(&tmp, e))
+        .and_then(|()| fs::rename(&tmp, path).map_err(|e| path_err(path, e)));
+    if let Err(e) = written {
         fs::remove_file(&tmp).ok();
-        return Err(path_err(path, e));
+        return Err(e);
     }
     if let Some(t) = trace {
         t.incr("index.save_bytes", out.len() as u64);
@@ -224,27 +261,43 @@ pub fn save_traced(
     Ok(out.len() as u64)
 }
 
-/// Checks and decodes a whole snapshot file. The file bytes are freed
-/// before the view is reassembled, so the arrays `from_parts` derives
-/// can reuse their memory.
-fn decode_snapshot(data: Vec<u8>, header: &Header) -> Result<Snapshot, String> {
-    let body = &data[HEADER_LEN..];
-    if body.len() as u64 != header.body_len {
+/// Opens the snapshot at `path` and reads its header, leaving the handle
+/// at the start of the body. The outer error is the open's or the
+/// read's; the inner one says why the header is not a valid one.
+fn read_header(path: &Path) -> std::io::Result<(fs::File, Result<Header, String>)> {
+    let mut file = fs::File::open(path)?;
+    let mut head = Vec::with_capacity(HEADER_LEN);
+    (&mut file).take(HEADER_LEN as u64).read_to_end(&mut head)?;
+    let header = Header::decode(&head);
+    Ok((file, header))
+}
+
+/// Streams the body of the snapshot `file` (positioned after `header`)
+/// through the decoder and its checksum, then reassembles the view.
+/// Only one read chunk is resident beside the decoded columns, and
+/// `from_parts` frees the columns the view does not keep.
+fn decode_snapshot(file: fs::File, header: &Header) -> Result<Snapshot, String> {
+    let len = file.metadata().map_err(|e| e.to_string())?.len();
+    let body_len = len.saturating_sub(HEADER_LEN as u64);
+    if body_len != header.body_len {
         return Err(format!(
-            "body is {} bytes but header says {}",
-            body.len(),
+            "body is {body_len} bytes but header says {}",
             header.body_len
         ));
     }
-    if crc32(body) != header.body_crc32 {
-        return Err("body checksum mismatch".to_string());
+    let mut body = ByteReader::new(file, body_len);
+    let parts = format::decode_body(&mut body);
+    // A corrupt body is named as such even when it also fails to decode.
+    match body.finish() {
+        Ok(crc) if crc == header.body_crc32 => {}
+        Ok(_) => return Err("body checksum mismatch".to_string()),
+        Err(()) => return Err("truncated body".to_string()),
     }
-    let parts = format::decode_body(body)?;
-    drop(data);
-    let view = StreamView::from_parts(parts).map_err(|e| e.to_string())?;
+    let view = StreamView::from_parts(parts?).map_err(|e| e.to_string())?;
     Ok(Snapshot {
         view,
         source: header.source,
+        read: header.read,
     })
 }
 
@@ -258,11 +311,9 @@ fn decode_snapshot(data: Vec<u8>, header: &Header) -> Result<Snapshot, String> {
 /// [`open_indexed`], which falls back to a cold parse instead.
 pub fn load(path: impl AsRef<Path>) -> Result<Snapshot, Error> {
     let path = path.as_ref();
-    let data = fs::read(path).map_err(|e| path_err(path, e))?;
-    let header = Header::decode(&data)
-        .map_err(|reason| path_err(path, format!("invalid .fsidx snapshot: {reason}")))?;
-    decode_snapshot(data, &header)
-        .map_err(|reason| path_err(path, format!("invalid .fsidx snapshot: {reason}")))
+    let invalid = |reason| path_err(path, format!("invalid .fsidx snapshot: {reason}"));
+    let (file, header) = read_header(path).map_err(|e| path_err(path, e))?;
+    decode_snapshot(file, &header.map_err(invalid)?).map_err(invalid)
 }
 
 /// Classifies `header` against the bytes of `file`.
@@ -315,38 +366,24 @@ fn classify(header: &Header, file: &LogFile) -> Freshness {
     }
 }
 
-/// Reads the snapshot next to `file` — only its 44-byte header when
-/// `whole` is false — or says why it cannot serve.
-fn read_snapshot(file: &LogFile, whole: bool) -> Result<(Header, Vec<u8>), Freshness> {
-    let spath = snapshot_path(file.path());
-    let read = if whole {
-        fs::read(&spath)
-    } else {
-        fs::File::open(&spath).and_then(|f| {
-            let mut head = Vec::with_capacity(HEADER_LEN);
-            f.take(HEADER_LEN as u64)
-                .read_to_end(&mut head)
-                .map(|_| head)
-        })
-    };
-    let data = match read {
-        Ok(data) => data,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Err(Freshness::Missing),
-        Err(e) => {
-            return Err(Freshness::Stale {
-                reason: format!("snapshot unreadable: {e}"),
-            })
-        }
-    };
-    let header = Header::decode(&data).map_err(|reason| Freshness::Stale { reason })?;
-    Ok((header, data))
+/// The snapshot next to `file`, opened at its body, and its header; or
+/// why it cannot serve.
+fn snapshot_header(file: &LogFile) -> Result<(fs::File, Header), Freshness> {
+    match read_header(&snapshot_path(file.path())) {
+        Ok((snapshot, Ok(header))) => Ok((snapshot, header)),
+        Ok((_, Err(reason))) => Err(Freshness::Stale { reason }),
+        Err(e) if e.kind() == std::io::ErrorKind::NotFound => Err(Freshness::Missing),
+        Err(e) => Err(Freshness::Stale {
+            reason: format!("snapshot unreadable: {e}"),
+        }),
+    }
 }
 
 /// How the snapshot next to `file` relates to the bytes `file` holds.
-/// Reads only the snapshot's 44-byte header and never writes anything.
+/// Reads only the snapshot's 96-byte header and never writes anything.
 pub fn freshness(file: &LogFile) -> Freshness {
-    match read_snapshot(file, false) {
-        Ok((header, _)) => classify(&header, file),
+    match snapshot_header(file) {
+        Ok((_, header)) => classify(&header, file),
         Err(freshness) => freshness,
     }
 }
@@ -402,14 +439,14 @@ pub fn open(file: &LogFile, trace: Option<&Collector>) -> IndexedLoad {
     let cold = IndexedLoad::Cold {
         source: file.source(),
     };
-    let Ok((header, data)) = read_snapshot(file, true) else {
+    let Ok((snapshot, header)) = snapshot_header(file) else {
         return cold;
     };
     let fresh = classify(&header, file);
     if !matches!(fresh, Freshness::Exact | Freshness::Prefix { .. }) {
         return cold;
     }
-    let Ok(snapshot) = decode_snapshot(data, &header) else {
+    let Ok(snapshot) = decode_snapshot(snapshot, &header) else {
         return cold;
     };
     if fresh == Freshness::Exact {
@@ -421,13 +458,13 @@ pub fn open(file: &LogFile, trace: Option<&Collector>) -> IndexedLoad {
     let Some((view, added)) = extend(snapshot, file, &header) else {
         return cold;
     };
-    let source = file.source();
-    save_traced(snapshot_path(file.path()), &view, source, trace).ok();
+    let (source, read) = (file.source(), file.stat());
+    save_traced(snapshot_path(file.path()), &view, source, read, trace).ok();
     if let Some(t) = trace {
         t.incr("index.snapshot_extend", 1);
     }
     IndexedLoad::Extended {
-        snapshot: Snapshot { view, source },
+        snapshot: Snapshot { view, source, read },
         added,
     }
 }
@@ -460,6 +497,167 @@ pub fn open_indexed(
     trace: Option<&Collector>,
 ) -> Result<IndexedLoad, Error> {
     Ok(open(&read_log(log_path.as_ref())?, trace))
+}
+
+/// `G`, the timestamp granularity the racy-clean rule allows for on a
+/// filesystem with nanosecond timestamps: far above the kernel's coarse
+/// clock tick (at most 10 ms), which is how far a file timestamp can
+/// lag the wall clock.
+const RACY_NS: i64 = 100_000_000;
+
+/// `G` on a filesystem whose timestamps carry no nanoseconds: whole
+/// seconds, or two on FAT.
+const RACY_WHOLE_SECOND_NS: i64 = 2_000_000_000;
+
+/// Whether a snapshot's recorded read vouches for its log as it is now,
+/// so a query may serve the snapshot without reading the log.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Vouch {
+    /// The log has the identity the build read, and the build read more
+    /// than `G` after the log's last change: any later write would have
+    /// changed the identity.
+    Yes,
+    /// The log has the identity the build read, but its last change was
+    /// within `G` of that read: a write in the same timestamp tick could
+    /// have left the identity unchanged (git's racy-clean case).
+    Racy,
+    /// The log's identity differs from the one the build read, or the
+    /// log cannot be stat-ed.
+    Changed,
+    /// The snapshot records no identity.
+    NoIdentity,
+}
+
+impl Vouch {
+    /// How `failctl index stat` names the verdict.
+    pub fn label(self) -> &'static str {
+        match self {
+            Vouch::Yes => "yes",
+            Vouch::Racy => "racy",
+            Vouch::Changed => "no (log changed since the build read it)",
+            Vouch::NoIdentity => "no identity",
+        }
+    }
+}
+
+/// Judges a snapshot's recorded `read` against the log's identity `now`.
+///
+/// The rule is git's racy-clean rule (`Documentation/technical/
+/// racy-git.txt`), judged against the time of the build's read rather
+/// than the snapshot's own mtime: a write after that read stamps an
+/// mtime no earlier than the read time less one coarse tick, so when
+/// `max(mtime, ctime) + G` is still before the read time, no write after
+/// the read can have kept the identity equal. Comparing against the
+/// snapshot's mtime instead would pass a rewrite made between the
+/// build's read and its save, inside the tick of the log's mtime.
+pub fn vouch(read: Option<ReadStat>, now: Option<FileId>) -> Vouch {
+    let Some(read) = read else {
+        return Vouch::NoIdentity;
+    };
+    if now != Some(read.id) {
+        return Vouch::Changed;
+    }
+    let id = read.id;
+    let whole_seconds = id.mtime_ns % 1_000_000_000 == 0 && id.ctime_ns % 1_000_000_000 == 0;
+    let granularity = if whole_seconds {
+        RACY_WHOLE_SECOND_NS
+    } else {
+        RACY_NS
+    };
+    let changed = id.mtime_ns.max(id.ctime_ns);
+    if changed.saturating_add(granularity) < read.read_at_ns {
+        Vouch::Yes
+    } else {
+        Vouch::Racy
+    }
+}
+
+/// A log opened for a warm query: read whole, or vouched for by the
+/// identity its snapshot recorded. See [`open_log`].
+#[derive(Debug)]
+pub enum LogSource {
+    /// The log's bytes, read whole.
+    Read(LogFile),
+    /// The snapshot's recorded read vouches for the log, which was not
+    /// read.
+    Vouched(VouchedSnapshot),
+}
+
+/// A snapshot that vouches for its open log: its header is read and
+/// judged, its body not yet. Produced by [`open_log`].
+#[derive(Debug)]
+pub struct VouchedSnapshot {
+    path: PathBuf,
+    log: fs::File,
+    snapshot: fs::File,
+    header: Header,
+}
+
+impl VouchedSnapshot {
+    /// The log path.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// The fingerprint the snapshot recorded: that of the log's bytes,
+    /// since the log still has the identity of the read that took it.
+    pub fn source(&self) -> SourceInfo {
+        self.header.source
+    }
+
+    /// Reads the rest of the snapshot and decodes it, counting
+    /// `index.snapshot_hit` as an exact [`open`] does. When the body
+    /// fails its checksum or its decode, returns the log handle
+    /// [`open_log`] opened, for the caller to read the log from
+    /// ([`LogFile::read_from`]).
+    pub fn open(self, trace: Option<&Collector>) -> Result<Snapshot, fs::File> {
+        match decode_snapshot(self.snapshot, &self.header) {
+            Ok(snapshot) => {
+                if let Some(t) = trace {
+                    t.incr("index.snapshot_hit", 1);
+                }
+                Ok(snapshot)
+            }
+            Err(_) => Err(self.log),
+        }
+    }
+}
+
+/// Opens the log at `path` for a warm query.
+///
+/// The log is opened first, so an unreadable log fails exactly as
+/// [`LogFile::read`] does. Then its identity (`fstat` on the open
+/// handle) is judged against the snapshot header's recorded read with
+/// [`vouch`]: on [`Vouch::Yes`] the log is not read and the snapshot,
+/// whose header has been read, is returned to be opened
+/// ([`LogSource::Vouched`]). Otherwise the log is read whole from the
+/// same handle ([`LogSource::Read`]).
+///
+/// # Errors
+///
+/// Only when the log itself cannot be opened or read.
+pub fn open_log(path: impl AsRef<Path>) -> Result<LogSource, Error> {
+    let path = path.as_ref();
+    let log = fs::File::open(path)?;
+    match vouched_header(path, &log) {
+        Some((snapshot, header)) => Ok(LogSource::Vouched(VouchedSnapshot {
+            path: path.to_path_buf(),
+            log,
+            snapshot,
+            header,
+        })),
+        None => LogFile::read_from(path, log).map(LogSource::Read),
+    }
+}
+
+/// The snapshot beside `path`, opened at its body, and its header, when
+/// that header vouches for the open `log`.
+fn vouched_header(path: &Path, log: &fs::File) -> Option<(fs::File, Header)> {
+    let now = FileId::of(&log.metadata().ok()?)?;
+    let (snapshot, header) = read_header(&snapshot_path(path)).ok()?;
+    let header = header.ok()?;
+    let vouched = vouch(header.read, Some(now)) == Vouch::Yes && header.source.bytes == now.len;
+    vouched.then_some((snapshot, header))
 }
 
 #[cfg(test)]
@@ -706,6 +904,168 @@ mod tests {
             Freshness::Stale { reason } => assert!(reason.contains("compressed"), "{reason}"),
             other => panic!("expected stale, got {other:?}"),
         }
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_saves_to_one_snapshot_all_succeed() {
+        // Each save writes its own temp file, so no rename finds its
+        // file truncated or gone under it, and none is left behind.
+        let dir = tmp_dir("concurrent");
+        let log = Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap();
+        let view = view_of(&log);
+        let path = dir.join("shared.fsidx");
+        let source = SourceInfo {
+            bytes: 1,
+            crc32: 2,
+            lines: 3,
+        };
+        let results: Vec<Result<u64, Error>> = std::thread::scope(|s| {
+            let workers: Vec<_> = (0..8)
+                .map(|_| s.spawn(|| (0..20).map(|_| save(&path, &view, source)).collect::<Vec<_>>()))
+                .collect();
+            workers
+                .into_iter()
+                .flat_map(|w| w.join().expect("saver thread"))
+                .collect()
+        });
+        assert_eq!(results.len(), 160);
+        for result in &results {
+            assert!(result.is_ok(), "{result:?}");
+        }
+        assert_eq!(load(&path).unwrap().view(), &view);
+        assert_eq!(fs::read_dir(&dir).unwrap().count(), 1, "no temp file is left");
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn a_failed_save_removes_its_temp_file() {
+        // The rename fails: a directory holds the snapshot path.
+        let dir = tmp_dir("failed-save");
+        let path = dir.join("blocked.fsidx");
+        fs::create_dir(&path).unwrap();
+        let log = Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap();
+        assert!(save(&path, &view_of(&log), SourceInfo::of_bytes(b"x")).is_err());
+        let left: Vec<_> = fs::read_dir(&dir).unwrap().map(|e| e.unwrap().file_name()).collect();
+        assert_eq!(left, vec![std::ffi::OsString::from("blocked.fsidx")]);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    fn id(mtime_ns: i64, ctime_ns: i64) -> FileId {
+        FileId {
+            dev: 1,
+            ino: 2,
+            len: 3,
+            mtime_ns,
+            ctime_ns,
+        }
+    }
+
+    #[test]
+    fn vouching_follows_the_racy_clean_rule() {
+        let changed = 1_700_000_000_123_456_789;
+        let read = |read_at_ns| ReadStat {
+            id: id(changed, changed),
+            read_at_ns,
+        };
+        let now = Some(id(changed, changed));
+        assert_eq!(vouch(None, now), Vouch::NoIdentity);
+        assert_eq!(vouch(Some(read(changed + 1_000_000_000)), None), Vouch::Changed);
+        let later = Some(id(changed, changed + 1));
+        assert_eq!(vouch(Some(read(changed + 1_000_000_000)), later), Vouch::Changed);
+        assert_eq!(vouch(Some(read(changed + RACY_NS + 1)), now), Vouch::Yes);
+        assert_eq!(vouch(Some(read(changed + RACY_NS)), now), Vouch::Racy);
+        assert_eq!(vouch(Some(read(changed)), now), Vouch::Racy);
+        // The later of mtime and ctime counts: a `touch -r` that set the
+        // mtime back leaves the ctime at the change.
+        let touched = ReadStat {
+            id: id(changed - 10_000_000_000, changed),
+            read_at_ns: changed + RACY_NS / 2,
+        };
+        assert_eq!(vouch(Some(touched), Some(touched.id)), Vouch::Racy);
+        // Whole-second timestamps get the wider bound.
+        let coarse = ReadStat {
+            id: id(1_700_000_000_000_000_000, 1_700_000_000_000_000_000),
+            read_at_ns: 1_700_000_001_000_000_000,
+        };
+        assert_eq!(vouch(Some(coarse), Some(coarse.id)), Vouch::Racy);
+        let settled = ReadStat {
+            read_at_ns: coarse.id.mtime_ns + RACY_WHOLE_SECOND_NS + 1,
+            ..coarse
+        };
+        assert_eq!(vouch(Some(settled), Some(settled.id)), Vouch::Yes);
+    }
+
+    /// Sleeps until a file written now is older than the racy bound.
+    fn age_past_the_racy_bound() {
+        std::thread::sleep(std::time::Duration::from_nanos(2 * RACY_NS as u64));
+    }
+
+    #[test]
+    fn open_log_vouches_for_an_unchanged_log_and_reads_otherwise() {
+        let dir = tmp_dir("vouch");
+        let log = Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap();
+        let text = faillog::to_string(&log).unwrap();
+        let log_path = dir.join("log.fslog");
+        let spath = snapshot_path(&log_path);
+        fs::write(&log_path, &text).unwrap();
+        age_past_the_racy_bound();
+        let file = LogFile::read(&log_path).unwrap();
+        let read = file.stat().expect("an undisturbed read has an identity");
+        assert_eq!(faillog::file_id(&log_path), Some(Some(read.id)));
+        save_traced(&spath, &view_of(&log), file.source(), Some(read), None).unwrap();
+        assert_eq!(load(&spath).unwrap().read(), Some(read));
+
+        let trace = Collector::new();
+        let vouched = match open_log(&log_path).unwrap() {
+            LogSource::Vouched(v) => v,
+            other => panic!("expected a vouched source, got {other:?}"),
+        };
+        assert_eq!(vouched.source(), SourceInfo::of_bytes(text.as_bytes()));
+        let snap = vouched.open(Some(&trace)).expect("the body decodes");
+        assert_eq!(snap.view(), &view_of(&log));
+        assert_eq!(trace.counter("index.snapshot_hit"), 1);
+
+        // A corrupt body falls back to reading the log.
+        let mut bytes = fs::read(&spath).unwrap();
+        let last = bytes.len() - 1;
+        bytes[last] ^= 0xFF;
+        fs::write(&spath, &bytes).unwrap();
+        let LogSource::Vouched(vouched) = open_log(&log_path).unwrap() else {
+            panic!("the header still vouches");
+        };
+        let path = vouched.path().to_path_buf();
+        let log_handle = vouched.open(None).expect_err("the body is corrupt");
+        let read = LogFile::read_from(&path, log_handle).unwrap();
+        assert_eq!(read.raw(), text.as_bytes());
+
+        // No identity, a racy build, or a changed log: the log is read.
+        save(&spath, &view_of(&log), file.source()).unwrap();
+        assert!(matches!(open_log(&log_path).unwrap(), LogSource::Read(_)));
+        fs::write(&log_path, &text).unwrap();
+        let racy = LogFile::read(&log_path).unwrap();
+        // Pinned inside the bound, however slowly this host got here.
+        let mut racy_read = racy.stat().unwrap();
+        racy_read.read_at_ns = racy_read.id.mtime_ns.max(racy_read.id.ctime_ns) + RACY_NS / 2;
+        save_traced(&spath, &view_of(&log), racy.source(), Some(racy_read), None).unwrap();
+        assert!(matches!(open_log(&log_path).unwrap(), LogSource::Read(_)));
+        age_past_the_racy_bound();
+        let settled = LogFile::read(&log_path).unwrap();
+        save_traced(&spath, &view_of(&log), settled.source(), settled.stat(), None).unwrap();
+        assert!(matches!(open_log(&log_path).unwrap(), LogSource::Vouched(_)));
+        let mut edited = text.clone().into_bytes();
+        edited[text.len() / 2] ^= 0x01;
+        fs::write(&log_path, &edited).unwrap();
+        match open_log(&log_path).unwrap() {
+            LogSource::Read(file) => assert_eq!(file.raw(), &edited[..]),
+            other => panic!("expected a read, got {other:?}"),
+        }
+        // An unopenable log fails as a plain read does.
+        let missing = dir.join("missing.fslog");
+        assert_eq!(
+            open_log(&missing).unwrap_err().to_string(),
+            LogFile::read(&missing).unwrap_err().to_string()
+        );
         fs::remove_dir_all(&dir).ok();
     }
 

@@ -17,9 +17,10 @@
 //! [`read_input`] stops at the decoded text.
 
 use std::cell::OnceCell;
-use std::fs::File;
+use std::fs::{File, Metadata};
 use std::io::{self, BufRead, BufReader, Cursor, Read};
 use std::path::{Path, PathBuf};
+use std::time::SystemTime;
 
 use failtrace::Collector;
 use failtypes::{Error, FailureLog, Result};
@@ -207,6 +208,79 @@ impl SourceInfo {
     }
 }
 
+/// What `stat` reports about one file: enough to tell the file that
+/// held some bytes from a rewrite, a replacement or a rename over its
+/// path. A write changes the length or the mtime (and always the
+/// ctime, which no user can set back); a replacement changes the inode.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FileId {
+    /// Device holding the file.
+    pub dev: u64,
+    /// Inode number.
+    pub ino: u64,
+    /// Length in bytes.
+    pub len: u64,
+    /// Last modification, nanoseconds since the Unix epoch.
+    pub mtime_ns: i64,
+    /// Last status change, nanoseconds since the Unix epoch.
+    pub ctime_ns: i64,
+}
+
+impl FileId {
+    /// The identity `meta` describes; `None` on a platform without inode
+    /// identities, or for a timestamp outside the `i64` nanosecond range
+    /// (years 1678–2262).
+    #[cfg(unix)]
+    pub fn of(meta: &Metadata) -> Option<FileId> {
+        use std::os::unix::fs::MetadataExt;
+        let ns = |secs: i64, nanos: i64| secs.checked_mul(1_000_000_000)?.checked_add(nanos);
+        Some(FileId {
+            dev: meta.dev(),
+            ino: meta.ino(),
+            len: meta.size(),
+            mtime_ns: ns(meta.mtime(), meta.mtime_nsec())?,
+            ctime_ns: ns(meta.ctime(), meta.ctime_nsec())?,
+        })
+    }
+
+    /// The identity `meta` describes; `None` on a platform without inode
+    /// identities, or for a timestamp outside the `i64` nanosecond range
+    /// (years 1678–2262).
+    #[cfg(not(unix))]
+    pub fn of(_meta: &Metadata) -> Option<FileId> {
+        None
+    }
+}
+
+/// Stats `path`, following symlinks: `Some(None)` when the file is
+/// absent, `None` when `stat` fails otherwise or [`FileId::of`] has no
+/// identity for it.
+pub fn file_id(path: &Path) -> Option<Option<FileId>> {
+    match std::fs::metadata(path) {
+        Ok(meta) => FileId::of(&meta).map(Some),
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Some(None),
+        Err(_) => None,
+    }
+}
+
+/// The identity of the file a [`LogFile`] read, and when it was taken.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ReadStat {
+    /// The file's identity, the same before and after the read.
+    pub id: FileId,
+    /// Wall-clock time just before the first `stat`, nanoseconds since
+    /// the Unix epoch. A write after the read stamps an mtime no earlier
+    /// than this, less one tick of the kernel's coarse clock.
+    pub read_at_ns: i64,
+}
+
+/// Nanoseconds since the Unix epoch now; `None` if the clock is outside
+/// the `i64` range.
+fn now_ns() -> Option<i64> {
+    let since = SystemTime::now().duration_since(SystemTime::UNIX_EPOCH).ok()?;
+    i64::try_from(since.as_nanos()).ok()
+}
+
 /// A log file's raw on-disk bytes, read exactly once, plus their
 /// [`SourceInfo`] fingerprint.
 ///
@@ -216,6 +290,11 @@ impl SourceInfo {
 /// them describe the same bytes even when the file changes mid-query.
 /// The fingerprint is computed on first use, so a plain load that never
 /// asks for it pays no checksum pass.
+///
+/// The read also records the file's [`ReadStat`]: its identity from
+/// `fstat` on the open handle before the read, kept only when a second
+/// `fstat` after the read still agrees (and matches the bytes read), so
+/// a read torn by a concurrent write carries no identity.
 ///
 /// # Examples
 ///
@@ -230,6 +309,7 @@ pub struct LogFile {
     path: PathBuf,
     raw: Vec<u8>,
     source: OnceCell<SourceInfo>,
+    stat: Option<ReadStat>,
 }
 
 impl LogFile {
@@ -237,15 +317,44 @@ impl LogFile {
     ///
     /// # Errors
     ///
-    /// [`Error::Io`] when the file cannot be read.
+    /// [`Error::Io`] when the file cannot be opened or read.
     pub fn read(path: impl AsRef<Path>) -> Result<LogFile> {
-        let path = path.as_ref().to_path_buf();
-        let raw = std::fs::read(&path)?;
+        let path = path.as_ref();
+        let file = File::open(path)?;
+        LogFile::read_from(path, file)
+    }
+
+    /// Reads the already-opened `file`, which `path` named, whole.
+    ///
+    /// # Errors
+    ///
+    /// [`Error::Io`] when the file cannot be read.
+    pub fn read_from(path: impl AsRef<Path>, mut file: File) -> Result<LogFile> {
+        let read_at_ns = now_ns();
+        let before = file.metadata().ok().and_then(|m| FileId::of(&m));
+        let mut raw = Vec::with_capacity(before.map_or(0, |id| id.len as usize));
+        file.read_to_end(&mut raw)?;
+        let after = file.metadata().ok().and_then(|m| FileId::of(&m));
+        let stat = match (before, after, read_at_ns) {
+            (Some(id), Some(again), Some(read_at_ns))
+                if id == again && id.len == raw.len() as u64 =>
+            {
+                Some(ReadStat { id, read_at_ns })
+            }
+            _ => None,
+        };
         Ok(LogFile {
-            path,
+            path: path.as_ref().to_path_buf(),
             raw,
             source: OnceCell::new(),
+            stat,
         })
+    }
+
+    /// The identity of the file the bytes came from, when the read could
+    /// establish one (see the type docs).
+    pub fn stat(&self) -> Option<ReadStat> {
+        self.stat
     }
 
     /// The path the bytes were read from.
@@ -501,6 +610,26 @@ mod tests {
         assert!(grown.source().bytes > text.len() as u64);
         let lines = SourceInfo::of_bytes(text.as_bytes()).lines;
         assert_eq!(grown.source().lines, lines + 1);
+    }
+
+    #[test]
+    fn log_file_records_the_identity_it_read() {
+        let path = tmp("identity.fslog", b"# failscope-log v1\nrows\n");
+        let before = now_ns().unwrap();
+        let file = LogFile::read(&path).unwrap();
+        let stat = file.stat().expect("an undisturbed read has an identity");
+        assert_eq!(file_id(&path), Some(Some(stat.id)));
+        assert_eq!(stat.id.len, file.raw().len() as u64);
+        assert!(before <= stat.read_at_ns && stat.read_at_ns <= now_ns().unwrap());
+        // Reading the open handle of a file replaced since gives that
+        // handle's bytes and identity, not the path's.
+        let handle = File::open(&path).unwrap();
+        std::fs::remove_file(&path).unwrap();
+        let path = tmp("identity.fslog", b"# failscope-log v1\nother\n");
+        let file = LogFile::read_from(&path, handle).unwrap();
+        assert_eq!(file.raw(), b"# failscope-log v1\nrows\n");
+        assert_ne!(Some(file.stat().unwrap().id), file_id(&path).flatten());
+        assert_eq!(file_id(Path::new("/definitely/not/here.fslog")), Some(None));
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! ([`summarize`]).
 //!
 //! Batch readers read a file once into a [`LogFile`] (raw bytes plus
-//! their [`SourceInfo`] fingerprint) and parse that buffer; for live
+//! their [`SourceInfo`] fingerprint, and the file's [`FileId`] as
+//! `fstat` saw it around the read) and parse that buffer; for live
 //! monitoring, [`LogTailer`] reads the same format incrementally with
 //! follow-mode polling. Every reader parses body rows with one grammar,
 //! [`parse_line`]: native CSV, or one-line NDJSON objects. Record filtering
@@ -47,7 +48,9 @@ mod stream;
 
 pub use csv::{from_str, read_log, to_string, write_log};
 pub use inflate::{crc32, gzip_compress, gzip_decompress, Crc32};
-pub use input::{read_input, Compression, InputReader, LogFile, SourceInfo, FSIDX_MAGIC};
+pub use input::{
+    file_id, read_input, Compression, FileId, InputReader, LogFile, ReadStat, SourceInfo, FSIDX_MAGIC,
+};
 pub use ops::{anonymize_nodes, load, load_with, save, summarize, LogSummary};
 pub use parallel::{from_str_with, parse_body_rows, BodyRows, ParseOptions, DEFAULT_CHUNK_BYTES};
 pub use row::{parse_line, parse_ndjson_row, record_to_ndjson};

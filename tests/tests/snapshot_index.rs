@@ -12,7 +12,9 @@
 //!    reason.
 //!    A snapshot written by an older build (format version 1) is
 //!    stale, never misread: `auto` re-parses and rewrites it in the
-//!    current format, `require` refuses it.
+//!    current format, `require` refuses it. A snapshot whose recorded
+//!    file identity vouches for its log, but whose body is corrupt,
+//!    sends the query back to reading the log.
 //! 3. **Incremental extension** — growing a log record by record and
 //!    re-opening through the snapshot yields exactly the index a cold
 //!    rebuild would produce, at every step (property-tested).
@@ -127,7 +129,7 @@ fn every_corruption_degrades_silently_to_a_cold_parse() {
     // Flipped body byte: the header validates, the body checksum
     // catches it — and the strict loader names the problem.
     let mut bad = pristine.clone();
-    bad[60] ^= 0xFF;
+    bad[failindex::HEADER_LEN + 60] ^= 0xFF;
     std::fs::write(&spath, &bad).expect("writes");
     assert_cold("flipped body byte");
     let err = failindex::load(&spath).expect_err("strict load surfaces the reason");
@@ -268,6 +270,46 @@ fn a_version_1_snapshot_is_stale_and_auto_rewrites_it_in_the_current_format() {
     assert_eq!(rewritten[version_at..version_at + 2], FORMAT_VERSION.to_le_bytes());
     assert_eq!(failindex::probe(&path).expect("probe reads"), Freshness::Exact);
     assert_eq!(report(IndexMode::Require).expect("warm now").output, cold);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn a_vouching_snapshot_with_a_corrupt_body_falls_back_to_the_log() {
+    use failapi::{QueryEngine, QueryRequest, QuerySource};
+    use failindex::{Freshness, IndexMode};
+
+    let dir = temp_dir("vouched-corrupt");
+    let log = Simulator::new(SystemModel::tsubame2(), 42).generate().expect("simulates");
+    let path = dir.join("t2.fslog");
+    let spath = failindex::snapshot_path(&path);
+    std::fs::write(&path, faillog::to_string(&log).expect("serializes")).expect("writes log");
+    // Aged well past the racy bound, so the auto run's snapshot records
+    // an identity that vouches for the log.
+    std::thread::sleep(std::time::Duration::from_millis(300));
+    let p = path.to_str().expect("utf8 path");
+    let req = |mode| QueryRequest::report(QuerySource::file(p)).sections(ANALYSIS).index(mode);
+    let vouched = |engine: &QueryEngine| engine.metrics().counter("engine.snapshots_vouched");
+    let cold = QueryEngine::new().execute(&req(IndexMode::Off)).expect("reports").output;
+    QueryEngine::new().execute(&req(IndexMode::Auto)).expect("reports");
+    let engine = QueryEngine::new();
+    let warm = engine.execute(&req(IndexMode::Require)).expect("reports");
+    assert_eq!(vouched(&engine), 1);
+    assert_eq!(warm.output, cold);
+
+    // The header still vouches, but the body fails its checksum: the
+    // query reads the log, as it would without an identity.
+    let mut bytes = std::fs::read(&spath).expect("snapshot bytes");
+    let last = bytes.len() - 1;
+    bytes[last] ^= 0xFF;
+    std::fs::write(&spath, &bytes).expect("corrupts the snapshot");
+    let engine = QueryEngine::new();
+    let err = engine.execute(&req(IndexMode::Require)).expect_err("no warm snapshot");
+    assert!(err.to_string().contains("no warm .fsidx snapshot"), "{err}");
+    assert_eq!(vouched(&engine), 0);
+    let engine = QueryEngine::new();
+    assert_eq!(engine.execute(&req(IndexMode::Auto)).expect("reports").output, cold);
+    assert_eq!(vouched(&engine), 0);
+    assert_eq!(failindex::probe(&path).expect("probe reads"), Freshness::Exact);
     std::fs::remove_dir_all(&dir).ok();
 }
 
