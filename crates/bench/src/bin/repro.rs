@@ -360,24 +360,42 @@ fn bench(catalog: &[CatalogEntry], json_path: &str, history: Option<&(String, u6
     )
     .expect("saves snapshot");
     let idx_sections = failscope::select_sections(ANALYSIS_SECTIONS).expect("valid sections");
-    let open_warm = || match failindex::open_indexed(&idx_path, None).expect("opens") {
-        failindex::IndexedLoad::Exact(snap) => snap,
-        other => panic!("bench snapshot must hit exactly, got {other:?}"),
+    let open_warm = |trace: Option<&Collector>| {
+        match failindex::open_indexed(&idx_path, trace).expect("opens") {
+            failindex::IndexedLoad::Exact(snap) => snap,
+            other => panic!("bench snapshot must hit exactly, got {other:?}"),
+        }
     };
     let cold_render =
         failscope::render_text_sections(&idx_sections, &SectionCtx::new(&parse_view), threads);
     drop(parse_view);
+    // The warm open is traced once: a snapshot hit never parses, so any
+    // parse instrument in its trace means the warm path re-parsed the
+    // log — the failure the load-speedup ratio floors, caught exactly.
+    let warm_trace = Collector::new();
     let warm_render = {
-        let snap = open_warm();
+        let snap = open_warm(Some(&warm_trace));
         failscope::render_text_sections(&idx_sections, &SectionCtx::new(snap.view()), threads)
     };
+    let warm_parsed = warm_trace
+        .export()
+        .lines()
+        .any(|line| line.contains(r#""stage":"parse."#) || line.contains(r#""stage":"log.parse""#));
     let index_identical = warm_render == cold_render;
     let cold_load_seconds = best_of(PARSE_REPS, || {
         let log = faillog::load(&idx_path).expect("parses");
         std::hint::black_box(StreamView::from(log));
     });
+    // The cold load's two stages apart: the parse, and the bulk view
+    // build from the parsed log.
+    let cold_parse_seconds = best_of_on(PARSE_REPS, || &idx_path, |path| {
+        faillog::load(path).expect("parses")
+    });
+    let cold_log = faillog::load(&idx_path).expect("parses");
+    let cold_index_seconds = best_of_on(PARSE_REPS, || cold_log.clone(), StreamView::from);
+    drop(cold_log);
     let warm_load_seconds = best_of(PARSE_REPS, || {
-        std::hint::black_box(open_warm());
+        std::hint::black_box(open_warm(None));
     });
     let cold_report_seconds = best_of(PARSE_REPS, || {
         let view = StreamView::from(faillog::load(&idx_path).expect("parses"));
@@ -388,7 +406,7 @@ fn bench(catalog: &[CatalogEntry], json_path: &str, history: Option<&(String, u6
         ));
     });
     let warm_report_seconds = best_of(PARSE_REPS, || {
-        let snap = open_warm();
+        let snap = open_warm(None);
         std::hint::black_box(failscope::render_text_sections(
             &idx_sections,
             &SectionCtx::new(snap.view()),
@@ -403,8 +421,10 @@ fn bench(catalog: &[CatalogEntry], json_path: &str, history: Option<&(String, u6
         parse_text.len()
     );
     println!(
-        "    load   cold {:.1} ms | warm {:.1} ms | speedup {index_load_speedup:.2}x",
+        "    load   cold {:.1} ms (parse {:.1} ms + index {:.1} ms) | warm {:.1} ms | speedup {index_load_speedup:.2}x",
         cold_load_seconds * 1e3,
+        cold_parse_seconds * 1e3,
+        cold_index_seconds * 1e3,
         warm_load_seconds * 1e3
     );
     println!(
@@ -418,11 +438,14 @@ fn bench(catalog: &[CatalogEntry], json_path: &str, history: Option<&(String, u6
         .field("snapshot_bytes", snapshot_bytes)
         .field("threads", threads)
         .field("cold_load_seconds", cold_load_seconds)
+        .field("cold_parse_seconds", cold_parse_seconds)
+        .field("cold_index_seconds", cold_index_seconds)
         .field("warm_load_seconds", warm_load_seconds)
         .field("load_speedup", index_load_speedup)
         .field("cold_report_seconds", cold_report_seconds)
         .field("warm_report_seconds", warm_report_seconds)
         .field("report_speedup", index_report_speedup)
+        .field("warm_parsed", warm_parsed)
         .field("identical_output", index_identical)
         .build();
 
@@ -668,6 +691,10 @@ fn bench(catalog: &[CatalogEntry], json_path: &str, history: Option<&(String, u6
         eprintln!("warm snapshot report diverged from the cold parse");
         std::process::exit(1);
     }
+    if warm_parsed {
+        eprintln!("the warm snapshot open recorded a parse:\n{}", warm_trace.export());
+        std::process::exit(1);
+    }
     if !server_identical {
         eprintln!("server responses diverged from the local query path");
         std::process::exit(1);
@@ -731,6 +758,20 @@ fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {
         let start = Instant::now();
         f();
         best = best.min(start.elapsed().as_secs_f64());
+    }
+    best
+}
+
+/// The fastest of `reps` runs of `f` on a fresh `input()`, timing `f`
+/// alone: making its input and dropping its output are not timed.
+fn best_of_on<I, O>(reps: usize, mut input: impl FnMut() -> I, mut f: impl FnMut(I) -> O) -> f64 {
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let arg = input();
+        let start = Instant::now();
+        let out = std::hint::black_box(f(std::hint::black_box(arg)));
+        best = best.min(start.elapsed().as_secs_f64());
+        drop(out);
     }
     best
 }

@@ -7,16 +7,20 @@
 //! GPUs involved, month buckets — and is built one of two ways:
 //!
 //! * **in bulk** from a finished, validated [`FailureLog`]
-//!   (`StreamView::from(log)`): one pass over the records, then one sort
-//!   per order statistic. Reports, comparisons, and experiments use this.
+//!   (`StreamView::from(log)`): one pass over the records, one palette
+//!   pass partitioning them by category, then one sort per order
+//!   statistic. Reports, comparisons, and experiments use this.
 //! * **incrementally**, one record at a time ([`StreamView::push`]) or a
 //!   chunk at a time ([`StreamView::extend`]), as a live stream or an
 //!   appended log tail delivers them. `failwatch` and snapshot extension
 //!   use this.
 //!
-//! Both paths update the non-sorted indexes through the same per-record
-//! helper, so they differ only in when the order statistics are sorted;
-//! the result is equal under `PartialEq` whichever way a log arrives.
+//! Both paths update the other indexes through the same per-record
+//! helper — which finds a record's month bucket by comparing its day
+//! offset with precomputed month starts, not by a calendar conversion —
+//! so they differ only in how the category partitions are grouped and
+//! when the order statistics are sorted; the result is equal under
+//! `PartialEq` whichever way a log arrives.
 //!
 //! # Cost model
 //!
@@ -64,8 +68,8 @@ use std::sync::OnceLock;
 
 use failtrace::Collector;
 use failtypes::{
-    Category, Domain, FailureLog, FailureRecord, Generation, GpuSlot, Hours, InvalidRecordError,
-    Month, NodeId, ObservationWindow, SoftwareLocus, SystemSpec,
+    days_in_month, Category, Date, Domain, FailureLog, FailureRecord, Generation, GpuSlot, Hours,
+    InvalidRecordError, NodeId, ObservationWindow, SoftwareLocus, SystemSpec,
 };
 
 /// Error from [`StreamView::push`].
@@ -218,7 +222,7 @@ impl SortedRun {
     /// pass, so the resulting array is the same. Values are never NaN:
     /// records are validated, and snapshot arrays must be ascending.
     fn merge_in_place(&mut self) {
-        self.tail.sort_unstable_by(f64::total_cmp);
+        self.tail = sorted_total(std::mem::take(&mut self.tail));
         let n = self.run.len();
         self.run.resize(n + self.tail.len(), 0.0);
         // run[..hi] is the unmerged prefix; everything above the slot of
@@ -248,8 +252,7 @@ impl SortedRun {
             return &self.run;
         }
         self.merged.get_or_init(|| {
-            let mut tail = self.tail.clone();
-            tail.sort_unstable_by(f64::total_cmp);
+            let tail = sorted_total(self.tail.clone());
             let mut full = Vec::with_capacity(self.run.len() + tail.len());
             let (mut i, mut j) = (0, 0);
             while i < self.run.len() && j < tail.len() {
@@ -266,6 +269,89 @@ impl SortedRun {
             full
         })
     }
+}
+
+/// Sorts `xs` ascending in [`f64::total_cmp`] order, bit for bit.
+///
+/// Each value maps to a `u64` key whose unsigned order is `total_cmp`'s
+/// (a negative value's bits all flipped, a positive value's sign bit
+/// set), the keys sort as plain integers, and the map is inverted. The
+/// map is a bijection on bit patterns, so two keys are equal exactly
+/// when the two values have the same bits, and the output is the one
+/// `sort_unstable_by(f64::total_cmp)` produces, NaN payloads and signed
+/// zeros included. Both conversions reuse the vector's allocation.
+fn sorted_total(xs: Vec<f64>) -> Vec<f64> {
+    const SIGN: u64 = 1 << 63;
+    let mut keys: Vec<u64> = xs
+        .into_iter()
+        .map(|x| {
+            let bits = x.to_bits();
+            if bits & SIGN == 0 {
+                bits | SIGN
+            } else {
+                !bits
+            }
+        })
+        .collect();
+    keys.sort_unstable();
+    keys.into_iter()
+        .map(|key| f64::from_bits(if key & SIGN == 0 { !key } else { key & !SIGN }))
+        .collect()
+}
+
+/// The first day of each of `window.months()` as a
+/// [`day_of`](ObservationWindow::day_of) offset, plus the first day of
+/// the month after the last: bucket `k` holds the records whose day lies
+/// in `starts[k]..starts[k + 1]`. The first entry is negative when the
+/// window starts mid-month.
+fn month_starts(window: ObservationWindow) -> Vec<i64> {
+    let origin = window.start().days_from_epoch();
+    let months = window.months();
+    let mut starts: Vec<i64> = months
+        .iter()
+        .map(|&(year, month)| {
+            let first = Date::new(year, month.number(), 1).expect("the first of a month is a date");
+            first.days_from_epoch() - origin
+        })
+        .collect();
+    let (&(year, month), &last) = months
+        .last()
+        .zip(starts.last())
+        .expect("a window overlaps at least one month");
+    starts.push(last + i64::from(days_in_month(year, month.number())));
+    starts
+}
+
+/// The bucket of a record on `day`, searched forward from bucket `from`
+/// (time order makes the bucket monotone); `None` when the day lies
+/// outside buckets `from..`.
+fn month_bucket(starts: &[i64], from: usize, day: i64) -> Option<usize> {
+    let months = starts.len() - 1;
+    let mut k = from;
+    while k + 1 < months && starts[k + 1] <= day {
+        k += 1;
+    }
+    (starts[k] <= day && day < starts[k + 1]).then_some(k)
+}
+
+/// Partitions record indices by category in one pass over their palette
+/// codes (`palette[codes[i]]` is record `i`'s category). Each partition
+/// lists its records in arrival order; palette entries no record uses
+/// get no partition. Every code must index `palette`.
+fn partition_categories(palette: Vec<Category>, codes: &[u8]) -> BTreeMap<Category, Vec<u32>> {
+    let mut sizes = vec![0usize; palette.len()];
+    for &code in codes {
+        sizes[usize::from(code)] += 1;
+    }
+    let mut partitions: Vec<Vec<u32>> = sizes.iter().map(|&size| Vec::with_capacity(size)).collect();
+    for (i, &code) in codes.iter().enumerate() {
+        partitions[usize::from(code)].push(i as u32);
+    }
+    palette
+        .into_iter()
+        .zip(partitions)
+        .filter(|(_, indices)| !indices.is_empty())
+        .collect()
 }
 
 /// Repair durations bucketed by the month of the failure, each bucket in
@@ -357,8 +443,10 @@ pub struct StreamView {
     generation: Generation,
     spec: SystemSpec,
     window: ObservationWindow,
-    months: Vec<(i32, Month)>,
-    /// Months index of the last pushed record; time order makes the
+    /// [`month_starts`] of the window: each record's month bucket is
+    /// found by comparing its day with these, no calendar conversion.
+    month_starts: Vec<i64>,
+    /// Month bucket of the last pushed record; time order makes the
     /// bucket index monotone, so each push scans forward from here.
     month_cursor: usize,
     records: Vec<FailureRecord>,
@@ -475,6 +563,10 @@ impl StreamView {
     /// The bulk build behind [`StreamView::from`] and
     /// [`StreamView::filtered`]: `records` must be valid for the system
     /// and in time order.
+    ///
+    /// It runs the per-record indexing [`StreamView::push`] runs, but
+    /// partitions categories with one palette pass instead of a map
+    /// entry per record, and sorts each order statistic once at the end.
     fn from_records(
         generation: Generation,
         spec: SystemSpec,
@@ -485,24 +577,28 @@ impl StreamView {
         view.times.reserve(records.len());
         view.recoveries.reserve(records.len());
         let mut ttrs = Vec::with_capacity(records.len());
+        let mut palette: Vec<Category> = Vec::new();
+        let mut codes = Vec::with_capacity(records.len());
         for rec in &records {
             ttrs.push(view.index_record(rec).0);
+            let category = rec.category();
+            let code = palette.iter().position(|&c| c == category).unwrap_or_else(|| {
+                palette.push(category);
+                palette.len() - 1
+            });
+            codes.push(u8::try_from(code).expect("categories are a closed set of under 256"));
         }
-        let mut recoveries_sorted = view.recoveries.clone();
-        let mut gaps = failstats::inter_arrival_times(&view.times);
-        for sorted in [&mut ttrs, &mut recoveries_sorted, &mut gaps] {
-            sorted.sort_unstable_by(f64::total_cmp);
-        }
-        view.ttrs_sorted = SortedRun::from_sorted(ttrs);
-        view.recoveries_sorted = SortedRun::from_sorted(recoveries_sorted);
-        view.gaps_sorted = SortedRun::from_sorted(gaps);
+        view.category_indices = partition_categories(palette, &codes);
+        view.ttrs_sorted = SortedRun::from_sorted(sorted_total(ttrs));
+        view.recoveries_sorted = SortedRun::from_sorted(sorted_total(view.recoveries.clone()));
+        view.gaps_sorted =
+            SortedRun::from_sorted(sorted_total(failstats::inter_arrival_times(&view.times)));
         view.records = records;
         view
     }
 
     /// An empty view for a system described by `spec` over `window`.
     pub fn empty(generation: Generation, spec: SystemSpec, window: ObservationWindow) -> Self {
-        let months = window.months();
         let slots = spec.gpus_per_node() as usize;
         let racks = spec.racks() as usize;
         let nodes = spec.nodes() as usize;
@@ -510,8 +606,8 @@ impl StreamView {
             generation,
             spec,
             window,
-            month_buckets: MonthBuckets::new(months.len()),
-            months,
+            month_buckets: MonthBuckets::new(window.month_count()),
+            month_starts: month_starts(window),
             month_cursor: 0,
             records: Vec::new(),
             times: Vec::new(),
@@ -542,9 +638,7 @@ impl StreamView {
     /// duration in the `index.ttr_hours` histogram.
     pub fn trace_index(&self, trace: &Collector) {
         trace.span("index.logview").add_items(self.len() as u64);
-        for &ttr in self.ttrs_sorted() {
-            trace.observe_hours("index.ttr_hours", ttr);
-        }
+        trace.observe_sorted_hours("index.ttr_hours", self.ttrs_sorted());
     }
 
     /// Decomposes the view into the persistable [`ViewParts`] payload,
@@ -643,7 +737,6 @@ impl StreamView {
         if window.month_count() != month_counts.len() {
             return Err(shape_err("month buckets do not match the window"));
         }
-        let months = window.months();
         let columns = [
             times.len(),
             ttrs.len(),
@@ -724,17 +817,6 @@ impl StreamView {
 
         // One pass over the category column partitions the record
         // indices; one over all the columns assembles the records.
-        let mut partition_sizes = vec![0usize; palette_len];
-        for &code in &categories {
-            partition_sizes[usize::from(code)] += 1;
-        }
-        let mut partitions: Vec<Vec<u32>> = partition_sizes
-            .iter()
-            .map(|&size| Vec::with_capacity(size))
-            .collect();
-        for (i, &code) in categories.iter().enumerate() {
-            partitions[usize::from(code)].push(i as u32);
-        }
         let mut records = Vec::with_capacity(n);
         let mut slot_offset = 0usize;
         for i in 0..n {
@@ -755,17 +837,13 @@ impl StreamView {
             }
             records.push(rec);
         }
-        let category_indices: BTreeMap<Category, Vec<u32>> = category_palette
-            .into_iter()
-            .zip(partitions)
-            .filter(|(_, indices)| !indices.is_empty())
-            .collect();
+        let category_indices = partition_categories(category_palette, &categories);
 
         let view = StreamView {
             generation,
             spec,
             window,
-            months,
+            month_starts: month_starts(window),
             month_cursor,
             times,
             ttrs_sorted: SortedRun::from_sorted(ttrs_sorted),
@@ -825,28 +903,28 @@ impl StreamView {
             self.gaps_sorted.push(time - prev);
         }
         let (ttr, recovery) = self.index_record(&rec);
+        self.category_indices
+            .entry(rec.category())
+            .or_default()
+            .push(self.records.len() as u32);
         self.ttrs_sorted.push(ttr);
         self.recoveries_sorted.push(recovery);
         self.records.push(rec);
         Ok(())
     }
 
-    /// Folds one record into every index except the records themselves
-    /// and the three sorted order statistics — the per-record work shared
-    /// by [`StreamView::push`] and the bulk build. Returns the record's
-    /// repair duration and window-clamped recovery time. The record must
-    /// be valid and no earlier than the last one indexed.
+    /// Folds one record into every index except the records themselves,
+    /// the category partitions and the three sorted order statistics —
+    /// the per-record work shared by [`StreamView::push`] and the bulk
+    /// build. Returns the record's repair duration and window-clamped
+    /// recovery time. The record must be valid and no earlier than the
+    /// last one indexed.
     fn index_record(&mut self, rec: &FailureRecord) -> (f64, f64) {
-        let i = self.times.len() as u32;
         let time = rec.time().get();
         let ttr = rec.ttr().get();
         let recovery = rec.recovery_time().get().min(self.window.duration().get());
         self.times.push(time);
         self.recoveries.push(recovery);
-        self.category_indices
-            .entry(rec.category())
-            .or_default()
-            .push(i);
         if let Some(locus) = rec.locus() {
             *self.locus_counts.entry(locus).or_insert(0) += 1;
         }
@@ -865,12 +943,10 @@ impl StreamView {
                 self.multi_gpu_times.push(time);
             }
         }
-        // Time order makes the month bucket monotone: scan forward from
-        // the cursor instead of from the start of the window.
-        let ym = self.window.date_of(rec.time()).year_month();
-        if let Some(off) = self.months[self.month_cursor..].iter().position(|&m| m == ym) {
-            self.month_cursor += off;
-            self.month_buckets.push(self.month_cursor, ttr);
+        let day = self.window.day_of(rec.time());
+        if let Some(month) = month_bucket(&self.month_starts, self.month_cursor, day) {
+            self.month_cursor = month;
+            self.month_buckets.push(month, ttr);
         }
         (ttr, recovery)
     }
@@ -1375,6 +1451,146 @@ mod tests {
             assert_eq!(merged(vec![1.0, 2.0], vec![0.5]), [0.5, 1.0, 2.0]);
             assert_eq!(merged(vec![1.0, 2.0], vec![9.0, 9.0]), [1.0, 2.0, 9.0, 9.0]);
             assert_eq!(merged(vec![2.0; 3], vec![2.0; 2]), [2.0; 5]);
+        }
+    }
+
+    #[test]
+    fn integer_day_buckets_match_calendar_dates() {
+        let date = |y, m, d| Date::new(y, m, d).unwrap();
+        for window in [
+            // Starts mid-month and spans 2012-02-29.
+            ObservationWindow::new(date(2012, 1, 7), date(2013, 8, 1)).unwrap(),
+            // Dec -> Jan, then a leap day, ending mid-month.
+            ObservationWindow::new(date(2019, 12, 15), date(2020, 3, 10)).unwrap(),
+            // Starts on the first and ends on a month boundary.
+            ObservationWindow::new(date(2020, 2, 1), date(2020, 3, 1)).unwrap(),
+            ObservationWindow::new(date(2017, 5, 9), date(2020, 2, 22)).unwrap(),
+        ] {
+            let months = window.months();
+            let starts = month_starts(window);
+            assert_eq!(starts.len(), months.len() + 1);
+            let days = window.duration().get() as i64 / 24;
+            let mut cursor = 0;
+            for k in 0..days {
+                let midnight = 24.0 * k as f64;
+                let mut times = vec![midnight, midnight + 12.0, midnight + 23.999_999];
+                if k > 0 {
+                    times.insert(0, f64::from_bits(midnight.to_bits() - 1));
+                }
+                for t in times {
+                    let offset = Hours::new(t);
+                    assert_eq!(
+                        window.date_of(offset),
+                        window.start().plus_hours(offset),
+                        "{window}: t = {t:?}"
+                    );
+                    let expected = months
+                        .iter()
+                        .position(|&m| m == window.date_of(offset).year_month());
+                    let day = window.day_of(offset);
+                    assert_eq!(month_bucket(&starts, 0, day), expected, "{window}: t = {t:?}");
+                    // Searched forward from the previous record's bucket,
+                    // as pushes in time order do.
+                    let found = month_bucket(&starts, cursor, day);
+                    assert_eq!(found, expected, "{window}: t = {t:?} from {cursor}");
+                    cursor = found.unwrap();
+                }
+            }
+            // Days outside the window's months have no bucket.
+            assert_eq!(month_bucket(&starts, 0, starts[0] - 1), None);
+            assert_eq!(month_bucket(&starts, 0, starts[months.len()]), None);
+        }
+    }
+
+    /// The bits of `xs` sorted by `sort_unstable_by(f64::total_cmp)`
+    /// and by [`sorted_total`].
+    fn both_sorts(xs: Vec<f64>) -> (Vec<u64>, Vec<u64>) {
+        let mut expected = xs.clone();
+        expected.sort_unstable_by(f64::total_cmp);
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        (bits(sorted_total(xs)), bits(expected))
+    }
+
+    #[test]
+    fn key_sort_equals_total_cmp_sort_bit_for_bit() {
+        let specials = [
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MIN_POSITIVE,
+            -f64::MIN_POSITIVE,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0x7fff_ffff_ffff_ffff),
+            f64::from_bits(0xfff0_0000_0000_0001),
+            f64::from_bits(0xffff_ffff_ffff_ffff),
+            f64::MAX,
+            f64::MIN,
+            1.0,
+            -1.0,
+            24.0,
+        ];
+        let mut xs: Vec<f64> = specials.iter().cycle().take(specials.len() * 3).copied().collect();
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        for _ in 0..500 {
+            state = state.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            xs.push(f64::from_bits(state));
+        }
+        let (got, expected) = both_sorts(xs);
+        assert_eq!(got, expected);
+        let (got, expected) = both_sorts(Vec::new());
+        assert_eq!(got, expected);
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn key_sort_equals_total_cmp_sort_on_arbitrary_bits(
+            bits in proptest::collection::vec(proptest::prelude::any::<u64>(), 0..200),
+            small in proptest::collection::vec(0u8..8, 0..200),
+        ) {
+            // Raw bit patterns, plus a few values repeated many times.
+            let mut xs: Vec<f64> = bits.into_iter().map(f64::from_bits).collect();
+            xs.extend(small.into_iter().map(|v| [0.0, -0.0, 1.5, f64::NAN][usize::from(v % 4)]));
+            let (got, expected) = both_sorts(xs);
+            proptest::prop_assert_eq!(got, expected);
+        }
+    }
+
+    #[test]
+    fn traced_ttr_histogram_equals_observing_each_repair() {
+        // Records whose repair durations include both signed zeros.
+        let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
+        let records = log
+            .records()
+            .iter()
+            .enumerate()
+            .map(|(i, r)| {
+                let ttr = match i % 5 {
+                    0 => -0.0,
+                    1 => 0.0,
+                    _ => r.ttr().get(),
+                };
+                FailureRecord::new(r.id(), r.time(), Hours::new(ttr), r.category(), r.node())
+            })
+            .collect();
+        let log = FailureLog::with_spec(log.generation(), log.spec().clone(), log.window(), records)
+            .unwrap();
+        for view in [StreamView::new(&log), StreamView::new(&log.filtered(|r| r.ttr().get() == 0.0))] {
+            let bulk = Collector::new();
+            view.trace_index(&bulk);
+            let looped = Collector::new();
+            looped.span("index.logview").add_items(view.len() as u64);
+            for &ttr in view.ttrs_sorted() {
+                looped.observe_hours("index.ttr_hours", ttr);
+            }
+            assert_eq!(bulk.export(), looped.export());
         }
     }
 

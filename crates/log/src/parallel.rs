@@ -172,8 +172,12 @@ pub(crate) fn from_str_traced(
     // Declaration-order merge. The first erroring chunk wins; every
     // chunk before it completed, so their line counts are known and the
     // chunk-relative error line remaps exactly onto the serial parser's
-    // global number.
-    let mut records = Vec::new();
+    // global number. The output is sized once from the chunk counts.
+    let total = outcomes
+        .iter()
+        .map(|outcome| outcome.as_ref().map_or(0, |rows| rows.records.len()))
+        .sum();
+    let mut records = Vec::with_capacity(total);
     let mut lines_before = header_lines;
     let mut records_in = 0u64;
     for outcome in outcomes {

@@ -114,6 +114,51 @@ impl Histogram {
         self.min = self.min.min(hours);
         self.max = self.max.max(hours);
     }
+
+    /// [`Histogram::observe`] of every value of `sorted`, in order, with
+    /// each bucket counted by binary search. `sorted` must be in
+    /// [`f64::total_cmp`] order: NaNs then sit only at its two ends
+    /// (negative ones first, positive ones last), and `x <= le` holds
+    /// on a prefix of the rest.
+    fn observe_sorted(&mut self, sorted: &[f64]) {
+        let lo = sorted.partition_point(|x| x.is_nan() && x.is_sign_negative());
+        let hi = sorted.len() - sorted[lo..].iter().rev().take_while(|x| x.is_nan()).count();
+        let numbers = &sorted[lo..hi];
+        let mut below = 0;
+        for (slot, &le) in DURATION_BUCKET_BOUNDS_HOURS.iter().enumerate() {
+            let upto = numbers.partition_point(|&x| x <= le);
+            self.buckets[slot] += (upto - below) as u64;
+            below = upto;
+        }
+        // NaN compares false with every bound, so it overflows.
+        self.buckets[DURATION_BUCKET_BOUNDS_HOURS.len()] +=
+            (numbers.len() - below + lo + (sorted.len() - hi)) as u64;
+        self.count += sorted.len() as u64;
+        for &x in sorted {
+            self.min = self.min.min(x);
+            self.max = self.max.max(x);
+        }
+    }
+}
+
+/// Applies `update` to the instrument `stage` in `map`, creating it
+/// with `new` first when missing. The key is looked up by `&str`, and
+/// copied into an owned `String` only on that first insert, so
+/// recording into an existing instrument never allocates.
+fn record<V>(
+    map: &mut BTreeMap<String, V>,
+    stage: &str,
+    new: impl FnOnce() -> V,
+    update: impl FnOnce(&mut V),
+) {
+    match map.get_mut(stage) {
+        Some(value) => update(value),
+        None => {
+            let mut value = new();
+            update(&mut value);
+            map.insert(stage.to_string(), value);
+        }
+    }
 }
 
 #[derive(Debug, Default)]
@@ -147,9 +192,7 @@ impl Collector {
 
     /// Adds `by` to the monotonic counter `stage`, creating it at zero.
     pub fn incr(&self, stage: &str, by: u64) {
-        self.with_registry(|reg| {
-            *reg.counters.entry(stage.to_string()).or_insert(0) += by;
-        });
+        self.with_registry(|reg| record(&mut reg.counters, stage, || 0, |n| *n += by));
     }
 
     /// The current value of counter `stage` (zero if never incremented).
@@ -161,10 +204,19 @@ impl Collector {
     /// histogram `stage`.
     pub fn observe_hours(&self, stage: &str, hours: f64) {
         self.with_registry(|reg| {
-            reg.hists
-                .entry(stage.to_string())
-                .or_insert_with(Histogram::new)
-                .observe(hours);
+            record(&mut reg.hists, stage, Histogram::new, |h| h.observe(hours));
+        });
+    }
+
+    /// Records every value of `sorted` into histogram `stage`, exactly
+    /// as calling [`observe_hours`](Collector::observe_hours) on each in
+    /// turn would, under one lock and one lookup. `sorted` must be
+    /// ascending in [`f64::total_cmp`] order (a view's sorted order
+    /// statistics are); buckets are then counted by binary search.
+    pub fn observe_sorted_hours(&self, stage: &str, sorted: &[f64]) {
+        debug_assert!(sorted.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le()));
+        self.with_registry(|reg| {
+            record(&mut reg.hists, stage, Histogram::new, |h| h.observe_sorted(sorted));
         });
     }
 
@@ -201,10 +253,11 @@ impl Collector {
 
     fn record_span(&self, stage: &str, items: u64, wall_ns: u64) {
         self.with_registry(|reg| {
-            let stats = reg.spans.entry(stage.to_string()).or_default();
-            stats.calls += 1;
-            stats.items += items;
-            stats.wall_ns += wall_ns;
+            record(&mut reg.spans, stage, SpanStats::default, |stats| {
+                stats.calls += 1;
+                stats.items += items;
+                stats.wall_ns += wall_ns;
+            });
         });
     }
 
@@ -562,5 +615,86 @@ mod tests {
         assert!(text.contains("counter parse.records = 9"));
         assert!(text.contains("hist    ttr: n=1"));
         assert!(text.contains("span    render: calls=1 items=0"));
+    }
+
+    /// Values in `f64::total_cmp` order covering every case the bulk
+    /// histogram special-cases: NaNs of both signs and several
+    /// payloads, infinities, signed zeros, subnormals, and each bucket
+    /// bound exactly and one ulp either side.
+    fn awkward_sorted() -> Vec<f64> {
+        let mut xs = vec![
+            -f64::NAN,
+            f64::from_bits(0xfff0_0000_0000_0001),
+            f64::NEG_INFINITY,
+            -3.5,
+            -0.0,
+            0.0,
+            f64::from_bits(1),
+            f64::MIN_POSITIVE,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0002),
+        ];
+        for le in DURATION_BUCKET_BOUNDS_HOURS {
+            xs.extend([le, f64::from_bits(le.to_bits() - 1), f64::from_bits(le.to_bits() + 1)]);
+        }
+        xs.sort_unstable_by(f64::total_cmp);
+        xs
+    }
+
+    #[test]
+    fn bulk_histogram_exports_what_per_observation_calls_export() {
+        let xs = awkward_sorted();
+        for (seed, cut) in [(None, xs.len()), (Some(5.0), 7), (Some(-0.0), 0), (Some(0.0), 3)] {
+            let (looped, bulk) = (Collector::new(), Collector::new());
+            for trace in [&looped, &bulk] {
+                if let Some(first) = seed {
+                    trace.observe_hours("ttr", first);
+                }
+            }
+            for &x in &xs[..cut] {
+                looped.observe_hours("ttr", x);
+            }
+            bulk.observe_sorted_hours("ttr", &xs[..cut]);
+            assert_eq!(bulk.export(), looped.export(), "seed {seed:?}, cut {cut}");
+            assert_eq!(bulk.render_text(), looped.render_text());
+        }
+        // Only zeros of both signs: `f64::min`/`max` may return either
+        // zero on a tie, so the bulk call must fold in the same order.
+        let zeros = [-0.0, -0.0, 0.0, 0.0];
+        let (looped, bulk) = (Collector::new(), Collector::new());
+        zeros.iter().for_each(|&x| looped.observe_hours("ttr", x));
+        bulk.observe_sorted_hours("ttr", &zeros);
+        assert_eq!(bulk.export(), looped.export());
+    }
+
+    #[test]
+    fn recording_into_existing_instruments_exports_the_same_bytes() {
+        // Every recording method, first on a missing instrument (which
+        // inserts it) and then repeatedly on the existing one.
+        let trace = Collector::new();
+        for i in 0..3u32 {
+            trace.incr("parse.records", 10);
+            trace.incr("a.first", u64::from(i));
+            trace.observe_hours("index.ttr_hours", f64::from(i) * 30.0);
+            trace.observe_sorted_hours("index.ttr_hours", &[0.1, 2.0]);
+            let mut span = trace.span("log.parse");
+            span.add_items(7);
+        }
+        assert_eq!(
+            trace.export(),
+            concat!(
+                r#"{"kind":"counter","id":0,"stage":"a.first","value":3}"#,
+                "\n",
+                r#"{"kind":"counter","id":1,"stage":"parse.records","value":30}"#,
+                "\n",
+                r#"{"kind":"hist","id":2,"stage":"index.ttr_hours","count":9,"min":0,"max":60,"buckets":[{"le":0.25,"n":4},{"le":0.5,"n":0},{"le":1,"n":0},{"le":2,"n":3},{"le":4,"n":0},{"le":8,"n":0},{"le":24,"n":0},{"le":72,"n":2},{"le":168,"n":0},{"le":720,"n":0},{"le":null,"n":0}]}"#,
+                "\n",
+                r#"{"kind":"span","id":3,"stage":"log.parse","calls":3,"items":21}"#,
+                "\n",
+            )
+        );
     }
 }

@@ -377,6 +377,11 @@ pub const fn days_in_month(year: i32, month: u8) -> u8 {
 pub struct ObservationWindow {
     start: Date,
     end: Date,
+    /// Whole days from `start` to `end`, fixed at construction so
+    /// [`duration`](ObservationWindow::duration) and
+    /// [`contains`](ObservationWindow::contains), which run once per
+    /// record, convert no civil dates.
+    days: i64,
 }
 
 impl ObservationWindow {
@@ -384,7 +389,11 @@ impl ObservationWindow {
     ///
     /// Returns `None` when `end` is not strictly after `start`.
     pub fn new(start: Date, end: Date) -> Option<Self> {
-        (end > start).then_some(ObservationWindow { start, end })
+        (end > start).then(|| ObservationWindow {
+            start,
+            end,
+            days: end.days_from_epoch() - start.days_from_epoch(),
+        })
     }
 
     /// Returns the first day of the window.
@@ -399,7 +408,7 @@ impl ObservationWindow {
 
     /// Returns the total duration of the window.
     pub fn duration(self) -> Hours {
-        self.start.hours_until(self.end)
+        Hours::from_days(self.days as f64)
     }
 
     /// Returns `true` when an event offset lies inside the window.
@@ -407,9 +416,28 @@ impl ObservationWindow {
         offset.get() >= 0.0 && offset.get() < self.duration().get()
     }
 
+    /// The day an event offset falls on, counted from the window's
+    /// first day (`floor(hours / 24)`): the integer form of
+    /// [`date_of`](ObservationWindow::date_of), for bucketing without a
+    /// calendar conversion.
+    ///
+    /// ```
+    /// use failtypes::{Date, Hours, ObservationWindow};
+    ///
+    /// let w = ObservationWindow::new(
+    ///     Date::new(2012, 1, 7).unwrap(),
+    ///     Date::new(2013, 8, 1).unwrap(),
+    /// ).unwrap();
+    /// assert_eq!(w.day_of(Hours::new(23.9)), 0);
+    /// assert_eq!(w.day_of(Hours::new(48.0)), 2);
+    /// ```
+    pub fn day_of(self, offset: Hours) -> i64 {
+        (offset.get() / 24.0).floor() as i64
+    }
+
     /// Converts an event offset into the calendar date it falls on.
     pub fn date_of(self, offset: Hours) -> Date {
-        self.start.plus_hours(offset)
+        Date::from_days_from_epoch(self.start.days_from_epoch() + self.day_of(offset))
     }
 
     /// Iterates over the `(year, month)` buckets the window overlaps, in
@@ -652,6 +680,17 @@ mod tests {
                 let db = Date::from_days_from_epoch(b);
                 prop_assert_eq!(da.hours_until(db).get(), -(db.hours_until(da).get()));
                 prop_assert_eq!(da.hours_until(db).get(), (b - a) as f64 * 24.0);
+            }
+
+            #[test]
+            fn window_duration_is_the_hours_between_its_dates(
+                start in -200_000i64..200_000,
+                len_days in 1i64..100_000,
+            ) {
+                let s = Date::from_days_from_epoch(start);
+                let e = Date::from_days_from_epoch(start + len_days);
+                let w = ObservationWindow::new(s, e).expect("end after start");
+                prop_assert_eq!(w.duration().get().to_bits(), s.hours_until(e).get().to_bits());
             }
 
             #[test]

@@ -120,12 +120,15 @@ if [ "$summary_rate" -lt "$summary_floor" ]; then
     exit 1
 fi
 
-# Parse-path gate: the chunked parallel parser sustains ~2.4M
-# records/second on the ~110k-record scaled year (one container core);
-# fail if it regresses below half that. `repro bench` also verifies the
-# parallel parse is byte-identical to serial before reporting a rate.
+# Parse-path gate: the chunked parallel parser on the ~110k-record
+# scaled year. With the split-free row scanner and window lengths fixed
+# at construction, five readings on the 2-core bench host were
+# 3.29M-3.97M records/second (the parent's five: 2.23M-2.86M); the
+# floor is 80% of the lowest. `repro bench` also verifies the parallel
+# parse is byte-identical to serial before reporting a rate, and exits
+# non-zero if its traced warm snapshot open records any parse.
 cargo run -q -p failbench --bin repro --release -- bench
-parse_floor=1150000
+parse_floor=2630000
 parse_rate=$(sed -n 's/.*"parse_records_per_second":\([0-9]*\).*/\1/p' \
     BENCH_pipeline.json)
 if [ -z "$parse_rate" ]; then
@@ -143,6 +146,9 @@ fi
 # bit-serial decoder it replaced measured ~1.4M there, so this floor
 # catches gross regressions (a per-byte reallocation, a quadratic copy)
 # rather than that return; loadbench's `faillog.inflate_ms` tracks it.
+# Five readings with the split-free row scanner were 1.27M-1.53M (the
+# parent's five: 1.21M-1.33M); 80% of the lowest is below this floor,
+# so it stays.
 gzip_floor=1220000
 gzip_rate=$(sed -n 's/.*"gzip_records_per_second":\([0-9]*\).*/\1/p' \
     BENCH_pipeline.json)
@@ -193,16 +199,19 @@ rm -rf "$flt_dir"
 
 # Snapshot gate, part 1: `repro bench`'s index block times the warm
 # `.fsidx` load path (validate + decode) against a cold parse on the
-# same ~110k-record year; measured ~3.7x on the 2-core bench host with
-# the allocator settled (see `settle_allocator` in repro.rs), tripwire
-# at 3x — an accidental return to re-parsing would land at 1x. The
-# bench itself already exits non-zero if the warm report bytes diverge
-# from cold. With the columnar v3 body, five readings on the 2-core
-# bench host were 2.69x-4.05x (the parent's five: 2.75x-3.58x); 80% of
-# the lowest is below this floor, so it stays. The bench snapshot
-# records no file identity, so this block never takes the stat-vouched
-# path.
-index_floor=300
+# same ~110k-record year, with the allocator settled (see
+# `settle_allocator` in repro.rs). The bench itself already exits
+# non-zero if the warm report bytes diverge from cold, or if its traced
+# warm open records any `parse.*` counter or `log.parse` span — the
+# exact check for an accidental return to re-parsing, which this ratio
+# (it would land at 1x) only approximates. The ratio falls whenever the
+# cold path gets faster: with the split-free scanner and bulk build,
+# five readings on the 2-core bench host were 2.10x-2.40x (the parent's
+# five, alternated with them: 3.04x-4.11x) while warm_load_seconds read
+# 19.7-22.8 ms (parent 19.2-22.4 ms); the floor is 80% of the lowest.
+# The bench snapshot records no file identity, so this block never
+# takes the stat-vouched path.
+index_floor=168
 index_speedup=$(sed -n 's/.*"index_load_speedup_x100":\([0-9]*\).*/\1/p' \
     BENCH_pipeline.json)
 if [ -z "$index_speedup" ]; then
@@ -223,8 +232,11 @@ fi
 # the parent's re-sorting render read 1.81x-2.48x on the same host.
 # With the columnar v3 body (streamed decode, records assembled from
 # columns), five readings read 2.48x-3.06x (the parent's, alternated
-# with them: 2.45x-3.01x): 80% of 2.48x.
-index_report_floor=198
+# with them: 2.45x-3.01x): 80% of 2.48x. With the faster cold path,
+# five readings read 1.90x-2.26x (the parent's: 2.52x-3.44x) while
+# warm_report_seconds read 27.7-29.1 ms (parent 25.3-38.5 ms): 80% of
+# 1.90x.
+index_report_floor=152
 index_report_speedup=$(sed -n 's/.*"index_report_speedup_x100":\([0-9]*\).*/\1/p' \
     BENCH_pipeline.json)
 if [ -z "$index_report_speedup" ]; then
