@@ -14,7 +14,10 @@
 //!   [`Collector`] that recorded the original parse/generation, and a
 //!   cache hit replays those instruments into the new query's collector
 //!   ([`Collector::merge_from`]), so the `metrics` section and `--trace`
-//!   exports stay byte-identical to an uncached run.
+//!   exports stay byte-identical to an uncached run. A file parse of new
+//!   bytes drops that path's parses of other bytes, under every filter,
+//!   so an appended log holds one fingerprint's views, not one per
+//!   append.
 //! * **rendered outputs** — keyed by the full query shape (command,
 //!   source fingerprints, filters, sections, format, index policy,
 //!   and — when snapshots are in play — the snapshot freshness state).
@@ -866,13 +869,31 @@ impl QueryEngine {
                 },
             );
         }
-        let mut logs = self.logs.lock().unwrap_or_else(|e| e.into_inner());
-        logs.entry(key).or_insert(CachedLog {
-            view: Arc::clone(&view),
-            load_trace,
-            catalog_id: path,
-            source_info: Some(info),
-        });
+        let superseded = {
+            let mut logs = self.logs.lock().unwrap_or_else(|e| e.into_inner());
+            // Parses of this path's other bytes, under every filter,
+            // hit again only if the file returns to exactly those bytes.
+            let fingerprint = (info.bytes, info.crc32);
+            let stale: Vec<CachedLog> = logs
+                .extract_if(|_, entry| {
+                    entry.catalog_id == path
+                        && entry
+                            .source_info
+                            .is_some_and(|i| (i.bytes, i.crc32) != fingerprint)
+                })
+                .map(|(_, entry)| entry)
+                .collect();
+            logs.entry(key).or_insert(CachedLog {
+                view: Arc::clone(&view),
+                load_trace,
+                catalog_id: path,
+                source_info: Some(info),
+            });
+            stale
+        };
+        // The last reference to a superseded view may be this one; its
+        // arrays are freed here, outside the lock.
+        drop(superseded);
         Ok(view)
     }
 }
@@ -1499,6 +1520,28 @@ mod tests {
         feed.inject(p);
         assert_eq!(engine.vouched_freshness(p), None);
         assert_eq!(engine.catalog()[0].snapshot.as_deref(), Some("missing"));
+        std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn appends_drop_the_superseded_parses_of_every_filter() {
+        let path = temp_path("superseded.fslog");
+        let p = path.to_str().unwrap();
+        let engine = QueryEngine::new();
+        let plain = QueryRequest::report(QuerySource::file(p)).sections("header,tbf");
+        let filtered = plain.clone().where_expr("ttr > 2");
+        for quarters in 1..=4 {
+            // Each rewrite keeps the earlier bytes: an append.
+            write_quarters(&path, quarters);
+            for req in [&plain, &filtered] {
+                let reply = engine.execute(req).expect("executes");
+                let fresh = QueryEngine::new().execute(req).expect("executes");
+                assert_eq!(reply.output, fresh.output, "after {quarters} quarter(s)");
+            }
+            let catalog = engine.catalog();
+            assert_eq!(catalog.len(), 1);
+            assert_eq!(catalog[0].log_entries, 2, "after {quarters} quarter(s)");
+        }
         std::fs::remove_file(&path).ok();
     }
 

@@ -42,8 +42,6 @@ pub struct WatchRequest {
     pub window: Option<String>,
     /// Raw `--refresh` record period for summaries.
     pub refresh: Option<String>,
-    /// Raw `--chunk` ingest chunk size in records.
-    pub chunk: Option<String>,
     /// Raw `--max-records` stop bound.
     pub max_records: Option<String>,
     /// Raw `--max-idle` poll bound.
@@ -168,11 +166,10 @@ pub fn run(req: &WatchRequest, out: &mut dyn io::Write) -> Result<Collector> {
         .build()?;
     let mut builder = WatchConfig::builder()
         .state(state)
-        .refresh_every(parse_raw_flag(&req.refresh, "refresh", 100)?)
-        .ingest_chunk(parse_raw_flag(
-            &req.chunk,
-            "chunk",
-            WatchConfig::default().ingest_chunk,
+        .refresh_every(parse_raw_flag(
+            &req.refresh,
+            "refresh",
+            WatchConfig::default().refresh_every,
         )?)
         .json_summaries(req.format == OutputFormat::Json)
         .trace(trace.clone());

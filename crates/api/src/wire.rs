@@ -184,7 +184,6 @@ fn parse_command(doc: &JsonValue, obj: &[(String, JsonValue)]) -> Result<Command
                 "baseline",
                 "window",
                 "refresh",
-                "chunk",
                 "max_records",
                 "max_idle",
                 "where",
@@ -199,7 +198,6 @@ fn parse_command(doc: &JsonValue, obj: &[(String, JsonValue)]) -> Result<Command
             req.baseline = raw_field(doc, "baseline")?;
             req.window = raw_field(doc, "window")?;
             req.refresh = raw_field(doc, "refresh")?;
-            req.chunk = raw_field(doc, "chunk")?;
             req.max_records = raw_field(doc, "max_records")?;
             req.max_idle = raw_field(doc, "max_idle")?;
             req.where_expr = opt_string(doc, "where")?;
@@ -393,7 +391,6 @@ pub fn encode_watch(id: u64, req: &WatchRequest) -> String {
         ("baseline", &req.baseline),
         ("window", &req.window),
         ("refresh", &req.refresh),
-        ("chunk", &req.chunk),
         ("max_records", &req.max_records),
         ("max_idle", &req.max_idle),
         ("where", &req.where_expr),

@@ -21,6 +21,11 @@
 //!    and the injected MTTR-regression scenario, checking that the
 //!    canonical alert fires.
 //!
+//! The same scenario, replayed for seeds 1, 2 and 3, gives the
+//! **detection delay**: the records from the injected onset to the first
+//! MTTR-regression alert. Drift checks run at refresh ticks, so the
+//! delay is a function of the records and the refresh cadence alone.
+//!
 //! A scaling sweep (1k/10k/100k/1M synthetic records over one year)
 //! records the per-size rec/s curve, which amortized-O(1) ingest keeps
 //! near flat, and the per-size cost of one watch summary refresh; the
@@ -46,7 +51,7 @@ use failscope::{StreamView, TbfAnalysis, TtrAnalysis};
 use failsim::{ReplayClock, ScenarioBuilder, Simulator, SystemModel};
 use failtypes::{AlertKind, FailureLog, FailureRecord};
 use failwatch::{
-    Baseline, DriftDetector, SimSource, StateConfig, WatchConfig, WatchState,
+    Baseline, DriftDetector, SimSource, StateConfig, WatchConfig, WatchOutcome, WatchState,
 };
 
 /// Timing repetitions; the reported seconds are for the fastest pass.
@@ -54,6 +59,13 @@ const REPS: usize = 10;
 
 /// Summary refreshes timed at the end of each scaled stream.
 const SUMMARY_CYCLES: usize = 20;
+
+/// Replay seeds whose detection delay is reported.
+const DELAY_SEEDS: [u64; 3] = [1, 2, 3];
+
+/// The injected scenario slows repairs from this fraction of the
+/// replay onward.
+const INJECT_FROM: f64 = 0.5;
 
 fn main() {
     let mut json_path = String::from("BENCH_stream.json");
@@ -173,18 +185,11 @@ fn main() {
     // ingested, alerts raised) land in the JSON.
     let collector = failtrace::Collector::new();
     let start = Instant::now();
-    let mut source = SimSource::new(SystemModel::tsubame2(), 42, ReplayClock::unpaced())
-        .expect("simulates")
-        .with_mttr_injection(5.0, 0.5);
-    let baseline = Baseline::from_model(SystemModel::tsubame2(), 1).expect("simulates");
-    let detector = DriftDetector::new(baseline);
     let config = WatchConfig::builder()
         .trace(collector.clone())
         .build()
         .expect("default watch config is valid");
-    let mut sink = Vec::new();
-    let outcome = failwatch::run(&mut source, Some(detector), &config, &mut sink)
-        .expect("watch replay runs");
+    let outcome = injected_replay(42, &config);
     let watch_seconds = start.elapsed().as_secs_f64();
     let regression_alerts = outcome
         .alerts
@@ -198,6 +203,17 @@ fn main() {
         regression_alerts,
         watch_seconds
     );
+
+    let delays: Vec<usize> = DELAY_SEEDS
+        .iter()
+        .filter_map(|&s| detection_delay(s))
+        .collect();
+    let delay_list = delays
+        .iter()
+        .map(usize::to_string)
+        .collect::<Vec<_>>()
+        .join(", ");
+    println!("detection delay (records from onset, seeds {DELAY_SEEDS:?}): [{delay_list}]");
 
     let records_per_second = total_records as f64 / stream_seconds.max(f64::MIN_POSITIVE);
     let trace = collector.to_json(true).render();
@@ -216,6 +232,7 @@ fn main() {
          \"scaling\": [\n    {scaling}\n  ],\n  \
          \"watch_replay_seconds\": {watch_seconds:.6},\n  \
          \"injected_regression_alerts\": {regression_alerts},\n  \
+         \"detection_delay_records\": [{delay_list}],\n  \
          \"trace\": {trace}\n}}\n",
         scaling = scaling_rows.join(",\n    "),
     );
@@ -238,6 +255,44 @@ fn main() {
         eprintln!("injected MTTR regression did not alert");
         std::process::exit(1);
     }
+    if delays.len() < DELAY_SEEDS.len() {
+        eprintln!("an injected MTTR regression went undetected (seeds {DELAY_SEEDS:?})");
+        std::process::exit(1);
+    }
+}
+
+/// Replays Tsubame 2.5 simulated with `seed`, repairs 5x slower from
+/// [`INJECT_FROM`] of the replay onward, through the watch loop against
+/// the calibrated baseline.
+fn injected_replay(seed: u64, config: &WatchConfig) -> WatchOutcome {
+    let mut source = SimSource::new(SystemModel::tsubame2(), seed, ReplayClock::unpaced())
+        .expect("simulates")
+        .with_mttr_injection(5.0, INJECT_FROM);
+    let baseline = Baseline::from_model(SystemModel::tsubame2(), 1).expect("simulates");
+    failwatch::run(
+        &mut source,
+        Some(DriftDetector::new(baseline)),
+        config,
+        &mut std::io::sink(),
+    )
+    .expect("watch replay runs")
+}
+
+/// Records from the injected onset to the first MTTR-regression alert
+/// of [`injected_replay`] (`None` when none fires).
+fn detection_delay(seed: u64) -> Option<usize> {
+    let outcome = injected_replay(seed, &WatchConfig::default());
+    let alert = outcome
+        .alerts
+        .iter()
+        .find(|a| a.kind == AlertKind::MttrRegression)?;
+    // The injection starts at this record (see
+    // `SimSource::with_mttr_injection`). An alert's time is that of the
+    // newest record ingested when it fired; replay times are distinct.
+    let times = outcome.state.view().times();
+    let onset = (times.len() as f64 * INJECT_FROM) as usize;
+    let fired_at = times.partition_point(|&t| t <= alert.time_h);
+    Some(fired_at.saturating_sub(onset))
 }
 
 fn best_of(reps: usize, mut f: impl FnMut()) -> f64 {

@@ -98,7 +98,7 @@ COMMANDS
       itself).
   watch <FILE|sim:MODEL> [--follow] [--accel RATE|max] [--seed N]
         [--baseline tsubame2|tsubame3|none] [--window N] [--refresh N]
-        [--chunk N] [--max-records N] [--max-idle N] [--inject-mttr F]
+        [--max-records N] [--max-idle N] [--inject-mttr F]
         [--where EXPR] [--format text|json] [--sections IDS]
         [--trace FILE] [--index auto|off]
       Stream a log (or an accelerated simulated replay) through the
@@ -106,9 +106,10 @@ COMMANDS
       baseline, plus periodic summaries. A gzip-compressed replay file
       is decoded transparently (non-follow only: --follow requires
       plain text, since appended bytes cannot be observed through a
-      compressed member). Records are ingested in chunks of up to
-      --chunk (default 256; drift checks run per chunk, partial chunks
-      flush on idle/EOF so follow mode never lags). --where EXPR scopes
+      compressed member). Drift checks run every --refresh records
+      (default 100), before each summary, and once when the run stops,
+      so alerts never depend on how records arrive (with --follow, an
+      alert can wait up to --refresh records). --where EXPR scopes
       the monitor to matching records (report syntax): the detector
       and summaries see only the filtered stream, and every alert line
       carries the expression in a `filter` field. --format json makes

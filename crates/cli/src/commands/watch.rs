@@ -17,7 +17,6 @@ pub(crate) const WATCH_FLAGS: &[&str] = &[
     "baseline",
     "window",
     "refresh",
-    "chunk",
     "max-records",
     "max-idle",
 ];
@@ -39,7 +38,6 @@ pub(crate) fn watch_request(
     req.baseline = take("baseline");
     req.window = take("window");
     req.refresh = take("refresh");
-    req.chunk = take("chunk");
     req.max_records = take("max-records");
     req.max_idle = take("max-idle");
     CommonQueryArgs::from_args(args).apply_watch(&mut req)?;

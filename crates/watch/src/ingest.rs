@@ -51,7 +51,9 @@ pub trait EventSource {
     /// virtual calls. Stops early on [`StreamEvent::Idle`] /
     /// [`StreamEvent::Eof`] and reports why it stopped; partial chunks
     /// are always handed over, so chunking never delays follow-mode
-    /// delivery.
+    /// delivery. Nor does it move alerts: the watch loop checks drift
+    /// at refresh ticks counted in records, so an alert waits for its
+    /// tick (or the end of the run), wherever the chunks end.
     ///
     /// # Errors
     ///

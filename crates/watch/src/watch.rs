@@ -2,13 +2,14 @@
 //! stream alerts, and render periodic summaries.
 //!
 //! Output is line-oriented so it can be piped: alerts are NDJSON
-//! objects written the moment they fire, summaries are `#`-prefixed
-//! text blocks (or NDJSON section lines with
+//! objects written the moment a drift check fires them, summaries are
+//! `#`-prefixed text blocks (or NDJSON section lines with
 //! [`WatchConfig::json_summaries`]) refreshed every `refresh_every`
-//! records (and once at end of stream). Summaries dispatch through the
-//! typed [`WATCH_SECTIONS`] registry and render on the calling thread:
-//! the four sections take tens of microseconds together, less than
-//! spawning a worker would cost.
+//! records (and once at end of stream). Drift checks run at the same
+//! refresh ticks, just before each summary. Summaries dispatch through
+//! the typed [`WATCH_SECTIONS`] registry and render on the calling
+//! thread: the four sections take tens of microseconds together, less
+//! than spawning a worker would cost.
 
 use std::io::Write;
 use std::thread;
@@ -25,6 +26,12 @@ use crate::state::{StateConfig, WatchState};
 
 /// Sleep between polls when a followed source is idle.
 const IDLE_SLEEP: Duration = Duration::from_millis(200);
+
+/// Most records pulled per [`EventSource::next_chunk`] call. Each pull
+/// is also clipped to the next refresh tick and the `max_records`
+/// bound. Drift checks run at refresh ticks, not per pull, so this size
+/// changes how often the source is called and nothing else.
+const INGEST_CHUNK: usize = 256;
 
 /// One streaming summary section: a stable machine id, a human title,
 /// and paired JSON/text renderers over the online [`WatchState`] — the
@@ -117,16 +124,14 @@ pub fn select_watch_sections(spec: &str) -> failtypes::Result<Vec<&'static Watch
 pub struct WatchConfig {
     /// Online-state tuning (the trailing window).
     pub state: StateConfig,
-    /// Records between summary refreshes.
+    /// Records between summary refreshes. The drift detector runs at
+    /// the same ticks (every `refresh_every` ingested records) and once
+    /// more when the run stops if records arrived after the last tick,
+    /// so the alert stream is a function of the records, this cadence
+    /// and [`filter`](WatchConfig::filter) alone: how the source splits
+    /// its delivery changes nothing. The price in follow mode is that an
+    /// alert can wait up to `refresh_every` records for its tick.
     pub refresh_every: usize,
-    /// Largest record chunk pulled from the source per
-    /// [`EventSource::next_chunk`] call. Chunks are additionally
-    /// clipped to the next refresh tick and the `max_records` bound, so
-    /// summaries and record limits are honoured exactly; drift checks
-    /// run once per chunk (partial chunks are flushed on idle/EOF, so
-    /// chunking never delays follow-mode delivery or alerting on a
-    /// stalled stream).
-    pub ingest_chunk: usize,
     /// Stop after this many *consecutive* idle polls (`None` = follow
     /// forever; the CLI uses a bound so smoke tests terminate).
     pub max_idle_polls: Option<u64>,
@@ -154,7 +159,6 @@ impl Default for WatchConfig {
         WatchConfig {
             state: StateConfig::default(),
             refresh_every: 100,
-            ingest_chunk: 256,
             max_idle_polls: None,
             max_records: None,
             json_summaries: false,
@@ -175,7 +179,7 @@ impl WatchConfig {
 /// Validating builder for [`WatchConfig`].
 ///
 /// [`build`](WatchConfigBuilder::build) rejects loop parameters the run
-/// cannot honour (a zero refresh cadence or ingest chunk) with a
+/// cannot honour (a zero refresh cadence) with a
 /// [`failtypes::Error::Config`] naming the offending knob.
 ///
 /// # Examples
@@ -205,14 +209,6 @@ impl WatchConfigBuilder {
     #[must_use]
     pub fn refresh_every(mut self, records: usize) -> Self {
         self.config.refresh_every = records;
-        self
-    }
-
-    /// Largest record chunk per source pull (see
-    /// [`WatchConfig::ingest_chunk`]).
-    #[must_use]
-    pub fn ingest_chunk(mut self, records: usize) -> Self {
-        self.config.ingest_chunk = records;
         self
     }
 
@@ -264,20 +260,13 @@ impl WatchConfigBuilder {
     /// # Errors
     ///
     /// [`failtypes::Error::Config`] (target `watch loop`) when the
-    /// refresh cadence or ingest chunk is zero, or no summary section
-    /// is selected.
+    /// refresh cadence is zero, or no summary section is selected.
     pub fn build(self) -> failtypes::Result<WatchConfig> {
         let c = &self.config;
         if c.refresh_every == 0 {
             return Err(failtypes::Error::config(
                 "watch loop",
                 "summary refresh cadence must be at least 1 record",
-            ));
-        }
-        if c.ingest_chunk == 0 {
-            return Err(failtypes::Error::config(
-                "watch loop",
-                "ingest chunk must hold at least 1 record",
             ));
         }
         if c.summary_sections.is_empty() {
@@ -306,7 +295,10 @@ pub struct WatchOutcome {
 /// `out`.
 ///
 /// `detector` is optional: without a baseline the loop still maintains
-/// the full online state and summaries, it just cannot alert.
+/// the full online state and summaries, it just cannot alert. It runs
+/// at every refresh tick and once when the run stops (EOF, the record
+/// bound or the idle bound) if records arrived after the last tick; see
+/// [`WatchConfig::refresh_every`].
 ///
 /// # Errors
 ///
@@ -344,13 +336,12 @@ pub fn run(
     let refresh = config.refresh_every.max(1);
     // One reusable chunk buffer for the whole run; records move from
     // the source through it into the state without cloning.
-    let mut chunk: Vec<FailureRecord> = Vec::with_capacity(config.ingest_chunk.max(1));
+    let mut chunk: Vec<FailureRecord> = Vec::with_capacity(INGEST_CHUNK);
 
     loop {
         // Clip the chunk to the next refresh tick and the record bound
         // so both are honoured exactly, as per-record ingestion did.
-        let mut limit = config.ingest_chunk.max(1);
-        limit = limit.min(refresh - records % refresh);
+        let mut limit = INGEST_CHUNK.min(refresh - records % refresh);
         if let Some(max) = config.max_records {
             if records >= max {
                 break;
@@ -374,14 +365,30 @@ pub fn run(
             }
         }
 
+        let mut tick = false;
         if !chunk.is_empty() {
             let ingested = state.ingest_batch(chunk.drain(..))?;
             records += ingested;
             if let Some(trace) = &config.trace {
                 trace.incr("watch.records_ingested", ingested as u64);
             }
-            // Drift checks run once per chunk — the chunk boundary is
-            // where the trailing windows have genuinely new content.
+            tick = records.is_multiple_of(refresh);
+        }
+        if end == ChunkEnd::Idle {
+            idle_polls += 1;
+        }
+        let stop = match end {
+            ChunkEnd::More => false,
+            ChunkEnd::Idle => config.max_idle_polls.is_some_and(|max| idle_polls >= max),
+            ChunkEnd::Eof => true,
+        } || config.max_records.is_some_and(|max| records >= max);
+
+        // Drift checks run at refresh ticks, which fall on record
+        // counts, never on where a pull happened to end; records that
+        // arrived after the last tick are checked when the run stops.
+        // Alerts are edge-triggered, so a check of an unchanged state
+        // fires nothing.
+        if tick || (stop && !records.is_multiple_of(refresh)) {
             if let Some(det) = &mut detector {
                 for alert in det.evaluate(&state) {
                     let filter_tag = config.filter.as_ref().map(CompiledPredicate::source);
@@ -392,25 +399,16 @@ pub fn run(
                     alerts.push(alert);
                 }
             }
-            if records.is_multiple_of(refresh) {
-                state.materialize();
-                out.write_all(config_summary(&state, config).as_bytes())?;
-            }
-            if config.max_records.is_some_and(|max| records >= max) {
-                break;
-            }
         }
-
-        match end {
-            ChunkEnd::More => {}
-            ChunkEnd::Idle => {
-                idle_polls += 1;
-                if config.max_idle_polls.is_some_and(|max| idle_polls >= max) {
-                    break;
-                }
-                thread::sleep(IDLE_SLEEP);
-            }
-            ChunkEnd::Eof => break,
+        if tick {
+            state.materialize();
+            out.write_all(config_summary(&state, config).as_bytes())?;
+        }
+        if stop {
+            break;
+        }
+        if end == ChunkEnd::Idle {
+            thread::sleep(IDLE_SLEEP);
         }
     }
 
@@ -656,7 +654,10 @@ mod tests {
     use crate::drift::Baseline;
     use crate::ingest::SimSource;
     use failsim::{ReplayClock, SystemModel};
-    use failtypes::AlertKind;
+    use failtypes::{
+        AlertKind, FailureLog, Generation, ObservationWindow, StreamEvent, SystemSpec,
+    };
+    use std::collections::VecDeque;
 
     fn watch_sim(
         seed: u64,
@@ -713,29 +714,196 @@ mod tests {
     }
 
     #[test]
-    fn chunk_size_preserves_bounds_and_final_state() {
-        // max_records is honoured exactly at any chunk size (chunks are
-        // clipped to the bound, never overshooting).
-        for chunk in [1, 7, 64, 1024] {
-            let config = WatchConfig::builder()
-                .ingest_chunk(chunk)
-                .max_records(25)
-                .build()
-                .unwrap();
-            let (outcome, _) = watch_sim(1, None, &config);
-            assert_eq!(outcome.records, 25, "chunk={chunk}");
+    fn records_after_the_last_tick_are_checked_when_the_run_stops() {
+        // No tick falls inside these runs, so the stop (EOF, then the
+        // record bound) is their only drift check.
+        let far = WatchConfig::builder().refresh_every(100_000);
+        for config in [far.clone(), far.max_records(300)] {
+            let (outcome, output) = watch_sim(1, Some((5.0, 0.1)), &config.build().unwrap());
+            assert!(
+                outcome
+                    .alerts
+                    .iter()
+                    .any(|a| a.kind == AlertKind::MttrRegression),
+                "{output}"
+            );
+            let alert_at = output.find("\"kind\":\"mttr_regression\"").unwrap();
+            assert!(alert_at < output.find("# summary @").unwrap(), "{output}");
         }
-        // The final online state of a full replay is identical at any
-        // chunk size — chunking changes when drift checks run, never
-        // what was ingested. ingest_chunk(1) is the per-record path.
-        let base = {
-            let config = WatchConfig::builder().ingest_chunk(1).build().unwrap();
-            watch_sim(7, None, &config).0.state
-        };
-        for chunk in [3, 100, 4096] {
-            let config = WatchConfig::builder().ingest_chunk(chunk).build().unwrap();
-            let state = watch_sim(7, None, &config).0.state;
-            assert_eq!(state, base, "chunk={chunk}");
+    }
+
+    /// One step of a [`SplitSource`] delivery plan.
+    #[derive(Debug, Clone, Copy)]
+    enum Step {
+        /// Hand over up to this many records, then end the pull.
+        Records(usize),
+        /// End the pull with [`ChunkEnd::Idle`], as a followed file
+        /// does when it has nothing new.
+        Idle,
+    }
+
+    /// Replays one record stream in the pulls its plan dictates. Short
+    /// pulls end with [`ChunkEnd::More`]; once the plan is spent, each
+    /// pull fills to the loop's limit, so an empty plan is the single
+    /// unsplit delivery.
+    struct SplitSource {
+        records: VecDeque<FailureRecord>,
+        plan: VecDeque<Step>,
+        spec: SystemSpec,
+        window: ObservationWindow,
+        generation: Generation,
+    }
+
+    impl SplitSource {
+        fn new(log: &FailureLog, plan: Vec<Step>) -> Self {
+            SplitSource {
+                records: log.records().iter().cloned().collect(),
+                plan: plan.into(),
+                spec: log.spec().clone(),
+                window: log.window(),
+                generation: log.generation(),
+            }
+        }
+    }
+
+    impl EventSource for SplitSource {
+        fn generation(&self) -> Generation {
+            self.generation
+        }
+
+        fn spec(&self) -> &SystemSpec {
+            &self.spec
+        }
+
+        fn window(&self) -> ObservationWindow {
+            self.window
+        }
+
+        fn next_event(&mut self) -> failtypes::Result<StreamEvent> {
+            Ok(self
+                .records
+                .pop_front()
+                .map_or(StreamEvent::Eof, StreamEvent::Record))
+        }
+
+        fn next_chunk(
+            &mut self,
+            max: usize,
+            out: &mut Vec<FailureRecord>,
+        ) -> failtypes::Result<ChunkEnd> {
+            let take = match self.plan.front_mut() {
+                Some(Step::Idle) => {
+                    self.plan.pop_front();
+                    return Ok(ChunkEnd::Idle);
+                }
+                Some(Step::Records(n)) => {
+                    let take = (*n).min(max);
+                    *n -= take;
+                    if *n == 0 {
+                        self.plan.pop_front();
+                    }
+                    take
+                }
+                None => max,
+            };
+            let take = take.min(self.records.len());
+            out.extend(self.records.drain(..take));
+            Ok(if self.records.is_empty() {
+                ChunkEnd::Eof
+            } else {
+                ChunkEnd::More
+            })
+        }
+
+        fn describe(&self) -> String {
+            String::from("split replay")
+        }
+    }
+
+    /// Splits a stream of `len` records into pulls of the cycled
+    /// `sizes`, with an idle pull after pull `at % pulls` for each `at`
+    /// in `idles`.
+    fn split_plan(len: usize, sizes: &[usize], idles: &[usize]) -> Vec<Step> {
+        let mut pulls = Vec::new();
+        let mut covered = 0;
+        for &size in sizes.iter().cycle() {
+            if covered >= len {
+                break;
+            }
+            pulls.push(size);
+            covered += size;
+        }
+        let mut plan = Vec::new();
+        for (i, &size) in pulls.iter().enumerate() {
+            plan.push(Step::Records(size));
+            let idle = idles.iter().filter(|&&at| at % pulls.len() == i);
+            plan.extend(idle.map(|_| Step::Idle));
+        }
+        plan
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(16))]
+
+        // The alert stream is a function of the records, the refresh
+        // cadence and the filter: however the source splits its
+        // delivery (short pulls, idle polls), the loop writes the same
+        // bytes and ends with the same alerts and state as one unsplit
+        // delivery, with and without `--where`, and honours a record
+        // bound exactly. Every idle poll sleeps, so a case carries at
+        // most two of them, in one of its three runs.
+        #[test]
+        fn source_chunking_never_changes_the_output(
+            seed in 1u64..4,
+            refresh in 5usize..150,
+            sizes in proptest::collection::vec(1usize..200, 1..24),
+            idles in proptest::collection::vec(0usize..1000, 0..=2),
+            idle_run in 0usize..3,
+            max_records in 1usize..700,
+        ) {
+            let mut src = SimSource::new(SystemModel::tsubame3(), seed, ReplayClock::unpaced())
+                .unwrap()
+                .with_mttr_injection(5.0, 0.5);
+            let mut records = Vec::new();
+            let end = src.next_chunk(usize::MAX, &mut records).unwrap();
+            proptest::prop_assert_eq!(end, ChunkEnd::Eof);
+            let log = FailureLog::new(src.generation(), src.window(), records).unwrap();
+            let baseline = Baseline::from_model(SystemModel::tsubame3(), 1).unwrap();
+            let gpu_only = failfilter::compile("category == gpu").unwrap();
+            let configs = [
+                WatchConfig::builder().refresh_every(refresh).build().unwrap(),
+                WatchConfig::builder()
+                    .refresh_every(refresh)
+                    .filter(gpu_only)
+                    .build()
+                    .unwrap(),
+                WatchConfig::builder()
+                    .refresh_every(refresh)
+                    .max_records(max_records)
+                    .build()
+                    .unwrap(),
+            ];
+            for (i, config) in configs.iter().enumerate() {
+                let idles: &[usize] = if i == idle_run { &idles } else { &[] };
+                let mut outputs = Vec::new();
+                for plan in [Vec::new(), split_plan(log.len(), &sizes, idles)] {
+                    let detector = DriftDetector::new(baseline.clone());
+                    let mut buf = Vec::new();
+                    let outcome =
+                        run(&mut SplitSource::new(&log, plan), Some(detector), config, &mut buf)
+                            .unwrap();
+                    outputs.push((String::from_utf8(buf).unwrap(), outcome));
+                }
+                let (whole_out, whole) = &outputs[0];
+                let (split_out, split) = &outputs[1];
+                proptest::prop_assert_eq!(split_out, whole_out, "config {}", i);
+                proptest::prop_assert_eq!(&split.alerts, &whole.alerts);
+                proptest::prop_assert_eq!(&split.state, &whole.state);
+                proptest::prop_assert_eq!(split.records, whole.records);
+                if config.max_records.is_some() {
+                    proptest::prop_assert_eq!(whole.records, max_records.min(log.len()));
+                }
+            }
         }
     }
 
@@ -802,7 +970,6 @@ mod tests {
         assert!(WatchConfig::builder().build().is_ok());
         for bad in [
             WatchConfig::builder().refresh_every(0).build(),
-            WatchConfig::builder().ingest_chunk(0).build(),
             WatchConfig::builder().summary_sections(Vec::new()).build(),
         ] {
             let err = bad.unwrap_err();

@@ -17,8 +17,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 # (quantile sketch, trailing-window buffers), the second JSON row parser,
 # the second fingerprint type, the engine's private re-read of each log,
 # the drift-threshold builder, the user-set parse chunk size (CLI flag,
-# wire field, request fields, read-buffer capacities) and failbench's
-# second file loader stay gone.
+# wire field, request fields, read-buffer capacities), the user-set watch
+# ingest batch (`WatchConfig::ingest_chunk`) and failbench's second file
+# loader stay gone.
 extra_vendor=$(ls vendor | grep -vxE 'rand|proptest' || true)
 if [ -n "$extra_vendor" ]; then
     echo "verify: unexpected vendored crates: $extra_vendor (allowed: rand, proptest)" >&2
@@ -44,8 +45,8 @@ if grep -rnE 'struct JsonCursor|struct TailProgress|fn fingerprint\(|type FilePr
     echo "verify: a second row parser, fingerprint type, engine fingerprint read, or drift-threshold builder reappeared under crates/" >&2
     exit 1
 fi
-if grep -rnE 'parse_chunk|parse-chunk|open_with_capacity|fn get_path|file_cells' crates/; then
-    echo "verify: a user-set parse chunk size, a read-buffer capacity, or failbench's second file loader reappeared under crates/; every query parses at faillog::DEFAULT_CHUNK_BYTES" >&2
+if grep -rnE 'parse_chunk|parse-chunk|open_with_capacity|fn get_path|file_cells|ingest_chunk' crates/; then
+    echo "verify: a user-set parse chunk size, a read-buffer capacity, a user-set watch ingest batch, or failbench's second file loader reappeared under crates/; every query parses at faillog::DEFAULT_CHUNK_BYTES and watch checks drift at refresh ticks" >&2
     exit 1
 fi
 if grep -nF 'std::fs::read' crates/api/src/engine.rs; then
@@ -85,6 +86,28 @@ fi
 # batch pipeline, and an injected MTTR regression must raise an alert.
 cargo test -q -p failsuite --test stream_equivalence
 cargo run -q -p failbench --bin bench_stream --release -- --json BENCH_stream.json
+
+# Detection-delay gate: the records from the injected onset (record 448
+# of the 897-record Tsubame 2.5 replay, `--inject-mttr 5`) to the first
+# MTTR-regression alert, for seeds 1, 2 and 3. Drift checks run at
+# refresh ticks, so each reading is exact: all three fire at the first
+# tick after the onset, 52 records in. The ceiling is the highest
+# reading plus one refresh period (100 records): an alert that waits
+# past the second tick after the onset fails. The clean-replay quiet
+# check in stream_equivalence above keeps a lower reading from being
+# bought with false alarms.
+delay_ceiling=152
+delays=$(sed -n 's/.*"detection_delay_records": \[\([0-9, ]*\)\].*/\1/p' BENCH_stream.json)
+if [ -z "$delays" ]; then
+    echo "verify: detection_delay_records missing from BENCH_stream.json" >&2
+    exit 1
+fi
+for delay in $(echo "$delays" | tr ',' ' '); do
+    if [ "$delay" -gt "$delay_ceiling" ]; then
+        echo "verify: MTTR regression detected $delay records after onset > ceiling $delay_ceiling" >&2
+        exit 1
+    fi
+done
 
 # Streaming throughput gate: the amortized deferred-merge ingest path
 # sustains ~2.4M records/second on the ~110k-record scaled year (one
@@ -447,7 +470,9 @@ rm -rf "$gz_dir"
 
 # Retired-knob smoke: every query parses at one chunk size, so
 # `--parse-chunk` is an unknown flag (exit 1) on each command that used
-# to take it. The wire twin is covered by tests/tests/query_server.rs.
+# to take it; watch checks drift at refresh ticks whatever its ingest
+# batching, so its `--chunk` is unknown too. The wire twins are covered
+# by tests/tests/query_server.rs.
 knob_dir=$(mktemp -d)
 cargo run -q --release -p failctl -- \
     generate --system tsubame2 --out "$knob_dir/k.fslog" >/dev/null
@@ -464,6 +489,13 @@ for cmd in "report $knob_dir/k.fslog" "compare $knob_dir/k.fslog $knob_dir/k.fsl
         exit 1
     fi
 done
+knob_status=0
+cargo run -q --release -p failctl -- watch "$knob_dir/k.fslog" --chunk 64 \
+    >/dev/null 2>"$knob_dir/err" || knob_status=$?
+if [ "$knob_status" -ne 1 ] || ! grep -q 'unknown flag --chunk' "$knob_dir/err"; then
+    echo "verify: failctl watch did not reject --chunk as an unknown flag" >&2
+    exit 1
+fi
 rm -rf "$knob_dir"
 
 watch_trace=$(mktemp)

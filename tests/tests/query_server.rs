@@ -270,6 +270,12 @@ fn malformed_requests_come_back_as_typed_error_envelopes() {
             r#"{"v":1,"id":1,"cmd":"watch","source":"a.fslog","parse_chunk":"64"}"#,
             "unknown field \"parse_chunk\" for cmd \"watch\"",
         ),
+        // Drift checks run at refresh ticks whatever the ingest
+        // batching, so watch's retired batch size is unknown too.
+        (
+            r#"{"v":1,"id":1,"cmd":"watch","source":"a.fslog","chunk":"64"}"#,
+            "unknown field \"chunk\" for cmd \"watch\"",
+        ),
     ];
     for (line, want) in args_cases {
         let err = conn.roundtrip(line).expect_err("must be rejected");
