@@ -27,11 +27,16 @@
 //! The incremental write path is amortized O(1) per record and
 //! allocation-free in the steady state. Every index except the three
 //! order statistics is a plain append or bump (`Vec::push`, a
-//! `BTreeMap` count, the record's [`NodeTally`] and GPU-count slot).
-//! That includes the month buckets, each of which keeps a running TTR
-//! sum beside its arrival-order values, and the list of GPU-slot
-//! involvements, so a monthly MTTR or a trailing-window slot share is
-//! an O(1) or O(window) read. The per-node tallies make the per-node
+//! `BTreeMap` count, the record's [`NodeTally`] and GPU-count slot, an
+//! [`ExactSum`] add). That includes the exact sum of every repair
+//! duration, the month buckets, each of which keeps an exact TTR sum
+//! beside its arrival-order values, and the list of GPU-slot
+//! involvements, so the MTTR, a monthly MTTR or a trailing-window slot
+//! share is an O(1) or O(window) read. The sums are exact and rounded
+//! once per read, so the bulk build and [`StreamView::from_parts`]
+//! (which take the TTR total as the merge of the month sums) and `push`
+//! (which adds each repair to both) agree on every mean whatever order
+//! they add the values in. The per-node tallies make the per-node
 //! analyses (Fig. 4 occupancy, time to first failure) O(nodes) reads.
 //! The sorted repair, recovery and gap arrays use a *deferred-merge*
 //! design ([`SortedRun`]): new values append to a small unsorted tail,
@@ -45,9 +50,10 @@
 //!   stream is O(n) moves, i.e. amortized O(1) per record on top of the
 //!   O(log tail) sort share (amortized O(log n) per record all in); or
 //! * a writer forces it ([`StreamView::materialize`], which the watch
-//!   loop calls before every summary, forces the repair and recovery
-//!   runs a summary reads, but not the gap run; `into_parts` forces all
-//!   three) or a reader asks for the
+//!   loop calls before every summary, forces the repair run whose
+//!   quantiles a summary reads, but not the recovery or gap runs, which
+//!   no summary reads; `into_parts` forces all three) or a reader asks
+//!   for the
 //!   materialized array ([`StreamView::ttrs_sorted`] and friends,
 //!   including every analysis's `from_index`). A
 //!   forced merge of `t` pending values costs O(t log n) compares plus
@@ -66,6 +72,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::OnceLock;
 
+use failstats::ExactSum;
 use failtrace::Collector;
 use failtypes::{
     days_in_month, Category, Date, Domain, FailureLog, FailureRecord, Generation, GpuSlot, Hours,
@@ -355,29 +362,35 @@ fn partition_categories(palette: Vec<Category>, codes: &[u8]) -> BTreeMap<Catego
 }
 
 /// Repair durations bucketed by the month of the failure, each bucket in
-/// arrival order beside its running sum.
-///
-/// [`MonthBuckets::push`] is the only writer, so every build path adds a
-/// bucket's values in the same order and each sum is bit-identical to
-/// `bucket.iter().sum::<f64>()` — the fold `Iterator::sum` performs,
-/// started from its neutral element `-0.0`.
+/// arrival order beside its exact running sum, so a bucket's mean reads
+/// the same as [`failstats::mean`] of the bucket in O(1).
 #[derive(Debug, Clone, PartialEq)]
 struct MonthBuckets {
     ttrs: Vec<Vec<f64>>,
-    sums: Vec<f64>,
+    sums: Vec<ExactSum>,
 }
 
 impl MonthBuckets {
     fn new(months: usize) -> Self {
         MonthBuckets {
             ttrs: vec![Vec::new(); months],
-            sums: vec![-0.0; months],
+            sums: vec![ExactSum::new(); months],
         }
     }
 
     fn push(&mut self, month: usize, ttr: f64) {
         self.ttrs[month].push(ttr);
-        self.sums[month] += ttr;
+        self.sums[month].add(ttr);
+    }
+
+    /// The exact sum of every bucket's values: the TTR total of a view
+    /// built in bulk, where every record lies in one bucket.
+    fn total(&self) -> ExactSum {
+        let mut total = ExactSum::new();
+        for sum in &self.sums {
+            total.merge(sum);
+        }
+        total
     }
 }
 
@@ -452,6 +465,8 @@ pub struct StreamView {
     records: Vec<FailureRecord>,
     times: Vec<f64>,
     ttrs_sorted: SortedRun,
+    /// The exact sum of every repair duration: the MTTR in O(1).
+    ttr_sum: ExactSum,
     recoveries: Vec<f64>,
     recoveries_sorted: SortedRun,
     /// Inter-arrival gaps (`time - previous time`, one per record after
@@ -589,6 +604,9 @@ impl StreamView {
             codes.push(u8::try_from(code).expect("categories are a closed set of under 256"));
         }
         view.category_indices = partition_categories(palette, &codes);
+        // Valid records lie inside the window, so each is in one month
+        // bucket and the month sums add up to the TTR total.
+        view.ttr_sum = view.month_buckets.total();
         view.ttrs_sorted = SortedRun::from_sorted(sorted_total(ttrs));
         view.recoveries_sorted = SortedRun::from_sorted(sorted_total(view.recoveries.clone()));
         view.gaps_sorted =
@@ -612,6 +630,7 @@ impl StreamView {
             records: Vec::new(),
             times: Vec::new(),
             ttrs_sorted: SortedRun::default(),
+            ttr_sum: ExactSum::new(),
             recoveries: Vec::new(),
             recoveries_sorted: SortedRun::default(),
             gaps_sorted: SortedRun::default(),
@@ -645,7 +664,8 @@ impl StreamView {
     /// materializing all three sorted arrays. The inverse of
     /// [`StreamView::from_parts`].
     pub fn into_parts(mut self) -> ViewParts {
-        self.materialize();
+        self.ttrs_sorted.materialize();
+        self.recoveries_sorted.materialize();
         self.gaps_sorted.materialize();
         let n = self.records.len();
         let mut categories = vec![0u8; n];
@@ -791,8 +811,9 @@ impl StreamView {
 
         // Whole-column derivations: recoveries element-wise, and the
         // month buckets as contiguous runs of the arrival-order TTRs
-        // (time order makes each month one run), each summed in arrival
-        // order exactly as `MonthBuckets::push` would.
+        // (time order makes each month one run), each with its exact
+        // sum. Every record lies in one bucket, so the TTR total is the
+        // merge of the month sums, as in the bulk build.
         let window_hours = window.duration().get();
         let recoveries: Vec<f64> = times
             .iter()
@@ -806,10 +827,11 @@ impl StreamView {
         let mut offset = 0usize;
         for &count in &month_counts {
             let bucket = ttrs[offset..offset + count].to_vec();
-            month_buckets.sums.push(bucket.iter().fold(-0.0, |sum, &x| sum + x));
+            month_buckets.sums.push(bucket.iter().copied().collect());
             month_buckets.ttrs.push(bucket);
             offset += count;
         }
+        let ttr_sum = month_buckets.total();
         let month_cursor = month_counts
             .iter()
             .rposition(|&c| c > 0)
@@ -847,6 +869,7 @@ impl StreamView {
             month_cursor,
             times,
             ttrs_sorted: SortedRun::from_sorted(ttrs_sorted),
+            ttr_sum,
             recoveries,
             recoveries_sorted: SortedRun::from_sorted(recoveries_sorted),
             gaps_sorted: SortedRun::from_sorted(gaps_sorted),
@@ -903,6 +926,7 @@ impl StreamView {
             self.gaps_sorted.push(time - prev);
         }
         let (ttr, recovery) = self.index_record(&rec);
+        self.ttr_sum.add(ttr);
         self.category_indices
             .entry(rec.category())
             .or_default()
@@ -913,8 +937,9 @@ impl StreamView {
         Ok(())
     }
 
-    /// Folds one record into every index except the records themselves,
-    /// the category partitions and the three sorted order statistics —
+    /// Folds one record into every index (its month sum included)
+    /// except the records themselves, the category partitions, the three
+    /// sorted order statistics and the TTR total —
     /// the per-record work shared by [`StreamView::push`] and the bulk
     /// build. Returns the record's repair duration and window-clamped
     /// recovery time. The record must be valid and no earlier than the
@@ -976,19 +1001,19 @@ impl StreamView {
         Ok(accepted)
     }
 
-    /// Forces any deferred merge work in the two arrays a watch summary
-    /// reads, so subsequent reads of
-    /// [`ttrs_sorted`](StreamView::ttrs_sorted) /
-    /// [`recoveries_sorted`](StreamView::recoveries_sorted) are
+    /// Forces any deferred merge work in the one sorted array a watch
+    /// summary reads, so subsequent reads of
+    /// [`ttrs_sorted`](StreamView::ttrs_sorted) (the TTR quantiles) are
     /// zero-cost slices. The watch loop calls this before every summary;
     /// never required for correctness.
     ///
-    /// [`gaps_sorted`](StreamView::gaps_sorted) is left to merge at its
-    /// tail threshold or on first read: no summary reads it, and forcing
-    /// it before each one would memmove most of the run every time.
+    /// [`recoveries_sorted`](StreamView::recoveries_sorted) and
+    /// [`gaps_sorted`](StreamView::gaps_sorted) are left to merge at
+    /// their tail thresholds or on first read: no summary reads them,
+    /// and forcing them before each one would memmove most of each run
+    /// every time.
     pub fn materialize(&mut self) {
         self.ttrs_sorted.materialize();
-        self.recoveries_sorted.materialize();
     }
 
     /// Snapshots the accumulated records as a validated [`FailureLog`],
@@ -1059,6 +1084,15 @@ impl StreamView {
     /// after a write pays one bounded merge (see the module docs).
     pub fn ttrs_sorted(&self) -> &[f64] {
         self.ttrs_sorted.as_slice()
+    }
+
+    /// The exact sum of every repair duration — added to by each
+    /// [`push`](StreamView::push), the merge of the month sums after a
+    /// bulk build: its [`mean`](ExactSum::mean) is the MTTR, equal to
+    /// [`failstats::mean`] of [`ttrs_sorted`](StreamView::ttrs_sorted)
+    /// at O(1) per read, whichever way the view was built.
+    pub const fn ttr_sum(&self) -> &ExactSum {
+        &self.ttr_sum
     }
 
     /// Repair-completion times clamped to the window, in arrival order.
@@ -1163,10 +1197,11 @@ impl StreamView {
         &self.month_buckets.ttrs
     }
 
-    /// The sum of each [`month_ttrs`](StreamView::month_ttrs) bucket,
-    /// kept as records arrive: bit-identical to
-    /// `bucket.iter().sum::<f64>()`, at O(1) per read.
-    pub fn month_ttr_sums(&self) -> &[f64] {
+    /// The exact sum of each [`month_ttrs`](StreamView::month_ttrs)
+    /// bucket, kept as records arrive: a bucket's
+    /// [`mean`](ExactSum::mean) equals [`failstats::mean`] of the bucket,
+    /// at O(1) per read.
+    pub fn month_ttr_sums(&self) -> &[ExactSum] {
         &self.month_buckets.sums
     }
 }
@@ -1263,11 +1298,14 @@ mod tests {
         let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
         let mut sv = feed(&log);
         sv.materialize();
-        assert!(sv.ttrs_sorted.tail.is_empty() && sv.recoveries_sorted.tail.is_empty());
+        assert!(sv.ttrs_sorted.tail.is_empty());
+        assert!(!sv.recoveries_sorted.tail.is_empty(), "the recovery tail merges on read only");
         assert!(!sv.gaps_sorted.tail.is_empty(), "the gap tail merges on read only");
         let expected = StreamView::new(&log);
+        assert_eq!(sv.recoveries_sorted(), expected.recoveries_sorted());
         assert_eq!(sv.gaps_sorted(), expected.gaps_sorted());
         let parts = sv.into_parts();
+        assert_eq!(parts.recoveries_sorted, expected.recoveries_sorted());
         assert_eq!(parts.gaps_sorted, expected.gaps_sorted());
     }
 
@@ -1602,12 +1640,21 @@ mod tests {
             chunked.extend(chunk.to_vec()).unwrap();
         }
         let restored = StreamView::from_parts(chunked.clone().into_parts()).unwrap();
+        let bits = |x: Option<f64>| x.map(f64::to_bits);
         for view in [StreamView::new(&log), chunked, restored] {
             let sums = view.month_ttr_sums();
             assert_eq!(sums.len(), view.month_ttrs().len());
-            for (bucket, &sum) in view.month_ttrs().iter().zip(sums) {
-                assert_eq!(sum.to_bits(), bucket.iter().sum::<f64>().to_bits());
+            for (bucket, sum) in view.month_ttrs().iter().zip(sums) {
+                assert_eq!(sum.count() as usize, bucket.len());
+                assert_eq!(bits(sum.mean()), bits(failstats::mean(bucket)));
             }
+            // The running total is the mean of the sorted TTRs, and of
+            // every bucket's values together.
+            let ttrs = view.ttrs_sorted();
+            assert_eq!(bits(view.ttr_sum().mean()), bits(failstats::mean(ttrs)));
+            let mut merged = ExactSum::new();
+            sums.iter().for_each(|sum| merged.merge(sum));
+            assert_eq!(&merged, view.ttr_sum());
         }
     }
 

@@ -21,21 +21,24 @@ use crate::StreamView;
 #[derive(Debug, Clone, PartialEq)]
 pub struct TtrAnalysis {
     ecdf: Ecdf,
+    mttr_hours: f64,
 }
 
 impl TtrAnalysis {
     /// Computes the analysis from a [`StreamView`], reusing its
-    /// pre-sorted TTR sample instead of re-sorting; `None` when no
-    /// failures are indexed.
+    /// pre-sorted TTR sample instead of re-sorting and its exact TTR
+    /// sum for the mean; `None` when no failures are indexed.
     pub fn from_index(index: &StreamView) -> Option<Self> {
         Some(TtrAnalysis {
             ecdf: Ecdf::from_sorted(index.ttrs_sorted().to_vec())?,
+            mttr_hours: index.ttr_sum().mean()?,
         })
     }
 
-    /// Mean time to recovery.
+    /// Mean time to recovery: the view's exactly rounded TTR mean, so
+    /// equal to `ecdf().mean()` and to the streaming monitor's MTTR.
     pub fn mttr_hours(&self) -> f64 {
-        self.ecdf.mean()
+        self.mttr_hours
     }
 
     /// Median time to recovery.

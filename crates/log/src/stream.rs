@@ -63,8 +63,9 @@ pub struct LogTailer<R> {
     lines_consumed: usize,
     /// Bytes fully consumed so far (header included, partials excluded).
     committed_bytes: u64,
-    /// Streaming CRC-32 over the committed bytes.
-    committed_crc: Crc32,
+    /// Streaming CRC-32 over the committed bytes; `None` when the
+    /// tailer keeps no fingerprint (see [`LogTailer::open`]).
+    committed_crc: Option<Crc32>,
     generation: Generation,
     spec: SystemSpec,
     window: ObservationWindow,
@@ -80,12 +81,18 @@ impl LogTailer<crate::InputReader> {
     /// follow live growth should check [`crate::InputReader::compression`]
     /// (as `failctl watch --follow` does) and reject compressed input.
     ///
+    /// A compressed file's consumed *decoded* bytes match no prefix of
+    /// the file on disk, so no checksum is kept for them:
+    /// [`progress`](LogTailer::progress) is for plain files only.
+    ///
     /// # Errors
     ///
     /// Returns [`Error`] if the file cannot be opened or decoded, or
     /// its header is incomplete or malformed.
     pub fn open(path: impl AsRef<Path>) -> Result<Self> {
-        LogTailer::new(crate::InputReader::open(path)?)
+        let reader = crate::InputReader::open(path)?;
+        let checksum = reader.compression() == crate::Compression::Plain;
+        LogTailer::with_checksum(reader, checksum)
     }
 
     /// The compression detected on the underlying file.
@@ -102,11 +109,17 @@ impl<R: BufRead> LogTailer<R> {
     /// Returns [`Error::Header`] if the stream ends before the
     /// column row — a tailed file must have a complete header before
     /// watching starts.
-    pub fn new(mut reader: R) -> Result<Self> {
+    pub fn new(reader: R) -> Result<Self> {
+        LogTailer::with_checksum(reader, true)
+    }
+
+    /// [`new`](LogTailer::new), keeping a CRC-32 of the committed bytes
+    /// only when `checksum` is set.
+    fn with_checksum(mut reader: R, checksum: bool) -> Result<Self> {
         let mut header = HeaderParser::new();
         let mut lines_consumed = 0;
         let mut committed_bytes = 0u64;
-        let mut committed_crc = Crc32::new();
+        let mut committed_crc = checksum.then(Crc32::new);
         let mut buf = String::new();
         loop {
             buf.clear();
@@ -116,7 +129,9 @@ impl<R: BufRead> LogTailer<R> {
             let done = header.feed(lines_consumed, &buf)?;
             lines_consumed += 1;
             committed_bytes += buf.len() as u64;
-            committed_crc.update(buf.as_bytes());
+            if let Some(crc) = &mut committed_crc {
+                crc.update(buf.as_bytes());
+            }
             if done {
                 break;
             }
@@ -162,11 +177,29 @@ impl<R: BufRead> LogTailer<R> {
     /// newline yet) is excluded until it completes or is force-flushed,
     /// so `bytes` always delimits a prefix of the file whose re-parse
     /// would yield exactly the records handed out so far.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a tailer that keeps no checksum: a compressed file
+    /// opened with [`LogTailer::open`].
     pub fn progress(&self) -> SourceInfo {
         SourceInfo {
             bytes: self.committed_bytes,
-            crc32: self.committed_crc.finish(),
+            crc32: self
+                .committed_crc
+                .as_ref()
+                .expect("progress is fingerprinted only for plain input")
+                .finish(),
             lines: self.lines_consumed as u64,
+        }
+    }
+
+    /// Folds the line buffer into the committed byte count and, when
+    /// one is kept, the checksum.
+    fn commit_bytes(&mut self) {
+        self.committed_bytes += self.partial.len() as u64;
+        if let Some(crc) = &mut self.committed_crc {
+            crc.update(self.partial.as_bytes());
         }
     }
 
@@ -174,8 +207,7 @@ impl<R: BufRead> LogTailer<R> {
     /// folding it into the committed byte count and checksum.
     fn commit_partial(&mut self) {
         self.lines_consumed += 1;
-        self.committed_bytes += self.partial.len() as u64;
-        self.committed_crc.update(self.partial.as_bytes());
+        self.commit_bytes();
     }
 
     /// Pulls the next complete, validated record.
@@ -221,8 +253,7 @@ impl<R: BufRead> LogTailer<R> {
         if self.partial.trim().is_empty() {
             // Still committed: trailing whitespace is consumed input,
             // just not a line worth numbering.
-            self.committed_bytes += self.partial.len() as u64;
-            self.committed_crc.update(self.partial.as_bytes());
+            self.commit_bytes();
             self.partial.clear();
             return Ok(None);
         }
@@ -352,6 +383,39 @@ mod tests {
         );
         assert!(tailer.next_record().unwrap().is_none());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn opened_files_checksum_plain_text_only() {
+        let log = t3_log();
+        let text = crate::to_string(&log).unwrap();
+        let dir = std::env::temp_dir().join(format!("failscope-test-crc-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let plain = dir.join("log.fslog");
+        let gz = dir.join("log.fslog.gz");
+        std::fs::write(&plain, &text).unwrap();
+        std::fs::write(&gz, crate::gzip_compress(text.as_bytes())).unwrap();
+        let drain = |tailer: &mut LogTailer<crate::InputReader>| {
+            let mut records = Vec::new();
+            while let Some(rec) = tailer.next_record().unwrap() {
+                records.push(rec);
+            }
+            records.extend(tailer.flush_partial().unwrap());
+            records
+        };
+
+        let mut from_plain = LogTailer::open(&plain).unwrap();
+        let mut from_gz = LogTailer::open(&gz).unwrap();
+        assert!(from_gz.committed_crc.is_none());
+        assert_eq!(drain(&mut from_plain), drain(&mut from_gz));
+        assert_eq!(
+            from_plain.progress(),
+            crate::SourceInfo::of_bytes(text.as_bytes())
+        );
+        // Without a checksum the byte and line counts still advance.
+        assert_eq!(from_gz.committed_bytes, text.len() as u64);
+        assert_eq!(from_gz.line(), from_plain.line());
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

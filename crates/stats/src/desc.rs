@@ -3,26 +3,33 @@
 
 use std::fmt;
 
+use crate::ExactSum;
+
 /// Arithmetic mean; `None` for an empty slice.
+///
+/// The sum is exact and rounded once ([`ExactSum`]), so the mean does
+/// not depend on the order of `data`.
 ///
 /// ```
 /// assert_eq!(failstats::mean(&[1.0, 2.0, 3.0]), Some(2.0));
 /// assert_eq!(failstats::mean(&[]), None);
 /// ```
 pub fn mean(data: &[f64]) -> Option<f64> {
-    if data.is_empty() {
-        return None;
-    }
-    Some(data.iter().sum::<f64>() / data.len() as f64)
+    data.iter().copied().collect::<ExactSum>().mean()
 }
 
 /// Unbiased sample variance (n-1 denominator); `None` for fewer than two
 /// observations.
 pub fn variance(data: &[f64]) -> Option<f64> {
+    variance_about(data, mean(data)?)
+}
+
+/// [`variance`] about an already computed mean `m` of `data`, so a
+/// caller that needs both sums the data once.
+fn variance_about(data: &[f64], m: f64) -> Option<f64> {
     if data.len() < 2 {
         return None;
     }
-    let m = mean(data)?;
     Some(data.iter().map(|x| (x - m).powi(2)).sum::<f64>() / (data.len() - 1) as f64)
 }
 
@@ -41,7 +48,7 @@ pub fn coefficient_of_variation(data: &[f64]) -> Option<f64> {
     if m == 0.0 {
         return None;
     }
-    Some(std_dev(data)? / m)
+    Some(variance_about(data, m)?.sqrt() / m)
 }
 
 /// Type-7 (linear interpolation) quantile of *sorted* data, `p` in
@@ -110,9 +117,10 @@ pub fn median(data: &[f64]) -> Option<f64> {
 /// A five-number-plus summary of a sample: the box-plot statistics used by
 /// Figs. 7 and 10 plus mean and standard deviation.
 ///
-/// [`Summary::from_data`] never sorts. `mean` and `std_dev` are folded
-/// over the input in its given order, so they depend on that order in
-/// the last bits, exactly as [`mean`] and [`std_dev`] do. `min`, `q1`,
+/// [`Summary::from_data`] never sorts. `mean` is the exactly rounded
+/// [`mean`], the same for any order of the input; `std_dev` folds the
+/// squared deviations in the input's order, so it can depend on that
+/// order in the last bits, exactly as [`std_dev`] does. `min`, `q1`,
 /// `median`, `q3` and `max` are order statistics found by selection
 /// (`select_nth_unstable_by`, expected O(n)); they equal the type-7
 /// quantiles [`quantile_sorted`] reads from the sorted sample, bit for
@@ -178,10 +186,11 @@ impl Summary {
             positions.map(|(lo, hi, frac)| interpolate(scratch[lo], scratch[hi], frac))
         };
         let [q1, median, q3] = quartiles;
+        let mean = mean(data)?;
         Some(Summary {
             n,
-            mean: mean(data)?,
-            std_dev: std_dev(data).unwrap_or(0.0),
+            mean,
+            std_dev: variance_about(data, mean).map_or(0.0, f64::sqrt),
             min: scratch[0],
             q1,
             median,

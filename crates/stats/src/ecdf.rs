@@ -74,9 +74,9 @@ impl Ecdf {
         quantile_sorted(&self.sorted, p).expect("ECDF is never empty")
     }
 
-    /// Sample mean.
+    /// Sample mean, through the exactly rounded [`crate::mean`].
     pub fn mean(&self) -> f64 {
-        self.sorted.iter().sum::<f64>() / self.sorted.len() as f64
+        crate::mean(&self.sorted).expect("ECDF is never empty")
     }
 
     /// Smallest observation.

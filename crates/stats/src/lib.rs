@@ -45,6 +45,7 @@ mod counting;
 mod desc;
 mod dist;
 mod ecdf;
+mod exactsum;
 pub mod fit;
 mod hist;
 mod htest;
@@ -69,6 +70,7 @@ pub use dist::{
     LogNormal, Weibull,
 };
 pub use ecdf::Ecdf;
+pub use exactsum::ExactSum;
 pub use hist::{CountHistogram, Histogram};
 pub use htest::{
     autocorrelation, chi_square_gof, mann_whitney, ChiSquareTest, MannWhitneyTest,
@@ -88,6 +90,7 @@ mod tests {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<Ecdf>();
         assert_send_sync::<Summary>();
+        assert_send_sync::<ExactSum>();
         assert_send_sync::<Categorical>();
         assert_send_sync::<Exponential>();
         assert_send_sync::<Histogram>();

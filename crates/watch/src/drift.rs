@@ -78,11 +78,7 @@ impl Baseline {
             .map(|(&c, idx)| (c, idx.len() as f64 / n as f64))
             .collect();
         let ttr_sample = view.ttrs_sorted().to_vec();
-        let mttr_hours = if ttr_sample.is_empty() {
-            0.0
-        } else {
-            ttr_sample.iter().sum::<f64>() / ttr_sample.len() as f64
-        };
+        let mttr_hours = failstats::mean(&ttr_sample).unwrap_or(0.0);
         let involvements: usize = view.slot_counts().iter().sum();
         let slot_shares = view
             .slot_counts()
@@ -202,8 +198,12 @@ impl DriftDetector {
         let noise =
             ((k as f64 * std::f64::consts::LN_2 + 100f64.ln()) / (2.0 * window_n as f64)).sqrt();
         let mix_threshold = MIX_THRESHOLD + noise;
-        Self::edge(&mut self.active, &mut alerts, tv > mix_threshold, || {
-            Alert {
+        Self::edge(
+            &mut self.active,
+            &mut alerts,
+            AlertKind::CategoryMixShift,
+            tv > mix_threshold,
+            || Alert {
                 kind: AlertKind::CategoryMixShift,
                 severity: AlertSeverity::Warning,
                 time_h,
@@ -214,38 +214,43 @@ impl DriftDetector {
                 message: format!(
                     "window category mix diverged from baseline: total-variation distance {tv:.3}"
                 ),
-            }
-        });
+            },
+        );
 
-        // 2. MTTR regression (ratio + KS corroboration).
+        // 2. MTTR regression (ratio + KS corroboration). The KS test
+        // only sets the severity of an alert, so it runs only when the
+        // ratio condition holds.
         if let Some(window_mttr) = state.window_ttr_mean() {
             if self.baseline.mttr_hours > 0.0 {
                 let ratio = window_mttr / self.baseline.mttr_hours;
-                let ks = ks_test_two_sample(&state.window_ttr_sample(), &self.baseline.ttr_sample);
-                let (p_value, rejects) = ks.map_or((None, false), |t| {
-                    (Some(t.p_value), t.rejects_at(KS_ALPHA))
-                });
-                let severity = if rejects {
-                    AlertSeverity::Critical
-                } else {
-                    AlertSeverity::Warning
-                };
+                let baseline = &self.baseline;
                 Self::edge(
                     &mut self.active,
                     &mut alerts,
+                    AlertKind::MttrRegression,
                     ratio > MTTR_RATIO,
-                    || Alert {
-                        kind: AlertKind::MttrRegression,
-                        severity,
-                        time_h,
-                        window_n,
-                        metric: ratio,
-                        threshold: MTTR_RATIO,
-                        p_value,
-                        message: format!(
-                            "windowed MTTR {window_mttr:.2} h is {ratio:.2}x the baseline {:.2} h",
-                            self.baseline.mttr_hours
-                        ),
+                    || {
+                        let ks =
+                            ks_test_two_sample(&state.window_ttr_sample(), &baseline.ttr_sample);
+                        let (p_value, rejects) =
+                            ks.map_or((None, false), |t| (Some(t.p_value), t.rejects_at(KS_ALPHA)));
+                        Alert {
+                            kind: AlertKind::MttrRegression,
+                            severity: if rejects {
+                                AlertSeverity::Critical
+                            } else {
+                                AlertSeverity::Warning
+                            },
+                            time_h,
+                            window_n,
+                            metric: ratio,
+                            threshold: MTTR_RATIO,
+                            p_value,
+                            message: format!(
+                                "windowed MTTR {window_mttr:.2} h is {ratio:.2}x the baseline {:.2} h",
+                                baseline.mttr_hours
+                            ),
+                        }
                     },
                 );
             }
@@ -266,6 +271,7 @@ impl DriftDetector {
             Self::edge(
                 &mut self.active,
                 &mut alerts,
+                AlertKind::SlotSkewAnomaly,
                 delta > SLOT_SHARE_THRESHOLD,
                 || Alert {
                     kind: AlertKind::SlotSkewAnomaly,
@@ -287,6 +293,7 @@ impl DriftDetector {
         Self::edge(
             &mut self.active,
             &mut alerts,
+            AlertKind::MultiGpuBurst,
             burst >= BURST_COUNT,
             || Alert {
                 kind: AlertKind::MultiGpuBurst,
@@ -308,23 +315,26 @@ impl DriftDetector {
 
     /// Edge-triggering: fire when the condition transitions false→true,
     /// or when it stays true but the severity escalates past what was
-    /// already alerted; re-arm on true→false.
+    /// already alerted; re-arm on true→false. `make` builds the `kind`
+    /// alert (message, severity and any corroborating test) and runs
+    /// only while the condition holds.
     fn edge(
         active: &mut BTreeMap<AlertKind, AlertSeverity>,
         alerts: &mut Vec<Alert>,
+        kind: AlertKind,
         condition: bool,
         make: impl FnOnce() -> Alert,
     ) {
-        let alert = make();
-        let kind = alert.kind;
-        if condition {
-            let fires = active.get(&kind).is_none_or(|&seen| alert.severity > seen);
-            if fires {
-                active.insert(kind, alert.severity);
-                alerts.push(alert);
-            }
-        } else {
+        if !condition {
             active.remove(&kind);
+            return;
+        }
+        let alert = make();
+        debug_assert_eq!(alert.kind, kind);
+        let fires = active.get(&kind).is_none_or(|&seen| alert.severity > seen);
+        if fires {
+            active.insert(kind, alert.severity);
+            alerts.push(alert);
         }
     }
 }

@@ -25,7 +25,7 @@
 //!   structured [`failtypes::Alert`]s as NDJSON.
 //! * **The loop** ([`run`]): ties the three together behind
 //!   `failctl watch`, rendering each summary on the calling thread from
-//!   the view's materialized arrays and running month sums.
+//!   the view's materialized TTR run and its exact running sums.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]

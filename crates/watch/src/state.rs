@@ -7,9 +7,10 @@
 //! refold the category's whole history); every other figure is a read
 //! of the view:
 //!
-//! * since-start figures — MTTR and TTR quantiles come from the view's
-//!   sorted TTRs through the same sorted sum and type-7 interpolation
-//!   as [`failstats::Ecdf`], and the mean gap from the closed form
+//! * since-start figures — the MTTR from the view's exact TTR sum
+//!   ([`failstats::ExactSum`], read in O(1)), the TTR quantiles from its
+//!   sorted TTRs through the type-7 interpolation of
+//!   [`failstats::Ecdf`], and the mean gap from the closed form
 //!   [`failstats::mean_gap`] over its time array, so they are
 //!   bit-identical to `TtrAnalysis`/`TbfAnalysis` at every stream
 //!   length;
@@ -200,9 +201,9 @@ impl WatchState {
         Ok(accepted)
     }
 
-    /// Forces the view's deferred sorted-array merges now (see
+    /// Forces the view's deferred TTR merge now (see
     /// [`StreamView::materialize`]); the watch loop calls this before
-    /// rendering summaries so every section reads zero-cost slices and
+    /// rendering summaries so the quantiles read a zero-cost slice and
     /// the merge lands back in the run instead of a read-side cache.
     pub fn materialize(&mut self) {
         self.view.materialize();
@@ -249,10 +250,11 @@ impl WatchState {
         failstats::mean_gap(self.view.times())
     }
 
-    /// Mean repair duration since stream start: the sorted left-to-right
-    /// sum of the batch `Ecdf`, so bit-identical to `TtrAnalysis`.
+    /// Mean repair duration since stream start: the view's exact TTR
+    /// sum read in O(1), the same read `TtrAnalysis` makes, so the two
+    /// are equal by construction.
     pub fn mttr_hours(&self) -> Option<f64> {
-        failstats::mean(self.view.ttrs_sorted())
+        self.view.ttr_sum().mean()
     }
 
     /// `p`-quantile of repair durations since stream start, bit-identical

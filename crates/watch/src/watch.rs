@@ -560,8 +560,8 @@ fn json_months(state: &WatchState) -> JsonValue {
 }
 
 /// Every non-empty month bucket in month order, as `((year, month),
-/// records, mean TTR)`. The mean divides the view's running bucket sum,
-/// so no read re-adds a bucket.
+/// records, mean TTR)`. The mean reads the view's exact running bucket
+/// sum, so no read re-adds a bucket.
 fn filled_months(
     state: &WatchState,
 ) -> impl DoubleEndedIterator<Item = ((i32, Month), usize, f64)> + '_ {
@@ -571,8 +571,7 @@ fn filled_months(
         .iter()
         .zip(view.month_ttr_sums())
         .zip(months)
-        .filter(|((bucket, _), _)| !bucket.is_empty())
-        .map(|((bucket, &sum), ym)| (ym, bucket.len(), sum / bucket.len() as f64))
+        .filter_map(|((bucket, sum), ym)| Some((ym, bucket.len(), sum.mean()?)))
 }
 
 fn fmt_opt(value: Option<f64>) -> String {
