@@ -1,8 +1,8 @@
 //! The fleet index: [`StreamView`], the one input every analysis reads.
 //!
 //! A [`StreamView`] holds every index the analyses consume — time-ordered
-//! times, three sorted order statistics (repair durations, recovery
-//! times, inter-arrival gaps), category partitions, a dense tally per
+//! times, two sorted order statistics (repair durations and
+//! inter-arrival gaps), category partitions, a dense tally per
 //! node of the spec, slot/rack counts, a histogram of GPU failures by
 //! GPUs involved, month buckets — and is built one of two ways:
 //!
@@ -25,7 +25,7 @@
 //! # Cost model
 //!
 //! The incremental write path is amortized O(1) per record and
-//! allocation-free in the steady state. Every index except the three
+//! allocation-free in the steady state. Every index except the two
 //! order statistics is a plain append or bump (`Vec::push`, a
 //! `BTreeMap` count, the record's [`NodeTally`] and GPU-count slot, an
 //! [`ExactSum`] add). That includes the exact sum of every repair
@@ -38,7 +38,7 @@
 //! (which adds each repair to both) agree on every mean whatever order
 //! they add the values in. The per-node tallies make the per-node
 //! analyses (Fig. 4 occupancy, time to first failure) O(nodes) reads.
-//! The sorted repair, recovery and gap arrays use a *deferred-merge*
+//! The sorted repair and gap arrays use a *deferred-merge*
 //! design ([`SortedRun`]): new values append to a small unsorted tail,
 //! and the tail is merged into the main sorted run only when
 //!
@@ -51,11 +51,11 @@
 //!   O(log tail) sort share (amortized O(log n) per record all in); or
 //! * a writer forces it ([`StreamView::materialize`], which the watch
 //!   loop calls before every summary, forces the repair run whose
-//!   quantiles a summary reads, but not the recovery or gap runs, which
-//!   no summary reads; `into_parts` forces all three) or a reader asks
-//!   for the
-//!   materialized array ([`StreamView::ttrs_sorted`] and friends,
-//!   including every analysis's `from_index`). A
+//!   quantiles a summary reads, but not the gap run, which no summary
+//!   reads; `into_parts` forces both) or a reader asks for the
+//!   materialized array ([`StreamView::ttrs_sorted`] or
+//!   [`StreamView::gaps_sorted`], including every analysis's
+//!   `from_index`). A
 //!   forced merge of `t` pending values costs O(t log n) compares plus
 //!   one memmove of the run values displaced above the smallest of
 //!   them; a read pays one O(run + tail) merge into a cache kept until
@@ -66,6 +66,14 @@
 //! `Vec::insert`, an O(n) memmove per record and O(n²) over the stream
 //! — fine for the paper's 1,235-record field logs, ruinous at the
 //! production event rates the streaming subsystem targets.
+//!
+//! A sorted array lives in the view only when more than one reader
+//! needs it kept sorted: the repair run backs the TTR CDF, the watch
+//! quantiles, the drift detector's KS sample and the trace histogram;
+//! the gap run backs the TBF CDF, which the TBF section, the PEP and the
+//! checkpoint plan read. Window-clamped repair ends have one reader,
+//! [`AvailabilityAnalysis`](crate::AvailabilityAnalysis), which sorts
+//! them itself.
 
 use std::collections::BTreeMap;
 use std::error::Error;
@@ -180,9 +188,8 @@ impl SortedRun {
     /// passes the adaptive threshold, keeping reads bounded.
     fn push(&mut self, x: f64) {
         self.promote();
-        // Fast path: values arriving in ascending order (clamped
-        // recoveries late in a stream, pre-sorted replays) extend the
-        // run directly and never touch the tail.
+        // Fast path: values arriving in ascending order (pre-sorted
+        // replays) extend the run directly and never touch the tail.
         if self.tail.is_empty() && self.run.last().is_none_or(|&last| last <= x) {
             self.run.push(x);
             return;
@@ -287,7 +294,7 @@ impl SortedRun {
 /// when the two values have the same bits, and the output is the one
 /// `sort_unstable_by(f64::total_cmp)` produces, NaN payloads and signed
 /// zeros included. Both conversions reuse the vector's allocation.
-fn sorted_total(xs: Vec<f64>) -> Vec<f64> {
+pub(crate) fn sorted_total(xs: Vec<f64>) -> Vec<f64> {
     const SIGN: u64 = 1 << 63;
     let mut keys: Vec<u64> = xs
         .into_iter()
@@ -467,8 +474,6 @@ pub struct StreamView {
     ttrs_sorted: SortedRun,
     /// The exact sum of every repair duration: the MTTR in O(1).
     ttr_sum: ExactSum,
-    recoveries: Vec<f64>,
-    recoveries_sorted: SortedRun,
     /// Inter-arrival gaps (`time - previous time`, one per record after
     /// the first), sorted ascending.
     gaps_sorted: SortedRun,
@@ -497,13 +502,13 @@ pub struct StreamView {
 /// order, so a loader converts each column in one bulk pass and
 /// [`StreamView::from_parts`] assembles the records from them. The view
 /// takes `times` and `slots` (its GPU-slot involvements) as they are,
-/// derives `recoveries` from `times` and `ttrs`, and slices the month
-/// buckets out of `ttrs`: records arrive in time order, so each month's
-/// repair durations are a contiguous run of the record sequence and
-/// per-month *counts* fully determine the bucketing. The category
-/// partitions are rebuilt in one pass over the category column. The
-/// three sorted arrays are stored because re-deriving them costs a sort;
-/// the per-node tallies and the GPU-count histogram because rebuilding
+/// and slices the month buckets out of `ttrs`: records arrive in time
+/// order, so each month's repair durations are a contiguous run of the
+/// record sequence and per-month *counts* fully determine the
+/// bucketing. The category partitions are rebuilt in one pass over the
+/// category column. The two sorted arrays are stored because
+/// re-deriving them costs a sort on every load, and every report reads
+/// both; the per-node tallies and the GPU-count histogram because rebuilding
 /// them costs a scattered or branchy pass over every record, several
 /// times the cost of a few kilobytes of stored counts.
 #[derive(Debug, Clone, PartialEq)]
@@ -534,8 +539,6 @@ pub struct ViewParts {
     pub slots: Vec<GpuSlot>,
     /// Repair durations sorted ascending (one per record).
     pub ttrs_sorted: Vec<f64>,
-    /// Window-clamped recovery times sorted ascending (one per record).
-    pub recoveries_sorted: Vec<f64>,
     /// Inter-arrival gaps sorted ascending (one per record after the
     /// first).
     pub gaps_sorted: Vec<f64>,
@@ -590,12 +593,11 @@ impl StreamView {
     ) -> Self {
         let mut view = StreamView::empty(generation, spec, window);
         view.times.reserve(records.len());
-        view.recoveries.reserve(records.len());
         let mut ttrs = Vec::with_capacity(records.len());
         let mut palette: Vec<Category> = Vec::new();
         let mut codes = Vec::with_capacity(records.len());
         for rec in &records {
-            ttrs.push(view.index_record(rec).0);
+            ttrs.push(view.index_record(rec));
             let category = rec.category();
             let code = palette.iter().position(|&c| c == category).unwrap_or_else(|| {
                 palette.push(category);
@@ -608,7 +610,6 @@ impl StreamView {
         // bucket and the month sums add up to the TTR total.
         view.ttr_sum = view.month_buckets.total();
         view.ttrs_sorted = SortedRun::from_sorted(sorted_total(ttrs));
-        view.recoveries_sorted = SortedRun::from_sorted(sorted_total(view.recoveries.clone()));
         view.gaps_sorted =
             SortedRun::from_sorted(sorted_total(failstats::inter_arrival_times(&view.times)));
         view.records = records;
@@ -631,8 +632,6 @@ impl StreamView {
             times: Vec::new(),
             ttrs_sorted: SortedRun::default(),
             ttr_sum: ExactSum::new(),
-            recoveries: Vec::new(),
-            recoveries_sorted: SortedRun::default(),
             gaps_sorted: SortedRun::default(),
             category_indices: BTreeMap::new(),
             locus_counts: BTreeMap::new(),
@@ -661,11 +660,10 @@ impl StreamView {
     }
 
     /// Decomposes the view into the persistable [`ViewParts`] payload,
-    /// materializing all three sorted arrays. The inverse of
+    /// materializing both sorted arrays. The inverse of
     /// [`StreamView::from_parts`].
     pub fn into_parts(mut self) -> ViewParts {
         self.ttrs_sorted.materialize();
-        self.recoveries_sorted.materialize();
         self.gaps_sorted.materialize();
         let n = self.records.len();
         let mut categories = vec![0u8; n];
@@ -691,7 +689,6 @@ impl StreamView {
             categories,
             slots: self.slot_involvements,
             ttrs_sorted: self.ttrs_sorted.run,
-            recoveries_sorted: self.recoveries_sorted.run,
             gaps_sorted: self.gaps_sorted.run,
             locus_counts: self.locus_counts,
             node_tallies: self.node_tallies,
@@ -705,8 +702,8 @@ impl StreamView {
     }
 
     /// Reassembles a view from persisted [`ViewParts`]: the records are
-    /// assembled from the columns, and the arrays the payload omits
-    /// (`recoveries`, the category partitions, the per-month buckets)
+    /// assembled from the columns, and the indexes the payload omits
+    /// (the category partitions, the per-month buckets)
     /// are re-derived in O(n) — no sorting, no re-validation of individual records (the
     /// caller vouches for the payload, e.g. via a checksum). In debug
     /// builds the result is additionally checked against a full
@@ -737,7 +734,6 @@ impl StreamView {
             gpu_counts,
             slots,
             ttrs_sorted,
-            recoveries_sorted,
             gaps_sorted,
             locus_counts,
             node_tallies,
@@ -771,10 +767,7 @@ impl StreamView {
         if gpu_counts.iter().map(|&c| usize::from(c)).sum::<usize>() != slots.len() {
             return Err(shape_err("GPU slots do not match the per-record counts"));
         }
-        if ttrs_sorted.len() != n
-            || recoveries_sorted.len() != n
-            || gaps_sorted.len() != n.saturating_sub(1)
-        {
+        if ttrs_sorted.len() != n || gaps_sorted.len() != n.saturating_sub(1) {
             return Err(shape_err("sorted arrays do not match the record count"));
         }
         if month_counts.iter().sum::<usize>() != n {
@@ -804,22 +797,14 @@ impl StreamView {
             return Err(shape_err("a category code lies outside the palette"));
         }
         let ascending = |xs: &[f64]| xs.windows(2).all(|w| w[0] <= w[1]);
-        if !ascending(&ttrs_sorted) || !ascending(&recoveries_sorted) || !ascending(&gaps_sorted)
-        {
+        if !ascending(&ttrs_sorted) || !ascending(&gaps_sorted) {
             return Err(shape_err("sorted arrays are not in ascending order"));
         }
 
-        // Whole-column derivations: recoveries element-wise, and the
-        // month buckets as contiguous runs of the arrival-order TTRs
-        // (time order makes each month one run), each with its exact
-        // sum. Every record lies in one bucket, so the TTR total is the
-        // merge of the month sums, as in the bulk build.
-        let window_hours = window.duration().get();
-        let recoveries: Vec<f64> = times
-            .iter()
-            .zip(&ttrs)
-            .map(|(&t, &r)| (t + r).min(window_hours))
-            .collect();
+        // The month buckets are contiguous runs of the arrival-order
+        // TTRs (time order makes each month one run), each with its
+        // exact sum. Every record lies in one bucket, so the TTR total
+        // is the merge of the month sums, as in the bulk build.
         let mut month_buckets = MonthBuckets {
             ttrs: Vec::with_capacity(month_counts.len()),
             sums: Vec::with_capacity(month_counts.len()),
@@ -870,8 +855,6 @@ impl StreamView {
             times,
             ttrs_sorted: SortedRun::from_sorted(ttrs_sorted),
             ttr_sum,
-            recoveries,
-            recoveries_sorted: SortedRun::from_sorted(recoveries_sorted),
             gaps_sorted: SortedRun::from_sorted(gaps_sorted),
             category_indices,
             locus_counts,
@@ -925,31 +908,27 @@ impl StreamView {
         if let Some(&prev) = self.times.last() {
             self.gaps_sorted.push(time - prev);
         }
-        let (ttr, recovery) = self.index_record(&rec);
+        let ttr = self.index_record(&rec);
         self.ttr_sum.add(ttr);
         self.category_indices
             .entry(rec.category())
             .or_default()
             .push(self.records.len() as u32);
         self.ttrs_sorted.push(ttr);
-        self.recoveries_sorted.push(recovery);
         self.records.push(rec);
         Ok(())
     }
 
     /// Folds one record into every index (its month sum included)
-    /// except the records themselves, the category partitions, the three
+    /// except the records themselves, the category partitions, the two
     /// sorted order statistics and the TTR total —
     /// the per-record work shared by [`StreamView::push`] and the bulk
-    /// build. Returns the record's repair duration and window-clamped
-    /// recovery time. The record must be valid and no earlier than the
-    /// last one indexed.
-    fn index_record(&mut self, rec: &FailureRecord) -> (f64, f64) {
+    /// build. Returns the record's repair duration. The record must be
+    /// valid and no earlier than the last one indexed.
+    fn index_record(&mut self, rec: &FailureRecord) -> f64 {
         let time = rec.time().get();
         let ttr = rec.ttr().get();
-        let recovery = rec.recovery_time().get().min(self.window.duration().get());
         self.times.push(time);
-        self.recoveries.push(recovery);
         if let Some(locus) = rec.locus() {
             *self.locus_counts.entry(locus).or_insert(0) += 1;
         }
@@ -973,7 +952,7 @@ impl StreamView {
             self.month_cursor = month;
             self.month_buckets.push(month, ttr);
         }
-        (ttr, recovery)
+        ttr
     }
 
     /// Validates and incorporates a whole chunk of records in time
@@ -1007,11 +986,9 @@ impl StreamView {
     /// zero-cost slices. The watch loop calls this before every summary;
     /// never required for correctness.
     ///
-    /// [`recoveries_sorted`](StreamView::recoveries_sorted) and
-    /// [`gaps_sorted`](StreamView::gaps_sorted) are left to merge at
-    /// their tail thresholds or on first read: no summary reads them,
-    /// and forcing them before each one would memmove most of each run
-    /// every time.
+    /// [`gaps_sorted`](StreamView::gaps_sorted) is left to merge at its
+    /// tail threshold or on first read: no summary reads it, and forcing
+    /// it before each one would memmove most of the run every time.
     pub fn materialize(&mut self) {
         self.ttrs_sorted.materialize();
     }
@@ -1093,18 +1070,6 @@ impl StreamView {
     /// at O(1) per read, whichever way the view was built.
     pub const fn ttr_sum(&self) -> &ExactSum {
         &self.ttr_sum
-    }
-
-    /// Repair-completion times clamped to the window, in arrival order.
-    pub fn recoveries(&self) -> &[f64] {
-        &self.recoveries
-    }
-
-    /// Repair-completion times clamped to the window, sorted ascending.
-    ///
-    /// Same read cost model as [`ttrs_sorted`](StreamView::ttrs_sorted).
-    pub fn recoveries_sorted(&self) -> &[f64] {
-        self.recoveries_sorted.as_slice()
     }
 
     /// Record indices partitioned by category, each in time order.
@@ -1217,7 +1182,7 @@ mod tests {
         sv
     }
 
-    /// Asserts that the three sorted arrays, the per-node tallies and
+    /// Asserts that the two sorted arrays, the per-node tallies and
     /// the GPU-count histogram of `view` equal oracles computed by
     /// walking its records.
     fn assert_derived_indexes_match_the_records(view: &StreamView, what: &str) {
@@ -1231,11 +1196,6 @@ mod tests {
         assert_eq!(bits(view.gaps_sorted()), sorted(gaps), "{what}: gaps");
         let ttrs = records.iter().map(|r| r.ttr().get()).collect();
         assert_eq!(bits(view.ttrs_sorted()), sorted(ttrs), "{what}: ttrs");
-        assert_eq!(
-            bits(view.recoveries_sorted()),
-            sorted(view.recoveries().to_vec()),
-            "{what}: recoveries"
-        );
 
         let mut tallies = vec![NodeTally::default(); view.spec().nodes() as usize];
         let mut histogram = vec![0usize; view.spec().gpus_per_node() as usize + 1];
@@ -1299,13 +1259,10 @@ mod tests {
         let mut sv = feed(&log);
         sv.materialize();
         assert!(sv.ttrs_sorted.tail.is_empty());
-        assert!(!sv.recoveries_sorted.tail.is_empty(), "the recovery tail merges on read only");
         assert!(!sv.gaps_sorted.tail.is_empty(), "the gap tail merges on read only");
         let expected = StreamView::new(&log);
-        assert_eq!(sv.recoveries_sorted(), expected.recoveries_sorted());
         assert_eq!(sv.gaps_sorted(), expected.gaps_sorted());
         let parts = sv.into_parts();
-        assert_eq!(parts.recoveries_sorted, expected.recoveries_sorted());
         assert_eq!(parts.gaps_sorted, expected.gaps_sorted());
     }
 
@@ -1362,7 +1319,6 @@ mod tests {
         // Sorted arrays are sorted and complete.
         assert_eq!(view.ttrs_sorted().len(), log.len());
         assert!(view.ttrs_sorted().windows(2).all(|w| w[0] <= w[1]));
-        assert!(view.recoveries_sorted().windows(2).all(|w| w[0] <= w[1]));
     }
 
     #[test]

@@ -14,27 +14,28 @@ use crate::StreamView;
 /// use failsim::{Simulator, SystemModel};
 ///
 /// let log = Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap();
-/// let tbf = TbfAnalysis::from_index(&StreamView::from(log)).unwrap();
+/// let view = StreamView::from(log);
+/// let tbf = TbfAnalysis::from_index(&view).unwrap();
 /// // Fig. 6: Tsubame-2 MTBF ≈ 15 h; 75% of failures within ~20 h.
 /// assert!((tbf.mtbf_hours() - 15.3).abs() < 0.1);
 /// assert!((tbf.p75_hours() - 20.0).abs() < 3.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct TbfAnalysis {
-    ecdf: Ecdf,
+pub struct TbfAnalysis<'a> {
+    ecdf: Ecdf<'a>,
     mtbf_hours: f64,
     mean_gap_hours: f64,
     window_hours: f64,
     failures: usize,
 }
 
-impl TbfAnalysis {
-    /// Computes the analysis from a [`StreamView`], reusing its sorted
-    /// gap array and time array; `None` for logs with fewer than two
-    /// failures (no inter-arrival times exist).
-    pub fn from_index(index: &StreamView) -> Option<Self> {
+impl<'a> TbfAnalysis<'a> {
+    /// Computes the analysis from a [`StreamView`], borrowing its sorted
+    /// gap array and reading its time array; `None` for logs with fewer
+    /// than two failures (no inter-arrival times exist).
+    pub fn from_index(index: &'a StreamView) -> Option<Self> {
         let times = index.times();
-        let ecdf = Ecdf::from_sorted(index.gaps_sorted().to_vec())?;
+        let ecdf = Ecdf::from_sorted(index.gaps_sorted())?;
         let window_hours = index.window().duration().get();
         Some(TbfAnalysis {
             ecdf,
@@ -74,7 +75,7 @@ impl TbfAnalysis {
     }
 
     /// The empirical CDF (Fig. 6's curve).
-    pub fn ecdf(&self) -> &Ecdf {
+    pub fn ecdf(&self) -> &Ecdf<'a> {
         &self.ecdf
     }
 
@@ -180,11 +181,12 @@ mod tests {
 
     #[test]
     fn fig6_mtbf_anchors() {
-        let a2 = TbfAnalysis::from_index(&StreamView::new(&t2())).unwrap();
+        let (v2, v3) = (StreamView::new(&t2()), StreamView::new(&t3()));
+        let a2 = TbfAnalysis::from_index(&v2).unwrap();
         assert!((a2.mtbf_hours() - 15.3).abs() < 0.1);
         assert!((a2.p75_hours() - 20.0).abs() < 3.0, "T2 p75 {}", a2.p75_hours());
 
-        let a3 = TbfAnalysis::from_index(&StreamView::new(&t3())).unwrap();
+        let a3 = TbfAnalysis::from_index(&v3).unwrap();
         assert!((a3.mtbf_hours() - 72.4).abs() < 0.2);
         assert!((a3.p75_hours() - 93.0).abs() < 10.0, "T3 p75 {}", a3.p75_hours());
 
@@ -194,13 +196,14 @@ mod tests {
 
     #[test]
     fn mtbf_confidence_intervals_bracket_the_estimate() {
-        let a2 = TbfAnalysis::from_index(&StreamView::new(&t2())).unwrap();
+        let (v2, v3) = (StreamView::new(&t2()), StreamView::new(&t3()));
+        let a2 = TbfAnalysis::from_index(&v2).unwrap();
         let (lo, hi) = a2.mtbf_ci_hours(0.95);
         assert!(lo < a2.mtbf_hours() && a2.mtbf_hours() < hi);
         // 897 events: the interval is tight (under ±10%).
         assert!(hi / lo < 1.2, "({lo}, {hi})");
 
-        let a3 = TbfAnalysis::from_index(&StreamView::new(&t3())).unwrap();
+        let a3 = TbfAnalysis::from_index(&v3).unwrap();
         let (lo3, hi3) = a3.mtbf_ci_hours(0.95);
         assert!(lo3 < a3.mtbf_hours() && a3.mtbf_hours() < hi3);
         // Fewer events -> relatively wider interval than T2's.
@@ -212,8 +215,9 @@ mod tests {
 
     #[test]
     fn fig6_t3_has_longer_tail() {
-        let a2 = TbfAnalysis::from_index(&StreamView::new(&t2())).unwrap();
-        let a3 = TbfAnalysis::from_index(&StreamView::new(&t3())).unwrap();
+        let (v2, v3) = (StreamView::new(&t2()), StreamView::new(&t3()));
+        let a2 = TbfAnalysis::from_index(&v2).unwrap();
+        let a3 = TbfAnalysis::from_index(&v3).unwrap();
         // The T3 CDF extends to much larger gaps.
         assert!(a3.quantile(0.95) > 2.0 * a2.quantile(0.95));
         assert!(a3.ecdf().max() > a2.ecdf().max());

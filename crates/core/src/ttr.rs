@@ -14,23 +14,25 @@ use crate::StreamView;
 /// use failsim::{Simulator, SystemModel};
 ///
 /// let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
-/// let ttr = TtrAnalysis::from_index(&StreamView::from(log)).unwrap();
+/// let view = StreamView::from(log);
+/// let ttr = TtrAnalysis::from_index(&view).unwrap();
 /// // Fig. 9: MTTR ≈ 55 h.
 /// assert!((ttr.mttr_hours() - 55.0).abs() < 12.0);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct TtrAnalysis {
-    ecdf: Ecdf,
+pub struct TtrAnalysis<'a> {
+    ecdf: Ecdf<'a>,
     mttr_hours: f64,
 }
 
-impl TtrAnalysis {
-    /// Computes the analysis from a [`StreamView`], reusing its
-    /// pre-sorted TTR sample instead of re-sorting and its exact TTR
-    /// sum for the mean; `None` when no failures are indexed.
-    pub fn from_index(index: &StreamView) -> Option<Self> {
+impl<'a> TtrAnalysis<'a> {
+    /// Computes the analysis from a [`StreamView`], borrowing its
+    /// pre-sorted TTR sample instead of copying or re-sorting it, and
+    /// reading its exact TTR sum for the mean; `None` when no failures
+    /// are indexed.
+    pub fn from_index(index: &'a StreamView) -> Option<Self> {
         Some(TtrAnalysis {
-            ecdf: Ecdf::from_sorted(index.ttrs_sorted().to_vec())?,
+            ecdf: Ecdf::from_sorted(index.ttrs_sorted())?,
             mttr_hours: index.ttr_sum().mean()?,
         })
     }
@@ -61,7 +63,7 @@ impl TtrAnalysis {
     }
 
     /// The empirical CDF (Fig. 9's curve).
-    pub fn ecdf(&self) -> &Ecdf {
+    pub fn ecdf(&self) -> &Ecdf<'a> {
         &self.ecdf
     }
 }
@@ -151,8 +153,9 @@ mod tests {
 
     #[test]
     fn fig9_mttr_similar_on_both_systems() {
-        let a2 = TtrAnalysis::from_index(&StreamView::new(&t2())).unwrap();
-        let a3 = TtrAnalysis::from_index(&StreamView::new(&t3())).unwrap();
+        let (v2, v3) = (StreamView::new(&t2()), StreamView::new(&t3()));
+        let a2 = TtrAnalysis::from_index(&v2).unwrap();
+        let a3 = TtrAnalysis::from_index(&v3).unwrap();
         assert!((a2.mttr_hours() - 55.0).abs() < 10.0, "T2 {}", a2.mttr_hours());
         assert!((a3.mttr_hours() - 55.0).abs() < 10.0, "T3 {}", a3.mttr_hours());
         // The distributions are similar in shape: medians within a factor.

@@ -21,7 +21,7 @@ use crate::bytes::{ByteReader, ByteWriter};
 use crate::SourceInfo;
 
 /// The `.fsidx` format version this build reads and writes.
-pub const FORMAT_VERSION: u16 = 3;
+pub const FORMAT_VERSION: u16 = 4;
 
 /// Total size of the fixed header, in bytes.
 pub const HEADER_LEN: usize = 96;
@@ -225,14 +225,15 @@ const RECORD_COLUMN_BYTES: usize = 27;
 ///
 /// Records are stored column by column in arrival order; categories as
 /// codes into the palette written before them. `f64` arrays
-/// (`ttrs_sorted`, `recoveries_sorted`, `gaps_sorted`,
-/// `multi_gpu_times`) are stored raw so loading skips re-sorting.
+/// (`ttrs_sorted`, `gaps_sorted`, `multi_gpu_times`) are stored raw so
+/// loading skips re-sorting. Repair ends are not stored: their one
+/// reader, the availability sweep, derives and sorts them itself.
 pub(crate) fn encode_body(index: &StreamView) -> Vec<u8> {
     let records = index.records();
     let n = records.len();
     let slots = index.slot_involvements();
-    // 27 column bytes and three sorted f64s per record, plus the slots.
-    let mut w = ByteWriter::with_capacity(51 * n + slots.len() + 4096);
+    // 27 column bytes and two sorted f64s per record, plus the slots.
+    let mut w = ByteWriter::with_capacity(43 * n + slots.len() + 4096);
 
     w.u8(match index.generation() {
         Generation::Tsubame2 => 0,
@@ -282,7 +283,7 @@ pub(crate) fn encode_body(index: &StreamView) -> Vec<u8> {
         w.u8(slot.index());
     }
 
-    for sorted in [index.ttrs_sorted(), index.recoveries_sorted(), index.gaps_sorted()] {
+    for sorted in [index.ttrs_sorted(), index.gaps_sorted()] {
         for &x in sorted {
             w.f64(x);
         }
@@ -425,7 +426,6 @@ pub(crate) fn decode_body<R: Read>(r: &mut ByteReader<R>) -> Result<ViewParts, S
     let slots = column(r, "record gpu slots", n_slots, |[b]| GpuSlot::new(b))?;
 
     let ttrs_sorted = f64_array(r, "ttrs", n)?;
-    let recoveries_sorted = f64_array(r, "recoveries", n)?;
     let gaps_sorted = f64_array(r, "gaps", n.saturating_sub(1))?;
 
     let n_loci = r.u16().map_err(|_| trunc("locus count"))? as usize;
@@ -503,7 +503,6 @@ pub(crate) fn decode_body<R: Read>(r: &mut ByteReader<R>) -> Result<ViewParts, S
         gpu_counts,
         slots,
         ttrs_sorted,
-        recoveries_sorted,
         gaps_sorted,
         locus_counts,
         node_tallies,
@@ -589,7 +588,7 @@ mod tests {
         next[6..8].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
         let err = Header::decode(&resealed(next)).unwrap_err();
         assert!(err.contains(&format!("version {}", FORMAT_VERSION + 1)), "{err}");
-        // A version-2 file: the 44-byte header of the previous layout.
+        // A version-2 file: the 44-byte header of an older layout.
         let mut v2 = Vec::new();
         v2.extend_from_slice(&FSIDX_MAGIC);
         v2.extend_from_slice(&2u16.to_le_bytes());

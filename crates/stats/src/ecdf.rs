@@ -4,9 +4,12 @@
 //! failures and time to recovery; [`Ecdf`] is the structure that backs
 //! them.
 
+use std::borrow::Cow;
+
 use crate::desc::quantile_sorted;
 
-/// An empirical CDF over a sample.
+/// An empirical CDF over a sample: owned when [`Ecdf::new`] sorts it,
+/// borrowed when [`Ecdf::from_sorted`] is handed an already sorted one.
 ///
 /// # Examples
 ///
@@ -21,12 +24,12 @@ use crate::desc::quantile_sorted;
 /// assert_eq!(e.quantile(0.75), 4.0); // type-7 interpolation toward the tail
 /// ```
 #[derive(Debug, Clone, PartialEq)]
-pub struct Ecdf {
-    sorted: Vec<f64>,
+pub struct Ecdf<'a> {
+    sorted: Cow<'a, [f64]>,
 }
 
-impl Ecdf {
-    /// Builds an ECDF, sorting the sample.
+impl Ecdf<'static> {
+    /// Builds an ECDF that owns its sample, sorting it.
     ///
     /// Returns `None` when the sample is empty or contains NaN.
     pub fn new(mut sample: Vec<f64>) -> Option<Self> {
@@ -34,24 +37,30 @@ impl Ecdf {
             return None;
         }
         sample.sort_by(|a, b| a.partial_cmp(b).expect("NaN excluded above"));
-        Some(Ecdf { sorted: sample })
+        Some(Ecdf {
+            sorted: sample.into(),
+        })
     }
+}
 
-    /// Builds an ECDF from a sample that is already sorted ascending,
-    /// skipping the `O(n log n)` sort of [`Ecdf::new`] — the fast path
-    /// for pre-indexed log views.
+impl<'a> Ecdf<'a> {
+    /// Builds an ECDF that borrows a sample already sorted ascending,
+    /// with neither the `O(n log n)` sort of [`Ecdf::new`] nor a copy —
+    /// the path for a pre-indexed log view's sorted arrays.
     ///
     /// Returns `None` when the sample is empty, contains NaN, or is not
     /// actually nondecreasing (so a bad caller degrades to `None`, never
     /// to a silently wrong CDF).
-    pub fn from_sorted(sample: Vec<f64>) -> Option<Self> {
+    pub fn from_sorted(sample: &'a [f64]) -> Option<Self> {
         if sample.is_empty() || sample.iter().any(|x| x.is_nan()) {
             return None;
         }
         if sample.windows(2).any(|w| w[0] > w[1]) {
             return None;
         }
-        Some(Ecdf { sorted: sample })
+        Some(Ecdf {
+            sorted: sample.into(),
+        })
     }
 
     /// Number of observations.
@@ -147,12 +156,12 @@ impl Ecdf {
     }
 
     /// Kolmogorov–Smirnov distance to another ECDF (two-sample statistic).
-    pub fn ks_distance(&self, other: &Ecdf) -> f64 {
+    pub fn ks_distance(&self, other: &Ecdf<'_>) -> f64 {
         let mut d: f64 = 0.0;
-        for &x in &self.sorted {
+        for &x in self.sorted.iter() {
             d = d.max((self.eval(x) - other.eval(x)).abs());
         }
-        for &x in &other.sorted {
+        for &x in other.sorted.iter() {
             d = d.max((self.eval(x) - other.eval(x)).abs());
         }
         d
@@ -175,15 +184,15 @@ mod tests {
         let via_new = Ecdf::new(sample.clone()).unwrap();
         let mut sorted = sample;
         sorted.sort_unstable_by(|a, b| a.partial_cmp(b).unwrap());
-        let via_sorted = Ecdf::from_sorted(sorted).unwrap();
+        let via_sorted = Ecdf::from_sorted(&sorted).unwrap();
         assert_eq!(via_new, via_sorted);
     }
 
     #[test]
     fn from_sorted_rejects_bad_input() {
-        assert!(Ecdf::from_sorted(vec![]).is_none());
-        assert!(Ecdf::from_sorted(vec![1.0, f64::NAN]).is_none());
-        assert!(Ecdf::from_sorted(vec![2.0, 1.0]).is_none());
+        assert!(Ecdf::from_sorted(&[]).is_none());
+        assert!(Ecdf::from_sorted(&[1.0, f64::NAN]).is_none());
+        assert!(Ecdf::from_sorted(&[2.0, 1.0]).is_none());
     }
 
     #[test]

@@ -18,8 +18,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 # the second fingerprint type, the engine's private re-read of each log,
 # the drift-threshold builder, the user-set parse chunk size (CLI flag,
 # wire field, request fields, read-buffer capacities), the user-set watch
-# ingest batch (`WatchConfig::ingest_chunk`) and failbench's second file
-# loader stay gone.
+# ingest batch (`WatchConfig::ingest_chunk`), failbench's second file
+# loader, the view's third order statistic (the sorted and arrival-order
+# repair ends, whose one reader, the availability sweep, sorts its own)
+# and CDFs that copy the view's sorted arrays stay gone.
 extra_vendor=$(ls vendor | grep -vxE 'rand|proptest' || true)
 if [ -n "$extra_vendor" ]; then
     echo "verify: unexpected vendored crates: $extra_vendor (allowed: rand, proptest)" >&2
@@ -47,6 +49,10 @@ if grep -rnE 'struct JsonCursor|struct TailProgress|fn fingerprint\(|type FilePr
 fi
 if grep -rnE 'parse_chunk|parse-chunk|open_with_capacity|fn get_path|file_cells|ingest_chunk' crates/; then
     echo "verify: a user-set parse chunk size, a read-buffer capacity, a user-set watch ingest batch, or failbench's second file loader reappeared under crates/; every query parses at faillog::DEFAULT_CHUNK_BYTES and watch checks drift at refresh ticks" >&2
+    exit 1
+fi
+if grep -rnE 'recoveries_sorted|fn recoveries\(|Ecdf::from_sorted\(.*\.to_vec\(\)' crates/; then
+    echo "verify: the view's repair-end arrays or a copying Ecdf::from_sorted reappeared under crates/; the availability sweep sorts its own ends and CDFs borrow the view's arrays" >&2
     exit 1
 fi
 if grep -nF 'std::fs::read' crates/api/src/engine.rs; then

@@ -28,8 +28,9 @@ fn generate_serialize_parse_analyze_roundtrip() {
         let a = CategoryBreakdown::from_index(&StreamView::new(&log));
         let b = CategoryBreakdown::from_index(&StreamView::new(&parsed));
         assert_eq!(a, b);
-        let a = TbfAnalysis::from_index(&StreamView::new(&log)).expect("analysable");
-        let b = TbfAnalysis::from_index(&StreamView::new(&parsed)).expect("analysable");
+        let (va, vb) = (StreamView::new(&log), StreamView::new(&parsed));
+        let a = TbfAnalysis::from_index(&va).expect("analysable");
+        let b = TbfAnalysis::from_index(&vb).expect("analysable");
         assert_eq!(a.mtbf_hours(), b.mtbf_hours());
         assert_eq!(a.p75_hours(), b.p75_hours());
     }
@@ -96,7 +97,8 @@ fn what_if_scenario_flows_through_the_whole_stack() {
     assert_eq!(parsed, log);
 
     // Analyses run and are self-consistent.
-    let tbf = TbfAnalysis::from_index(&StreamView::new(&parsed)).expect("many failures");
+    let view = StreamView::new(&parsed);
+    let tbf = TbfAnalysis::from_index(&view).expect("many failures");
     assert!((tbf.mtbf_hours() - 36.0).abs() < 2.0);
     let inv = InvolvementTable::from_index(&StreamView::new(&parsed));
     assert!(inv.rows().iter().all(|r| r.gpus <= 6));

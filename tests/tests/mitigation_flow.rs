@@ -129,7 +129,8 @@ fn mitigation_consumes_serialized_logs() {
     let text = faillog::to_string(&log).expect("serializes");
     let parsed = faillog::from_str(&text).expect("parses");
 
-    let tbf = TbfAnalysis::from_index(&StreamView::new(&parsed)).expect("analysable");
+    let view = StreamView::new(&parsed);
+    let tbf = TbfAnalysis::from_index(&view).expect("analysable");
     let plan = CheckpointPlan::new(tbf.mtbf_hours(), 0.25).expect("valid");
     let plan_direct = CheckpointPlan::from_index(&StreamView::new(&log), 0.25).expect("valid");
     assert_eq!(plan.daly_interval_hours(), plan_direct.daly_interval_hours());

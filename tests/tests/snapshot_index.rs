@@ -10,8 +10,8 @@
 //!    version, an edited log) degrades *silently* to a cold parse;
 //!    strict [`failindex::load`] is the only path that surfaces the
 //!    reason.
-//!    A snapshot written by an older build (format version 1) is
-//!    stale, never misread: `auto` re-parses and rewrites it in the
+//!    A snapshot written by an older build (any earlier format
+//!    version) is stale, never misread: `auto` re-parses and rewrites it in the
 //!    current format, `require` refuses it. A snapshot whose recorded
 //!    file identity vouches for its log, but whose body is corrupt,
 //!    sends the query back to reading the log.
@@ -220,7 +220,7 @@ fn an_appended_ndjson_row_reads_the_same_warm_and_cold() {
 }
 
 #[test]
-fn a_version_1_snapshot_is_stale_and_auto_rewrites_it_in_the_current_format() {
+fn every_older_snapshot_version_is_stale_and_auto_rewrites_it_in_the_current_format() {
     use failapi::{QueryEngine, QueryRequest, QuerySource};
     use failindex::{Freshness, IndexMode, FORMAT_VERSION, HEADER_LEN};
 
@@ -230,46 +230,50 @@ fn a_version_1_snapshot_is_stale_and_auto_rewrites_it_in_the_current_format() {
     let path = dir.join("t2.fslog");
     let spath = failindex::snapshot_path(&path);
     std::fs::write(&path, &text).expect("writes log");
-    failindex::save(
-        &spath,
-        &StreamView::new(&log),
-        failindex::SourceInfo::of_bytes(text.as_bytes()),
-    )
-    .expect("saves snapshot");
-
-    // Re-stamp the header as version 1, with a valid header checksum,
-    // so only the version can make it unreadable.
-    let mut old = std::fs::read(&spath).expect("snapshot bytes");
-    let version_at = faillog::FSIDX_MAGIC.len();
-    assert_eq!(old[version_at..version_at + 2], FORMAT_VERSION.to_le_bytes());
-    old[version_at..version_at + 2].copy_from_slice(&1u16.to_le_bytes());
-    let crc = faillog::crc32(&old[..HEADER_LEN - 4]);
-    old[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
-    std::fs::write(&spath, &old).expect("writes old snapshot");
-
-    match failindex::probe(&path).expect("probe reads") {
-        Freshness::Stale { reason } => {
-            assert!(reason.contains("unsupported format version 1"), "{reason}")
-        }
-        other => panic!("expected a stale version-1 snapshot, got {other:?}"),
-    }
-
     let p = path.to_str().expect("utf8 path");
     let report = |mode: IndexMode| {
         let req = QueryRequest::report(QuerySource::file(p)).sections(ANALYSIS).index(mode);
         QueryEngine::new().execute(&req)
     };
-    let err = report(IndexMode::Require).expect_err("require refuses a version-1 snapshot");
-    assert!(matches!(err, failtypes::Error::Run(_)), "{err:?}");
-    assert!(err.to_string().contains("no warm .fsidx snapshot"), "{err}");
-    assert_eq!(std::fs::read(&spath).expect("snapshot bytes"), old, "require writes nothing");
-
     let cold = report(IndexMode::Off).expect("reports").output;
-    assert_eq!(report(IndexMode::Auto).expect("reports").output, cold);
-    let rewritten = std::fs::read(&spath).expect("snapshot bytes");
-    assert_eq!(rewritten[version_at..version_at + 2], FORMAT_VERSION.to_le_bytes());
-    assert_eq!(failindex::probe(&path).expect("probe reads"), Freshness::Exact);
-    assert_eq!(report(IndexMode::Require).expect("warm now").output, cold);
+    let version_at = faillog::FSIDX_MAGIC.len();
+
+    for version in 1..FORMAT_VERSION {
+        failindex::save(
+            &spath,
+            &StreamView::new(&log),
+            failindex::SourceInfo::of_bytes(text.as_bytes()),
+        )
+        .expect("saves snapshot");
+
+        // Re-stamp the header with the older version and a valid header
+        // checksum, so only the version can make it unreadable.
+        let mut old = std::fs::read(&spath).expect("snapshot bytes");
+        assert_eq!(old[version_at..version_at + 2], FORMAT_VERSION.to_le_bytes());
+        old[version_at..version_at + 2].copy_from_slice(&version.to_le_bytes());
+        let crc = faillog::crc32(&old[..HEADER_LEN - 4]);
+        old[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&crc.to_le_bytes());
+        std::fs::write(&spath, &old).expect("writes old snapshot");
+
+        match failindex::probe(&path).expect("probe reads") {
+            Freshness::Stale { reason } => assert!(
+                reason.contains(&format!("unsupported format version {version}")),
+                "{reason}"
+            ),
+            other => panic!("expected a stale version-{version} snapshot, got {other:?}"),
+        }
+
+        let err = report(IndexMode::Require).expect_err("require refuses an older snapshot");
+        assert!(matches!(err, failtypes::Error::Run(_)), "{err:?}");
+        assert!(err.to_string().contains("no warm .fsidx snapshot"), "{err}");
+        assert_eq!(std::fs::read(&spath).expect("snapshot bytes"), old, "require writes nothing");
+
+        assert_eq!(report(IndexMode::Auto).expect("reports").output, cold);
+        let rewritten = std::fs::read(&spath).expect("snapshot bytes");
+        assert_eq!(rewritten[version_at..version_at + 2], FORMAT_VERSION.to_le_bytes());
+        assert_eq!(failindex::probe(&path).expect("probe reads"), Freshness::Exact);
+        assert_eq!(report(IndexMode::Require).expect("warm now").output, cold);
+    }
     std::fs::remove_dir_all(&dir).ok();
 }
 
