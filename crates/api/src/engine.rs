@@ -7,17 +7,19 @@
 //! always cold and execution is exactly the old in-CLI pipeline. The
 //! server keeps one engine alive across clients; that engine memoizes
 //!
-//! * **indexed logs** — the [`StreamView`] of every parsed or generated
-//!   log, built once by value from the records, keyed by source identity
-//!   *and content fingerprint* (`(path, bytes, crc32, filter)` for
-//!   files, `(name, seed)` for models). Each entry stores the
-//!   [`Collector`] that recorded the original parse/generation, and a
-//!   cache hit replays those instruments into the new query's collector
+//! * **indexed logs** — the unfiltered [`StreamView`] of every parsed
+//!   or generated log, built once by value from the records, one per
+//!   source: keyed by the file path or `model:{name}:{seed}`. A file
+//!   entry also records the fingerprint (`bytes`, `crc32`) of the bytes
+//!   it parsed, and serves only a read with that fingerprint; a parse
+//!   of new bytes replaces it, so an appended log holds one view, not
+//!   one per append. Each entry stores the [`Collector`] that recorded
+//!   the original parse/generation, and a cache hit replays those
+//!   instruments into the new query's collector
 //!   ([`Collector::merge_from`]), so the `metrics` section and `--trace`
-//!   exports stay byte-identical to an uncached run. A file parse of new
-//!   bytes drops that path's parses of other bytes, under every filter,
-//!   so an appended log holds one fingerprint's views, not one per
-//!   append.
+//!   exports stay byte-identical to an uncached run. Filtered views are
+//!   never kept: every `--where` filters the held view per query, and
+//!   the render cache keeps the output.
 //! * **rendered outputs** — keyed by the full query shape (command,
 //!   source fingerprints, filters, sections, format, index policy,
 //!   and — when snapshots are in play — the snapshot freshness state).
@@ -80,14 +82,14 @@
 //!
 //! # Dirty snapshots
 //!
-//! Every unfiltered cold parse of a file (index mode `off`, where the
-//! CLI would never write a snapshot) is remembered together with the
+//! Every cold parse of a file (index mode `off`, where the CLI would
+//! never write a snapshot) is remembered together with the
 //! [`failindex::SourceInfo`] fingerprint of the bytes it parsed and the
 //! file identity of that read.
 //! [`QueryEngine::persist_dirty`] — called by the server on graceful
 //! shutdown — writes those cached indexes to disk so the next process
-//! starts warm. Auto-mode cold parses refresh their snapshot immediately,
-//! exactly like the CLI always has.
+//! starts warm. Auto-mode cold parses refresh their snapshot
+//! immediately, for filtered queries too: every parse is unfiltered.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -128,16 +130,12 @@ pub struct QueryOutcome {
 struct CachedLog {
     view: Arc<StreamView>,
     load_trace: Collector,
-    /// Catalog grouping id: the file path, or `model:{name}:{seed}`.
-    /// Several cache entries (filter variants) share one id;
-    /// `logs`/`evict` operate on the id, not the entry key.
-    catalog_id: String,
     /// The file fingerprint at parse time (`None` for models).
     source_info: Option<SourceInfo>,
 }
 
-/// An unfiltered cold-parsed file log eligible for snapshot
-/// persistence at shutdown.
+/// A cold-parsed file log eligible for snapshot persistence at
+/// shutdown.
 struct DirtyLog {
     view: Arc<StreamView>,
     source: SourceInfo,
@@ -243,6 +241,7 @@ impl RenderCache {
 /// The shared query executor. See the module docs for the caching and
 /// determinism contract.
 pub struct QueryEngine {
+    /// One unfiltered view per catalog id (see [`catalog_id`]).
     logs: Mutex<HashMap<String, CachedLog>>,
     renders: Mutex<RenderCache>,
     dirty: Mutex<HashMap<String, DirtyLog>>,
@@ -508,8 +507,8 @@ impl QueryEngine {
         self.vouched_prints(feed, &[path], true)?.pop()?.fsidx
     }
 
-    /// Writes a `.fsidx` snapshot for every unfiltered cold-parsed file
-    /// log the engine is still holding, skipping logs whose snapshot is
+    /// Writes a `.fsidx` snapshot for every cold-parsed file log the
+    /// engine is still holding, skipping logs whose snapshot is
     /// already exact. Returns the number of snapshots written. Called
     /// by the server on graceful shutdown.
     pub fn persist_dirty(&self) -> usize {
@@ -542,41 +541,19 @@ impl QueryEngine {
         self.dirty.lock().unwrap_or_else(|e| e.into_inner()).len()
     }
 
-    /// Lists every source the engine has memoized, grouped by catalog
-    /// id (the file path, or `model:{name}:{seed}`) and sorted for
+    /// Lists every source the engine has memoized, one entry per
+    /// catalog id (the file path, or `model:{name}:{seed}`), sorted for
     /// deterministic output. Snapshot freshness reflects the disk as of
     /// this call: it comes from the source's vouched entry while the
     /// change feed still vouches for it, and from a live
     /// [`failindex::probe`] otherwise.
     pub fn catalog(&self) -> Vec<CatalogEntry> {
-        struct Group {
-            records: usize,
-            info: Option<SourceInfo>,
-            log_entries: usize,
-        }
-        let mut groups: HashMap<String, Group> = HashMap::new();
-        {
+        let held: Vec<(String, usize, Option<SourceInfo>)> = {
             let logs = self.logs.lock().unwrap_or_else(|e| e.into_inner());
-            for entry in logs.values() {
-                let group = groups
-                    .entry(entry.catalog_id.clone())
-                    .or_insert_with(|| Group {
-                        records: 0,
-                        info: None,
-                        log_entries: 0,
-                    });
-                group.log_entries += 1;
-                // Filtered variants parse fewer records; report the
-                // fullest parse the engine holds.
-                group.records = group.records.max(entry.view.len());
-                if let Some(info) = &entry.source_info {
-                    let wider = group.info.as_ref().is_none_or(|g| info.bytes >= g.bytes);
-                    if wider {
-                        group.info = Some(*info);
-                    }
-                }
-            }
-        }
+            logs.iter()
+                .map(|(id, entry)| (id.clone(), entry.view.len(), entry.source_info))
+                .collect()
+        };
         let render_counts: HashMap<String, usize> = {
             let renders = self.renders.lock().unwrap_or_else(|e| e.into_inner());
             let mut counts = HashMap::new();
@@ -591,30 +568,26 @@ impl QueryEngine {
             let dirty = self.dirty.lock().unwrap_or_else(|e| e.into_inner());
             dirty.keys().cloned().collect()
         };
-        let mut entries: Vec<CatalogEntry> = groups
+        let mut entries: Vec<CatalogEntry> = held
             .into_iter()
-            .map(|(source, group)| {
-                let is_model = group.info.is_none();
-                let snapshot = if is_model {
-                    None
-                } else {
+            .map(|(source, records, info)| {
+                let snapshot = info.map(|_| {
                     let freshness = match self.vouched_freshness(&source) {
                         Some(fresh) => Ok(fresh),
                         None => failindex::probe(&source),
                     };
-                    Some(match freshness {
+                    match freshness {
                         Ok(Freshness::Exact) => "exact".to_string(),
                         Ok(Freshness::Prefix { .. }) => "prefix".to_string(),
                         Ok(Freshness::Stale { .. }) => "stale".to_string(),
                         Ok(Freshness::Missing) | Err(_) => "missing".to_string(),
-                    })
-                };
+                    }
+                });
                 CatalogEntry {
-                    records: group.records,
-                    bytes: group.info.as_ref().map(|i| i.bytes),
-                    crc32: group.info.as_ref().map(|i| i.crc32),
+                    records,
+                    bytes: info.map(|i| i.bytes),
+                    crc32: info.map(|i| i.crc32),
                     snapshot,
-                    log_entries: group.log_entries,
                     render_entries: render_counts.get(&source).copied().unwrap_or(0),
                     dirty: dirty.contains(&source),
                     source,
@@ -625,19 +598,17 @@ impl QueryEngine {
         entries
     }
 
-    /// Drops every memoized state for one source: parsed-log cache
-    /// entries, render-cache entries depending on it, its pending dirty
+    /// Drops every memoized state for one source: its parsed view,
+    /// render-cache entries depending on it, its pending dirty
     /// snapshot, and its vouched fingerprint and change watch. The next
     /// query re-parses from disk (or regenerates the model). Render
     /// drops count as cache evictions.
     pub fn evict(&self, source: &QuerySource) -> EvictOutcome {
         let catalog_id = catalog_id(source);
-        let logs = {
-            let mut logs = self.logs.lock().unwrap_or_else(|e| e.into_inner());
-            let before = logs.len();
-            logs.retain(|_, entry| entry.catalog_id != catalog_id);
-            before - logs.len()
-        };
+        let view = self.logs.lock().unwrap_or_else(|e| e.into_inner()).remove(&catalog_id);
+        let logs = usize::from(view.is_some());
+        // The view's arrays are freed here, outside the lock.
+        drop(view);
         let renders = {
             let mut renders = self.renders.lock().unwrap_or_else(|e| e.into_inner());
             renders.remove_source(&catalog_id)
@@ -687,16 +658,14 @@ impl QueryEngine {
                         "--index {mode} only applies to file input (--model {name} is generated in-process)"
                     )));
                 }
-                // The model path never touches the parser; the
-                // predicate applies directly to the generated records.
-                let view = self.model_view(name, *seed, trace)?;
-                (filter_view(view, filter), false)
+                (self.model_view(name, *seed, trace)?, false)
             }
             QuerySource::File(_) => {
                 let file = file.expect("a file report reads its file")?;
-                self.load_file_view(req, file, trace, filter)?
+                self.load_file_view(req, file, trace)?
             }
         };
+        let view = filter_view(view, filter, trace);
         if !warm {
             view.trace_index(trace);
         }
@@ -719,8 +688,12 @@ impl QueryEngine {
         trace: &Collector,
     ) -> Result<String> {
         let opts = &req.opts;
-        let (older, _) = self.load_file_view(req, old?, trace, filter)?;
-        let (newer, _) = self.load_file_view(req, new?, trace, filter)?;
+        let load = |file: Result<LogSource>| -> Result<Arc<StreamView>> {
+            let (view, _) = self.load_file_view(req, file?, trace)?;
+            Ok(filter_view(view, filter, trace))
+        };
+        let older = load(old)?;
+        let newer = load(new)?;
         let threads = self.threads(opts);
         let body = trace.time("compare.render", || match opts.format {
             OutputFormat::Text => failscope::render_comparison_index(&older, &newer, threads),
@@ -729,28 +702,27 @@ impl QueryEngine {
         Ok(version_header(opts.format, "compare") + &body)
     }
 
-    /// Loads a file input's index honouring the index policy and the
-    /// query's filter: a warm snapshot is served without parsing the
-    /// log (exact hit) or by parsing only its appended tail (prefix
-    /// hit), with the predicate applied to the decoded view; otherwise
-    /// the log is parsed cold with the predicate pushed into the
-    /// parser. Auto mode refreshes the snapshot best-effort after an
-    /// *unfiltered* cold parse only — a filtered parse never sees the
-    /// whole log, and snapshots must. Every branch judges the bytes
-    /// `file` holds, so a refreshed snapshot fingerprints exactly the
-    /// bytes parsed. A vouched source serves its snapshot without those
-    /// bytes, and falls back to reading them when the snapshot body
-    /// fails. Returns the view and whether it came from a snapshot.
+    /// Loads a file input's unfiltered index honouring the index
+    /// policy: a warm snapshot is served without parsing the log (exact
+    /// hit) or by parsing only its appended tail (prefix hit); otherwise
+    /// the log is parsed cold ([`QueryEngine::file_view`]) and auto mode
+    /// refreshes the snapshot best-effort. The caller applies the
+    /// query's filter to the result ([`filter_view`]), so every source
+    /// and every index mode filters the same way. Every branch judges
+    /// the bytes `file` holds, so a refreshed snapshot fingerprints
+    /// exactly the bytes parsed. A vouched source serves its snapshot
+    /// without those bytes, and falls back to reading them when the
+    /// snapshot body fails. Returns the view and whether it came from a
+    /// snapshot.
     fn load_file_view(
         &self,
         req: &QueryRequest,
         source: LogSource,
         trace: &Collector,
-        filter: &Option<CompiledPredicate>,
     ) -> Result<(Arc<StreamView>, bool)> {
         let opts = &req.opts;
         let mode = opts.index_mode();
-        let warm = |view: StreamView| Ok((filter_view(Arc::new(view), filter), true));
+        let warm = |view: StreamView| Ok((Arc::new(view), true));
         let file = match source {
             LogSource::Read(file) => file,
             LogSource::Vouched(vouched) => {
@@ -766,7 +738,7 @@ impl QueryEngine {
             }
         };
         if mode == IndexMode::Off {
-            return Ok((self.file_view(file, opts, filter, trace)?, false));
+            return Ok((self.file_view(file, opts, trace)?, false));
         }
         match failindex::open(&file, Some(trace)) {
             IndexedLoad::Exact(snap) => warm(snap.into_view()),
@@ -775,12 +747,9 @@ impl QueryEngine {
                 if mode == IndexMode::Require {
                     return Err(require_warm_err(&file.path().display().to_string(), opts));
                 }
-                if filter.is_some() {
-                    return Ok((self.file_view(file, opts, filter, trace)?, false));
-                }
                 let spath = failindex::snapshot_path(file.path());
                 let read = file.stat();
-                let view = self.file_view(file, opts, &None, trace)?;
+                let view = self.file_view(file, opts, trace)?;
                 failindex::save_traced(spath, view.as_ref(), source, read, Some(trace)).ok();
                 Ok((view, false))
             }
@@ -807,48 +776,37 @@ impl QueryEngine {
         let view = Arc::new(StreamView::from(log));
         trace.merge_from(&load_trace);
         let mut logs = self.logs.lock().unwrap_or_else(|e| e.into_inner());
-        logs.entry(key.clone()).or_insert(CachedLog {
+        logs.entry(key).or_insert(CachedLog {
             view: Arc::clone(&view),
             load_trace,
-            catalog_id: key,
             source_info: None,
         });
         Ok(view)
     }
 
-    /// A memoized, indexed cold file parse (with the query's filter
-    /// pushed into the parser), keyed by the file's fingerprint so a
-    /// grown or rewritten log re-parses. Unfiltered parses are
-    /// remembered for snapshot persistence at shutdown, with the
-    /// fingerprint of exactly the bytes parsed.
+    /// A memoized, indexed, unfiltered cold file parse, held under the
+    /// file's path and served only to a read of the same fingerprint,
+    /// so a grown or rewritten log re-parses and replaces it. Every
+    /// parse is remembered for snapshot persistence at shutdown, with
+    /// the fingerprint of exactly the bytes parsed.
     fn file_view(
         &self,
         file: LogFile,
         opts: &QueryOptions,
-        filter: &Option<CompiledPredicate>,
         trace: &Collector,
     ) -> Result<Arc<StreamView>> {
         let path = file.path().display().to_string();
         let (info, read) = (file.source(), file.stat());
-        let filter_tag = match (&filter, opts) {
-            (None, _) => String::from("-"),
-            (Some(_), o) => format!(
-                "w={:?};s={:?};u={:?}",
-                o.where_expr, o.since, o.until
-            ),
-        };
-        let key = format!("file:{path}:{}:{:08x}:{filter_tag}", info.bytes, info.crc32);
         {
             let logs = self.logs.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(entry) = logs.get(&key) {
+            if let Some(entry) = logs.get(&path).filter(|e| e.source_info == Some(info)) {
                 self.metrics.incr("engine.log_cache.hit", 1);
                 trace.merge_from(&entry.load_trace);
                 return Ok(Arc::clone(&entry.view));
             }
         }
         self.metrics.incr("engine.log_cache.miss", 1);
-        let mut parse_opts = ParseOptions::new().threads(self.threads(opts));
-        parse_opts.filter.clone_from(filter);
+        let parse_opts = ParseOptions::new().threads(self.threads(opts));
         let load_trace = Collector::new();
         // Parse errors carry their 1-based line number and offending
         // field; prefixing the path makes the message directly
@@ -858,54 +816,32 @@ impl QueryEngine {
             .map_err(|e| Error::run(format!("{path}: {e}")))?;
         let view = Arc::new(StreamView::from(log));
         trace.merge_from(&load_trace);
-        if filter.is_none() {
-            let mut dirty = self.dirty.lock().unwrap_or_else(|e| e.into_inner());
-            dirty.insert(
-                path.clone(),
-                DirtyLog {
-                    view: Arc::clone(&view),
-                    source: info,
-                    read,
-                },
-            );
-        }
-        let superseded = {
-            let mut logs = self.logs.lock().unwrap_or_else(|e| e.into_inner());
-            // Parses of this path's other bytes, under every filter,
-            // hit again only if the file returns to exactly those bytes.
-            let fingerprint = (info.bytes, info.crc32);
-            let stale: Vec<CachedLog> = logs
-                .extract_if(|_, entry| {
-                    entry.catalog_id == path
-                        && entry
-                            .source_info
-                            .is_some_and(|i| (i.bytes, i.crc32) != fingerprint)
-                })
-                .map(|(_, entry)| entry)
-                .collect();
-            logs.entry(key).or_insert(CachedLog {
-                view: Arc::clone(&view),
-                load_trace,
-                catalog_id: path,
-                source_info: Some(info),
-            });
-            stale
+        let dirty = DirtyLog {
+            view: Arc::clone(&view),
+            source: info,
+            read,
         };
-        // The last reference to a superseded view may be this one; its
+        self.dirty.lock().unwrap_or_else(|e| e.into_inner()).insert(path.clone(), dirty);
+        let entry = CachedLog {
+            view: Arc::clone(&view),
+            load_trace,
+            source_info: Some(info),
+        };
+        let replaced = self.logs.lock().unwrap_or_else(|e| e.into_inner()).insert(path, entry);
+        // The last reference to a replaced view may be this one; its
         // arrays are freed here, outside the lock.
-        drop(superseded);
+        drop(replaced);
         Ok(view)
     }
 }
 
 /// One source in the engine's catalog: everything `faild` remembers
-/// about a log it has served, grouped across filter variants. Produced
-/// by [`QueryEngine::catalog`].
+/// about a log it has served. Produced by [`QueryEngine::catalog`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CatalogEntry {
-    /// The grouping id: the file path, or `model:{name}:{seed}`.
+    /// The catalog id: the file path, or `model:{name}:{seed}`.
     pub source: String,
-    /// Records in the fullest cached parse of this source.
+    /// Records in the held (unfiltered) view of this source.
     pub records: usize,
     /// File bytes at parse time (`None` for in-process models).
     pub bytes: Option<u64>,
@@ -914,11 +850,9 @@ pub struct CatalogEntry {
     /// Live `.fsidx` freshness — `exact`, `prefix`, `stale`, or
     /// `missing` — probed at listing time (`None` for models).
     pub snapshot: Option<String>,
-    /// Parsed-log cache entries held for this source.
-    pub log_entries: usize,
     /// Render-cache entries whose output depends on this source.
     pub render_entries: usize,
-    /// Whether an unfiltered cold parse awaits snapshot persistence.
+    /// Whether a cold parse awaits snapshot persistence.
     pub dirty: bool,
 }
 
@@ -927,7 +861,7 @@ pub struct CatalogEntry {
 pub struct EvictOutcome {
     /// The catalog id the eviction targeted.
     pub source: String,
-    /// Parsed-log cache entries dropped.
+    /// Parsed views dropped (0 or 1).
     pub logs: usize,
     /// Render-cache entries dropped.
     pub renders: usize,
@@ -948,7 +882,7 @@ impl EvictOutcome {
     }
 }
 
-/// The catalog id a source groups under: the file path, or
+/// The catalog id a source is held under: the file path, or
 /// `model:{name}:{seed}`.
 fn catalog_id(source: &QuerySource) -> String {
     match source {
@@ -976,8 +910,7 @@ pub fn render_catalog(entries: &[CatalogEntry]) -> String {
         }
         let _ = writeln!(
             out,
-            " entries={} renders={} dirty={}",
-            e.log_entries,
+            " renders={} dirty={}",
             e.render_entries,
             if e.dirty { "yes" } else { "no" }
         );
@@ -1149,15 +1082,24 @@ pub(crate) fn compile_filter(
     Ok(pred)
 }
 
-/// Filters an unparsed view — a decoded snapshot or a generated model —
-/// through the query's predicate (identity without one). Snapshots
-/// always persist unfiltered state; this is where a `--where` composes
-/// with a warm index — still with zero parsing.
-fn filter_view(view: Arc<StreamView>, filter: &Option<CompiledPredicate>) -> Arc<StreamView> {
+/// Applies the query's predicate to a loaded, unfiltered view — a cold
+/// parse, a decoded snapshot or a generated model — and records the
+/// `filter.records_in` (view length) and `filter.records_kept` counters
+/// on `trace`. Identity, recording nothing, without a predicate. This
+/// is the only place a report or compare filters, so every source and
+/// index mode yields the same filtered view and the same counters.
+fn filter_view(
+    view: Arc<StreamView>,
+    filter: &Option<CompiledPredicate>,
+    trace: &Collector,
+) -> Arc<StreamView> {
     match filter {
         Some(p) => {
             let (spec, window) = (view.spec(), view.window());
-            Arc::new(view.filtered(|r| p.matches(r, spec, window)))
+            let kept = view.filtered(|r| p.matches(r, spec, window));
+            trace.incr("filter.records_in", view.len() as u64);
+            trace.incr("filter.records_kept", kept.len() as u64);
+            Arc::new(kept)
         }
         None => view,
     }
@@ -1308,14 +1250,22 @@ mod tests {
         assert_eq!(engine.persist_dirty(), 1);
         assert_eq!(engine.dirty_count(), 0);
         assert!(matches!(failindex::probe(p), Ok(Freshness::Exact)));
-        // Filtered parses never mark the log dirty: the parse did not
-        // see the whole log, and snapshots must.
+        // A filtered query on this engine filters the view it already
+        // holds: nothing is parsed, so nothing new is dirty.
         let _ = std::fs::remove_file(&spath);
         let filtered = QueryRequest::report(QuerySource::file(p))
             .sections("header")
             .where_expr("category == gpu");
         engine.execute(&filtered).expect("executes");
         assert_eq!(engine.dirty_count(), 0);
+        // On a fresh engine the filtered query parses the whole log
+        // (the predicate filters the view afterwards), so the parse is
+        // dirty and persists a snapshot that is exact for the log.
+        let fresh = QueryEngine::new();
+        fresh.execute(&filtered).expect("executes");
+        assert_eq!(fresh.dirty_count(), 1);
+        assert_eq!(fresh.persist_dirty(), 1);
+        assert!(matches!(failindex::probe(p), Ok(Freshness::Exact)));
 
         std::fs::remove_file(&path).expect("cleanup");
         let _ = std::fs::remove_file(&spath);
@@ -1538,11 +1488,56 @@ mod tests {
                 let fresh = QueryEngine::new().execute(req).expect("executes");
                 assert_eq!(reply.output, fresh.output, "after {quarters} quarter(s)");
             }
+            // One held view for the path, unfiltered and of the current
+            // bytes, whatever filters were asked for.
+            let records = faillog::load(p).expect("loads").len();
             let catalog = engine.catalog();
             assert_eq!(catalog.len(), 1);
-            assert_eq!(catalog[0].log_entries, 2, "after {quarters} quarter(s)");
+            assert_eq!(catalog[0].records, records, "after {quarters} quarter(s)");
         }
         std::fs::remove_file(&path).ok();
+    }
+
+    #[test]
+    fn filter_counters_are_the_same_for_every_source_and_engine() {
+        let path = temp_path("filter-counters.fslog");
+        let p = path.to_str().unwrap();
+        let spath = failindex::snapshot_path(p);
+        write_quarters(&path, 4);
+        let _ = std::fs::remove_file(&spath);
+        let plain = QueryRequest::report(QuerySource::file(p)).sections("header,metrics");
+        let filtered = plain.clone().where_expr("category == gpu && ttr > 24");
+        let filter_lines = |output: &str| -> Vec<String> {
+            let lines: Vec<String> = output
+                .lines()
+                .filter(|l| l.contains(" filter."))
+                .map(str::to_string)
+                .collect();
+            assert_eq!(lines.len(), 2, "{output}");
+            lines
+        };
+        let fresh = QueryEngine::new().execute(&filtered).expect("executes").output;
+        let want = filter_lines(&fresh);
+        let records = faillog::load(p).expect("loads").len();
+        assert_eq!(want[0], format!("  counter filter.records_in = {records}"));
+        assert!(want[1].starts_with("  counter filter.records_kept = "), "{}", want[1]);
+
+        // A long-lived engine filters the view its unfiltered query parsed.
+        let engine = QueryEngine::new();
+        engine.execute(&plain).expect("executes");
+        let second = engine.execute(&filtered).expect("executes");
+        assert!(!second.cached);
+        assert_eq!(filter_lines(&second.output), want);
+
+        // A warm report filters the decoded snapshot.
+        assert_eq!(engine.persist_dirty(), 1);
+        let warm = QueryEngine::new()
+            .execute(&filtered.clone().index(IndexMode::Require))
+            .expect("executes")
+            .output;
+        assert_eq!(filter_lines(&warm), want);
+        std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&spath).ok();
     }
 
     #[test]

@@ -661,18 +661,27 @@ fn report_where_is_byte_identical_across_threads_index_and_post_hoc() {
             assert_eq!(r, cold, "--threads {threads} on {system}");
         }
 
-        // A filtered cold parse in auto mode matches too but must
-        // NOT leave a snapshot behind: a filtered parse never sees
-        // the whole log, and snapshots must.
+        // A filtered cold report in auto mode matches too, and leaves
+        // a snapshot behind: the parse saw the whole log, and the
+        // predicate filtered the view afterwards.
         let auto = report(&parse(&[
             "report", p, "--sections", ANALYSIS, "--where", EXPR, "--index", "auto",
         ]))
         .expect("reports");
         assert_eq!(auto, cold);
         assert!(
-            !std::path::Path::new(&spath).exists(),
-            "filtered parse must not persist a snapshot"
+            std::path::Path::new(&spath).exists(),
+            "auto + --where must persist a snapshot"
         );
+        // That snapshot is the whole log's: it serves filtered and
+        // unfiltered reports alike.
+        let cold_plain = report(&parse(&["report", p, "--sections", ANALYSIS, "--index", "off"]))
+            .expect("reports");
+        for (words, want) in [(vec!["--where", EXPR], &cold), (vec![], &cold_plain)] {
+            let mut args = vec!["report", p, "--sections", ANALYSIS, "--index", "require"];
+            args.extend(words);
+            assert_eq!(&report(&parse(&args)).expect("reports"), want, "{args:?}");
+        }
 
         // Warm snapshots compose: the .fsidx stores unfiltered
         // state and the predicate filters the decoded view.

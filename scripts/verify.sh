@@ -467,6 +467,36 @@ cmp -s "$srv_dir/tsubame3.cli.txt" "$srv_dir/tsubame3.postevict.txt" || {
     echo "verify: post-evict faild query differs from the direct CLI report" >&2
     exit 1
 }
+# Filtered queries derive from the one held view: three distinct
+# `--where` reports of tsubame2 (full reports, `metrics` included) must
+# each equal the direct CLI report, and evicting the log afterwards must
+# drop exactly one parsed view. The query after the eviction parses the
+# whole log again, so the log is dirty for the shutdown check below.
+where_n=0
+for expr in 'category == gpu' 'ttr > 24' 'slot == 1 || month in (6, 7, 8)'; do
+    where_n=$((where_n + 1))
+    cargo run -q --release -p failctl -- report "$srv_dir/tsubame2.fslog" \
+        --where "$expr" > "$srv_dir/where$where_n.cli.txt"
+    cargo run -q --release -p failctl -- query --socket "$srv_dir/faild.sock" \
+        report "$srv_dir/tsubame2.fslog" --where "$expr" > "$srv_dir/where$where_n.txt"
+    cmp -s "$srv_dir/where$where_n.cli.txt" "$srv_dir/where$where_n.txt" || {
+        echo "verify: faild --where '$expr' differs from the direct CLI report" >&2
+        exit 1
+    }
+done
+cargo run -q --release -p failctl -- query --socket "$srv_dir/faild.sock" \
+    evict "$srv_dir/tsubame2.fslog" > "$srv_dir/evict-where.txt"
+grep -q "(logs=1 " "$srv_dir/evict-where.txt" || {
+    echo "verify: faild held more than one parsed view of tsubame2.fslog after $where_n filters" >&2
+    cat "$srv_dir/evict-where.txt" >&2
+    exit 1
+}
+cargo run -q --release -p failctl -- query --socket "$srv_dir/faild.sock" \
+    report "$srv_dir/tsubame2.fslog" --where "$expr" > "$srv_dir/where-again.txt"
+cmp -s "$srv_dir/where$where_n.cli.txt" "$srv_dir/where-again.txt" || {
+    echo "verify: post-evict faild --where query differs from the direct CLI report" >&2
+    exit 1
+}
 cargo run -q --release -p failctl -- query --socket "$srv_dir/faild.sock" \
     shutdown >/dev/null
 wait "$srv_pid" || {
