@@ -9,11 +9,13 @@
 //!
 //! * **indexed logs** — the unfiltered [`StreamView`] of every parsed
 //!   or generated log, built once by value from the records, one per
-//!   source: keyed by the file path or `model:{name}:{seed}`. A file
-//!   entry also records the fingerprint (`bytes`, `crc32`) of the bytes
-//!   it parsed, and serves only a read with that fingerprint; a parse
-//!   of new bytes replaces it, so an appended log holds one view, not
-//!   one per append. Each entry stores the [`Collector`] that recorded
+//!   source: keyed by the [`QuerySource`] itself (a file path, or a
+//!   model name and seed), so a file named like a model's catalog id
+//!   never serves that model. A file entry also records the
+//!   fingerprint (`bytes`, `crc32`) of the bytes it parsed, and serves
+//!   only a read with that fingerprint; a parse of new bytes replaces
+//!   it, so an appended log holds one view, not one per append. Each
+//!   entry stores the [`Collector`] that recorded
 //!   the original parse/generation, and a cache hit replays those
 //!   instruments into the new query's collector
 //!   ([`Collector::merge_from`]), so the `metrics` section and `--trace`
@@ -146,9 +148,9 @@ struct DirtyLog {
 struct RenderEntry {
     output: String,
     trace: Collector,
-    /// Catalog ids of every source this output depends on, so a
-    /// catalog `evict` can drop dependent renders.
-    sources: Vec<String>,
+    /// Every source this output depends on, so a catalog `evict` can
+    /// drop dependent renders.
+    sources: Vec<QuerySource>,
     /// The entry's current recency stamp; `order` records with an
     /// older stamp are stale and skipped on eviction.
     stamp: u64,
@@ -211,12 +213,12 @@ impl RenderCache {
         evicted
     }
 
-    /// Drops every entry depending on `catalog_id`; returns the count.
-    fn remove_source(&mut self, catalog_id: &str) -> usize {
+    /// Drops every entry depending on `source`; returns the count.
+    fn remove_source(&mut self, source: &QuerySource) -> usize {
         let doomed: Vec<String> = self
             .map
             .iter()
-            .filter(|(_, e)| e.sources.iter().any(|s| s == catalog_id))
+            .filter(|(_, e)| e.sources.contains(source))
             .map(|(k, _)| k.clone())
             .collect();
         for key in &doomed {
@@ -241,8 +243,9 @@ impl RenderCache {
 /// The shared query executor. See the module docs for the caching and
 /// determinism contract.
 pub struct QueryEngine {
-    /// One unfiltered view per catalog id (see [`catalog_id`]).
-    logs: Mutex<HashMap<String, CachedLog>>,
+    /// One unfiltered view per source. Keyed by the source itself, not
+    /// its [`catalog_id`]: a file may be named like a model's id.
+    logs: Mutex<HashMap<QuerySource, CachedLog>>,
     renders: Mutex<RenderCache>,
     dirty: Mutex<HashMap<String, DirtyLog>>,
     metrics: Collector,
@@ -542,19 +545,20 @@ impl QueryEngine {
     }
 
     /// Lists every source the engine has memoized, one entry per
-    /// catalog id (the file path, or `model:{name}:{seed}`), sorted for
-    /// deterministic output. Snapshot freshness reflects the disk as of
-    /// this call: it comes from the source's vouched entry while the
-    /// change feed still vouches for it, and from a live
-    /// [`failindex::probe`] otherwise.
+    /// source, sorted by catalog id (the file path, or
+    /// `model:{name}:{seed}`) for deterministic output; a file named
+    /// like a model's id lists before the model. Snapshot freshness
+    /// reflects the disk as of this call: it comes from the source's
+    /// vouched entry while the change feed still vouches for it, and
+    /// from a live [`failindex::probe`] otherwise.
     pub fn catalog(&self) -> Vec<CatalogEntry> {
-        let held: Vec<(String, usize, Option<SourceInfo>)> = {
+        let held: Vec<(QuerySource, usize, Option<SourceInfo>)> = {
             let logs = self.logs.lock().unwrap_or_else(|e| e.into_inner());
             logs.iter()
-                .map(|(id, entry)| (id.clone(), entry.view.len(), entry.source_info))
+                .map(|(source, entry)| (source.clone(), entry.view.len(), entry.source_info))
                 .collect()
         };
-        let render_counts: HashMap<String, usize> = {
+        let render_counts: HashMap<QuerySource, usize> = {
             let renders = self.renders.lock().unwrap_or_else(|e| e.into_inner());
             let mut counts = HashMap::new();
             for entry in renders.map.values() {
@@ -571,10 +575,14 @@ impl QueryEngine {
         let mut entries: Vec<CatalogEntry> = held
             .into_iter()
             .map(|(source, records, info)| {
-                let snapshot = info.map(|_| {
-                    let freshness = match self.vouched_freshness(&source) {
+                let path = match &source {
+                    QuerySource::File(path) => Some(path.as_str()),
+                    QuerySource::Model { .. } => None,
+                };
+                let snapshot = path.map(|path| {
+                    let freshness = match self.vouched_freshness(path) {
                         Some(fresh) => Ok(fresh),
-                        None => failindex::probe(&source),
+                        None => failindex::probe(path),
                     };
                     match freshness {
                         Ok(Freshness::Exact) => "exact".to_string(),
@@ -589,12 +597,13 @@ impl QueryEngine {
                     crc32: info.map(|i| i.crc32),
                     snapshot,
                     render_entries: render_counts.get(&source).copied().unwrap_or(0),
-                    dirty: dirty.contains(&source),
-                    source,
+                    dirty: path.is_some_and(|path| dirty.iter().any(|d| d == path)),
+                    source: catalog_id(&source),
                 }
             })
             .collect();
-        entries.sort_by(|a, b| a.source.cmp(&b.source));
+        // A file named like a model's id lists before the model.
+        entries.sort_by_key(|entry| (entry.source.clone(), entry.bytes.is_none()));
         entries
     }
 
@@ -604,20 +613,18 @@ impl QueryEngine {
     /// query re-parses from disk (or regenerates the model). Render
     /// drops count as cache evictions.
     pub fn evict(&self, source: &QuerySource) -> EvictOutcome {
-        let catalog_id = catalog_id(source);
-        let view = self.logs.lock().unwrap_or_else(|e| e.into_inner()).remove(&catalog_id);
+        let view = self.logs.lock().unwrap_or_else(|e| e.into_inner()).remove(source);
         let logs = usize::from(view.is_some());
         // The view's arrays are freed here, outside the lock.
         drop(view);
         let renders = {
             let mut renders = self.renders.lock().unwrap_or_else(|e| e.into_inner());
-            renders.remove_source(&catalog_id)
+            renders.remove_source(source)
         };
-        let dirty = {
-            let mut dirty = self.dirty.lock().unwrap_or_else(|e| e.into_inner());
-            usize::from(dirty.remove(&catalog_id).is_some())
-        };
+        let mut dirty = 0;
         if let QuerySource::File(path) = source {
+            let pending = self.dirty.lock().unwrap_or_else(|e| e.into_inner()).remove(path);
+            dirty = usize::from(pending.is_some());
             let mut vouched = self.vouched.lock().unwrap_or_else(|e| e.into_inner());
             vouched.remove(path);
             if let Some(feed) = &self.feed {
@@ -629,7 +636,7 @@ impl QueryEngine {
         }
         self.metrics.incr("engine.catalog.evict", 1);
         EvictOutcome {
-            source: catalog_id,
+            source: catalog_id(source),
             logs,
             renders,
             dirty,
@@ -761,7 +768,7 @@ impl QueryEngine {
     /// identical to a fresh generation.
     fn model_view(&self, name: &str, seed: u64, trace: &Collector) -> Result<Arc<StreamView>> {
         let model = model_by_name(name)?;
-        let key = format!("model:{name}:{seed}");
+        let key = QuerySource::model(name, seed);
         {
             let logs = self.logs.lock().unwrap_or_else(|e| e.into_inner());
             if let Some(entry) = logs.get(&key) {
@@ -799,7 +806,8 @@ impl QueryEngine {
         let (info, read) = (file.source(), file.stat());
         {
             let logs = self.logs.lock().unwrap_or_else(|e| e.into_inner());
-            if let Some(entry) = logs.get(&path).filter(|e| e.source_info == Some(info)) {
+            let entry = logs.get(&QuerySource::file(path.as_str()));
+            if let Some(entry) = entry.filter(|e| e.source_info == Some(info)) {
                 self.metrics.incr("engine.log_cache.hit", 1);
                 trace.merge_from(&entry.load_trace);
                 return Ok(Arc::clone(&entry.view));
@@ -827,7 +835,9 @@ impl QueryEngine {
             load_trace,
             source_info: Some(info),
         };
-        let replaced = self.logs.lock().unwrap_or_else(|e| e.into_inner()).insert(path, entry);
+        let mut logs = self.logs.lock().unwrap_or_else(|e| e.into_inner());
+        let replaced = logs.insert(QuerySource::file(path), entry);
+        drop(logs);
         // The last reference to a replaced view may be this one; its
         // arrays are freed here, outside the lock.
         drop(replaced);
@@ -973,19 +983,23 @@ fn still_vouched(feed: &dyn ChangeFeed, path: &str, entry: &Vouched) -> bool {
 }
 
 /// Builds the render-cache key for a request from the fingerprints of
-/// the files it reads (one per path, in load order), plus the catalog
-/// ids of the sources it depends on, recorded in the entry so a catalog
-/// `evict` can drop dependent renders.
-fn render_key(req: &QueryRequest, paths: &[&str], prints: &[Fingerprint]) -> (String, Vec<String>) {
+/// the files it reads (one per path, in load order), plus the sources it
+/// depends on, recorded in the entry so a catalog `evict` can drop
+/// dependent renders.
+fn render_key(
+    req: &QueryRequest,
+    paths: &[&str],
+    prints: &[Fingerprint],
+) -> (String, Vec<QuerySource>) {
     let mut sources = Vec::new();
-    let mut catalog_ids = Vec::new();
-    if let QueryCmd::Report(QuerySource::Model { name, seed }) = &req.cmd {
+    let mut depends = Vec::new();
+    if let QueryCmd::Report(model @ QuerySource::Model { name, seed }) = &req.cmd {
         sources.push(format!("model:{name}:{seed}"));
-        catalog_ids.push(format!("model:{name}:{seed}"));
+        depends.push(model.clone());
     }
     for (path, print) in paths.iter().zip(prints) {
         let info = print.info;
-        catalog_ids.push(path.to_string());
+        depends.push(QuerySource::file(*path));
         let mut id = format!("file:{path}:{}:{:08x}", info.bytes, info.crc32);
         if req.opts.index_mode() != IndexMode::Off {
             // Warm queries also depend on the snapshot's state: a cold
@@ -1021,7 +1035,7 @@ fn render_key(req: &QueryRequest, paths: &[&str], prints: &[Fingerprint]) -> (St
         .field("index", opts.index_mode().to_string())
         .build()
         .render();
-    (key, catalog_ids)
+    (key, depends)
 }
 
 /// The `{"v":1,...}` header line versioning every JSON output; text

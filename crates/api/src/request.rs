@@ -13,7 +13,7 @@ use failindex::IndexMode;
 use failtypes::{Error, Result};
 
 /// Where a query's records come from.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub enum QuerySource {
     /// A `.fslog` file on disk (gzip-compressed input is transparent).
     File(String),

@@ -9,7 +9,9 @@
 //! * **in bulk** from a finished, validated [`FailureLog`]
 //!   (`StreamView::from(log)`): one pass over the records, one palette
 //!   pass partitioning them by category, then one sort per order
-//!   statistic. Reports, comparisons, and experiments use this.
+//!   statistic, deferred to its first read (or write), so a view that
+//!   is only filtered never sorts. Reports, comparisons, and experiments
+//!   use this.
 //! * **incrementally**, one record at a time ([`StreamView::push`]) or a
 //!   chunk at a time ([`StreamView::extend`]), as a live stream or an
 //!   appended log tail delivers them. `failwatch` and snapshot extension
@@ -78,7 +80,7 @@
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
-use std::sync::OnceLock;
+use std::sync::{Mutex, OnceLock};
 
 use failstats::ExactSum;
 use failtrace::Collector;
@@ -139,29 +141,34 @@ impl From<StreamViewError> for failtypes::Error {
 /// streams behave like a plain sorted `Vec`.
 const MERGE_FLOOR: usize = 64;
 
+/// Why a [`SortedRun`]'s lock is never poisoned: its holder only sorts
+/// `f64` keys, which cannot panic.
+const SORT_NEVER_PANICS: &str = "sorting f64 keys cannot panic while the lock is held";
+
 /// An ascending order statistic maintained by deferred merging: a
-/// sorted main `run`, a small unsorted `tail` of recent appends, and a
-/// lazily materialized `run ∪ tail` cache for `&self` readers.
+/// sorted main `run`, a small unsorted `tail` of recent appends, a bulk
+/// build's values not yet sorted, and a lazily materialized cache of
+/// their sorted union for `&self` readers.
 ///
 /// Invariants: `run` is always sorted ascending; `merged`, when set,
-/// holds the sorted union of `run` and `tail` (writers take it back
-/// into `run` before touching either part, so it is never stale).
+/// holds the sorted union of `run`, `tail` and the values `unsorted`
+/// held (writers take it back into `run` before touching any part, so
+/// it is never stale). The first reader takes `unsorted` under its lock
+/// and sets `merged` before releasing it, so a view sorted on read never
+/// holds its values in both orders.
 #[derive(Debug, Default)]
 struct SortedRun {
     run: Vec<f64>,
     tail: Vec<f64>,
     merged: OnceLock<Vec<f64>>,
+    unsorted: Mutex<Vec<f64>>,
 }
 
 impl Clone for SortedRun {
     fn clone(&self) -> Self {
         // Clone through the materialized form: the clone starts with an
         // empty tail and no cache, which keeps the invariants local.
-        SortedRun {
-            run: self.as_slice().to_vec(),
-            tail: Vec::new(),
-            merged: OnceLock::new(),
-        }
+        SortedRun::from_sorted(self.as_slice().to_vec())
     }
 }
 
@@ -179,8 +186,17 @@ impl SortedRun {
         debug_assert!(run.windows(2).all(|w| w[0] <= w[1]));
         SortedRun {
             run,
-            tail: Vec::new(),
-            merged: OnceLock::new(),
+            ..SortedRun::default()
+        }
+    }
+
+    /// Holds a bulk build's `values` unsorted: the first read or write
+    /// sorts them, so a view nobody reads this statistic of (the
+    /// unfiltered view a `--where` report filters) never pays the sort.
+    fn deferred(values: Vec<f64>) -> Self {
+        SortedRun {
+            unsorted: Mutex::new(values),
+            ..SortedRun::default()
         }
     }
 
@@ -201,11 +217,16 @@ impl SortedRun {
     }
 
     /// Takes a previously materialized cache back as the main run, so
-    /// read work is never repeated by the writer.
+    /// read work is never repeated by the writer, and moves any deferred
+    /// bulk values into the tail.
     fn promote(&mut self) {
         if let Some(full) = self.merged.take() {
             self.run = full;
             self.tail.clear();
+        }
+        let unsorted = self.unsorted.get_mut().expect(SORT_NEVER_PANICS);
+        if !unsorted.is_empty() {
+            self.tail.append(unsorted);
         }
     }
 
@@ -262,11 +283,25 @@ impl SortedRun {
     /// otherwise pays one merge into a cache shared by later readers
     /// (writes invalidate it via [`SortedRun::promote`]).
     fn as_slice(&self) -> &[f64] {
-        if self.tail.is_empty() {
+        if let Some(full) = self.merged.get() {
+            return full;
+        }
+        let mut unsorted = self.unsorted.lock().expect(SORT_NEVER_PANICS);
+        // Re-checked under the lock: a reader that took the deferred
+        // values set the cache before releasing it.
+        if let Some(full) = self.merged.get() {
+            return full;
+        }
+        if self.tail.is_empty() && unsorted.is_empty() {
             return &self.run;
         }
+        let mut pending = std::mem::take(&mut *unsorted);
         self.merged.get_or_init(|| {
-            let tail = sorted_total(self.tail.clone());
+            pending.extend_from_slice(&self.tail);
+            let tail = sorted_total(pending);
+            if self.run.is_empty() {
+                return tail;
+            }
             let mut full = Vec::with_capacity(self.run.len() + tail.len());
             let (mut i, mut j) = (0, 0);
             while i < self.run.len() && j < tail.len() {
@@ -584,7 +619,8 @@ impl StreamView {
     ///
     /// It runs the per-record indexing [`StreamView::push`] runs, but
     /// partitions categories with one palette pass instead of a map
-    /// entry per record, and sorts each order statistic once at the end.
+    /// entry per record, and sorts each order statistic once, on its
+    /// first read.
     fn from_records(
         generation: Generation,
         spec: SystemSpec,
@@ -609,9 +645,8 @@ impl StreamView {
         // Valid records lie inside the window, so each is in one month
         // bucket and the month sums add up to the TTR total.
         view.ttr_sum = view.month_buckets.total();
-        view.ttrs_sorted = SortedRun::from_sorted(sorted_total(ttrs));
-        view.gaps_sorted =
-            SortedRun::from_sorted(sorted_total(failstats::inter_arrival_times(&view.times)));
+        view.ttrs_sorted = SortedRun::deferred(ttrs);
+        view.gaps_sorted = SortedRun::deferred(failstats::inter_arrival_times(&view.times));
         view.records = records;
         view
     }
@@ -1376,6 +1411,45 @@ mod tests {
         let cloned = run.clone();
         assert_eq!(cloned, run);
         assert_eq!(cloned.as_slice(), reference.as_slice());
+    }
+
+    #[test]
+    fn deferred_bulk_values_sort_on_first_read_or_write() {
+        let values: Vec<f64> = (0..500).map(|i| ((i * 389) % 257) as f64 * 0.5).collect();
+        let mut reference = values.clone();
+        reference.sort_by(f64::total_cmp);
+
+        // A read sorts into the cache and keeps no unsorted copy; a
+        // later write takes the cache back as the run.
+        let mut read_first = SortedRun::deferred(values.clone());
+        assert_eq!(read_first.as_slice(), reference.as_slice());
+        assert!(read_first.unsorted.lock().unwrap().is_empty());
+        read_first.push(3.25);
+        // A write sorts the deferred values through the tail.
+        let mut write_first = SortedRun::deferred(values);
+        write_first.push(3.25);
+        let pos = reference.partition_point(|&y| y <= 3.25);
+        reference.insert(pos, 3.25);
+        for run in [&mut read_first, &mut write_first] {
+            assert_eq!(run.as_slice(), reference.as_slice());
+            run.materialize();
+            assert!(run.tail.is_empty() && run.unsorted.lock().unwrap().is_empty());
+            assert_eq!(run.run, reference);
+        }
+        assert_eq!(read_first, write_first);
+        assert_eq!(SortedRun::deferred(Vec::new()).as_slice(), &[] as &[f64]);
+
+        // Readers racing for the first read all see the sorted union.
+        let shared = SortedRun::deferred(reference.iter().rev().copied().collect());
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for _ in 0..4 {
+                scope.spawn(|| {
+                    start.wait();
+                    assert_eq!(shared.as_slice(), reference.as_slice());
+                });
+            }
+        });
     }
 
     mod merge {

@@ -221,6 +221,9 @@ fi
 # allocating or re-scanning eval sneaked into the record path).
 # `repro bench` already verifies the filtered parse is byte-identical
 # to the post-hoc filter of an unfiltered parse before reporting it.
+# Reports do not take this path: they parse unfiltered and filter the
+# loaded view (`StreamView::filtered`). The parser pushdown is a library
+# entry point that loadbench still calls, and this bound guards only it.
 filter_rate=$(sed -n 's/.*"filter_records_per_second":\([0-9]*\).*/\1/p' \
     BENCH_pipeline.json)
 if [ -z "$filter_rate" ]; then

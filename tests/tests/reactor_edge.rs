@@ -407,8 +407,8 @@ fn rewrite_in_place(log: &str) {
 /// The shapes every freshness case replays: an index-off full report; a
 /// filtered indexed JSON report, whose key carries the snapshot's
 /// freshness; and a compare of the log with itself. The indexed shape
-/// leaves out the `metrics` section: a cold `--index auto` run saves a
-/// snapshot, so its metrics differ from those of the next (warm) run,
+/// selects every section but `metrics`: a cold `--index auto` run saves
+/// a snapshot, so its metrics differ from those of the next (warm) run,
 /// while its analysis sections are the same bytes either way.
 fn shapes(log: &str) -> Vec<QueryRequest> {
     vec![
@@ -416,7 +416,7 @@ fn shapes(log: &str) -> Vec<QueryRequest> {
         QueryRequest::report(QuerySource::file(log))
             .index(IndexMode::Auto)
             .where_expr("category == gpu")
-            .sections("header,tbf,ttr,availability")
+            .sections("header,categories,spatial,involvement,tbf,ttr,availability,survival,seasonal")
             .format(OutputFormat::Json),
         QueryRequest::compare(log, log),
     ]
