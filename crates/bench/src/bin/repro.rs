@@ -310,7 +310,6 @@ fn bench(catalog: &[CatalogEntry], json_path: &str, history: Option<&(String, u6
         let (spec, window) = (full.spec().clone(), full.window());
         filtered_parse == full.filtered(|r| filter_pred.matches(r, &spec, window))
     };
-    drop(filtered_parse);
     let filter_seconds = best_of(PARSE_REPS, || {
         std::hint::black_box(faillog::from_str_with(&parse_text, &filter_opts).expect("parses"));
     });
@@ -382,6 +381,45 @@ fn bench(catalog: &[CatalogEntry], json_path: &str, history: Option<&(String, u6
         .lines()
         .any(|line| line.contains(r#""stage":"parse."#) || line.contains(r#""stage":"log.parse""#));
     let index_identical = warm_render == cold_render;
+
+    // View-filter bench: the path every `--where` report takes — load
+    // the unfiltered view, then `StreamView::filtered` with the
+    // predicate. The snapshot is decoded once; the kept view is
+    // verified equal to the bulk view of the pushdown parse above
+    // before any rate is reported. `view_filter_records_per_second`
+    // (view records scanned per second) is the figure scripts/verify.sh
+    // gates on.
+    let view_filter_json;
+    let view_filter_rate;
+    let view_filter_identical;
+    {
+        let snap = open_warm(None);
+        let decoded = snap.view();
+        let (spec, window) = (decoded.spec().clone(), decoded.window());
+        let keep = |r: &failtypes::FailureRecord| filter_pred.matches(r, &spec, window);
+        let kept = decoded.filtered(keep);
+        view_filter_identical = kept == StreamView::from(filtered_parse);
+        let view_filter_seconds = best_of_on(PARSE_REPS, || (), |()| decoded.filtered(keep));
+        view_filter_rate = decoded.len() as f64 / view_filter_seconds.max(f64::MIN_POSITIVE);
+        println!(
+            "  view filter bench: `{FILTER_EXPR}` kept {} of {} decoded records",
+            kept.len(),
+            decoded.len()
+        );
+        println!(
+            "    filtered view: {:.1} ms | {:.0} rec/s | identical to the pushdown parse: {view_filter_identical}",
+            view_filter_seconds * 1e3,
+            view_filter_rate
+        );
+        view_filter_json = JsonValue::object()
+            .field("expression", FILTER_EXPR)
+            .field("records_in", decoded.len())
+            .field("records_kept", kept.len())
+            .field("seconds", view_filter_seconds)
+            .field("records_per_second", view_filter_rate as u64)
+            .field("identical_output", view_filter_identical)
+            .build();
+    }
     let cold_load_seconds = best_of(PARSE_REPS, || {
         let log = faillog::load(&idx_path).expect("parses");
         std::hint::black_box(StreamView::from(log));
@@ -657,6 +695,8 @@ fn bench(catalog: &[CatalogEntry], json_path: &str, history: Option<&(String, u6
         .field("gzip_records_per_second", parse_gzip_rate as u64)
         .field("filter", filter_json)
         .field("filter_records_per_second", filter_rate as u64)
+        .field("view_filter", view_filter_json)
+        .field("view_filter_records_per_second", view_filter_rate as u64)
         .field("index", index_json)
         .field("index_load_speedup_x100", (index_load_speedup * 100.0) as u64)
         .field("index_report_speedup_x100", (index_report_speedup * 100.0) as u64)
@@ -685,6 +725,10 @@ fn bench(catalog: &[CatalogEntry], json_path: &str, history: Option<&(String, u6
     }
     if !filter_identical {
         eprintln!("filtered parse diverged from the post-hoc filter");
+        std::process::exit(1);
+    }
+    if !view_filter_identical {
+        eprintln!("the filtered snapshot view diverged from the pushdown parse");
         std::process::exit(1);
     }
     if !index_identical {

@@ -60,8 +60,9 @@ COMMANDS
       the fields category, ttr, recovery, time, node, slot, rack,
       gpus, month, with ==, !=, <, <=, >, >=, ~ (substring),
       `in (a, b)`, combined with &&, ||, ! and parentheses; the
-      predicate is evaluated during parsing (or against a warm
-      snapshot's decoded records), never as a post-pass. --since T and
+      predicate filters the loaded view (a cold parse or a warm
+      snapshot, both unfiltered), so every source and index mode keeps
+      the same records. --since T and
       --until T are sugar for `time >= T` / `time < T` (until is
       exclusive) and conjoin with --where; T is hours from the window
       start or a YYYY-MM-DD date. --format json emits a {\"v\":1} header

@@ -63,8 +63,8 @@ impl AvailabilityAnalysis {
         let starts = index.times();
         let ends: Vec<f64> = starts
             .iter()
-            .zip(index.records())
-            .map(|(&t, rec)| (t + rec.ttr().get()).min(window_hours))
+            .zip(index.ttrs())
+            .map(|(&t, &ttr)| (t + ttr).min(window_hours))
             .collect();
 
         // Records are time-sorted, so an arrival overlaps an earlier
@@ -268,9 +268,8 @@ mod tests {
         let window_hours = index.window().duration().get();
         let starts = index.times();
         let ends: Vec<f64> = index
-            .records()
-            .iter()
-            .map(|r| r.recovery_time().get().min(window_hours))
+            .rows()
+            .map(|r| (r.time() + r.ttr()).get().min(window_hours))
             .collect();
         let mut events: Vec<(f64, i64)> = starts.iter().map(|&t| (t, 1)).collect();
         events.extend(ends.iter().map(|&t| (t, -1)));

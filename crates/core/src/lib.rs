@@ -75,7 +75,7 @@ pub use report::{
 };
 pub use seasonal::{MonthBucket, SeasonalAnalysis};
 pub use spatial::{NodeDistribution, RackDistribution, RackShare, SlotDistribution, SlotShare};
-pub use streamview::{NodeTally, StreamView, StreamViewError, ViewParts};
+pub use streamview::{NodeTally, RecordRef, StreamView, StreamViewError, ViewParts};
 pub use tbf::{
     class_mtbf_hours, gpu_involvement_mtbf_hours, per_category_tbf, CategoryTbf, TbfAnalysis,
 };

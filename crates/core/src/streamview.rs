@@ -1,40 +1,56 @@
 //! The fleet index: [`StreamView`], the one input every analysis reads.
 //!
-//! A [`StreamView`] holds every index the analyses consume — time-ordered
-//! times, two sorted order statistics (repair durations and
-//! inter-arrival gaps), category partitions, a dense tally per
-//! node of the spec, slot/rack counts, a histogram of GPU failures by
-//! GPUs involved, month buckets — and is built one of two ways:
+//! A [`StreamView`] stores its records as columns, one entry per record
+//! in arrival (time) order: id, time, repair duration, a category code
+//! into a palette of the categories in order of first arrival, node,
+//! software locus, and the GPU slots, concatenated into one slot column
+//! with a per-record end offset. These are the columns a `.fsidx`
+//! snapshot stores, so a snapshot load moves them in
+//! ([`StreamView::from_parts`]) and assembles no record. A reader takes
+//! a column directly ([`StreamView::times`], [`StreamView::ttrs`],
+//! [`StreamView::slot_involvements`], ...) or a row through
+//! [`RecordRef`] ([`StreamView::rows`], [`StreamView::row`]), which
+//! reads the fields of a [`FailureRecord`] in place and makes an owned
+//! one only on [`RecordRef::to_record`].
+//!
+//! Beside the columns the view holds every index the analyses consume —
+//! two sorted order statistics (repair durations and inter-arrival
+//! gaps), category partitions, a dense tally per node of the spec,
+//! slot/rack counts, a histogram of GPU failures by GPUs involved, and
+//! month buckets: each month's repair durations are one contiguous run
+//! of the TTR column, kept as a count beside an exact sum. It is built
+//! one of two ways:
 //!
 //! * **in bulk** from a finished, validated [`FailureLog`]
-//!   (`StreamView::from(log)`): one pass over the records, one palette
-//!   pass partitioning them by category, then one sort per order
-//!   statistic, deferred to its first read (or write), so a view that
-//!   is only filtered never sorts. Reports, comparisons, and experiments
-//!   use this.
+//!   (`StreamView::from(log)`): one pass writes each record's columns
+//!   and indexes, one palette pass partitions the rows by category, then
+//!   one sort per order statistic, deferred to its first read (or
+//!   write), so a view that is only filtered never sorts. Reports,
+//!   comparisons, and experiments use this, and so does
+//!   [`StreamView::filtered`] for the rows its predicate keeps.
 //! * **incrementally**, one record at a time ([`StreamView::push`]) or a
 //!   chunk at a time ([`StreamView::extend`]), as a live stream or an
 //!   appended log tail delivers them. `failwatch` and snapshot extension
 //!   use this.
 //!
-//! Both paths update the other indexes through the same per-record
-//! helper — which finds a record's month bucket by comparing its day
-//! offset with precomputed month starts, not by a calendar conversion —
-//! so they differ only in how the category partitions are grouped and
-//! when the order statistics are sorted; the result is equal under
-//! `PartialEq` whichever way a log arrives.
+//! Both paths write the columns and update the other indexes through
+//! the same per-record helper — which finds a record's month bucket by
+//! comparing its day offset with precomputed month starts, not by a
+//! calendar conversion — so they differ only in how the category
+//! partitions are grouped and when the order statistics are sorted; the
+//! result is equal under `PartialEq` whichever way a log arrives.
 //!
 //! # Cost model
 //!
 //! The incremental write path is amortized O(1) per record and
 //! allocation-free in the steady state. Every index except the two
-//! order statistics is a plain append or bump (`Vec::push`, a
+//! order statistics is a plain append or bump (a column `Vec::push`, a
 //! `BTreeMap` count, the record's [`NodeTally`] and GPU-count slot, an
 //! [`ExactSum`] add). That includes the exact sum of every repair
-//! duration, the month buckets, each of which keeps an exact TTR sum
-//! beside its arrival-order values, and the list of GPU-slot
-//! involvements, so the MTTR, a monthly MTTR or a trailing-window slot
-//! share is an O(1) or O(window) read. The sums are exact and rounded
+//! duration and the month buckets, each of which keeps an exact TTR sum
+//! beside its record count, so the MTTR, a monthly MTTR, or a
+//! trailing-window TTR sample or slot share (a slice of the TTR or slot
+//! column) is an O(1) or O(window) read. The sums are exact and rounded
 //! once per read, so the bulk build and [`StreamView::from_parts`]
 //! (which take the TTR total as the merge of the month sums) and `push`
 //! (which adds each repair to both) agree on every mean whatever order
@@ -77,6 +93,7 @@
 //! [`AvailabilityAnalysis`](crate::AvailabilityAnalysis), which sorts
 //! them itself.
 
+use std::borrow::Borrow;
 use std::collections::BTreeMap;
 use std::error::Error;
 use std::fmt;
@@ -383,11 +400,11 @@ fn month_bucket(starts: &[i64], from: usize, day: i64) -> Option<usize> {
     (starts[k] <= day && day < starts[k + 1]).then_some(k)
 }
 
-/// Partitions record indices by category in one pass over their palette
-/// codes (`palette[codes[i]]` is record `i`'s category). Each partition
-/// lists its records in arrival order; palette entries no record uses
-/// get no partition. Every code must index `palette`.
-fn partition_categories(palette: Vec<Category>, codes: &[u8]) -> BTreeMap<Category, Vec<u32>> {
+/// Partitions row indices by category in one pass over their palette
+/// codes (`palette[codes[i]]` is row `i`'s category). Each partition
+/// lists its rows in arrival order; palette entries no row uses get no
+/// partition. Every code must index `palette`.
+fn partition_categories(palette: &[Category], codes: &[u8]) -> BTreeMap<Category, Vec<u32>> {
     let mut sizes = vec![0usize; palette.len()];
     for &code in codes {
         sizes[usize::from(code)] += 1;
@@ -397,31 +414,34 @@ fn partition_categories(palette: Vec<Category>, codes: &[u8]) -> BTreeMap<Catego
         partitions[usize::from(code)].push(i as u32);
     }
     palette
-        .into_iter()
+        .iter()
+        .copied()
         .zip(partitions)
         .filter(|(_, indices)| !indices.is_empty())
         .collect()
 }
 
-/// Repair durations bucketed by the month of the failure, each bucket in
-/// arrival order beside its exact running sum, so a bucket's mean reads
-/// the same as [`failstats::mean`] of the bucket in O(1).
+/// The month buckets of the repair durations. Records arrive in time
+/// order, so each month's durations are one contiguous run of the TTR
+/// column: a bucket is its record count beside its exact running sum,
+/// so a bucket's mean reads the same as [`failstats::mean`] of the
+/// bucket in O(1).
 #[derive(Debug, Clone, PartialEq)]
 struct MonthBuckets {
-    ttrs: Vec<Vec<f64>>,
+    counts: Vec<usize>,
     sums: Vec<ExactSum>,
 }
 
 impl MonthBuckets {
     fn new(months: usize) -> Self {
         MonthBuckets {
-            ttrs: vec![Vec::new(); months],
+            counts: vec![0; months],
             sums: vec![ExactSum::new(); months],
         }
     }
 
     fn push(&mut self, month: usize, ttr: f64) {
-        self.ttrs[month].push(ttr);
+        self.counts[month] += 1;
         self.sums[month].add(ttr);
     }
 
@@ -452,27 +472,17 @@ pub struct NodeTally {
 }
 
 impl NodeTally {
-    /// Counts one record on this node. Records arrive in time order, so
-    /// the first one counted is the node's first failure.
-    fn add(&mut self, rec: &FailureRecord) {
+    /// Counts one failure at `time` on this node. Records arrive in time
+    /// order, so the first one counted is the node's first failure.
+    fn add(&mut self, time: f64, category: Category) {
         if self.failures == 0 {
-            self.first_failure = rec.time().get();
+            self.first_failure = time;
         }
         self.failures += 1;
-        match rec.category().domain() {
+        match category.domain() {
             Domain::Hardware => self.hardware += 1,
             Domain::Software => self.software += 1,
             Domain::Unknown => {}
-        }
-    }
-}
-
-/// Bumps the GPU-count histogram for a GPU-category record; an
-/// involvement wider than the histogram is not counted.
-fn count_gpus(histogram: &mut [usize], rec: &FailureRecord) {
-    if rec.category().is_gpu() {
-        if let Some(count) = histogram.get_mut(rec.gpus().len()) {
-            *count += 1;
         }
     }
 }
@@ -491,7 +501,7 @@ fn count_gpus(histogram: &mut [usize], rec: &FailureRecord) {
 /// streamed.extend(log.records().to_vec()).unwrap();
 /// let bulk = StreamView::from(log);
 /// assert_eq!(streamed, bulk);
-/// assert_eq!(streamed.month_ttrs(), bulk.month_ttrs());
+/// assert!(streamed.month_ttrs().eq(bulk.month_ttrs()));
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct StreamView {
@@ -504,8 +514,24 @@ pub struct StreamView {
     /// Month bucket of the last pushed record; time order makes the
     /// bucket index monotone, so each push scans forward from here.
     month_cursor: usize,
-    records: Vec<FailureRecord>,
+    // The record columns, one entry per record in arrival order.
+    ids: Vec<u32>,
     times: Vec<f64>,
+    ttrs: Vec<f64>,
+    /// Each record's category, as an index into `palette`.
+    codes: Vec<u8>,
+    /// The categories the records carry, in order of first arrival,
+    /// each used by at least one record.
+    palette: Vec<Category>,
+    nodes: Vec<u32>,
+    loci: Vec<Option<SoftwareLocus>>,
+    /// Each record's end offset into `slot_involvements`: record `i`'s
+    /// GPU slots are `slot_involvements[slot_ends[i - 1]..slot_ends[i]]`.
+    slot_ends: Vec<u32>,
+    /// The slot of every GPU involvement, in arrival order (one byte
+    /// each): the records' slot column, which trailing-window slot
+    /// reads slice directly.
+    slot_involvements: Vec<GpuSlot>,
     ttrs_sorted: SortedRun,
     /// The exact sum of every repair duration: the MTTR in O(1).
     ttr_sum: ExactSum,
@@ -522,9 +548,6 @@ pub struct StreamView {
     /// GPU-category records by number of GPUs involved, indexed
     /// `0..=gpus_per_node`; slot 0 counts unknown involvement.
     gpu_count_histogram: Vec<usize>,
-    /// The slot of every GPU involvement, in arrival order (one byte
-    /// each), so trailing-window slot reads never walk the records.
-    slot_involvements: Vec<GpuSlot>,
     multi_gpu_times: Vec<f64>,
     month_buckets: MonthBuckets,
 }
@@ -533,11 +556,12 @@ pub struct StreamView {
 /// `failindex` snapshot stores on disk, with the cheaply re-derivable
 /// arrays left out.
 ///
-/// The records travel as columns, one entry per record in arrival
-/// order, so a loader converts each column in one bulk pass and
-/// [`StreamView::from_parts`] assembles the records from them. The view
-/// takes `times` and `slots` (its GPU-slot involvements) as they are,
-/// and slices the month buckets out of `ttrs`: records arrive in time
+/// The records travel as the view's own columns, one entry per record
+/// in arrival order, so a loader converts each column in one bulk pass
+/// and [`StreamView::from_parts`] moves them in: no record is assembled.
+/// The view derives its per-record slot offsets from `gpu_counts`,
+/// renumbers the category codes into its first-arrival palette order,
+/// and reads the month buckets as runs of `ttrs`: records arrive in time
 /// order, so each month's repair durations are a contiguous run of the
 /// record sequence and per-month *counts* fully determine the
 /// bucketing. The category partitions are rebuilt in one pass over the
@@ -599,56 +623,43 @@ pub struct ViewParts {
 impl From<FailureLog> for StreamView {
     /// Indexes a finished log in bulk: one pass over the records, then
     /// one sort per order statistic. A [`FailureLog`] is already
-    /// validated and time-sorted, so no record is re-validated.
+    /// validated and time-sorted, so no record is re-validated. Each
+    /// record is freed as soon as its columns are written.
     fn from(log: FailureLog) -> Self {
         let (generation, spec, window) = (log.generation(), log.spec().clone(), log.window());
-        StreamView::from_records(generation, spec, window, log.into_records())
+        StreamView::bulk(generation, spec, window, log.into_records().into_iter())
     }
 }
 
 impl StreamView {
-    /// Indexes `log` in bulk, cloning its records — the borrowing form of
-    /// `StreamView::from(log)`.
+    /// Indexes `log` in bulk, reading its records in place — the
+    /// borrowing form of `StreamView::from(log)`, with the same result.
     pub fn new(log: &FailureLog) -> Self {
-        log.clone().into()
+        let (generation, spec, window) = (log.generation(), log.spec().clone(), log.window());
+        StreamView::bulk(generation, spec, window, log.records().iter())
     }
 
-    /// The bulk build behind [`StreamView::from`] and
-    /// [`StreamView::filtered`]: `records` must be valid for the system
-    /// and in time order.
-    ///
-    /// It runs the per-record indexing [`StreamView::push`] runs, but
-    /// partitions categories with one palette pass instead of a map
-    /// entry per record, and sorts each order statistic once, on its
-    /// first read.
-    fn from_records(
+    /// The bulk build behind [`StreamView::new`] and `From<FailureLog>`:
+    /// `records` must be valid for the system and in time order.
+    fn bulk<R: Borrow<FailureRecord>>(
         generation: Generation,
         spec: SystemSpec,
         window: ObservationWindow,
-        records: Vec<FailureRecord>,
+        records: impl ExactSizeIterator<Item = R>,
     ) -> Self {
         let mut view = StreamView::empty(generation, spec, window);
-        view.times.reserve(records.len());
-        let mut ttrs = Vec::with_capacity(records.len());
-        let mut palette: Vec<Category> = Vec::new();
-        let mut codes = Vec::with_capacity(records.len());
-        for rec in &records {
-            ttrs.push(view.index_record(rec));
-            let category = rec.category();
-            let code = palette.iter().position(|&c| c == category).unwrap_or_else(|| {
-                palette.push(category);
-                palette.len() - 1
-            });
-            codes.push(u8::try_from(code).expect("categories are a closed set of under 256"));
+        let n = records.len();
+        view.ids.reserve(n);
+        view.times.reserve(n);
+        view.ttrs.reserve(n);
+        view.codes.reserve(n);
+        view.nodes.reserve(n);
+        view.loci.reserve(n);
+        view.slot_ends.reserve(n);
+        for rec in records {
+            view.append(rec.borrow());
         }
-        view.category_indices = partition_categories(palette, &codes);
-        // Valid records lie inside the window, so each is in one month
-        // bucket and the month sums add up to the TTR total.
-        view.ttr_sum = view.month_buckets.total();
-        view.ttrs_sorted = SortedRun::deferred(ttrs);
-        view.gaps_sorted = SortedRun::deferred(failstats::inter_arrival_times(&view.times));
-        view.records = records;
-        view
+        view.finish_bulk()
     }
 
     /// An empty view for a system described by `spec` over `window`.
@@ -663,8 +674,15 @@ impl StreamView {
             month_buckets: MonthBuckets::new(window.month_count()),
             month_starts: month_starts(window),
             month_cursor: 0,
-            records: Vec::new(),
+            ids: Vec::new(),
             times: Vec::new(),
+            ttrs: Vec::new(),
+            codes: Vec::new(),
+            palette: Vec::new(),
+            nodes: Vec::new(),
+            loci: Vec::new(),
+            slot_ends: Vec::new(),
+            slot_involvements: Vec::new(),
             ttrs_sorted: SortedRun::default(),
             ttr_sum: ExactSum::new(),
             gaps_sorted: SortedRun::default(),
@@ -675,7 +693,6 @@ impl StreamView {
             rack_counts: vec![0; racks],
             gpu_involvements: 0,
             gpu_count_histogram: vec![0; slots + 1],
-            slot_involvements: Vec::new(),
             multi_gpu_times: Vec::new(),
         }
     }
@@ -684,6 +701,20 @@ impl StreamView {
     /// ready to [`push`](StreamView::push) its records.
     pub fn empty_like(log: &FailureLog) -> Self {
         StreamView::empty(log.generation(), log.spec().clone(), log.window())
+    }
+
+    /// Completes a bulk build whose records were all
+    /// [appended](StreamView::append): one palette pass partitions the
+    /// rows by category, the TTR total is the merge of the month sums
+    /// (every valid record lies in one bucket), and each order statistic
+    /// is sorted on its first read, so a view that is only filtered
+    /// never sorts.
+    fn finish_bulk(mut self) -> Self {
+        self.category_indices = partition_categories(&self.palette, &self.codes);
+        self.ttr_sum = self.month_buckets.total();
+        self.ttrs_sorted = SortedRun::deferred(self.ttrs.clone());
+        self.gaps_sorted = SortedRun::deferred(failstats::inter_arrival_times(&self.times));
+        self
     }
 
     /// Records this view on `trace` as the index a query renders from:
@@ -695,33 +726,24 @@ impl StreamView {
     }
 
     /// Decomposes the view into the persistable [`ViewParts`] payload,
-    /// materializing both sorted arrays. The inverse of
-    /// [`StreamView::from_parts`].
+    /// moving the record columns out and materializing both sorted
+    /// arrays. The inverse of [`StreamView::from_parts`].
     pub fn into_parts(mut self) -> ViewParts {
         self.ttrs_sorted.materialize();
         self.gaps_sorted.materialize();
-        let n = self.records.len();
-        let mut categories = vec![0u8; n];
-        let mut category_palette = Vec::with_capacity(self.category_indices.len());
-        for (code, (&category, indices)) in self.category_indices.iter().enumerate() {
-            category_palette.push(category);
-            for &i in indices {
-                categories[i as usize] = code as u8;
-            }
-        }
-        let records = &self.records;
+        let gpu_counts = self.gpu_counts().collect();
         ViewParts {
             generation: self.generation,
             spec: self.spec,
             window: self.window,
-            ids: records.iter().map(FailureRecord::id).collect(),
-            ttrs: records.iter().map(|r| r.ttr().get()).collect(),
-            nodes: records.iter().map(|r| r.node().index()).collect(),
-            loci: records.iter().map(FailureRecord::locus).collect(),
-            gpu_counts: records.iter().map(|r| r.gpus().len() as u8).collect(),
+            ids: self.ids,
             times: self.times,
-            category_palette,
-            categories,
+            ttrs: self.ttrs,
+            category_palette: self.palette,
+            categories: self.codes,
+            nodes: self.nodes,
+            loci: self.loci,
+            gpu_counts,
             slots: self.slot_involvements,
             ttrs_sorted: self.ttrs_sorted.run,
             gaps_sorted: self.gaps_sorted.run,
@@ -732,16 +754,18 @@ impl StreamView {
             rack_counts: self.rack_counts,
             gpu_involvements: self.gpu_involvements,
             multi_gpu_times: self.multi_gpu_times,
-            month_counts: self.month_buckets.ttrs.iter().map(Vec::len).collect(),
+            month_counts: self.month_buckets.counts,
         }
     }
 
-    /// Reassembles a view from persisted [`ViewParts`]: the records are
-    /// assembled from the columns, and the indexes the payload omits
-    /// (the category partitions, the per-month buckets)
-    /// are re-derived in O(n) — no sorting, no re-validation of individual records (the
-    /// caller vouches for the payload, e.g. via a checksum). In debug
-    /// builds the result is additionally checked against a full
+    /// Reassembles a view from persisted [`ViewParts`]: the record
+    /// columns move in as they are, and the indexes the payload omits
+    /// (the per-record slot offsets, the category partitions, the month
+    /// sums) are re-derived in O(n), as is the renumbering of the
+    /// category codes into first-arrival palette order — no per-record
+    /// allocation, no sorting, no re-validation of individual records
+    /// (the caller vouches for the payload, e.g. via a checksum). In
+    /// debug builds the result is additionally checked against a full
     /// per-record rebuild, and refused when it differs.
     ///
     /// # Errors
@@ -763,7 +787,7 @@ impl StreamView {
             times,
             ttrs,
             category_palette,
-            categories,
+            mut categories,
             nodes,
             loci,
             gpu_counts,
@@ -799,7 +823,9 @@ impl StreamView {
         if columns.iter().any(|&len| len != n) {
             return Err(shape_err("record columns do not match the record count"));
         }
-        if gpu_counts.iter().map(|&c| usize::from(c)).sum::<usize>() != slots.len() {
+        if gpu_counts.iter().map(|&c| usize::from(c)).sum::<usize>() != slots.len()
+            || u32::try_from(slots.len()).is_err()
+        {
             return Err(shape_err("GPU slots do not match the per-record counts"));
         }
         if ttrs_sorted.len() != n || gaps_sorted.len() != n.saturating_sub(1) {
@@ -818,7 +844,6 @@ impl StreamView {
         if nodes.iter().any(|&node| node >= spec.nodes()) {
             return Err(shape_err("a record names a node outside the spec"));
         }
-        let palette_len = category_palette.len();
         // Categories are a small closed set, so a long palette meets its
         // first duplicate early and this stays a few dozen compares.
         let distinct = category_palette
@@ -828,7 +853,7 @@ impl StreamView {
         if !distinct {
             return Err(shape_err("category palette entries are not distinct"));
         }
-        if categories.iter().any(|&code| usize::from(code) >= palette_len) {
+        if categories.iter().any(|&code| usize::from(code) >= category_palette.len()) {
             return Err(shape_err("a category code lies outside the palette"));
         }
         let ascending = |xs: &[f64]| xs.windows(2).all(|w| w[0] <= w[1]);
@@ -836,50 +861,48 @@ impl StreamView {
             return Err(shape_err("sorted arrays are not in ascending order"));
         }
 
-        // The month buckets are contiguous runs of the arrival-order
-        // TTRs (time order makes each month one run), each with its
-        // exact sum. Every record lies in one bucket, so the TTR total
-        // is the merge of the month sums, as in the bulk build.
-        let mut month_buckets = MonthBuckets {
-            ttrs: Vec::with_capacity(month_counts.len()),
-            sums: Vec::with_capacity(month_counts.len()),
-        };
-        let mut offset = 0usize;
-        for &count in &month_counts {
-            let bucket = ttrs[offset..offset + count].to_vec();
-            month_buckets.sums.push(bucket.iter().copied().collect());
-            month_buckets.ttrs.push(bucket);
-            offset += count;
+        // The view lists its palette in first-arrival order, as a push
+        // or a bulk build meets the categories: one pass renumbers the
+        // codes in place, and palette entries no record uses drop out.
+        let mut renumbered: [Option<u8>; 256] = [None; 256];
+        let mut palette = Vec::with_capacity(category_palette.len());
+        for code in &mut categories {
+            *code = *renumbered[usize::from(*code)].get_or_insert_with(|| {
+                palette.push(category_palette[usize::from(*code)]);
+                (palette.len() - 1) as u8
+            });
         }
+        let mut slot_end = 0u32;
+        let slot_ends = gpu_counts
+            .iter()
+            .map(|&count| {
+                slot_end += u32::from(count);
+                slot_end
+            })
+            .collect();
+        // Each month's bucket is a contiguous run of the arrival-order
+        // TTRs (time order makes each month one run), summed exactly.
+        // Every record lies in one bucket, so the TTR total is the merge
+        // of the month sums, as in the bulk build.
+        let mut offset = 0usize;
+        let sums = month_counts
+            .iter()
+            .map(|&count| {
+                offset += count;
+                ttrs[offset - count..offset].iter().copied().collect()
+            })
+            .collect();
+        let month_buckets = MonthBuckets {
+            counts: month_counts,
+            sums,
+        };
         let ttr_sum = month_buckets.total();
-        let month_cursor = month_counts
+        let month_cursor = month_buckets
+            .counts
             .iter()
             .rposition(|&c| c > 0)
             .unwrap_or(0);
-
-        // One pass over the category column partitions the record
-        // indices; one over all the columns assembles the records.
-        let mut records = Vec::with_capacity(n);
-        let mut slot_offset = 0usize;
-        for i in 0..n {
-            let mut rec = FailureRecord::new(
-                ids[i],
-                Hours::new(times[i]),
-                Hours::new(ttrs[i]),
-                category_palette[usize::from(categories[i])],
-                NodeId::new(nodes[i]),
-            );
-            let count = usize::from(gpu_counts[i]);
-            if count > 0 {
-                rec = rec.with_gpus(slots[slot_offset..slot_offset + count].iter().copied());
-                slot_offset += count;
-            }
-            if let Some(locus) = loci[i] {
-                rec = rec.with_locus(locus);
-            }
-            records.push(rec);
-        }
-        let category_indices = partition_categories(category_palette, &categories);
+        let category_indices = partition_categories(&palette, &categories);
 
         let view = StreamView {
             generation,
@@ -887,7 +910,15 @@ impl StreamView {
             window,
             month_starts: month_starts(window),
             month_cursor,
+            ids,
             times,
+            ttrs,
+            codes: categories,
+            palette,
+            nodes,
+            loci,
+            slot_ends,
+            slot_involvements: slots,
             ttrs_sorted: SortedRun::from_sorted(ttrs_sorted),
             ttr_sum,
             gaps_sorted: SortedRun::from_sorted(gaps_sorted),
@@ -898,16 +929,14 @@ impl StreamView {
             rack_counts,
             gpu_involvements,
             gpu_count_histogram,
-            slot_involvements: slots,
             multi_gpu_times,
             month_buckets,
-            records,
         };
         #[cfg(debug_assertions)]
         {
             let mut rebuilt =
                 StreamView::empty(view.generation, view.spec.clone(), view.window);
-            for rec in view.records.iter().cloned() {
+            for rec in view.rows().map(RecordRef::to_record) {
                 rebuilt
                     .push(rec)
                     .map_err(|e| shape_err(&format!("records do not revalidate: {e}")))?;
@@ -938,44 +967,56 @@ impl StreamView {
             if time < prev {
                 return Err(StreamViewError::OutOfOrder { prev, time });
             }
-        }
-
-        if let Some(&prev) = self.times.last() {
             self.gaps_sorted.push(time - prev);
         }
-        let ttr = self.index_record(&rec);
+        let row = self.len() as u32;
+        let ttr = self.append(&rec);
         self.ttr_sum.add(ttr);
-        self.category_indices
-            .entry(rec.category())
-            .or_default()
-            .push(self.records.len() as u32);
+        self.category_indices.entry(rec.category()).or_default().push(row);
         self.ttrs_sorted.push(ttr);
-        self.records.push(rec);
         Ok(())
     }
 
-    /// Folds one record into every index (its month sum included)
-    /// except the records themselves, the category partitions, the two
-    /// sorted order statistics and the TTR total —
-    /// the per-record work shared by [`StreamView::push`] and the bulk
-    /// build. Returns the record's repair duration. The record must be
-    /// valid and no earlier than the last one indexed.
-    fn index_record(&mut self, rec: &FailureRecord) -> f64 {
+    /// Writes one record into the columns and folds it into every index
+    /// (its month sum included) except the category partitions, the two
+    /// sorted order statistics and the TTR total — the per-record work
+    /// shared by [`StreamView::push`] and the bulk builds. Returns the
+    /// record's repair duration. The record must be valid and no earlier
+    /// than the last one appended.
+    fn append(&mut self, rec: &FailureRecord) -> f64 {
         let time = rec.time().get();
         let ttr = rec.ttr().get();
+        let category = rec.category();
+        let gpus = rec.gpus();
+        let code = self.palette.iter().position(|&c| c == category).unwrap_or_else(|| {
+            self.palette.push(category);
+            self.palette.len() - 1
+        });
+        self.codes.push(u8::try_from(code).expect("categories are a closed set of under 256"));
+        self.ids.push(rec.id());
         self.times.push(time);
+        self.ttrs.push(ttr);
+        self.nodes.push(rec.node().index());
+        self.loci.push(rec.locus());
+        self.slot_involvements.extend_from_slice(gpus);
+        self.slot_ends.push(
+            u32::try_from(self.slot_involvements.len()).expect("under 2^32 GPU involvements"),
+        );
+
         if let Some(locus) = rec.locus() {
             *self.locus_counts.entry(locus).or_insert(0) += 1;
         }
-        self.node_tallies[rec.node().index() as usize].add(rec);
-        count_gpus(&mut self.gpu_count_histogram, rec);
+        self.node_tallies[rec.node().index() as usize].add(time, category);
         self.rack_counts[self.spec.rack_of(rec.node()).index() as usize] += 1;
-        self.slot_involvements.extend_from_slice(rec.gpus());
-        if rec.category().is_gpu() {
-            self.gpu_involvements += rec.gpus().len().max(1);
-            for slot in rec.gpus() {
-                if (slot.index() as usize) < self.slot_counts.len() {
-                    self.slot_counts[slot.index() as usize] += 1;
+        if category.is_gpu() {
+            // An involvement wider than the histogram is not counted.
+            if let Some(count) = self.gpu_count_histogram.get_mut(gpus.len()) {
+                *count += 1;
+            }
+            self.gpu_involvements += gpus.len().max(1);
+            for slot in gpus {
+                if let Some(count) = self.slot_counts.get_mut(slot.index() as usize) {
+                    *count += 1;
                 }
             }
             if rec.is_multi_gpu() {
@@ -983,10 +1024,10 @@ impl StreamView {
             }
         }
         let day = self.window.day_of(rec.time());
-        if let Some(month) = month_bucket(&self.month_starts, self.month_cursor, day) {
-            self.month_cursor = month;
-            self.month_buckets.push(month, ttr);
-        }
+        let month = month_bucket(&self.month_starts, self.month_cursor, day)
+            .expect("a valid record lies in a month of its window");
+        self.month_cursor = month;
+        self.month_buckets.push(month, ttr);
         ttr
     }
 
@@ -1035,7 +1076,7 @@ impl StreamView {
             self.generation,
             self.spec.clone(),
             self.window,
-            self.records.clone(),
+            self.rows().map(RecordRef::to_record).collect(),
         )
         .expect("pushed records were validated")
     }
@@ -1044,15 +1085,28 @@ impl StreamView {
     /// re-deriving every index from scratch so the result is
     /// indistinguishable from a view that only ever ingested the
     /// matching records. This is how a `--where` predicate composes
-    /// with persisted (always unfiltered) index snapshots: decode the
-    /// snapshot, then filter the decoded view.
+    /// with persisted (always unfiltered) index snapshots and with a
+    /// cold parse: load the unfiltered view, then filter it.
     ///
-    /// Records are visited in ingest order, so the filtered view's
-    /// record order — and therefore any report rendered from it — is
-    /// byte-identical to a cold filtered parse of the same log.
+    /// Each row is refilled into one scratch record for `keep` to read:
+    /// its slot buffer is reused and its locus reset every row, so the
+    /// scan allocates nothing per row. The kept rows are written into
+    /// new columns by the bulk build's own pass, in ingest order, so the
+    /// filtered view's row order — and therefore any report rendered
+    /// from it — is byte-identical to a cold filtered parse of the same
+    /// log.
     pub fn filtered(&self, mut keep: impl FnMut(&FailureRecord) -> bool) -> StreamView {
-        let kept = self.records.iter().filter(|r| keep(r)).cloned().collect();
-        StreamView::from_records(self.generation, self.spec.clone(), self.window, kept)
+        let mut view = StreamView::empty(self.generation, self.spec.clone(), self.window);
+        let Some(mut scratch) = self.rows().next().map(RecordRef::to_record) else {
+            return view;
+        };
+        for row in self.rows() {
+            row.write_to(&mut scratch);
+            if keep(&scratch) {
+                view.append(&scratch);
+            }
+        }
+        view.finish_bulk()
     }
 
     /// The system generation this view is indexed for.
@@ -1070,9 +1124,19 @@ impl StreamView {
         self.window
     }
 
-    /// The accumulated records, in arrival (time) order.
-    pub fn records(&self) -> &[FailureRecord] {
-        &self.records
+    /// Every record, in arrival (time) order, read in place.
+    pub fn rows(&self) -> impl DoubleEndedIterator<Item = RecordRef<'_>> + ExactSizeIterator {
+        (0..self.len()).map(move |row| RecordRef { view: self, row })
+    }
+
+    /// The record at `row` (its index in arrival order), read in place.
+    ///
+    /// # Panics
+    ///
+    /// When `row` is not below [`len`](StreamView::len).
+    pub fn row(&self, row: usize) -> RecordRef<'_> {
+        assert!(row < self.len(), "row {row} of a {}-record view", self.len());
+        RecordRef { view: self, row }
     }
 
     /// Number of records pushed so far.
@@ -1085,9 +1149,42 @@ impl StreamView {
         self.times.is_empty()
     }
 
-    /// Failure times in hours, in arrival order.
+    /// Record ids, in arrival order: the view's id column.
+    pub fn ids(&self) -> &[u32] {
+        &self.ids
+    }
+
+    /// Failure times in hours, in arrival order: the view's time column.
     pub fn times(&self) -> &[f64] {
         &self.times
+    }
+
+    /// Repair durations in hours, in arrival order: the view's TTR
+    /// column.
+    pub fn ttrs(&self) -> &[f64] {
+        &self.ttrs
+    }
+
+    /// Each record's node id, in arrival order: the view's node column.
+    pub fn nodes(&self) -> &[u32] {
+        &self.nodes
+    }
+
+    /// Each record's software root locus, in arrival order: the view's
+    /// locus column.
+    pub fn loci(&self) -> &[Option<SoftwareLocus>] {
+        &self.loci
+    }
+
+    /// How many GPU slots each record names, in arrival order; the slots
+    /// themselves are [`slot_involvements`](StreamView::slot_involvements).
+    pub fn gpu_counts(&self) -> impl ExactSizeIterator<Item = u8> + '_ {
+        let mut start = 0;
+        self.slot_ends.iter().map(move |&end| {
+            let count = (end - start) as u8;
+            start = end;
+            count
+        })
     }
 
     /// Repair durations in hours, sorted ascending.
@@ -1119,22 +1216,19 @@ impl StreamView {
 
     /// The failure times of one category, in time order.
     pub fn category_times(&self, category: Category) -> Vec<f64> {
-        self.category_indices
-            .get(&category)
-            .map_or_else(Vec::new, |idx| {
-                idx.iter().map(|&i| self.times[i as usize]).collect()
-            })
+        self.gather(&self.times, category)
     }
 
     /// The repair durations of one category, in time order.
     pub fn category_ttrs(&self, category: Category) -> Vec<f64> {
+        self.gather(&self.ttrs, category)
+    }
+
+    /// The entries of the f64 `column` at the rows of one category.
+    fn gather(&self, column: &[f64], category: Category) -> Vec<f64> {
         self.category_indices
             .get(&category)
-            .map_or_else(Vec::new, |idx| {
-                idx.iter()
-                    .map(|&i| self.records[i as usize].ttr().get())
-                    .collect()
-            })
+            .map_or_else(Vec::new, |idx| idx.iter().map(|&i| column[i as usize]).collect())
     }
 
     /// Software root-locus counts over records that carry one.
@@ -1181,7 +1275,8 @@ impl StreamView {
     }
 
     /// The slot of every GPU involvement, in arrival order (a failure
-    /// touching slots 0 and 3 appends both, in its listed order).
+    /// touching slots 0 and 3 appends both, in its listed order): the
+    /// view's slot column.
     pub fn slot_involvements(&self) -> &[GpuSlot] {
         &self.slot_involvements
     }
@@ -1192,9 +1287,19 @@ impl StreamView {
     }
 
     /// Repair durations bucketed by the `(year, month)` of the failure,
-    /// aligned with `window.months()`.
-    pub fn month_ttrs(&self) -> &[Vec<f64>] {
-        &self.month_buckets.ttrs
+    /// aligned with `window.months()`: each bucket is a run of the TTR
+    /// column, in arrival order.
+    pub fn month_ttrs(&self) -> impl ExactSizeIterator<Item = &[f64]> {
+        let mut start = 0;
+        self.month_buckets.counts.iter().map(move |&count| {
+            start += count;
+            &self.ttrs[start - count..start]
+        })
+    }
+
+    /// Records per [`month_ttrs`](StreamView::month_ttrs) bucket.
+    pub fn month_counts(&self) -> &[usize] {
+        &self.month_buckets.counts
     }
 
     /// The exact sum of each [`month_ttrs`](StreamView::month_ttrs)
@@ -1203,6 +1308,86 @@ impl StreamView {
     /// at O(1) per read.
     pub fn month_ttr_sums(&self) -> &[ExactSum] {
         &self.month_buckets.sums
+    }
+}
+
+/// One record of a [`StreamView`], read in place from its columns: the
+/// accessors of [`FailureRecord`], with
+/// [`to_record`](RecordRef::to_record) for an owned copy.
+#[derive(Clone, Copy)]
+pub struct RecordRef<'a> {
+    view: &'a StreamView,
+    row: usize,
+}
+
+impl<'a> RecordRef<'a> {
+    /// The stable record id within its log.
+    pub fn id(self) -> u32 {
+        self.view.ids[self.row]
+    }
+
+    /// The failure time as an offset into the observation window.
+    pub fn time(self) -> Hours {
+        Hours::new(self.view.times[self.row])
+    }
+
+    /// The time to recovery.
+    pub fn ttr(self) -> Hours {
+        Hours::new(self.view.ttrs[self.row])
+    }
+
+    /// The failure category.
+    pub fn category(self) -> Category {
+        self.view.palette[usize::from(self.view.codes[self.row])]
+    }
+
+    /// The affected node.
+    pub fn node(self) -> NodeId {
+        NodeId::new(self.view.nodes[self.row])
+    }
+
+    /// The GPU slots involved (empty when unknown or not a GPU failure).
+    pub fn gpus(self) -> &'a [GpuSlot] {
+        let ends = &self.view.slot_ends;
+        let start = self.row.checked_sub(1).map_or(0, |prev| ends[prev]);
+        &self.view.slot_involvements[start as usize..ends[self.row] as usize]
+    }
+
+    /// The software root locus, when recorded.
+    pub fn locus(self) -> Option<SoftwareLocus> {
+        self.view.loci[self.row]
+    }
+
+    /// The record as an owned [`FailureRecord`].
+    pub fn to_record(self) -> FailureRecord {
+        let rec = FailureRecord::new(self.id(), self.time(), self.ttr(), self.category(), self.node())
+            .with_gpus(self.gpus().iter().copied());
+        match self.locus() {
+            Some(locus) => rec.with_locus(locus),
+            None => rec,
+        }
+    }
+
+    /// Overwrites `rec` with this record, reusing its slot buffer.
+    fn write_to(self, rec: &mut FailureRecord) {
+        rec.assign(
+            self.id(),
+            self.time(),
+            self.ttr(),
+            self.category(),
+            self.node(),
+            self.gpus(),
+            self.locus(),
+        );
+    }
+}
+
+impl fmt::Debug for RecordRef<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("RecordRef")
+            .field("row", &self.row)
+            .field("record", &self.to_record())
+            .finish()
     }
 }
 
@@ -1221,7 +1406,7 @@ mod tests {
     /// the GPU-count histogram of `view` equal oracles computed by
     /// walking its records.
     fn assert_derived_indexes_match_the_records(view: &StreamView, what: &str) {
-        let records = view.records();
+        let records: Vec<FailureRecord> = view.rows().map(RecordRef::to_record).collect();
         let sorted = |mut xs: Vec<f64>| {
             xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
             xs.iter().map(|x| x.to_bits()).collect::<Vec<_>>()
@@ -1234,7 +1419,7 @@ mod tests {
 
         let mut tallies = vec![NodeTally::default(); view.spec().nodes() as usize];
         let mut histogram = vec![0usize; view.spec().gpus_per_node() as usize + 1];
-        for rec in records {
+        for rec in &records {
             let tally = &mut tallies[rec.node().index() as usize];
             if tally.failures == 0 {
                 tally.first_failure = rec.time().get();
@@ -1301,6 +1486,120 @@ mod tests {
         assert_eq!(parts.gaps_sorted, expected.gaps_sorted());
     }
 
+    mod columns {
+        use super::*;
+        use failtypes::{T2Category, T3Category};
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        /// One generated row: hours to the previous record in steps of
+        /// 1.5 (0 ties them), the repair in quarter hours, a category
+        /// pick, a node pick, a GPU-slot mask and rotation, and a locus
+        /// pick (one past `SoftwareLocus::ALL` or beyond: no locus).
+        type Row = (u8, u16, usize, u32, u8, u8, usize);
+
+        fn row() -> impl Strategy<Value = Row> {
+            (0u8..=30, 0u16..400, 0usize..64, any::<u32>(), 0u8..16, any::<u8>(), 0usize..24)
+        }
+
+        /// A valid log of `rows` over a window that starts mid-month and
+        /// spans a leap day: GPU records name 0..=`gpus_per_node`
+        /// distinct slots in a rotated order, software records a locus
+        /// or none.
+        fn log_of(t3: bool, rows: &[Row]) -> FailureLog {
+            let generation = if t3 { Generation::Tsubame3 } else { Generation::Tsubame2 };
+            let categories: Vec<Category> = if t3 {
+                T3Category::ALL.iter().map(|&c| Category::T3(c)).collect()
+            } else {
+                T2Category::ALL.iter().map(|&c| Category::T2(c)).collect()
+            };
+            let spec = generation.spec();
+            let date = |y, m, d| Date::new(y, m, d).unwrap();
+            let window = ObservationWindow::new(date(2019, 12, 15), date(2020, 3, 10)).unwrap();
+            let mut time = 0.0;
+            let records = rows
+                .iter()
+                .enumerate()
+                .map(|(id, &(step, ttr, category, node, mask, turn, locus))| {
+                    time += f64::from(step) * 1.5;
+                    let category = categories[category % categories.len()];
+                    let node = NodeId::new(node % spec.nodes());
+                    let ttr = Hours::new(f64::from(ttr) * 0.25);
+                    let mut rec = FailureRecord::new(id as u32, Hours::new(time), ttr, category, node);
+                    if category.is_gpu() {
+                        let mut slots: Vec<GpuSlot> = (0..spec.gpus_per_node())
+                            .filter(|&s| mask >> s & 1 == 1)
+                            .map(GpuSlot::new)
+                            .collect();
+                        if !slots.is_empty() {
+                            let turn = usize::from(turn) % slots.len();
+                            slots.rotate_left(turn);
+                        }
+                        rec = rec.with_gpus(slots);
+                    }
+                    match SoftwareLocus::ALL.get(locus) {
+                        Some(&locus) if category.is_software() => rec.with_locus(locus),
+                        _ => rec,
+                    }
+                })
+                .collect();
+            FailureLog::with_spec(generation, spec, window, records).unwrap()
+        }
+
+        /// `parts` with its palette listed in reverse and the codes
+        /// renumbered to match: the same records, as a snapshot written
+        /// in another palette order carries them.
+        fn reversed_palette(mut parts: ViewParts) -> ViewParts {
+            let last = parts.category_palette.len().saturating_sub(1) as u8;
+            parts.category_palette.reverse();
+            parts.categories.iter_mut().for_each(|code| *code = last - *code);
+            parts
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(160))]
+
+            // The bulk, pushed and persisted-and-restored views of one
+            // log are equal, their rows read back as the log's records,
+            // and filtering each equals ingesting only the kept records.
+            // The predicate reads the slots and the locus, so a scratch
+            // record whose slots or locus leaked from an earlier row
+            // keeps the wrong rows or stores the wrong columns.
+            #[test]
+            fn every_build_path_holds_the_same_columns(
+                t3 in any::<bool>(),
+                rows in vec(row(), 0..40),
+            ) {
+                let log = log_of(t3, &rows);
+                let bulk = StreamView::new(&log);
+                let mut pushed = StreamView::empty_like(&log);
+                pushed.extend(log.records().to_vec()).unwrap();
+                prop_assert_eq!(&pushed, &bulk);
+                let restored = StreamView::from_parts(pushed.clone().into_parts()).unwrap();
+                prop_assert_eq!(&restored, &bulk);
+                let reordered =
+                    StreamView::from_parts(reversed_palette(bulk.clone().into_parts())).unwrap();
+                prop_assert_eq!(&reordered, &bulk);
+
+                let keep = |r: &FailureRecord| {
+                    r.gpus().len() == 1 || (r.locus().is_none() && r.ttr().get() < 40.0)
+                };
+                let mut oracle = StreamView::empty_like(&log);
+                oracle
+                    .extend(log.records().iter().filter(|r| keep(r)).cloned())
+                    .unwrap();
+                for view in [&bulk, &pushed, &restored] {
+                    let records: Vec<FailureRecord> = view.rows().map(RecordRef::to_record).collect();
+                    prop_assert_eq!(records.as_slice(), log.records());
+                    for (i, rec) in log.records().iter().enumerate() {
+                        prop_assert_eq!(&view.row(i).to_record(), rec);
+                    }
+                    prop_assert_eq!(&view.filtered(keep), &oracle);
+                }
+            }
+        }
+    }
+
     #[test]
     fn filtered_rebuild_matches_a_filter_first_ingest() {
         let log = Simulator::new(SystemModel::tsubame3(), 17).generate().unwrap();
@@ -1347,10 +1646,7 @@ mod tests {
         // Rack counts sum to the record count.
         assert_eq!(view.rack_counts().iter().sum::<usize>(), log.len());
         // Month buckets cover every record (the window spans all times).
-        assert_eq!(
-            view.month_ttrs().iter().map(Vec::len).sum::<usize>(),
-            log.len()
-        );
+        assert_eq!(view.month_ttrs().map(<[f64]>::len).sum::<usize>(), log.len());
         // Sorted arrays are sorted and complete.
         assert_eq!(view.ttrs_sorted().len(), log.len());
         assert!(view.ttrs_sorted().windows(2).all(|w| w[0] <= w[1]));
@@ -1674,7 +1970,7 @@ mod tests {
         for view in [StreamView::new(&log), chunked, restored] {
             let sums = view.month_ttr_sums();
             assert_eq!(sums.len(), view.month_ttrs().len());
-            for (bucket, sum) in view.month_ttrs().iter().zip(sums) {
+            for (bucket, sum) in view.month_ttrs().zip(sums) {
                 assert_eq!(sum.count() as usize, bucket.len());
                 assert_eq!(bits(sum.mean()), bits(failstats::mean(bucket)));
             }

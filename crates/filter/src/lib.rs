@@ -3,10 +3,14 @@
 //! The pipeline's analyses repeatedly slice the fleet log along the same
 //! axes: failure category, TTR magnitude, node/rack locality, multi-GPU
 //! involvement, time window. This crate turns those slices into one
-//! small expression language that every consumer (report, compare,
-//! watch, index) compiles **once** and evaluates **per record at
-//! ingest**, so a filtered run never materializes records it is about
-//! to drop.
+//! small expression language that every consumer compiles **once** and
+//! evaluates per record. Reports and compares load the unfiltered view
+//! (a cold parse or a decoded `.fsidx` snapshot) and filter it
+//! (`StreamView::filtered`), so every source and index mode keeps the
+//! same records; `watch` drops unmatched records from each chunk it
+//! pulls, before they reach its state. The parser can also evaluate a
+//! predicate while parsing (`faillog::ParseOptions::filter`), a library
+//! entry point no command takes.
 //!
 //! ```text
 //! failctl report t3.fslog --where 'category == gpu && ttr > 24'

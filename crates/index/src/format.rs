@@ -229,8 +229,7 @@ const RECORD_COLUMN_BYTES: usize = 27;
 /// loading skips re-sorting. Repair ends are not stored: their one
 /// reader, the availability sweep, derives and sorts them itself.
 pub(crate) fn encode_body(index: &StreamView) -> Vec<u8> {
-    let records = index.records();
-    let n = records.len();
+    let n = index.len();
     let slots = index.slot_involvements();
     // 27 column bytes and two sorted f64s per record, plus the slots.
     let mut w = ByteWriter::with_capacity(43 * n + slots.len() + 4096);
@@ -260,24 +259,24 @@ pub(crate) fn encode_body(index: &StreamView) -> Vec<u8> {
     }
 
     w.u64(n as u64);
-    for rec in records {
-        w.u32(rec.id());
+    for &id in index.ids() {
+        w.u32(id);
     }
     for &t in index.times() {
         w.f64(t);
     }
-    for rec in records {
-        w.f64(rec.ttr().get());
+    for &ttr in index.ttrs() {
+        w.f64(ttr);
     }
     w.raw(&codes);
-    for rec in records {
-        w.u32(rec.node().index());
+    for &node in index.nodes() {
+        w.u32(node);
     }
-    for rec in records {
-        w.u8(locus_byte(rec.locus()));
+    for &locus in index.loci() {
+        w.u8(locus_byte(locus));
     }
-    for rec in records {
-        w.u8(rec.gpus().len() as u8);
+    for count in index.gpu_counts() {
+        w.u8(count);
     }
     for slot in slots {
         w.u8(slot.index());

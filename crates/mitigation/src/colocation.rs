@@ -35,20 +35,15 @@ impl NodeFailureModel {
     }
 
     /// Derives the rates from a measured [`StreamView`] (events with
-    /// unknown involvement count as single).
+    /// unknown involvement count as single), read off its GPU-count
+    /// histogram.
     ///
     /// Returns `None` when the index has no GPU failures.
     pub fn from_index(index: &StreamView) -> Option<Self> {
         let node_hours = index.window().duration().get() * index.spec().nodes() as f64;
-        let mut single = 0usize;
-        let mut multi = 0usize;
-        for rec in index.records().iter().filter(|r| r.category().is_gpu()) {
-            if rec.is_multi_gpu() {
-                multi += 1;
-            } else {
-                single += 1;
-            }
-        }
+        let histogram = index.gpu_count_histogram();
+        let (single, multi) = histogram.split_at(histogram.len().min(2));
+        let (single, multi): (usize, usize) = (single.iter().sum(), multi.iter().sum());
         if single + multi == 0 {
             return None;
         }

@@ -52,9 +52,7 @@ pub fn simulate_staffing(index: &StreamView, crews: u32) -> Option<StaffingOutco
     let mut total_hands_on = 0.0;
     let mut delayed = 0usize;
     let mut max_wait = 0.0f64;
-    for rec in index.records() {
-        let arrival = rec.time().get();
-        let service = rec.ttr().get();
+    for (&arrival, &service) in index.times().iter().zip(index.ttrs()) {
         // Pick the crew that frees first.
         let (idx, &earliest) = free_at
             .iter()

@@ -76,6 +76,32 @@ impl FailureRecord {
         self
     }
 
+    /// Overwrites every field in place, as
+    /// `FailureRecord::new(id, time, ttr, category, node)` with `gpus`
+    /// and `locus` attached would build it, but keeping the GPU slot
+    /// buffer's allocation: a caller scanning many rows through one
+    /// scratch record allocates nothing per row.
+    #[allow(clippy::too_many_arguments)] // one per field, as `new` and its `with_` builders take them
+    pub fn assign(
+        &mut self,
+        id: u32,
+        time: Hours,
+        ttr: Hours,
+        category: Category,
+        node: NodeId,
+        gpus: &[GpuSlot],
+        locus: Option<SoftwareLocus>,
+    ) {
+        self.id = id;
+        self.time = time;
+        self.ttr = ttr;
+        self.category = category;
+        self.node = node;
+        self.gpus.clear();
+        self.gpus.extend_from_slice(gpus);
+        self.locus = locus;
+    }
+
     /// Returns the stable record id within its log.
     pub const fn id(&self) -> u32 {
         self.id

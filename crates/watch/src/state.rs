@@ -263,37 +263,38 @@ impl WatchState {
         failstats::quantile_sorted(self.view.ttrs_sorted(), p)
     }
 
-    /// The trailing window: the last [`StateConfig::window`] records, in
-    /// arrival order.
-    fn window_records(&self) -> &[FailureRecord] {
-        estimators::trailing(self.view.records(), self.config.window)
+    /// The repair durations of the trailing window, the last
+    /// [`StateConfig::window`] records, in arrival order: a slice of the
+    /// view's TTR column.
+    fn window_ttrs(&self) -> &[f64] {
+        estimators::trailing(self.view.ttrs(), self.config.window)
     }
 
     /// Mean TTR over the trailing window of records.
     pub fn window_ttr_mean(&self) -> Option<f64> {
-        failstats::mean(&self.window_ttr_sample())
+        failstats::mean(self.window_ttrs())
     }
 
     /// The trailing-window TTR sample, in arrival order.
     pub fn window_ttr_sample(&self) -> Vec<f64> {
-        self.window_records().iter().map(|r| r.ttr().get()).collect()
+        self.window_ttrs().to_vec()
     }
 
     /// Records currently in the trailing window.
     pub fn window_len(&self) -> usize {
-        self.window_records().len()
+        self.window_ttrs().len()
     }
 
     /// Category fractions over the trailing window.
     pub fn window_category_fractions(&self) -> BTreeMap<Category, f64> {
-        let window = self.window_records();
+        let len = self.window_len();
         let mut counts: BTreeMap<Category, usize> = BTreeMap::new();
-        for r in window {
+        for r in self.view.rows().rev().take(len) {
             *counts.entry(r.category()).or_insert(0) += 1;
         }
         counts
             .into_iter()
-            .map(|(c, k)| (c, k as f64 / window.len() as f64))
+            .map(|(c, k)| (c, k as f64 / len as f64))
             .collect()
     }
 
@@ -402,8 +403,7 @@ mod tests {
         let mut counts = vec![0usize; state.view().spec().gpus_per_node() as usize];
         let involvements = state
             .view()
-            .records()
-            .iter()
+            .rows()
             .rev()
             .flat_map(|r| r.gpus().iter().rev())
             .take(state.config().window);

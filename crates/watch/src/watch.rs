@@ -567,11 +567,11 @@ fn filled_months(
 ) -> impl DoubleEndedIterator<Item = ((i32, Month), usize, f64)> + '_ {
     let view = state.view();
     let months = view.window().months();
-    view.month_ttrs()
+    view.month_counts()
         .iter()
         .zip(view.month_ttr_sums())
         .zip(months)
-        .filter_map(|((bucket, sum), ym)| Some((ym, bucket.len(), sum.mean()?)))
+        .filter_map(|((&count, sum), ym)| Some((ym, count, sum.mean()?)))
 }
 
 fn fmt_opt(value: Option<f64>) -> String {
@@ -993,8 +993,7 @@ mod tests {
         assert!(outcome
             .state
             .view()
-            .records()
-            .iter()
+            .rows()
             .all(|r| r.category().is_gpu()));
         assert!(output.contains("# filter: category == gpu"), "{output}");
         for alert in &outcome.alerts {

@@ -20,8 +20,10 @@ cargo clippy --workspace --all-targets -- -D warnings
 # wire field, request fields, read-buffer capacities), the user-set watch
 # ingest batch (`WatchConfig::ingest_chunk`), failbench's second file
 # loader, the view's third order statistic (the sorted and arrival-order
-# repair ends, whose one reader, the availability sweep, sorts its own)
-# and CDFs that copy the view's sorted arrays stay gone.
+# repair ends, whose one reader, the availability sweep, sorts its own),
+# CDFs that copy the view's sorted arrays, and the view's record structs
+# (it stores its records as columns, and a snapshot load moves them in
+# without assembling a record) stay gone.
 extra_vendor=$(ls vendor | grep -vxE 'rand|proptest' || true)
 if [ -n "$extra_vendor" ]; then
     echo "verify: unexpected vendored crates: $extra_vendor (allowed: rand, proptest)" >&2
@@ -53,6 +55,11 @@ if grep -rnE 'parse_chunk|parse-chunk|open_with_capacity|fn get_path|file_cells|
 fi
 if grep -rnE 'recoveries_sorted|fn recoveries\(|Ecdf::from_sorted\(.*\.to_vec\(\)' crates/; then
     echo "verify: the view's repair-end arrays or a copying Ecdf::from_sorted reappeared under crates/; the availability sweep sorts its own ends and CDFs borrow the view's arrays" >&2
+    exit 1
+fi
+if grep -nE '^[[:space:]]*(pub )?records: Vec<FailureRecord>,' crates/core/src/streamview.rs \
+    || sed -n '/pub fn from_parts(/,/^    }$/p' crates/core/src/streamview.rs | grep -nF 'FailureRecord::new('; then
+    echo "verify: StreamView holds FailureRecords again, or from_parts assembles them; the view keeps its records as columns" >&2
     exit 1
 fi
 if grep -nF 'std::fs::read' crates/api/src/engine.rs; then
@@ -222,8 +229,9 @@ fi
 # `repro bench` already verifies the filtered parse is byte-identical
 # to the post-hoc filter of an unfiltered parse before reporting it.
 # Reports do not take this path: they parse unfiltered and filter the
-# loaded view (`StreamView::filtered`). The parser pushdown is a library
-# entry point that loadbench still calls, and this bound guards only it.
+# loaded view (`StreamView::filtered`), which the view-filter gate below
+# guards. The parser pushdown is a library entry point that loadbench
+# still calls, and this bound guards only it.
 filter_rate=$(sed -n 's/.*"filter_records_per_second":\([0-9]*\).*/\1/p' \
     BENCH_pipeline.json)
 if [ -z "$filter_rate" ]; then
@@ -232,6 +240,28 @@ if [ -z "$filter_rate" ]; then
 fi
 if [ $((filter_rate * 100)) -lt $((parse_rate * 85)) ]; then
     echo "verify: filter pushdown overhead exceeds 15%: $filter_rate rec/s vs unfiltered $parse_rate rec/s" >&2
+    exit 1
+fi
+
+# View-filter gate: the filter every `--where` report and compare runs,
+# `StreamView::filtered` over the decoded bench-year snapshot with the
+# same predicate (`repro bench` checks the kept view equals the bulk
+# view of the pushdown parse before reporting a rate). With the
+# columnar view, which refills one scratch record per row, eight
+# readings on the 2-core bench host were 15.4M-28.8M view records/second
+# (3.8-7.1 ms for 109,500 records, median 22.8M); slow spells on the
+# host halve the rate, so the floor is under half the median. A rescan
+# of the view per kept record, or any other per-row cost that grows
+# with the view, lands far below it.
+view_filter_floor=10000000
+view_filter_rate=$(sed -n 's/.*"view_filter_records_per_second":\([0-9]*\).*/\1/p' \
+    BENCH_pipeline.json)
+if [ -z "$view_filter_rate" ]; then
+    echo "verify: view_filter_records_per_second missing from BENCH_pipeline.json" >&2
+    exit 1
+fi
+if [ "$view_filter_rate" -lt "$view_filter_floor" ]; then
+    echo "verify: view filter throughput regressed: $view_filter_rate rec/s < floor $view_filter_floor" >&2
     exit 1
 fi
 
@@ -630,4 +660,4 @@ fi
 # API docs must build warning-free.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-echo "verify: build + tests + clippy + structure gate + unsafe gate + loadbench gate + streaming gate + summary gate + summary scaling gate + parse gate + gzip gate + filter gate + index gate + server gate + gzip smoke + retired-knob smoke + json gate + trace gate + docs all green"
+echo "verify: build + tests + clippy + structure gate + unsafe gate + loadbench gate + streaming gate + summary gate + summary scaling gate + parse gate + gzip gate + filter gate + view filter gate + index gate + server gate + gzip smoke + retired-knob smoke + json gate + trace gate + docs all green"

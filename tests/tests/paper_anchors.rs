@@ -49,7 +49,7 @@ fn headline_narrative_claims() {
     assert!((ttr2.mttr_hours() - ttr3.mttr_hours()).abs() < 10.0);
 
     // "no failure affected all four GPUs attached to a node" (T3).
-    let mut gpu_records = t3.records().iter().filter(|r| r.category().is_gpu());
+    let mut gpu_records = t3.rows().filter(|r| r.category().is_gpu());
     assert!(gpu_records.all(|r| r.gpus().len() < 4));
 
     // "in ~70% of the failures more than one GPU was affected" (T2).

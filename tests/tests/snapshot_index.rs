@@ -211,7 +211,7 @@ fn an_appended_ndjson_row_reads_the_same_warm_and_cold() {
     assert_eq!(cold_log.len(), log.len() + 1);
     match failindex::open_indexed(&path, None).expect("opens") {
         failindex::IndexedLoad::Exact(snap) => {
-            assert_eq!(snap.view().records(), cold_log.records());
+            assert_eq!(snap.view().to_log(), cold_log);
         }
         other => panic!("expected an exact hit after the extension, got {other:?}"),
     }
