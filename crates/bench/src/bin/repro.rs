@@ -251,6 +251,14 @@ fn bench(catalog: &[CatalogEntry], json_path: &str, history: Option<&(String, u6
         let text = String::from_utf8(inflated).expect("log text is UTF-8");
         std::hint::black_box(faillog::from_str_with(&text, &parallel_opts).expect("parses"));
     });
+    // Inflate alone, the first layer of the gzip ingest above, checked to
+    // give back the text before it is timed.
+    let inflate_identical =
+        faillog::gzip_decompress(&parse_gzip).expect("inflates") == parse_text.as_bytes();
+    let inflate_seconds = best_of_on(PARSE_REPS, || (), |()| {
+        faillog::gzip_decompress(&parse_gzip).expect("inflates")
+    });
+    let inflate_rate = parse_text.len() as f64 / 1e6 / inflate_seconds.max(f64::MIN_POSITIVE);
     let parse_serial_rate = parse_records as f64 / parse_serial_seconds.max(f64::MIN_POSITIVE);
     let parse_parallel_rate =
         parse_records as f64 / parse_parallel_seconds.max(f64::MIN_POSITIVE);
@@ -278,6 +286,10 @@ fn bench(catalog: &[CatalogEntry], json_path: &str, history: Option<&(String, u6
         parse_gzip_seconds * 1e3,
         parse_gzip_rate
     );
+    println!(
+        "    inflate  (1 thread):  {:.1} ms | {inflate_rate:.0} MB/s of output | identical: {inflate_identical}",
+        inflate_seconds * 1e3
+    );
     let parse_json = JsonValue::object()
         .field("records", parse_records)
         .field("bytes", parse_text.len())
@@ -289,6 +301,9 @@ fn bench(catalog: &[CatalogEntry], json_path: &str, history: Option<&(String, u6
         .field("serial_records_per_second", parse_serial_rate as u64)
         .field("parallel_records_per_second", parse_parallel_rate as u64)
         .field("gzip_records_per_second", parse_gzip_rate as u64)
+        .field("inflate_seconds", inflate_seconds)
+        .field("inflate_mb_per_second", inflate_rate as u64)
+        .field("inflate_identical", inflate_identical)
         .field("speedup", parse_speedup)
         .field("identical_output", parse_identical)
         .build();
@@ -693,6 +708,7 @@ fn bench(catalog: &[CatalogEntry], json_path: &str, history: Option<&(String, u6
         .field("parse", parse_json)
         .field("parse_records_per_second", parse_parallel_rate as u64)
         .field("gzip_records_per_second", parse_gzip_rate as u64)
+        .field("inflate_mb_per_second", inflate_rate as u64)
         .field("filter", filter_json)
         .field("filter_records_per_second", filter_rate as u64)
         .field("view_filter", view_filter_json)
@@ -721,6 +737,10 @@ fn bench(catalog: &[CatalogEntry], json_path: &str, history: Option<&(String, u6
     }
     if !parse_identical {
         eprintln!("parallel parse diverged from serial");
+        std::process::exit(1);
+    }
+    if !inflate_identical {
+        eprintln!("the inflated gzip copy diverged from the log text");
         std::process::exit(1);
     }
     if !filter_identical {

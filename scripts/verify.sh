@@ -222,6 +222,25 @@ if [ "$gzip_rate" -lt "$gzip_floor" ]; then
     exit 1
 fi
 
+# Inflate gate: inflate alone on that gzip copy, in MB of output per
+# second (`repro bench` exits non-zero if the output is not the log
+# text). With the packed-entry fast loop, ten readings on the 2-core
+# bench host were 225-324 MB/s (median ~280); slow spells there slow
+# every figure ~1.4x, so the floor is about half the median. It catches
+# a decoder at half speed or worse (a per-symbol resize, a byte-serial
+# copy), not a return to the previous decoder, which reads ~155-180.
+inflate_floor=150
+inflate_rate=$(sed -n 's/.*"inflate_mb_per_second":\([0-9]*\).*/\1/p' \
+    BENCH_pipeline.json)
+if [ -z "$inflate_rate" ]; then
+    echo "verify: inflate_mb_per_second missing from BENCH_pipeline.json" >&2
+    exit 1
+fi
+if [ "$inflate_rate" -lt "$inflate_floor" ]; then
+    echo "verify: inflate throughput regressed: $inflate_rate MB/s < floor $inflate_floor" >&2
+    exit 1
+fi
+
 # Filter-pushdown gate, part 1: throughput. Parsing with a predicate
 # pushed down must stay within 15% of plain parse throughput (the
 # predicate is a few branches per record; anything slower means an
@@ -562,6 +581,36 @@ cmp -s "$gz_dir/plain.txt" "$gz_dir/packed.txt" || {
 }
 rm -rf "$gz_dir"
 
+# Gzip smoke at size: a 30-day bench-scale log (562 KB, more than two of
+# the decoder's 256 KiB output windows) written plain and as .fslog.gz,
+# and a GNU `gzip -9 -n` copy of it, a full-size dynamic-Huffman stream.
+# Each cold report must be byte-identical to the plain one.
+gzl_dir=$(mktemp -d)
+for gzl_log in month.fslog month.fslog.gz; do
+    cargo run -q --release -p failctl -- scenario --nodes 1408 --gpus 4 \
+        --mtbf 0.08 --days 30 --seed 42 --out "$gzl_dir/$gzl_log" >/dev/null
+done
+cargo run -q --release -p failctl -- report "$gzl_dir/month.fslog" --index off \
+    > "$gzl_dir/plain.txt"
+cargo run -q --release -p failctl -- report "$gzl_dir/month.fslog.gz" --index off \
+    > "$gzl_dir/packed.txt"
+cmp -s "$gzl_dir/plain.txt" "$gzl_dir/packed.txt" || {
+    echo "verify: 30-day gzip report differs from the plain-text report" >&2
+    exit 1
+}
+if command -v gzip >/dev/null 2>&1; then
+    gzip -9 -n -c "$gzl_dir/month.fslog" > "$gzl_dir/gnu.fslog.gz"
+    cargo run -q --release -p failctl -- report "$gzl_dir/gnu.fslog.gz" --index off \
+        > "$gzl_dir/gnu.txt"
+    cmp -s "$gzl_dir/plain.txt" "$gzl_dir/gnu.txt" || {
+        echo "verify: GNU gzip -9 report differs from the plain-text report" >&2
+        exit 1
+    }
+else
+    echo "verify: gzip is not on PATH; skipped the GNU gzip copy in the gzip smoke"
+fi
+rm -rf "$gzl_dir"
+
 # Retired-knob smoke: every query parses at one chunk size, so
 # `--parse-chunk` is an unknown flag (exit 1) on each command that used
 # to take it; watch checks drift at refresh ticks whatever its ingest
@@ -660,4 +709,4 @@ fi
 # API docs must build warning-free.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-echo "verify: build + tests + clippy + structure gate + unsafe gate + loadbench gate + streaming gate + summary gate + summary scaling gate + parse gate + gzip gate + filter gate + view filter gate + index gate + server gate + gzip smoke + retired-knob smoke + json gate + trace gate + docs all green"
+echo "verify: build + tests + clippy + structure gate + unsafe gate + loadbench gate + streaming gate + summary gate + summary scaling gate + parse gate + gzip gate + inflate gate + filter gate + view filter gate + index gate + server gate + gzip smoke + retired-knob smoke + json gate + trace gate + docs all green"
