@@ -369,7 +369,7 @@ fn index_lifecycle_and_warm_reports_match_cold_byte_for_byte() {
     let st = index_cmd(&parse(&["index", "stat", p])).expect("stats");
     assert!(st.contains("records:  897"), "{st}");
     assert!(st.contains("Tsubame-2"), "{st}");
-    assert!(st.contains("format:   fsidx v4\n"), "{st}");
+    assert!(st.contains("format:   fsidx v5\n"), "{st}");
     assert!(st.contains("identity: device "), "{st}");
     assert!(st.contains("vouched:  "), "{st}");
     let st2 = index_cmd(&parse(&["index", "stat", &spath])).expect("stats");

@@ -38,17 +38,17 @@ pub struct CategoryBreakdown {
 }
 
 impl CategoryBreakdown {
-    /// Computes the breakdown from a [`StreamView`], reusing its
-    /// category partitions; rows are sorted by descending count.
+    /// Computes the breakdown from a [`StreamView`], reading its
+    /// category counts; rows are sorted by descending count.
     pub fn from_index(index: &StreamView) -> Self {
         let total = index.len();
         let mut shares: Vec<CategoryShare> = index
-            .category_indices()
-            .iter()
-            .map(|(&category, indices)| CategoryShare {
+            .category_counts()
+            .into_iter()
+            .map(|(category, count)| CategoryShare {
                 category,
-                count: indices.len(),
-                fraction: indices.len() as f64 / total.max(1) as f64,
+                count,
+                fraction: count as f64 / total.max(1) as f64,
             })
             .collect();
         shares.sort_by(|a, b| b.count.cmp(&a.count).then(a.category.cmp(&b.category)));
@@ -119,10 +119,10 @@ impl ClassBreakdown {
     pub fn from_index(index: &StreamView) -> Self {
         let mut counts: Vec<(ComponentClass, usize)> =
             ComponentClass::ALL.iter().map(|&c| (c, 0)).collect();
-        for (category, indices) in index.category_indices() {
+        for (category, count) in index.category_counts() {
             let class = category.component_class();
             if let Some(entry) = counts.iter_mut().find(|(c, _)| *c == class) {
-                entry.1 += indices.len();
+                entry.1 += count;
             }
         }
         ClassBreakdown {
@@ -174,11 +174,11 @@ impl DomainBreakdown {
             software: 0,
             unknown: 0,
         };
-        for (category, indices) in index.category_indices() {
+        for (category, count) in index.category_counts() {
             match category.domain() {
-                Domain::Hardware => out.hardware += indices.len(),
-                Domain::Software => out.software += indices.len(),
-                Domain::Unknown => out.unknown += indices.len(),
+                Domain::Hardware => out.hardware += count,
+                Domain::Software => out.software += count,
+                Domain::Unknown => out.unknown += count,
             }
         }
         out

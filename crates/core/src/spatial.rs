@@ -177,16 +177,16 @@ pub struct RackDistribution {
 }
 
 impl RackDistribution {
-    /// Computes the distribution from a [`StreamView`], reusing its
+    /// Computes the distribution from a [`StreamView`], reading its
     /// per-rack counts (every rack appears, including failure-free
     /// ones).
     pub fn from_index(index: &StreamView) -> Self {
         let spec = index.spec();
         let shares = index
             .rack_counts()
-            .iter()
+            .into_iter()
             .enumerate()
-            .map(|(i, &count)| RackShare {
+            .map(|(i, count)| RackShare {
                 rack: RackId::new(i as u32),
                 count,
                 nodes: spec.rack_nodes(RackId::new(i as u32)).count() as u32,

@@ -15,18 +15,20 @@
 //!
 //! Beside the columns the view holds every index the analyses consume —
 //! two sorted order statistics (repair durations and inter-arrival
-//! gaps), category partitions, a dense tally per node of the spec,
-//! slot/rack counts, a histogram of GPU failures by GPUs involved, and
-//! month buckets: each month's repair durations are one contiguous run
-//! of the TTR column, kept as a count beside an exact sum. It is built
-//! one of two ways:
+//! gaps), a count per category, a dense tally per node of the spec,
+//! slot counts, a histogram of GPU failures by GPUs involved, and month
+//! buckets: each month's repair durations are one contiguous run of the
+//! TTR column, kept as a count beside an exact sum. Each fact is held
+//! once: the per-rack counts and the GPU-involvement total are sums of
+//! the node tallies and the slot counts, read on demand, and a
+//! per-category sample ([`StreamView::by_category`]) is grouped from the
+//! code column by the reader that wants it. It is built one of two ways:
 //!
 //! * **in bulk** from a finished, validated [`FailureLog`]
 //!   (`StreamView::from(log)`): one pass writes each record's columns
-//!   and indexes, one palette pass partitions the rows by category, then
-//!   one sort per order statistic, deferred to its first read (or
-//!   write), so a view that is only filtered never sorts. Reports,
-//!   comparisons, and experiments use this, and so does
+//!   and indexes, then one sort per order statistic, deferred to its
+//!   first read (or write), so a view that is only filtered never sorts.
+//!   Reports, comparisons, and experiments use this, and so does
 //!   [`StreamView::filtered`] for the rows its predicate keeps.
 //! * **incrementally**, one record at a time ([`StreamView::push`]) or a
 //!   chunk at a time ([`StreamView::extend`]), as a live stream or an
@@ -36,17 +38,17 @@
 //! Both paths write the columns and update the other indexes through
 //! the same per-record helper — which finds a record's month bucket by
 //! comparing its day offset with precomputed month starts, not by a
-//! calendar conversion — so they differ only in how the category
-//! partitions are grouped and when the order statistics are sorted; the
-//! result is equal under `PartialEq` whichever way a log arrives.
+//! calendar conversion — so they differ only in when the order
+//! statistics are sorted; the result is equal under `PartialEq`
+//! whichever way a log arrives.
 //!
 //! # Cost model
 //!
 //! The incremental write path is amortized O(1) per record and
 //! allocation-free in the steady state. Every index except the two
 //! order statistics is a plain append or bump (a column `Vec::push`, a
-//! `BTreeMap` count, the record's [`NodeTally`] and GPU-count slot, an
-//! [`ExactSum`] add). That includes the exact sum of every repair
+//! category or locus count, the record's [`NodeTally`] and GPU-count
+//! slot, an [`ExactSum`] add). That includes the exact sum of every repair
 //! duration and the month buckets, each of which keeps an exact TTR sum
 //! beside its record count, so the MTTR, a monthly MTTR, or a
 //! trailing-window TTR sample or slot share (a slice of the TTR or slot
@@ -400,27 +402,6 @@ fn month_bucket(starts: &[i64], from: usize, day: i64) -> Option<usize> {
     (starts[k] <= day && day < starts[k + 1]).then_some(k)
 }
 
-/// Partitions row indices by category in one pass over their palette
-/// codes (`palette[codes[i]]` is row `i`'s category). Each partition
-/// lists its rows in arrival order; palette entries no row uses get no
-/// partition. Every code must index `palette`.
-fn partition_categories(palette: &[Category], codes: &[u8]) -> BTreeMap<Category, Vec<u32>> {
-    let mut sizes = vec![0usize; palette.len()];
-    for &code in codes {
-        sizes[usize::from(code)] += 1;
-    }
-    let mut partitions: Vec<Vec<u32>> = sizes.iter().map(|&size| Vec::with_capacity(size)).collect();
-    for (i, &code) in codes.iter().enumerate() {
-        partitions[usize::from(code)].push(i as u32);
-    }
-    palette
-        .iter()
-        .copied()
-        .zip(partitions)
-        .filter(|(_, indices)| !indices.is_empty())
-        .collect()
-}
-
 /// The month buckets of the repair durations. Records arrive in time
 /// order, so each month's durations are one contiguous run of the TTR
 /// column: a bucket is its record count beside its exact running sum,
@@ -523,6 +504,9 @@ pub struct StreamView {
     /// The categories the records carry, in order of first arrival,
     /// each used by at least one record.
     palette: Vec<Category>,
+    /// Records per palette code: `category_counts[k]` records carry
+    /// `palette[k]`.
+    category_counts: Vec<usize>,
     nodes: Vec<u32>,
     loci: Vec<Option<SoftwareLocus>>,
     /// Each record's end offset into `slot_involvements`: record `i`'s
@@ -538,13 +522,10 @@ pub struct StreamView {
     /// Inter-arrival gaps (`time - previous time`, one per record after
     /// the first), sorted ascending.
     gaps_sorted: SortedRun,
-    category_indices: BTreeMap<Category, Vec<u32>>,
     locus_counts: BTreeMap<SoftwareLocus, usize>,
     /// One tally per node of the spec, indexed by node id.
     node_tallies: Vec<NodeTally>,
     slot_counts: Vec<usize>,
-    rack_counts: Vec<usize>,
-    gpu_involvements: usize,
     /// GPU-category records by number of GPUs involved, indexed
     /// `0..=gpus_per_node`; slot 0 counts unknown involvement.
     gpu_count_histogram: Vec<usize>,
@@ -560,16 +541,18 @@ pub struct StreamView {
 /// in arrival order, so a loader converts each column in one bulk pass
 /// and [`StreamView::from_parts`] moves them in: no record is assembled.
 /// The view derives its per-record slot offsets from `gpu_counts`,
-/// renumbers the category codes into its first-arrival palette order,
-/// and reads the month buckets as runs of `ttrs`: records arrive in time
-/// order, so each month's repair durations are a contiguous run of the
-/// record sequence and per-month *counts* fully determine the
-/// bucketing. The category partitions are rebuilt in one pass over the
-/// category column. The two sorted arrays are stored because
-/// re-deriving them costs a sort on every load, and every report reads
-/// both; the per-node tallies and the GPU-count histogram because rebuilding
-/// them costs a scattered or branchy pass over every record, several
-/// times the cost of a few kilobytes of stored counts.
+/// renumbers the category codes into its first-arrival palette order
+/// and counts each category in one pass over the code column, and reads
+/// the month buckets as runs of `ttrs`: records arrive in time order, so
+/// each month's repair durations are a contiguous run of the record
+/// sequence and per-month *counts* fully determine the bucketing. The
+/// two sorted arrays are stored because re-deriving them costs a sort on
+/// every load, and every report reads both; the per-node tallies and the
+/// GPU-count histogram because rebuilding them costs a scattered or
+/// branchy pass over every record, several times the cost of a few
+/// kilobytes of stored counts. The per-rack counts and the
+/// GPU-involvement total are not stored: the view sums them from the
+/// node tallies, the slot counts and the histogram when read.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ViewParts {
     /// The system generation.
@@ -610,10 +593,6 @@ pub struct ViewParts {
     pub gpu_count_histogram: Vec<usize>,
     /// GPU-failure involvements per slot.
     pub slot_counts: Vec<usize>,
-    /// Failure counts per rack.
-    pub rack_counts: Vec<usize>,
-    /// Total per-GPU involvements.
-    pub gpu_involvements: usize,
     /// Arrival times of multi-GPU failures.
     pub multi_gpu_times: Vec<f64>,
     /// Records per `window.months()` bucket, in month order.
@@ -665,7 +644,6 @@ impl StreamView {
     /// An empty view for a system described by `spec` over `window`.
     pub fn empty(generation: Generation, spec: SystemSpec, window: ObservationWindow) -> Self {
         let slots = spec.gpus_per_node() as usize;
-        let racks = spec.racks() as usize;
         let nodes = spec.nodes() as usize;
         StreamView {
             generation,
@@ -679,6 +657,7 @@ impl StreamView {
             ttrs: Vec::new(),
             codes: Vec::new(),
             palette: Vec::new(),
+            category_counts: Vec::new(),
             nodes: Vec::new(),
             loci: Vec::new(),
             slot_ends: Vec::new(),
@@ -686,12 +665,9 @@ impl StreamView {
             ttrs_sorted: SortedRun::default(),
             ttr_sum: ExactSum::new(),
             gaps_sorted: SortedRun::default(),
-            category_indices: BTreeMap::new(),
             locus_counts: BTreeMap::new(),
             node_tallies: vec![NodeTally::default(); nodes],
             slot_counts: vec![0; slots],
-            rack_counts: vec![0; racks],
-            gpu_involvements: 0,
             gpu_count_histogram: vec![0; slots + 1],
             multi_gpu_times: Vec::new(),
         }
@@ -704,13 +680,11 @@ impl StreamView {
     }
 
     /// Completes a bulk build whose records were all
-    /// [appended](StreamView::append): one palette pass partitions the
-    /// rows by category, the TTR total is the merge of the month sums
-    /// (every valid record lies in one bucket), and each order statistic
-    /// is sorted on its first read, so a view that is only filtered
-    /// never sorts.
+    /// [appended](StreamView::append): the TTR total is the merge of the
+    /// month sums (every valid record lies in one bucket), and each order
+    /// statistic is sorted on its first read, so a view that is only
+    /// filtered never sorts.
     fn finish_bulk(mut self) -> Self {
-        self.category_indices = partition_categories(&self.palette, &self.codes);
         self.ttr_sum = self.month_buckets.total();
         self.ttrs_sorted = SortedRun::deferred(self.ttrs.clone());
         self.gaps_sorted = SortedRun::deferred(failstats::inter_arrival_times(&self.times));
@@ -751,8 +725,6 @@ impl StreamView {
             node_tallies: self.node_tallies,
             gpu_count_histogram: self.gpu_count_histogram,
             slot_counts: self.slot_counts,
-            rack_counts: self.rack_counts,
-            gpu_involvements: self.gpu_involvements,
             multi_gpu_times: self.multi_gpu_times,
             month_counts: self.month_buckets.counts,
         }
@@ -760,13 +732,14 @@ impl StreamView {
 
     /// Reassembles a view from persisted [`ViewParts`]: the record
     /// columns move in as they are, and the indexes the payload omits
-    /// (the per-record slot offsets, the category partitions, the month
-    /// sums) are re-derived in O(n), as is the renumbering of the
-    /// category codes into first-arrival palette order — no per-record
-    /// allocation, no sorting, no re-validation of individual records
-    /// (the caller vouches for the payload, e.g. via a checksum). In
-    /// debug builds the result is additionally checked against a full
-    /// per-record rebuild, and refused when it differs.
+    /// (the per-record slot offsets, the category counts, the month
+    /// sums) are re-derived in O(n) — one pass over the code column
+    /// bounds-checks each code, renumbers it into first-arrival palette
+    /// order and counts it — with no per-record allocation, no sorting,
+    /// no re-validation of individual records (the caller vouches for the
+    /// payload, e.g. via a checksum). In debug builds the result is
+    /// additionally checked against a full per-record rebuild, and
+    /// refused when it differs.
     ///
     /// # Errors
     ///
@@ -798,8 +771,6 @@ impl StreamView {
             node_tallies,
             gpu_count_histogram,
             slot_counts,
-            rack_counts,
-            gpu_involvements,
             multi_gpu_times,
             month_counts,
         } = parts;
@@ -835,11 +806,10 @@ impl StreamView {
             return Err(shape_err("month bucket totals do not match the record count"));
         }
         if slot_counts.len() != spec.gpus_per_node() as usize
-            || rack_counts.len() != spec.racks() as usize
             || node_tallies.len() != spec.nodes() as usize
             || gpu_count_histogram.len() != spec.gpus_per_node() as usize + 1
         {
-            return Err(shape_err("per-node/slot/rack tallies do not match the spec"));
+            return Err(shape_err("per-node/slot tallies do not match the spec"));
         }
         if nodes.iter().any(|&node| node >= spec.nodes()) {
             return Err(shape_err("a record names a node outside the spec"));
@@ -853,9 +823,6 @@ impl StreamView {
         if !distinct {
             return Err(shape_err("category palette entries are not distinct"));
         }
-        if categories.iter().any(|&code| usize::from(code) >= category_palette.len()) {
-            return Err(shape_err("a category code lies outside the palette"));
-        }
         let ascending = |xs: &[f64]| xs.windows(2).all(|w| w[0] <= w[1]);
         if !ascending(&ttrs_sorted) || !ascending(&gaps_sorted) {
             return Err(shape_err("sorted arrays are not in ascending order"));
@@ -863,14 +830,27 @@ impl StreamView {
 
         // The view lists its palette in first-arrival order, as a push
         // or a bulk build meets the categories: one pass renumbers the
-        // codes in place, and palette entries no record uses drop out.
+        // codes in place and counts them, and palette entries no record
+        // uses drop out. A code is bounds-checked when first met; later
+        // ones hit the table.
         let mut renumbered: [Option<u8>; 256] = [None; 256];
         let mut palette = Vec::with_capacity(category_palette.len());
+        let mut category_counts: Vec<usize> = Vec::with_capacity(category_palette.len());
         for code in &mut categories {
-            *code = *renumbered[usize::from(*code)].get_or_insert_with(|| {
-                palette.push(category_palette[usize::from(*code)]);
-                (palette.len() - 1) as u8
-            });
+            let slot = &mut renumbered[usize::from(*code)];
+            let new = match *slot {
+                Some(new) => new,
+                None => {
+                    let category = *category_palette
+                        .get(usize::from(*code))
+                        .ok_or_else(|| shape_err("a category code lies outside the palette"))?;
+                    palette.push(category);
+                    category_counts.push(0);
+                    *slot.insert((palette.len() - 1) as u8)
+                }
+            };
+            category_counts[usize::from(new)] += 1;
+            *code = new;
         }
         let mut slot_end = 0u32;
         let slot_ends = gpu_counts
@@ -902,7 +882,6 @@ impl StreamView {
             .iter()
             .rposition(|&c| c > 0)
             .unwrap_or(0);
-        let category_indices = partition_categories(&palette, &categories);
 
         let view = StreamView {
             generation,
@@ -915,6 +894,7 @@ impl StreamView {
             ttrs,
             codes: categories,
             palette,
+            category_counts,
             nodes,
             loci,
             slot_ends,
@@ -922,12 +902,9 @@ impl StreamView {
             ttrs_sorted: SortedRun::from_sorted(ttrs_sorted),
             ttr_sum,
             gaps_sorted: SortedRun::from_sorted(gaps_sorted),
-            category_indices,
             locus_counts,
             node_tallies,
             slot_counts,
-            rack_counts,
-            gpu_involvements,
             gpu_count_histogram,
             multi_gpu_times,
             month_buckets,
@@ -969,16 +946,14 @@ impl StreamView {
             }
             self.gaps_sorted.push(time - prev);
         }
-        let row = self.len() as u32;
         let ttr = self.append(&rec);
         self.ttr_sum.add(ttr);
-        self.category_indices.entry(rec.category()).or_default().push(row);
         self.ttrs_sorted.push(ttr);
         Ok(())
     }
 
     /// Writes one record into the columns and folds it into every index
-    /// (its month sum included) except the category partitions, the two
+    /// (its category count and month sum included) except the two
     /// sorted order statistics and the TTR total — the per-record work
     /// shared by [`StreamView::push`] and the bulk builds. Returns the
     /// record's repair duration. The record must be valid and no earlier
@@ -990,8 +965,10 @@ impl StreamView {
         let gpus = rec.gpus();
         let code = self.palette.iter().position(|&c| c == category).unwrap_or_else(|| {
             self.palette.push(category);
+            self.category_counts.push(0);
             self.palette.len() - 1
         });
+        self.category_counts[code] += 1;
         self.codes.push(u8::try_from(code).expect("categories are a closed set of under 256"));
         self.ids.push(rec.id());
         self.times.push(time);
@@ -1007,13 +984,11 @@ impl StreamView {
             *self.locus_counts.entry(locus).or_insert(0) += 1;
         }
         self.node_tallies[rec.node().index() as usize].add(time, category);
-        self.rack_counts[self.spec.rack_of(rec.node()).index() as usize] += 1;
         if category.is_gpu() {
             // An involvement wider than the histogram is not counted.
             if let Some(count) = self.gpu_count_histogram.get_mut(gpus.len()) {
                 *count += 1;
             }
-            self.gpu_involvements += gpus.len().max(1);
             for slot in gpus {
                 if let Some(count) = self.slot_counts.get_mut(slot.index() as usize) {
                     *count += 1;
@@ -1204,31 +1179,49 @@ impl StreamView {
         &self.ttr_sum
     }
 
-    /// Record indices partitioned by category, each in time order.
-    pub fn category_indices(&self) -> &BTreeMap<Category, Vec<u32>> {
-        &self.category_indices
+    /// The categories the records carry, in order of first arrival: the
+    /// palette [`category_codes`](StreamView::category_codes) indexes.
+    pub fn category_palette(&self) -> &[Category] {
+        &self.palette
     }
 
-    /// Number of failures in one category.
-    pub fn category_count(&self, category: Category) -> usize {
-        self.category_indices.get(&category).map_or(0, Vec::len)
+    /// Each record's category as an index into
+    /// [`category_palette`](StreamView::category_palette), in arrival
+    /// order: the view's category column.
+    pub fn category_codes(&self) -> &[u8] {
+        &self.codes
     }
 
-    /// The failure times of one category, in time order.
-    pub fn category_times(&self, category: Category) -> Vec<f64> {
-        self.gather(&self.times, category)
+    /// Failures per category, in [`Category`] order; every category with
+    /// at least one failure appears.
+    pub fn category_counts(&self) -> Vec<(Category, usize)> {
+        let mut counts: Vec<(Category, usize)> =
+            self.palette.iter().copied().zip(self.category_counts.iter().copied()).collect();
+        counts.sort_unstable_by_key(|&(category, _)| category);
+        counts
     }
 
-    /// The repair durations of one category, in time order.
-    pub fn category_ttrs(&self, category: Category) -> Vec<f64> {
-        self.gather(&self.ttrs, category)
-    }
-
-    /// The entries of the f64 `column` at the rows of one category.
-    fn gather(&self, column: &[f64], category: Category) -> Vec<f64> {
-        self.category_indices
-            .get(&category)
-            .map_or_else(Vec::new, |idx| idx.iter().map(|&i| column[i as usize]).collect())
+    /// The entries of a per-record `column` (such as
+    /// [`times`](StreamView::times) or [`ttrs`](StreamView::ttrs))
+    /// grouped by the records' category, in [`Category`] order, each
+    /// group in arrival order: one pass over the code column.
+    ///
+    /// # Panics
+    ///
+    /// When `column` does not hold one entry per record.
+    pub fn by_category(&self, column: &[f64]) -> Vec<(Category, Vec<f64>)> {
+        assert_eq!(column.len(), self.len(), "a column holds one entry per record");
+        let mut groups: Vec<(Category, Vec<f64>)> = self
+            .palette
+            .iter()
+            .zip(&self.category_counts)
+            .map(|(&category, &count)| (category, Vec::with_capacity(count)))
+            .collect();
+        for (&code, &x) in self.codes.iter().zip(column) {
+            groups[usize::from(code)].1.push(x);
+        }
+        groups.sort_unstable_by_key(|&(category, _)| category);
+        groups
     }
 
     /// Software root-locus counts over records that carry one.
@@ -1263,15 +1256,20 @@ impl StreamView {
         &self.slot_counts
     }
 
-    /// Failure counts per rack, indexed by rack number.
-    pub fn rack_counts(&self) -> &[usize] {
-        &self.rack_counts
+    /// Failure counts per rack, indexed by rack number: the node tallies
+    /// summed over each rack's nodes, in O(nodes).
+    pub fn rack_counts(&self) -> Vec<usize> {
+        self.node_tallies
+            .chunks(self.spec.nodes_per_rack() as usize)
+            .map(|rack| rack.iter().map(|tally| tally.failures as usize).sum())
+            .collect()
     }
 
     /// Total per-GPU involvements (a failure touching 3 GPUs counts 3;
-    /// unknown involvement counts 1).
-    pub const fn gpu_involvements(&self) -> usize {
-        self.gpu_involvements
+    /// unknown involvement counts 1): the slot counts plus the GPU
+    /// failures of unknown involvement.
+    pub fn gpu_involvements(&self) -> usize {
+        self.slot_counts.iter().sum::<usize>() + self.gpu_count_histogram[0]
     }
 
     /// The slot of every GPU involvement, in arrival order (a failure
@@ -1402,9 +1400,10 @@ mod tests {
         sv
     }
 
-    /// Asserts that the two sorted arrays, the per-node tallies and
-    /// the GPU-count histogram of `view` equal oracles computed by
-    /// walking its records.
+    /// Asserts that the two sorted arrays, the per-node tallies, the
+    /// GPU-count histogram, the category counts and groupings, the rack
+    /// counts and the GPU-involvement total of `view` equal oracles
+    /// computed by walking its records.
     fn assert_derived_indexes_match_the_records(view: &StreamView, what: &str) {
         let records: Vec<FailureRecord> = view.rows().map(RecordRef::to_record).collect();
         let sorted = |mut xs: Vec<f64>| {
@@ -1419,7 +1418,14 @@ mod tests {
 
         let mut tallies = vec![NodeTally::default(); view.spec().nodes() as usize];
         let mut histogram = vec![0usize; view.spec().gpus_per_node() as usize + 1];
+        let mut racks = vec![0usize; view.spec().racks() as usize];
+        let mut involvements = 0;
+        let mut times_by: BTreeMap<Category, Vec<f64>> = BTreeMap::new();
+        let mut ttrs_by: BTreeMap<Category, Vec<f64>> = BTreeMap::new();
         for rec in &records {
+            racks[view.spec().rack_of(rec.node()).index() as usize] += 1;
+            times_by.entry(rec.category()).or_default().push(rec.time().get());
+            ttrs_by.entry(rec.category()).or_default().push(rec.ttr().get());
             let tally = &mut tallies[rec.node().index() as usize];
             if tally.failures == 0 {
                 tally.first_failure = rec.time().get();
@@ -1432,10 +1438,23 @@ mod tests {
             }
             if rec.category().is_gpu() {
                 histogram[rec.gpus().len()] += 1;
+                involvements += rec.gpus().len().max(1);
             }
         }
         assert_eq!(view.node_tallies(), tallies.as_slice(), "{what}: node tallies");
         assert_eq!(view.gpu_count_histogram(), histogram.as_slice(), "{what}: gpu counts");
+        assert_eq!(view.rack_counts(), racks, "{what}: rack counts");
+        assert_eq!(view.gpu_involvements(), involvements, "{what}: gpu involvements");
+        let counts: Vec<(Category, usize)> = times_by.iter().map(|(&c, xs)| (c, xs.len())).collect();
+        assert_eq!(view.category_counts(), counts, "{what}: category counts");
+        let walked = |groups: &BTreeMap<Category, Vec<f64>>| {
+            groups.iter().map(|(&c, xs)| (c, bits(xs))).collect::<Vec<_>>()
+        };
+        let read = |column: &[f64]| {
+            view.by_category(column).into_iter().map(|(c, xs)| (c, bits(&xs))).collect::<Vec<_>>()
+        };
+        assert_eq!(read(view.times()), walked(&times_by), "{what}: times by category");
+        assert_eq!(read(view.ttrs()), walked(&ttrs_by), "{what}: ttrs by category");
     }
 
     #[test]
@@ -1588,14 +1607,17 @@ mod tests {
                 oracle
                     .extend(log.records().iter().filter(|r| keep(r)).cloned())
                     .unwrap();
-                for view in [&bulk, &pushed, &restored] {
+                for (view, what) in [(&bulk, "bulk"), (&pushed, "push"), (&restored, "from_parts")] {
                     let records: Vec<FailureRecord> = view.rows().map(RecordRef::to_record).collect();
                     prop_assert_eq!(records.as_slice(), log.records());
                     for (i, rec) in log.records().iter().enumerate() {
                         prop_assert_eq!(&view.row(i).to_record(), rec);
                     }
+                    assert_derived_indexes_match_the_records(view, what);
                     prop_assert_eq!(&view.filtered(keep), &oracle);
                 }
+                assert_derived_indexes_match_the_records(&bulk.filtered(keep), "filtered");
+                assert_derived_indexes_match_the_records(&reordered, "reversed palette");
             }
         }
     }
@@ -1636,8 +1658,8 @@ mod tests {
         let view = StreamView::new(&log);
         assert_eq!(view.len(), log.len());
         assert_eq!(view.times().len(), 897);
-        // Category partitions cover every record exactly once.
-        let total: usize = view.category_indices().values().map(Vec::len).sum();
+        // Category counts cover every record exactly once.
+        let total: usize = view.category_counts().iter().map(|&(_, count)| count).sum();
         assert_eq!(total, log.len());
         // Node tallies cover every node and sum to the record count.
         assert_eq!(view.node_tallies().len(), log.spec().nodes() as usize);
@@ -1656,15 +1678,15 @@ mod tests {
     fn partitions_preserve_time_order() {
         let log = Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap();
         let view = StreamView::from(log);
-        for indices in view.category_indices().values() {
-            assert!(indices.windows(2).all(|w| w[0] < w[1]));
-        }
-        for times in view
-            .category_indices()
-            .keys()
-            .map(|&c| view.category_times(c))
-        {
+        let groups = view.by_category(view.times());
+        assert!(groups.windows(2).all(|w| w[0].0 < w[1].0), "groups in category order");
+        for (_, times) in &groups {
             assert!(times.windows(2).all(|w| w[0] <= w[1]));
+        }
+        // Each group lists its rows in arrival order.
+        let rows: Vec<f64> = (0..view.len()).map(|row| row as f64).collect();
+        for (_, rows) in view.by_category(&rows) {
+            assert!(rows.windows(2).all(|w| w[0] < w[1]));
         }
     }
 
@@ -1673,7 +1695,8 @@ mod tests {
         let log = Simulator::new(SystemModel::tsubame2(), 42).generate().unwrap();
         let view = StreamView::from(log.filtered(|_| false));
         assert!(view.is_empty());
-        assert!(view.category_indices().is_empty());
+        assert!(view.category_counts().is_empty());
+        assert!(view.by_category(view.ttrs()).is_empty());
         assert!(view.multi_gpu_times().is_empty());
         assert_eq!(view.gpu_involvements(), 0);
         assert_eq!(view, StreamView::empty_like(&log));

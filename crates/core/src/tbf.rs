@@ -112,10 +112,10 @@ impl<'a> TbfAnalysis<'a> {
 /// to Tsubame-3 while the GPU count only halved; CPU MTBF improved ~3×.
 pub fn class_mtbf_hours(index: &StreamView, class: ComponentClass) -> Option<f64> {
     let count: usize = index
-        .category_indices()
-        .iter()
+        .category_counts()
+        .into_iter()
         .filter(|(category, _)| category.component_class() == class)
-        .map(|(_, indices)| indices.len())
+        .map(|(_, count)| count)
         .sum();
     (count > 0).then(|| index.window().duration().get() / count as f64)
 }
@@ -138,19 +138,18 @@ pub struct CategoryTbf {
     pub summary: Summary,
 }
 
-/// Per-category TBF distributions from a [`StreamView`], reusing its
-/// time-ordered category partitions; rows are sorted by ascending mean
-/// TBF (the order Fig. 7 plots).
+/// Per-category TBF distributions from a [`StreamView`], grouping its
+/// time column by category in one pass (each group in time order); rows
+/// are sorted by ascending mean TBF (the order Fig. 7 plots).
 ///
 /// Categories with fewer than `min_events` failures are skipped — their
 /// inter-arrival statistics would be noise.
 pub fn per_category_tbf(index: &StreamView, min_events: usize) -> Vec<CategoryTbf> {
     let mut out = Vec::new();
-    for (&category, indices) in index.category_indices() {
-        if indices.len() < min_events.max(2) {
+    for (category, times) in index.by_category(index.times()) {
+        if times.len() < min_events.max(2) {
             continue;
         }
-        let times = index.category_times(category);
         let gaps = failstats::inter_arrival_times(&times);
         if let Some(summary) = Summary::from_data(&gaps) {
             out.push(CategoryTbf { category, summary });

@@ -79,17 +79,16 @@ pub struct CategoryTtr {
     pub summary: Summary,
 }
 
-/// Per-category TTR distributions from a [`StreamView`], reusing its
-/// time-ordered category partitions; rows are sorted by ascending mean
-/// TTR (the order Fig. 10 plots). Every category with at least one
-/// failure appears.
+/// Per-category TTR distributions from a [`StreamView`], grouping its
+/// TTR column by category in one pass (each group in time order); rows
+/// are sorted by ascending mean TTR (the order Fig. 10 plots). Every
+/// category with at least one failure appears.
 pub fn per_category_ttr(index: &StreamView) -> Vec<CategoryTtr> {
     let total = index.len().max(1) as f64;
     let mut out: Vec<CategoryTtr> = index
-        .category_indices()
-        .keys()
-        .filter_map(|&category| {
-            let ttrs = index.category_ttrs(category);
+        .by_category(index.ttrs())
+        .into_iter()
+        .filter_map(|(category, ttrs)| {
             Summary::from_data(&ttrs).map(|summary| CategoryTtr {
                 category,
                 share_of_failures: ttrs.len() as f64 / total,

@@ -21,7 +21,7 @@ use crate::bytes::{ByteReader, ByteWriter};
 use crate::SourceInfo;
 
 /// The `.fsidx` format version this build reads and writes.
-pub const FORMAT_VERSION: u16 = 4;
+pub const FORMAT_VERSION: u16 = 5;
 
 /// Total size of the fixed header, in bytes.
 pub const HEADER_LEN: usize = 96;
@@ -224,10 +224,13 @@ const RECORD_COLUMN_BYTES: usize = 27;
 /// Serializes `index` into the body byte stream.
 ///
 /// Records are stored column by column in arrival order; categories as
-/// codes into the palette written before them. `f64` arrays
-/// (`ttrs_sorted`, `gaps_sorted`, `multi_gpu_times`) are stored raw so
-/// loading skips re-sorting. Repair ends are not stored: their one
-/// reader, the availability sweep, derives and sorts them itself.
+/// the view's own codes into its own palette (first-arrival order),
+/// written before them. `f64` arrays (`ttrs_sorted`, `gaps_sorted`,
+/// `multi_gpu_times`) are stored raw so loading skips re-sorting. Repair
+/// ends are not stored: their one reader, the availability sweep,
+/// derives and sorts them itself; nor are the per-rack counts and the
+/// GPU-involvement total, which the view sums from the node tallies,
+/// the slot counts and the histogram.
 pub(crate) fn encode_body(index: &StreamView) -> Vec<u8> {
     let n = index.len();
     let slots = index.slot_involvements();
@@ -246,16 +249,10 @@ pub(crate) fn encode_body(index: &StreamView) -> Vec<u8> {
     encode_date(&mut w, window.start());
     encode_date(&mut w, window.end());
 
-    // The palette is the partition map's key order; each partition
-    // stamps its code onto the records it lists.
-    let partitions = index.category_indices();
-    let mut codes = vec![0u8; n];
-    w.u16(partitions.len() as u16);
-    for (code, (cat, indices)) in partitions.iter().enumerate() {
+    let palette = index.category_palette();
+    w.u16(palette.len() as u16);
+    for cat in palette {
         w.str(cat.label());
-        for &i in indices {
-            codes[i as usize] = code as u8;
-        }
     }
 
     w.u64(n as u64);
@@ -268,7 +265,7 @@ pub(crate) fn encode_body(index: &StreamView) -> Vec<u8> {
     for &ttr in index.ttrs() {
         w.f64(ttr);
     }
-    w.raw(&codes);
+    w.raw(index.category_codes());
     for &node in index.nodes() {
         w.u32(node);
     }
@@ -300,14 +297,6 @@ pub(crate) fn encode_body(index: &StreamView) -> Vec<u8> {
     for &c in slot_counts {
         w.u64(c as u64);
     }
-
-    let racks = index.rack_counts();
-    w.u32(racks.len() as u32);
-    for &c in racks {
-        w.u64(c as u64);
-    }
-
-    w.u64(index.gpu_involvements() as u64);
 
     let tallies = index.node_tallies();
     w.u32(tallies.len() as u32);
@@ -445,13 +434,6 @@ pub(crate) fn decode_body<R: Read>(r: &mut ByteReader<R>) -> Result<ViewParts, S
         u64::from_le_bytes(b) as usize
     })?;
 
-    let n_racks = r.u32().map_err(|_| trunc("rack count"))? as usize;
-    let rack_counts = column(r, "rack tallies", n_racks, |b| {
-        u64::from_le_bytes(b) as usize
-    })?;
-
-    let gpu_involvements = r.u64().map_err(|_| trunc("gpu involvements"))? as usize;
-
     let n_tallies = r.u32().map_err(|_| trunc("node count"))? as usize;
     // Four columns of node tallies: three u32 counts and an f64 time.
     if n_tallies > r.remaining() / 20 {
@@ -507,8 +489,6 @@ pub(crate) fn decode_body<R: Read>(r: &mut ByteReader<R>) -> Result<ViewParts, S
         node_tallies,
         gpu_count_histogram,
         slot_counts,
-        rack_counts,
-        gpu_involvements,
         multi_gpu_times,
         month_counts,
     })
@@ -617,8 +597,8 @@ mod tests {
     /// sizes the columns, the GPU-slot total the counts column sums to,
     /// each tally length — is checked against the bytes left before
     /// anything is allocated for it, and the tables `from_parts` derives
-    /// are sized by the spec only after the spec's rack count matched
-    /// the stored rack tallies; an unguarded count set to all ones would
+    /// are sized by the spec only after the spec's node count matched
+    /// the stored node tallies; an unguarded count set to all ones would
     /// abort the test process on its allocation.
     mod fuzz {
         use super::*;
@@ -626,9 +606,9 @@ mod tests {
         use proptest::collection::vec;
         use proptest::prelude::*;
 
-        /// The body of a small valid snapshot: a few dozen records, some
+        /// The bulk view of a small log: a few dozen records, some
         /// multi-GPU, over two months.
-        fn valid_body() -> Vec<u8> {
+        fn valid_view() -> StreamView {
             let model = ScenarioBuilder::new("fuzz")
                 .nodes(16)
                 .gpus_per_node(4)
@@ -636,8 +616,12 @@ mod tests {
                 .window_days(60)
                 .build()
                 .expect("scenario parameters are valid");
-            let log = Simulator::new(model, 5).generate().expect("simulates");
-            encode_body(&StreamView::from(log))
+            StreamView::from(Simulator::new(model, 5).generate().expect("simulates"))
+        }
+
+        /// The body of a small valid snapshot: [`valid_view`]'s.
+        fn valid_body() -> Vec<u8> {
+            encode_body(&valid_view())
         }
 
         fn decode(bytes: &[u8]) -> Result<StreamView, String> {
@@ -650,6 +634,53 @@ mod tests {
             let body = valid_body();
             let view = decode(&body).expect("valid body decodes");
             assert!(view.len() > 20 && view.gpu_count_histogram()[2] > 0);
+            assert_eq!(encode_body(&view), body);
+        }
+
+        /// Where the palette sits in `valid_body`: after the generation,
+        /// the spec (name length, name, nodes, GPUs per node) and the
+        /// window's two dates.
+        const PALETTE_AT: usize = 1 + 4 + "fuzz".len() + 4 + 1 + 2 * 6;
+
+        #[test]
+        fn a_palette_in_another_order_with_an_unused_label_decodes_to_the_bulk_view() {
+            let bulk = valid_view();
+            let body = encode_body(&bulk);
+            let palette = bulk.category_palette();
+            assert!(palette.len() > 1);
+            let all: Vec<Category> = match bulk.generation() {
+                Generation::Tsubame2 => T2Category::ALL.iter().map(|&c| Category::T2(c)).collect(),
+                Generation::Tsubame3 => T3Category::ALL.iter().map(|&c| Category::T3(c)).collect(),
+            };
+            let unused = *all
+                .iter()
+                .find(|c| !palette.contains(c))
+                .expect("the log leaves a category unused");
+            // The palette in reverse first-arrival order, then a label no
+            // record uses, and every code renumbered to match.
+            let mut w = ByteWriter::with_capacity(256);
+            w.u16(palette.len() as u16 + 1);
+            for cat in palette.iter().rev().chain([&unused]) {
+                w.str(cat.label());
+            }
+            let stored = 2 + palette.iter().map(|c| 4 + c.label().len()).sum::<usize>();
+            let mut bytes = body[..PALETTE_AT].to_vec();
+            bytes.extend_from_slice(&w.into_bytes());
+            let records_at = bytes.len();
+            bytes.extend_from_slice(&body[PALETTE_AT + stored..]);
+            let n = bulk.len();
+            let codes_at = records_at + 8 + n * (4 + 8 + 8);
+            let last = palette.len() as u8 - 1;
+            for code in &mut bytes[codes_at..codes_at + n] {
+                *code = last - *code;
+            }
+
+            let mut r = ByteReader::new(&bytes[..], bytes.len() as u64);
+            let parts = decode_body(&mut r).expect("the reordered body decodes");
+            assert_eq!(parts.category_palette.len(), palette.len() + 1);
+            assert_ne!(parts.categories, bulk.category_codes());
+            let view = StreamView::from_parts(parts).expect("the payload is consistent");
+            assert_eq!(view, bulk);
             assert_eq!(encode_body(&view), body);
         }
 
@@ -673,11 +704,11 @@ mod tests {
         fn record_count_at(body: &[u8]) -> usize {
             let view = decode(body).expect("valid body decodes");
             let palette: usize = view
-                .category_indices()
-                .keys()
+                .category_palette()
+                .iter()
                 .map(|c| 4 + c.label().len())
                 .sum();
-            1 + 4 + "fuzz".len() + 4 + 1 + 2 * 6 + 2 + palette
+            PALETTE_AT + 2 + palette
         }
 
         #[test]

@@ -22,7 +22,7 @@
 //! CRC-32, the body carries another, and the source fingerprint binds
 //! the snapshot to the log's raw on-disk bytes (so a gzip log re-
 //! compressed at a different level is correctly treated as stale). The
-//! body stores the records as columns (format version 4), each decoded
+//! body stores the records as columns (format version 5), each decoded
 //! in one bulk pass, beside the view's two sorted order statistics.
 //!
 //! Every decision is made against a [`faillog::LogFile`] — the caller's

@@ -73,9 +73,9 @@ impl Baseline {
         let view = StreamView::new(log);
         let n = view.len().max(1);
         let category_fractions = view
-            .category_indices()
-            .iter()
-            .map(|(&c, idx)| (c, idx.len() as f64 / n as f64))
+            .category_counts()
+            .into_iter()
+            .map(|(c, count)| (c, count as f64 / n as f64))
             .collect();
         let ttr_sample = view.ttrs_sorted().to_vec();
         let mttr_hours = failstats::mean(&ttr_sample).unwrap_or(0.0);

@@ -2,10 +2,11 @@
 //! ingesting a prefix of the stream.
 //!
 //! [`WatchState`] is a [`failscope::StreamView`] plus one [`Ewma`] per
-//! category for repair times and for inter-arrival gaps. The EWMAs are
-//! the only estimators kept beside the view (reading one back would
-//! refold the category's whole history); every other figure is a read
-//! of the view:
+//! category for repair times and for inter-arrival gaps, and each
+//! category's last failure time, which the gap EWMA folds from. The
+//! EWMAs are the only estimators kept beside the view (reading one back
+//! would refold the category's whole history); every other figure is a
+//! read of the view:
 //!
 //! * since-start figures — the MTTR from the view's exact TTR sum
 //!   ([`failstats::ExactSum`], read in O(1)), the TTR quantiles from its
@@ -120,6 +121,8 @@ pub struct WatchState {
     config: StateConfig,
     ewma_ttr: BTreeMap<Category, Ewma>,
     ewma_gap: BTreeMap<Category, Ewma>,
+    /// Each category's latest failure time, hours.
+    last_failure: BTreeMap<Category, f64>,
 }
 
 impl WatchState {
@@ -135,6 +138,7 @@ impl WatchState {
             config,
             ewma_ttr: BTreeMap::new(),
             ewma_gap: BTreeMap::new(),
+            last_failure: BTreeMap::new(),
         }
     }
 
@@ -158,13 +162,8 @@ impl WatchState {
         let time = rec.time().get();
         let ttr = rec.ttr().get();
         let category = rec.category();
-        let prev = self
-            .view
-            .category_indices()
-            .get(&category)
-            .and_then(|idx| idx.last())
-            .map(|&i| self.view.times()[i as usize]);
         self.view.push(rec)?;
+        let prev = self.last_failure.insert(category, time);
 
         self.ewma_ttr
             .entry(category)

@@ -502,13 +502,13 @@ fn json_categories(state: &WatchState) -> JsonValue {
     let view = state.view();
     let n = view.len().max(1);
     JsonValue::Array(
-        view.category_indices()
-            .iter()
-            .map(|(&category, idx)| {
+        view.category_counts()
+            .into_iter()
+            .map(|(category, count)| {
                 JsonValue::object()
                     .field("category", category.label())
-                    .field("count", idx.len())
-                    .field("fraction", idx.len() as f64 / n as f64)
+                    .field("count", count)
+                    .field("fraction", count as f64 / n as f64)
                     .field("ewma_ttr_hours", state.ewma_ttr(category))
                     .build()
             })
@@ -605,11 +605,10 @@ fn category_section(state: &WatchState) -> String {
     let view = state.view();
     let n = view.len().max(1);
     let mut s = String::from("#   categories:");
-    for (&category, idx) in view.category_indices() {
+    for (category, count) in view.category_counts() {
         s.push_str(&format!(
-            " {category} {} ({:.0}%, ewma ttr {} h)",
-            idx.len(),
-            idx.len() as f64 * 100.0 / n as f64,
+            " {category} {count} ({:.0}%, ewma ttr {} h)",
+            count as f64 * 100.0 / n as f64,
             fmt_opt(state.ewma_ttr(category)),
         ));
     }

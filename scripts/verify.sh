@@ -21,9 +21,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 # ingest batch (`WatchConfig::ingest_chunk`), failbench's second file
 # loader, the view's third order statistic (the sorted and arrival-order
 # repair ends, whose one reader, the availability sweep, sorts its own),
-# CDFs that copy the view's sorted arrays, and the view's record structs
+# CDFs that copy the view's sorted arrays, the view's record structs
 # (it stores its records as columns, and a snapshot load moves them in
-# without assembling a record) stay gone.
+# without assembling a record), and the view's second copies of its
+# category column and tallies (a per-category row partition, stored
+# rack counts, a stored GPU-involvement total) stay gone.
 extra_vendor=$(ls vendor | grep -vxE 'rand|proptest' || true)
 if [ -n "$extra_vendor" ]; then
     echo "verify: unexpected vendored crates: $extra_vendor (allowed: rand, proptest)" >&2
@@ -60,6 +62,10 @@ fi
 if grep -nE '^[[:space:]]*(pub )?records: Vec<FailureRecord>,' crates/core/src/streamview.rs \
     || sed -n '/pub fn from_parts(/,/^    }$/p' crates/core/src/streamview.rs | grep -nF 'FailureRecord::new('; then
     echo "verify: StreamView holds FailureRecords again, or from_parts assembles them; the view keeps its records as columns" >&2
+    exit 1
+fi
+if grep -nE 'category_indices|^[[:space:]]*(pub )?(rack_counts|gpu_involvements):' crates/core/src/streamview.rs; then
+    echo "verify: StreamView or ViewParts holds a category partition, rack counts or a GPU-involvement total again; the view counts categories and sums the rack and involvement totals from its tallies" >&2
     exit 1
 fi
 if grep -nF 'std::fs::read' crates/api/src/engine.rs; then
