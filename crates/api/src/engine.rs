@@ -43,44 +43,46 @@
 //! cache; its error (`PATH: i/o error: ...`, whatever the index mode) is
 //! raised where execution reaches the load, after argument validation.
 //!
-//! # Stat-vouched snapshots
+//! # Vouched reads
 //!
-//! With `--index auto` or `require`, a file source is opened with
-//! [`failindex::open_log`]: when the snapshot beside it recorded the
-//! identity of the read it was built from, the open log still has that
-//! identity, and that read came more than the timestamp granularity
-//! after the log's last change, the log is not read at all. The render
-//! key is then built from the snapshot's recorded fingerprint with
-//! freshness `exact` — byte-identical to the key a read would build —
-//! and the query trace counts `index.snapshot_hit` exactly as a hashed
-//! exact hit does, so output, `metrics` and `--trace` are unchanged. The
-//! engine counts each such source on `engine.snapshots_vouched` in
-//! [`QueryEngine::metrics`]. A snapshot body that fails its checksum or
-//! decode sends the source back to the read path.
+//! One rule decides whether a file still holds the bytes a query
+//! fingerprinted: [`failindex::vouch`], git's racy-clean rule. A
+//! recorded read — the file's `stat` identity (device, inode, length,
+//! mtime, ctime) and the time just before that `stat` — vouches for the
+//! file while it still has that identity and the read came more than
+//! `G` after its last change (100 ms, or 2 s on whole-second
+//! filesystems). Warm opens and render-cache hits both use it:
 //!
-//! # Vouched fingerprints
+//! * **Warm opens.** With `--index auto` or `require`, a file source is
+//!   opened with [`failindex::open_log`]: when the snapshot beside it
+//!   recorded a read that vouches for the open log, the log is not read
+//!   at all. The render key is then built from the snapshot's recorded
+//!   fingerprint with freshness `exact` — byte-identical to the key a
+//!   read would build — and the query trace counts `index.snapshot_hit`
+//!   exactly as a hashed exact hit does, so output, `metrics` and
+//!   `--trace` are unchanged. The engine counts each such source on
+//!   `engine.snapshots_vouched` in [`QueryEngine::metrics`]. A snapshot
+//!   body that fails its checksum or decode sends the source back to
+//!   the read path.
+//! * **Render-cache hits.** Every read replaces the path's *vouched
+//!   entry*: its fingerprint (with the freshness tag when the key needs
+//!   one), the read that vouches for the log ([`LogSource::stat`]), and
+//!   a `stat` of the `.fsidx`, or its absence, taken before the open
+//!   reads the snapshot header, so a rename between the two shows up as
+//!   a changed identity. A later query re-stats both paths and reuses
+//!   the entry only when the rule vouches for the log and for the
+//!   snapshot, or the snapshot was absent and still is. The render key
+//!   is then built from the entries by the same `render_key` code, so
+//!   it is byte-identical to a fresh read's, and a hit returns without
+//!   reading (counted on `engine.fingerprints_reused`). Everything else
+//!   takes the read path above. A read torn by a concurrent write
+//!   records no identity, so it is never vouched.
 //!
-//! With a [`ChangeFeed`] installed ([`QueryEngine::with_feed`], which
-//! `faild` does), a render-cache hit can skip that read. For each file
-//! source the engine remembers a *vouched entry*: the fingerprint and
-//! freshness tag of its last read, the feed generation stamped
-//! **before** that read, and the `stat` identity (device, inode, length,
-//! mtime, ctime) of the log and of its `.fsidx`. A later query reuses
-//! the entry only if the feed reports no change to the source since the
-//! stamp (no overflow either) and a fresh `stat` of both paths still
-//! matches; the stat catches writes that raise no notification (`mmap`)
-//! and renames. The feed drains its queue at the start of each check,
-//! and a writer's notification is queued before its syscall returns, so
-//! any write that finished before the request arrived is seen.
-//!
-//! When every source of a request is vouched for, the render key is
-//! built from the vouched entries by the same `render_key` code, so it
-//! is byte-identical to a fresh read's, and a hit returns without
-//! reading. Everything else — a miss, an unvouched source, an overflow,
-//! a failed watch, no feed at all — takes the read path above. That
-//! path records a new vouched entry only when the source's stamp and
-//! stat are unchanged after the read, so a read torn by a concurrent
-//! write is never vouched for.
+//! A read within `G` of a file's last change is never vouched: until a
+//! read comes `G` after the change, each query re-reads the file. The
+//! rule's blind spots are git's: a clock stepped backwards, an NFS
+//! server whose clock runs ahead of the client's, and a single write in
+//! flight for longer than `G`.
 //!
 //! # Dirty snapshots
 //!
@@ -95,17 +97,17 @@
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
+use std::path::Path;
 use std::sync::{Arc, Mutex};
 
 use failfilter::CompiledPredicate;
-use failindex::{Freshness, IndexMode, IndexedLoad, LogSource, SourceInfo};
+use failindex::{Freshness, IndexMode, IndexedLoad, LogSource, SourceInfo, Vouch};
 use faillog::{LogFile, ParseOptions, ReadStat};
 use failscope::{SectionCtx, StreamView};
 use failsim::{Simulator, SystemModel};
 use failtrace::Collector;
 use failtypes::{Error, JsonValue, Result};
 
-use crate::feed::{self, ChangeFeed, SourceIds};
 use crate::request::{OutputFormat, QueryCmd, QueryOptions, QueryRequest, QuerySource};
 
 /// Default byte budget for the render cache (64 MiB). Rendered
@@ -253,8 +255,6 @@ pub struct QueryEngine {
     cache_bytes: usize,
     /// Host parallelism, read once: the most workers any request gets.
     max_threads: usize,
-    /// Change notifications that let a hit skip re-reading its sources.
-    feed: Option<Arc<dyn ChangeFeed>>,
     /// Per file path: the fingerprint of its last read and what vouches
     /// for it (see the module docs).
     vouched: Mutex<HashMap<String, Vouched>>,
@@ -290,17 +290,8 @@ impl QueryEngine {
             metrics: Collector::new(),
             cache_bytes,
             max_threads: failstats::available_threads(),
-            feed: None,
             vouched: Mutex::new(HashMap::new()),
         }
-    }
-
-    /// Installs a change feed, so render-cache hits on unchanged files
-    /// skip re-reading them (see the module docs). Output is unchanged:
-    /// a vouched key is byte-identical to the key a fresh read builds.
-    pub fn with_feed(mut self, feed: Arc<dyn ChangeFeed>) -> Self {
-        self.feed = Some(feed);
-        self
     }
 
     /// The worker count `opts` gets: its `threads`, capped at the host's
@@ -332,8 +323,8 @@ impl QueryEngine {
         let filter = build_filter(&req.opts)?;
         let paths = file_paths(&req.cmd);
         let needs_fsidx = req.opts.index_mode() != IndexMode::Off;
-        if let (Some(feed), false) = (&self.feed, paths.is_empty()) {
-            if let Some(prints) = self.vouched_prints(feed.as_ref(), &paths, needs_fsidx) {
+        if !paths.is_empty() {
+            if let Some(prints) = self.vouched_prints(&paths, needs_fsidx) {
                 let (key, _) = render_key(req, &paths, &prints);
                 if let Some(hit) = self.render_hit(&key) {
                     let reused = paths.len() as u64;
@@ -342,25 +333,17 @@ impl QueryEngine {
                 }
             }
         }
-        // Watches are renewed and both paths stat-ed after the stamp and
-        // before the read, so any change from here on is either
-        // notified after the stamp or seen by the second stat.
-        let before = self.feed.as_ref().map(|feed| {
-            let stamp = feed.stamp();
-            let ids: Vec<Option<SourceIds>> = paths
-                .iter()
-                .map(|path| feed.watch(path).then(|| feed::source_ids(path)).flatten())
-                .collect();
-            (stamp, ids)
-        });
         // Each file source is read exactly once, or not at all when its
         // snapshot vouches for it; the render key, the snapshot
         // decision, the parse and any snapshot saved all use these
         // bytes. A read error waits until execution reaches the load, so
-        // argument errors keep their precedence.
+        // argument errors keep their precedence. The snapshot is stat-ed
+        // before the open, which may read its header.
+        let mut snapshots = Vec::with_capacity(paths.len());
         let mut files: Vec<Result<LogSource>> = paths
             .iter()
             .map(|path| {
+                snapshots.push(ReadStat::now(&failindex::snapshot_path(path)));
                 let opened = if needs_fsidx {
                     failindex::open_log(path)
                 } else {
@@ -373,8 +356,8 @@ impl QueryEngine {
             .iter()
             .map(|file| file.as_ref().ok().map(|f| Fingerprint::of(f, needs_fsidx)))
             .collect();
-        if let (Some(feed), Some((stamp, ids)), Some(prints)) = (&self.feed, before, &prints) {
-            self.vouch(feed.as_ref(), &paths, prints, stamp, ids);
+        if let Some(prints) = &prints {
+            self.record_vouched(&paths, &files, prints, snapshots);
         }
         let key = prints.map(|prints| render_key(req, &paths, &prints));
         if let Some((key, _)) = &key {
@@ -442,12 +425,7 @@ impl QueryEngine {
     /// The vouched fingerprint of every path, or `None` unless all of
     /// them are still vouched for (and carry a freshness tag when the
     /// request's key needs one).
-    fn vouched_prints(
-        &self,
-        feed: &dyn ChangeFeed,
-        paths: &[&str],
-        needs_fsidx: bool,
-    ) -> Option<Vec<Fingerprint>> {
+    fn vouched_prints(&self, paths: &[&str], needs_fsidx: bool) -> Option<Vec<Fingerprint>> {
         let entries: Vec<Vouched> = {
             let vouched = self.vouched.lock().unwrap_or_else(|e| e.into_inner());
             paths
@@ -460,43 +438,31 @@ impl QueryEngine {
             .zip(entries)
             .map(|(path, entry)| {
                 let complete = !needs_fsidx || entry.print.fsidx.is_some();
-                (complete && still_vouched(feed, path, &entry)).then_some(entry.print)
+                (complete && entry.holds(path)).then_some(entry.print)
             })
             .collect()
     }
 
-    /// Records a vouched entry for each path whose feed stamp and stat
-    /// identities held across the read; forgets the others.
-    fn vouch(
+    /// Replaces each path's vouched entry with the read just made: the
+    /// log's vouching read and the snapshot's `stat` from before the
+    /// open. A path whose read recorded no identity (a torn read), or
+    /// whose snapshot had none, is forgotten.
+    fn record_vouched(
         &self,
-        feed: &dyn ChangeFeed,
         paths: &[&str],
+        files: &[Result<LogSource>],
         prints: &[Fingerprint],
-        stamp: u64,
-        ids: Vec<Option<SourceIds>>,
+        snapshots: Vec<Option<Option<ReadStat>>>,
     ) {
-        let held: Vec<Option<SourceIds>> = paths
-            .iter()
-            .zip(ids)
-            .map(|(path, ids)| {
-                let ids = ids?;
-                let unchanged =
-                    !feed.changed_since(path, stamp) && feed::source_ids(path) == Some(ids);
-                unchanged.then_some(ids)
-            })
-            .collect();
         let mut vouched = self.vouched.lock().unwrap_or_else(|e| e.into_inner());
-        for ((path, print), ids) in paths.iter().zip(prints).zip(held) {
-            match ids {
-                Some(ids) => {
-                    let entry = Vouched {
-                        print: print.clone(),
-                        stamp,
-                        ids,
-                    };
-                    vouched.insert((*path).to_string(), entry);
+        for (((path, file), print), fsidx) in paths.iter().zip(files).zip(prints).zip(snapshots) {
+            let log = file.as_ref().ok().and_then(LogSource::stat);
+            match (log, fsidx) {
+                (Some(log), Some(fsidx)) => {
+                    let print = print.clone();
+                    vouched.insert((*path).to_string(), Vouched { print, log, fsidx });
                 }
-                None => {
+                _ => {
                     vouched.remove(*path);
                 }
             }
@@ -504,10 +470,9 @@ impl QueryEngine {
     }
 
     /// The snapshot freshness of `path` as its vouched entry recorded
-    /// it, when the feed still vouches for that entry.
+    /// it, when the entry still holds.
     fn vouched_freshness(&self, path: &str) -> Option<Freshness> {
-        let feed = self.feed.as_deref()?;
-        self.vouched_prints(feed, &[path], true)?.pop()?.fsidx
+        self.vouched_prints(&[path], true)?.pop()?.fsidx
     }
 
     /// Writes a `.fsidx` snapshot for every cold-parsed file log the
@@ -549,8 +514,8 @@ impl QueryEngine {
     /// `model:{name}:{seed}`) for deterministic output; a file named
     /// like a model's id lists before the model. Snapshot freshness
     /// reflects the disk as of this call: it comes from the source's
-    /// vouched entry while the change feed still vouches for it, and
-    /// from a live [`failindex::probe`] otherwise.
+    /// vouched entry while that entry still holds, and from a live
+    /// [`failindex::probe`] otherwise.
     pub fn catalog(&self) -> Vec<CatalogEntry> {
         let held: Vec<(QuerySource, usize, Option<SourceInfo>)> = {
             let logs = self.logs.lock().unwrap_or_else(|e| e.into_inner());
@@ -609,7 +574,7 @@ impl QueryEngine {
 
     /// Drops every memoized state for one source: its parsed view,
     /// render-cache entries depending on it, its pending dirty
-    /// snapshot, and its vouched fingerprint and change watch. The next
+    /// snapshot, and its vouched fingerprint. The next
     /// query re-parses from disk (or regenerates the model). Render
     /// drops count as cache evictions.
     pub fn evict(&self, source: &QuerySource) -> EvictOutcome {
@@ -627,9 +592,6 @@ impl QueryEngine {
             dirty = usize::from(pending.is_some());
             let mut vouched = self.vouched.lock().unwrap_or_else(|e| e.into_inner());
             vouched.remove(path);
-            if let Some(feed) = &self.feed {
-                feed.unwatch(path);
-            }
         }
         if renders > 0 {
             self.metrics.incr("cache.evictions", renders as u64);
@@ -965,21 +927,31 @@ impl Fingerprint {
     }
 }
 
-/// A fingerprint from an earlier read, and what vouches that the file
-/// still holds those bytes.
+/// A fingerprint from an earlier read, and the reads that vouch that
+/// the log and its snapshot still hold what that read saw.
 #[derive(Debug, Clone)]
 struct Vouched {
     print: Fingerprint,
-    /// The feed generation stamped before the read.
-    stamp: u64,
-    /// The log's and the snapshot's `stat` identities at the read.
-    ids: SourceIds,
+    /// The read that vouches for the log's bytes.
+    log: ReadStat,
+    /// The snapshot's `stat` before the open; `None`: it was absent.
+    fsidx: Option<ReadStat>,
 }
 
-/// Whether `entry` still describes `path`: no change notified since its
-/// stamp, and the same `stat` identities now.
-fn still_vouched(feed: &dyn ChangeFeed, path: &str, entry: &Vouched) -> bool {
-    !feed.changed_since(path, entry.stamp) && feed::source_ids(path) == Some(entry.ids)
+impl Vouched {
+    /// Whether the entry still describes `path`, by a fresh `stat` of
+    /// the log and of its snapshot (see the module docs).
+    fn holds(&self, path: &str) -> bool {
+        let vouches = |read: ReadStat, file: &Path| {
+            failindex::vouch(Some(read), faillog::file_id(file).flatten()) == Vouch::Yes
+        };
+        let snapshot = failindex::snapshot_path(path);
+        vouches(self.log, Path::new(path))
+            && match self.fsidx {
+                Some(read) => vouches(read, &snapshot),
+                None => faillog::file_id(&snapshot) == Some(None),
+            }
+    }
 }
 
 /// Builds the render-cache key for a request from the fingerprints of
@@ -1285,73 +1257,6 @@ mod tests {
         let _ = std::fs::remove_file(&spath);
     }
 
-    /// A deterministic [`ChangeFeed`]: changes exist only when the test
-    /// injects them. With `bump_on_watch`, every watch injects a change
-    /// to the path being watched — a notification landing between the
-    /// stamp and the end of the read.
-    #[derive(Default)]
-    struct TestFeed {
-        state: Mutex<TestFeedState>,
-    }
-
-    #[derive(Default)]
-    struct TestFeedState {
-        generation: u64,
-        forgot_all: u64,
-        changed: HashMap<String, u64>,
-        watched: std::collections::HashSet<String>,
-        bump_on_watch: bool,
-    }
-
-    impl TestFeed {
-        fn with<R>(&self, f: impl FnOnce(&mut TestFeedState) -> R) -> R {
-            f(&mut self.state.lock().unwrap())
-        }
-
-        fn inject(&self, path: &str) {
-            self.with(|s| {
-                s.generation += 1;
-                s.changed.insert(path.to_string(), s.generation);
-            });
-        }
-
-        fn overflow(&self) {
-            self.with(|s| {
-                s.generation += 1;
-                s.forgot_all = s.generation;
-            });
-        }
-    }
-
-    impl ChangeFeed for TestFeed {
-        fn stamp(&self) -> u64 {
-            self.with(|s| s.generation)
-        }
-
-        fn watch(&self, path: &str) -> bool {
-            self.with(|s| {
-                s.watched.insert(path.to_string());
-                if s.bump_on_watch {
-                    s.generation += 1;
-                    s.changed.insert(path.to_string(), s.generation);
-                }
-            });
-            true
-        }
-
-        fn changed_since(&self, path: &str, stamp: u64) -> bool {
-            self.with(|s| {
-                s.forgot_all > stamp
-                    || !s.watched.contains(path)
-                    || s.changed.get(path).is_some_and(|&g| g > stamp)
-            })
-        }
-
-        fn unwatch(&self, path: &str) {
-            self.with(|s| s.watched.remove(path));
-        }
-    }
-
     /// A log at `name` holding the first `parts`/4 of a tsubame2 year.
     fn write_quarters(path: &std::path::Path, parts: usize) {
         let log = Simulator::new(SystemModel::tsubame2(), 42)
@@ -1365,64 +1270,114 @@ mod tests {
         std::fs::write(path, &text[..cut]).expect("writes");
     }
 
-    fn fed_engine() -> (QueryEngine, Arc<TestFeed>) {
-        let feed = Arc::new(TestFeed::default());
-        let engine = QueryEngine::new().with_feed(Arc::clone(&feed) as Arc<dyn ChangeFeed>);
-        (engine, feed)
+    /// Sleeps past `G` (100 ms on a filesystem with nanosecond
+    /// timestamps), so a read from now on vouches for every file last
+    /// changed before the call.
+    fn settle() {
+        std::thread::sleep(std::time::Duration::from_millis(250));
+    }
+
+    fn reused(engine: &QueryEngine) -> u64 {
+        engine.metrics().counter("engine.fingerprints_reused")
+    }
+
+    #[test]
+    fn a_read_within_g_of_a_change_is_never_vouched() {
+        let path = temp_path("racy.fslog");
+        let p = path.to_str().unwrap();
+        write_quarters(&path, 1);
+        // The log's last change is a second ahead, so every read below
+        // comes within `G` of it however slowly the test runs.
+        let ahead = std::time::SystemTime::now() + std::time::Duration::from_secs(1);
+        let file = std::fs::File::options()
+            .write(true)
+            .open(&path)
+            .expect("opens");
+        file.set_modified(ahead).expect("sets the mtime");
+        let engine = QueryEngine::new();
+        let req = QueryRequest::report(QuerySource::file(p)).sections("header");
+        for _ in 0..3 {
+            engine.execute(&req).expect("executes");
+        }
+        assert_eq!(reused(&engine), 0, "a racy read is re-read by every query");
+        // Once a read comes `G` after the change, it is vouched, and the
+        // following hit reads nothing.
+        while std::time::SystemTime::now() < ahead {
+            settle();
+        }
+        settle();
+        assert!(engine.execute(&req).expect("executes").cached);
+        assert_eq!(reused(&engine), 0, "the settled query still reads");
+        assert!(engine.execute(&req).expect("executes").cached);
+        assert_eq!(reused(&engine), 1);
+        std::fs::remove_file(&path).ok();
     }
 
     #[test]
     fn a_vouched_hit_reuses_the_fingerprint_until_a_change() {
         let path = temp_path("vouched.fslog");
         let p = path.to_str().unwrap();
+        let spath = failindex::snapshot_path(p);
         write_quarters(&path, 2);
-        let _ = std::fs::remove_file(failindex::snapshot_path(p));
-        let (engine, feed) = fed_engine();
+        let _ = std::fs::remove_file(&spath);
+        settle();
+        let engine = QueryEngine::new();
         let req = QueryRequest::report(QuerySource::file(p)).sections("header,tbf");
-        let reused = || engine.metrics().counter("engine.fingerprints_reused");
         let first = engine.execute(&req).expect("executes");
         assert!(!first.cached);
-        assert_eq!(reused(), 0, "the first query reads");
+        assert_eq!(reused(&engine), 0, "the first query reads");
         let hit = engine.execute(&req).expect("executes");
         assert!(hit.cached);
         assert_eq!(hit.output, first.output);
-        assert_eq!(reused(), 1, "an unchanged file is not re-read");
+        assert_eq!(reused(&engine), 1, "an unchanged file is not re-read");
 
-        // A notified change sends the next query back to the read path,
-        // which vouches again.
-        feed.inject(p);
-        assert!(engine.execute(&req).expect("executes").cached);
-        assert_eq!(reused(), 1);
-        engine.execute(&req).expect("executes");
-        assert_eq!(reused(), 2);
-
-        // So does an overflow, for every source.
-        feed.overflow();
-        engine.execute(&req).expect("executes");
-        assert_eq!(reused(), 2);
-
-        // A change the feed never reports (an mmap write) still shows in
-        // the stat: the grown log is re-read and re-rendered.
-        write_quarters(&path, 4);
-        let grown = engine.execute(&req).expect("executes");
-        assert!(!grown.cached);
-        assert_eq!(reused(), 2);
-        assert_eq!(
-            grown.output,
-            QueryEngine::new().execute(&req).expect("executes").output
-        );
+        // Each change sends the next query to a read. After a settle wait
+        // the entry is vouched again, and a hit reads nothing.
+        let after = |what: &str, change: &dyn Fn()| {
+            change();
+            let before = reused(&engine);
+            let reply = engine.execute(&req).expect("executes");
+            assert_eq!(reused(&engine), before, "{what}: the next query reads");
+            let fresh = QueryEngine::new().execute(&req).expect("executes");
+            assert_eq!(reply.output, fresh.output, "{what}");
+            settle();
+            engine.execute(&req).expect("executes");
+            let settled = reused(&engine);
+            assert!(engine.execute(&req).expect("executes").cached);
+            assert_eq!(reused(&engine), settled + 1, "{what}: then hits without reading");
+        };
+        after("a touch", &|| {
+            let file = std::fs::File::options()
+                .write(true)
+                .open(&path)
+                .expect("opens");
+            file.set_modified(std::time::SystemTime::now())
+                .expect("touches");
+        });
+        after("growth", &|| write_quarters(&path, 4));
+        after("an index build", &|| {
+            let auto = req.clone().index(IndexMode::Auto);
+            QueryEngine::new()
+                .execute(&auto)
+                .expect("builds the snapshot");
+            assert!(spath.exists());
+        });
+        after("a snapshot removal", &|| {
+            std::fs::remove_file(&spath).expect("removes the snapshot")
+        });
 
         // A compare needs both sources vouched; an indexed key needs the
-        // freshness tag, which an index-off read did not compute.
-        // The first auto run saves a snapshot, which changes the key of
-        // the second; the third is a vouched hit.
+        // freshness tag, which an index-off read did not compute. The
+        // first auto run saves a snapshot, which changes the key of the
+        // second; the third is a vouched hit.
         let warm = req.clone().index(IndexMode::Auto);
         engine.execute(&warm).expect("executes");
+        settle();
         assert!(!engine.execute(&warm).expect("executes").cached);
-        let before = reused();
+        let before = reused(&engine);
         let again = engine.execute(&warm).expect("executes");
         assert!(again.cached);
-        assert_eq!(reused(), before + 1);
+        assert_eq!(reused(&engine), before + 1);
         assert_eq!(
             again.output,
             QueryEngine::new().execute(&warm).expect("executes").output
@@ -1430,36 +1385,47 @@ mod tests {
         let cmp = QueryRequest::compare(p, p);
         engine.execute(&cmp).expect("executes");
         assert!(engine.execute(&cmp).expect("executes").cached);
-        assert_eq!(reused(), before + 3);
+        assert_eq!(reused(&engine), before + 3);
 
-        // Evicting drops the vouched entry and the watch.
+        // Evicting drops the vouched entry.
         engine.evict(&QuerySource::file(p));
-        assert!(!feed.with(|s| s.watched.contains(p)));
         engine.execute(&req).expect("executes");
-        assert_eq!(reused(), before + 3);
+        assert_eq!(reused(&engine), before + 3);
         std::fs::remove_file(&path).ok();
-        std::fs::remove_file(failindex::snapshot_path(p)).ok();
+        std::fs::remove_file(&spath).ok();
     }
 
     #[test]
-    fn a_change_notified_mid_read_is_never_vouched() {
-        let path = temp_path("torn.fslog");
+    fn a_stat_vouched_source_records_its_entry() {
+        let path = temp_path("stat-vouched.fslog");
         let p = path.to_str().unwrap();
-        write_quarters(&path, 1);
-        let (engine, feed) = fed_engine();
-        feed.with(|s| s.bump_on_watch = true);
-        let req = QueryRequest::report(QuerySource::file(p)).sections("header");
-        for _ in 0..3 {
-            engine.execute(&req).expect("executes");
-        }
-        assert_eq!(engine.metrics().counter("engine.fingerprints_reused"), 0);
-        assert!(engine.vouched.lock().unwrap().is_empty());
-        // Once reads stop racing changes, the next read is vouched.
-        feed.with(|s| s.bump_on_watch = false);
-        engine.execute(&req).expect("executes");
-        assert!(engine.execute(&req).expect("executes").cached);
-        assert_eq!(engine.metrics().counter("engine.fingerprints_reused"), 1);
+        let spath = failindex::snapshot_path(p);
+        write_quarters(&path, 3);
+        let _ = std::fs::remove_file(&spath);
+        let req = QueryRequest::report(QuerySource::file(p))
+            .sections("header,ttr")
+            .index(IndexMode::Auto);
+        // A snapshot built from a settled read vouches for the log.
+        settle();
+        QueryEngine::new()
+            .execute(&req)
+            .expect("builds the snapshot");
+        settle();
+        let engine = QueryEngine::new();
+        let first = engine.execute(&req).expect("executes");
+        assert!(!first.cached);
+        assert_eq!(engine.metrics().counter("engine.snapshots_vouched"), 1);
+        let hit = engine.execute(&req).expect("executes");
+        assert!(hit.cached);
+        assert_eq!(hit.output, first.output);
+        assert_eq!(
+            reused(&engine),
+            1,
+            "the vouched open's entry serves the hit"
+        );
+        assert_eq!(engine.metrics().counter("engine.snapshots_vouched"), 1);
         std::fs::remove_file(&path).ok();
+        std::fs::remove_file(&spath).ok();
     }
 
     #[test]
@@ -1469,19 +1435,21 @@ mod tests {
         write_quarters(&path, 1);
         let spath = failindex::snapshot_path(p);
         let _ = std::fs::remove_file(&spath);
-        let (engine, feed) = fed_engine();
+        let engine = QueryEngine::new();
         let req = QueryRequest::report(QuerySource::file(p))
             .sections("header")
             .index(IndexMode::Auto);
-        // The cold auto run saves a snapshot after its read: the feed
-        // would report that save, and the stat sees it either way.
+        // The cold auto run saves a snapshot after its read, so its
+        // entry (snapshot absent) no longer holds: the catalog probes.
         engine.execute(&req).expect("executes");
+        assert_eq!(engine.vouched_freshness(p), None);
         assert_eq!(engine.catalog()[0].snapshot.as_deref(), Some("exact"));
+        // A settled read's entry holds, and the catalog reads it.
+        settle();
         engine.execute(&req).expect("executes");
         assert_eq!(engine.vouched_freshness(p), Some(Freshness::Exact));
         assert_eq!(engine.catalog()[0].snapshot.as_deref(), Some("exact"));
         std::fs::remove_file(&spath).expect("removes the snapshot");
-        feed.inject(p);
         assert_eq!(engine.vouched_freshness(p), None);
         assert_eq!(engine.catalog()[0].snapshot.as_deref(), Some("missing"));
         std::fs::remove_file(&path).ok();

@@ -19,9 +19,6 @@
 //!   queries are answered without re-parsing **and still byte-identical
 //!   to a cold run** (cached load traces are replayed into each query's
 //!   collector via [`failtrace::Collector::merge_from`]).
-//! * [`feed`] — [`ChangeFeed`], the seam through which a server tells
-//!   the engine which files changed, so render-cache hits on unchanged
-//!   files skip re-reading them.
 //! * [`wire`] — the versioned NDJSON protocol (`{"v":1,...}`) spoken
 //!   over the `faild` socket, used by both the server and the
 //!   `failctl query` client so the two cannot drift.
@@ -44,7 +41,6 @@
 #![deny(unsafe_code)]
 
 pub mod engine;
-pub mod feed;
 pub mod request;
 pub mod watch;
 pub mod wire;
@@ -52,7 +48,6 @@ pub mod wire;
 pub use engine::{
     render_catalog, CatalogEntry, EvictOutcome, QueryEngine, QueryOutcome, DEFAULT_CACHE_BYTES,
 };
-pub use feed::ChangeFeed;
 pub use request::{
     parse_format, parse_index, parse_threads, OutputFormat, QueryCmd, QueryOptions, QueryRequest,
     QuerySource,

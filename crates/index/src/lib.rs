@@ -583,6 +583,18 @@ pub enum LogSource {
     Vouched(VouchedSnapshot),
 }
 
+impl LogSource {
+    /// The read that vouches for the log's bytes: the read's own stat,
+    /// or the one the vouching snapshot recorded. `None` for a read torn
+    /// by a concurrent write.
+    pub fn stat(&self) -> Option<ReadStat> {
+        match self {
+            LogSource::Read(file) => file.stat(),
+            LogSource::Vouched(vouched) => vouched.header.read,
+        }
+    }
+}
+
 /// A snapshot that vouches for its open log: its header is read and
 /// judged, its body not yet. Produced by [`open_log`].
 #[derive(Debug)]

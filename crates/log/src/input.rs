@@ -274,6 +274,16 @@ pub struct ReadStat {
     pub read_at_ns: i64,
 }
 
+impl ReadStat {
+    /// Stats `path` now, as [`file_id`] does, stamped with the time just
+    /// before the `stat`: `Some(None)` when the file is absent, `None`
+    /// when it has no identity.
+    pub fn now(path: &Path) -> Option<Option<ReadStat>> {
+        let read_at_ns = now_ns()?;
+        Some(file_id(path)?.map(|id| ReadStat { id, read_at_ns }))
+    }
+}
+
 /// Nanoseconds since the Unix epoch now; `None` if the clock is outside
 /// the `i64` range.
 fn now_ns() -> Option<i64> {

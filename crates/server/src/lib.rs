@@ -13,11 +13,8 @@
 //!   (`max_inflight` threads) that executes queries. Idle connections
 //!   cost zero CPU; slow readers are backpressured by pausing their
 //!   read side once the write backlog passes a high-water mark.
-//! * [`sys`](crate) (private) — the zero-dependency epoll and inotify
-//!   bindings (raw syscalls; the only `unsafe` in the crate).
-//! * [`notify`](crate) (private) — the inotify-backed
-//!   [`failapi::ChangeFeed`] installed in the engine, which lets a
-//!   render-cache hit on an unchanged log skip re-reading it.
+//! * [`sys`](crate) (private) — the zero-dependency epoll bindings
+//!   (raw syscalls; the only `unsafe` in the crate).
 //! * [`client`] — [`client::Connection`]: the blocking client used by
 //!   `failctl query` and the test suite, with a response deadline so a
 //!   hung server surfaces as a typed error instead of a stuck process.
@@ -31,7 +28,6 @@
 #![deny(unsafe_code)]
 
 pub mod client;
-mod notify;
 mod reactor;
 pub mod server;
 mod sys;

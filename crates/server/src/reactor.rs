@@ -35,6 +35,11 @@
 //! pipelined queries faster than it reads responses throttles itself,
 //! not the server. Request lines are capped at [`MAX_LINE`].
 //!
+//! When `accept` fails for want of descriptors (EMFILE/ENFILE) the
+//! pending connection stays queued and the level-triggered listener
+//! stays readable, so the listener is withdrawn from the poller until a
+//! connection closes or [`ACCEPT_BACKOFF`] passes, whichever is first.
+//!
 //! # Shutdown
 //!
 //! The `shutdown` command answers its own request, then drains: the
@@ -44,11 +49,12 @@
 //! snapshots after the loop returns.
 
 use std::collections::{BTreeMap, HashMap};
-use std::io::{Read, Write};
+use std::io::{ErrorKind, Read, Write};
 use std::os::fd::AsRawFd;
 use std::os::unix::net::UnixStream;
 use std::panic::AssertUnwindSafe;
 use std::sync::{mpsc, Arc, Mutex};
+use std::time::{Duration, Instant};
 
 use failapi::wire::{self, Command};
 use failapi::{QueryEngine, QueryRequest, WatchRequest};
@@ -78,6 +84,9 @@ const READ_CHUNK: usize = 64 * 1024;
 /// firehose sender cannot starve its peers (level-triggered polling
 /// revisits it immediately).
 const READ_BURST: usize = 1024 * 1024;
+/// How long the listener stays withdrawn after `accept` runs out of
+/// descriptors, unless a connection closes first.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(100);
 
 /// Work shipped to the pool: the commands whose execution cost is
 /// unbounded (`logs` may probe every cached log). Everything else is
@@ -265,6 +274,7 @@ pub(crate) fn run(
         requests: 0,
         jobs_inflight: 0,
         draining: false,
+        relisten_at: None,
     };
     reactor.serve();
     drop(reactor.job_tx.take());
@@ -368,13 +378,20 @@ struct Reactor {
     requests: u64,
     jobs_inflight: usize,
     draining: bool,
+    /// When the listener, withdrawn because `accept` ran out of
+    /// descriptors, is registered again at the latest.
+    relisten_at: Option<Instant>,
 }
 
 impl Reactor {
     fn serve(&mut self) {
         let mut events: Vec<Event> = Vec::new();
         loop {
-            if self.poller.wait(&mut events, -1).is_err() {
+            let timeout = self.relisten_at.map_or(-1, |at| {
+                let left = at.saturating_duration_since(Instant::now());
+                left.as_millis().clamp(1, i32::MAX as u128) as i32
+            });
+            if self.poller.wait(&mut events, timeout).is_err() {
                 break;
             }
             for &ev in &events {
@@ -392,7 +409,12 @@ impl Reactor {
                 }
             }
             self.drain_completions();
-            self.sweep();
+            let closed = self.sweep();
+            if let Some(at) = self.relisten_at {
+                if closed > 0 || Instant::now() >= at {
+                    self.relisten();
+                }
+            }
             let all_flushed = self.conns.values().all(Conn::flushed);
             if self.draining && self.jobs_inflight == 0 && all_flushed {
                 break;
@@ -407,11 +429,22 @@ impl Reactor {
         loop {
             let stream = match self.listener.accept() {
                 Ok(s) => s.into_low_latency(),
-                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                // Transient (fd pressure, peer reset between accept
-                // and now): level-triggered polling retries next tick.
-                Err(_) => break,
+                Err(e) => match e.kind() {
+                    ErrorKind::WouldBlock => break,
+                    // One connection failed (reset or aborted before the
+                    // accept); the ones behind it are still queued.
+                    ErrorKind::Interrupted
+                    | ErrorKind::ConnectionAborted
+                    | ErrorKind::ConnectionReset => continue,
+                    // Out of descriptors (EMFILE/ENFILE), or another error
+                    // not tied to one connection: the connection stays
+                    // queued and the listener readable, so retrying now
+                    // would spin.
+                    _ => {
+                        self.withdraw_listener();
+                        break;
+                    }
+                },
             };
             if stream.set_nonblocking(true).is_err() {
                 continue;
@@ -428,6 +461,28 @@ impl Reactor {
             self.connections += 1;
             self.engine.metrics().incr("server.connections", 1);
             self.conns.insert(token, Conn::new(stream));
+        }
+    }
+
+    /// Takes the listener out of the poller until a connection closes or
+    /// [`ACCEPT_BACKOFF`] passes ([`Reactor::relisten`]).
+    fn withdraw_listener(&mut self) {
+        if self.relisten_at.is_none() {
+            self.poller.remove(self.listener.as_raw_fd()).ok();
+        }
+        self.relisten_at = Some(Instant::now() + ACCEPT_BACKOFF);
+    }
+
+    /// Registers a withdrawn listener again, unless the server drains.
+    fn relisten(&mut self) {
+        self.relisten_at = None;
+        if !self.draining
+            && self
+                .poller
+                .add(self.listener.as_raw_fd(), LISTENER, true, false)
+                .is_err()
+        {
+            self.relisten_at = Some(Instant::now() + ACCEPT_BACKOFF);
         }
     }
 
@@ -698,8 +753,8 @@ impl Reactor {
     }
 
     /// Re-registers interest to match each connection's state and
-    /// drops finished or dead connections.
-    fn sweep(&mut self) {
+    /// drops finished or dead connections; returns how many it dropped.
+    fn sweep(&mut self) -> usize {
         let Reactor {
             poller,
             conns,
@@ -747,6 +802,7 @@ impl Reactor {
                 doomed.push(token);
             }
         }
+        let closed = doomed.len();
         for token in doomed {
             if let Some(conn) = conns.remove(&token) {
                 if conn.registered {
@@ -754,6 +810,7 @@ impl Reactor {
                 }
             }
         }
+        closed
     }
 }
 

@@ -254,8 +254,8 @@ pub fn serve(config: ServerConfig, ready: impl FnOnce(&Endpoint)) -> Result<Serv
 /// [`serve`] with a caller-built engine — the hook for configuring
 /// the render-cache byte budget (`QueryEngine::with_cache_bytes`,
 /// the `--cache-bytes` flag) or pre-warming caches before binding.
-/// The engine gets the inotify change feed where the platform has one
-/// ([`failapi::QueryEngine::with_feed`]).
+/// A render-cache hit skips re-reading a log that the engine's
+/// racy-clean `stat` rule still vouches for, on every platform.
 ///
 /// # Errors
 ///
@@ -265,12 +265,6 @@ pub fn serve_with_engine(
     engine: QueryEngine,
     ready: impl FnOnce(&Endpoint),
 ) -> Result<ServeSummary> {
-    // Without inotify (another platform, or no instances left) the
-    // engine simply re-reads each source per query.
-    let engine = match crate::notify::InotifyFeed::new() {
-        Ok(feed) => engine.with_feed(std::sync::Arc::new(feed)),
-        Err(_) => engine,
-    };
     let listener = Listener::bind(&config.endpoint)?;
     let bound = listener.bound_endpoint()?;
     ready(&bound);

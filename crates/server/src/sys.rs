@@ -1,27 +1,21 @@
-//! Zero-dependency kernel bindings for the reactor: a readiness poller
-//! and a file-change notifier.
+//! Zero-dependency kernel bindings for the reactor: a readiness poller.
 //!
-//! On Linux x86_64/aarch64 these are real `epoll` and `inotify`,
-//! reached through raw `syscall`/`svc` instructions — the repo vendors
-//! no `libc`, and the six calls `faild` needs (`epoll_create1`,
-//! `epoll_ctl`, `epoll_pwait`, `inotify_init1`, `inotify_add_watch`,
-//! `inotify_rm_watch`) have a stable ABI that fits in a few lines of
-//! inline assembly. inotify events are read through std `Read` on the
-//! owned descriptor. Everything `unsafe` lives in this module; the rest
-//! of the crate keeps `deny(unsafe_code)`.
+//! On Linux x86_64/aarch64 this is real `epoll`, reached through raw
+//! `syscall`/`svc` instructions — the repo vendors no `libc`, and the
+//! three calls `faild` needs (`epoll_create1`, `epoll_ctl`,
+//! `epoll_pwait`) have a stable ABI that fits in a few lines of inline
+//! assembly. Everything `unsafe` lives in this module; the rest of the
+//! crate keeps `deny(unsafe_code)`.
 //!
 //! On other targets a portable fallback ticks every couple of
 //! milliseconds and reports every registered descriptor as ready.
 //! Spurious readiness is harmless — all reactor I/O is non-blocking —
 //! but idle connections cost a periodic scan there instead of zero,
 //! so the fallback is a correctness bridge, not the design point.
-//! There is no notifier fallback: [`Inotify::new`] fails, and the
-//! engine re-reads every source per query, as it does without a server.
 #![allow(unsafe_code)]
 
 use std::io;
 use std::os::fd::RawFd;
-use std::path::Path;
 
 /// One readiness report from [`Poller::wait`].
 #[derive(Debug, Clone, Copy)]
@@ -70,40 +64,6 @@ impl Poller {
     }
 }
 
-/// A non-blocking inotify instance (closed on drop).
-#[derive(Debug)]
-pub(crate) struct Inotify {
-    inner: imp::Inotify,
-}
-
-impl Inotify {
-    /// `inotify_init1(IN_NONBLOCK | IN_CLOEXEC)`; fails with
-    /// `Unsupported` off Linux.
-    pub(crate) fn new() -> io::Result<Inotify> {
-        Ok(Inotify {
-            inner: imp::Inotify::new()?,
-        })
-    }
-
-    /// `inotify_add_watch`: the watch descriptor for the inode `path`
-    /// names now (the same descriptor again for an inode already
-    /// watched).
-    pub(crate) fn add_watch(&self, path: &Path, mask: u32) -> io::Result<i32> {
-        self.inner.add_watch(path, mask)
-    }
-
-    /// `inotify_rm_watch`.
-    pub(crate) fn rm_watch(&self, wd: i32) -> io::Result<()> {
-        self.inner.rm_watch(wd)
-    }
-
-    /// Reads whole event records into `buf`; `WouldBlock` when none are
-    /// queued.
-    pub(crate) fn read(&self, buf: &mut [u8]) -> io::Result<usize> {
-        self.inner.read(buf)
-    }
-}
-
 #[cfg(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64")))]
 mod imp {
     use super::Event;
@@ -121,18 +81,12 @@ mod imp {
         pub const EPOLL_CREATE1: usize = 291;
         pub const EPOLL_CTL: usize = 233;
         pub const EPOLL_PWAIT: usize = 281;
-        pub const INOTIFY_INIT1: usize = 294;
-        pub const INOTIFY_ADD_WATCH: usize = 254;
-        pub const INOTIFY_RM_WATCH: usize = 255;
     }
     #[cfg(target_arch = "aarch64")]
     mod nr {
         pub const EPOLL_CREATE1: usize = 20;
         pub const EPOLL_CTL: usize = 21;
         pub const EPOLL_PWAIT: usize = 22;
-        pub const INOTIFY_INIT1: usize = 26;
-        pub const INOTIFY_ADD_WATCH: usize = 27;
-        pub const INOTIFY_RM_WATCH: usize = 28;
     }
 
     // The kernel packs epoll_event on x86_64 only (12 bytes); every
@@ -308,66 +262,6 @@ mod imp {
             Ok(())
         }
     }
-
-    /// `O_NONBLOCK | O_CLOEXEC`, the flags `inotify_init1` takes.
-    const IN_NONBLOCK_CLOEXEC: usize = 0x800 | 0x80000;
-
-    #[derive(Debug)]
-    pub(super) struct Inotify {
-        file: std::fs::File,
-    }
-
-    impl Inotify {
-        pub(super) fn new() -> io::Result<Inotify> {
-            let fd = check(unsafe {
-                syscall6(nr::INOTIFY_INIT1, IN_NONBLOCK_CLOEXEC, 0, 0, 0, 0, 0)
-            })?;
-            // The File owns (and closes) the descriptor; reads go
-            // through its safe `Read` impl.
-            let owned = unsafe { OwnedFd::from_raw_fd(fd as RawFd) };
-            Ok(Inotify {
-                file: std::fs::File::from(owned),
-            })
-        }
-
-        pub(super) fn add_watch(&self, path: &std::path::Path, mask: u32) -> io::Result<i32> {
-            use std::os::unix::ffi::OsStrExt;
-            let cpath = std::ffi::CString::new(path.as_os_str().as_bytes())
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e))?;
-            let wd = check(unsafe {
-                syscall6(
-                    nr::INOTIFY_ADD_WATCH,
-                    self.file.as_raw_fd() as usize,
-                    cpath.as_ptr() as usize,
-                    mask as usize,
-                    0,
-                    0,
-                    0,
-                )
-            })?;
-            Ok(wd as i32)
-        }
-
-        pub(super) fn rm_watch(&self, wd: i32) -> io::Result<()> {
-            check(unsafe {
-                syscall6(
-                    nr::INOTIFY_RM_WATCH,
-                    self.file.as_raw_fd() as usize,
-                    wd as usize,
-                    0,
-                    0,
-                    0,
-                    0,
-                )
-            })
-            .map(|_| ())
-        }
-
-        pub(super) fn read(&self, buf: &mut [u8]) -> io::Result<usize> {
-            use std::io::Read;
-            (&self.file).read(buf)
-        }
-    }
 }
 
 #[cfg(not(all(target_os = "linux", any(target_arch = "x86_64", target_arch = "aarch64"))))]
@@ -440,27 +334,6 @@ mod imp {
                 }
             }
             Ok(())
-        }
-    }
-
-    #[derive(Debug)]
-    pub(super) struct Inotify;
-
-    impl Inotify {
-        pub(super) fn new() -> io::Result<Inotify> {
-            Err(io::ErrorKind::Unsupported.into())
-        }
-
-        pub(super) fn add_watch(&self, _path: &std::path::Path, _mask: u32) -> io::Result<i32> {
-            Err(io::ErrorKind::Unsupported.into())
-        }
-
-        pub(super) fn rm_watch(&self, _wd: i32) -> io::Result<()> {
-            Err(io::ErrorKind::Unsupported.into())
-        }
-
-        pub(super) fn read(&self, _buf: &mut [u8]) -> io::Result<usize> {
-            Err(io::ErrorKind::Unsupported.into())
         }
     }
 }

@@ -72,7 +72,15 @@ if grep -nF 'std::fs::read' crates/api/src/engine.rs; then
     echo "verify: QueryEngine reads a log file itself instead of through faillog::LogFile" >&2
     exit 1
 fi
-# Unsafe containment: the raw-syscall epoll and inotify bindings in
+# One rule vouches for an unchanged log: failindex::vouch, the racy-clean
+# stat rule, serves warm opens and faild's render-cache hits alike. The
+# inotify change feed it replaced must not come back.
+if [ -e crates/server/src/notify.rs ] \
+    || grep -rniE 'ChangeFeed|with_feed|inotify' crates/; then
+    echo "verify: a file-change feed is back (notify.rs, ChangeFeed, with_feed or inotify under crates/); faild's hits use failindex::vouch" >&2
+    exit 1
+fi
+# Unsafe containment: the raw-syscall epoll bindings in
 # crates/server/src/sys.rs are the only unsafe code under crates/. An
 # `allow(unsafe_code)` or an unsafe block, fn, impl or trait anywhere
 # else fails the gate.
