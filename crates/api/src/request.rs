@@ -117,7 +117,7 @@ impl QueryOptions {
     /// The effective snapshot policy ([`IndexMode::Off`] when the flag
     /// was not given).
     pub fn index_mode(&self) -> IndexMode {
-        self.index.unwrap_or(IndexMode::Off)
+        self.index.unwrap_or_default()
     }
 }
 

@@ -78,7 +78,7 @@ impl WatchRequest {
 pub fn run(req: &WatchRequest, out: &mut dyn io::Write) -> Result<Collector> {
     let source_arg = req.source.as_str();
     let filter = compile_filter(req.where_expr.as_deref(), None, None)?;
-    let persist_index = match req.index.unwrap_or(IndexMode::Off) {
+    let persist_index = match req.index.unwrap_or_default() {
         IndexMode::Off => false,
         IndexMode::Auto => true,
         IndexMode::Require => {

@@ -21,8 +21,10 @@
 //!
 //! Every analysis reads one index, [`StreamView`]: build it once per log
 //! (`StreamView::from(log)`, record by record for a live stream, or
-//! decoded from an on-disk snapshot) and hand it to each analysis's
-//! `from_index` constructor.
+//! decoded from an on-disk `.fsidx` snapshot, whose body the view writes
+//! and reads itself: [`StreamView::encode_body`],
+//! [`StreamView::decode_body`], [`FORMAT_VERSION`]) and hand it to each
+//! analysis's `from_index` constructor.
 //!
 //! # Examples
 //!
@@ -75,7 +77,7 @@ pub use report::{
 };
 pub use seasonal::{MonthBucket, SeasonalAnalysis};
 pub use spatial::{NodeDistribution, RackDistribution, RackShare, SlotDistribution, SlotShare};
-pub use streamview::{NodeTally, RecordRef, StreamView, StreamViewError, ViewParts};
+pub use streamview::{NodeTally, RecordRef, StreamView, StreamViewError, FORMAT_VERSION};
 pub use tbf::{
     class_mtbf_hours, gpu_involvement_mtbf_hours, per_category_tbf, CategoryTbf, TbfAnalysis,
 };

@@ -6,7 +6,7 @@
 //! software locus, and the GPU slots, concatenated into one slot column
 //! with a per-record end offset. These are the columns a `.fsidx`
 //! snapshot stores, so a snapshot load moves them in
-//! ([`StreamView::from_parts`]) and assembles no record. A reader takes
+//! ([`StreamView::decode_body`]) and assembles no record. A reader takes
 //! a column directly ([`StreamView::times`], [`StreamView::ttrs`],
 //! [`StreamView::slot_involvements`], ...) or a row through
 //! [`RecordRef`] ([`StreamView::rows`], [`StreamView::row`]), which
@@ -53,7 +53,7 @@
 //! beside its record count, so the MTTR, a monthly MTTR, or a
 //! trailing-window TTR sample or slot share (a slice of the TTR or slot
 //! column) is an O(1) or O(window) read. The sums are exact and rounded
-//! once per read, so the bulk build and [`StreamView::from_parts`]
+//! once per read, so the bulk build and [`StreamView::decode_body`]
 //! (which take the TTR total as the merge of the month sums) and `push`
 //! (which adds each repair to both) agree on every mean whatever order
 //! they add the values in. The per-node tallies make the per-node
@@ -72,15 +72,14 @@
 //! * a writer forces it ([`StreamView::materialize`], which the watch
 //!   loop calls before every summary, forces the repair run whose
 //!   quantiles a summary reads, but not the gap run, which no summary
-//!   reads; `into_parts` forces both) or a reader asks for the
-//!   materialized array ([`StreamView::ttrs_sorted`] or
-//!   [`StreamView::gaps_sorted`], including every analysis's
-//!   `from_index`). A
-//!   forced merge of `t` pending values costs O(t log n) compares plus
-//!   one memmove of the run values displaced above the smallest of
-//!   them; a read pays one O(run + tail) merge into a cache kept until
-//!   the next write, so summary refreshes between ingest bursts cost
-//!   one merge, not one per access.
+//!   reads) or a reader asks for the materialized array
+//!   ([`StreamView::ttrs_sorted`] or [`StreamView::gaps_sorted`],
+//!   including every analysis's `from_index`). A forced merge of `t`
+//!   pending values costs O(t log n) compares plus one memmove of the
+//!   run values displaced above the smallest of them; a read pays one
+//!   O(run + tail) merge into a cache kept until the next write, so
+//!   summary refreshes between ingest bursts cost one merge, not one
+//!   per access.
 //!
 //! The old design kept the arrays always-sorted with binary-search
 //! `Vec::insert`, an O(n) memmove per record and O(n²) over the stream
@@ -107,6 +106,10 @@ use failtypes::{
     days_in_month, Category, Date, Domain, FailureLog, FailureRecord, Generation, GpuSlot, Hours,
     InvalidRecordError, NodeId, ObservationWindow, SoftwareLocus, SystemSpec,
 };
+
+mod snapshot;
+
+pub use snapshot::FORMAT_VERSION;
 
 /// Error from [`StreamView::push`].
 #[derive(Debug, Clone, PartialEq)]
@@ -533,72 +536,6 @@ pub struct StreamView {
     month_buckets: MonthBuckets,
 }
 
-/// The persisted payload of a [`StreamView`] — exactly the state a
-/// `failindex` snapshot stores on disk, with the cheaply re-derivable
-/// arrays left out.
-///
-/// The records travel as the view's own columns, one entry per record
-/// in arrival order, so a loader converts each column in one bulk pass
-/// and [`StreamView::from_parts`] moves them in: no record is assembled.
-/// The view derives its per-record slot offsets from `gpu_counts`,
-/// renumbers the category codes into its first-arrival palette order
-/// and counts each category in one pass over the code column, and reads
-/// the month buckets as runs of `ttrs`: records arrive in time order, so
-/// each month's repair durations are a contiguous run of the record
-/// sequence and per-month *counts* fully determine the bucketing. The
-/// two sorted arrays are stored because re-deriving them costs a sort on
-/// every load, and every report reads both; the per-node tallies and the
-/// GPU-count histogram because rebuilding them costs a scattered or
-/// branchy pass over every record, several times the cost of a few
-/// kilobytes of stored counts. The per-rack counts and the
-/// GPU-involvement total are not stored: the view sums them from the
-/// node tallies, the slot counts and the histogram when read.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ViewParts {
-    /// The system generation.
-    pub generation: Generation,
-    /// The system spec.
-    pub spec: SystemSpec,
-    /// The observation window.
-    pub window: ObservationWindow,
-    /// Record ids.
-    pub ids: Vec<u32>,
-    /// Failure times, hours.
-    pub times: Vec<f64>,
-    /// Repair durations, hours.
-    pub ttrs: Vec<f64>,
-    /// The distinct categories the records carry.
-    pub category_palette: Vec<Category>,
-    /// Each record's category, as an index into `category_palette`.
-    pub categories: Vec<u8>,
-    /// Each record's node id.
-    pub nodes: Vec<u32>,
-    /// Each record's software root locus.
-    pub loci: Vec<Option<SoftwareLocus>>,
-    /// How many GPU slots each record names.
-    pub gpu_counts: Vec<u8>,
-    /// Every record's GPU slots, concatenated in arrival order.
-    pub slots: Vec<GpuSlot>,
-    /// Repair durations sorted ascending (one per record).
-    pub ttrs_sorted: Vec<f64>,
-    /// Inter-arrival gaps sorted ascending (one per record after the
-    /// first).
-    pub gaps_sorted: Vec<f64>,
-    /// Software root-locus counts.
-    pub locus_counts: BTreeMap<SoftwareLocus, usize>,
-    /// One tally per node of the spec, indexed by node id.
-    pub node_tallies: Vec<NodeTally>,
-    /// GPU-category records by number of GPUs involved, indexed
-    /// `0..=gpus_per_node`.
-    pub gpu_count_histogram: Vec<usize>,
-    /// GPU-failure involvements per slot.
-    pub slot_counts: Vec<usize>,
-    /// Arrival times of multi-GPU failures.
-    pub multi_gpu_times: Vec<f64>,
-    /// Records per `window.months()` bucket, in month order.
-    pub month_counts: Vec<usize>,
-}
-
 impl From<FailureLog> for StreamView {
     /// Indexes a finished log in bulk: one pass over the records, then
     /// one sort per order statistic. A [`FailureLog`] is already
@@ -697,234 +634,6 @@ impl StreamView {
     pub fn trace_index(&self, trace: &Collector) {
         trace.span("index.logview").add_items(self.len() as u64);
         trace.observe_sorted_hours("index.ttr_hours", self.ttrs_sorted());
-    }
-
-    /// Decomposes the view into the persistable [`ViewParts`] payload,
-    /// moving the record columns out and materializing both sorted
-    /// arrays. The inverse of [`StreamView::from_parts`].
-    pub fn into_parts(mut self) -> ViewParts {
-        self.ttrs_sorted.materialize();
-        self.gaps_sorted.materialize();
-        let gpu_counts = self.gpu_counts().collect();
-        ViewParts {
-            generation: self.generation,
-            spec: self.spec,
-            window: self.window,
-            ids: self.ids,
-            times: self.times,
-            ttrs: self.ttrs,
-            category_palette: self.palette,
-            categories: self.codes,
-            nodes: self.nodes,
-            loci: self.loci,
-            gpu_counts,
-            slots: self.slot_involvements,
-            ttrs_sorted: self.ttrs_sorted.run,
-            gaps_sorted: self.gaps_sorted.run,
-            locus_counts: self.locus_counts,
-            node_tallies: self.node_tallies,
-            gpu_count_histogram: self.gpu_count_histogram,
-            slot_counts: self.slot_counts,
-            multi_gpu_times: self.multi_gpu_times,
-            month_counts: self.month_buckets.counts,
-        }
-    }
-
-    /// Reassembles a view from persisted [`ViewParts`]: the record
-    /// columns move in as they are, and the indexes the payload omits
-    /// (the per-record slot offsets, the category counts, the month
-    /// sums) are re-derived in O(n) — one pass over the code column
-    /// bounds-checks each code, renumbers it into first-arrival palette
-    /// order and counts it — with no per-record allocation, no sorting,
-    /// no re-validation of individual records (the caller vouches for the
-    /// payload, e.g. via a checksum). In debug builds the result is
-    /// additionally checked against a full per-record rebuild, and
-    /// refused when it differs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`failtypes::Error::Run`] when the payload's shapes are
-    /// inconsistent (a column or sorted array whose length does not
-    /// match the record count, a sorted array out of order, month
-    /// buckets not matching the window, tallies or the GPU-count
-    /// histogram not matching the spec,
-    /// a category code outside the palette, a record naming a node
-    /// outside the spec) — the signal for a snapshot loader to fall back
-    /// to a cold parse.
-    pub fn from_parts(parts: ViewParts) -> Result<Self, failtypes::Error> {
-        let ViewParts {
-            generation,
-            spec,
-            window,
-            ids,
-            times,
-            ttrs,
-            category_palette,
-            mut categories,
-            nodes,
-            loci,
-            gpu_counts,
-            slots,
-            ttrs_sorted,
-            gaps_sorted,
-            locus_counts,
-            node_tallies,
-            gpu_count_histogram,
-            slot_counts,
-            multi_gpu_times,
-            month_counts,
-        } = parts;
-        let n = ids.len();
-        let shape_err = |what: &str| {
-            failtypes::Error::run(format!("inconsistent snapshot payload: {what}"))
-        };
-        // Count the window's months before listing them, so a corrupt
-        // window never allocates more buckets than the payload stores.
-        if window.month_count() != month_counts.len() {
-            return Err(shape_err("month buckets do not match the window"));
-        }
-        let columns = [
-            times.len(),
-            ttrs.len(),
-            categories.len(),
-            nodes.len(),
-            loci.len(),
-            gpu_counts.len(),
-        ];
-        if columns.iter().any(|&len| len != n) {
-            return Err(shape_err("record columns do not match the record count"));
-        }
-        if gpu_counts.iter().map(|&c| usize::from(c)).sum::<usize>() != slots.len()
-            || u32::try_from(slots.len()).is_err()
-        {
-            return Err(shape_err("GPU slots do not match the per-record counts"));
-        }
-        if ttrs_sorted.len() != n || gaps_sorted.len() != n.saturating_sub(1) {
-            return Err(shape_err("sorted arrays do not match the record count"));
-        }
-        if month_counts.iter().sum::<usize>() != n {
-            return Err(shape_err("month bucket totals do not match the record count"));
-        }
-        if slot_counts.len() != spec.gpus_per_node() as usize
-            || node_tallies.len() != spec.nodes() as usize
-            || gpu_count_histogram.len() != spec.gpus_per_node() as usize + 1
-        {
-            return Err(shape_err("per-node/slot tallies do not match the spec"));
-        }
-        if nodes.iter().any(|&node| node >= spec.nodes()) {
-            return Err(shape_err("a record names a node outside the spec"));
-        }
-        // Categories are a small closed set, so a long palette meets its
-        // first duplicate early and this stays a few dozen compares.
-        let distinct = category_palette
-            .iter()
-            .enumerate()
-            .all(|(i, c)| !category_palette[..i].contains(c));
-        if !distinct {
-            return Err(shape_err("category palette entries are not distinct"));
-        }
-        let ascending = |xs: &[f64]| xs.windows(2).all(|w| w[0] <= w[1]);
-        if !ascending(&ttrs_sorted) || !ascending(&gaps_sorted) {
-            return Err(shape_err("sorted arrays are not in ascending order"));
-        }
-
-        // The view lists its palette in first-arrival order, as a push
-        // or a bulk build meets the categories: one pass renumbers the
-        // codes in place and counts them, and palette entries no record
-        // uses drop out. A code is bounds-checked when first met; later
-        // ones hit the table.
-        let mut renumbered: [Option<u8>; 256] = [None; 256];
-        let mut palette = Vec::with_capacity(category_palette.len());
-        let mut category_counts: Vec<usize> = Vec::with_capacity(category_palette.len());
-        for code in &mut categories {
-            let slot = &mut renumbered[usize::from(*code)];
-            let new = match *slot {
-                Some(new) => new,
-                None => {
-                    let category = *category_palette
-                        .get(usize::from(*code))
-                        .ok_or_else(|| shape_err("a category code lies outside the palette"))?;
-                    palette.push(category);
-                    category_counts.push(0);
-                    *slot.insert((palette.len() - 1) as u8)
-                }
-            };
-            category_counts[usize::from(new)] += 1;
-            *code = new;
-        }
-        let mut slot_end = 0u32;
-        let slot_ends = gpu_counts
-            .iter()
-            .map(|&count| {
-                slot_end += u32::from(count);
-                slot_end
-            })
-            .collect();
-        // Each month's bucket is a contiguous run of the arrival-order
-        // TTRs (time order makes each month one run), summed exactly.
-        // Every record lies in one bucket, so the TTR total is the merge
-        // of the month sums, as in the bulk build.
-        let mut offset = 0usize;
-        let sums = month_counts
-            .iter()
-            .map(|&count| {
-                offset += count;
-                ttrs[offset - count..offset].iter().copied().collect()
-            })
-            .collect();
-        let month_buckets = MonthBuckets {
-            counts: month_counts,
-            sums,
-        };
-        let ttr_sum = month_buckets.total();
-        let month_cursor = month_buckets
-            .counts
-            .iter()
-            .rposition(|&c| c > 0)
-            .unwrap_or(0);
-
-        let view = StreamView {
-            generation,
-            spec,
-            window,
-            month_starts: month_starts(window),
-            month_cursor,
-            ids,
-            times,
-            ttrs,
-            codes: categories,
-            palette,
-            category_counts,
-            nodes,
-            loci,
-            slot_ends,
-            slot_involvements: slots,
-            ttrs_sorted: SortedRun::from_sorted(ttrs_sorted),
-            ttr_sum,
-            gaps_sorted: SortedRun::from_sorted(gaps_sorted),
-            locus_counts,
-            node_tallies,
-            slot_counts,
-            gpu_count_histogram,
-            multi_gpu_times,
-            month_buckets,
-        };
-        #[cfg(debug_assertions)]
-        {
-            let mut rebuilt =
-                StreamView::empty(view.generation, view.spec.clone(), view.window);
-            for rec in view.rows().map(RecordRef::to_record) {
-                rebuilt
-                    .push(rec)
-                    .map_err(|e| shape_err(&format!("records do not revalidate: {e}")))?;
-            }
-            // A checksummed payload never diverges; one that does is
-            // refused like any other inconsistent payload.
-            if rebuilt != view {
-                return Err(shape_err("diverges from a per-record rebuild"));
-            }
-        }
-        Ok(view)
     }
 
     /// Validates and incorporates one record, updating every index.
@@ -1400,6 +1109,13 @@ mod tests {
         sv
     }
 
+    /// `view` saved to a snapshot body and loaded back.
+    fn restored(view: &StreamView) -> StreamView {
+        let body = view.encode_body();
+        let mut r = faillog::ByteReader::new(&body[..], body.len() as u64);
+        StreamView::decode_body(&mut r).expect("an encoded view decodes")
+    }
+
     /// Asserts that the two sorted arrays, the per-node tallies, the
     /// GPU-count histogram, the category counts and groupings, the rack
     /// counts and the GPU-involvement total of `view` equal oracles
@@ -1475,13 +1191,12 @@ mod tests {
             }
             assert_derived_indexes_match_the_records(&chunked, "extend");
 
-            let restored = StreamView::from_parts(chunked.into_parts()).unwrap();
-            assert_derived_indexes_match_the_records(&restored, "from_parts");
+            assert_derived_indexes_match_the_records(&restored(&chunked), "decode_body");
 
             let cut = log.len() / 3;
             let mut prefix = StreamView::empty_like(&log);
             prefix.extend(log.records()[..cut].to_vec()).unwrap();
-            let mut grown = StreamView::from_parts(prefix.into_parts()).unwrap();
+            let mut grown = restored(&prefix);
             grown.extend(log.records()[cut..].to_vec()).unwrap();
             assert_derived_indexes_match_the_records(&grown, "prefix + extend");
             assert_eq!(grown, bulk);
@@ -1493,16 +1208,17 @@ mod tests {
     }
 
     #[test]
-    fn materialize_leaves_the_gap_tail_pending_but_into_parts_merges_it() {
+    fn materialize_leaves_the_gap_tail_pending_but_a_snapshot_stores_it_merged() {
         let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
         let mut sv = feed(&log);
         sv.materialize();
         assert!(sv.ttrs_sorted.tail.is_empty());
         assert!(!sv.gaps_sorted.tail.is_empty(), "the gap tail merges on read only");
         let expected = StreamView::new(&log);
+        let loaded = restored(&sv);
+        assert!(loaded.gaps_sorted.tail.is_empty());
+        assert_eq!(loaded.gaps_sorted.run, expected.gaps_sorted());
         assert_eq!(sv.gaps_sorted(), expected.gaps_sorted());
-        let parts = sv.into_parts();
-        assert_eq!(parts.gaps_sorted, expected.gaps_sorted());
     }
 
     mod columns {
@@ -1565,14 +1281,15 @@ mod tests {
             FailureLog::with_spec(generation, spec, window, records).unwrap()
         }
 
-        /// `parts` with its palette listed in reverse and the codes
-        /// renumbered to match: the same records, as a snapshot written
-        /// in another palette order carries them.
-        fn reversed_palette(mut parts: ViewParts) -> ViewParts {
-            let last = parts.category_palette.len().saturating_sub(1) as u8;
-            parts.category_palette.reverse();
-            parts.categories.iter_mut().for_each(|code| *code = last - *code);
-            parts
+        /// `view` with its palette listed in reverse and the codes and
+        /// counts renumbered to match: the same records, as a snapshot
+        /// written in another palette order carries them.
+        fn reversed_palette(mut view: StreamView) -> StreamView {
+            let last = view.palette.len().saturating_sub(1) as u8;
+            view.palette.reverse();
+            view.category_counts.reverse();
+            view.codes.iter_mut().for_each(|code| *code = last - *code);
+            view
         }
 
         proptest! {
@@ -1594,10 +1311,9 @@ mod tests {
                 let mut pushed = StreamView::empty_like(&log);
                 pushed.extend(log.records().to_vec()).unwrap();
                 prop_assert_eq!(&pushed, &bulk);
-                let restored = StreamView::from_parts(pushed.clone().into_parts()).unwrap();
-                prop_assert_eq!(&restored, &bulk);
-                let reordered =
-                    StreamView::from_parts(reversed_palette(bulk.clone().into_parts())).unwrap();
+                let loaded = restored(&pushed);
+                prop_assert_eq!(&loaded, &bulk);
+                let reordered = restored(&reversed_palette(bulk.clone()));
                 prop_assert_eq!(&reordered, &bulk);
 
                 let keep = |r: &FailureRecord| {
@@ -1607,7 +1323,7 @@ mod tests {
                 oracle
                     .extend(log.records().iter().filter(|r| keep(r)).cloned())
                     .unwrap();
-                for (view, what) in [(&bulk, "bulk"), (&pushed, "push"), (&restored, "from_parts")] {
+                for (view, what) in [(&bulk, "bulk"), (&pushed, "push"), (&loaded, "decode_body")] {
                     let records: Vec<FailureRecord> = view.rows().map(RecordRef::to_record).collect();
                     prop_assert_eq!(records.as_slice(), log.records());
                     for (i, rec) in log.records().iter().enumerate() {
@@ -1988,9 +1704,9 @@ mod tests {
         for chunk in log.records().chunks(7) {
             chunked.extend(chunk.to_vec()).unwrap();
         }
-        let restored = StreamView::from_parts(chunked.clone().into_parts()).unwrap();
+        let loaded = restored(&chunked);
         let bits = |x: Option<f64>| x.map(f64::to_bits);
-        for view in [StreamView::new(&log), chunked, restored] {
+        for view in [StreamView::new(&log), chunked, loaded] {
             let sums = view.month_ttr_sums();
             assert_eq!(sums.len(), view.month_ttrs().len());
             for (bucket, sum) in view.month_ttrs().zip(sums) {
@@ -2084,6 +1800,8 @@ mod tests {
         assert_eq!(sv.len(), 1);
     }
 
+    /// A view saved to a snapshot body and loaded back holds every index
+    /// of the view saved and of a bulk build.
     #[test]
     fn parts_roundtrip_preserves_every_index_and_extends() {
         for (model, seed) in [
@@ -2092,82 +1810,25 @@ mod tests {
         ] {
             let log = Simulator::new(model, seed).generate().unwrap();
             let sv = feed(&log);
-            let parts = sv.clone().into_parts();
-            assert_eq!(parts.ids.len(), log.len());
-            assert_eq!(parts.month_counts.iter().sum::<usize>(), log.len());
-            let restored = StreamView::from_parts(parts).unwrap();
-            assert_eq!(restored, sv);
-            assert_eq!(restored, StreamView::from(log));
+            let loaded = restored(&sv);
+            assert_eq!(loaded.len(), log.len());
+            assert_eq!(loaded.month_counts().iter().sum::<usize>(), log.len());
+            assert_eq!(loaded, sv);
+            assert_eq!(loaded, StreamView::from(log));
         }
     }
 
     #[test]
-    fn from_parts_extends_like_a_live_view() {
+    fn a_loaded_snapshot_extends_like_a_live_view() {
         // Restore from a prefix, extend with the rest: identical to one
         // continuous stream (the snapshot prefix-extension invariant).
         let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
         let cut = log.len() / 2;
         let mut prefix = StreamView::empty_like(&log);
         prefix.extend(log.records()[..cut].to_vec()).unwrap();
-        let mut restored = StreamView::from_parts(prefix.into_parts()).unwrap();
-        restored.extend(log.records()[cut..].to_vec()).unwrap();
-        assert_eq!(restored, feed(&log));
-    }
-
-    #[test]
-    fn from_parts_rejects_inconsistent_shapes() {
-        let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
-        let good = feed(&log).into_parts();
-        let mut dropped_ttr = good.clone();
-        dropped_ttr.ttrs_sorted.pop();
-        let mut bad_months = good.clone();
-        bad_months.month_counts.pop();
-        let mut bad_month_total = good.clone();
-        if let Some(first) = bad_month_total.month_counts.first_mut() {
-            *first += 1;
-        }
-        let mut bad_slots = good.clone();
-        bad_slots.slot_counts.push(0);
-        let mut unsorted = good.clone();
-        unsorted.ttrs_sorted.reverse();
-        let mut dropped_gap = good.clone();
-        dropped_gap.gaps_sorted.pop();
-        let mut unsorted_gaps = good.clone();
-        unsorted_gaps.gaps_sorted.reverse();
-        let mut stray_node = good.clone();
-        stray_node.nodes[0] = stray_node.spec.nodes();
-        let mut stray_code = good.clone();
-        stray_code.categories[0] = stray_code.category_palette.len() as u8;
-        let mut twice = good.clone();
-        twice.category_palette.push(twice.category_palette[0]);
-        let mut short_column = good.clone();
-        short_column.ttrs.pop();
-        let mut dropped_slot = good.clone();
-        dropped_slot.slots.pop();
-        let mut dropped_tally = good.clone();
-        dropped_tally.node_tallies.pop();
-        let mut wide_histogram = good.clone();
-        wide_histogram.gpu_count_histogram.push(0);
-        for parts in [
-            dropped_ttr,
-            bad_months,
-            bad_month_total,
-            bad_slots,
-            unsorted,
-            dropped_gap,
-            unsorted_gaps,
-            stray_node,
-            stray_code,
-            twice,
-            short_column,
-            dropped_slot,
-            dropped_tally,
-            wide_histogram,
-        ] {
-            let err = StreamView::from_parts(parts).unwrap_err();
-            assert!(err.to_string().contains("snapshot payload"), "{err}");
-        }
-        assert!(StreamView::from_parts(good).is_ok());
+        let mut loaded = restored(&prefix);
+        loaded.extend(log.records()[cut..].to_vec()).unwrap();
+        assert_eq!(loaded, feed(&log));
     }
 
     #[test]

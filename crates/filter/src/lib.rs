@@ -165,7 +165,7 @@ pub fn time_literal(raw: &str) -> Result<String> {
             return Ok(format!("{h}"));
         }
     }
-    if parse_date(t).is_some() {
+    if Date::parse_ymd(t).is_some() {
         return Ok(format!("\"{t}\""));
     }
     Err(Error::args(format!(
@@ -556,7 +556,7 @@ fn bound_value(src: &str, field: NumField, value: &Value) -> Result<Bound> {
             }
             Ok(Bound::Hours(*n))
         }
-        ValueKind::Str(s) if field == NumField::Time => match parse_date(s) {
+        ValueKind::Str(s) if field == NumField::Time => match Date::parse_ymd(s) {
             Some(date) => Ok(Bound::Date(date)),
             None => Err(annotate(
                 src,
@@ -577,18 +577,6 @@ fn bound_value(src: &str, field: NumField, value: &Value) -> Result<Bound> {
             ))
         }
     }
-}
-
-/// Parses a strict `YYYY-MM-DD` calendar date.
-fn parse_date(s: &str) -> Option<Date> {
-    let mut parts = s.split('-');
-    let year = parts.next()?.parse::<i32>().ok()?;
-    let month = parts.next()?.parse::<u8>().ok()?;
-    let day = parts.next()?.parse::<u8>().ok()?;
-    if parts.next().is_some() {
-        return None;
-    }
-    Date::new(year, month, day)
 }
 
 // ---------------------------------------------------------------------------

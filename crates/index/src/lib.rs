@@ -22,8 +22,11 @@
 //! CRC-32, the body carries another, and the source fingerprint binds
 //! the snapshot to the log's raw on-disk bytes (so a gzip log re-
 //! compressed at a different level is correctly treated as stale). The
-//! body stores the records as columns (format version 5), each decoded
-//! in one bulk pass, beside the view's two sorted order statistics.
+//! body is the view's own encoding: `failscope` decides which facts it
+//! stores and writes and reads them
+//! ([`StreamView::encode_body`], [`StreamView::decode_body`]), and this
+//! crate frames it with the header, checksums it, and judges whether a
+//! snapshot is still warm for its log.
 //!
 //! Every decision is made against a [`faillog::LogFile`] — the caller's
 //! one read of the log, already fingerprinted — so [`freshness`] reads
@@ -69,7 +72,6 @@
 #![warn(missing_debug_implementations)]
 #![deny(unsafe_code)]
 
-mod bytes;
 mod format;
 
 use std::fmt;
@@ -79,15 +81,14 @@ use std::path::{Path, PathBuf};
 use std::str::FromStr;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use faillog::{crc32, Compression, FileId, LogFile, ReadStat};
+use faillog::{crc32, ByteReader, Compression, FileId, LogFile, ReadStat};
 use failscope::StreamView;
 use failtrace::Collector;
 use failtypes::Error;
 
-use crate::bytes::ByteReader;
-
 pub use faillog::SourceInfo;
-pub use format::{Header, FORMAT_VERSION, HEADER_LEN};
+pub use failscope::FORMAT_VERSION;
+pub use format::{Header, HEADER_LEN};
 
 /// A loaded `.fsidx` snapshot: a fully-reconstructed [`StreamView`]
 /// plus the source fingerprint it was built against. Reports render from
@@ -126,10 +127,11 @@ impl Snapshot {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum IndexMode {
     /// Use a warm snapshot when one validates; otherwise parse cold and
-    /// refresh the snapshot best-effort. The default.
-    #[default]
+    /// refresh the snapshot best-effort.
     Auto,
-    /// Ignore snapshots entirely: always parse the log.
+    /// Ignore snapshots entirely: always parse the log. The default,
+    /// what a command does when `--index` is not given.
+    #[default]
     Off,
     /// Insist on a warm (exact or prefix) snapshot; error otherwise.
     Require,
@@ -229,7 +231,7 @@ pub fn save_traced(
     trace: Option<&Collector>,
 ) -> Result<u64, Error> {
     let path = path.as_ref();
-    let body = format::encode_body(index);
+    let body = index.encode_body();
     let header = Header {
         version: FORMAT_VERSION,
         source,
@@ -273,9 +275,8 @@ fn read_header(path: &Path) -> std::io::Result<(fs::File, Result<Header, String>
 }
 
 /// Streams the body of the snapshot `file` (positioned after `header`)
-/// through the decoder and its checksum, then reassembles the view.
-/// Only one read chunk is resident beside the decoded columns, and
-/// `from_parts` frees the columns the view does not keep.
+/// through the view's decoder and its checksum. Only one read chunk is
+/// resident beside the decoded columns.
 fn decode_snapshot(file: fs::File, header: &Header) -> Result<Snapshot, String> {
     let len = file.metadata().map_err(|e| e.to_string())?.len();
     let body_len = len.saturating_sub(HEADER_LEN as u64);
@@ -286,16 +287,15 @@ fn decode_snapshot(file: fs::File, header: &Header) -> Result<Snapshot, String> 
         ));
     }
     let mut body = ByteReader::new(file, body_len);
-    let parts = format::decode_body(&mut body);
+    let view = StreamView::decode_body(&mut body);
     // A corrupt body is named as such even when it also fails to decode.
     match body.finish() {
         Ok(crc) if crc == header.body_crc32 => {}
         Ok(_) => return Err("body checksum mismatch".to_string()),
-        Err(()) => return Err("truncated body".to_string()),
+        Err(_) => return Err("truncated body".to_string()),
     }
-    let view = StreamView::from_parts(parts?).map_err(|e| e.to_string())?;
     Ok(Snapshot {
-        view,
+        view: view?,
         source: header.source,
         read: header.read,
     })
@@ -1086,7 +1086,7 @@ mod tests {
         assert_eq!("auto".parse::<IndexMode>(), Ok(IndexMode::Auto));
         assert_eq!("off".parse::<IndexMode>(), Ok(IndexMode::Off));
         assert_eq!("require".parse::<IndexMode>(), Ok(IndexMode::Require));
-        assert_eq!(IndexMode::default(), IndexMode::Auto);
+        assert_eq!(IndexMode::default(), IndexMode::Off);
         assert_eq!(IndexMode::Require.to_string(), "require");
         let err = "yes".parse::<IndexMode>().unwrap_err();
         assert!(err.contains("auto, off, or require"), "{err}");

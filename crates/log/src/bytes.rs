@@ -1,70 +1,96 @@
-//! Minimal little-endian byte encoding for the `.fsidx` format.
+//! Little-endian byte encoding for `.fsidx` snapshots: one writer and
+//! one cursor, shared by the snapshot header (`failindex`) and the view
+//! body (`failscope`).
 //!
 //! The format is hand-rolled (no serde) so the on-disk layout is an
-//! explicit, versioned contract: every field below is written in
+//! explicit, versioned contract: every field is written in
 //! little-endian order exactly as documented in `DESIGN.md`.
 
+use std::fmt;
 use std::io::Read;
 
-use faillog::Crc32;
+use crate::Crc32;
 
 /// Growable little-endian byte sink.
 #[derive(Debug, Default)]
-pub(crate) struct ByteWriter {
+pub struct ByteWriter {
     buf: Vec<u8>,
 }
 
 impl ByteWriter {
-    pub(crate) fn with_capacity(cap: usize) -> Self {
+    /// An empty writer with room for `cap` bytes.
+    pub fn with_capacity(cap: usize) -> Self {
         ByteWriter {
             buf: Vec::with_capacity(cap),
         }
     }
 
-    pub(crate) fn u8(&mut self, v: u8) {
+    /// Appends a `u8`.
+    pub fn u8(&mut self, v: u8) {
         self.buf.push(v);
     }
 
-    pub(crate) fn u16(&mut self, v: u16) {
+    /// Appends a `u16`.
+    pub fn u16(&mut self, v: u16) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub(crate) fn u32(&mut self, v: u32) {
+    /// Appends a `u32`.
+    pub fn u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub(crate) fn u64(&mut self, v: u64) {
+    /// Appends a `u64`.
+    pub fn u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub(crate) fn i32(&mut self, v: i32) {
+    /// Appends an `i32`.
+    pub fn i32(&mut self, v: i32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
-    pub(crate) fn i64(&mut self, v: i64) {
+    /// Appends an `i64`.
+    pub fn i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// `f64` values are stored as the IEEE-754 bit pattern, so NaN
     /// payloads and signed zeros round-trip bit-for-bit.
-    pub(crate) fn f64(&mut self, v: f64) {
+    pub fn f64(&mut self, v: f64) {
         self.buf.extend_from_slice(&v.to_bits().to_le_bytes());
     }
 
-    pub(crate) fn raw(&mut self, bytes: &[u8]) {
+    /// Appends `bytes` as they are.
+    pub fn raw(&mut self, bytes: &[u8]) {
         self.buf.extend_from_slice(bytes);
     }
 
     /// Length-prefixed UTF-8 string (`u32` byte length + bytes).
-    pub(crate) fn str(&mut self, s: &str) {
+    pub fn str(&mut self, s: &str) {
         self.u32(s.len() as u32);
         self.raw(s.as_bytes());
     }
 
-    pub(crate) fn into_bytes(self) -> Vec<u8> {
+    /// The bytes written.
+    pub fn into_bytes(self) -> Vec<u8> {
         self.buf
     }
 }
+
+/// Why a [`ByteReader`] read failed: the source ended or failed before
+/// the declared length, or a string was not UTF-8. The caller names the
+/// field.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct BytesError;
+
+impl fmt::Display for BytesError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("truncated or malformed bytes")
+    }
+}
+
+impl std::error::Error for BytesError {}
 
 /// Bytes pulled from the source per read: few enough syscalls to be a
 /// small share of a multi-megabyte body, and a buffer small enough to
@@ -77,13 +103,13 @@ const CHUNK: usize = 256 * 1024;
 ///
 /// Streaming keeps the decoder from holding the whole body in a buffer
 /// next to the columns it decodes into: only one chunk is ever
-/// resident. Every read returns `Err(())` on underrun (the source ended
-/// or failed before the declared length); a failed read does not
+/// resident. Every read returns [`BytesError`] on underrun (the source
+/// ended or failed before the declared length); a failed read does not
 /// advance the cursor. The caller maps errors to descriptive decode
 /// errors, and [`ByteReader::remaining`] bounds every allocation and
 /// serves the trailing-garbage check.
 #[derive(Debug)]
-pub(crate) struct ByteReader<R> {
+pub struct ByteReader<R> {
     source: R,
     /// Declared body bytes not yet pulled from `source`.
     unread: u64,
@@ -98,7 +124,7 @@ impl<R: Read> ByteReader<R> {
     /// A cursor over the first `len` bytes `source` yields. `len` must
     /// be a length the source can back (a file's size, a slice's
     /// length): it bounds what a declared count may allocate.
-    pub(crate) fn new(source: R, len: u64) -> Self {
+    pub fn new(source: R, len: u64) -> Self {
         // Never below the widest scalar read, however short the body.
         let chunk = usize::try_from(len).map_or(CHUNK, |len| len.min(CHUNK));
         ByteReader {
@@ -112,19 +138,19 @@ impl<R: Read> ByteReader<R> {
     }
 
     /// Body bytes not yet consumed.
-    pub(crate) fn remaining(&self) -> usize {
+    pub fn remaining(&self) -> usize {
         let unread = usize::try_from(self.unread).unwrap_or(usize::MAX);
         (self.end - self.pos).saturating_add(unread)
     }
 
     /// Makes at least `want` (at most a chunk) bytes available in the
     /// window.
-    fn fill(&mut self, want: usize) -> Result<(), ()> {
+    fn fill(&mut self, want: usize) -> Result<(), BytesError> {
         if self.end - self.pos >= want {
             return Ok(());
         }
         if want > self.buf.len() {
-            return Err(());
+            return Err(BytesError);
         }
         self.buf.copy_within(self.pos..self.end, 0);
         self.end -= self.pos;
@@ -133,13 +159,13 @@ impl<R: Read> ByteReader<R> {
             let room = self.buf.len() - self.end;
             let room = usize::try_from(self.unread).map_or(room, |unread| unread.min(room));
             if room == 0 {
-                return Err(());
+                return Err(BytesError);
             }
             let got = match self.source.read(&mut self.buf[self.end..self.end + room]) {
-                Ok(0) => return Err(()),
+                Ok(0) => return Err(BytesError),
                 Ok(got) => got,
                 Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-                Err(_) => return Err(()),
+                Err(_) => return Err(BytesError),
             };
             self.crc.update(&self.buf[self.end..self.end + got]);
             self.end += got;
@@ -148,55 +174,53 @@ impl<R: Read> ByteReader<R> {
         Ok(())
     }
 
-    fn take<const N: usize>(&mut self) -> Result<[u8; N], ()> {
+    fn take<const N: usize>(&mut self) -> Result<[u8; N], BytesError> {
         self.fill(N)?;
         let out = self.buf[self.pos..self.pos + N].try_into().expect("N bytes");
         self.pos += N;
         Ok(out)
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8, ()> {
+    /// Reads a `u8`.
+    pub fn u8(&mut self) -> Result<u8, BytesError> {
         Ok(self.take::<1>()?[0])
     }
 
-    pub(crate) fn u16(&mut self) -> Result<u16, ()> {
+    /// Reads a `u16`.
+    pub fn u16(&mut self) -> Result<u16, BytesError> {
         Ok(u16::from_le_bytes(self.take()?))
     }
 
-    pub(crate) fn u32(&mut self) -> Result<u32, ()> {
+    /// Reads a `u32`.
+    pub fn u32(&mut self) -> Result<u32, BytesError> {
         Ok(u32::from_le_bytes(self.take()?))
     }
 
-    pub(crate) fn u64(&mut self) -> Result<u64, ()> {
+    /// Reads a `u64`.
+    pub fn u64(&mut self) -> Result<u64, BytesError> {
         Ok(u64::from_le_bytes(self.take()?))
     }
 
-    pub(crate) fn i32(&mut self) -> Result<i32, ()> {
+    /// Reads an `i32`.
+    pub fn i32(&mut self) -> Result<i32, BytesError> {
         Ok(i32::from_le_bytes(self.take()?))
     }
 
-    pub(crate) fn i64(&mut self) -> Result<i64, ()> {
+    /// Reads an `i64`.
+    pub fn i64(&mut self) -> Result<i64, BytesError> {
         Ok(i64::from_le_bytes(self.take()?))
-    }
-
-    /// `f64` values travel as raw bit patterns (see [`ByteWriter::f64`]);
-    /// the hot decode paths bulk-convert instead, so this scalar form
-    /// only serves tests.
-    #[cfg(test)]
-    pub(crate) fn f64(&mut self) -> Result<f64, ()> {
-        Ok(f64::from_bits(self.u64()?))
     }
 
     /// A column of `count` values of `W` bytes each: one bounds check of
     /// the whole column against the bytes left, before anything is
     /// allocated, then a straight-line conversion a window at a time.
-    pub(crate) fn column<const W: usize, T>(
+    pub fn column<const W: usize, T>(
         &mut self,
         count: usize,
         convert: impl Fn([u8; W]) -> T,
-    ) -> Result<Vec<T>, ()> {
+    ) -> Result<Vec<T>, BytesError> {
         if count.checked_mul(W).is_none_or(|bytes| bytes > self.remaining()) {
-            return Err(());
+            return Err(BytesError);
         }
         let mut out = Vec::with_capacity(count);
         while out.len() < count {
@@ -214,16 +238,16 @@ impl<R: Read> ByteReader<R> {
     }
 
     /// Length-prefixed UTF-8 string; rejects invalid UTF-8.
-    pub(crate) fn str(&mut self) -> Result<String, ()> {
+    pub fn str(&mut self) -> Result<String, BytesError> {
         let len = self.u32()? as usize;
         let bytes = self.column(len, |[b]: [u8; 1]| b)?;
-        String::from_utf8(bytes).map_err(|_| ())
+        String::from_utf8(bytes).map_err(|_| BytesError)
     }
 
     /// Pulls whatever the body has left through the checksum and
     /// returns the CRC-32 of every byte of it; `Err` when the source
     /// ended before the declared length.
-    pub(crate) fn finish(mut self) -> Result<u32, ()> {
+    pub fn finish(mut self) -> Result<u32, BytesError> {
         while self.unread > 0 {
             self.pos = self.end;
             self.fill(1)?;
@@ -261,13 +285,13 @@ mod tests {
         assert_eq!(r.u64(), Ok(0x0123_4567_89AB_CDEF));
         assert_eq!(r.i32(), Ok(-12345));
         assert_eq!(r.i64(), Ok(-1_234_567_890_123));
-        let z = r.f64().unwrap();
+        let z = f64::from_bits(r.u64().unwrap());
         assert!(z == 0.0 && z.is_sign_negative());
-        assert!(r.f64().unwrap().is_nan());
+        assert!(f64::from_bits(r.u64().unwrap()).is_nan());
         assert_eq!(r.str().as_deref(), Ok("héllo"));
         assert_eq!(r.remaining(), 0);
         assert!(r.u8().is_err());
-        assert_eq!(r.finish(), Ok(faillog::crc32(&bytes)));
+        assert_eq!(r.finish(), Ok(crate::crc32(&bytes)));
     }
 
     #[test]
@@ -325,7 +349,7 @@ mod tests {
         assert_eq!(r.column(values.len(), u64::from_le_bytes), Ok(values));
         assert_eq!(r.str().as_deref(), Ok("tail"));
         assert_eq!(r.remaining(), 0);
-        assert_eq!(r.finish(), Ok(faillog::crc32(&bytes)));
+        assert_eq!(r.finish(), Ok(crate::crc32(&bytes)));
         // A column longer than what is left is refused before any
         // allocation.
         assert!(reader(&bytes).column(usize::MAX / 8, u64::from_le_bytes).is_err());

@@ -248,7 +248,8 @@ impl HeaderParser {
         let window = self
             .window
             .ok_or_else(|| Error::Header("missing `window`".into()))?;
-        let spec = rebuild_spec(generation, self.name, self.nodes, self.gpus)?;
+        let spec = SystemSpec::rebuild(generation, self.name.as_deref(), self.nodes, self.gpus)
+            .map_err(|e| Error::Header(e.to_string()))?;
         Ok((generation, spec, window))
     }
 }
@@ -264,35 +265,7 @@ fn parse_window(value: &str) -> Result<ObservationWindow> {
 }
 
 fn parse_date(s: &str) -> Result<Date> {
-    let parts: Vec<&str> = s.split('-').collect();
-    if parts.len() != 3 {
-        return Err(Error::Header(format!("malformed date `{s}`")));
-    }
-    let bad = || Error::Header(format!("malformed date `{s}`"));
-    let year: i32 = parts[0].parse().map_err(|_| bad())?;
-    let month: u8 = parts[1].parse().map_err(|_| bad())?;
-    let day: u8 = parts[2].parse().map_err(|_| bad())?;
-    Date::new(year, month, day).ok_or_else(bad)
-}
-
-fn rebuild_spec(
-    generation: Generation,
-    name: Option<String>,
-    nodes: Option<u32>,
-    gpus: Option<u8>,
-) -> Result<SystemSpec> {
-    let base = generation.spec();
-    let same_shape = nodes.is_none_or(|n| n == base.nodes())
-        && gpus.is_none_or(|g| g == base.gpus_per_node())
-        && name.as_deref().is_none_or(|n| n == base.name());
-    if same_shape {
-        return Ok(base);
-    }
-    SystemSpec::builder(name.unwrap_or_else(|| base.name().to_string()))
-        .nodes(nodes.unwrap_or(base.nodes()))
-        .gpus_per_node(gpus.unwrap_or(base.gpus_per_node()))
-        .build()
-        .map_err(|e| Error::Header(e.to_string()))
+    Date::parse_ymd(s).ok_or_else(|| Error::Header(format!("malformed date `{s}`")))
 }
 
 #[cfg(test)]

@@ -20,6 +20,11 @@
 //! [`failfilter::CompiledPredicate`] carried in [`ParseOptions::filter`]
 //! drops non-matching records during chunked ingest.
 //!
+//! `.fsidx` snapshots are recognised here ([`FSIDX_MAGIC`]) so that one
+//! passed as a log is refused, and their bytes are read and written
+//! with [`ByteReader`] and [`ByteWriter`], the little-endian cursor and
+//! sink the snapshot header and the view body share.
+//!
 //! # Examples
 //!
 //! ```
@@ -38,6 +43,7 @@
 #![warn(missing_debug_implementations)]
 #![deny(unsafe_code)]
 
+mod bytes;
 mod csv;
 mod inflate;
 mod input;
@@ -46,6 +52,7 @@ mod parallel;
 mod row;
 mod stream;
 
+pub use bytes::{ByteReader, ByteWriter, BytesError};
 pub use csv::{from_str, read_log, to_string, write_log};
 pub use inflate::{crc32, gzip_compress, gzip_decompress, Crc32};
 pub use input::{

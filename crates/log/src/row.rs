@@ -17,7 +17,7 @@ use std::str::FromStr;
 
 use failtypes::{
     Category, Error, FailureRecord, Generation, GpuSlot, Hours, JsonValue, NodeId, Result,
-    SoftwareLocus, T2Category, T3Category,
+    SoftwareLocus,
 };
 
 /// Parses one trimmed, non-empty body line: lines starting with `{`
@@ -68,8 +68,8 @@ pub(crate) fn parse_row(
         .map_err(|_| Error::row_field(lineno, "time_h", format!("invalid time `{time}`")))?;
     let ttr = f64::from_str(ttr)
         .map_err(|_| Error::row_field(lineno, "ttr_h", format!("invalid ttr `{ttr}`")))?;
-    let category = parse_category(category, generation)
-        .map_err(|msg| Error::row_field(lineno, "category", msg))?;
+    let category = Category::from_label(generation, category)
+        .map_err(|e| Error::row_field(lineno, "category", e.to_string()))?;
     let node = u32::from_str(node)
         .map_err(|_| Error::row_field(lineno, "node", format!("invalid node `{node}`")))?;
 
@@ -122,22 +122,6 @@ fn split_each<'a>(
     }
     field(count, &text[start..])?;
     Ok(count + 1)
-}
-
-pub(crate) fn parse_category(
-    label: &str,
-    generation: Generation,
-) -> std::result::Result<Category, String> {
-    match generation {
-        Generation::Tsubame2 => label
-            .parse::<T2Category>()
-            .map(Category::T2)
-            .map_err(|e| e.to_string()),
-        Generation::Tsubame3 => label
-            .parse::<T3Category>()
-            .map(Category::T3)
-            .map_err(|e| e.to_string()),
-    }
 }
 
 /// Serializes one record as a one-line JSON object (no trailing
@@ -201,8 +185,8 @@ pub fn parse_ndjson_row(
             "category" => {
                 let label = json_str(lineno, "category", value)?;
                 category = Some(
-                    parse_category(label, generation)
-                        .map_err(|msg| Error::row_field(lineno, "category", msg))?,
+                    Category::from_label(generation, label)
+                        .map_err(|e| Error::row_field(lineno, "category", e.to_string()))?,
                 );
             }
             "node" => node = Some(json_u32(lineno, "node", value)?),
@@ -278,6 +262,7 @@ fn json_str<'a>(lineno: usize, field: &'static str, value: &'a JsonValue) -> Res
 mod tests {
     use super::*;
     use failsim::{Simulator, SystemModel};
+    use failtypes::{T2Category, T3Category};
     use proptest::prelude::*;
 
     /// The split-based CSV row parse the byte scanner replaced, kept as
@@ -300,8 +285,8 @@ mod tests {
         let ttr: f64 = fields[2].parse().map_err(|_| {
             Error::row_field(lineno, "ttr_h", format!("invalid ttr `{}`", fields[2]))
         })?;
-        let category = parse_category(fields[3], generation)
-            .map_err(|msg| Error::row_field(lineno, "category", msg))?;
+        let category = Category::from_label(generation, fields[3])
+            .map_err(|e| Error::row_field(lineno, "category", e.to_string()))?;
         let node: u32 = fields[4].parse().map_err(|_| {
             Error::row_field(lineno, "node", format!("invalid node `{}`", fields[4]))
         })?;

@@ -10,6 +10,7 @@ use std::fmt;
 use std::str::FromStr;
 
 use crate::error::ParseCategoryError;
+use crate::system::Generation;
 
 /// The broad hardware/software split used throughout the paper.
 ///
@@ -293,6 +294,26 @@ pub enum Category {
 }
 
 impl Category {
+    /// The category `label` names in `generation`'s vocabulary: the one
+    /// reading of a category label, in log rows and snapshot palettes.
+    ///
+    /// ```
+    /// use failtypes::{Category, Generation, T3Category};
+    /// let gpu = Category::from_label(Generation::Tsubame3, "GPU").unwrap();
+    /// assert_eq!(gpu, Category::T3(T3Category::Gpu));
+    /// assert!(Category::from_label(Generation::Tsubame3, "Toaster").is_err());
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// When the generation has no category of that label.
+    pub fn from_label(generation: Generation, label: &str) -> Result<Self, ParseCategoryError> {
+        match generation {
+            Generation::Tsubame2 => label.parse().map(Category::T2),
+            Generation::Tsubame3 => label.parse().map(Category::T3),
+        }
+    }
+
     /// Returns the label used in the failure logs.
     pub const fn label(self) -> &'static str {
         match self {

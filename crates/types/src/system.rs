@@ -226,6 +226,42 @@ impl SystemSpec {
         }
     }
 
+    /// The spec a log header or a snapshot names: `generation`'s
+    /// canonical spec when every given field agrees with it, so a log
+    /// that names only its generation gets the identical spec rather
+    /// than a lookalike; otherwise a custom spec of the given fields,
+    /// with the canonical values filling those not given.
+    ///
+    /// ```
+    /// use failtypes::{Generation, SystemSpec};
+    /// let t3 = Generation::Tsubame3;
+    /// assert_eq!(SystemSpec::rebuild(t3, None, None, None), Ok(t3.spec()));
+    /// let custom = SystemSpec::rebuild(t3, Some("what-if"), Some(64), None).unwrap();
+    /// assert_eq!((custom.nodes(), custom.gpus_per_node()), (64, 4));
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// When the custom spec is not a valid one ([`SystemSpecBuilder::build`]).
+    pub fn rebuild(
+        generation: Generation,
+        name: Option<&str>,
+        nodes: Option<u32>,
+        gpus: Option<u8>,
+    ) -> Result<SystemSpec, InvalidSpecError> {
+        let base = generation.spec();
+        let same_shape = nodes.is_none_or(|n| n == base.nodes())
+            && gpus.is_none_or(|g| g == base.gpus_per_node())
+            && name.is_none_or(|n| n == base.name());
+        if same_shape {
+            return Ok(base);
+        }
+        SystemSpec::builder(name.unwrap_or(base.name()))
+            .nodes(nodes.unwrap_or(base.nodes()))
+            .gpus_per_node(gpus.unwrap_or(base.gpus_per_node()))
+            .build()
+    }
+
     /// Starts building a custom system specification.
     ///
     /// ```

@@ -240,6 +240,28 @@ impl Date {
         Some(Date { year, month, day })
     }
 
+    /// Parses a strict `YYYY-MM-DD` calendar date: exactly three
+    /// `-`-separated integer fields naming a real date. The one spelling
+    /// of a date in a log header's window and a filter's `time` bound.
+    ///
+    /// ```
+    /// use failtypes::Date;
+    /// assert_eq!(Date::parse_ymd("2020-02-29"), Date::new(2020, 2, 29));
+    /// assert_eq!(Date::parse_ymd("2019-02-29"), None);
+    /// assert_eq!(Date::parse_ymd("2020-02"), None);
+    /// assert_eq!(Date::parse_ymd("2020-02-01-01"), None);
+    /// ```
+    pub fn parse_ymd(s: &str) -> Option<Self> {
+        let mut parts = s.split('-');
+        let year = parts.next()?.parse::<i32>().ok()?;
+        let month = parts.next()?.parse::<u8>().ok()?;
+        let day = parts.next()?.parse::<u8>().ok()?;
+        if parts.next().is_some() {
+            return None;
+        }
+        Date::new(year, month, day)
+    }
+
     /// Returns the year.
     pub const fn year(self) -> i32 {
         self.year

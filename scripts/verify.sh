@@ -23,9 +23,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 # repair ends, whose one reader, the availability sweep, sorts its own),
 # CDFs that copy the view's sorted arrays, the view's record structs
 # (it stores its records as columns, and a snapshot load moves them in
-# without assembling a record), and the view's second copies of its
+# without assembling a record), the view's second copies of its
 # category column and tallies (a per-category row partition, stored
-# rack counts, a stored GPU-involvement total) stay gone.
+# rack counts, a stored GPU-involvement total), and the second copy of
+# the view's fields that the snapshot codec once read and wrote
+# (`ViewParts` and its `into_parts`/`from_parts` hand-off) stay gone.
 extra_vendor=$(ls vendor | grep -vxE 'rand|proptest' || true)
 if [ -n "$extra_vendor" ]; then
     echo "verify: unexpected vendored crates: $extra_vendor (allowed: rand, proptest)" >&2
@@ -60,12 +62,20 @@ if grep -rnE 'recoveries_sorted|fn recoveries\(|Ecdf::from_sorted\(.*\.to_vec\(\
     exit 1
 fi
 if grep -nE '^[[:space:]]*(pub )?records: Vec<FailureRecord>,' crates/core/src/streamview.rs \
-    || sed -n '/pub fn from_parts(/,/^    }$/p' crates/core/src/streamview.rs | grep -nF 'FailureRecord::new('; then
-    echo "verify: StreamView holds FailureRecords again, or from_parts assembles them; the view keeps its records as columns" >&2
+    || sed -n '/pub fn decode_body</,/^    }$/p' crates/core/src/streamview/snapshot.rs | grep -nF 'FailureRecord::new('; then
+    echo "verify: StreamView holds FailureRecords again, or decode_body assembles them; the view keeps its records as columns" >&2
     exit 1
 fi
-if grep -nE 'category_indices|^[[:space:]]*(pub )?(rack_counts|gpu_involvements):' crates/core/src/streamview.rs; then
-    echo "verify: StreamView or ViewParts holds a category partition, rack counts or a GPU-involvement total again; the view counts categories and sums the rack and involvement totals from its tallies" >&2
+if grep -nE 'category_indices|^[[:space:]]*(pub )?(rack_counts|gpu_involvements):' \
+    crates/core/src/streamview.rs crates/core/src/streamview/snapshot.rs; then
+    echo "verify: StreamView or its snapshot codec holds a category partition, rack counts or a GPU-involvement total again; the view counts categories and sums the rack and involvement totals from its tallies" >&2
+    exit 1
+fi
+# One body codec: the view encodes and decodes its own .fsidx body
+# (crates/core/src/streamview/snapshot.rs); no mirror of its fields
+# carries the body between the view and failindex.
+if grep -rnE 'ViewParts|into_parts|from_parts' crates/; then
+    echo "verify: ViewParts, into_parts or from_parts reappeared under crates/; StreamView::encode_body and decode_body read and write the view's fields directly" >&2
     exit 1
 fi
 if grep -nF 'std::fs::read' crates/api/src/engine.rs; then
