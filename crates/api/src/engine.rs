@@ -87,13 +87,13 @@
 //! # Dirty snapshots
 //!
 //! Every cold parse of a file (index mode `off`, where the CLI would
-//! never write a snapshot) is remembered together with the
-//! [`failindex::SourceInfo`] fingerprint of the bytes it parsed and the
-//! file identity of that read.
-//! [`QueryEngine::persist_dirty`] — called by the server on graceful
-//! shutdown — writes those cached indexes to disk so the next process
-//! starts warm. Auto-mode cold parses refresh their snapshot
-//! immediately, for filtered queries too: every parse is unfiltered.
+//! never write a snapshot) is held with the [`failindex::SourceInfo`]
+//! fingerprint of the bytes it parsed and the file identity of that
+//! read, and marked dirty. [`QueryEngine::persist_dirty`] — called by
+//! the server on graceful shutdown — writes the held views still marked
+//! dirty to disk so the next process starts warm. Auto-mode cold parses
+//! refresh their snapshot immediately, for filtered queries too: every
+//! parse is unfiltered.
 
 use std::collections::HashMap;
 use std::collections::VecDeque;
@@ -136,15 +136,12 @@ struct CachedLog {
     load_trace: Collector,
     /// The file fingerprint at parse time (`None` for models).
     source_info: Option<SourceInfo>,
-}
-
-/// A cold-parsed file log eligible for snapshot persistence at
-/// shutdown.
-struct DirtyLog {
-    view: Arc<StreamView>,
-    source: SourceInfo,
-    /// The identity of the read that produced `source`, when it had one.
+    /// The identity of the read that produced `source_info`, when it
+    /// had one.
     read: Option<ReadStat>,
+    /// Whether this cold-parsed file view awaits snapshot persistence
+    /// at shutdown.
+    dirty: bool,
 }
 
 struct RenderEntry {
@@ -249,7 +246,6 @@ pub struct QueryEngine {
     /// its [`catalog_id`]: a file may be named like a model's id.
     logs: Mutex<HashMap<QuerySource, CachedLog>>,
     renders: Mutex<RenderCache>,
-    dirty: Mutex<HashMap<String, DirtyLog>>,
     metrics: Collector,
     /// Render-cache byte budget (key + output bytes per entry).
     cache_bytes: usize,
@@ -286,7 +282,6 @@ impl QueryEngine {
         QueryEngine {
             logs: Mutex::new(HashMap::new()),
             renders: Mutex::new(RenderCache::default()),
-            dirty: Mutex::new(HashMap::new()),
             metrics: Collector::new(),
             cache_bytes,
             max_threads: failstats::available_threads(),
@@ -480,20 +475,28 @@ impl QueryEngine {
     /// already exact. Returns the number of snapshots written. Called
     /// by the server on graceful shutdown.
     pub fn persist_dirty(&self) -> usize {
-        let drained: Vec<(String, DirtyLog)> = {
-            let mut dirty = self.dirty.lock().unwrap_or_else(|e| e.into_inner());
-            dirty.drain().collect()
+        let drained: Vec<(String, Arc<StreamView>, SourceInfo, Option<ReadStat>)> = {
+            let mut logs = self.logs.lock().unwrap_or_else(|e| e.into_inner());
+            logs.iter_mut()
+                .filter_map(|(source, entry)| match (source, entry.source_info) {
+                    (QuerySource::File(path), Some(info)) if entry.dirty => {
+                        entry.dirty = false;
+                        Some((path.clone(), Arc::clone(&entry.view), info, entry.read))
+                    }
+                    _ => None,
+                })
+                .collect()
         };
         let mut written = 0;
-        for (path, entry) in drained {
+        for (path, view, source, read) in drained {
             if matches!(failindex::probe(&path), Ok(Freshness::Exact)) {
                 continue;
             }
             let saved = failindex::save_traced(
                 failindex::snapshot_path(&path),
-                entry.view.as_ref(),
-                entry.source,
-                entry.read,
+                view.as_ref(),
+                source,
+                read,
                 None,
             );
             if saved.is_ok() {
@@ -506,7 +509,8 @@ impl QueryEngine {
 
     /// The number of file logs currently awaiting snapshot persistence.
     pub fn dirty_count(&self) -> usize {
-        self.dirty.lock().unwrap_or_else(|e| e.into_inner()).len()
+        let logs = self.logs.lock().unwrap_or_else(|e| e.into_inner());
+        logs.values().filter(|entry| entry.dirty).count()
     }
 
     /// Lists every source the engine has memoized, one entry per
@@ -517,10 +521,12 @@ impl QueryEngine {
     /// vouched entry while that entry still holds, and from a live
     /// [`failindex::probe`] otherwise.
     pub fn catalog(&self) -> Vec<CatalogEntry> {
-        let held: Vec<(QuerySource, usize, Option<SourceInfo>)> = {
+        let held: Vec<(QuerySource, usize, Option<SourceInfo>, bool)> = {
             let logs = self.logs.lock().unwrap_or_else(|e| e.into_inner());
             logs.iter()
-                .map(|(source, entry)| (source.clone(), entry.view.len(), entry.source_info))
+                .map(|(source, entry)| {
+                    (source.clone(), entry.view.len(), entry.source_info, entry.dirty)
+                })
                 .collect()
         };
         let render_counts: HashMap<QuerySource, usize> = {
@@ -533,13 +539,9 @@ impl QueryEngine {
             }
             counts
         };
-        let dirty: Vec<String> = {
-            let dirty = self.dirty.lock().unwrap_or_else(|e| e.into_inner());
-            dirty.keys().cloned().collect()
-        };
         let mut entries: Vec<CatalogEntry> = held
             .into_iter()
-            .map(|(source, records, info)| {
+            .map(|(source, records, info, dirty)| {
                 let path = match &source {
                     QuerySource::File(path) => Some(path.as_str()),
                     QuerySource::Model { .. } => None,
@@ -562,7 +564,7 @@ impl QueryEngine {
                     crc32: info.map(|i| i.crc32),
                     snapshot,
                     render_entries: render_counts.get(&source).copied().unwrap_or(0),
-                    dirty: path.is_some_and(|path| dirty.iter().any(|d| d == path)),
+                    dirty,
                     source: catalog_id(&source),
                 }
             })
@@ -578,18 +580,16 @@ impl QueryEngine {
     /// query re-parses from disk (or regenerates the model). Render
     /// drops count as cache evictions.
     pub fn evict(&self, source: &QuerySource) -> EvictOutcome {
-        let view = self.logs.lock().unwrap_or_else(|e| e.into_inner()).remove(source);
-        let logs = usize::from(view.is_some());
+        let held = self.logs.lock().unwrap_or_else(|e| e.into_inner()).remove(source);
+        let logs = usize::from(held.is_some());
+        let dirty = usize::from(held.as_ref().is_some_and(|entry| entry.dirty));
         // The view's arrays are freed here, outside the lock.
-        drop(view);
+        drop(held);
         let renders = {
             let mut renders = self.renders.lock().unwrap_or_else(|e| e.into_inner());
             renders.remove_source(source)
         };
-        let mut dirty = 0;
         if let QuerySource::File(path) = source {
-            let pending = self.dirty.lock().unwrap_or_else(|e| e.into_inner()).remove(path);
-            dirty = usize::from(pending.is_some());
             let mut vouched = self.vouched.lock().unwrap_or_else(|e| e.into_inner());
             vouched.remove(path);
         }
@@ -749,6 +749,8 @@ impl QueryEngine {
             view: Arc::clone(&view),
             load_trace,
             source_info: None,
+            read: None,
+            dirty: false,
         });
         Ok(view)
     }
@@ -786,16 +788,12 @@ impl QueryEngine {
             .map_err(|e| Error::run(format!("{path}: {e}")))?;
         let view = Arc::new(StreamView::from(log));
         trace.merge_from(&load_trace);
-        let dirty = DirtyLog {
-            view: Arc::clone(&view),
-            source: info,
-            read,
-        };
-        self.dirty.lock().unwrap_or_else(|e| e.into_inner()).insert(path.clone(), dirty);
         let entry = CachedLog {
             view: Arc::clone(&view),
             load_trace,
             source_info: Some(info),
+            read,
+            dirty: true,
         };
         let mut logs = self.logs.lock().unwrap_or_else(|e| e.into_inner());
         let replaced = logs.insert(QuerySource::file(path), entry);

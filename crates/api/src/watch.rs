@@ -189,7 +189,8 @@ pub fn run(req: &WatchRequest, out: &mut dyn io::Write) -> Result<Collector> {
         builder = builder.max_records(records);
     }
     if let Some(spec) = &req.sections {
-        builder = builder.summary_sections(failwatch::select_watch_sections(spec)?);
+        let sections = failscope::select_by_id(failwatch::WATCH_SECTIONS, |s| s.id, spec)?;
+        builder = builder.summary_sections(sections);
     }
     let config = builder.build()?;
     if req.format == OutputFormat::Json {

@@ -71,9 +71,10 @@ pub use survival::{node_lifetimes, NodeSurvival};
 pub use multigpu::{InvolvementRow, InvolvementTable};
 pub use pep::{Pep, PepComparison};
 pub use report::{
-    render_comparison_index, render_comparison_json, render_comparison_threaded,
-    render_json_sections, render_report, render_text_sections, section_by_id, select_sections,
-    Section, SectionCtx, METRICS_SECTION_ID, SECTIONS,
+    json_section_line, render_comparison_index, render_comparison_json,
+    render_comparison_threaded, render_json_sections, render_report, render_text_sections,
+    section_by_id, select_by_id, select_sections, Section, SectionCtx, METRICS_SECTION_ID,
+    SECTIONS,
 };
 pub use seasonal::{MonthBucket, SeasonalAnalysis};
 pub use spatial::{NodeDistribution, RackDistribution, RackShare, SlotDistribution, SlotShare};

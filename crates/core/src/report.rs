@@ -170,27 +170,36 @@ pub fn section_by_id(id: &str) -> Option<&'static Section> {
 }
 
 /// Resolves a comma-separated id list (e.g. `"tbf,ttr"`) against the
-/// registry, preserving the requested order.
+/// report registry, preserving the requested order.
+///
+/// # Errors
+///
+/// As [`select_by_id`].
+pub fn select_sections(spec: &str) -> failtypes::Result<Vec<&'static Section>> {
+    select_by_id(SECTIONS, |s| s.id, spec)
+}
+
+/// Resolves a comma-separated id list against any section `registry`
+/// whose entries `id` names, preserving the requested order: the one
+/// `--sections` rule of the report and the watch summary.
 ///
 /// # Errors
 ///
 /// Rejects unknown or empty selections with a
 /// [`failtypes::Error::Args`] naming the known vocabulary.
-pub fn select_sections(spec: &str) -> failtypes::Result<Vec<&'static Section>> {
-    let known = || {
-        SECTIONS
-            .iter()
-            .map(|s| s.id)
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
+pub fn select_by_id<T>(
+    registry: &'static [T],
+    id: fn(&T) -> &'static str,
+    spec: &str,
+) -> failtypes::Result<Vec<&'static T>> {
+    let known = || registry.iter().map(id).collect::<Vec<_>>().join(", ");
     let mut out = Vec::new();
-    for id in spec.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-        match section_by_id(id) {
+    for want in spec.split(',').map(str::trim).filter(|s| !s.is_empty()) {
+        match registry.iter().find(|s| id(s) == want) {
             Some(section) => out.push(section),
             None => {
                 return Err(failtypes::Error::args(format!(
-                    "unknown section `{id}` (known: {})",
+                    "unknown section `{want}` (known: {})",
                     known()
                 )))
             }
@@ -203,6 +212,19 @@ pub fn select_sections(spec: &str) -> failtypes::Result<Vec<&'static Section>> {
         )));
     }
     Ok(out)
+}
+
+/// One NDJSON section line, `{"id":...,"title":...,"data":...}` and a
+/// newline: the shape of every JSON report and watch summary section.
+pub fn json_section_line(id: &str, title: &str, data: JsonValue) -> String {
+    let mut line = JsonValue::object()
+        .field("id", id)
+        .field("title", title)
+        .field("data", data)
+        .build()
+        .render();
+    line.push('\n');
+    line
 }
 
 /// Runs one section renderer, recording a `render.<id>` span (items =
@@ -288,16 +310,8 @@ pub fn render_json_sections(
     ctx: &SectionCtx<'_>,
     threads: usize,
 ) -> String {
-    let json_line = |section: &Section| {
-        let mut line = JsonValue::object()
-            .field("id", section.id)
-            .field("title", section.title)
-            .field("data", (section.json)(ctx))
-            .build()
-            .render();
-        line.push('\n');
-        line
-    };
+    let json_line =
+        |section: &Section| json_section_line(section.id, section.title, (section.json)(ctx));
     let mut rendered = failstats::par_map_ordered(sections.len(), threads, |i| {
         let section = sections[i];
         if section.id == METRICS_SECTION_ID {

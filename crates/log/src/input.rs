@@ -1,24 +1,24 @@
-//! Layered log input: magic-byte sniffing with transparent
-//! decompression.
+//! Log input: magic-byte sniffing with transparent decompression.
 //!
 //! Fleet archives at the scale the paper's successors analyse (multi-GB
-//! job histories) are almost always stored compressed. [`InputReader`]
-//! opens a path, sniffs the leading magic bytes, and presents a
-//! [`BufRead`] over the *decoded* text — gzip members are inflated
-//! in-memory by the in-repo [`crate::inflate`] codec (no temp files,
-//! no external processes). Plain text passes straight through a
-//! [`BufReader`]. The zstd magic is recognised so the error message is
-//! precise, but decoding it is out of scope for now; the sniff table
-//! below is the single place a future decoder plugs into.
+//! job histories) are almost always stored compressed. Every reader
+//! sniffs a file's leading magic bytes and decodes it through one
+//! dispatch ([`decode_raw`]): gzip members are inflated in memory by the
+//! in-repo [`crate::inflate`] codec (no temp files, no external
+//! processes), and plain text passes through untouched. The zstd magic
+//! is recognised so the error message is precise, but decoding it is
+//! out of scope for now; the sniff table below is the single place a
+//! future decoder plugs into.
 //!
 //! Batch callers read a file once into a [`LogFile`] — raw bytes plus
 //! their [`SourceInfo`] fingerprint — and parse that buffer (the
 //! chunked parallel parser needs a contiguous buffer to split);
-//! [`read_input`] stops at the decoded text.
+//! [`read_input`] stops at the decoded text. [`crate::LogTailer`] reads
+//! a file as it grows.
 
 use std::cell::OnceCell;
 use std::fs::{File, Metadata};
-use std::io::{self, BufRead, BufReader, Cursor, Read};
+use std::io::{self, Read};
 use std::path::{Path, PathBuf};
 use std::time::SystemTime;
 
@@ -75,94 +75,6 @@ impl Compression {
             Compression::Gzip => "gzip",
             Compression::Zstd => "zstd",
             Compression::Snapshot => "fsidx snapshot",
-        }
-    }
-}
-
-/// A buffered reader over the decoded bytes of a log file, whatever
-/// the on-disk encoding.
-///
-/// Plain files stream through a [`BufReader`]; gzip files are inflated
-/// eagerly into memory and served from a cursor (gzip cannot be
-/// range-seeked, and the batch parser wants the whole buffer anyway).
-///
-/// # Examples
-///
-/// ```no_run
-/// use std::io::BufRead;
-///
-/// let mut reader = faillog::InputReader::open("fleet.fslog.gz")?;
-/// assert_eq!(reader.compression(), faillog::Compression::Gzip);
-/// let mut first = String::new();
-/// reader.read_line(&mut first)?;
-/// assert!(first.starts_with("# failscope-log v1"));
-/// # Ok::<(), failtypes::Error>(())
-/// ```
-#[derive(Debug)]
-pub struct InputReader {
-    source: Source,
-    compression: Compression,
-}
-
-#[derive(Debug)]
-enum Source {
-    File(BufReader<File>),
-    Memory(Cursor<Vec<u8>>),
-}
-
-impl InputReader {
-    /// Opens `path`, sniffing and transparently decoding compression.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`Error`] on I/O failure, corrupt gzip data, or a
-    /// recognised-but-unsupported encoding (zstd).
-    pub fn open(path: impl AsRef<Path>) -> Result<InputReader> {
-        let path = path.as_ref();
-        let mut reader = BufReader::new(File::open(path)?);
-        // fill_buf peeks without consuming, so a plain-text reader
-        // starts from byte 0.
-        let compression = Compression::sniff(reader.fill_buf()?);
-        let source = if compression == Compression::Plain {
-            Source::File(reader)
-        } else {
-            let mut raw = Vec::new();
-            reader.read_to_end(&mut raw)?;
-            Source::Memory(Cursor::new(decode_raw(compression, raw, path)?))
-        };
-        Ok(InputReader {
-            source,
-            compression,
-        })
-    }
-
-    /// The compression detected on the underlying file.
-    pub fn compression(&self) -> Compression {
-        self.compression
-    }
-}
-
-impl Read for InputReader {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match &mut self.source {
-            Source::File(r) => r.read(buf),
-            Source::Memory(r) => r.read(buf),
-        }
-    }
-}
-
-impl BufRead for InputReader {
-    fn fill_buf(&mut self) -> io::Result<&[u8]> {
-        match &mut self.source {
-            Source::File(r) => r.fill_buf(),
-            Source::Memory(r) => r.fill_buf(),
-        }
-    }
-
-    fn consume(&mut self, amt: usize) {
-        match &mut self.source {
-            Source::File(r) => r.consume(amt),
-            Source::Memory(r) => r.consume(amt),
         }
     }
 }
@@ -438,11 +350,11 @@ pub fn read_input(path: impl AsRef<Path>) -> Result<(String, Compression)> {
     LogFile::read(path)?.decode()
 }
 
-/// The one decode dispatch: the raw bytes of a file whose leading
-/// bytes sniffed as `compression`, decoded. Plain text is moved
-/// through, gzip inflated; zstd and `.fsidx` snapshots are errors
-/// naming `path`.
-fn decode_raw(compression: Compression, raw: Vec<u8>, path: &Path) -> Result<Vec<u8>> {
+/// The one decode dispatch, shared by [`LogFile`] and
+/// [`crate::LogTailer`]: the raw bytes of a file whose leading bytes
+/// sniffed as `compression`, decoded. Plain text is moved through, gzip
+/// inflated; zstd and `.fsidx` snapshots are errors naming `path`.
+pub(crate) fn decode_raw(compression: Compression, raw: Vec<u8>, path: &Path) -> Result<Vec<u8>> {
     match compression {
         Compression::Plain => Ok(raw),
         Compression::Gzip => inflate::gzip_decompress(&raw).map_err(gzip_error),
@@ -490,6 +402,7 @@ fn snapshot_not_a_log(path: &Path) -> Error {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::LogTailer;
     use std::io::Write;
 
     fn tmp(name: &str, bytes: &[u8]) -> std::path::PathBuf {
@@ -518,25 +431,45 @@ mod tests {
         assert_eq!(Compression::sniff(&[0x8F, b'F', b'S']), Compression::Plain);
     }
 
+    /// A small valid log and its text.
+    fn small_log() -> (FailureLog, String) {
+        let log = failsim::Simulator::new(failsim::SystemModel::tsubame3(), 5)
+            .generate()
+            .unwrap();
+        let text = crate::to_string(&log).unwrap();
+        (log, text)
+    }
+
+    /// Every record a tailer over `path` hands out, to the end.
+    fn tail_all(path: &Path) -> Result<(LogTailer, Vec<failtypes::FailureRecord>)> {
+        let mut tailer = LogTailer::open(path)?;
+        let mut records = Vec::new();
+        while tailer.read_rows(64, &mut records)? {}
+        tailer.finish(&mut records)?;
+        Ok((tailer, records))
+    }
+
     #[test]
     fn sniffing_beats_misleading_extensions() {
         // Content decides, never the file name: gzip bytes under a
         // plain `.fslog` name still inflate, plain text under `.gz`
         // still reads from byte zero, and `.fsidx` snapshot bytes are
         // rejected as snapshots whatever the extension claims.
-        let body = b"# failscope-log v1\npayload\n";
-        let gz_as_plain = tmp("mislabeled.fslog", &inflate::gzip_compress(body));
-        let r = InputReader::open(&gz_as_plain).unwrap();
-        assert_eq!(r.compression(), Compression::Gzip);
-        let plain_as_gz = tmp("mislabeled.fslog.gz", body);
-        let r = InputReader::open(&plain_as_gz).unwrap();
-        assert_eq!(r.compression(), Compression::Plain);
+        let (log, text) = small_log();
+        let gz_as_plain = tmp("mislabeled.fslog", &inflate::gzip_compress(text.as_bytes()));
+        let (tailer, records) = tail_all(&gz_as_plain).unwrap();
+        assert_eq!(tailer.compression(), Compression::Gzip);
+        assert_eq!(records.as_slice(), log.records());
+        let plain_as_gz = tmp("mislabeled.fslog.gz", text.as_bytes());
+        let (tailer, records) = tail_all(&plain_as_gz).unwrap();
+        assert_eq!(tailer.compression(), Compression::Plain);
+        assert_eq!(records.as_slice(), log.records());
 
         let mut snapshot = FSIDX_MAGIC.to_vec();
         snapshot.extend_from_slice(&[1, 0, 0xAB, 0xCD]);
         for name in ["snap.fsidx", "snap.fslog", "snap.fslog.gz"] {
             let path = tmp(name, &snapshot);
-            let err = InputReader::open(&path).unwrap_err();
+            let err = LogTailer::open(&path).unwrap_err();
             assert!(err.to_string().contains(".fsidx"), "{name}: {err}");
             assert!(err.to_string().contains(name), "{name}: {err}");
             let err = read_input(&path).unwrap_err();
@@ -546,26 +479,28 @@ mod tests {
 
     #[test]
     fn plain_file_reads_from_byte_zero() {
-        let path = tmp("plain.fslog", b"# failscope-log v1\nrest\n");
-        let mut r = InputReader::open(&path).unwrap();
-        assert_eq!(r.compression(), Compression::Plain);
-        let mut text = String::new();
-        r.read_to_string(&mut text).unwrap();
-        assert_eq!(text, "# failscope-log v1\nrest\n");
+        // The sniffed block is the tailer's first block: nothing is
+        // skipped, and the fingerprint covers the file from byte 0.
+        let (log, text) = small_log();
+        let path = tmp("plain.fslog", text.as_bytes());
+        let (tailer, records) = tail_all(&path).unwrap();
+        assert_eq!(tailer.compression(), Compression::Plain);
+        assert_eq!(records.as_slice(), log.records());
+        assert_eq!(tailer.progress(), Some(SourceInfo::of_bytes(text.as_bytes())));
+        let (read, comp) = read_input(&path).unwrap();
+        assert_eq!((read.as_str(), comp), (text.as_str(), Compression::Plain));
     }
 
     #[test]
     fn gzip_file_decodes_transparently() {
-        let body = b"# failscope-log v1\nline two\n";
-        let path = tmp("packed.fslog.gz", &inflate::gzip_compress(body));
-        let mut r = InputReader::open(&path).unwrap();
-        assert_eq!(r.compression(), Compression::Gzip);
-        let mut line = String::new();
-        r.read_line(&mut line).unwrap();
-        assert_eq!(line, "# failscope-log v1\n");
-        let (text, comp) = read_input(&path).unwrap();
+        let (log, text) = small_log();
+        let path = tmp("packed.fslog.gz", &inflate::gzip_compress(text.as_bytes()));
+        let (tailer, records) = tail_all(&path).unwrap();
+        assert_eq!(tailer.compression(), Compression::Gzip);
+        assert_eq!(records.as_slice(), log.records());
+        let (read, comp) = read_input(&path).unwrap();
         assert_eq!(comp, Compression::Gzip);
-        assert_eq!(text.as_bytes(), body);
+        assert_eq!(read, text);
     }
 
     #[test]
@@ -574,7 +509,7 @@ mod tests {
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0xFF;
         let path = tmp("corrupt.fslog.gz", &bytes);
-        let err = InputReader::open(&path).unwrap_err();
+        let err = LogTailer::open(&path).unwrap_err();
         assert!(err.to_string().contains("gzip"), "{err}");
         assert!(read_input(&path).is_err());
     }
@@ -582,7 +517,7 @@ mod tests {
     #[test]
     fn zstd_is_recognised_but_unsupported() {
         let path = tmp("future.fslog.zst", &[0x28, 0xB5, 0x2F, 0xFD, 0, 0, 0]);
-        let err = InputReader::open(&path).unwrap_err();
+        let err = LogTailer::open(&path).unwrap_err();
         assert!(err.to_string().contains("zstd"), "{err}");
         // The error names the offending file and the way out.
         assert!(err.to_string().contains("future.fslog.zst"), "{err}");
@@ -644,7 +579,8 @@ mod tests {
 
     #[test]
     fn missing_file_errors() {
-        assert!(InputReader::open("/definitely/not/here.fslog").is_err());
+        let err = LogTailer::open("/definitely/not/here.fslog").unwrap_err();
+        assert!(err.to_string().starts_with("i/o error: "), "{err}");
         assert!(read_input("/definitely/not/here.fslog").is_err());
         let err = LogFile::read("/definitely/not/here.fslog").unwrap_err();
         assert!(err.to_string().starts_with("i/o error: "), "{err}");

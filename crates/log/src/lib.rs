@@ -13,8 +13,10 @@
 //! their [`SourceInfo`] fingerprint, and the file's [`FileId`] as
 //! `fstat` saw it around the read) and parse that buffer; for live
 //! monitoring, [`LogTailer`] reads the same format incrementally with
-//! follow-mode polling. Every reader parses body rows with one grammar,
-//! [`parse_line`]: native CSV, or one-line NDJSON objects. Record filtering
+//! follow-mode polling. Both sniff and decode a file through one
+//! dispatch, and every reader parses body rows with one row loop,
+//! [`parse_body_rows`], over one grammar, [`parse_line`]: native CSV,
+//! or one-line NDJSON objects. Record filtering
 //! (`--where`, and the `--since`/`--until` sugar that desugars into it)
 //! is pushed down into the parser itself: a compiled
 //! [`failfilter::CompiledPredicate`] carried in [`ParseOptions::filter`]
@@ -56,7 +58,7 @@ pub use bytes::{ByteReader, ByteWriter, BytesError};
 pub use csv::{from_str, read_log, to_string, write_log};
 pub use inflate::{crc32, gzip_compress, gzip_decompress, Crc32};
 pub use input::{
-    file_id, read_input, Compression, FileId, InputReader, LogFile, ReadStat, SourceInfo, FSIDX_MAGIC,
+    file_id, read_input, Compression, FileId, LogFile, ReadStat, SourceInfo, FSIDX_MAGIC,
 };
 pub use ops::{anonymize_nodes, load, load_with, save, summarize, LogSummary};
 pub use parallel::{from_str_with, parse_body_rows, BodyRows, ParseOptions, DEFAULT_CHUNK_BYTES};

@@ -235,10 +235,12 @@ pub struct BodyRows {
 /// `lineno_offset` plus the 1-based line within `text`.
 ///
 /// This is the batch parser's chunk function (called with offset 0 and
-/// remapped afterwards) and the tail parser `failindex` uses to extend
-/// a snapshot over the bytes appended since it was written (offset =
-/// the lines the snapshot covers), so a tail extends a snapshot exactly
-/// when a cold parse of the same bytes accepts it.
+/// remapped afterwards), the row loop of [`crate::LogTailer`] (offset =
+/// the lines consumed so far) and the tail parser `failindex` uses to
+/// extend a snapshot over the bytes appended since it was written
+/// (offset = the lines the snapshot covers), so a watch ingests, and a
+/// tail extends a snapshot with, exactly the rows a cold parse of the
+/// same bytes accepts.
 ///
 /// # Errors
 ///

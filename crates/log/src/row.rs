@@ -1,9 +1,11 @@
 //! The one body-row grammar every reader of the format shares.
 //!
 //! A body row is either a native CSV row (see [`crate::write_log`]) or
-//! a one-line JSON object, told apart by its first byte, so the batch
-//! chunk parser, the streaming [`crate::LogTailer`] and `failindex`'s
-//! snapshot-tail extension all accept exactly the same lines:
+//! a one-line JSON object, told apart by its first byte. Every reader
+//! reaches it through one row loop, [`crate::parse_body_rows`]: the
+//! batch chunk parser, the streaming [`crate::LogTailer`] and
+//! `failindex`'s snapshot-tail extension all accept exactly the same
+//! lines:
 //!
 //! ```text
 //! 0,10.5,4.25,GPU,12,0|3,

@@ -69,7 +69,7 @@ pub use error::{Error, InvalidRecordError, InvalidSpecError, ParseCategoryError,
 pub use json::{JsonObjectBuilder, JsonParseError, JsonValue};
 pub use record::{FailureLog, FailureRecord};
 pub use software::SoftwareLocus;
-pub use stream::{Alert, AlertKind, AlertSeverity, StreamEvent};
+pub use stream::{Alert, AlertKind, AlertSeverity};
 pub use system::{Generation, GpuSlot, NodeId, RackId, SystemSpec, SystemSpecBuilder};
 pub use time::{days_in_month, is_leap_year, Date, Hours, Month, ObservationWindow};
 

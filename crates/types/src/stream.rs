@@ -1,9 +1,8 @@
-//! Streaming vocabulary: events flowing through an ingestion pipeline
-//! and the structured alerts an online monitor emits.
+//! Streaming vocabulary: the structured alerts an online monitor emits.
 //!
 //! The batch pipeline consumes a whole [`crate::FailureLog`] at once;
-//! the streaming subsystem (`failwatch`) consumes [`StreamEvent`]s one
-//! at a time and reacts with [`Alert`]s — category-mix shifts, MTTR
+//! the streaming subsystem (`failwatch`) consumes records as they
+//! arrive and reacts with [`Alert`]s — category-mix shifts, MTTR
 //! regressions, GPU slot-skew anomalies, and multi-GPU failure bursts.
 //! Alerts serialize to one-line JSON ([`Alert::to_ndjson`]) so an
 //! operator can pipe `failctl watch` into any NDJSON consumer.
@@ -11,18 +10,6 @@
 use std::fmt;
 
 use crate::json::{push_json_escaped, push_json_number};
-use crate::record::FailureRecord;
-
-/// One event observed by a streaming consumer.
-#[derive(Debug, Clone, PartialEq)]
-pub enum StreamEvent {
-    /// A new failure record arrived.
-    Record(FailureRecord),
-    /// A follow-mode poll found no new data (heartbeat).
-    Idle,
-    /// The source is exhausted and will produce no further records.
-    Eof,
-}
 
 /// What kind of drift or anomaly an alert reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -255,10 +242,5 @@ mod tests {
         let line = a.to_ndjson();
         assert!(line.contains("\\u0001"));
         assert!(line.contains("\\t"));
-    }
-
-    #[test]
-    fn stream_event_variants() {
-        assert_ne!(StreamEvent::Idle, StreamEvent::Eof);
     }
 }

@@ -1,12 +1,12 @@
-//! Event sources feeding the watch loop.
+//! Record sources feeding the watch loop.
 //!
-//! Two sources produce [`StreamEvent`]s behind one trait:
+//! Two sources deliver records in chunks behind one trait:
 //!
 //! * [`TailSource`] — a `failscope-log v1` file read incrementally via
 //!   [`faillog::LogTailer`] (CSV or NDJSON body rows); in follow mode
-//!   exhaustion yields [`StreamEvent::Idle`] so the caller can sleep
-//!   and poll again while the file grows, otherwise the final partial
-//!   line is flushed and the source ends with [`StreamEvent::Eof`].
+//!   exhaustion yields [`ChunkEnd::Idle`] so the caller can sleep and
+//!   poll again while the file grows, otherwise the final partial line
+//!   is parsed and the source ends with [`ChunkEnd::Eof`].
 //! * [`SimSource`] — a calibrated `failsim` model replayed through a
 //!   [`failsim::ReplayClock`], paced (real-time-scaled) or unpaced
 //!   (`--accel max`). An optional MTTR injection multiplies the repair
@@ -16,11 +16,9 @@
 use std::collections::VecDeque;
 use std::path::{Path, PathBuf};
 
-use faillog::{Compression, InputReader, LogTailer, SourceInfo};
+use faillog::{Compression, LogTailer, SourceInfo};
 use failsim::{ReplayClock, Simulator, SystemModel};
-use failtypes::{
-    FailureRecord, Generation, Hours, ObservationWindow, Result, StreamEvent, SystemSpec,
-};
+use failtypes::{FailureRecord, Generation, Hours, ObservationWindow, Result, SystemSpec};
 
 /// Why a chunked pull ([`EventSource::next_chunk`]) stopped delivering.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,7 +31,7 @@ pub enum ChunkEnd {
     Eof,
 }
 
-/// A producer of [`StreamEvent`]s plus the system metadata the online
+/// A producer of failure records plus the system metadata the online
 /// state needs up front.
 pub trait EventSource {
     /// The system generation of the stream.
@@ -42,33 +40,21 @@ pub trait EventSource {
     fn spec(&self) -> &SystemSpec;
     /// The observation window of the stream.
     fn window(&self) -> ObservationWindow;
-    /// Pulls the next event. [`StreamEvent::Idle`] means "nothing right
-    /// now, poll again"; [`StreamEvent::Eof`] is terminal.
-    fn next_event(&mut self) -> Result<StreamEvent>;
-    /// Pulls up to `max` immediately deliverable records into `out`
-    /// (appending; the caller owns clearing), so the watch loop ingests
-    /// whole chunks between refresh ticks instead of making per-record
-    /// virtual calls. Stops early on [`StreamEvent::Idle`] /
-    /// [`StreamEvent::Eof`] and reports why it stopped; partial chunks
-    /// are always handed over, so chunking never delays follow-mode
-    /// delivery. Nor does it move alerts: the watch loop checks drift
-    /// at refresh ticks counted in records, so an alert waits for its
-    /// tick (or the end of the run), wherever the chunks end.
+    /// Moves up to `max` immediately deliverable records onto the end
+    /// of `out`, so the watch loop ingests whole chunks between refresh
+    /// ticks, and reports why it stopped: [`ChunkEnd::Idle`] means
+    /// "nothing more right now, poll again", [`ChunkEnd::Eof`] is
+    /// terminal and sticky. A chunk cut short by either is still
+    /// handed over, so chunking never delays follow-mode delivery. Nor
+    /// does it move alerts: the watch loop checks drift at refresh
+    /// ticks counted in records, so an alert waits for its tick (or
+    /// the end of the run), wherever the chunks end.
     ///
     /// # Errors
     ///
-    /// As [`next_event`](EventSource::next_event); records pulled
-    /// before the failing event remain in `out`.
-    fn next_chunk(&mut self, max: usize, out: &mut Vec<FailureRecord>) -> Result<ChunkEnd> {
-        while out.len() < max {
-            match self.next_event()? {
-                StreamEvent::Record(rec) => out.push(rec),
-                StreamEvent::Idle => return Ok(ChunkEnd::Idle),
-                StreamEvent::Eof => return Ok(ChunkEnd::Eof),
-            }
-        }
-        Ok(ChunkEnd::More)
-    }
+    /// Source failures (I/O, malformed or invalid rows); records moved
+    /// before the failure may remain in `out`.
+    fn next_chunk(&mut self, max: usize, out: &mut Vec<FailureRecord>) -> Result<ChunkEnd>;
     /// Human-readable description of the source for the watch banner.
     fn describe(&self) -> String;
     /// Support for persisting the accumulated index as a `.fsidx`
@@ -85,15 +71,14 @@ pub trait EventSource {
 
 /// Tails a `failscope-log v1` file (see the module docs).
 ///
-/// Files open through the layered [`InputReader`], so a
-/// gzip-compressed replay (`.fslog.gz`) streams exactly like plain
-/// text in non-follow mode. Follow mode polls the file for appended
-/// bytes, which only plain text supports — a gzip member is decoded
-/// once at open — so `--follow` on compressed input is rejected at
-/// open time.
+/// Files open through [`LogTailer::open`], so a gzip-compressed replay
+/// (`.fslog.gz`) streams exactly like plain text in non-follow mode.
+/// Follow mode polls the file for appended bytes, which only plain text
+/// supports — a gzip member is decoded once at open — so `--follow` on
+/// compressed input is rejected at open time.
 #[derive(Debug)]
 pub struct TailSource {
-    tailer: LogTailer<InputReader>,
+    tailer: LogTailer,
     path: String,
     follow: bool,
     done: bool,
@@ -139,21 +124,25 @@ impl EventSource for TailSource {
         self.tailer.window()
     }
 
-    fn next_event(&mut self) -> Result<StreamEvent> {
+    fn next_chunk(&mut self, max: usize, out: &mut Vec<FailureRecord>) -> Result<ChunkEnd> {
         if self.done {
-            return Ok(StreamEvent::Eof);
+            return Ok(ChunkEnd::Eof);
         }
-        match self.tailer.next_record()? {
-            Some(rec) => Ok(StreamEvent::Record(rec)),
-            None if self.follow => Ok(StreamEvent::Idle),
-            None => {
-                self.done = true;
-                match self.tailer.flush_partial()? {
-                    Some(rec) => Ok(StreamEvent::Record(rec)),
-                    None => Ok(StreamEvent::Eof),
+        // Each run is at most the records still wanted, so the tailer
+        // never consumes past what it hands over and its progress
+        // fingerprints exactly the ingested records.
+        let target = out.len().saturating_add(max);
+        while out.len() < target {
+            if !self.tailer.read_rows(target - out.len(), out)? {
+                if self.follow {
+                    return Ok(ChunkEnd::Idle);
                 }
+                self.done = true;
+                self.tailer.finish(out)?;
+                return Ok(ChunkEnd::Eof);
             }
         }
+        Ok(ChunkEnd::More)
     }
 
     fn describe(&self) -> String {
@@ -165,10 +154,7 @@ impl EventSource for TailSource {
     }
 
     fn snapshot_target(&self) -> Option<(PathBuf, SourceInfo)> {
-        if self.tailer.compression() != Compression::Plain {
-            return None;
-        }
-        Some((PathBuf::from(&self.path), self.tailer.progress()))
+        Some((PathBuf::from(&self.path), self.tailer.progress()?))
     }
 }
 
@@ -197,11 +183,11 @@ impl SimSource {
         let name = format!("sim:{} seed {seed}", model.spec.name());
         let log = Simulator::new(model, seed).generate()?;
         Ok(SimSource {
-            records: log.records().to_vec().into(),
-            clock,
             generation: log.generation(),
             spec: log.spec().clone(),
             window: log.window(),
+            records: log.into_records().into(),
+            clock,
             name,
         })
     }
@@ -263,15 +249,17 @@ impl EventSource for SimSource {
         self.window
     }
 
-    fn next_event(&mut self) -> Result<StreamEvent> {
-        let Some(rec) = self.records.front() else {
-            return Ok(StreamEvent::Eof);
-        };
-        // Paced replay sleeps inline until the record is due; unpaced
-        // clocks return immediately.
-        self.clock.sleep_until(rec.time().get());
-        let rec = self.records.pop_front().expect("front() was Some");
-        Ok(StreamEvent::Record(rec))
+    fn next_chunk(&mut self, max: usize, out: &mut Vec<FailureRecord>) -> Result<ChunkEnd> {
+        for _ in 0..max {
+            let Some(rec) = self.records.pop_front() else {
+                return Ok(ChunkEnd::Eof);
+            };
+            // Paced replay sleeps inline until the record is due;
+            // unpaced clocks return immediately.
+            self.clock.sleep_until(rec.time().get());
+            out.push(rec);
+        }
+        Ok(ChunkEnd::More)
     }
 
     fn describe(&self) -> String {
@@ -286,10 +274,10 @@ mod tests {
     fn drain(source: &mut dyn EventSource) -> Vec<FailureRecord> {
         let mut out = Vec::new();
         loop {
-            match source.next_event().unwrap() {
-                StreamEvent::Record(r) => out.push(r),
-                StreamEvent::Idle => panic!("unexpected idle"),
-                StreamEvent::Eof => break,
+            match source.next_chunk(1, &mut out).unwrap() {
+                ChunkEnd::More => {}
+                ChunkEnd::Idle => panic!("unexpected idle"),
+                ChunkEnd::Eof => break,
             }
         }
         out
@@ -305,7 +293,7 @@ mod tests {
         let records = drain(&mut src);
         assert_eq!(records.as_slice(), log.records());
         // Eof is sticky.
-        assert_eq!(src.next_event().unwrap(), StreamEvent::Eof);
+        assert_eq!(src.next_chunk(1, &mut Vec::new()).unwrap(), ChunkEnd::Eof);
     }
 
     #[test]
@@ -399,15 +387,15 @@ mod tests {
         let path = dir.join("follow.fslog");
         faillog::save(&path, &log).unwrap();
         let mut src = TailSource::open(&path, true).unwrap();
-        let mut records = 0;
+        let mut records = Vec::new();
         loop {
-            match src.next_event().unwrap() {
-                StreamEvent::Record(_) => records += 1,
-                StreamEvent::Idle => break,
-                StreamEvent::Eof => panic!("follow mode must idle, not end"),
+            match src.next_chunk(1, &mut records).unwrap() {
+                ChunkEnd::More => {}
+                ChunkEnd::Idle => break,
+                ChunkEnd::Eof => panic!("follow mode must idle, not end"),
             }
         }
-        assert_eq!(records, log.len());
+        assert_eq!(records.as_slice(), log.records());
         assert!(src.describe().contains("follow"));
         std::fs::remove_file(&path).unwrap();
     }

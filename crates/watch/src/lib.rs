@@ -9,10 +9,12 @@
 //!
 //! The subsystem is built from four layers:
 //!
-//! * **Sources** ([`EventSource`]): a tailed `failscope-log v1` file
-//!   ([`TailSource`], optionally followed as it grows) or a calibrated
-//!   simulation replay ([`SimSource`]) paced by a
-//!   [`failsim::ReplayClock`] — real-time-scaled or fully accelerated.
+//! * **Sources** ([`EventSource`]), pulled in chunks of records: a
+//!   tailed `failscope-log v1` file ([`TailSource`], optionally followed
+//!   as it grows), whose rows [`faillog::LogTailer`] parses with the
+//!   batch parser's own row loop, or a calibrated simulation replay
+//!   ([`SimSource`]) paced by a [`failsim::ReplayClock`] —
+//!   real-time-scaled or fully accelerated.
 //! * **Online state** ([`WatchState`]): an incremental
 //!   [`failscope::StreamView`] index plus per-category [`Ewma`]s. Every
 //!   other figure (MTTR, TTR quantiles, mean gap, the trailing windows)
@@ -42,8 +44,8 @@ pub use estimators::Ewma;
 pub use ingest::{ChunkEnd, EventSource, SimSource, TailSource};
 pub use state::{StateConfig, StateConfigBuilder, WatchState};
 pub use watch::{
-    render_summary, render_summary_sections, run, select_watch_sections, watch_section_by_id,
-    WatchConfig, WatchConfigBuilder, WatchOutcome, WatchSection, WATCH_SECTIONS,
+    render_summary, render_summary_sections, run, WatchConfig, WatchConfigBuilder, WatchOutcome,
+    WatchSection, WATCH_SECTIONS,
 };
 
 /// One-stop imports for driving the watch loop.
@@ -73,9 +75,8 @@ pub mod prelude {
     pub use crate::ingest::{ChunkEnd, EventSource, SimSource, TailSource};
     pub use crate::state::{StateConfig, StateConfigBuilder, WatchState};
     pub use crate::watch::{
-        render_summary, render_summary_sections, run, select_watch_sections,
-        watch_section_by_id, WatchConfig, WatchConfigBuilder, WatchOutcome, WatchSection,
-        WATCH_SECTIONS,
+        render_summary, render_summary_sections, run, WatchConfig, WatchConfigBuilder,
+        WatchOutcome, WatchSection, WATCH_SECTIONS,
     };
     pub use failtypes::{Error, Result};
 }

@@ -76,47 +76,6 @@ pub const WATCH_SECTIONS: &[WatchSection] = &[
     },
 ];
 
-/// Looks up one watch section by its stable id.
-pub fn watch_section_by_id(id: &str) -> Option<&'static WatchSection> {
-    WATCH_SECTIONS.iter().find(|s| s.id == id)
-}
-
-/// Resolves a comma-separated id list (e.g. `"overview,slots"`) against
-/// the watch registry, preserving the requested order.
-///
-/// # Errors
-///
-/// Rejects unknown or empty selections with a
-/// [`failtypes::Error::Args`] naming the known vocabulary.
-pub fn select_watch_sections(spec: &str) -> failtypes::Result<Vec<&'static WatchSection>> {
-    let known = || {
-        WATCH_SECTIONS
-            .iter()
-            .map(|s| s.id)
-            .collect::<Vec<_>>()
-            .join(", ")
-    };
-    let mut out = Vec::new();
-    for id in spec.split(',').map(str::trim).filter(|s| !s.is_empty()) {
-        match watch_section_by_id(id) {
-            Some(section) => out.push(section),
-            None => {
-                return Err(failtypes::Error::args(format!(
-                    "unknown section `{id}` (known: {})",
-                    known()
-                )))
-            }
-        }
-    }
-    if out.is_empty() {
-        return Err(failtypes::Error::args(format!(
-            "no sections selected (known: {})",
-            known()
-        )));
-    }
-    Ok(out)
-}
-
 /// Tuning for the watch loop itself (the trailing window is configured
 /// on [`StateConfig`]; drift thresholds are fixed constants of
 /// [`crate::DriftDetector`]).
@@ -465,14 +424,7 @@ pub fn render_summary_sections(
             } else {
                 (section.json)(state)
             };
-            let mut line = JsonValue::object()
-                .field("id", section.id)
-                .field("title", section.title)
-                .field("data", data)
-                .build()
-                .render();
-            line.push('\n');
-            line
+            failscope::json_section_line(section.id, section.title, data)
         } else {
             (section.text)(state)
         }
@@ -652,9 +604,7 @@ mod tests {
     use crate::drift::Baseline;
     use crate::ingest::SimSource;
     use failsim::{ReplayClock, SystemModel};
-    use failtypes::{
-        AlertKind, FailureLog, Generation, ObservationWindow, StreamEvent, SystemSpec,
-    };
+    use failtypes::{AlertKind, FailureLog, Generation, ObservationWindow, SystemSpec};
     use std::collections::VecDeque;
 
     fn watch_sim(
@@ -775,13 +725,6 @@ mod tests {
 
         fn window(&self) -> ObservationWindow {
             self.window
-        }
-
-        fn next_event(&mut self) -> failtypes::Result<StreamEvent> {
-            Ok(self
-                .records
-                .pop_front()
-                .map_or(StreamEvent::Eof, StreamEvent::Record))
         }
 
         fn next_chunk(
@@ -949,12 +892,16 @@ mod tests {
 
     #[test]
     fn watch_section_selection() {
-        let picked = select_watch_sections("slots, overview").expect("valid ids");
+        let select = |spec| failscope::select_by_id(WATCH_SECTIONS, |s| s.id, spec);
+        let picked = select("slots, overview").expect("valid ids");
         assert_eq!(picked.len(), 2);
         assert_eq!(picked[0].id, "slots");
         assert_eq!(picked[1].id, "overview");
-        assert!(select_watch_sections("bogus").is_err());
-        assert!(select_watch_sections("").is_err());
+        let known = "(known: overview, categories, slots, months)";
+        let err = select("overview,bogus").unwrap_err().to_string();
+        assert_eq!(err, format!("unknown section `bogus` {known}"));
+        let err = select(" , ").unwrap_err().to_string();
+        assert_eq!(err, format!("no sections selected {known}"));
 
         let (outcome, _) = watch_sim(7, None, &WatchConfig::default());
         let text = render_summary_sections(&outcome.state, &picked, 2, false);

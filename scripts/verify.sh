@@ -27,7 +27,9 @@ cargo clippy --workspace --all-targets -- -D warnings
 # category column and tallies (a per-category row partition, stored
 # rack counts, a stored GPU-involvement total), and the second copy of
 # the view's fields that the snapshot codec once read and wrote
-# (`ViewParts` and its `into_parts`/`from_parts` hand-off) stay gone.
+# (`ViewParts` and its `into_parts`/`from_parts` hand-off), and the
+# watch's second reader and row loop (`InputReader`, `StreamEvent`,
+# `next_event`) stay gone.
 extra_vendor=$(ls vendor | grep -vxE 'rand|proptest' || true)
 if [ -n "$extra_vendor" ]; then
     echo "verify: unexpected vendored crates: $extra_vendor (allowed: rand, proptest)" >&2
@@ -76,6 +78,15 @@ fi
 # carries the body between the view and failindex.
 if grep -rnE 'ViewParts|into_parts|from_parts' crates/; then
     echo "verify: ViewParts, into_parts or from_parts reappeared under crates/; StreamView::encode_body and decode_body read and write the view's fields directly" >&2
+    exit 1
+fi
+# One row loop: the watch tailer hands runs of complete lines to
+# faillog::parse_body_rows, as the cold parse and the snapshot tail
+# extension do, and sources deliver records in chunks only. The second
+# reader (InputReader), the per-record event type (StreamEvent) and its
+# pull method (next_event) must not come back.
+if grep -rnE 'InputReader|StreamEvent|fn next_event' crates/; then
+    echo "verify: InputReader, StreamEvent or fn next_event reappeared under crates/; LogTailer parses with parse_body_rows and EventSource pulls with next_chunk" >&2
     exit 1
 fi
 if grep -nF 'std::fs::read' crates/api/src/engine.rs; then
