@@ -1059,7 +1059,7 @@ pub(crate) fn compile_filter(
                 .map_err(|e| Error::args(format!("--{flag}: {e}")))?;
             conjoin(
                 failfilter::compile(&format!("time {op} {lit}"))
-                    .expect("desugared time bound compiles"),
+                    .map_err(|e| Error::args(format!("--{flag}: {e}")))?,
             );
         }
     }
@@ -1079,8 +1079,7 @@ fn filter_view(
 ) -> Arc<StreamView> {
     match filter {
         Some(p) => {
-            let (spec, window) = (view.spec(), view.window());
-            let kept = view.filtered(|r| p.matches(r, spec, window));
+            let kept = view.filtered_by(p);
             trace.incr("filter.records_in", view.len() as u64);
             trace.incr("filter.records_kept", kept.len() as u64);
             Arc::new(kept)
@@ -1518,6 +1517,19 @@ mod tests {
         assert_eq!(filter_lines(&warm), want);
         std::fs::remove_file(&path).ok();
         std::fs::remove_file(&spath).ok();
+    }
+
+    #[test]
+    fn negative_time_bounds_filter_like_the_spelled_out_expression() {
+        let engine = QueryEngine::new();
+        let base = QueryRequest::report(QuerySource::model("tsubame2", 42)).sections("header");
+        let run = |req: QueryRequest| engine.execute(&req).expect("executes").output;
+        let all = run(base.clone());
+        assert_eq!(run(base.clone().since("-5")), run(base.clone().where_expr("time >= -5")));
+        assert_eq!(run(base.clone().since("-5")).lines().nth(1), all.lines().nth(1));
+        let none = run(base.clone().until("-0.5"));
+        assert_eq!(none, run(base.clone().where_expr("time < -0.5")));
+        assert!(none.lines().nth(1).is_some_and(|l| l.starts_with("0 failures")), "{none}");
     }
 
     #[test]

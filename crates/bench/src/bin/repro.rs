@@ -398,43 +398,59 @@ fn bench(catalog: &[CatalogEntry], json_path: &str, history: Option<&(String, u6
     let index_identical = warm_render == cold_render;
 
     // View-filter bench: the path every `--where` report takes — load
-    // the unfiltered view, then `StreamView::filtered` with the
-    // predicate. The snapshot is decoded once; the kept view is
-    // verified equal to the bulk view of the pushdown parse above
-    // before any rate is reported. `view_filter_records_per_second`
-    // (view records scanned per second) is the figure scripts/verify.sh
-    // gates on.
-    let view_filter_json;
-    let view_filter_rate;
-    let view_filter_identical;
-    {
+    // the unfiltered view, then `StreamView::filtered_by` with the
+    // predicate. The snapshot is decoded once. Three tiers: the filter
+    // bench's predicate, its kept view checked equal to the bulk view
+    // of the pushdown parse above; a time window, two compares over the
+    // time column; and a node-path match, one formatted path per node. The last two are checked equal to the closure filter
+    // over `CompiledPredicate::matches`. Each check runs before its
+    // rate (view records scanned per second) is reported, and
+    // scripts/verify.sh gates all three rates.
+    const WINDOW_EXPR: &str = "time >= 2000 && time < 2720";
+    const NODE_EXPR: &str = "node ~ \"rack1\"";
+    let view_filter_tiers = {
         let snap = open_warm(None);
         let decoded = snap.view();
-        let (spec, window) = (decoded.spec().clone(), decoded.window());
-        let keep = |r: &failtypes::FailureRecord| filter_pred.matches(r, &spec, window);
-        let kept = decoded.filtered(keep);
-        view_filter_identical = kept == StreamView::from(filtered_parse);
-        let view_filter_seconds = best_of_on(PARSE_REPS, || (), |()| decoded.filtered(keep));
-        view_filter_rate = decoded.len() as f64 / view_filter_seconds.max(f64::MIN_POSITIVE);
-        println!(
-            "  view filter bench: `{FILTER_EXPR}` kept {} of {} decoded records",
-            kept.len(),
-            decoded.len()
-        );
-        println!(
-            "    filtered view: {:.1} ms | {:.0} rec/s | identical to the pushdown parse: {view_filter_identical}",
-            view_filter_seconds * 1e3,
-            view_filter_rate
-        );
-        view_filter_json = JsonValue::object()
-            .field("expression", FILTER_EXPR)
-            .field("records_in", decoded.len())
-            .field("records_kept", kept.len())
-            .field("seconds", view_filter_seconds)
-            .field("records_per_second", view_filter_rate as u64)
-            .field("identical_output", view_filter_identical)
-            .build();
-    }
+        let tiers = [
+            (FILTER_EXPR, Some(StreamView::from(filtered_parse))),
+            (WINDOW_EXPR, None),
+            (NODE_EXPR, None),
+        ];
+        tiers.map(|(expr, pushdown_view)| {
+            let pred = failfilter::compile(expr).expect("bench predicate compiles");
+            let kept = decoded.filtered_by(&pred);
+            let (expected, against) = match pushdown_view {
+                Some(view) => (view, "the pushdown parse"),
+                None => {
+                    let (spec, window) = (decoded.spec(), decoded.window());
+                    (decoded.filtered(|r| pred.matches(r, spec, window)), "the closure filter")
+                }
+            };
+            let identical = kept == expected;
+            let seconds = best_of_on(PARSE_REPS, || (), |()| decoded.filtered_by(&pred));
+            let rate = decoded.len() as f64 / seconds.max(f64::MIN_POSITIVE);
+            println!(
+                "  view filter bench: `{expr}` kept {} of {} decoded records",
+                kept.len(),
+                decoded.len()
+            );
+            println!(
+                "    filtered view: {:.2} ms | {rate:.0} rec/s | identical to {against}: {identical}",
+                seconds * 1e3
+            );
+            let json = JsonValue::object()
+                .field("expression", expr)
+                .field("records_in", decoded.len())
+                .field("records_kept", kept.len())
+                .field("seconds", seconds)
+                .field("records_per_second", rate as u64)
+                .field("identical_output", identical)
+                .build();
+            (rate as u64, identical, json)
+        })
+    };
+    let view_filter_identical = view_filter_tiers.iter().all(|tier| tier.1);
+    let [view_filter, view_filter_window, view_filter_node] = view_filter_tiers;
     let cold_load_seconds = best_of(PARSE_REPS, || {
         let log = faillog::load(&idx_path).expect("parses");
         std::hint::black_box(StreamView::from(log));
@@ -711,8 +727,12 @@ fn bench(catalog: &[CatalogEntry], json_path: &str, history: Option<&(String, u6
         .field("inflate_mb_per_second", inflate_rate as u64)
         .field("filter", filter_json)
         .field("filter_records_per_second", filter_rate as u64)
-        .field("view_filter", view_filter_json)
-        .field("view_filter_records_per_second", view_filter_rate as u64)
+        .field("view_filter", view_filter.2)
+        .field("view_filter_records_per_second", view_filter.0)
+        .field("view_filter_window", view_filter_window.2)
+        .field("view_filter_window_records_per_second", view_filter_window.0)
+        .field("view_filter_node", view_filter_node.2)
+        .field("view_filter_node_records_per_second", view_filter_node.0)
         .field("index", index_json)
         .field("index_load_speedup_x100", (index_load_speedup * 100.0) as u64)
         .field("index_report_speedup_x100", (index_report_speedup * 100.0) as u64)
@@ -748,7 +768,7 @@ fn bench(catalog: &[CatalogEntry], json_path: &str, history: Option<&(String, u6
         std::process::exit(1);
     }
     if !view_filter_identical {
-        eprintln!("the filtered snapshot view diverged from the pushdown parse");
+        eprintln!("a filtered snapshot view diverged from its check");
         std::process::exit(1);
     }
     if !index_identical {

@@ -788,6 +788,19 @@ fn since_until_are_sugar_for_where_time_bounds() {
     ]))
     .expect("reports");
     assert_eq!(dated, spelled);
+    // A negative bound is a number like any other: all records lie at
+    // or after it.
+    let negative = report(&parse(&["report", p, "--since", "-5"])).expect("reports");
+    let spelled = report(&parse(&["report", p, "--where", "time >= -5"])).expect("reports");
+    assert_eq!(negative, spelled);
+    let analysis = |extra: &[&str]| {
+        let args = [&["report", p, "--sections", ANALYSIS][..], extra].concat();
+        report(&parse(&args)).expect("reports")
+    };
+    assert_eq!(analysis(&["--since", "-5"]), analysis(&[]));
+    let before = report(&parse(&["report", p, "--until", "-5", "--sections", "header"]))
+        .expect("reports");
+    assert!(before.contains("\n0 failures over"), "{before}");
     // The model path honours the same filter flags.
     let m = report(&parse(&[
         "report", "--model", "tsubame3", "--sections", ANALYSIS, "--where", "category == gpu",

@@ -28,19 +28,21 @@
 //!   (`StreamView::from(log)`): one pass writes each record's columns
 //!   and indexes, then one sort per order statistic, deferred to its
 //!   first read (or write), so a view that is only filtered never sorts.
-//!   Reports, comparisons, and experiments use this, and so does
-//!   [`StreamView::filtered`] for the rows its predicate keeps.
+//!   Reports, comparisons, and experiments use this.
 //! * **incrementally**, one record at a time ([`StreamView::push`]) or a
 //!   chunk at a time ([`StreamView::extend`]), as a live stream or an
 //!   appended log tail delivers them. `failwatch` and snapshot extension
 //!   use this.
+//! * **by gathering** the rows a filter keeps from another view
+//!   ([`StreamView::filtered_by`], [`StreamView::filtered`]): each
+//!   column is copied at its exact size, then the bulk build's finish.
 //!
-//! Both paths write the columns and update the other indexes through
-//! the same per-record helper — which finds a record's month bucket by
-//! comparing its day offset with precomputed month starts, not by a
-//! calendar conversion — so they differ only in when the order
-//! statistics are sorted; the result is equal under `PartialEq`
-//! whichever way a log arrives.
+//! All three derive the indexes beyond the columns through the same
+//! per-row helper — which finds a row's month bucket by comparing its
+//! day offset with precomputed month starts, not by a calendar
+//! conversion — so they differ only in when the order statistics are
+//! sorted; the result is equal under `PartialEq` whichever way a log
+//! arrives.
 //!
 //! # Cost model
 //!
@@ -100,6 +102,7 @@ use std::error::Error;
 use std::fmt;
 use std::sync::{Mutex, OnceLock};
 
+use failfilter::{slot_range, Columns, CompiledPredicate, RowMask};
 use failstats::ExactSum;
 use failtrace::Collector;
 use failtypes::{
@@ -368,6 +371,34 @@ pub(crate) fn sorted_total(xs: Vec<f64>) -> Vec<f64> {
     keys.into_iter()
         .map(|key| f64::from_bits(if key & SIGN == 0 { !key } else { key & !SIGN }))
         .collect()
+}
+
+/// Renumbers `codes`, which index `palette`, so that the new palette
+/// lists the categories in order of first arrival and holds only those
+/// some code uses, as a push or a bulk build meets them. Returns the new
+/// palette and its per-code counts, or `None` (with `codes` partly
+/// renumbered) when a code lies outside `palette`.
+fn first_arrival_palette(
+    codes: &mut [u8],
+    palette: &[Category],
+) -> Option<(Vec<Category>, Vec<usize>)> {
+    let mut renumbered: [Option<u8>; 256] = [None; 256];
+    let mut arrived = Vec::with_capacity(palette.len());
+    let mut counts: Vec<usize> = Vec::with_capacity(palette.len());
+    for code in codes {
+        let slot = &mut renumbered[usize::from(*code)];
+        let new = match *slot {
+            Some(new) => new,
+            None => {
+                arrived.push(*palette.get(usize::from(*code))?);
+                counts.push(0);
+                *slot.insert((arrived.len() - 1) as u8)
+            }
+        };
+        counts[usize::from(new)] += 1;
+        *code = new;
+    }
+    Some((arrived, counts))
 }
 
 /// The first day of each of `window.months()` as a
@@ -664,14 +695,11 @@ impl StreamView {
     /// Writes one record into the columns and folds it into every index
     /// (its category count and month sum included) except the two
     /// sorted order statistics and the TTR total — the per-record work
-    /// shared by [`StreamView::push`] and the bulk builds. Returns the
-    /// record's repair duration. The record must be valid and no earlier
-    /// than the last one appended.
+    /// shared by [`StreamView::push`] and [`StreamView::bulk`]. Returns
+    /// the record's repair duration. The record must be valid and no
+    /// earlier than the last one appended.
     fn append(&mut self, rec: &FailureRecord) -> f64 {
-        let time = rec.time().get();
-        let ttr = rec.ttr().get();
         let category = rec.category();
-        let gpus = rec.gpus();
         let code = self.palette.iter().position(|&c| c == category).unwrap_or_else(|| {
             self.palette.push(category);
             self.category_counts.push(0);
@@ -680,20 +708,32 @@ impl StreamView {
         self.category_counts[code] += 1;
         self.codes.push(u8::try_from(code).expect("categories are a closed set of under 256"));
         self.ids.push(rec.id());
-        self.times.push(time);
-        self.ttrs.push(ttr);
+        self.times.push(rec.time().get());
+        self.ttrs.push(rec.ttr().get());
         self.nodes.push(rec.node().index());
         self.loci.push(rec.locus());
-        self.slot_involvements.extend_from_slice(gpus);
+        self.slot_involvements.extend_from_slice(rec.gpus());
         self.slot_ends.push(
             u32::try_from(self.slot_involvements.len()).expect("under 2^32 GPU involvements"),
         );
+        self.index_row(self.len() - 1);
+        rec.ttr().get()
+    }
 
-        if let Some(locus) = rec.locus() {
+    /// Folds the row `row`, already written into the columns, into the
+    /// locus counts, its node's tally, the GPU indexes and its month
+    /// bucket: the indexes [`StreamView::append`] and
+    /// [`StreamView::gather`] derive from the columns, one row at a
+    /// time in row order.
+    fn index_row(&mut self, row: usize) {
+        let time = self.times[row];
+        let category = self.palette[usize::from(self.codes[row])];
+        if let Some(locus) = self.loci[row] {
             *self.locus_counts.entry(locus).or_insert(0) += 1;
         }
-        self.node_tallies[rec.node().index() as usize].add(time, category);
+        self.node_tallies[self.nodes[row] as usize].add(time, category);
         if category.is_gpu() {
+            let gpus = &self.slot_involvements[slot_range(&self.slot_ends, row)];
             // An involvement wider than the histogram is not counted.
             if let Some(count) = self.gpu_count_histogram.get_mut(gpus.len()) {
                 *count += 1;
@@ -703,16 +743,15 @@ impl StreamView {
                     *count += 1;
                 }
             }
-            if rec.is_multi_gpu() {
+            if gpus.len() > 1 {
                 self.multi_gpu_times.push(time);
             }
         }
-        let day = self.window.day_of(rec.time());
+        let day = self.window.day_of(Hours::new(time));
         let month = month_bucket(&self.month_starts, self.month_cursor, day)
             .expect("a valid record lies in a month of its window");
         self.month_cursor = month;
-        self.month_buckets.push(month, ttr);
-        ttr
+        self.month_buckets.push(month, self.ttrs[row]);
     }
 
     /// Validates and incorporates a whole chunk of records in time
@@ -765,30 +804,83 @@ impl StreamView {
         .expect("pushed records were validated")
     }
 
-    /// Rebuilds the view keeping only the records `keep` accepts,
-    /// re-deriving every index from scratch so the result is
-    /// indistinguishable from a view that only ever ingested the
-    /// matching records. This is how a `--where` predicate composes
-    /// with persisted (always unfiltered) index snapshots and with a
-    /// cold parse: load the unfiltered view, then filter it.
-    ///
-    /// Each row is refilled into one scratch record for `keep` to read:
-    /// its slot buffer is reused and its locus reset every row, so the
-    /// scan allocates nothing per row. The kept rows are written into
-    /// new columns by the bulk build's own pass, in ingest order, so the
-    /// filtered view's row order — and therefore any report rendered
-    /// from it — is byte-identical to a cold filtered parse of the same
-    /// log.
+    /// Rebuilds the view keeping only the records `keep` accepts — the
+    /// closure form of [`StreamView::filtered_by`], with the same
+    /// result. Each row is refilled into one scratch record for `keep`
+    /// to read (its slot buffer reused, its locus reset), so the scan
+    /// allocates nothing per row; the rows kept are then gathered as
+    /// `filtered_by` gathers them.
     pub fn filtered(&self, mut keep: impl FnMut(&FailureRecord) -> bool) -> StreamView {
+        let mut scratch = None;
+        self.gather(&RowMask::from_fn(self.len(), |row| {
+            let rec = scratch.get_or_insert_with(|| self.row(row).to_record());
+            self.row(row).write_to(rec);
+            keep(rec)
+        }))
+    }
+
+    /// Rebuilds the view keeping only the records `pred` matches,
+    /// re-deriving every index so the result is indistinguishable from
+    /// a view that only ever ingested the matching records. This is how
+    /// a `--where` predicate composes with persisted (always
+    /// unfiltered) index snapshots and with a cold parse: load the
+    /// unfiltered view, then filter it.
+    ///
+    /// The predicate is evaluated over the columns
+    /// ([`CompiledPredicate::select`]): each leaf is resolved once for
+    /// the view. The kept rows are gathered column by column, in ingest
+    /// order, so the filtered view's row order — and therefore any
+    /// report rendered from it — is byte-identical to a cold filtered
+    /// parse of the same log.
+    pub fn filtered_by(&self, pred: &CompiledPredicate) -> StreamView {
+        self.gather(&pred.select(&Columns {
+            spec: &self.spec,
+            window: self.window,
+            times: &self.times,
+            ttrs: &self.ttrs,
+            codes: &self.codes,
+            palette: &self.palette,
+            nodes: &self.nodes,
+            slot_ends: &self.slot_ends,
+            slots: &self.slot_involvements,
+            month_counts: &self.month_buckets.counts,
+        }))
+    }
+
+    /// A view of the rows in `keep`: each column gathered at its exact
+    /// size, the palette renumbered in first-arrival order, the other
+    /// indexes derived row by row ([`StreamView::index_row`]), then the
+    /// bulk build's finish.
+    fn gather(&self, keep: &RowMask) -> StreamView {
+        fn column<T: Copy>(values: &[T], rows: &[u32]) -> Vec<T> {
+            rows.iter().map(|&row| values[row as usize]).collect()
+        }
+        let kept = keep.count();
+        let mut rows: Vec<u32> = Vec::with_capacity(kept);
+        rows.extend(keep.rows().map(|row| row as u32));
         let mut view = StreamView::empty(self.generation, self.spec.clone(), self.window);
-        let Some(mut scratch) = self.rows().next().map(RecordRef::to_record) else {
-            return view;
-        };
-        for row in self.rows() {
-            row.write_to(&mut scratch);
-            if keep(&scratch) {
-                view.append(&scratch);
-            }
+        view.ids = column(&self.ids, &rows);
+        view.times = column(&self.times, &rows);
+        view.ttrs = column(&self.ttrs, &rows);
+        view.codes = column(&self.codes, &rows);
+        (view.palette, view.category_counts) = first_arrival_palette(&mut view.codes, &self.palette)
+            .expect("a view's codes index its palette");
+        view.nodes = column(&self.nodes, &rows);
+        view.loci = column(&self.loci, &rows);
+        let slots = |&row: &u32| &self.slot_involvements[slot_range(&self.slot_ends, row as usize)];
+        let mut end = 0u32;
+        view.slot_ends = rows
+            .iter()
+            .map(|row| {
+                // At most the source's involvements, which fit a u32.
+                end += slots(row).len() as u32;
+                end
+            })
+            .collect();
+        view.slot_involvements = Vec::with_capacity(end as usize);
+        view.slot_involvements.extend(rows.iter().flat_map(slots));
+        for row in 0..kept {
+            view.index_row(row);
         }
         view.finish_bulk()
     }
@@ -1055,9 +1147,7 @@ impl<'a> RecordRef<'a> {
 
     /// The GPU slots involved (empty when unknown or not a GPU failure).
     pub fn gpus(self) -> &'a [GpuSlot] {
-        let ends = &self.view.slot_ends;
-        let start = self.row.checked_sub(1).map_or(0, |prev| ends[prev]);
-        &self.view.slot_involvements[start as usize..ends[self.row] as usize]
+        &self.view.slot_involvements[slot_range(&self.view.slot_ends, self.row)]
     }
 
     /// The software root locus, when recorded.
@@ -1226,6 +1316,8 @@ mod tests {
         use failtypes::{T2Category, T3Category};
         use proptest::collection::vec;
         use proptest::prelude::*;
+        use proptest::strategy::Just;
+        use proptest::test_runner::TestRng;
 
         /// One generated row: hours to the previous record in steps of
         /// 1.5 (0 ties them), the repair in quarter hours, a category
@@ -1335,6 +1427,146 @@ mod tests {
                 assert_derived_indexes_match_the_records(&bulk.filtered(keep), "filtered");
                 assert_derived_indexes_match_the_records(&reordered, "reversed palette");
             }
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(512))]
+
+            // The column evaluation keeps exactly the rows the per-record
+            // `matches` keeps, and its view equals both the closure
+            // filter's and a view that only ever ingested the kept
+            // records (palette order and month cursor included).
+            #[test]
+            fn column_filter_equals_the_per_record_filter(
+                (log, expr) in (any::<bool>(), vec(row(), 0..40)).prop_flat_map(|(t3, rows)| {
+                    let log = log_of(t3, &rows);
+                    let expressions = Expressions::over(&log);
+                    (Just(log), expressions)
+                }),
+            ) {
+                let bulk = StreamView::new(&log);
+                let loaded = restored(&reversed_palette(bulk.clone()));
+                // Every row and no row, besides the generated expression.
+                for expr in [expr.as_str(), "ttr >= 0", "!(ttr >= 0)"] {
+                    let pred = failfilter::compile(expr).expect("generated expressions compile");
+                    let (spec, window) = (log.spec(), log.window());
+                    let mut oracle = StreamView::empty_like(&log);
+                    oracle
+                        .extend(log.records().iter().filter(|r| pred.matches(r, spec, window)).cloned())
+                        .unwrap();
+                    for view in [&bulk, &loaded] {
+                        prop_assert_eq!(&view.filtered_by(&pred), &oracle, "{}", expr);
+                        let closure = view.filtered(|r| pred.matches(r, spec, window));
+                        prop_assert_eq!(&closure, &oracle, "{}", expr);
+                    }
+                }
+            }
+        }
+
+        /// Random `--where` expressions over every field and operator for
+        /// one log: leaves under `&&`, `||` and `!`, sometimes inside a
+        /// top-level `time` window (what `--since`/`--until` desugar
+        /// to). Most `time`, `ttr`, `recovery` and `node`
+        /// values are the log's own, so `==` and the bounds of `<=` and
+        /// `>=` meet ties; the dates lie before and inside the window.
+        struct Expressions {
+            times: Vec<String>,
+            ttrs: Vec<String>,
+            recoveries: Vec<String>,
+            nodes: Vec<String>,
+        }
+
+        impl Expressions {
+            fn over(log: &FailureLog) -> Expressions {
+                let values = |field: fn(&FailureRecord) -> String, extra: &[&str]| {
+                    let mut values: Vec<String> = log.records().iter().map(field).collect();
+                    values.extend(extra.iter().map(|&v| v.to_owned()));
+                    values
+                };
+                Expressions {
+                    times: values(|r| r.time().get().to_string(), &["-5", "0", "1.5", "600.5"]),
+                    ttrs: values(|r| r.ttr().get().to_string(), &["0", "24", "24.25"]),
+                    recoveries: values(|r| r.recovery_time().get().to_string(), &["100"]),
+                    nodes: values(|r| r.node().index().to_string(), &["0", "300"]),
+                }
+            }
+
+            /// A leaf, or below `depth` levels of `&&`, `||` and `!`.
+            fn tree(&self, rng: &mut TestRng, depth: u32) -> String {
+                match if depth == 0 { 0 } else { rng.below(5) } {
+                    0 | 1 => self.leaf(rng),
+                    2 => format!("({}) && ({})", self.tree(rng, depth - 1), self.tree(rng, depth - 1)),
+                    3 => format!("({}) || ({})", self.tree(rng, depth - 1), self.tree(rng, depth - 1)),
+                    _ => format!("!({})", self.tree(rng, depth - 1)),
+                }
+            }
+
+            /// One leaf over any field with any of its operators.
+            fn leaf(&self, rng: &mut TestRng) -> String {
+                const CATEGORIES: &[&str] = &[
+                    "gpu", "software", "hardware", "unknown", "memory", "\"System Board\"",
+                    "\"Omni-Path\"",
+                ];
+                const TEXT: &[&str] = &[
+                    "node ~ \"rack1\"",
+                    "node ~ \"node1\"",
+                    "node ~ \"k2/node7\"",
+                    "rack ~ \"rack1\"",
+                    "rack ~ \"2\"",
+                    "category ~ \"gp\"",
+                    "category ~ \"o\"",
+                ];
+                const DATES: &[&str] = &["\"2019-12-01\"", "\"2019-12-20\"", "\"2020-01-01\""];
+                let fixed = |values: &[&str]| values.iter().map(|&v| v.to_owned()).collect::<Vec<_>>();
+                let numeric: [(&str, Vec<String>); 8] = [
+                    ("time", self.times.clone()),
+                    ("ttr", self.ttrs.clone()),
+                    ("recovery", self.recoveries.clone()),
+                    ("node", self.nodes.clone()),
+                    ("rack", fixed(&["0", "3", "7", "20"])),
+                    ("slot", fixed(&["0", "1", "2", "3"])),
+                    ("gpus", fixed(&["0", "1", "2", "4"])),
+                    ("month", fixed(&["1", "2", "3", "12"])),
+                ];
+                let set = |rng: &mut TestRng, values: &[String]| {
+                    let n = 1 + rng.below(3);
+                    (0..n).map(|_| pick(rng, values)).collect::<Vec<_>>().join(", ")
+                };
+                let cmp = |rng: &mut TestRng| pick(rng, &["==", "!=", "<", "<=", ">", ">="]);
+                match rng.below(5) {
+                    0 => format!("category {} {}", pick(rng, &["==", "!="]), pick(rng, CATEGORIES)),
+                    1 => format!("category in ({})", set(rng, &fixed(CATEGORIES))),
+                    2 => pick(rng, TEXT).to_owned(),
+                    3 => format!("time {} {}", cmp(rng), pick(rng, DATES)),
+                    _ => {
+                        let (field, values) = &numeric[rng.below(8) as usize];
+                        if rng.below(4) == 0 {
+                            format!("{field} in ({})", set(rng, values))
+                        } else {
+                            format!("{field} {} {}", cmp(rng), pick(rng, values))
+                        }
+                    }
+                }
+            }
+        }
+
+        impl Strategy for Expressions {
+            type Value = String;
+
+            fn generate(&self, rng: &mut TestRng) -> String {
+                let tree = self.tree(rng, 3);
+                let bound = |rng: &mut TestRng| rng.flip().then(|| pick(rng, &self.times));
+                match (bound(rng), bound(rng)) {
+                    (None, None) => tree,
+                    (Some(t), None) => format!("time >= {t} && ({tree})"),
+                    (None, Some(u)) => format!("({tree}) && time < {u}"),
+                    (Some(t), Some(u)) => format!("time >= {t} && ({tree}) && time < {u}"),
+                }
+            }
+        }
+
+        fn pick<S: AsRef<str>>(rng: &mut TestRng, values: &[S]) -> String {
+            values[rng.below(values.len() as u64) as usize].as_ref().to_owned()
         }
     }
 

@@ -28,7 +28,7 @@ use failtypes::{Category, Date, Generation, GpuSlot, ObservationWindow, Software
 
 #[cfg(debug_assertions)]
 use super::RecordRef;
-use super::{month_starts, MonthBuckets, NodeTally, SortedRun, StreamView};
+use super::{first_arrival_palette, month_starts, MonthBuckets, NodeTally, SortedRun, StreamView};
 
 /// The `.fsidx` format version this build reads and writes: the header
 /// carries it, and any change to the body layout below must bump it.
@@ -364,29 +364,10 @@ impl StreamView {
         }
 
         // The view lists its palette in first-arrival order, as a push
-        // or a bulk build meets the categories: one pass renumbers the
-        // codes in place and counts them, and palette entries no record
-        // uses drop out. A code is bounds-checked when first met; later
-        // ones hit the table.
-        let mut renumbered: [Option<u8>; 256] = [None; 256];
-        let mut palette = Vec::with_capacity(stored_palette.len());
-        let mut category_counts: Vec<usize> = Vec::with_capacity(stored_palette.len());
-        for code in &mut codes {
-            let slot = &mut renumbered[usize::from(*code)];
-            let new = match *slot {
-                Some(new) => new,
-                None => {
-                    let category = *stored_palette
-                        .get(usize::from(*code))
-                        .ok_or_else(|| shape_err("a category code lies outside the palette"))?;
-                    palette.push(category);
-                    category_counts.push(0);
-                    *slot.insert((palette.len() - 1) as u8)
-                }
-            };
-            category_counts[usize::from(new)] += 1;
-            *code = new;
-        }
+        // or a bulk build meets the categories, and palette entries no
+        // record uses drop out.
+        let (palette, category_counts) = first_arrival_palette(&mut codes, &stored_palette)
+            .ok_or_else(|| shape_err("a category code lies outside the palette"))?;
         let mut slot_end = 0u32;
         let slot_ends = gpu_counts
             .iter()

@@ -203,9 +203,29 @@ pub(crate) fn lex(src: &str) -> Result<Vec<Lexed>, (String, Span)> {
                 }
                 Tok::Str(text)
             }
-            b'0'..=b'9' | b'.' => {
+            // A `-` directly before a digit or `.` signs the number, so
+            // `time >= -5` (and `--since -5`, which desugars to it) lex.
+            b'-' | b'0'..=b'9' | b'.'
+                if b != b'-' || matches!(bytes.get(i + 1), Some(c) if c.is_ascii_digit() || *c == b'.') =>
+            {
+                if b == b'-' {
+                    i += 1;
+                }
                 while i < bytes.len() && (bytes[i].is_ascii_digit() || bytes[i] == b'.') {
                     i += 1;
+                }
+                // `2020-03-01` would lex as three signed numbers; say
+                // what was meant instead.
+                if bytes.get(i) == Some(&b'-') && bytes.get(i + 1).is_some_and(u8::is_ascii_digit) {
+                    let end = i + bytes[i..]
+                        .iter()
+                        .take_while(|&&c| c.is_ascii_digit() || c == b'-')
+                        .count();
+                    let date = &src[start..end];
+                    return Err((
+                        format!("unquoted date `{date}`: quote dates, as in \"{date}\""),
+                        Span::new(start, end),
+                    ));
                 }
                 let text = &src[start..i];
                 match text.parse::<f64>() {
@@ -290,6 +310,22 @@ mod tests {
         assert_eq!(toks(r#"node ~ "rack12""#)[2], Tok::Str("rack12".into()));
         assert_eq!(toks("x == 'System Board'")[2], Tok::Str("System Board".into()));
         assert_eq!(toks(r#"x == "a\"b\\c""#)[2], Tok::Str("a\"b\\c".into()));
+    }
+
+    #[test]
+    fn a_minus_before_a_digit_signs_the_number() {
+        assert_eq!(toks("time >= -5")[2], Tok::Number(-5.0));
+        assert_eq!(toks("ttr>-.5"), vec![Tok::Word("ttr".into()), Tok::Gt, Tok::Number(-0.5)]);
+        assert_eq!(toks("rack-1")[0], Tok::Word("rack-1".into()));
+        let (msg, span) = lex("ttr > - 5").unwrap_err();
+        assert!(msg.contains("unexpected character `-`"), "{msg}");
+        assert_eq!(span, Span::new(6, 7));
+        assert!(lex("ttr > --5").unwrap_err().0.contains("unexpected character `-`"));
+        assert!(lex("ttr > -5-").unwrap_err().0.contains("unexpected character `-`"));
+        let (msg, span) = lex("time >= 2020-03-01").unwrap_err();
+        assert_eq!(msg, r#"unquoted date `2020-03-01`: quote dates, as in "2020-03-01""#);
+        assert_eq!(span, Span::new(8, 18));
+        assert!(lex("time >= 2020 -3").is_ok());
     }
 
     #[test]

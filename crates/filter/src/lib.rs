@@ -3,14 +3,20 @@
 //! The pipeline's analyses repeatedly slice the fleet log along the same
 //! axes: failure category, TTR magnitude, node/rack locality, multi-GPU
 //! involvement, time window. This crate turns those slices into one
-//! small expression language that every consumer compiles **once** and
-//! evaluates per record. Reports and compares load the unfiltered view
-//! (a cold parse or a decoded `.fsidx` snapshot) and filter it
-//! (`StreamView::filtered`), so every source and index mode keeps the
-//! same records; `watch` drops unmatched records from each chunk it
-//! pulls, before they reach its state. The parser can also evaluate a
-//! predicate while parsing (`faillog::ParseOptions::filter`), a library
-//! entry point no command takes.
+//! small expression language that every consumer compiles **once**,
+//! then evaluates two ways with one meaning per leaf:
+//!
+//! * **by column** ([`CompiledPredicate::select`] over [`Columns`]):
+//!   reports and compares load the unfiltered view (a cold parse or a
+//!   decoded `.fsidx` snapshot) and filter it
+//!   (`StreamView::filtered_by`), so every source and index mode keeps
+//!   the same records. Each leaf is resolved once per view and read off
+//!   a column into a [`RowMask`].
+//! * **per record** ([`CompiledPredicate::matches`]): `watch` drops
+//!   unmatched records from each chunk it pulls, before they reach its
+//!   state, and the parser can evaluate a predicate while parsing
+//!   (`faillog::ParseOptions::filter`), a library entry point no
+//!   command takes.
 //!
 //! ```text
 //! failctl report t3.fslog --where 'category == gpu && ttr > 24'
@@ -71,12 +77,15 @@
 //! ```
 
 use failtypes::{
-    Category, ComponentClass, Date, Error, FailureRecord, ObservationWindow, Result, SystemSpec,
-    T2Category, T3Category,
+    Category, ComponentClass, Date, Error, FailureRecord, GpuSlot, Month, NodeId,
+    ObservationWindow, Result, SystemSpec, T2Category, T3Category,
 };
 
+mod columns;
 mod lexer;
 mod parser;
+
+pub use columns::{slot_range, Columns, RowMask};
 
 use lexer::Span;
 use parser::{Ast, CmpOp, Value, ValueKind};
@@ -257,6 +266,48 @@ enum Bound {
     Date(Date),
 }
 
+/// What a numeric leaf asks of its field's value: a comparison, or
+/// membership of an `in` set.
+#[derive(Debug, Clone, PartialEq)]
+enum Test {
+    Cmp { op: CmpOp, bound: Bound },
+    In(Vec<f64>),
+}
+
+impl Test {
+    /// The test with its bound resolved against `window`: the one form
+    /// both the per-record and the column evaluation apply.
+    fn resolve(&self, window: ObservationWindow) -> Check<'_> {
+        match self {
+            Test::Cmp { op, bound } => Check::Cmp(
+                *op,
+                match bound {
+                    Bound::Hours(h) => *h,
+                    Bound::Date(d) => window.start().hours_until(*d).get(),
+                },
+            ),
+            Test::In(values) => Check::In(values),
+        }
+    }
+}
+
+/// A [`Test`] resolved for one observation window.
+#[derive(Debug, Clone, Copy)]
+enum Check<'a> {
+    Cmp(CmpOp, f64),
+    In(&'a [f64]),
+}
+
+impl Check<'_> {
+    /// Whether a field value passes the test.
+    fn holds(self, value: f64) -> bool {
+        match self {
+            Check::Cmp(op, rhs) => num_cmp(value, op, rhs),
+            Check::In(values) => values.contains(&value),
+        }
+    }
+}
+
 /// The categories a token (label, component class, or domain) resolves
 /// to. The set is computed once at compile time over the closed
 /// [`Category`] vocabulary, so evaluation is a handful of `Copy`-enum
@@ -269,6 +320,21 @@ struct CategoryMatcher {
 impl CategoryMatcher {
     fn matches(&self, category: Category) -> bool {
         self.matched.contains(&category)
+    }
+
+    /// The categories of either vocabulary this matcher does not match:
+    /// `category != x`.
+    fn complement(&self) -> CategoryMatcher {
+        CategoryMatcher {
+            matched: all_categories().filter(|&c| !self.matches(c)).collect(),
+        }
+    }
+
+    /// The categories any of `matchers` matches: `category in (...)`.
+    fn union(matchers: &[CategoryMatcher]) -> CategoryMatcher {
+        CategoryMatcher {
+            matched: all_categories().filter(|&c| matchers.iter().any(|m| m.matches(c))).collect(),
+        }
     }
 }
 
@@ -289,32 +355,21 @@ fn domain_name(category: Category) -> &'static str {
     }
 }
 
-/// The typed predicate tree.
+/// The typed predicate tree. Each leaf reads one field through one
+/// comparison, which the per-record [`eval`] and the column
+/// evaluation ([`columns`]) both call.
 #[derive(Debug, Clone, PartialEq)]
 enum Node {
     And(Box<Node>, Box<Node>),
     Or(Box<Node>, Box<Node>),
     Not(Box<Node>),
-    NumCmp {
-        field: NumField,
-        op: CmpOp,
-        bound: Bound,
-    },
-    NumIn {
-        field: NumField,
-        values: Vec<f64>,
-    },
-    CatCmp {
-        matcher: CategoryMatcher,
-        negate: bool,
-    },
-    CatIn {
-        matchers: Vec<CategoryMatcher>,
-    },
-    StrMatch {
-        field: StrField,
-        needle: String,
-    },
+    /// A numeric field against a comparison or an `in` set.
+    Num { field: NumField, test: Test },
+    /// The record's category lies in a set resolved at compile time
+    /// (`==`, `!=`, `~` and `in` all reduce to one set).
+    Category(CategoryMatcher),
+    /// `~`: the node's or rack's path contains `needle`.
+    Text { field: StrField, needle: String },
 }
 
 // ---------------------------------------------------------------------------
@@ -379,18 +434,11 @@ fn check_cmp(
 ) -> Result<Node> {
     if field == "category" {
         return match op {
-            CmpOp::Eq | CmpOp::Ne => {
-                let matcher = category_matcher(src, value)?;
-                Ok(Node::CatCmp {
-                    matcher,
-                    negate: op == CmpOp::Ne,
-                })
-            }
-            CmpOp::Match => Ok(Node::CatIn {
-                matchers: vec![category_substring_matcher(
-                    &text_value(src, value, "category")?.to_lowercase(),
-                )],
-            }),
+            CmpOp::Eq => Ok(Node::Category(category_matcher(src, value)?)),
+            CmpOp::Ne => Ok(Node::Category(category_matcher(src, value)?.complement())),
+            CmpOp::Match => Ok(Node::Category(category_substring_matcher(
+                &text_value(src, value, "category")?.to_lowercase(),
+            ))),
             other => Err(annotate(
                 src,
                 op_span,
@@ -406,11 +454,11 @@ fn check_cmp(
     };
     if op == CmpOp::Match {
         return match nf {
-            NumField::Node => Ok(Node::StrMatch {
+            NumField::Node => Ok(Node::Text {
                 field: StrField::Node,
                 needle: text_value(src, value, "node")?.to_lowercase(),
             }),
-            NumField::Rack => Ok(Node::StrMatch {
+            NumField::Rack => Ok(Node::Text {
                 field: StrField::Rack,
                 needle: text_value(src, value, "rack")?.to_lowercase(),
             }),
@@ -425,10 +473,9 @@ fn check_cmp(
         };
     }
     let bound = bound_value(src, nf, value)?;
-    Ok(Node::NumCmp {
+    Ok(Node::Num {
         field: nf,
-        op,
-        bound,
+        test: Test::Cmp { op, bound },
     })
 }
 
@@ -438,7 +485,7 @@ fn check_in(src: &str, field: &str, field_span: Span, values: &[Value]) -> Resul
             .iter()
             .map(|v| category_matcher(src, v))
             .collect::<Result<Vec<_>>>()?;
-        return Ok(Node::CatIn { matchers });
+        return Ok(Node::Category(CategoryMatcher::union(&matchers)));
     }
     let Some(nf) = num_field(field) else {
         return Err(unknown_field(src, field, field_span));
@@ -454,9 +501,9 @@ fn check_in(src: &str, field: &str, field_span: Span, values: &[Value]) -> Resul
             )),
         })
         .collect::<Result<Vec<_>>>()?;
-    Ok(Node::NumIn {
+    Ok(Node::Num {
         field: nf,
-        values: nums,
+        test: Test::In(nums),
     })
 }
 
@@ -588,59 +635,53 @@ fn eval(node: &Node, rec: &FailureRecord, spec: &SystemSpec, window: Observation
         Node::And(a, b) => eval(a, rec, spec, window) && eval(b, rec, spec, window),
         Node::Or(a, b) => eval(a, rec, spec, window) || eval(b, rec, spec, window),
         Node::Not(a) => !eval(a, rec, spec, window),
-        Node::NumCmp { field, op, bound } => {
-            let rhs = match bound {
-                Bound::Hours(h) => *h,
-                Bound::Date(d) => window.start().hours_until(*d).get(),
-            };
+        Node::Num { field, test } => {
+            let check = test.resolve(window);
             match field {
+                NumField::Ttr => check.holds(rec.ttr().get()),
+                NumField::Recovery => check.holds(rec.recovery_time().get()),
+                NumField::Time => check.holds(rec.time().get()),
+                NumField::Node | NumField::Rack => {
+                    check.holds(node_value(*field, rec.node().index(), spec))
+                }
                 // `slot` is existential over the involved GPU slots.
-                NumField::Slot => rec
-                    .gpus()
-                    .iter()
-                    .any(|s| num_cmp(f64::from(s.index()), *op, rhs)),
-                other => num_cmp(num_value(*other, rec, spec, window), *op, rhs),
+                NumField::Slot => rec.gpus().iter().any(|&s| check.holds(slot_value(s))),
+                NumField::Gpus => check.holds(rec.gpus().len() as f64),
+                NumField::Month => check.holds(month_value(window.date_of(rec.time()).month())),
             }
         }
-        Node::NumIn { field, values } => match field {
-            NumField::Slot => rec
-                .gpus()
-                .iter()
-                .any(|s| values.contains(&f64::from(s.index()))),
-            other => values.contains(&num_value(*other, rec, spec, window)),
-        },
-        Node::CatCmp { matcher, negate } => matcher.matches(rec.category()) != *negate,
-        Node::CatIn { matchers } => matchers.iter().any(|m| m.matches(rec.category())),
-        Node::StrMatch { field, needle } => {
-            let haystack = match field {
-                StrField::Node => format!(
-                    "rack{}/node{}",
-                    spec.rack_of(rec.node()).index(),
-                    rec.node().index()
-                ),
-                StrField::Rack => format!("rack{}", spec.rack_of(rec.node()).index()),
-            };
-            haystack.contains(needle.as_str())
-        }
+        Node::Category(matcher) => matcher.matches(rec.category()),
+        Node::Text { field, needle } => text_matches(*field, needle, rec.node().index(), spec),
     }
 }
 
-fn num_value(
-    field: NumField,
-    rec: &FailureRecord,
-    spec: &SystemSpec,
-    window: ObservationWindow,
-) -> f64 {
+/// The value a `node` or `rack` leaf compares for a record on `node`.
+fn node_value(field: NumField, node: u32, spec: &SystemSpec) -> f64 {
     match field {
-        NumField::Ttr => rec.ttr().get(),
-        NumField::Recovery => rec.recovery_time().get(),
-        NumField::Time => rec.time().get(),
-        NumField::Node => f64::from(rec.node().index()),
-        NumField::Rack => f64::from(spec.rack_of(rec.node()).index()),
-        NumField::Gpus => rec.gpus().len() as f64,
-        NumField::Month => f64::from(window.date_of(rec.time()).month().number()),
-        NumField::Slot => unreachable!("slot is handled existentially"),
+        NumField::Rack => f64::from(spec.rack_of(NodeId::new(node)).index()),
+        _ => f64::from(node),
     }
+}
+
+/// The value a `slot` leaf compares for one involved GPU slot.
+fn slot_value(slot: GpuSlot) -> f64 {
+    f64::from(slot.index())
+}
+
+/// The value a `month` leaf compares.
+fn month_value(month: Month) -> f64 {
+    f64::from(month.number())
+}
+
+/// Whether `needle` lies in the path `~` matches for a record on
+/// `node`: `rackR/nodeN`, or `rackR`.
+fn text_matches(field: StrField, needle: &str, node: u32, spec: &SystemSpec) -> bool {
+    let rack = spec.rack_of(NodeId::new(node)).index();
+    let haystack = match field {
+        StrField::Node => format!("rack{rack}/node{node}"),
+        StrField::Rack => format!("rack{rack}"),
+    };
+    haystack.contains(needle)
 }
 
 fn num_cmp(lhs: f64, op: CmpOp, rhs: f64) -> bool {

@@ -761,6 +761,64 @@ fn crc32_tables() -> &'static [[u32; 256]; 16] {
     })
 }
 
+/// Inputs this long or longer are folded by [`Crc32::update`] in three
+/// interleaved lanes; below it, joining the lanes costs more than the
+/// overlap saves.
+const LANES_MIN: usize = 4096;
+
+/// Folds one 16-byte block into the CRC register `crc` (slicing-by-16).
+#[inline(always)]
+fn fold16(t: &[[u32; 256]; 16], crc: u32, block: &[u8]) -> u32 {
+    let lo = u32::from_le_bytes([block[0], block[1], block[2], block[3]]) ^ crc;
+    t[15][(lo & 0xFF) as usize]
+        ^ t[14][((lo >> 8) & 0xFF) as usize]
+        ^ t[13][((lo >> 16) & 0xFF) as usize]
+        ^ t[12][(lo >> 24) as usize]
+        ^ t[11][block[4] as usize]
+        ^ t[10][block[5] as usize]
+        ^ t[9][block[6] as usize]
+        ^ t[8][block[7] as usize]
+        ^ t[7][block[8] as usize]
+        ^ t[6][block[9] as usize]
+        ^ t[5][block[10] as usize]
+        ^ t[4][block[11] as usize]
+        ^ t[3][block[12] as usize]
+        ^ t[2][block[13] as usize]
+        ^ t[1][block[14] as usize]
+        ^ t[0][block[15] as usize]
+}
+
+/// `a(x) · b(x) mod p(x)` over GF(2), in the reflected bit order of the
+/// CRC register (bit 31 is `x^0`): zlib's `multmodp`.
+fn multmodp(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    // From `x^0` up: add `b · x^k` for each term of `a`, then step `b`
+    // to `b · x^(k+1)`.
+    for k in (0..32).rev() {
+        if a >> k & 1 == 1 {
+            product ^= b;
+        }
+        b = if b & 1 == 1 { (b >> 1) ^ 0xEDB8_8320 } else { b >> 1 };
+    }
+    product
+}
+
+/// The register `crc` moved past `len` zero bytes: `crc · x^(8·len) mod
+/// p(x)`, with the power built by squaring (zlib's `x2nmodp`).
+fn shifted(crc: u32, len: usize) -> u32 {
+    let mut power = 1u32 << 31; // x^0
+    let mut square = 1u32 << 23; // x^8, one byte
+    let mut n = len;
+    while n != 0 {
+        if n & 1 == 1 {
+            power = multmodp(square, power);
+        }
+        square = multmodp(square, square);
+        n >>= 1;
+    }
+    multmodp(power, crc)
+}
+
 /// Streaming CRC-32 hasher (IEEE, reflected polynomial `0xEDB88320`) —
 /// the gzip-trailer checksum, also used by `failindex` to fingerprint
 /// source logs for `.fsidx` snapshots.
@@ -801,28 +859,36 @@ impl Crc32 {
     }
 
     /// Folds `data` into the running checksum.
+    ///
+    /// An input of at least `LANES_MIN` (4 KiB) is cut into three equal
+    /// runs of whole 16-byte blocks and a tail. One loop folds a block
+    /// of each run per step, so the three table-lookup chains overlap
+    /// instead of waiting on each other; the second and third runs start
+    /// from a zero register, and `shifted` moves the first two
+    /// registers past the runs after them before the three are joined
+    /// (the CRC is linear over GF(2), as zlib's `crc32_combine` uses).
+    /// The tail then folds into the joined register.
     pub fn update(&mut self, data: &[u8]) {
         let t = crc32_tables();
         let mut crc = self.state;
-        let mut chunks = data.chunks_exact(16);
+        let mut rest = data;
+        if data.len() >= LANES_MIN {
+            let lane = data.len() / 48 * 16;
+            let (runs, tail) = data.split_at(3 * lane);
+            let (a, bc) = runs.split_at(lane);
+            let (b, c) = bc.split_at(lane);
+            let (mut ca, mut cb, mut cc) = (crc, 0, 0);
+            for ((a, b), c) in a.chunks_exact(16).zip(b.chunks_exact(16)).zip(c.chunks_exact(16)) {
+                ca = fold16(t, ca, a);
+                cb = fold16(t, cb, b);
+                cc = fold16(t, cc, c);
+            }
+            crc = shifted(shifted(ca, lane) ^ cb, lane) ^ cc;
+            rest = tail;
+        }
+        let mut chunks = rest.chunks_exact(16);
         for chunk in &mut chunks {
-            let lo = u32::from_le_bytes([chunk[0], chunk[1], chunk[2], chunk[3]]) ^ crc;
-            crc = t[15][(lo & 0xFF) as usize]
-                ^ t[14][((lo >> 8) & 0xFF) as usize]
-                ^ t[13][((lo >> 16) & 0xFF) as usize]
-                ^ t[12][(lo >> 24) as usize]
-                ^ t[11][chunk[4] as usize]
-                ^ t[10][chunk[5] as usize]
-                ^ t[9][chunk[6] as usize]
-                ^ t[8][chunk[7] as usize]
-                ^ t[7][chunk[8] as usize]
-                ^ t[6][chunk[9] as usize]
-                ^ t[5][chunk[10] as usize]
-                ^ t[4][chunk[11] as usize]
-                ^ t[3][chunk[12] as usize]
-                ^ t[2][chunk[13] as usize]
-                ^ t[1][chunk[14] as usize]
-                ^ t[0][chunk[15] as usize];
+            crc = fold16(t, crc, chunk);
         }
         for &byte in chunks.remainder() {
             crc = t[0][((crc ^ u32::from(byte)) & 0xFF) as usize] ^ (crc >> 8);
@@ -1131,6 +1197,65 @@ mod tests {
         assert_eq!(crc32(b""), 0);
         assert_eq!(crc32(b"123456789"), 0xCBF4_3926);
         assert_eq!(crc32(b"hello world"), 0x0D4A_1185);
+    }
+
+    /// The one-lane slicing-by-16 fold, as [`Crc32::update`] ran before
+    /// it split long inputs into lanes: the reference the lanes must
+    /// match.
+    fn one_lane_crc32(data: &[u8]) -> u32 {
+        let t = crc32_tables();
+        let mut chunks = data.chunks_exact(16);
+        let mut crc = chunks.by_ref().fold(0xFFFF_FFFF, |crc, block| fold16(t, crc, block));
+        for &byte in chunks.remainder() {
+            crc = t[0][((crc ^ u32::from(byte)) & 0xFF) as usize] ^ (crc >> 8);
+        }
+        crc ^ 0xFFFF_FFFF
+    }
+
+    /// Bytes with no period a lane length could hide behind.
+    fn scrambled(len: usize) -> Vec<u8> {
+        let mut x = 0x9E37_79B9u32;
+        (0..len)
+            .map(|_| {
+                x ^= x << 13;
+                x ^= x >> 17;
+                x ^= x << 5;
+                (x >> 24) as u8
+            })
+            .collect()
+    }
+
+    #[test]
+    fn three_lanes_match_the_one_lane_fold_at_every_length() {
+        let data = scrambled(LANES_MIN + 200);
+        for len in 0..=data.len() {
+            assert_eq!(crc32(&data[..len]), one_lane_crc32(&data[..len]), "len={len}");
+        }
+        // Long inputs, not multiples of 48, whose lanes hold many blocks.
+        let long = scrambled(3 << 20);
+        for len in [LANES_MIN * 7 + 47, 1 << 20, (3 << 20) - 1, 3 << 20] {
+            assert_eq!(crc32(&long[..len]), one_lane_crc32(&long[..len]), "len={len}");
+        }
+        // A streaming split puts a lane run in either piece, or both.
+        let expect = one_lane_crc32(&long);
+        for split in [0, 1, 17, LANES_MIN - 1, LANES_MIN, 100_003, long.len() - LANES_MIN, long.len()] {
+            let mut hasher = Crc32::new();
+            hasher.update(&long[..split]);
+            hasher.update(&long[split..]);
+            assert_eq!(hasher.finish(), expect, "split={split}");
+        }
+    }
+
+    #[test]
+    fn lane_joins_multiply_mod_the_polynomial() {
+        // x^0 is the identity; moving a register past n zero bytes is
+        // what folding n zero bytes into it does.
+        assert_eq!(multmodp(1 << 31, 0x1234_5678), 0x1234_5678);
+        let t = crc32_tables();
+        for (crc, len) in [(0xFFFF_FFFF, 1), (0x0BAD_F00D, 16), (0xDEAD_BEEF, 4097)] {
+            let zeros = (0..len).fold(crc, |crc, _| t[0][(crc & 0xFF) as usize] ^ (crc >> 8));
+            assert_eq!(shifted(crc, len), zeros, "len={len}");
+        }
     }
 
     #[test]
