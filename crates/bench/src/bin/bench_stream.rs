@@ -33,11 +33,15 @@
 //! enforces throughput floors on.
 //!
 //! A summary refresh is what `failctl watch` does every 100 records:
-//! ingest them, materialize the sorted arrays, and render all four
-//! summary sections on the calling thread. Each tier ingests all but its
-//! last 2,000 records untimed, then times the 20 refreshes that consume
-//! them (a tier shorter than that times the refreshes of its whole
-//! stream) and reports microseconds per refresh.
+//! ingest them, settle the TTR run, and render all four summary
+//! sections on the calling thread. Each tier ingests all but its last
+//! 2,000 records untimed, then times the 20 refreshes that consume them
+//! (a tier shorter than that times the refreshes of its whole stream)
+//! and reports microseconds per refresh. Those 20 start right after a
+//! full settle, with the tail empty, so the scaled year also reports
+//! `scaled_replay_tick_us`: the mean refresh over every tick of the
+//! whole stream, from the first record, which counts each tick's settle
+//! into the tail and every tail merge into the run.
 //!
 //! Equivalence is checked the same way the test suite does, on every
 //! log and tier: the incrementally built index must equal the
@@ -140,14 +144,16 @@ fn main() {
     let scaled_rate = scaled_records as f64 / scaled_stream_seconds.max(f64::MIN_POSITIVE);
     let scaled_summary_us = time_summaries(SCALED_REPS, &scaled_log);
     let scaled_summary_rate = 1e6 / scaled_summary_us.max(f64::MIN_POSITIVE);
+    let scaled_tick_us = time_replay_ticks(SCALED_REPS, &scaled_log);
     println!(
-        "scaled: {} records | batch index {:.1} ms | stream ingest {:.1} ms | {:.0} rec/s | summary {:.1} us ({:.0}/s) | equivalent: {scaled_equivalent}",
+        "scaled: {} records | batch index {:.1} ms | stream ingest {:.1} ms | {:.0} rec/s | summary {:.1} us ({:.0}/s) | replay tick {:.1} us | equivalent: {scaled_equivalent}",
         scaled_records,
         scaled_batch_seconds * 1e3,
         scaled_stream_seconds * 1e3,
         scaled_rate,
         scaled_summary_us,
         scaled_summary_rate,
+        scaled_tick_us,
     );
 
     // Per-size scaling curve: four synthetic years at ~1k/10k/100k/1M
@@ -228,6 +234,7 @@ fn main() {
          \"scaled_stream_records_per_second\": {scaled_rate:.0},\n  \
          \"scaled_summary_us\": {scaled_summary_us:.1},\n  \
          \"scaled_summaries_per_second\": {scaled_summary_rate:.0},\n  \
+         \"scaled_replay_tick_us\": {scaled_tick_us:.1},\n  \
          \"scaled_equivalent\": {scaled_equivalent},\n  \
          \"scaling\": [\n    {scaling}\n  ],\n  \
          \"watch_replay_seconds\": {watch_seconds:.6},\n  \
@@ -363,6 +370,29 @@ fn time_summaries(reps: usize, log: &FailureLog) -> f64 {
             std::hint::black_box(failwatch::render_summary(&state, 1));
         }
         best = best.min(start.elapsed().as_secs_f64() / cycles as f64);
+    }
+    best * 1e6
+}
+
+/// Microseconds per watch tick over the whole of `log`'s stream: every
+/// refresh period's ingest, settle and render, from the first record to
+/// the last, as `failctl watch` runs them (see the module docs); the
+/// fastest of `reps` passes. The record copies are made untimed.
+fn time_replay_ticks(reps: usize, log: &FailureLog) -> f64 {
+    let refresh = WatchConfig::default().refresh_every;
+    let mut best = f64::INFINITY;
+    for _ in 0..reps {
+        let chunks: Vec<Vec<FailureRecord>> =
+            log.records().chunks(refresh).map(<[_]>::to_vec).collect();
+        let ticks = chunks.len().max(1);
+        let start = Instant::now();
+        let mut state = WatchState::for_log(log, StateConfig::default());
+        for chunk in chunks {
+            state.ingest_batch(chunk).expect("valid in-order records");
+            state.materialize();
+            std::hint::black_box(failwatch::render_summary(&state, 1));
+        }
+        best = best.min(start.elapsed().as_secs_f64() / ticks as f64);
     }
     best * 1e6
 }

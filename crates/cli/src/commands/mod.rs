@@ -107,10 +107,16 @@ COMMANDS
       baseline, plus periodic summaries. A gzip-compressed replay file
       is decoded transparently (non-follow only: --follow requires
       plain text, since appended bytes cannot be observed through a
-      compressed member). Drift checks run every --refresh records
-      (default 100), before each summary, and once when the run stops,
-      so alerts never depend on how records arrive (with --follow, an
-      alert can wait up to --refresh records). --where EXPR scopes
+      compressed member). A --follow poll that finds no new line also
+      checks the file: if it shrank below the bytes read (truncated)
+      or its path names another file or none (rotated), the watch ends
+      with an error naming the rotation, every row read before it
+      ingested once. As with `tail -F`, a shrink refilled past the old
+      offset between two polls (200 ms) is not seen. Drift checks run
+      every --refresh records (default 100), before each summary, and
+      once when the run stops, so alerts never depend on how records
+      arrive (with --follow, an alert can wait up to --refresh
+      records). --where EXPR scopes
       the monitor to matching records (report syntax): the detector
       and summaries see only the filtered stream, and every alert line
       carries the expression in a `filter` field. --format json makes

@@ -60,28 +60,35 @@
 //! (which adds each repair to both) agree on every mean whatever order
 //! they add the values in. The per-node tallies make the per-node
 //! analyses (Fig. 4 occupancy, time to first failure) O(nodes) reads.
-//! The sorted repair and gap arrays use a *deferred-merge*
-//! design ([`SortedRun`]): new values append to a small unsorted tail,
-//! and the tail is merged into the main sorted run only when
+//! The sorted repair and gap arrays are [`SortedRun`]s, which never
+//! merge on a write:
 //!
-//! * the tail outgrows an adaptive threshold (`max(64, run_len / 8)`),
-//!   in which case `push` sorts the tail and merges it **in place** with
-//!   a backward pass that gallops to each tail value's slot and moves
-//!   the run values above it with one block copy — since the threshold
-//!   grows linearly with the run, total merge work over an n-record
-//!   stream is O(n) moves, i.e. amortized O(1) per record on top of the
-//!   O(log tail) sort share (amortized O(log n) per record all in); or
-//! * a writer forces it ([`StreamView::materialize`], which the watch
-//!   loop calls before every summary, forces the repair run whose
-//!   quantiles a summary reads, but not the gap run, which no summary
-//!   reads) or a reader asks for the materialized array
-//!   ([`StreamView::ttrs_sorted`] or [`StreamView::gaps_sorted`],
-//!   including every analysis's `from_index`). A forced merge of `t`
-//!   pending values costs O(t log n) compares plus one memmove of the
-//!   run values displaced above the smallest of them; a read pays one
-//!   O(run + tail) merge into a cache kept until the next write, so
-//!   summary refreshes between ingest bursts cost one merge, not one
-//!   per access.
+//! * **a push appends** the value to the run's unsorted values (the
+//!   ones a bulk build also defers) — O(1), no compare;
+//! * **a tick settles** the repair run ([`StreamView::materialize`],
+//!   which the watch loop calls before every summary): it sorts the
+//!   values pushed since the last tick and merges them into a sorted
+//!   *tail*, and merges the tail into the main sorted run once the tail
+//!   reaches `max(64, run / 8)`. Both merges run **in place**, backward,
+//!   galloping to each value's slot and moving the values above it with
+//!   one block copy, so a tick of `t` values costs O(t log t) to sort
+//!   plus a memmove of at most the tail, and the run's memmove comes
+//!   once per eighth of growth (amortized O(1) moves per record);
+//! * **a summary reads by rank**: [`StreamView::ttr_quantile`] finds the
+//!   two order statistics of a type-7 quantile by a binary search over
+//!   run ∪ tail, O(log n), merging nothing. The MTTR is the exact sum's
+//!   O(1) mean, so no figure a tick reads needs the values in order;
+//! * **a batch reader merges once**: [`StreamView::ttrs_sorted`] or
+//!   [`StreamView::gaps_sorted`] (every analysis's `from_index`, a
+//!   snapshot save) sorts what is unsorted and merges run, tail and
+//!   those values into a cache kept until the next write, which takes
+//!   the cache back as its run. The gap run is only ever sorted here:
+//!   no summary or drift check reads it, so a watch never sorts its
+//!   gaps, and a `--index auto` save sorts them once at the end.
+//!
+//! Every merge and rank compare is in [`f64::total_cmp`] order, the
+//! order [`sorted_total`] sorts in, so `-0.0` and `+0.0` (both valid
+//! repair durations) keep their bits whichever path reads them.
 //!
 //! The old design kept the arrays always-sorted with binary-search
 //! `Vec::insert`, an O(n) memmove per record and O(n²) over the stream
@@ -162,20 +169,23 @@ impl From<StreamViewError> for failtypes::Error {
     }
 }
 
-/// Tail appends below this length never trigger an eager merge, so tiny
-/// streams behave like a plain sorted `Vec`.
+/// The settled tail merges into the run once it holds this many values
+/// (or an eighth of the run, whichever is more), so tiny streams behave
+/// like a plain sorted `Vec`.
 const MERGE_FLOOR: usize = 64;
 
 /// Why a [`SortedRun`]'s lock is never poisoned: its holder only sorts
 /// `f64` keys, which cannot panic.
 const SORT_NEVER_PANICS: &str = "sorting f64 keys cannot panic while the lock is held";
 
-/// An ascending order statistic maintained by deferred merging: a
-/// sorted main `run`, a small unsorted `tail` of recent appends, a bulk
-/// build's values not yet sorted, and a lazily materialized cache of
-/// their sorted union for `&self` readers.
+/// An ascending order statistic in three parts: a sorted main `run`, a
+/// sorted `tail` of recently settled values, the `unsorted` values
+/// appended since the last settle (or a bulk build's, not yet sorted),
+/// and a lazily materialized cache of their sorted union for `&self`
+/// readers. Every order is [`f64::total_cmp`]'s, the one
+/// [`sorted_total`] sorts in.
 ///
-/// Invariants: `run` is always sorted ascending; `merged`, when set,
+/// Invariants: `run` and `tail` are always sorted; `merged`, when set,
 /// holds the sorted union of `run`, `tail` and the values `unsorted`
 /// held (writers take it back into `run` before touching any part, so
 /// it is never stale). The first reader takes `unsorted` under its lock
@@ -215,7 +225,7 @@ impl SortedRun {
         }
     }
 
-    /// Holds a bulk build's `values` unsorted: the first read or write
+    /// Holds a bulk build's `values` unsorted: the first read or settle
     /// sorts them, so a view nobody reads this statistic of (the
     /// unfiltered view a `--where` report filters) never pays the sort.
     fn deferred(values: Vec<f64>) -> Self {
@@ -225,86 +235,59 @@ impl SortedRun {
         }
     }
 
-    /// Appends one value — O(1) amortized. Eagerly merges once the tail
-    /// passes the adaptive threshold, keeping reads bounded.
+    /// Appends one value to the unsorted ones — O(1) amortized, with no
+    /// compare: sorting waits for the next settle or read.
     fn push(&mut self, x: f64) {
         self.promote();
-        // Fast path: values arriving in ascending order (pre-sorted
-        // replays) extend the run directly and never touch the tail.
-        if self.tail.is_empty() && self.run.last().is_none_or(|&last| last <= x) {
-            self.run.push(x);
-            return;
-        }
-        self.tail.push(x);
-        if self.tail.len() >= MERGE_FLOOR.max(self.run.len() / 8) {
-            self.merge_in_place();
-        }
+        self.unsorted.get_mut().expect(SORT_NEVER_PANICS).push(x);
     }
 
     /// Takes a previously materialized cache back as the main run, so
-    /// read work is never repeated by the writer, and moves any deferred
-    /// bulk values into the tail.
+    /// read work is never repeated by the writer.
     fn promote(&mut self) {
         if let Some(full) = self.merged.take() {
             self.run = full;
             self.tail.clear();
         }
-        let unsorted = self.unsorted.get_mut().expect(SORT_NEVER_PANICS);
-        if !unsorted.is_empty() {
-            self.tail.append(unsorted);
-        }
     }
 
-    /// Forces the pending tail into the run now (writer-side, in
-    /// place); readers after this are zero-cost slices.
+    /// Settles the unsorted values (writer-side, in place): sorts them
+    /// and merges them into the tail, then merges the tail into the run
+    /// once it reaches `max(MERGE_FLOOR, run / 8)` values. Afterwards no
+    /// value is unsorted, so [`SortedRun::quantile`] reads by rank.
     fn materialize(&mut self) {
         self.promote();
-        if !self.tail.is_empty() {
-            self.merge_in_place();
+        let unsorted = self.unsorted.get_mut().expect(SORT_NEVER_PANICS);
+        if unsorted.is_empty() {
+            return;
+        }
+        let pending = sorted_total(std::mem::take(unsorted));
+        merge_into(&mut self.tail, &pending);
+        // Hand the allocation back for the next appends.
+        *unsorted = pending;
+        unsorted.clear();
+        if self.tail.len() >= MERGE_FLOOR.max(self.run.len() / 8) {
+            merge_into(&mut self.run, &self.tail);
+            self.tail.clear();
         }
     }
 
-    /// Sorts the tail and merges it into `run` with one backward pass —
-    /// no scratch allocation beyond the run's own growth.
-    ///
-    /// Tail values are placed largest first. Each finds its slot in the
-    /// still-unmerged run prefix by galloping down from the prefix's end
-    /// (steps of 1, 2, 4, ...) and then binary-searching the last step,
-    /// so a slot `d` values down costs O(log d) compares. The run values
-    /// above the slot move up in one `copy_within`, and the tail value
-    /// drops in below them. Every run value moves at most once, as part
-    /// of a block copy: a merge costs O(t log(n/t)) compares plus one
-    /// memmove of the displaced run suffix, where the element-wise
-    /// two-pointer pass paid a compare and a branch per displaced value.
-    ///
-    /// A run value equal to a tail value stays below it (only a strictly
-    /// greater run value moves up): the `>` tie rule of the element-wise
-    /// pass, so the resulting array is the same. Values are never NaN:
-    /// records are validated, and snapshot arrays must be ascending.
-    fn merge_in_place(&mut self) {
-        self.tail = sorted_total(std::mem::take(&mut self.tail));
-        let n = self.run.len();
-        self.run.resize(n + self.tail.len(), 0.0);
-        // run[..hi] is the unmerged prefix; everything above the slot of
-        // the value just placed is final.
-        let mut hi = n;
-        for (j, &x) in self.tail.iter().enumerate().rev() {
-            // Invariant: run[upper..hi] > x.
-            let (mut upper, mut step) = (hi, 1);
-            while upper >= step && self.run[upper - step] > x {
-                upper -= step;
-                step *= 2;
-            }
-            let lower = upper.saturating_sub(step);
-            let slot = lower + self.run[lower..upper].partition_point(|&y| y <= x);
-            self.run.copy_within(slot..hi, slot + j + 1);
-            self.run[slot + j] = x;
-            hi = slot;
+    /// The type-7 `p`-quantile of the values, equal bit for bit to
+    /// [`failstats::quantile_sorted`] of [`SortedRun::as_slice`]. With
+    /// nothing unsorted it reads the two order statistics by rank over
+    /// `run` ∪ `tail` in O(log n) and merges nothing; otherwise it reads
+    /// the merged slice.
+    fn quantile(&self, p: f64) -> Option<f64> {
+        let settled = self.merged.get().is_none()
+            && self.unsorted.lock().expect(SORT_NEVER_PANICS).is_empty();
+        if !settled {
+            return failstats::quantile_sorted(self.as_slice(), p);
         }
-        self.tail.clear();
+        let (run, tail) = (self.run.as_slice(), self.tail.as_slice());
+        failstats::quantile_by(run.len() + tail.len(), p, |k| nth_of_union(run, tail, k))
     }
 
-    /// The full sorted array. Zero-cost when no appends are pending;
+    /// The full sorted array. Zero-cost when nothing is pending;
     /// otherwise pays one merge into a cache shared by later readers
     /// (writes invalidate it via [`SortedRun::promote`]).
     fn as_slice(&self) -> &[f64] {
@@ -312,7 +295,7 @@ impl SortedRun {
             return full;
         }
         let mut unsorted = self.unsorted.lock().expect(SORT_NEVER_PANICS);
-        // Re-checked under the lock: a reader that took the deferred
+        // Re-checked under the lock: a reader that took the unsorted
         // values set the cache before releasing it.
         if let Some(full) = self.merged.get() {
             return full;
@@ -320,28 +303,83 @@ impl SortedRun {
         if self.tail.is_empty() && unsorted.is_empty() {
             return &self.run;
         }
-        let mut pending = std::mem::take(&mut *unsorted);
+        let pending = sorted_total(std::mem::take(&mut *unsorted));
         self.merged.get_or_init(|| {
-            pending.extend_from_slice(&self.tail);
-            let tail = sorted_total(pending);
-            if self.run.is_empty() {
-                return tail;
+            if self.run.is_empty() && self.tail.is_empty() {
+                return pending;
             }
-            let mut full = Vec::with_capacity(self.run.len() + tail.len());
-            let (mut i, mut j) = (0, 0);
-            while i < self.run.len() && j < tail.len() {
-                if self.run[i] <= tail[j] {
-                    full.push(self.run[i]);
-                    i += 1;
-                } else {
-                    full.push(tail[j]);
-                    j += 1;
-                }
-            }
-            full.extend_from_slice(&self.run[i..]);
-            full.extend_from_slice(&tail[j..]);
+            let mut full = Vec::with_capacity(self.run.len() + self.tail.len() + pending.len());
+            full.extend_from_slice(&self.run);
+            merge_into(&mut full, &self.tail);
+            merge_into(&mut full, &pending);
             full
         })
+    }
+}
+
+/// Merges the sorted `tail` into the sorted `run` in place, with one
+/// backward pass and no scratch allocation beyond the run's own growth.
+///
+/// Tail values are placed largest first. Each finds its slot in the
+/// still-unmerged run prefix by galloping down from the prefix's end
+/// (steps of 1, 2, 4, ...) and then binary-searching the last step, so
+/// a slot `d` values down costs O(log d) compares. The run values above
+/// the slot move up in one `copy_within`, and the tail value drops in
+/// below them. Every run value moves at most once, as part of a block
+/// copy: a merge costs O(t log(n/t)) compares plus one memmove of the
+/// displaced run suffix.
+///
+/// Both slices are in [`f64::total_cmp`] order, and so is the result:
+/// a run value equal to a tail value stays below it (only a strictly
+/// greater one moves up), and `-0.0` sorts below `+0.0`.
+fn merge_into(run: &mut Vec<f64>, tail: &[f64]) {
+    if tail.is_empty() {
+        return;
+    }
+    let n = run.len();
+    run.resize(n + tail.len(), 0.0);
+    // run[..hi] is the unmerged prefix; everything above the slot of the
+    // value just placed is final.
+    let mut hi = n;
+    for (j, &x) in tail.iter().enumerate().rev() {
+        // Invariant: run[upper..hi] > x.
+        let (mut upper, mut step) = (hi, 1);
+        while upper >= step && run[upper - step].total_cmp(&x).is_gt() {
+            upper -= step;
+            step *= 2;
+        }
+        let lower = upper.saturating_sub(step);
+        let slot = lower + run[lower..upper].partition_point(|y| y.total_cmp(&x).is_le());
+        run.copy_within(slot..hi, slot + j + 1);
+        run[slot + j] = x;
+        hi = slot;
+    }
+}
+
+/// The value of rank `k` (0-based) in the sorted union of the sorted
+/// slices `a` and `b`, in [`f64::total_cmp`] order: a binary search for
+/// how many of the `k + 1` smallest come from `a`, O(log min(a, b)).
+/// Requires `k < a.len() + b.len()`.
+fn nth_of_union(a: &[f64], b: &[f64], k: usize) -> f64 {
+    let need = k + 1;
+    // The `need` smallest are a[..i] and b[..need - i], for the least
+    // `i` at which a's next value is not below the last one taken from
+    // `b`: as `i` grows, a[i] rises and b[need - i - 1] falls.
+    let (mut lo, mut hi) = (need.saturating_sub(b.len()), need.min(a.len()));
+    while lo < hi {
+        let i = lo + (hi - lo) / 2;
+        if a[i].total_cmp(&b[need - i - 1]).is_lt() {
+            lo = i + 1;
+        } else {
+            hi = i;
+        }
+    }
+    let (i, j) = (lo, need - lo);
+    match (i.checked_sub(1).map(|i| a[i]), j.checked_sub(1).map(|j| b[j])) {
+        (Some(x), Some(y)) if x.total_cmp(&y).is_ge() => x,
+        (_, Some(y)) => y,
+        (Some(x), None) => x,
+        (None, None) => unreachable!("rank {k} lies in the union"),
     }
 }
 
@@ -779,15 +817,16 @@ impl StreamView {
         Ok(accepted)
     }
 
-    /// Forces any deferred merge work in the one sorted array a watch
-    /// summary reads, so subsequent reads of
-    /// [`ttrs_sorted`](StreamView::ttrs_sorted) (the TTR quantiles) are
-    /// zero-cost slices. The watch loop calls this before every summary;
+    /// Settles the repair durations pushed since the last call: sorts
+    /// them and merges them into the TTR run's sorted tail (and the tail
+    /// into the run once it outgrows its threshold), so
+    /// [`ttr_quantile`](StreamView::ttr_quantile) reads by rank and
+    /// merges nothing. The watch loop calls this before every summary;
     /// never required for correctness.
     ///
-    /// [`gaps_sorted`](StreamView::gaps_sorted) is left to merge at its
-    /// tail threshold or on first read: no summary reads it, and forcing
-    /// it before each one would memmove most of the run every time.
+    /// [`gaps_sorted`](StreamView::gaps_sorted) is left unsorted until
+    /// its first read: no summary or drift check reads it, so a watch
+    /// never sorts its gaps, and a snapshot save sorts them once.
     pub fn materialize(&mut self) {
         self.ttrs_sorted.materialize();
     }
@@ -969,6 +1008,20 @@ impl StreamView {
     /// after a write pays one bounded merge (see the module docs).
     pub fn ttrs_sorted(&self) -> &[f64] {
         self.ttrs_sorted.as_slice()
+    }
+
+    /// The type-7 `p`-quantile of the repair durations, equal bit for bit
+    /// to [`failstats::quantile_sorted`] of
+    /// [`ttrs_sorted`](StreamView::ttrs_sorted). After
+    /// [`materialize`](StreamView::materialize) it reads two order
+    /// statistics by rank in O(log n) without merging; with values
+    /// pushed since, it reads the merged slice. `None` for an empty view.
+    ///
+    /// # Panics
+    ///
+    /// If `p` is outside `[0, 1]`.
+    pub fn ttr_quantile(&self, p: f64) -> Option<f64> {
+        self.ttrs_sorted.quantile(p)
     }
 
     /// The exact sum of every repair duration — added to by each
@@ -1193,6 +1246,11 @@ mod tests {
     use super::*;
     use failsim::{Simulator, SystemModel};
 
+    /// The bit patterns of `xs`, so `-0.0` and `+0.0` compare unequal.
+    fn bits(xs: &[f64]) -> Vec<u64> {
+        xs.iter().map(|x| x.to_bits()).collect()
+    }
+
     fn feed(log: &FailureLog) -> StreamView {
         let mut sv = StreamView::empty_like(log);
         sv.extend(log.records().to_vec()).unwrap();
@@ -1302,13 +1360,20 @@ mod tests {
         let log = Simulator::new(SystemModel::tsubame3(), 43).generate().unwrap();
         let mut sv = feed(&log);
         sv.materialize();
-        assert!(sv.ttrs_sorted.tail.is_empty());
-        assert!(!sv.gaps_sorted.tail.is_empty(), "the gap tail merges on read only");
+        assert!(sv.ttrs_sorted.unsorted.lock().unwrap().is_empty());
+        assert!(sv.ttrs_sorted.merged.get().is_none(), "a settle merges no cache");
+        let mut settled = [sv.ttrs_sorted.run.clone(), sv.ttrs_sorted.tail.clone()].concat();
+        settled = sorted_total(settled);
+        let gaps = &sv.gaps_sorted;
+        assert!(gaps.run.is_empty() && gaps.tail.is_empty(), "pushed gaps are never settled");
+        assert_eq!(gaps.unsorted.lock().unwrap().len(), log.len() - 1);
         let expected = StreamView::new(&log);
+        assert_eq!(bits(&settled), bits(expected.ttrs_sorted()));
         let loaded = restored(&sv);
         assert!(loaded.gaps_sorted.tail.is_empty());
-        assert_eq!(loaded.gaps_sorted.run, expected.gaps_sorted());
-        assert_eq!(sv.gaps_sorted(), expected.gaps_sorted());
+        assert!(loaded.gaps_sorted.unsorted.lock().unwrap().is_empty());
+        assert_eq!(bits(&loaded.gaps_sorted.run), bits(expected.gaps_sorted()));
+        assert_eq!(bits(sv.gaps_sorted()), bits(expected.gaps_sorted()));
     }
 
     mod columns {
@@ -1652,28 +1717,40 @@ mod tests {
 
     #[test]
     fn sorted_run_deferred_merge_equals_incremental_insert() {
-        // Interleave reads and writes so every SortedRun path runs: the
-        // ascending fast path, tail appends, eager in-place merges, the
-        // lazy read-side merge cache, and promotion back into the run.
+        // Interleave reads, settles and writes so every SortedRun path
+        // runs: unsorted appends, settles into the tail, tail merges into
+        // the run, the lazy read-side merge cache, and promotion back
+        // into the run.
         let mut run = SortedRun::default();
         let mut reference = Vec::new();
         let mut x = 0.5f64;
+        let mut tail_merges = 0;
         for i in 0..2000 {
             x = (x * 997.0 + 0.1).rem_euclid(513.0); // deterministic scatter
             run.push(x);
             let pos = reference.partition_point(|&y: &f64| y <= x);
             reference.insert(pos, x);
             if i % 37 == 0 {
-                assert_eq!(run.as_slice(), reference.as_slice(), "at push {i}");
+                assert_eq!(bits(run.as_slice()), bits(&reference), "at push {i}");
+            }
+            if i % 23 == 0 {
+                let before = run.run.len();
+                run.materialize();
+                tail_merges += usize::from(run.run.len() > before);
+                assert!(run.unsorted.lock().unwrap().is_empty());
+                assert!(run.tail.len() < MERGE_FLOOR.max(run.run.len() / 8));
+                let settled = sorted_total([run.run.clone(), run.tail.clone()].concat());
+                assert_eq!(bits(&settled), bits(&reference), "settled at push {i}");
             }
         }
-        assert_eq!(run.as_slice(), reference.as_slice());
+        assert!(tail_merges > 1, "the tail merged into the run {tail_merges} time(s)");
+        assert_eq!(bits(run.as_slice()), bits(&reference));
         run.materialize();
-        assert_eq!(run.as_slice(), reference.as_slice());
-        // Ascending fast path after materialization.
+        assert_eq!(bits(run.as_slice()), bits(&reference));
+        // An ascending append after a settle.
         run.push(1e9);
         reference.push(1e9);
-        assert_eq!(run.as_slice(), reference.as_slice());
+        assert_eq!(bits(run.as_slice()), bits(&reference));
         // Clones compare equal whatever their internal layout.
         let cloned = run.clone();
         assert_eq!(cloned, run);
@@ -1689,20 +1766,29 @@ mod tests {
         // A read sorts into the cache and keeps no unsorted copy; a
         // later write takes the cache back as the run.
         let mut read_first = SortedRun::deferred(values.clone());
-        assert_eq!(read_first.as_slice(), reference.as_slice());
+        assert_eq!(bits(read_first.as_slice()), bits(&reference));
         assert!(read_first.unsorted.lock().unwrap().is_empty());
         read_first.push(3.25);
-        // A write sorts the deferred values through the tail.
+        assert_eq!(bits(&read_first.run), bits(&reference));
+        // A write appends behind the deferred values, still unsorted;
+        // the settle sorts them all through the tail into the run.
         let mut write_first = SortedRun::deferred(values);
         write_first.push(3.25);
+        assert!(write_first.run.is_empty() && write_first.tail.is_empty());
+        assert_eq!(write_first.unsorted.lock().unwrap().len(), 501);
         let pos = reference.partition_point(|&y| y <= 3.25);
         reference.insert(pos, 3.25);
         for run in [&mut read_first, &mut write_first] {
-            assert_eq!(run.as_slice(), reference.as_slice());
             run.materialize();
-            assert!(run.tail.is_empty() && run.unsorted.lock().unwrap().is_empty());
-            assert_eq!(run.run, reference);
+            assert!(run.unsorted.lock().unwrap().is_empty());
+            let settled = sorted_total([run.run.clone(), run.tail.clone()].concat());
+            assert_eq!(bits(&settled), bits(&reference));
+            assert_eq!(bits(run.as_slice()), bits(&reference));
         }
+        // 501 settled values outgrow an empty run's tail threshold; one
+        // more value on a 500-value run stays in the tail.
+        assert!(write_first.tail.is_empty() && bits(&write_first.run) == bits(&reference));
+        assert_eq!(read_first.tail, [3.25]);
         assert_eq!(read_first, write_first);
         assert_eq!(SortedRun::deferred(Vec::new()).as_slice(), &[] as &[f64]);
 
@@ -1724,13 +1810,11 @@ mod tests {
         use proptest::collection::vec;
         use proptest::prelude::*;
 
-        /// Merges `tail` into the sorted `run` through `merge_in_place`.
-        fn merged(run: Vec<f64>, tail: Vec<f64>) -> Vec<f64> {
-            let mut sorted = SortedRun::from_sorted(run);
-            sorted.tail = tail;
-            sorted.merge_in_place();
-            assert!(sorted.tail.is_empty());
-            sorted.run
+        /// Sorts `tail` and merges it into the sorted `run` through
+        /// `merge_into`.
+        fn merged(mut run: Vec<f64>, tail: Vec<f64>) -> Vec<f64> {
+            merge_into(&mut run, &sorted_total(tail));
+            run
         }
 
         proptest! {
@@ -1786,6 +1870,135 @@ mod tests {
             assert_eq!(merged(vec![1.0, 2.0], vec![0.5]), [0.5, 1.0, 2.0]);
             assert_eq!(merged(vec![1.0, 2.0], vec![9.0, 9.0]), [1.0, 2.0, 9.0, 9.0]);
             assert_eq!(merged(vec![2.0; 3], vec![2.0; 2]), [2.0; 5]);
+        }
+    }
+
+    mod rank {
+        use super::*;
+        use failtypes::T3Category;
+        use proptest::collection::vec;
+        use proptest::prelude::*;
+
+        /// One step of an interleaving over a pushed view.
+        #[derive(Debug, Clone)]
+        enum Step {
+            /// Push one record per `(time step, TTR pick)`.
+            Push(Vec<(u8, u8)>),
+            /// Settle the TTR run, as a watch tick does.
+            Materialize,
+            /// Read both sorted arrays through their accessors.
+            Read,
+        }
+
+        /// Pushes, settles and reads in the ratio 4 : 2 : 1.
+        fn step() -> impl Strategy<Value = Step> {
+            (0u8..7, vec((0u8..3, 0u8..6), 1..40)).prop_map(|(kind, picks)| match kind {
+                0..=3 => Step::Push(picks),
+                4 | 5 => Step::Materialize,
+                _ => Step::Read,
+            })
+        }
+
+        /// A TTR on a small grid holding both signed zeros, so ties and
+        /// `-0.0`/`+0.0` neighbours are common.
+        fn grid_ttr(pick: u8) -> f64 {
+            match pick {
+                0 => -0.0,
+                1 => 0.0,
+                k => f64::from(k - 1),
+            }
+        }
+
+        /// Whether `xs` ascends in `total_cmp` order.
+        fn ascending_total(xs: &[f64]) -> bool {
+            xs.windows(2).all(|w| w[0].total_cmp(&w[1]).is_le())
+        }
+
+        /// The values `run` holds, sorted, read from its parts so the
+        /// check sets no cache (a cached read would hand the next write
+        /// its whole array as the run and empty the tail).
+        fn held(run: &SortedRun) -> Vec<f64> {
+            if let Some(full) = run.merged.get() {
+                return full.clone();
+            }
+            assert!(ascending_total(&run.run) && ascending_total(&run.tail));
+            let unsorted = run.unsorted.lock().unwrap().clone();
+            sorted_total([run.run.clone(), run.tail.clone(), unsorted].concat())
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(256))]
+
+            // After every step of an interleaving of pushes, settles and
+            // reads, each sorted array holds the sorted column, and the
+            // TTR quantile read by rank equals `quantile_sorted` of the
+            // sorted column bit for bit, at the fixed and random `p`.
+            #[test]
+            fn rank_quantiles_equal_the_sorted_column_at_every_step(
+                steps in vec(step(), 1..30),
+                random_p in vec(0.0f64..=1.0, 1..4),
+            ) {
+                let generation = Generation::Tsubame3;
+                let date = |y, m, d| Date::new(y, m, d).unwrap();
+                let window = ObservationWindow::new(date(2020, 1, 1), date(2021, 1, 1)).unwrap();
+                let mut view = StreamView::empty(generation, generation.spec(), window);
+                let category = Category::T3(T3Category::ALL[0]);
+                let ps: Vec<f64> = [0.0, 0.1, 0.5, 0.9, 1.0].into_iter().chain(random_p).collect();
+                let mut time = 0.0;
+                for step in steps {
+                    match step {
+                        Step::Push(picks) => {
+                            for (dt, pick) in picks {
+                                time += f64::from(dt);
+                                let id = view.len() as u32;
+                                let ttr = Hours::new(grid_ttr(pick));
+                                let node = NodeId::new(id % 8);
+                                let time = Hours::new(time);
+                                let rec = FailureRecord::new(id, time, ttr, category, node);
+                                view.push(rec).unwrap();
+                            }
+                        }
+                        Step::Materialize => view.materialize(),
+                        Step::Read => {
+                            for &p in &ps {
+                                let by_rank = view.ttr_quantile(p).map(f64::to_bits);
+                                let sorted = failstats::quantile_sorted(view.ttrs_sorted(), p)
+                                    .map(f64::to_bits);
+                                let (a, b) = (by_rank, sorted);
+                                prop_assert!(a == b, "p = {}: {:?} vs {:?}", p, a, b);
+                            }
+                            let ttrs = sorted_total(view.ttrs().to_vec());
+                            let gaps = sorted_total(failstats::inter_arrival_times(view.times()));
+                            prop_assert_eq!(bits(view.ttrs_sorted()), bits(&ttrs));
+                            prop_assert_eq!(bits(view.gaps_sorted()), bits(&gaps));
+                        }
+                    }
+                    let ttrs = sorted_total(view.ttrs().to_vec());
+                    let gaps = sorted_total(failstats::inter_arrival_times(view.times()));
+                    prop_assert_eq!(bits(&held(&view.ttrs_sorted)), bits(&ttrs));
+                    prop_assert_eq!(bits(&held(&view.gaps_sorted)), bits(&gaps));
+                    // A settled run reads by rank; an unsettled one would
+                    // merge into the cache, so it is read only in `Read`.
+                    // The type-7 interpolation turns a `-0.0` order
+                    // statistic into `+0.0` (`-0.0 + 0.0`) whenever two
+                    // or more values are held, so the order statistics
+                    // are checked themselves, every rank of them.
+                    let run = &view.ttrs_sorted;
+                    if run.merged.get().is_none() && run.unsorted.lock().unwrap().is_empty() {
+                        for (k, x) in ttrs.iter().enumerate() {
+                            let nth = nth_of_union(&run.run, &run.tail, k);
+                            let same = nth.to_bits() == x.to_bits();
+                            prop_assert!(same, "rank {}: {} vs {}", k, nth, x);
+                        }
+                        for &p in &ps {
+                            let by_rank = view.ttr_quantile(p).map(f64::to_bits);
+                            let sorted = failstats::quantile_sorted(&ttrs, p).map(f64::to_bits);
+                            let (a, b) = (by_rank, sorted);
+                            prop_assert!(a == b, "p = {}: {:?} vs {:?}", p, a, b);
+                        }
+                    }
+                }
+            }
         }
     }
 

@@ -63,7 +63,7 @@ pub use input::{
 pub use ops::{anonymize_nodes, load, load_with, save, summarize, LogSummary};
 pub use parallel::{from_str_with, parse_body_rows, BodyRows, ParseOptions, DEFAULT_CHUNK_BYTES};
 pub use row::{parse_line, parse_ndjson_row, record_to_ndjson};
-pub use stream::LogTailer;
+pub use stream::{LogRotated, LogTailer, Rotation};
 
 #[cfg(test)]
 mod tests {

@@ -11,6 +11,16 @@
 //! file grows; [`LogTailer::finish`] parses it once the stream is known
 //! to be finished.
 //!
+//! A tailer reads on from its byte offset in the file it opened, so it
+//! cannot follow a rotation. [`LogTailer::check_rotation`], which a
+//! follow-mode caller runs on each poll that finds no complete line,
+//! turns the two rotations it would otherwise miss into a
+//! [`LogRotated`] error: the file shrank below the bytes already read
+//! (truncated in place), or the path now names another file (or none).
+//! Like `tail -F`, it cannot see a shrink that is refilled past the old
+//! offset between two polls: the rows read from there on are whatever
+//! the new content holds at that offset.
+//!
 //! Body rows are CSV (the format's native rows) or one-line JSON
 //! objects, auto-detected per line, so `failctl watch` can ingest the
 //! NDJSON event streams that fleet telemetry pipelines emit:
@@ -22,13 +32,13 @@
 use std::fmt;
 use std::fs::File;
 use std::io::{self, BufRead, Read};
-use std::path::Path;
+use std::path::{Path, PathBuf};
 
 use failtypes::{Error, FailureRecord, Generation, ObservationWindow, Result, SystemSpec};
 
 use crate::csv::HeaderParser;
 use crate::inflate::Crc32;
-use crate::input::decode_raw;
+use crate::input::{decode_raw, file_id, FileId};
 use crate::{parse_body_rows, Compression, SourceInfo, DEFAULT_CHUNK_BYTES};
 
 /// Incremental, poll-friendly reader for a `failscope-log v1` file.
@@ -66,11 +76,62 @@ pub struct LogTailer {
     window: ObservationWindow,
 }
 
+/// How a followed log stopped being the file its tailer reads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Rotation {
+    /// The file is shorter than the bytes already read from it: it was
+    /// truncated (and perhaps rewritten) in place.
+    Truncated {
+        /// The file's length now, bytes.
+        len: u64,
+        /// Bytes read from it before, consumed or buffered.
+        read: u64,
+    },
+    /// The path names another file or none: one was moved over it, or
+    /// it was moved away or deleted (and perhaps recreated).
+    Replaced,
+}
+
+/// A followed log was rotated (see [`LogTailer::check_rotation`]).
+/// Carried as the source of a [`failtypes::Error::Other`], so a caller
+/// finds it with `downcast_ref`.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct LogRotated {
+    /// The followed path.
+    pub path: PathBuf,
+    /// What happened to it.
+    pub rotation: Rotation,
+}
+
+impl fmt::Display for LogRotated {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let path = self.path.display();
+        match self.rotation {
+            Rotation::Truncated { len, read } => write!(
+                f,
+                "`{path}` was truncated to {len} bytes after {read} bytes were read"
+            )?,
+            Rotation::Replaced => write!(f, "`{path}` now names another file or none")?,
+        }
+        f.write_str(
+            " (log rotated: every row read before it stands; restart to read the new content)",
+        )
+    }
+}
+
+impl std::error::Error for LogRotated {}
+
+/// The plain file a tailer reads appended bytes from.
+struct Followed {
+    file: File,
+    path: PathBuf,
+}
+
 /// The bytes a tailer has read, and the account of those it consumed.
 struct Input {
     /// The open file, kept so a poll can read appended bytes; `None`
     /// when nothing more can arrive (compressed input, decoded whole).
-    file: Option<File>,
+    file: Option<Followed>,
     /// `buf[start..]` is read but not yet consumed.
     buf: Vec<u8>,
     start: usize,
@@ -100,7 +161,10 @@ impl LogTailer {
         read_block(&mut file, &mut buf)?;
         let compression = Compression::sniff(&buf);
         let file = if compression == Compression::Plain {
-            Some(file)
+            Some(Followed {
+                file,
+                path: path.to_path_buf(),
+            })
         } else {
             file.read_to_end(&mut buf)?;
             buf = decode_raw(compression, buf, path)?;
@@ -111,7 +175,7 @@ impl LogTailer {
 
     /// Parses the header from `buf`, reading more of `file` while no
     /// complete header is buffered.
-    fn start(file: Option<File>, buf: Vec<u8>, compression: Compression) -> Result<Self> {
+    fn start(file: Option<Followed>, buf: Vec<u8>, compression: Compression) -> Result<Self> {
         let mut input = Input {
             file,
             buf,
@@ -209,6 +273,51 @@ impl LogTailer {
         Ok(true)
     }
 
+    /// Checks that the followed file is still the one at its path and
+    /// holds at least the bytes read from it: `fstat` on the open handle,
+    /// `stat` on the path. A follow-mode caller runs this on each poll
+    /// that found no complete line, since a tailer would otherwise read
+    /// on at its old offset, skipping the start of a truncated and
+    /// rewritten file, and never see a file moved over its path. Always
+    /// `Ok` for compressed input (decoded whole at open) and when the
+    /// platform has no inode identities.
+    ///
+    /// # Errors
+    ///
+    /// A [`LogRotated`] (the source of a [`failtypes::Error::Other`])
+    /// naming the rotation; an I/O error if the handle cannot be
+    /// `fstat`ed.
+    pub fn check_rotation(&self) -> Result<()> {
+        let Some(followed) = &self.input.file else {
+            return Ok(());
+        };
+        let Some(open) = FileId::of(&followed.file.metadata()?) else {
+            return Ok(());
+        };
+        let rotation = match file_id(&followed.path) {
+            Some(at_path) if at_path.is_none_or(|id| (id.dev, id.ino) != (open.dev, open.ino)) => {
+                Some(Rotation::Replaced)
+            }
+            _ => {
+                let read = self.input.bytes_read();
+                (open.len < read).then_some(Rotation::Truncated {
+                    len: open.len,
+                    read,
+                })
+            }
+        };
+        match rotation {
+            None => Ok(()),
+            Some(rotation) => Err(Error::other(
+                "following a log",
+                LogRotated {
+                    path: followed.path.clone(),
+                    rotation,
+                },
+            )),
+        }
+    }
+
     /// Parses the rest of the buffered input — a final line that never
     /// got its newline — once the stream is known to be complete.
     ///
@@ -256,12 +365,19 @@ impl Input {
     /// behind the rest, so the buffer never holds more than one block
     /// plus the longest line. `false` when nothing more was read.
     fn read_block(&mut self) -> Result<bool> {
-        let Some(file) = &mut self.file else {
+        let Some(followed) = &mut self.file else {
             return Ok(false);
         };
         self.buf.drain(..self.start);
         self.start = 0;
-        Ok(read_block(file, &mut self.buf)? > 0)
+        Ok(read_block(&mut followed.file, &mut self.buf)? > 0)
+    }
+
+    /// Bytes read from a plain file so far, consumed or buffered: the
+    /// handle's offset.
+    fn bytes_read(&self) -> u64 {
+        let consumed = self.consumed.as_ref().map_or(0, |&(bytes, _)| bytes);
+        consumed + (self.buf.len() - self.start) as u64
     }
 
     /// Consumes `buf[start..end]`, folding it into the byte count and

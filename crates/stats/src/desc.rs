@@ -71,20 +71,39 @@ pub fn coefficient_of_variation(data: &[f64]) -> Option<f64> {
 /// assert_eq!(failstats::quantile_sorted(&data, 1.0), Some(4.0));
 /// ```
 pub fn quantile_sorted(sorted: &[f64], p: f64) -> Option<f64> {
-    assert!((0.0..=1.0).contains(&p), "quantile requires p in [0,1], got {p}");
     debug_assert!(
         sorted.windows(2).all(|w| w[0] <= w[1]),
         "quantile_sorted requires ascending data"
     );
-    if sorted.is_empty() {
-        return None;
+    quantile_by(sorted.len(), p, |k| sorted[k])
+}
+
+/// Type-7 quantile `p` of `n` ascending values read through `at`, which
+/// returns the value of rank `k` (0-based) — the one interpolation
+/// behind [`quantile_sorted`] (`at` indexes a slice) and any order
+/// statistic a caller can find without a sorted array, so the two reads
+/// are equal by construction. `at` is called at most twice, and only
+/// with `k < n`. Returns `None` for `n == 0`.
+///
+/// # Panics
+///
+/// Panics if `p` is outside `[0, 1]`.
+///
+/// ```
+/// let data = [1.0, 2.0, 3.0, 4.0];
+/// let by_rank = failstats::quantile_by(data.len(), 0.5, |k| data[k]);
+/// assert_eq!(by_rank, failstats::quantile_sorted(&data, 0.5));
+/// ```
+pub fn quantile_by(n: usize, p: f64, at: impl Fn(usize) -> f64) -> Option<f64> {
+    assert!((0.0..=1.0).contains(&p), "quantile requires p in [0,1], got {p}");
+    match n {
+        0 => None,
+        1 => Some(at(0)),
+        _ => {
+            let (lo, hi, frac) = type7_position(n, p);
+            Some(interpolate(at(lo), at(hi), frac))
+        }
     }
-    let n = sorted.len();
-    if n == 1 {
-        return Some(sorted[0]);
-    }
-    let (lo, hi, frac) = type7_position(n, p);
-    Some(interpolate(sorted[lo], sorted[hi], frac))
 }
 
 /// Where the type-7 quantile `p` of `n >= 2` sorted values sits: the

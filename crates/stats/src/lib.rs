@@ -63,7 +63,8 @@ pub use counting::{
     burstiness_report, inter_arrival_times, mean_gap, windowed_counts, BurstinessReport,
 };
 pub use desc::{
-    coefficient_of_variation, mean, median, quantile, quantile_sorted, std_dev, variance, Summary,
+    coefficient_of_variation, mean, median, quantile, quantile_by, quantile_sorted, std_dev,
+    variance, Summary,
 };
 pub use dist::{
     sample_poisson, sample_std_gamma, sample_std_normal, ContinuousDist, Exponential, Gamma,

@@ -5,8 +5,10 @@
 //! * [`TailSource`] — a `failscope-log v1` file read incrementally via
 //!   [`faillog::LogTailer`] (CSV or NDJSON body rows); in follow mode
 //!   exhaustion yields [`ChunkEnd::Idle`] so the caller can sleep and
-//!   poll again while the file grows, otherwise the final partial line
-//!   is parsed and the source ends with [`ChunkEnd::Eof`].
+//!   poll again while the file grows (and an idle poll that finds the
+//!   file truncated or replaced fails with [`faillog::LogRotated`]),
+//!   otherwise the final partial line is parsed and the source ends
+//!   with [`ChunkEnd::Eof`].
 //! * [`SimSource`] — a calibrated `failsim` model replayed through a
 //!   [`failsim::ReplayClock`], paced (real-time-scaled) or unpaced
 //!   (`--accel max`). An optional MTTR injection multiplies the repair
@@ -131,10 +133,17 @@ impl EventSource for TailSource {
         // Each run is at most the records still wanted, so the tailer
         // never consumes past what it hands over and its progress
         // fingerprints exactly the ingested records.
-        let target = out.len().saturating_add(max);
+        let start = out.len();
+        let target = start.saturating_add(max);
         while out.len() < target {
             if !self.tailer.read_rows(target - out.len(), out)? {
                 if self.follow {
+                    // A rotation ends the watch with an error, so check
+                    // only on a pull that delivered nothing: every record
+                    // read before it reaches the caller first.
+                    if out.len() == start {
+                        self.tailer.check_rotation()?;
+                    }
                     return Ok(ChunkEnd::Idle);
                 }
                 self.done = true;
@@ -270,6 +279,8 @@ impl EventSource for SimSource {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use failtypes::FailureLog;
+    use std::io::Write;
 
     fn drain(source: &mut dyn EventSource) -> Vec<FailureRecord> {
         let mut out = Vec::new();
@@ -344,6 +355,78 @@ mod tests {
         // are flushed, chunking adds no delivery latency.
         assert_eq!(records, log.len());
         std::fs::remove_file(&path).unwrap();
+    }
+
+    /// Every record a followed source delivers before it first idles.
+    fn pull_until_idle(src: &mut TailSource) -> Vec<FailureRecord> {
+        let mut records = Vec::new();
+        while src.next_chunk(64, &mut records).unwrap() == ChunkEnd::More {}
+        records
+    }
+
+    /// The rotation a source error names, if it is one.
+    fn rotation(err: &failtypes::Error) -> Option<faillog::Rotation> {
+        let rotated = std::error::Error::source(err)?.downcast_ref::<faillog::LogRotated>()?;
+        Some(rotated.rotation)
+    }
+
+    #[test]
+    fn follow_ends_with_a_typed_error_when_the_log_is_rotated() {
+        let log = Simulator::new(SystemModel::tsubame2(), 6).generate().unwrap();
+        let half = FailureLog::with_spec(
+            log.generation(),
+            log.spec().clone(),
+            log.window(),
+            log.records()[..log.len() / 2].to_vec(),
+        )
+        .unwrap();
+        let full = faillog::to_string(&log).unwrap();
+        let shorter = faillog::to_string(&half).unwrap();
+        let dir = std::env::temp_dir()
+            .join(format!("failscope-test-rotation-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("followed.fslog");
+
+        // Truncated and rewritten in place (same inode, fewer bytes).
+        std::fs::write(&path, &full).unwrap();
+        let mut src = TailSource::open(&path, true).unwrap();
+        assert_eq!(pull_until_idle(&mut src).as_slice(), log.records());
+        std::fs::write(&path, &shorter).unwrap();
+        let mut late = Vec::new();
+        let err = src.next_chunk(64, &mut late).unwrap_err();
+        assert!(late.is_empty());
+        let (len, read) = (shorter.len() as u64, full.len() as u64);
+        assert_eq!(rotation(&err), Some(faillog::Rotation::Truncated { len, read }), "{err}");
+        assert!(err.to_string().contains("truncated"), "{err}");
+
+        // Another file moved over the path; rows appended to the old one
+        // before the move are still delivered, once.
+        std::fs::write(&path, &shorter).unwrap();
+        let mut src = TailSource::open(&path, true).unwrap();
+        let mut records = pull_until_idle(&mut src);
+        let rest = &full[shorter.len()..];
+        std::fs::OpenOptions::new()
+            .append(true)
+            .open(&path)
+            .unwrap()
+            .write_all(rest.as_bytes())
+            .unwrap();
+        let moved = dir.join("replacement.fslog");
+        std::fs::write(&moved, &full).unwrap();
+        std::fs::rename(&moved, &path).unwrap();
+        records.extend(pull_until_idle(&mut src));
+        assert_eq!(records.as_slice(), log.records());
+        let err = src.next_chunk(64, &mut records).unwrap_err();
+        assert_eq!(rotation(&err), Some(faillog::Rotation::Replaced), "{err}");
+        assert_eq!(records.len(), log.len());
+
+        // The path removed.
+        let mut src = TailSource::open(&path, true).unwrap();
+        pull_until_idle(&mut src);
+        std::fs::remove_file(&path).unwrap();
+        let err = src.next_chunk(64, &mut Vec::new()).unwrap_err();
+        assert_eq!(rotation(&err), Some(faillog::Rotation::Replaced), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

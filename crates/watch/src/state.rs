@@ -4,14 +4,18 @@
 //! [`WatchState`] is a [`failscope::StreamView`] plus one [`Ewma`] per
 //! category for repair times and for inter-arrival gaps, and each
 //! category's last failure time, which the gap EWMA folds from. The
-//! EWMAs are the only estimators kept beside the view (reading one back
-//! would refold the category's whole history); every other figure is a
-//! read of the view:
+//! three are one entry per category, indexed by the category's code in
+//! the view's palette (first-arrival order), so a record finds its entry
+//! by the code the view just gave it, with no map lookup. The EWMAs are
+//! the only estimators kept beside the view (reading one back would
+//! refold the category's whole history); every other figure is a read of
+//! the view:
 //!
 //! * since-start figures — the MTTR from the view's exact TTR sum
-//!   ([`failstats::ExactSum`], read in O(1)), the TTR quantiles from its
-//!   sorted TTRs through the type-7 interpolation of
-//!   [`failstats::Ecdf`], and the mean gap from the closed form
+//!   ([`failstats::ExactSum`], read in O(1)), the TTR quantiles read by
+//!   rank over the view's settled TTRs
+//!   ([`StreamView::ttr_quantile`], the type-7 interpolation of
+//!   [`failstats::Ecdf`]), and the mean gap from the closed form
 //!   [`failstats::mean_gap`] over its time array, so they are
 //!   bit-identical to `TtrAnalysis`/`TbfAnalysis` at every stream
 //!   length;
@@ -119,10 +123,18 @@ impl StateConfigBuilder {
 pub struct WatchState {
     view: StreamView,
     config: StateConfig,
-    ewma_ttr: BTreeMap<Category, Ewma>,
-    ewma_gap: BTreeMap<Category, Ewma>,
-    /// Each category's latest failure time, hours.
-    last_failure: BTreeMap<Category, f64>,
+    /// One entry per category, indexed by its code in the view's
+    /// category palette.
+    categories: Vec<CategoryState>,
+}
+
+/// What [`WatchState`] keeps about one category beside the view.
+#[derive(Debug, Clone, PartialEq)]
+struct CategoryState {
+    ewma_ttr: Ewma,
+    ewma_gap: Ewma,
+    /// The category's latest failure time, hours.
+    last_failure: f64,
 }
 
 impl WatchState {
@@ -136,9 +148,7 @@ impl WatchState {
         WatchState {
             view: StreamView::empty(generation, spec, window),
             config,
-            ewma_ttr: BTreeMap::new(),
-            ewma_gap: BTreeMap::new(),
-            last_failure: BTreeMap::new(),
+            categories: Vec::new(),
         }
     }
 
@@ -161,19 +171,25 @@ impl WatchState {
     pub fn ingest(&mut self, rec: FailureRecord) -> failtypes::Result<()> {
         let time = rec.time().get();
         let ttr = rec.ttr().get();
-        let category = rec.category();
         self.view.push(rec)?;
-        let prev = self.last_failure.insert(category, time);
-
-        self.ewma_ttr
-            .entry(category)
-            .or_insert_with(|| Ewma::new(EWMA_ALPHA))
-            .update(ttr);
-        if let Some(prev) = prev {
-            self.ewma_gap
-                .entry(category)
-                .or_insert_with(|| Ewma::new(EWMA_ALPHA))
-                .update(time - prev);
+        // A palette code is a category's first-arrival rank, so a new
+        // category's code is the next entry.
+        let code = usize::from(*self.view.category_codes().last().expect("just pushed"));
+        match self.categories.get_mut(code) {
+            Some(entry) => {
+                entry.ewma_gap.update(time - entry.last_failure);
+                entry.last_failure = time;
+                entry.ewma_ttr.update(ttr);
+            }
+            None => {
+                let mut ewma_ttr = Ewma::new(EWMA_ALPHA);
+                ewma_ttr.update(ttr);
+                self.categories.push(CategoryState {
+                    ewma_ttr,
+                    ewma_gap: Ewma::new(EWMA_ALPHA),
+                    last_failure: time,
+                });
+            }
         }
         Ok(())
     }
@@ -200,10 +216,10 @@ impl WatchState {
         Ok(accepted)
     }
 
-    /// Forces the view's deferred TTR merge now (see
+    /// Settles the repair durations ingested since the last call (see
     /// [`StreamView::materialize`]); the watch loop calls this before
-    /// rendering summaries so the quantiles read a zero-cost slice and
-    /// the merge lands back in the run instead of a read-side cache.
+    /// rendering summaries so the quantiles read by rank and no read
+    /// merges into a cache.
     pub fn materialize(&mut self) {
         self.view.materialize();
     }
@@ -257,9 +273,9 @@ impl WatchState {
     }
 
     /// `p`-quantile of repair durations since stream start, bit-identical
-    /// to `TtrAnalysis::quantile`.
+    /// to `TtrAnalysis::quantile` ([`StreamView::ttr_quantile`]).
     pub fn ttr_quantile(&self, p: f64) -> Option<f64> {
-        failstats::quantile_sorted(self.view.ttrs_sorted(), p)
+        self.view.ttr_quantile(p)
     }
 
     /// The repair durations of the trailing window, the last
@@ -323,14 +339,20 @@ impl WatchState {
         estimators::rate_per_hour(self.view.times(), RATE_WINDOW_HOURS)
     }
 
+    /// The entry of `category`, if any record carried it.
+    fn category(&self, category: Category) -> Option<&CategoryState> {
+        let code = self.view.category_palette().iter().position(|&c| c == category)?;
+        self.categories.get(code)
+    }
+
     /// Smoothed per-category repair duration.
     pub fn ewma_ttr(&self, category: Category) -> Option<f64> {
-        self.ewma_ttr.get(&category).and_then(Ewma::value)
+        self.category(category)?.ewma_ttr.value()
     }
 
     /// Smoothed per-category inter-arrival gap.
     pub fn ewma_gap(&self, category: Category) -> Option<f64> {
-        self.ewma_gap.get(&category).and_then(Ewma::value)
+        self.category(category)?.ewma_gap.value()
     }
 
     /// Multi-GPU failures whose arrival time is at or after `cutoff`

@@ -174,7 +174,7 @@ if [ "$stream_rate" -lt "$stream_floor" ]; then
 fi
 
 # Watch summary gate: one refresh at the end of the ~110k-record scaled
-# year (ingest 100 records, materialize the TTR run, render all four
+# year (ingest 100 records, settle the TTR run, render all four
 # sections on the calling thread). With the MTTR read from the view's
 # exact running sum and only the TTR run merged, the 2-core bench host
 # read ~18,100-19,600 refreshes/second when quiet and 12,773-14,271
@@ -196,14 +196,16 @@ if [ "$summary_rate" -lt "$summary_floor" ]; then
 fi
 
 # Watch summary scaling gate: the cost of one refresh at 1M records
-# over its cost at 1k (BENCH_stream `scaling`). What still grows with
-# the stream is the TTR merge's memmove that feeds the p50/p90 reads;
-# the MTTR re-sum and the recovery-run merge, which made the parent read
-# 23-33x, are gone. Twelve readings on the 2-core bench host were
-# 8.7-14.3x; the ceiling is the highest plus ~40%. The ratio is higher
-# on a quiet host, where the 1k render speeds up more than the 1M
-# memmove does.
-summary_ratio_ceiling=20
+# over its cost at 1k (BENCH_stream `scaling`). Nothing a refresh does
+# grows with the stream any more: the p50/p90 are read by rank over the
+# settled TTRs in O(log n), a tick sorts only its own records into the
+# run's tail, and the tail's merge into the run comes once per eighth
+# of growth. The code that merged the whole TTR run before every
+# refresh read 8.7-14.3x (and the MTTR re-sum before it 23-33x); this
+# one read 0.87-1.56x in five runs on the 2-core bench host. The ceiling
+# is the highest reading plus a margin for the ~20 us 1k tier's noise,
+# well below where a per-refresh O(n) memmove lands.
+summary_ratio_ceiling=4
 summary_1k=$(sed -n 's/.*"records": 1000, .*"summary_us": \([0-9.]*\),.*/\1/p' BENCH_stream.json)
 summary_1m=$(sed -n 's/.*"records": 1000000, .*"summary_us": \([0-9.]*\),.*/\1/p' BENCH_stream.json)
 if [ -z "$summary_1k" ] || [ -z "$summary_1m" ]; then
@@ -213,6 +215,24 @@ fi
 if ! awk -v big="$summary_1m" -v small="$summary_1k" -v ceiling="$summary_ratio_ceiling" \
     'BEGIN { exit !(big <= small * ceiling) }'; then
     echo "verify: watch summary cost grows with the stream: 1M $summary_1m us vs 1k $summary_1k us > ${summary_ratio_ceiling}x" >&2
+    exit 1
+fi
+
+# Watch replay tick gate: the mean refresh (ingest 100 records, settle
+# the TTR run, render the four sections) over every tick of the
+# ~110k-record scaled year, from its first record, so each settle into
+# the tail and each tail merge into the run is counted. Five runs on
+# the 2-core bench host read 23.3-37.3 us (the code before it, which
+# merged pushes eagerly and the whole TTR run every tick, read 41-62 us
+# on the same host); the ceiling is the highest reading plus ~35%.
+tick_ceiling=50
+tick_us=$(sed -n 's/.*"scaled_replay_tick_us": \([0-9.]*\).*/\1/p' BENCH_stream.json)
+if [ -z "$tick_us" ]; then
+    echo "verify: scaled_replay_tick_us missing from BENCH_stream.json" >&2
+    exit 1
+fi
+if ! awk -v tick="$tick_us" -v ceiling="$tick_ceiling" 'BEGIN { exit !(tick <= ceiling) }'; then
+    echo "verify: watch replay tick regressed: $tick_us us > ceiling $tick_ceiling us" >&2
     exit 1
 fi
 
@@ -752,4 +772,4 @@ fi
 # API docs must build warning-free.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps -q
 
-echo "verify: build + tests + clippy + structure gate + unsafe gate + loadbench gate + streaming gate + summary gate + summary scaling gate + parse gate + gzip gate + inflate gate + filter gate + view filter gate + index gate + server gate + gzip smoke + retired-knob smoke + json gate + trace gate + docs all green"
+echo "verify: build + tests + clippy + structure gate + unsafe gate + loadbench gate + streaming gate + summary gate + summary scaling gate + replay tick gate + parse gate + gzip gate + inflate gate + filter gate + view filter gate + index gate + server gate + gzip smoke + retired-knob smoke + json gate + trace gate + docs all green"
